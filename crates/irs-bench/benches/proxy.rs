@@ -6,7 +6,7 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 
 fn proxy_with(revoked: u64, population: u64) -> IrsProxy {
     let mut filter = BloomFilter::for_capacity(population, 0.02).unwrap();
@@ -16,7 +16,7 @@ fn proxy_with(revoked: u64, population: u64) -> IrsProxy {
     let mut proxy = IrsProxy::new(ProxyConfig::default());
     proxy
         .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
         .unwrap();
     proxy
 }

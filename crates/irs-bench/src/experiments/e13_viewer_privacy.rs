@@ -11,7 +11,7 @@ use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
 use irs_proxy::privacy::{analyze, anonymity_set_size, LedgerLogEntry};
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::trace::{generate, ViewTraceConfig};
 
@@ -66,7 +66,7 @@ pub fn run(quick: bool) -> String {
     }
     proxy
         .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
         .unwrap();
     let mut filtered_log = Vec::new();
     for e in &trace {

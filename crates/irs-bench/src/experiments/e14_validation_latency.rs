@@ -11,7 +11,7 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs_simnet::latency::profiles;
 use irs_simnet::Histogram;
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
@@ -78,7 +78,7 @@ pub fn run(quick: bool) -> String {
         }
         proxy
             .filters
-            .apply_full(LedgerId(0), 1, filter.to_bytes())
+            .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
             .unwrap();
         for i in 0..checks {
             let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);

@@ -32,10 +32,9 @@ use irs_core::wire::{Request, Response};
 use irs_ledger::{Ledger, LedgerConfig};
 use irs_net::chaos::{ChaosConfig, ChaosProxy};
 use irs_net::proxy_server::ProxyServer;
-use irs_net::refresh::refresh_shared_filter;
-use irs_net::resilient::RetryPolicy;
-use irs_net::service::{stacks, BoxService};
-use irs_net::LedgerClient;
+use irs_net::refresh::refresh;
+use irs_net::service::{stacks, BoxService, CallCtx, Service, TcpTransport};
+use irs_net::RetryPolicy;
 use irs_proxy::health::BreakerConfig;
 use irs_proxy::{ProxyConfig, SharedProxy};
 use std::sync::Arc;
@@ -149,20 +148,18 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
     );
     // Filter refresh goes directly to the ledger: E16 measures the query
     // path (the refresh worker's outage behavior has its own tests).
-    let mut refresher = LedgerClient::connect(ledger_server.addr()).unwrap();
-    refresh_shared_filter(&shared, &mut refresher, LedgerId(1)).unwrap();
+    let refresher = TcpTransport::new(ledger_server.addr(), Duration::from_secs(5));
+    refresh(&shared, &refresher, LedgerId(1)).unwrap();
 
     let stack = kind.stack(&shared, chaos.addr(), seed);
     let proxy_server = ProxyServer::start_with_stack(shared, "127.0.0.1:0", stack).unwrap();
-    let mut browser =
-        LedgerClient::connect_with_timeout(proxy_server.addr(), Duration::from_secs(10)).unwrap();
+    // (The transport redials by itself should the clean leg ever drop.)
+    let browser = TcpTransport::new(proxy_server.addr(), Duration::from_secs(10));
 
     // Warm the stale cache: one uncounted pass over the id population
     // (identical for every policy, so the comparison stays fair).
     for &id in &ids {
-        if browser.call(&Request::Query { id }).is_err() {
-            let _ = browser.reconnect();
-        }
+        let _ = browser.call(Request::Query { id }, &CallCtx::wall());
     }
 
     // Scripted outage: the middle 15% of the run is a total partition.
@@ -181,7 +178,7 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
         }
         let id = ids[q % ids.len()];
         let start = std::time::Instant::now();
-        let response = browser.call(&Request::Query { id });
+        let response = browser.call(Request::Query { id }, &CallCtx::wall());
         latencies_us.push(start.elapsed().as_micros() as u64);
         match response {
             Ok(Response::Status { status, .. }) => {
@@ -193,12 +190,9 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
                 ok += 1;
                 stale += 1;
             }
-            Ok(_) => {} // Error / Unavailable: the validation got no status
-            Err(_) => {
-                // The clean browser→proxy leg should not fail, but stay
-                // robust: reconnect and count the validation as lost.
-                let _ = browser.reconnect();
-            }
+            // Error / Unavailable, or (it should not happen) the clean
+            // browser→proxy leg failing: the validation got no status.
+            _ => {}
         }
     }
 

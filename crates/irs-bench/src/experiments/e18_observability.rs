@@ -26,10 +26,10 @@ use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
 use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
 use irs_net::ledger_server::LedgerServer;
-use irs_net::resilient::RetryPolicy;
 use irs_net::service::{stacks, BoxService, CallCtx, Service};
+use irs_net::RetryPolicy;
 use irs_obs::SpanRecorder;
-use irs_proxy::{ProxyConfig, SharedProxy};
+use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -225,7 +225,7 @@ fn build_rig(records: u64) -> Rig {
         cache_ttl_ms: 0,
     }));
     proxy
-        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
+        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
         .unwrap();
     let stack = stacks::full_upstream(proxy, vec![server.addr()], RetryPolicy::fast(0xE18));
     Rig {

@@ -335,8 +335,8 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
 /// fresh server, and a `Failover` transport stack rotates clients onto
 /// it. Returns (acked writes, answered after failover, failovers).
 pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
-    use irs_net::service::{stacks, CallCtx, Failover, Service};
-    use irs_net::{LedgerClient, LedgerServer};
+    use irs_net::service::{stacks, CallCtx, Failover, Service, TcpTransport};
+    use irs_net::LedgerServer;
 
     let primary_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(9)));
     let server = LedgerServer::start_durable(
@@ -352,8 +352,10 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
     let primary_addr = server.addr();
 
     // Bootstrap the follower over the wire.
-    let mut boot = LedgerClient::connect(primary_addr).unwrap();
-    let Response::Snapshot { seq, data } = boot.fetch_snapshot().unwrap() else {
+    let boot = TcpTransport::new(primary_addr, Duration::from_secs(5));
+    let Response::Snapshot { seq, data } =
+        boot.call(Request::FetchSnapshot, &CallCtx::wall()).unwrap()
+    else {
         panic!("expected snapshot response");
     };
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(10)));
@@ -374,14 +376,20 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
         let poller_dead = dead.clone();
         std::thread::scope(|s| {
             let poller = s.spawn(move || {
-                let mut tail = LedgerClient::connect(primary_addr).unwrap();
+                let tail = TcpTransport::new(primary_addr, Duration::from_secs(5));
                 while !poller_dead.load(Ordering::SeqCst) {
                     let Ok(Response::WalSegment {
                         first_seq,
                         durable_seq,
                         log_start_seq,
                         frames,
-                    }) = tail.wal_subscribe(follower.next_seq(), POLL_FRAMES)
+                    }) = tail.call(
+                        Request::WalSubscribe {
+                            from_seq: follower.next_seq(),
+                            max_frames: POLL_FRAMES,
+                        },
+                        &CallCtx::wall(),
+                    )
                     else {
                         break;
                     };
@@ -399,11 +407,13 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
                 }
             });
             let kp = Keypair::from_seed(&[0x22; 32]);
-            let mut client = LedgerClient::connect(primary_addr).unwrap();
+            let client = TcpTransport::new(primary_addr, Duration::from_secs(5));
             let mut acked: Vec<RecordId> = Vec::new();
             for i in 0..claims {
                 let req = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
-                if let Ok(Response::Claimed { id, .. }) = client.call(&Request::Claim(req)) {
+                if let Ok(Response::Claimed { id, .. }) =
+                    client.call(Request::Claim(req), &CallCtx::wall())
+                {
                     acked.push(id);
                 }
             }

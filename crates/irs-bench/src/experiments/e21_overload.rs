@@ -45,10 +45,9 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response, Wire};
 use irs_ledger::{Ledger, LedgerConfig};
 use irs_net::proxy_server::ProxyServer;
-use irs_net::refresh::refresh_shared_filter;
-use irs_net::resilient::RetryPolicy;
+use irs_net::refresh::refresh;
 use irs_net::service::{stacks, CallCtx, GovernorPolicy, Service, ShedPolicy, TcpTransport};
-use irs_net::{LedgerClient, LedgerServer, NetError};
+use irs_net::{Framed, LedgerServer, NetError, RetryPolicy, MAX_FRAME};
 use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_workload::openloop::{
     BotProfile, DiurnalCurve, FlashCrowd, OpenLoopConfig, RevocationStorm, ScheduledRequest,
@@ -192,7 +191,7 @@ fn drive_connection(
         };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let mut write_half = stream.try_clone().expect("clone stream");
+        let mut write_half = Framed::new(stream.try_clone().expect("clone stream"), MAX_FRAME);
         let schedule: Vec<(u64, u64)> = slice
             .iter()
             .map(|r| (r.at_ms, r.rank.min(RECORDS as u64 - 1)))
@@ -208,8 +207,7 @@ fn drive_connection(
                     }
                     std::thread::sleep(target - now);
                 }
-                if irs_net::framing::write_frame(&mut write_half, &payloads[rank as usize]).is_err()
-                {
+                if write_half.write_frame(&payloads[rank as usize]).is_err() {
                     break;
                 }
                 sent += 1;
@@ -217,11 +215,11 @@ fn drive_connection(
             sent
         });
 
-        let mut reader = stream;
+        let mut reader = Framed::new(stream, MAX_FRAME);
         let mut out: Vec<Answered> = Vec::with_capacity(slice.len());
         for req in &slice {
             let scheduled = start + Duration::from_millis(req.at_ms);
-            match irs_net::framing::read_frame(&mut reader) {
+            match reader.read_frame() {
                 Ok(frame) => {
                     let latency = Instant::now().saturating_duration_since(scheduled);
                     let verdict = match Response::from_bytes(frame) {
@@ -287,8 +285,8 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
         cache_capacity: 4_096,
         cache_ttl_ms: 1,
     }));
-    let mut refresher = LedgerClient::connect(ledger_server.addr()).unwrap();
-    refresh_shared_filter(&shared, &mut refresher, LedgerId(1)).unwrap();
+    let refresher = TcpTransport::new(ledger_server.addr(), Duration::from_secs(5));
+    refresh(&shared, &refresher, LedgerId(1)).unwrap();
 
     let retry = RetryPolicy {
         max_attempts: 2,
@@ -402,7 +400,7 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
         other => panic!("storm revoke failed: {other:?}"),
     }
     ledger_server.ledger().publish_filter();
-    refresh_shared_filter(&shared, &mut refresher, LedgerId(1)).unwrap();
+    refresh(&shared, &refresher, LedgerId(1)).unwrap();
     shared.invalidate(&hot_id);
     let queries_at_storm = queries_counter.get();
     sleep_until(storm_end);

@@ -37,9 +37,8 @@ use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
     LedgerConfig, ReplicationPolicy, SegmentData, ShardDirectory, ShardMap, ShardSpec,
 };
-use irs_net::resilient::RetryPolicy;
-use irs_net::service::{stacks, CallCtx, Route, Service, TransportPool};
-use irs_net::{LedgerClient, LedgerServer, NetError};
+use irs_net::service::{stacks, CallCtx, Route, Service, TcpTransport, TransportPool};
+use irs_net::{LedgerServer, NetError, RetryPolicy};
 use irs_workload::sharded::ShardLoad;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -241,8 +240,9 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
     // Shard 1 follower: bootstrapped over the wire, served immediately
     // on the address the shard map advertises — the failover target
     // exists *before* the failure, it is not conjured afterwards.
-    let mut boot = LedgerClient::connect(primary_addr).unwrap();
-    let Ok(Response::Snapshot { seq, data }) = boot.fetch_snapshot() else {
+    let boot = TcpTransport::new(primary_addr, Duration::from_secs(5));
+    let Ok(Response::Snapshot { seq, data }) = boot.call(Request::FetchSnapshot, &CallCtx::wall())
+    else {
         panic!("snapshot fetch failed");
     };
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed + 1)));
@@ -324,14 +324,20 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
         let poller_dead = dead.clone();
         std::thread::scope(|s| {
             let poller = s.spawn(move || {
-                let mut tail = LedgerClient::connect(primary_addr).unwrap();
+                let tail = TcpTransport::new(primary_addr, Duration::from_secs(5));
                 while !poller_dead.load(Ordering::SeqCst) {
                     let Ok(Response::WalSegment {
                         first_seq,
                         durable_seq,
                         log_start_seq,
                         frames,
-                    }) = tail.wal_subscribe(follower.next_seq(), POLL_FRAMES)
+                    }) = tail.call(
+                        Request::WalSubscribe {
+                            from_seq: follower.next_seq(),
+                            max_frames: POLL_FRAMES,
+                        },
+                        &CallCtx::wall(),
+                    )
                     else {
                         break;
                     };

@@ -25,8 +25,8 @@
 use crate::table::{f, Table};
 use irs_core::ids::LedgerId;
 use irs_filters::hash::mix64;
-use irs_filters::{BloomFilter, Fuse8, PublishOutcome, TieredConfig, TieredPublisher, TieredServe};
-use irs_proxy::filterset::FilterSet;
+use irs_filters::{BloomFilter, Fuse8, PublishOutcome, TieredConfig, TieredPublisher};
+use irs_proxy::{FilterSet, FilterUpdate};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -69,7 +69,8 @@ fn legacy_set(keys: &[u64]) -> FilterSet {
         bloom.insert(k);
     }
     let mut fs = FilterSet::new();
-    fs.apply_full(LedgerId(1), 1, bloom.to_bytes()).unwrap();
+    fs.apply(LedgerId(1), FilterUpdate::full(1, bloom.to_bytes()))
+        .unwrap();
     fs
 }
 
@@ -79,8 +80,16 @@ fn tiered_set(keys: &[u64]) -> FilterSet {
     let base = Fuse8::build(keys).unwrap();
     let delta = BloomFilter::for_capacity(TieredConfig::default().delta_capacity, 1e-3).unwrap();
     let mut fs = FilterSet::new();
-    fs.apply_tiered(LedgerId(1), 2, base.to_bytes(), 0, delta.to_bytes())
-        .unwrap();
+    fs.apply(
+        LedgerId(1),
+        FilterUpdate::Tiered {
+            epoch: 2,
+            base: base.to_bytes(),
+            delta_version: 0,
+            delta: delta.to_bytes(),
+        },
+    )
+    .unwrap();
     fs
 }
 
@@ -197,24 +206,8 @@ fn soundness_drill(quick: bool, seed: u64) -> DrillResult {
         let snap = publisher.snapshot();
         let mut next = (**shared.read().unwrap()).clone();
         let (have_epoch, have_version) = next.tiered_state(LedgerId(1));
-        match snap.serve(have_epoch, have_version) {
-            TieredServe::Current => {}
-            TieredServe::Delta {
-                from_version,
-                to_version,
-                delta,
-            } => next
-                .apply_tiered_delta(LedgerId(1), from_version, to_version, delta.to_bytes())
-                .unwrap(),
-            TieredServe::Base { epoch, base } => next.apply_base(LedgerId(1), epoch, base).unwrap(),
-            TieredServe::Tiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            } => next
-                .apply_tiered(LedgerId(1), epoch, base, delta_version, delta)
-                .unwrap(),
+        if let Some(update) = FilterUpdate::from_serve(snap.serve(have_epoch, have_version)) {
+            next.apply(LedgerId(1), update).unwrap();
         }
         *shared.write().unwrap() = Arc::new(next);
         visible.store((c + 1) * chunk, Ordering::Release);

@@ -16,8 +16,9 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::Request;
 use irs_filters::BloomFilter;
 use irs_ledger::{Ledger, LedgerConfig};
-use irs_net::{LedgerClient, LedgerServer, ProxyServer};
-use irs_proxy::{IrsProxy, ProxyConfig};
+use irs_net::service::{CallCtx, Service, TcpTransport};
+use irs_net::{LedgerServer, ProxyServer};
+use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
 use irs_simnet::{LatencyModel, Link};
 use irs_workload::population::{PhotoMeta, PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
@@ -26,7 +27,7 @@ use rand::SeedableRng;
 
 /// Check service backed by a live TCP connection to the proxy.
 struct LiveChecks {
-    client: LedgerClient,
+    client: TcpTransport,
     total_us: u128,
     checks: u64,
 }
@@ -34,7 +35,9 @@ struct LiveChecks {
 impl CheckService for LiveChecks {
     fn check_ms(&mut self, photo: &PhotoMeta) -> u64 {
         let start = std::time::Instant::now();
-        let _ = self.client.call(&Request::Query { id: photo.id });
+        let _ = self
+            .client
+            .call(Request::Query { id: photo.id }, &CallCtx::wall());
         let us = start.elapsed().as_micros();
         self.total_us += us;
         self.checks += 1;
@@ -79,13 +82,13 @@ pub fn run(quick: bool) -> String {
             filter.insert(meta.id.filter_key());
         }
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = std::sync::Arc::new(SharedProxy::new(ProxyConfig::default()));
+    let install = FilterUpdate::full(1, filter.to_bytes());
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|f| f.apply(LedgerId(0), install))
         .expect("install");
-    let proxy_server =
-        ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).expect("proxy server");
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
+        .expect("proxy server");
 
     let config = ScrollConfig {
         viewports,
@@ -102,7 +105,7 @@ pub fn run(quick: bool) -> String {
 
     // Live checks through the proxy.
     let mut live = LiveChecks {
-        client: LedgerClient::connect(proxy_server.addr()).expect("connect"),
+        client: TcpTransport::new(proxy_server.addr(), std::time::Duration::from_secs(5)),
         total_us: 0,
         checks: 0,
     };

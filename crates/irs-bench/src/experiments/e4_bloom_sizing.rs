@@ -17,7 +17,7 @@ use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::analysis;
 use irs_filters::{BloomFilter, Filter};
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
@@ -105,7 +105,7 @@ pub fn run(quick: bool) -> String {
     });
     proxy
         .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
         .expect("install");
     let zipf = Zipf::new(population.public_count() as usize, 0.9);
     let mut rng = StdRng::seed_from_u64(0xE4);

@@ -13,7 +13,7 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
@@ -89,7 +89,7 @@ pub fn run(quick: bool) -> String {
     }
     proxy
         .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
         .expect("install");
     run_trace(&mut proxy, &population, &zipf, views, 0xE5);
     let s = proxy.stats;

@@ -231,9 +231,9 @@ mod tests {
         use irs_crypto::{Digest, Keypair};
         use irs_filters::BloomFilter;
         use irs_ledger::{Ledger, LedgerConfig};
-        use irs_net::resilient::RetryPolicy;
-        use irs_net::{LedgerClient, LedgerServer};
-        use irs_proxy::{ProxyConfig, SharedProxy};
+        use irs_net::service::TcpTransport;
+        use irs_net::{LedgerServer, RetryPolicy};
+        use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
         use std::sync::Arc;
 
         // A live ledger with one revoked record, fronted by the same
@@ -243,15 +243,17 @@ mod tests {
             TimestampAuthority::from_seed(0xB10),
         );
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut owner = LedgerClient::connect(server.addr()).unwrap();
+        let owner = TcpTransport::new(server.addr(), std::time::Duration::from_secs(5));
         let kp = Keypair::from_seed(&[5u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"browser-pic"));
-        let Ok(Response::Claimed { id: revoked, .. }) = owner.call(&Request::Claim(claim)) else {
+        let Ok(Response::Claimed { id: revoked, .. }) =
+            owner.call(Request::Claim(claim), &CallCtx::wall())
+        else {
             panic!("claim failed");
         };
         let revoke = RevokeRequest::create(&kp, revoked, true, 0);
         assert!(matches!(
-            owner.call(&Request::Revoke(revoke)),
+            owner.call(Request::Revoke(revoke), &CallCtx::wall()),
             Ok(Response::RevokeAck { .. })
         ));
 
@@ -261,7 +263,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(revoked.filter_key());
         shared
-            .update_filters(|f| f.apply_full(LedgerId(1), 1, filter.to_bytes()))
+            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
             .unwrap();
         let stack = stacks::retrying_upstream(
             shared.clone(),

@@ -121,7 +121,11 @@ impl TieredFilter {
 
     /// Apply a same-epoch delta update. Atomic: a rejected delta leaves
     /// the tier untouched (see [`BloomDelta::apply`]).
-    pub fn apply_delta(&mut self, delta: &BloomDelta, to_version: u64) -> Result<(), FilterError> {
+    pub fn advance_delta(
+        &mut self,
+        delta: &BloomDelta,
+        to_version: u64,
+    ) -> Result<(), FilterError> {
         delta.apply(&mut self.delta)?;
         self.delta_version = to_version;
         Ok(())
@@ -427,7 +431,7 @@ mod tests {
                 client
                     .as_mut()
                     .unwrap()
-                    .apply_delta(&delta, to_version)
+                    .advance_delta(&delta, to_version)
                     .unwrap();
             }
             TieredServe::Base { epoch, base } => {

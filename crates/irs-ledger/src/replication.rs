@@ -385,8 +385,8 @@ fn decode_sidecar(bytes: &[u8]) -> Result<u64, FollowerError> {
 /// the shipped WAL stream into its own [`ConcurrentLedger`] + local WAL.
 ///
 /// Transport-agnostic: the caller fetches the bootstrap snapshot and
-/// polls segments over whatever channel it has (see `irs-net`'s
-/// `LedgerClient` helpers), handing the payloads to
+/// polls segments over whatever channel it has (`FetchSnapshot` and
+/// `WalSubscribe` over an `irs-net` transport, say), handing the payloads to
 /// [`bootstrap`](Self::bootstrap) / [`apply_segment`](Self::apply_segment).
 pub struct Follower {
     ledger: Arc<ConcurrentLedger>,

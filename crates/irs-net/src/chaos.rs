@@ -17,9 +17,9 @@
 //! flag makes the interposer drop every connection instantly (a fast,
 //! total partition — the scenario circuit breakers exist for).
 
-use crate::framing::{read_frame_capped, write_frame, MAX_FRAME, MAX_REQUEST_FRAME};
+use crate::codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
 use crate::server::ServerHandle;
-use crate::NetError;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,7 +141,7 @@ impl ChaosProxy {
             injected: Default::default(),
         });
         let ctl = control.clone();
-        let handle = ServerHandle::spawn("127.0.0.1:0", move |mut stream, stop| {
+        let handle = ServerHandle::spawn("127.0.0.1:0", move |stream, stop| {
             // Accept-time draw: connection refusal. Other modes drawn here
             // are ignored (and not counted) — they only make sense against
             // an exchange.
@@ -152,27 +152,25 @@ impl ChaosProxy {
             if ctl.outage.load(Ordering::SeqCst) {
                 return;
             }
-            let Ok(mut up) = TcpStream::connect_timeout(&upstream, config.upstream_timeout) else {
+            let Ok(up) = TcpStream::connect_timeout(&upstream, config.upstream_timeout) else {
                 return;
             };
             let _ = up.set_nodelay(true);
             let _ = up.set_read_timeout(Some(config.upstream_timeout));
             let _ = up.set_write_timeout(Some(config.upstream_timeout));
             // Short client-side read timeout so the relay loop observes
-            // `stop` while the client is idle.
+            // `stop` while the client is idle (a request still arriving
+            // when it fires stays buffered in `client`).
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+            let mut client = Framed::new(stream, MAX_REQUEST_FRAME);
+            let mut up = Framed::new(up, MAX_FRAME);
             loop {
                 if stop.load(std::sync::atomic::Ordering::SeqCst) {
                     return;
                 }
-                let request = match read_frame_capped(&mut stream, MAX_REQUEST_FRAME) {
+                let request = match client.read_frame() {
                     Ok(f) => f,
-                    Err(NetError::Io(e))
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
+                    Err(e) if e.is_timeout() => continue,
                     Err(_) => return,
                 };
                 if ctl.outage.load(Ordering::SeqCst) {
@@ -182,7 +180,7 @@ impl ChaosProxy {
                 if let Some(mode) = fault {
                     ctl.note(mode);
                 }
-                if !relay_exchange(&mut stream, &mut up, request, fault, &config, &stop) {
+                if !relay_exchange(&mut client, &mut up, &request, fault, &config, &stop) {
                     return;
                 }
             }
@@ -250,15 +248,16 @@ impl Control {
 /// Relay one exchange, applying `fault`. Returns false when the
 /// connection should end.
 fn relay_exchange(
-    client: &mut TcpStream,
-    up: &mut TcpStream,
-    request: bytes::Bytes,
+    client: &mut Framed<TcpStream>,
+    up: &mut Framed<TcpStream>,
+    request: &[u8],
     fault: Option<FaultMode>,
     config: &ChaosConfig,
     stop: &std::sync::atomic::AtomicBool,
 ) -> bool {
+    // The faults that never reach upstream.
     match fault {
-        Some(FaultMode::Refuse) | Some(FaultMode::Reset) => false,
+        Some(FaultMode::Refuse) | Some(FaultMode::Reset) => return false,
         Some(FaultMode::Blackhole) => {
             // Hold the line (in slices, so shutdown stays prompt), then
             // drop the connection without answering.
@@ -271,62 +270,39 @@ fn relay_exchange(
                 std::thread::sleep(slice);
                 held += slice;
             }
-            false
+            return false;
         }
-        Some(FaultMode::DelayRequest) => {
-            std::thread::sleep(config.delay);
-            forward_clean(client, up, &request)
-        }
-        Some(FaultMode::DelayResponse) => {
-            let Some(response) = fetch_upstream(up, &request) else {
-                return false;
-            };
-            std::thread::sleep(config.delay);
-            write_framed(client, &response)
-        }
+        Some(FaultMode::DelayRequest) => std::thread::sleep(config.delay),
+        _ => {}
+    }
+    let Some(response) = up.write_frame(request).and_then(|()| up.read_frame()).ok() else {
+        return false;
+    };
+    match fault {
+        Some(FaultMode::DelayResponse) => std::thread::sleep(config.delay),
         Some(FaultMode::TruncateResponse) => {
-            let Some(response) = fetch_upstream(up, &request) else {
-                return false;
-            };
             // Write the full length header but only half the payload,
             // then close: the client sees a stream that dies mid-frame.
-            let mut framed = Vec::with_capacity(4 + response.len());
-            framed.extend_from_slice(&(response.len() as u32).to_be_bytes());
-            framed.extend_from_slice(&response);
-            let cut = 4 + response.len() / 2;
-            use std::io::Write;
-            let _ = client.write_all(&framed[..cut]);
-            let _ = client.flush();
-            false
+            let mut framed = BytesBuf::new();
+            if FrameCodec::new(MAX_FRAME)
+                .encode(&response, &mut framed)
+                .is_ok()
+            {
+                let cut = framed.len() - response.len().div_ceil(2);
+                let _ = client.get_mut().write_all(&framed.as_slice()[..cut]);
+            }
+            return false;
         }
         Some(FaultMode::CorruptResponse) => {
-            let Some(response) = fetch_upstream(up, &request) else {
-                return false;
-            };
             let mut corrupted = response.to_vec();
             if let Some(mid) = corrupted.len().checked_sub(1) {
                 corrupted[mid / 2] ^= 0x5a;
             }
-            write_framed(client, &corrupted)
+            return client.write_frame(&corrupted).is_ok();
         }
-        None => forward_clean(client, up, &request),
+        _ => {}
     }
-}
-
-fn forward_clean(client: &mut TcpStream, up: &mut TcpStream, request: &[u8]) -> bool {
-    let Some(response) = fetch_upstream(up, request) else {
-        return false;
-    };
-    write_framed(client, &response)
-}
-
-fn fetch_upstream(up: &mut TcpStream, request: &[u8]) -> Option<bytes::Bytes> {
-    write_frame(up, request).ok()?;
-    read_frame_capped(up, MAX_FRAME).ok()
-}
-
-fn write_framed(client: &mut TcpStream, payload: &[u8]) -> bool {
-    write_frame(client, payload).is_ok()
+    client.write_frame(&response).is_ok()
 }
 
 /// SplitMix64 — the same mixer the vendored `rand` uses for seed
@@ -341,11 +317,12 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::LedgerClient;
     use crate::ledger_server::LedgerServer;
+    use crate::service::{CallCtx, Service, TcpTransport};
+    use crate::NetError;
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
-    use irs_core::wire::{Request, Response};
+    use irs_core::wire::{Request, Response, Wire};
     use irs_ledger::{Ledger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
@@ -356,15 +333,25 @@ mod tests {
         LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
     }
 
+    /// A client of the interposer; redials by itself after a fault.
+    fn client(chaos: &ChaosProxy) -> TcpTransport {
+        TcpTransport::new(chaos.addr(), Duration::from_millis(500))
+    }
+
+    fn ping(client: &TcpTransport) -> Result<Response, NetError> {
+        client.call(Request::Ping, &CallCtx::wall())
+    }
+
     #[test]
     fn transparent_at_zero_fault_rate() {
         let server = ledger_server();
         let chaos = ChaosProxy::start(server.addr(), ChaosConfig::new(1, 0.0)).unwrap();
-        let mut client = LedgerClient::connect(chaos.addr()).unwrap();
+        let client = client(&chaos);
         for _ in 0..20 {
-            assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+            assert_eq!(ping(&client).unwrap(), Response::Pong);
         }
         assert_eq!(chaos.stats().total_injected(), 0);
+        assert_eq!(client.reconnects(), 0);
         chaos.shutdown();
         server.shutdown();
     }
@@ -375,11 +362,9 @@ mod tests {
         let config =
             ChaosConfig::new(7, 1.0).with_modes(&[FaultMode::Reset, FaultMode::TruncateResponse]);
         let chaos = ChaosProxy::start(server.addr(), config).unwrap();
+        let client = client(&chaos);
         for _ in 0..5 {
-            let mut client =
-                LedgerClient::connect_with_timeout(chaos.addr(), Duration::from_millis(500))
-                    .unwrap();
-            assert!(client.call(&Request::Ping).is_err());
+            assert!(ping(&client).is_err());
         }
         assert!(chaos.stats().total_injected() >= 5);
         chaos.shutdown();
@@ -395,19 +380,8 @@ mod tests {
             let config = ChaosConfig::new(seed, 0.4)
                 .with_modes(&[FaultMode::Reset, FaultMode::CorruptResponse]);
             let chaos = ChaosProxy::start(server.addr(), config).unwrap();
-            let mut outcomes = Vec::new();
-            let mut client =
-                LedgerClient::connect_with_timeout(chaos.addr(), Duration::from_millis(500))
-                    .unwrap();
-            for _ in 0..30 {
-                match client.call(&Request::Ping) {
-                    Ok(_) => outcomes.push(true),
-                    Err(_) => {
-                        outcomes.push(false);
-                        let _ = client.reconnect();
-                    }
-                }
-            }
+            let client = client(&chaos);
+            let outcomes = (0..30).map(|_| ping(&client).is_ok()).collect();
             chaos.shutdown();
             server.shutdown();
             outcomes
@@ -426,14 +400,12 @@ mod tests {
     fn outage_switch_partitions_and_heals() {
         let server = ledger_server();
         let chaos = ChaosProxy::start(server.addr(), ChaosConfig::new(3, 0.0)).unwrap();
-        let mut client =
-            LedgerClient::connect_with_timeout(chaos.addr(), Duration::from_millis(500)).unwrap();
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        let client = client(&chaos);
+        assert_eq!(ping(&client).unwrap(), Response::Pong);
         chaos.set_outage(true);
-        assert!(client.call(&Request::Ping).is_err());
+        assert!(ping(&client).is_err());
         chaos.set_outage(false);
-        client.reconnect().unwrap();
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(ping(&client).unwrap(), Response::Pong);
         chaos.shutdown();
         server.shutdown();
     }
@@ -443,14 +415,32 @@ mod tests {
         let server = ledger_server();
         let config = ChaosConfig::new(5, 1.0).with_modes(&[FaultMode::CorruptResponse]);
         let chaos = ChaosProxy::start(server.addr(), config).unwrap();
-        let mut client =
-            LedgerClient::connect_with_timeout(chaos.addr(), Duration::from_millis(500)).unwrap();
         // The frame arrives (length intact) but its payload is damaged:
         // the error must be a wire/decode error, not an I/O one.
-        match client.call(&Request::Ping) {
+        match ping(&client(&chaos)) {
             Err(NetError::Wire(_)) => {}
             other => panic!("expected wire error from corrupted payload, got {other:?}"),
         }
+        chaos.shutdown();
+        server.shutdown();
+    }
+
+    /// A request that reaches the interposer in two pieces, further
+    /// apart than its 100 ms stop-flag wake-up, is relayed whole.
+    #[test]
+    fn slow_request_split_across_the_relay_timeout_is_relayed() {
+        let server = ledger_server();
+        let chaos = ChaosProxy::start(server.addr(), ChaosConfig::new(9, 0.0)).unwrap();
+        let mut wire = BytesBuf::new();
+        let ping = Request::Ping.to_bytes().unwrap();
+        FrameCodec::new(MAX_FRAME).encode(&ping, &mut wire).unwrap();
+        let mut stream = Framed::new(TcpStream::connect(chaos.addr()).unwrap(), MAX_FRAME);
+        let (head, tail) = wire.as_slice().split_at(3);
+        stream.get_mut().write_all(head).unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        stream.get_mut().write_all(tail).unwrap();
+        let frame = stream.read_frame().unwrap();
+        assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
         chaos.shutdown();
         server.shutdown();
     }

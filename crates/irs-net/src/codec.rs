@@ -1,27 +1,52 @@
-//! The explicit framing codec for the event-loop network core.
+//! The frame format, in one place.
 //!
-//! [`framing`](crate::framing) speaks the wire format over *blocking*
-//! streams: `read_frame` parks the thread until a whole frame arrives,
-//! which is exactly what a readiness-polled reactor must never do. This
-//! module is the non-blocking half of the same format — an explicit
-//! encoder/decoder over a reusable byte buffer, in the shape of the
-//! ripple `MessageCodec` / linera `Codec` exemplars (SNIPPETS.md §2–3):
+//! Every peer in the workspace frames its messages the same way: a
+//! u32 big-endian payload length, then the payload. This module is the
+//! only code that knows that — an explicit encoder/decoder over a
+//! reusable byte buffer, in the shape of the ripple `MessageCodec` /
+//! linera `Codec` exemplars (SNIPPETS.md §2–3):
 //!
 //! * [`BytesBuf`] — a growable buffer with a consume cursor. Reads
 //!   append at the tail, the decoder consumes from the head, and the
 //!   buffer compacts itself so steady-state traffic never reallocates;
-//! * [`FrameCodec`] — u32-BE length-prefixed frames (byte-identical to
-//!   [`framing`](crate::framing), so blocking and reactor peers
-//!   interoperate), tolerant of arbitrary split points: `decode` returns
-//!   `Ok(None)` until a whole frame is buffered, and `encode` only ever
-//!   appends — a partially flushed frame just stays in the buffer.
+//! * [`FrameCodec`] — the encoder/decoder, tolerant of arbitrary split
+//!   points: `decode` returns `Ok(None)` until a whole frame is
+//!   buffered and consumes nothing before that, and `encode` only ever
+//!   appends — a partially flushed frame just stays in the buffer;
+//! * [`Framed`] — the codec driven over a *blocking* stream, for the
+//!   peers that park a thread on a socket (the [`MuxClient`] reader,
+//!   [`ChaosProxy`]'s relay, tests and bench fixtures). Because all
+//!   state lives in its [`BytesBuf`], a read timeout at any byte
+//!   boundary loses nothing: the next call resumes the same frame;
+//! * [`MAX_REQUEST_FRAME`] / [`MAX_FRAME`] — the declared-length caps,
+//!   one per direction;
+//! * [`serve_request`] / [`response_bytes`] — the wire payloads at the
+//!   frame boundary: how every server turns a request frame into a
+//!   response frame, including the answers for requests it cannot read.
 //!
 //! The cap is enforced *from the length prefix alone*, before any
 //! payload accumulates, so a hostile peer cannot stage a huge
 //! allocation by declaring an absurd length.
+//!
+//! [`MuxClient`]: crate::mux::MuxClient
+//! [`ChaosProxy`]: crate::chaos::ChaosProxy
 
 use crate::NetError;
 use bytes::Bytes;
+use irs_core::wire::{Request, Response, Wire, WireError};
+use std::io::{ErrorKind, Read, Write};
+
+/// Largest frame a *server* accepts (the upload direction). Requests
+/// are tiny — the largest legitimate one is a `Batch` of 100 000 record
+/// ids (~1.4 MiB); nothing a client sends approaches a filter payload.
+/// Servers decode with this cap so a malicious client cannot make every
+/// connection stage [`MAX_FRAME`] bytes.
+pub const MAX_REQUEST_FRAME: u32 = 2 << 20;
+
+/// Largest frame anyone sends or a *client* accepts (the download
+/// direction): filter snapshots and follower bootstrap snapshots
+/// dominate, so allow 512 MiB. Servers encode responses with this cap.
+pub const MAX_FRAME: u32 = 512 << 20;
 
 /// A reusable byte buffer: append at the tail, consume from the head.
 ///
@@ -29,12 +54,17 @@ use bytes::Bytes;
 /// moved immediately; the buffer compacts (shifts the live region to
 /// the front) when the dead prefix dominates, amortizing the copy. The
 /// capacity reached during a burst is kept for the connection's
-/// lifetime — the "reusable buffer" half of the codec contract.
+/// lifetime — the "reusable buffer" half of the codec contract — up to
+/// 1 MiB: one filter download must not pin hundreds of megabytes to an
+/// otherwise idle connection.
 #[derive(Default)]
 pub struct BytesBuf {
     data: Vec<u8>,
     head: usize,
 }
+
+/// Capacity an emptied [`BytesBuf`] keeps for reuse.
+const RETAINED_CAPACITY: usize = 1 << 20;
 
 impl BytesBuf {
     /// An empty buffer (no allocation until the first append).
@@ -71,14 +101,25 @@ impl BytesBuf {
         self.data.extend_from_slice(bytes);
     }
 
+    /// Append up to `max` bytes with **one** `read` from `reader`;
+    /// returns what the read returned (`Ok(0)` = end of stream). A failed
+    /// read appends nothing.
+    pub fn read_from<R: Read>(&mut self, reader: &mut R, max: usize) -> std::io::Result<usize> {
+        self.compact_if_worthwhile();
+        let len = self.data.len();
+        self.data.resize(len + max, 0);
+        let read = reader.read(&mut self.data[len..]);
+        self.data.truncate(len + *read.as_ref().unwrap_or(&0));
+        read
+    }
+
     /// Consume `n` bytes from the head (they must exist).
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of buffer");
         self.head += n;
         if self.is_empty() {
             // Cheap full reset: nothing live to shift.
-            self.data.clear();
-            self.head = 0;
+            self.clear();
         }
     }
 
@@ -90,9 +131,10 @@ impl BytesBuf {
         out
     }
 
-    /// Drop everything, keeping the allocation.
+    /// Drop everything, keeping the allocation (up to 1 MiB of it).
     pub fn clear(&mut self) {
         self.data.clear();
+        self.data.shrink_to(RETAINED_CAPACITY);
         self.head = 0;
     }
 
@@ -132,15 +174,10 @@ pub struct FrameCodec {
 
 impl FrameCodec {
     /// A codec rejecting frames whose declared length exceeds `cap`
-    /// (servers pass [`crate::framing::MAX_REQUEST_FRAME`], clients
-    /// [`crate::framing::MAX_FRAME`]).
+    /// (servers decode with [`MAX_REQUEST_FRAME`]; clients decode, and
+    /// everyone encodes, with [`MAX_FRAME`]).
     pub fn new(cap: u32) -> FrameCodec {
         FrameCodec { cap }
-    }
-
-    /// The declared-length cap.
-    pub fn cap(&self) -> u32 {
-        self.cap
     }
 
     /// Append one frame (header + payload) to `out`. Fails without
@@ -163,27 +200,148 @@ impl FrameCodec {
     /// boundary are fine); `Err` means the stream is poisoned (declared
     /// length over the cap) and the connection must be dropped.
     pub fn decode(&self, buf: &mut BytesBuf) -> Result<Option<Bytes>, NetError> {
-        let head = buf.as_slice();
-        if head.len() < FRAME_HEADER {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
-        if len > self.cap {
-            return Err(NetError::Frame("declared length exceeds frame cap"));
-        }
-        let total = FRAME_HEADER + len as usize;
-        if head.len() < total {
+        let total = self.frame_len(buf.as_slice())?;
+        if buf.len() < total {
             return Ok(None);
         }
         buf.advance(FRAME_HEADER);
-        Ok(Some(buf.split_to(len as usize)))
+        Ok(Some(buf.split_to(total - FRAME_HEADER)))
     }
+
+    /// How many bytes `buf` still lacks before [`decode`](Self::decode)
+    /// yields a frame (0 = one is ready) — as far as the bytes so far
+    /// can tell: before the header is whole, that is the rest of the
+    /// header. Same poisoning rule as `decode`.
+    pub fn missing(&self, buf: &BytesBuf) -> Result<usize, NetError> {
+        Ok(self.frame_len(buf.as_slice())?.saturating_sub(buf.len()))
+    }
+
+    /// Header + payload length of the frame at `head`, or just the
+    /// header's while it is incomplete. The one place the length prefix
+    /// is parsed.
+    fn frame_len(&self, head: &[u8]) -> Result<usize, NetError> {
+        let Some(prefix) = head.get(..FRAME_HEADER) else {
+            return Ok(FRAME_HEADER);
+        };
+        let len = u32::from_be_bytes(prefix.try_into().expect("header-sized slice"));
+        if len > self.cap {
+            return Err(NetError::Frame("declared length exceeds frame cap"));
+        }
+        Ok(FRAME_HEADER + len as usize)
+    }
+}
+
+/// First read of a frame asks for this much: a page of pipelined
+/// status answers arrives in one `read`.
+const READ_MIN: usize = 4 << 10;
+/// No single read asks for more than this, however long the frame.
+const READ_MAX: usize = 256 << 10;
+
+/// [`FrameCodec`] over a blocking stream: whole frames in, whole frames
+/// out, one reusable [`BytesBuf`] per direction.
+///
+/// Reads decode with the cap given to [`new`](Framed::new); writes
+/// encode with [`MAX_FRAME`]. A read that fails with a timeout
+/// ([`NetError::is_timeout`]) has consumed nothing from the frame in
+/// progress — the bytes that did arrive wait in the buffer — so a
+/// caller polling a stop flag between timeouts just calls
+/// [`read_frame`](Framed::read_frame) again.
+pub struct Framed<S> {
+    stream: S,
+    codec: FrameCodec,
+    rx: BytesBuf,
+    tx: BytesBuf,
+}
+
+impl<S> Framed<S> {
+    /// Frame `stream`, rejecting inbound frames declared longer than
+    /// `read_cap`.
+    pub fn new(stream: S, read_cap: u32) -> Framed<S> {
+        Framed {
+            stream,
+            codec: FrameCodec::new(read_cap),
+            rx: BytesBuf::new(),
+            tx: BytesBuf::new(),
+        }
+    }
+
+    /// The underlying stream (to set timeouts, shut down, or write raw
+    /// bytes a fault injector wants on the wire).
+    pub fn get_mut(&mut self) -> &mut S {
+        &mut self.stream
+    }
+}
+
+impl<S: Read> Framed<S> {
+    /// Block until one whole frame has arrived. [`NetError::Closed`] on
+    /// a clean EOF between frames, [`NetError::Frame`] on one inside a
+    /// frame or on an over-cap length, [`NetError::Io`] otherwise.
+    pub fn read_frame(&mut self) -> Result<Bytes, NetError> {
+        loop {
+            if let Some(frame) = self.codec.decode(&mut self.rx)? {
+                return Ok(frame);
+            }
+            let want = self.codec.missing(&self.rx)?.clamp(READ_MIN, READ_MAX);
+            match self.rx.read_from(&mut self.stream, want) {
+                Ok(0) if self.rx.is_empty() => return Err(NetError::Closed),
+                Ok(0) => return Err(NetError::Frame("stream ended mid-frame")),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+    }
+}
+
+impl<S: Write> Framed<S> {
+    /// Write `payload` as one frame (header and payload in one `write`).
+    pub fn write_frame(&mut self, payload: &[u8]) -> Result<(), NetError> {
+        self.tx.clear();
+        FrameCodec::new(MAX_FRAME).encode(payload, &mut self.tx)?;
+        self.stream.write_all(self.tx.as_slice())?;
+        Ok(self.stream.flush()?)
+    }
+}
+
+/// Encode `response` to payload bytes. A response the wire format
+/// cannot represent (e.g. an error message longer than its u16 length
+/// prefix) is downgraded to a short error reply instead of tearing down
+/// the connection — the peer always gets *an* answer.
+pub fn response_bytes(response: &Response) -> Bytes {
+    match response.to_bytes() {
+        Ok(b) => b,
+        Err(e) => Response::Error {
+            code: irs_ledger::codes::BAD_REQUEST,
+            message: format!("unencodable response: {e}"),
+        }
+        .to_bytes()
+        .expect("short error response always encodes"),
+    }
+}
+
+/// One request frame in, one response payload out — the body of every
+/// server's frame handler. `handle` sees only requests that decoded.
+///
+/// A well-framed request whose tag this build has never heard of is a
+/// *newer peer*, not a protocol violation: it is answered with a
+/// structured [`Response::Unsupported`] so the client can degrade per
+/// operation (the rolling-upgrade rule) instead of treating the whole
+/// connection as poisoned. Anything else undecodable gets `BAD_REQUEST`.
+pub fn serve_request(frame: Bytes, handle: impl FnOnce(Request) -> Response) -> Bytes {
+    response_bytes(&match Request::from_bytes(frame) {
+        Ok(request) => handle(request),
+        Err(WireError::BadTag(tag)) => Response::Unsupported { tag },
+        Err(e) => Response::Error {
+            code: irs_ledger::codes::BAD_REQUEST,
+            message: format!("bad request: {e}"),
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::MAX_REQUEST_FRAME;
+    use std::io::Cursor;
 
     #[test]
     fn bytes_buf_append_consume_compact() {
@@ -254,22 +412,148 @@ mod tests {
     }
 
     #[test]
-    fn interoperates_with_blocking_framing() {
-        // The reactor codec and the blocking framing module speak the
-        // same bytes — a blocking client can talk to a reactor server.
-        let mut blocking = Vec::new();
-        crate::framing::write_frame(&mut blocking, b"cross").unwrap();
-        let codec = FrameCodec::new(MAX_REQUEST_FRAME);
-        let mut rx = BytesBuf::new();
-        rx.extend_from_slice(&blocking);
-        assert_eq!(codec.decode(&mut rx).unwrap().unwrap().as_ref(), b"cross");
+    fn emptied_buffer_releases_burst_capacity() {
+        let mut b = BytesBuf::new();
+        b.extend_from_slice(&vec![7u8; 4 * RETAINED_CAPACITY]);
+        b.advance(4 * RETAINED_CAPACITY);
+        assert!(b.data.capacity() <= RETAINED_CAPACITY, "{b:?}");
+        // Ordinary traffic keeps its allocation across the reset.
+        b.extend_from_slice(&[7u8; 8192]);
+        let kept = b.data.capacity();
+        b.advance(8192);
+        assert_eq!(b.data.capacity(), kept);
+    }
 
-        let mut out = BytesBuf::new();
-        codec.encode(b"back", &mut out).unwrap();
-        let mut cursor = std::io::Cursor::new(out.as_slice().to_vec());
-        assert_eq!(
-            crate::framing::read_frame(&mut cursor).unwrap().as_ref(),
-            b"back"
+    /// A framed byte stream: `payloads`, each behind its header.
+    fn framed_bytes(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut out = Framed::new(Vec::new(), MAX_FRAME);
+        for p in payloads {
+            out.write_frame(p).unwrap();
+        }
+        out.stream
+    }
+
+    #[test]
+    fn framed_roundtrip_then_clean_eof() {
+        let wire = framed_bytes(&[b"hello", b"", &[0xff; 1000]]);
+        let mut rx = Framed::new(Cursor::new(wire), MAX_FRAME);
+        assert_eq!(rx.read_frame().unwrap().as_ref(), b"hello");
+        assert!(rx.read_frame().unwrap().is_empty());
+        assert_eq!(rx.read_frame().unwrap().len(), 1000);
+        assert!(matches!(rx.read_frame(), Err(NetError::Closed)));
+    }
+
+    #[test]
+    fn framed_detects_a_stream_that_ends_mid_frame() {
+        // Inside the payload, and inside the header itself.
+        let mut cut_payload = 10u32.to_be_bytes().to_vec();
+        cut_payload.extend_from_slice(b"only5");
+        for wire in [cut_payload, vec![0u8, 0]] {
+            let mut rx = Framed::new(Cursor::new(wire), MAX_FRAME);
+            assert!(matches!(rx.read_frame(), Err(NetError::Frame(_))));
+        }
+    }
+
+    #[test]
+    fn request_cap_rejects_what_the_payload_cap_accepts() {
+        // A declared length between the two caps: fine for a client
+        // reading a filter, rejected by a server reading a request —
+        // from the header alone, before any payload is staged.
+        let header = (MAX_REQUEST_FRAME + 1).to_be_bytes().to_vec();
+        let mut server = Framed::new(Cursor::new(header.clone()), MAX_REQUEST_FRAME);
+        assert!(matches!(
+            server.read_frame(),
+            Err(NetError::Frame("declared length exceeds frame cap"))
+        ));
+        // The same header passes the large cap (then fails on the missing
+        // payload, which is the expected path for a truncated stream).
+        let mut client = Framed::new(Cursor::new(header), MAX_FRAME);
+        assert!(matches!(
+            client.read_frame(),
+            Err(NetError::Frame("stream ended mid-frame"))
+        ));
+        // Request-sized frames fit the request cap.
+        let wire = framed_bytes(&[&[0u8; 1024]]);
+        let mut server = Framed::new(Cursor::new(wire), MAX_REQUEST_FRAME);
+        assert_eq!(server.read_frame().unwrap().len(), 1024);
+    }
+
+    /// A socket whose read timeout fires before every single byte.
+    struct Dribble {
+        wire: Vec<u8>,
+        at: usize,
+        timed_out: bool,
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.timed_out, true) {
+                // Linux reports SO_RCVTIMEO as WouldBlock, others TimedOut.
+                let kind = [ErrorKind::WouldBlock, ErrorKind::TimedOut][self.at % 2];
+                return Err(kind.into());
+            }
+            self.timed_out = false;
+            let Some(&byte) = self.wire.get(self.at) else {
+                return Ok(0);
+            };
+            buf[0] = byte;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn timeout_at_every_byte_boundary_loses_nothing() {
+        let payloads: [&[u8]; 3] = [b"seventy bytes of status", b"", &[0x42; 300]];
+        let wire = framed_bytes(&payloads);
+        let bytes = wire.len();
+        let mut rx = Framed::new(
+            Dribble {
+                wire,
+                at: 0,
+                timed_out: false,
+            },
+            MAX_FRAME,
         );
+        let (mut frames, mut timeouts) = (Vec::new(), 0);
+        loop {
+            match rx.read_frame() {
+                Ok(frame) => frames.push(frame),
+                Err(e) if e.is_timeout() => timeouts += 1,
+                Err(NetError::Closed) => break,
+                Err(e) => panic!("a timeout must not corrupt the stream: {e}"),
+            }
+        }
+        // One timeout before every byte of header and payload (and one
+        // before the EOF), and every frame still came out whole.
+        assert_eq!(timeouts, bytes + 1);
+        assert_eq!(frames.len(), payloads.len());
+        for (frame, payload) in frames.iter().zip(payloads) {
+            assert_eq!(frame.as_ref(), payload);
+        }
+    }
+
+    #[test]
+    fn serve_request_answers_what_it_cannot_decode() {
+        let answer = |frame: &[u8]| {
+            let out = serve_request(Bytes::copy_from_slice(frame), |req| {
+                assert_eq!(
+                    req,
+                    Request::Ping,
+                    "only decodable requests reach the handler"
+                );
+                Response::Pong
+            });
+            Response::from_bytes(out).unwrap()
+        };
+        assert_eq!(answer(&Request::Ping.to_bytes().unwrap()), Response::Pong);
+        // Protocol version 1, then a tag far beyond anything assigned.
+        assert_eq!(answer(&[1, 0xee]), Response::Unsupported { tag: 0xee });
+        for garbage in [&b"xx"[..], &[0xff; 100][..], &b""[..]] {
+            let Response::Error { code, .. } = answer(garbage) else {
+                panic!("garbage must be refused with an error");
+            };
+            assert_eq!(code, irs_ledger::codes::BAD_REQUEST);
+        }
     }
 }

@@ -1,72 +1,44 @@
 //! A ledger behind the wire protocol — the §4.3 "prototype ledger".
 //!
-//! Since the event-loop PR the default engine is the
-//! [`reactor`](crate::reactor): a fixed pool of worker threads runs
-//! readiness loops over non-blocking sockets, so connection count is
-//! bounded by memory rather than by thread count, and pipelined clients
-//! ([`crate::mux::MuxClient`]) multiplex many requests per connection.
-//! The original thread-per-connection engine survives behind
-//! [`LedgerServer::start_threaded`] as the E19 comparison baseline.
+//! The server runs on the [`reactor`](crate::reactor): a fixed pool of
+//! worker threads runs readiness loops over non-blocking sockets, so
+//! connection count is bounded by memory rather than by thread count,
+//! and pipelined clients ([`crate::mux::MuxClient`]) multiplex many
+//! requests per connection.
 //!
-//! Either way, connections share one [`ConcurrentLedger`] behind a plain
-//! `Arc` and call its `&self` request path directly: no whole-service
-//! mutex is held across request handling, so independent connections
-//! proceed in parallel (the E15 thread-scaling experiment measures the
-//! difference against the old `Mutex<Ledger>` design).
+//! Connections share one [`ConcurrentLedger`] behind a plain `Arc` and
+//! call its `&self` request path directly: no whole-service mutex is
+//! held across request handling, so independent connections proceed in
+//! parallel (the E15 thread-scaling experiment measures the difference
+//! against the old `Mutex<Ledger>` design).
 
-use crate::framing::{read_frame_capped, response_bytes, write_response, MAX_REQUEST_FRAME};
+use crate::codec::{serve_request, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
-use crate::server::ServerHandle;
 use crate::service::{
-    service_fn, CallCtx, GovernorLayer, GovernorPolicy, ServiceExt, ShedLayer, ShedPolicy,
+    service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
 };
-use irs_core::time::{Clock, SystemClock};
-use irs_core::wire::{Request, Response, Wire};
+use irs_core::wire::Response;
 use irs_ledger::sharded::DEFAULT_SHARDS;
 use irs_ledger::{ConcurrentLedger, Ledger};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// Which network engine a server runs on.
-enum Engine {
-    /// Event-loop workers (the default).
-    Reactor(ReactorHandle),
-    /// Thread per connection (the E19 baseline).
-    Threaded(ServerHandle),
+/// The ledger's `&self` request path as the innermost [`Service`].
+fn ledger_service(ledger: Arc<ConcurrentLedger>) -> impl Service {
+    service_fn(move |req, ctx: &CallCtx| Ok(ledger.handle(req, ctx.now)))
 }
 
 /// A running TCP ledger server.
 pub struct LedgerServer {
     ledger: Arc<ConcurrentLedger>,
-    engine: Engine,
-}
-
-/// The shared request path: decode, dispatch to the ledger, encode —
-/// identical under both engines.
-fn serve_frame(ledger: &ConcurrentLedger, frame: bytes::Bytes) -> Response {
-    match Request::from_bytes(frame) {
-        Ok(request) => {
-            let now = SystemClock.now();
-            ledger.handle(request, now)
-        }
-        // Forward compatibility: a well-framed request whose tag this
-        // build has never heard of is a *newer peer*, not a protocol
-        // violation. Answer with a structured `Unsupported` so the
-        // client can degrade per-operation instead of treating the
-        // whole connection as poisoned.
-        Err(irs_core::wire::WireError::BadTag(tag)) => Response::Unsupported { tag },
-        Err(e) => Response::Error {
-            code: irs_ledger::codes::BAD_REQUEST,
-            message: format!("bad request: {e}"),
-        },
-    }
+    handle: ReactorHandle,
 }
 
 impl LedgerServer {
-    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral) on
-    /// the reactor engine. The ledger is promoted to a
-    /// [`ConcurrentLedger`] with [`DEFAULT_SHARDS`] stripes; records,
-    /// published filter snapshots, and stats carry over.
+    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral).
+    /// The ledger is promoted to a [`ConcurrentLedger`] with
+    /// [`DEFAULT_SHARDS`] stripes; records, published filter snapshots,
+    /// and stats carry over.
     pub fn start(ledger: Ledger, addr: &str) -> std::io::Result<LedgerServer> {
         LedgerServer::start_shared(Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)), addr)
     }
@@ -92,26 +64,21 @@ impl LedgerServer {
 
     /// Start serving an already-shared concurrent ledger (callers that
     /// want to drive the same instance from outside the server, or to
-    /// pick a stripe count) on the reactor engine with default tuning.
+    /// pick a stripe count) with default reactor tuning.
     pub fn start_shared(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
     ) -> std::io::Result<LedgerServer> {
-        let config = ReactorConfig {
-            registry: Some(ledger.metrics().clone()),
-            ..ReactorConfig::default()
-        };
-        LedgerServer::start_reactor(ledger, addr, config)
+        LedgerServer::start_reactor(ledger, addr, ReactorConfig::default())
     }
 
     /// Start serving one **shard** of a sharded deployment: attaches
     /// `dir` (the shard's identity plus its placement view) to the
-    /// ledger, then serves on the reactor engine. The attached
-    /// directory makes the ledger answer `GetShardMap` from `dir` and
-    /// refuse keyed requests it does not own with
-    /// `Response::WrongShard { epoch }` — the server half of the
-    /// DESIGN.md §15 self-healing protocol. Fails if the ledger already
-    /// has a directory or `dir` names a different shard than the
+    /// ledger, then serves it. The attached directory makes the ledger
+    /// answer `GetShardMap` from `dir` and refuse keyed requests it does
+    /// not own with `Response::WrongShard { epoch }` — the server half of
+    /// the DESIGN.md §15 self-healing protocol. Fails if the ledger
+    /// already has a directory or `dir` names a different shard than the
     /// ledger's id.
     pub fn start_sharded(
         ledger: Arc<ConcurrentLedger>,
@@ -131,134 +98,79 @@ impl LedgerServer {
         LedgerServer::start_shared(ledger, addr)
     }
 
-    /// Start on the reactor engine with explicit [`ReactorConfig`]
-    /// tuning (worker count, frame cap, backpressure). The config's
-    /// `registry` is replaced by the ledger's own, so reactor gauges and
-    /// histograms land in the same exposition as the ledger's counters.
+    /// Start with explicit [`ReactorConfig`] tuning (worker count,
+    /// backpressure). The config's `registry` is replaced by the
+    /// ledger's own, so reactor gauges and histograms land in the same
+    /// exposition as the ledger's counters, and its `max_frame` by
+    /// [`MAX_REQUEST_FRAME`].
     pub fn start_reactor(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
-        mut config: ReactorConfig,
+        config: ReactorConfig,
     ) -> std::io::Result<LedgerServer> {
-        config.registry = Some(ledger.metrics().clone());
-        config.max_frame = MAX_REQUEST_FRAME;
-        let ledger_for_conns = ledger.clone();
-        let handle = Reactor::bind(
-            addr,
-            config,
-            Arc::new(move |frame, _conn| response_bytes(&serve_frame(&ledger_for_conns, frame))),
-        )?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Reactor(handle),
-        })
+        let admitted = ledger_service(ledger.clone());
+        LedgerServer::serve(ledger, addr, config, admitted)
     }
 
-    /// Start on the reactor engine with **priority admission control**
-    /// in front of the ledger: every decoded request passes a
-    /// per-connection token-bucket [`Governor`](crate::service::Governor)
-    /// and a [`Shed`](crate::service::Shed) inflight gate *before*
-    /// touching ledger state. Over-rate or over-capacity load is
-    /// answered with `Response::Overloaded { retry_after_ms }` — an
-    /// admission verdict, not a failure: retry layers back off by the
-    /// hint and breakers do not count it against upstream health. The
-    /// governor keys buckets on the reactor's per-connection id, so one
-    /// abusive connection exhausts its own bucket while its neighbours
-    /// keep their full rate.
+    /// Start with **priority admission control** in front of the
+    /// ledger: every decoded request passes a per-connection
+    /// token-bucket [`Governor`](crate::service::Governor) and a
+    /// [`Shed`](crate::service::Shed) inflight gate *before* touching
+    /// ledger state. Over-rate or over-capacity load is answered with
+    /// `Response::Overloaded { retry_after_ms }` — an admission verdict,
+    /// not a failure: retry layers back off by the hint and breakers do
+    /// not count it against upstream health. The governor keys buckets
+    /// on the reactor's per-connection id, so one abusive connection
+    /// exhausts its own bucket while its neighbours keep their full rate.
     pub fn start_governed(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
-        mut config: ReactorConfig,
+        config: ReactorConfig,
         governor: GovernorPolicy,
         shed: ShedPolicy,
     ) -> std::io::Result<LedgerServer> {
+        let registry = ledger.metrics().clone();
+        let admitted = ledger_service(ledger.clone())
+            .layered(ShedLayer::new(shed).with_registry(registry.clone()))
+            .layered(GovernorLayer::new(governor).with_registry(registry));
+        LedgerServer::serve(ledger, addr, config, admitted)
+    }
+
+    /// Bind the reactor: every frame is decoded by [`serve_request`] and
+    /// answered by `admitted` — the ledger itself, or the ledger behind
+    /// its admission layers.
+    fn serve(
+        ledger: Arc<ConcurrentLedger>,
+        addr: &str,
+        mut config: ReactorConfig,
+        admitted: impl Service + 'static,
+    ) -> std::io::Result<LedgerServer> {
         config.registry = Some(ledger.metrics().clone());
         config.max_frame = MAX_REQUEST_FRAME;
-        let registry = ledger.metrics().clone();
-        let ledger_for_conns = ledger.clone();
-        let admitted =
-            service_fn(move |req, ctx: &CallCtx| Ok(ledger_for_conns.handle(req, ctx.now)))
-                .layered(ShedLayer::new(shed).with_registry(registry.clone()))
-                .layered(GovernorLayer::new(governor).with_registry(registry))
-                .boxed();
         let handle = Reactor::bind(
             addr,
             config,
             Arc::new(move |frame, conn| {
-                let response = match Request::from_bytes(frame) {
-                    Ok(request) => {
-                        let ctx = CallCtx::wall().with_client(conn);
-                        match admitted.call(request, &ctx) {
-                            Ok(response) => response,
-                            // The admission stack never errors today
-                            // (sheds are Ok answers), but keep the wire
-                            // honest if a future layer does.
-                            Err(e) => Response::Error {
-                                code: irs_ledger::codes::UNAVAILABLE,
-                                message: format!("admission: {e}"),
-                            },
-                        }
-                    }
-                    Err(irs_core::wire::WireError::BadTag(tag)) => Response::Unsupported { tag },
-                    Err(e) => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: format!("bad request: {e}"),
-                    },
-                };
-                response_bytes(&response)
+                serve_request(frame, |request| {
+                    let ctx = CallCtx::wall().with_client(conn);
+                    // Neither the ledger nor its admission layers error
+                    // today (sheds are Ok answers), but keep the wire
+                    // honest if a future layer does.
+                    admitted
+                        .call(request, &ctx)
+                        .unwrap_or_else(|e| Response::Error {
+                            code: irs_ledger::codes::UNAVAILABLE,
+                            message: format!("admission: {e}"),
+                        })
+                })
             }),
         )?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Reactor(handle),
-        })
-    }
-
-    /// Start on the thread-per-connection baseline engine — kept for the
-    /// E19 reactor-vs-threaded comparison and for environments without a
-    /// working poller.
-    pub fn start_threaded(
-        ledger: Arc<ConcurrentLedger>,
-        addr: &str,
-    ) -> std::io::Result<LedgerServer> {
-        let ledger_for_conns = ledger.clone();
-        let handle = ServerHandle::spawn(addr, move |mut stream, stop| {
-            // Bound reads so the connection thread notices shutdown.
-            let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-            loop {
-                if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    return;
-                }
-                // Requests are small; the tight cap stops a hostile peer
-                // from staging a filter-sized allocation at the server.
-                let frame = match read_frame_capped(&mut stream, MAX_REQUEST_FRAME) {
-                    Ok(f) => f,
-                    Err(crate::NetError::Io(e))
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                };
-                let response = serve_frame(&ledger_for_conns, frame);
-                if write_response(&mut stream, &response).is_err() {
-                    return;
-                }
-            }
-        })?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Threaded(handle),
-        })
+        Ok(LedgerServer { ledger, handle })
     }
 
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
-        match &self.engine {
-            Engine::Reactor(h) => h.addr(),
-            Engine::Threaded(h) => h.addr(),
-        }
+        self.handle.addr()
     }
 
     /// Shared access to the ledger (e.g. to publish filters or apply
@@ -269,39 +181,33 @@ impl LedgerServer {
 
     /// Open connections right now.
     pub fn live_connections(&self) -> usize {
-        match &self.engine {
-            Engine::Reactor(h) => h.live_connections(),
-            Engine::Threaded(h) => h.live_connections(),
-        }
+        self.handle.live_connections()
     }
 
-    /// Serving threads: reactor workers, or one per open connection on
-    /// the threaded baseline.
+    /// Serving threads: the reactor's worker pool, whatever the
+    /// connection count.
     pub fn serving_threads(&self) -> usize {
-        match &self.engine {
-            Engine::Reactor(h) => h.workers(),
-            Engine::Threaded(h) => h.live_connections(),
-        }
+        self.handle.workers()
     }
 
     /// Stop the server and join all threads.
     pub fn shutdown(self) {
-        match self.engine {
-            Engine::Reactor(h) => h.shutdown(),
-            Engine::Threaded(h) => h.shutdown(),
-        }
+        self.handle.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::LedgerClient;
+    use crate::codec::{Framed, MAX_FRAME};
     use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
+    use irs_core::wire::{Request, Wire};
     use irs_crypto::{Digest, Keypair};
     use irs_ledger::LedgerConfig;
+
+    use crate::service::transport::testing::{call, connect};
 
     fn server() -> LedgerServer {
         let ledger = Ledger::new(
@@ -314,33 +220,36 @@ mod tests {
     #[test]
     fn claim_query_revoke_over_tcp() {
         let server = server();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(server.addr());
         let kp = Keypair::from_seed(&[1u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"photo"));
-        let Response::Claimed { id, .. } = client.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&client, Request::Claim(claim)) else {
             panic!("claim failed");
         };
-        let Response::Status { status, epoch, .. } = client.call(&Request::Query { id }).unwrap()
-        else {
+        let Response::Status { status, epoch, .. } = call(&client, Request::Query { id }) else {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::NotRevoked);
         let rv = RevokeRequest::create(&kp, id, true, epoch);
-        let Response::RevokeAck { status, .. } = client.call(&Request::Revoke(rv)).unwrap() else {
+        let Response::RevokeAck { status, .. } = call(&client, Request::Revoke(rv)) else {
             panic!("revoke failed");
         };
         assert_eq!(status, RevocationStatus::Revoked);
         server.shutdown();
     }
 
+    /// One raw exchange: `payload` as a request frame, the decoded answer.
+    fn raw_exchange(stream: &mut Framed<std::net::TcpStream>, payload: &[u8]) -> Response {
+        stream.write_frame(payload).unwrap();
+        Response::from_bytes(stream.read_frame().unwrap()).unwrap()
+    }
+
     #[test]
     fn malformed_request_gets_error_response() {
         let server = server();
-        let addr = server.addr();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        crate::framing::write_frame(&mut stream, b"\xff\xffgarbage").unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
-        let Response::Error { code, .. } = Response::from_bytes(frame).unwrap() else {
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut stream = Framed::new(stream, MAX_FRAME);
+        let Response::Error { code, .. } = raw_exchange(&mut stream, b"\xff\xffgarbage") else {
             panic!("expected error response");
         };
         assert_eq!(code, irs_ledger::codes::BAD_REQUEST);
@@ -349,34 +258,76 @@ mod tests {
 
     /// A well-framed request carrying a tag this build doesn't know
     /// (a newer peer) gets a structured `Unsupported` answer — and the
-    /// connection survives to serve the next, known request.
+    /// connection survives to serve the next, known request. The same
+    /// from a proxy as from a ledger: a newer browser must be able to
+    /// degrade per operation against either (the rolling-upgrade rule).
     #[test]
     fn unknown_request_tag_answered_not_fatal() {
         let server = server();
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        // Protocol version 1, then a tag far beyond anything assigned.
-        crate::framing::write_frame(&mut stream, &[1u8, 0xee]).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
-        let Response::Unsupported { tag } = Response::from_bytes(frame).unwrap() else {
-            panic!("expected Unsupported response");
+        let proxy = crate::proxy_server::ProxyServer::start_shared(
+            Arc::new(irs_proxy::SharedProxy::new(Default::default())),
+            "127.0.0.1:0",
+            server.addr(),
+        )
+        .unwrap();
+        for (who, addr) in [("ledger", server.addr()), ("proxy", proxy.addr())] {
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            let mut stream = Framed::new(stream, MAX_FRAME);
+            // Protocol version 1, then a tag far beyond anything assigned.
+            let answer = raw_exchange(&mut stream, &[1u8, 0xee]);
+            assert_eq!(answer, Response::Unsupported { tag: 0xee }, "{who}");
+            // Same socket, known request: the decode failure must not
+            // have poisoned the connection.
+            let ping = Request::Ping.to_bytes().unwrap();
+            assert_eq!(raw_exchange(&mut stream, &ping), Response::Pong, "{who}");
+        }
+        proxy.shutdown();
+        server.shutdown();
+    }
+
+    /// Responses are not bound by the request cap: a shard far past the
+    /// ~7 000 records whose snapshot fits 2 MiB still ships it over TCP,
+    /// and a follower bootstraps from what arrives.
+    #[test]
+    fn follower_bootstraps_from_a_snapshot_larger_than_the_request_cap() {
+        use irs_ledger::{ChaosDisk, ChaosDiskConfig, DurabilityConfig, Follower, FsyncPolicy};
+        const RECORDS: u64 = 10_000;
+        let config = LedgerConfig::new(LedgerId(1));
+        let tsa = TimestampAuthority::from_seed(20);
+        let durable = |seed| {
+            let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
+            DurabilityConfig::new(disk, FsyncPolicy::OsDefault)
         };
-        assert_eq!(tag, 0xee);
-        // Same socket, known request: the decode failure must not have
-        // poisoned the connection.
-        let ping = irs_core::wire::Request::Ping.to_bytes().unwrap();
-        crate::framing::write_frame(&mut stream, &ping).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
-        assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
+        let ledger = ConcurrentLedger::recover(config.clone(), tsa.clone(), 4, durable(1)).unwrap();
+        let kp = Keypair::from_seed(&[0x20; 32]);
+        for i in 0..RECORDS {
+            let claim = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
+            ledger.handle(Request::Claim(claim), irs_core::time::TimeMs(i));
+        }
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+
+        let Response::Snapshot { seq, data } =
+            call(&connect(server.addr()), Request::FetchSnapshot)
+        else {
+            panic!("expected snapshot response");
+        };
+        assert!(
+            data.len() > MAX_REQUEST_FRAME as usize,
+            "{} bytes no longer exceeds the request cap; grow RECORDS",
+            data.len()
+        );
+        let follower = Follower::bootstrap(config, tsa, 4, durable(2), seq, &data).unwrap();
+        assert_eq!(follower.ledger().store().len() as u64, RECORDS);
         server.shutdown();
     }
 
     #[test]
     fn ping_latency_sane() {
         let server = server();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(server.addr());
         let start = std::time::Instant::now();
         for _ in 0..50 {
-            assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+            assert_eq!(call(&client, Request::Ping), Response::Pong);
         }
         let per_call = start.elapsed().as_micros() / 50;
         // Loopback round trips should be well under 10 ms each.
@@ -390,14 +341,14 @@ mod tests {
     #[test]
     fn metrics_over_tcp_returns_parseable_exposition() {
         let server = server();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(server.addr());
         let kp = Keypair::from_seed(&[6u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"scraped"));
-        let Response::Claimed { id, .. } = client.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&client, Request::Claim(claim)) else {
             panic!("claim failed");
         };
-        client.call(&Request::Query { id }).unwrap();
-        let Response::MetricsText(text) = client.call(&Request::Metrics).unwrap() else {
+        call(&client, Request::Query { id });
+        let Response::MetricsText(text) = call(&client, Request::Metrics) else {
             panic!("expected metrics text");
         };
         let parsed = irs_obs::parse_exposition(&text);
@@ -419,10 +370,10 @@ mod tests {
         let threads: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let mut client = LedgerClient::connect(addr).unwrap();
+                    let client = connect(addr);
                     let kp = Keypair::from_seed(&[i as u8 + 10; 32]);
                     let claim = ClaimRequest::create(&kp, &Digest::of(&[i as u8]));
-                    let resp = client.call(&Request::Claim(claim)).unwrap();
+                    let resp = call(&client, Request::Claim(claim));
                     assert!(matches!(resp, Response::Claimed { .. }));
                 })
             })
@@ -467,22 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_baseline_still_serves() {
-        let ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(8),
-        );
-        let server = LedgerServer::start_threaded(
-            Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)),
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
-        server.shutdown();
-    }
-
-    #[test]
     fn durable_server_recovers_acked_writes_across_restart() {
         use irs_ledger::{DurabilityConfig, FsyncPolicy, StdDisk};
 
@@ -508,15 +443,15 @@ mod tests {
         let server =
             LedgerServer::start_durable(config.clone(), tsa.clone(), durability(), "127.0.0.1:0")
                 .unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(server.addr());
         let kp = Keypair::from_seed(&[3u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"durable"));
-        let Response::Claimed { id, .. } = client.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&client, Request::Claim(claim)) else {
             panic!("claim failed");
         };
         let rv = RevokeRequest::create(&kp, id, true, 0);
         assert!(matches!(
-            client.call(&Request::Revoke(rv)).unwrap(),
+            call(&client, Request::Revoke(rv)),
             Response::RevokeAck { .. }
         ));
         server.shutdown();
@@ -524,8 +459,8 @@ mod tests {
         // Second life on the same disk: the revocation must be visible
         // before the first connection is accepted.
         let server = LedgerServer::start_durable(config, tsa, durability(), "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let Response::Status { status, .. } = client.call(&Request::Query { id }).unwrap() else {
+        let client = connect(server.addr());
+        let Response::Status { status, .. } = call(&client, Request::Query { id }) else {
             panic!("query failed after restart");
         };
         assert_eq!(status, RevocationStatus::Revoked);
@@ -548,8 +483,8 @@ mod tests {
             irs_core::time::TimeMs(1),
         );
         ledger.publish_filter();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let Response::Status { status, .. } = client.call(&Request::Query { id }).unwrap() else {
+        let client = connect(server.addr());
+        let Response::Status { status, .. } = call(&client, Request::Query { id }) else {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::Revoked);
@@ -587,11 +522,11 @@ mod tests {
             spill_burst: 0.0,
             retry_after_ms: 40,
         });
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(server.addr());
         let id = irs_core::ids::RecordId::new(LedgerId(1), 9);
         let (mut served, mut shed) = (0, 0);
         for _ in 0..10 {
-            match client.call(&Request::Query { id }).unwrap() {
+            match call(&client, Request::Query { id }) {
                 Response::Overloaded { retry_after_ms } => {
                     assert!(retry_after_ms >= 1, "hint must be actionable");
                     shed += 1;
@@ -606,7 +541,7 @@ mod tests {
         );
         // Low priority is never metered — even an exhausted bucket
         // still answers pings (health checks must not die first).
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(call(&client, Request::Ping), Response::Pong);
         server.shutdown();
     }
 
@@ -640,7 +575,7 @@ mod tests {
                 open_cooldown_ms: 1_000,
             }),
         );
-        let retry = crate::resilient::RetryPolicy {
+        let retry = crate::service::RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),

@@ -1,71 +1,55 @@
 //! The real-network prototype (§4.3: "we built a prototype ledger and
 //! browser extension that performed revocation checks").
 //!
-//! Two network engines share one wire format:
+//! One wire path, one implementation of each piece on it:
 //!
-//! * The event-loop **reactor** ([`reactor`], [`codec`], [`mux`]) — the
-//!   production path. N worker threads run readiness loops over
-//!   non-blocking sockets; connection count is bounded by memory, not by
-//!   thread count, and clients multiplex pipelined requests over one
-//!   connection. [`LedgerServer`] and [`ProxyServer`] run on it by
-//!   default. DESIGN.md §12 describes the architecture.
-//! * The blocking **thread-per-connection** engine ([`server`],
-//!   [`framing`], [`client`]) — the bootstrap prototype, kept as the
-//!   comparison baseline for experiment E19 and for one-shot tooling
-//!   where a parked thread is the simplest correct answer.
+//! * [`codec`] — the frame format (u32-BE length prefix), its caps per
+//!   direction, the encoder/decoder over reusable buffers, and the
+//!   small adapter that drives it over a blocking stream. Nothing else
+//!   in the workspace parses a frame header;
+//! * [`reactor`] — the network engine: an epoll-based event loop.
+//!   N worker threads run readiness loops over non-blocking sockets, so
+//!   connection count is bounded by memory, not by thread count.
+//!   [`LedgerServer`] and [`ProxyServer`] both run on it (DESIGN.md §12);
+//! * [`mux`] — the client: pipelined requests with correlation slots
+//!   over one shared connection;
+//! * [`service`] — the tower-style middleware stack (transport, retry,
+//!   failover, breaker, stale-serve, cache, batch, chaos, stats as
+//!   composable layers) every caller reaches a server through;
+//!   [`service::TcpTransport`] is the bottom of every stack and
+//!   [`service::stacks`] holds the canonical compositions;
+//! * [`ledger_server`] — a [`irs_ledger::ConcurrentLedger`] behind the
+//!   wire protocol;
+//! * [`proxy_server`] — an [`irs_proxy::SharedProxy`] that answers
+//!   locally when it can and forwards filter misses upstream;
+//! * [`mod@refresh`] — the proxy's hourly filter pull (tiered first, legacy
+//!   on `Unsupported`) over the wire;
+//! * [`chaos`] / [`server`] — the fault-injecting interposer the
+//!   failure drills run through, and the thread-per-connection accept
+//!   loop it (alone) is built on.
 //!
 //! Shutdown is explicit and joins every worker/connection thread
 //! (structured concurrency: no task outlives its component).
-//!
-//! * [`framing`] — u32-BE length-prefixed frames over a blocking TCP
-//!   stream, with a frame-size cap and clean EOF handling;
-//! * [`codec`] — the same frame format as an explicit encoder/decoder
-//!   over reusable buffers, tolerant of partial reads/writes (what the
-//!   reactor speaks);
-//! * [`reactor`] — the epoll-based event loop: registration, readiness
-//!   dispatch, per-connection state machines, bounded worker pool;
-//! * [`mux`] — the multiplexing client: pipelined requests with
-//!   correlation slots over one shared connection;
-//! * [`server`] — the thread-per-connection accept-loop harness
-//!   (baseline engine);
-//! * [`ledger_server`] — a [`irs_ledger::Ledger`] behind the wire
-//!   protocol;
-//! * [`proxy_server`] — an [`irs_proxy::IrsProxy`] that answers locally
-//!   when it can and forwards filter misses upstream;
-//! * [`client`] — blocking request/response clients with timeouts;
-//! * [`refresh`] — the proxy's hourly filter pull (full or delta) over
-//!   the wire;
-//! * [`service`] — the tower-style middleware stack (retry, failover,
-//!   breaker, stale-serve, cache, batch, chaos, stats as composable
-//!   layers) every upstream path is built from.
 
 pub mod chaos;
-pub mod client;
 pub mod codec;
-pub mod framing;
 pub mod ledger_server;
 pub mod mux;
 pub mod proxy_server;
 pub mod reactor;
 pub mod refresh;
-pub mod resilient;
 pub mod server;
 pub mod service;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, FaultMode};
-pub use client::LedgerClient;
-pub use codec::{BytesBuf, FrameCodec};
+pub use codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use ledger_server::LedgerServer;
 pub use mux::MuxClient;
 pub use proxy_server::ProxyServer;
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
-pub use refresh::{
-    refresh_filter, refresh_shared_filter, refresh_shared_filter_tiered, refresh_tiered_filter,
-    RefreshOutcome, RefreshWorker,
-};
-pub use resilient::{ResilientClient, RetryPolicy};
+pub use refresh::{RefreshOutcome, RefreshWorker};
 pub use server::ServerHandle;
-pub use service::{BoxService, CallCtx, Layer, Service, ServiceExt};
+pub use service::{BoxService, CallCtx, Layer, RetryPolicy, Service, ServiceExt};
 
 /// Errors from the network layer.
 #[derive(Debug)]
@@ -78,14 +62,12 @@ pub enum NetError {
     Closed,
     /// Wire-codec failure on a received payload.
     Wire(irs_core::wire::WireError),
-    /// The stream died mid-exchange (write failed, read timed out, or the
-    /// peer vanished). The client holding it must [`reconnect`] before the
-    /// next call — after a failed exchange the request/response framing
-    /// can no longer be trusted to be in sync.
-    ///
-    /// [`reconnect`]: client::LedgerClient::reconnect
+    /// The stream died mid-exchange (write failed or the peer vanished).
+    /// The [`MuxClient`] holding it is poisoned — after a failed exchange
+    /// the request/response correlation can no longer be trusted — and
+    /// [`service::TcpTransport`] dials a fresh one on the next call.
     ConnectionLost,
-    /// A [`ResilientClient`] ran out of retry budget: every attempt
+    /// A [`service::RetryLayer`] ran out of retry budget: every attempt
     /// failed and/or the per-call deadline elapsed.
     Exhausted {
         /// Attempts made (including the first).
@@ -116,6 +98,14 @@ pub enum NetError {
 }
 
 impl NetError {
+    /// Whether this is a socket read/write timeout (`SO_RCVTIMEO`
+    /// surfaces as `WouldBlock` on Linux, `TimedOut` elsewhere) — the one
+    /// I/O error after which a [`Framed`] stream is still in sync.
+    pub fn is_timeout(&self) -> bool {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        matches!(self, NetError::Io(e) if matches!(e.kind(), WouldBlock | TimedOut))
+    }
+
     /// A best-effort structural copy, for fanning one upstream error out
     /// to many waiters (single-flight followers, batch followers).
     /// `NetError` is not `Clone` because `std::io::Error` is not; the

@@ -1,26 +1,23 @@
 //! The multiplexing client: pipelined requests over one connection.
 //!
-//! [`LedgerClient`](crate::client::LedgerClient) is strictly
-//! request/response — one in-flight exchange per connection, so N
-//! concurrent callers need N sockets (the old `TcpTransport` kept an
-//! 8-slot pool). A reactor server answers every frame *in request
-//! order* on a connection (the pipelining contract, see
-//! [`crate::reactor`]), which lets one socket carry any number of
-//! overlapping exchanges: [`MuxClient`] assigns each call a correlation
-//! id, appends its frame to the shared stream, and a single reader
-//! thread matches arriving responses back to waiting callers by that
-//! order — slot *k* in the FIFO of in-flight correlation ids owns the
-//! *k*-th response frame.
+//! A reactor server answers every frame *in request order* on a
+//! connection (the pipelining contract, see [`crate::reactor`]), which
+//! lets one socket carry any number of overlapping exchanges:
+//! [`MuxClient`] assigns each call a correlation id, appends its frame
+//! to the shared stream, and a single reader thread matches arriving
+//! responses back to waiting callers by that order — slot *k* in the
+//! FIFO of in-flight correlation ids owns the *k*-th response frame.
 //!
-//! Failure semantics mirror the blocking client: any transport error is
-//! fatal to the connection (ordered correlation cannot resynchronize a
-//! torn stream), every in-flight and future call fails with
-//! [`NetError::ConnectionLost`], and the owner redials. A caller whose
-//! deadline expires abandons its slot; the reader still consumes the
-//! late response to keep the FIFO aligned, then discards it.
+//! Failure semantics: any transport error is fatal to the connection
+//! (ordered correlation cannot resynchronize a torn stream), every
+//! in-flight and future call fails with [`NetError::ConnectionLost`],
+//! and the owner redials. A *slow* response is not an error: the reader
+//! wakes on a short read timeout to notice shutdown, and [`Framed`]
+//! keeps whatever part of a frame has arrived across those wake-ups. A
+//! caller whose deadline expires abandons its slot; the reader still
+//! consumes the late response to keep the FIFO aligned, then discards it.
 
-use crate::codec::{BytesBuf, FrameCodec};
-use crate::framing::MAX_FRAME;
+use crate::codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME};
 use crate::NetError;
 use irs_core::wire::{Request, Response, Wire};
 use parking_lot::Mutex;
@@ -255,12 +252,13 @@ impl NetError {
 
 /// The reader thread: pull response frames off the wire, deliver each
 /// to the oldest in-flight slot.
-fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
+fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
+    let mut frames = Framed::new(stream, MAX_FRAME);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match crate::framing::read_frame(&mut stream) {
+        match frames.read_frame() {
             Ok(frame) => {
                 let slot = shared.pending.lock().pop_front();
                 match slot {
@@ -283,14 +281,9 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                     }
                 }
             }
-            Err(NetError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle tick — loop to re-check the stop flag.
-            }
+            // Idle tick (or a response still trickling in) — loop to
+            // re-check the stop flag; nothing read so far is lost.
+            Err(e) if e.is_timeout() => {}
             Err(_) => {
                 shared.poison();
                 return;
@@ -327,7 +320,7 @@ mod tests {
                         message: format!("seq {n}"),
                     },
                 };
-                crate::framing::response_bytes(&response)
+                crate::codec::response_bytes(&response)
             }),
         )
         .unwrap()
@@ -381,7 +374,7 @@ mod tests {
             },
             Arc::new(|_frame: bytes::Bytes, _conn: u64| {
                 std::thread::sleep(Duration::from_millis(400));
-                crate::framing::response_bytes(&Response::Pong)
+                crate::codec::response_bytes(&Response::Pong)
             }),
         )
         .unwrap();
@@ -410,7 +403,7 @@ mod tests {
             },
             Arc::new(|_frame: bytes::Bytes, _conn: u64| {
                 std::thread::sleep(Duration::from_millis(200));
-                crate::framing::response_bytes(&Response::Pong)
+                crate::codec::response_bytes(&Response::Pong)
             }),
         )
         .unwrap();
@@ -437,6 +430,47 @@ mod tests {
             mux.call(&Request::Ping, far()),
             Err(NetError::ConnectionLost)
         ));
+    }
+
+    /// A response that arrives in two pieces with a pause longer than
+    /// the reader's 250 ms wake-up between them is *slow*, not broken:
+    /// the call completes and the connection stays healthy. (Before the
+    /// reader went through [`Framed`], the wake-up dropped the half
+    /// frame already read and parsed payload bytes as the next length.)
+    #[test]
+    fn slow_response_split_across_a_reader_timeout_is_not_fatal() {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let slow = Response::Error {
+            code: 503,
+            message: "x".repeat(64),
+        };
+        let payload = crate::codec::response_bytes(&slow);
+        assert_eq!(payload.len(), 70);
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = Framed::new(stream, crate::codec::MAX_REQUEST_FRAME);
+            peer.read_frame().unwrap();
+            // Header plus half the payload, a 400 ms gap, then the rest.
+            let mut wire = BytesBuf::new();
+            FrameCodec::new(MAX_FRAME)
+                .encode(&payload, &mut wire)
+                .unwrap();
+            let (head, tail) = wire.as_slice().split_at(4 + payload.len() / 2);
+            peer.get_mut().write_all(head).unwrap();
+            std::thread::sleep(Duration::from_millis(400));
+            peer.get_mut().write_all(tail).unwrap();
+            // The same connection then serves an ordinary exchange.
+            peer.read_frame().unwrap();
+            peer.write_frame(&crate::codec::response_bytes(&Response::Pong))
+                .unwrap();
+        });
+        let mux = MuxClient::connect(addr).unwrap();
+        assert_eq!(mux.call(&Request::Ping, far()).unwrap(), slow);
+        assert!(!mux.is_dead(), "a slow response must not poison the client");
+        assert_eq!(mux.call(&Request::Ping, far()).unwrap(), Response::Pong);
+        server.join().unwrap();
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //! rungs live in [`crate::service::stacks`] and the ordering rules in
 //! DESIGN.md §10.
 
-use crate::framing::{response_bytes, MAX_REQUEST_FRAME};
+use crate::codec::{serve_request, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
-use irs_core::wire::{Request, Response, Wire};
-use irs_proxy::{IrsProxy, SharedProxy};
+use irs_core::wire::{Request, Response};
+use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -45,19 +45,9 @@ fn proxy_workers() -> usize {
 
 impl ProxyServer {
     /// Start a proxy on `addr`, forwarding filter misses to the ledger at
-    /// `upstream` with the plain single-attempt stack. The sequential
-    /// proxy is promoted to a [`SharedProxy`] (filters and counters
-    /// carry over).
-    pub fn start(
-        proxy: IrsProxy,
-        addr: &str,
-        upstream: SocketAddr,
-    ) -> std::io::Result<ProxyServer> {
-        ProxyServer::start_shared(Arc::new(SharedProxy::from_proxy(proxy)), addr, upstream)
-    }
-
-    /// Start serving an already-shared proxy (callers that refresh its
-    /// filters from outside the server while it runs), plain stack.
+    /// `upstream` with the plain single-attempt stack. The proxy is
+    /// shared: callers refresh its filters from outside the server while
+    /// it runs.
     pub fn start_shared(
         proxy: Arc<SharedProxy>,
         addr: &str,
@@ -104,8 +94,8 @@ impl ProxyServer {
             config,
             Arc::new(move |frame, conn| {
                 let start = std::time::Instant::now();
-                let response = match Request::from_bytes(frame) {
-                    Ok(req @ Request::Query { .. }) => {
+                let response = serve_request(frame, |request| match request {
+                    req @ Request::Query { .. } => {
                         // One clock reading per request: every layer sees
                         // the same instant. The connection id rides along
                         // so admission layers in the stack can meter
@@ -128,19 +118,15 @@ impl ProxyServer {
                             },
                         }
                     }
-                    Ok(Request::Ping) => Response::Pong,
-                    Ok(Request::Metrics) => Response::MetricsText(shared.render_metrics()),
-                    Ok(_) => Response::Error {
+                    Request::Ping => Response::Pong,
+                    Request::Metrics => Response::MetricsText(shared.render_metrics()),
+                    _ => Response::Error {
                         code: irs_ledger::codes::BAD_REQUEST,
                         message: "proxy only serves Query/Ping/Metrics".to_string(),
                     },
-                    Err(e) => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: format!("bad request: {e}"),
-                    },
-                };
+                });
                 request_us.record_since(start);
-                response_bytes(&response)
+                response
             }),
         )?;
         Ok(ProxyServer { proxy, handle })
@@ -171,9 +157,9 @@ impl ProxyServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::LedgerClient;
     use crate::ledger_server::LedgerServer;
-    use crate::resilient::RetryPolicy;
+    use crate::service::transport::testing::{call, connect};
+    use crate::service::RetryPolicy;
     use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::time::TimeMs;
@@ -182,7 +168,17 @@ mod tests {
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
     use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::ProxyConfig;
+    use irs_proxy::{FilterUpdate, ProxyConfig};
+
+    /// A shared proxy holding `filter` as ledger 1's revoked set.
+    fn proxy_with(filter: &BloomFilter) -> Arc<SharedProxy> {
+        let shared = Arc::new(SharedProxy::new(ProxyConfig::default()));
+        let update = FilterUpdate::full(1, filter.to_bytes());
+        shared
+            .update_filters(|f| f.apply(LedgerId(1), update))
+            .unwrap();
+        shared
+    }
 
     /// Full bootstrap chain over loopback: browser → proxy → ledger.
     #[test]
@@ -194,10 +190,10 @@ mod tests {
         let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
 
         // Owner claims a photo directly at the ledger.
-        let mut owner = LedgerClient::connect(ledger_server.addr()).unwrap();
+        let owner = connect(ledger_server.addr());
         let kp = Keypair::from_seed(&[9u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"pic"));
-        let Response::Claimed { id, .. } = owner.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&owner, Request::Claim(claim)) else {
             panic!("claim failed");
         };
 
@@ -206,27 +202,22 @@ mod tests {
         // the hourly snapshot not yet refreshed), so its lookup exercises
         // the upstream-forwarding path; unclaimed ids miss and are
         // answered locally.
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
-        proxy
-            .filters
-            .apply_full(LedgerId(1), 1, filter.to_bytes())
-            .unwrap();
-        let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
+        let proxy = proxy_with(&filter);
+        let proxy_server =
+            ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
 
         // Browser queries through the proxy.
-        let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
+        let browser = connect(proxy_server.addr());
         // Filter-hit id: forwarded upstream.
-        let Response::Status { status, .. } = browser.call(&Request::Query { id }).unwrap() else {
+        let Response::Status { status, .. } = call(&browser, Request::Query { id }) else {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::NotRevoked);
         // Filter-miss id: definitely not revoked → answered locally.
         let unknown = irs_core::ids::RecordId::new(LedgerId(1), 424_242);
-        let Response::Status { status, .. } =
-            browser.call(&Request::Query { id: unknown }).unwrap()
-        else {
+        let Response::Status { status, .. } = call(&browser, Request::Query { id: unknown }) else {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::NotRevoked);
@@ -239,7 +230,7 @@ mod tests {
             assert_eq!(stats.filter_negative, 1);
         }
         // Second query for the claimed id is served from the proxy cache.
-        browser.call(&Request::Query { id }).unwrap();
+        call(&browser, Request::Query { id });
         {
             let stats = proxy_server.proxy().stats();
             assert_eq!(stats.cache_hits, 1);
@@ -257,18 +248,18 @@ mod tests {
             TimestampAuthority::from_seed(2),
         );
         let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let proxy_server = ProxyServer::start(
-            IrsProxy::new(ProxyConfig::default()),
+        let proxy_server = ProxyServer::start_shared(
+            Arc::new(SharedProxy::new(ProxyConfig::default())),
             "127.0.0.1:0",
             ledger_server.addr(),
         )
         .unwrap();
-        let mut client = LedgerClient::connect(proxy_server.addr()).unwrap();
+        let client = connect(proxy_server.addr());
         let kp = Keypair::from_seed(&[3u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"x"));
-        let resp = client.call(&Request::Claim(claim)).unwrap();
+        let resp = call(&client, Request::Claim(claim));
         assert!(matches!(resp, Response::Error { .. }));
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(call(&client, Request::Ping), Response::Pong);
         proxy_server.shutdown();
         ledger_server.shutdown();
     }
@@ -281,22 +272,17 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
         // An installed (empty) filter lets a miss resolve locally — no
         // live ledger needed for this scrape.
-        let filter = BloomFilter::with_params(1 << 10, 4, 0).unwrap();
-        proxy
-            .filters
-            .apply_full(LedgerId(1), 1, filter.to_bytes())
-            .unwrap();
-        let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", dead).unwrap();
-        let mut client = LedgerClient::connect(proxy_server.addr()).unwrap();
+        let proxy = proxy_with(&BloomFilter::with_params(1 << 10, 4, 0).unwrap());
+        let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", dead).unwrap();
+        let client = connect(proxy_server.addr());
         let miss = RecordId::new(LedgerId(1), 424_242);
         assert!(matches!(
-            client.call(&Request::Query { id: miss }).unwrap(),
+            call(&client, Request::Query { id: miss }),
             Response::Status { .. }
         ));
-        let Response::MetricsText(text) = client.call(&Request::Metrics).unwrap() else {
+        let Response::MetricsText(text) = call(&client, Request::Metrics) else {
             panic!("expected metrics text");
         };
         let parsed = irs_obs::parse_exposition(&text);
@@ -325,21 +311,17 @@ mod tests {
         // A real claimed record (so the upstream query has an answer) and
         // a never-claimed id; both sit in the filter so lookups for them
         // go upstream.
-        let mut owner = LedgerClient::connect(upstream_addr).unwrap();
+        let owner = connect(upstream_addr);
         let kp = Keypair::from_seed(&[4u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"stale-pic"));
-        let Response::Claimed { id: cached, .. } = owner.call(&Request::Claim(claim)).unwrap()
-        else {
+        let Response::Claimed { id: cached, .. } = call(&owner, Request::Claim(claim)) else {
             panic!("claim failed");
         };
         let uncached = RecordId::new(LedgerId(1), cached.serial + 1_000);
-        let shared = Arc::new(SharedProxy::new(ProxyConfig::default()));
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(cached.filter_key());
         filter.insert(uncached.filter_key());
-        shared
-            .update_filters(|f| f.apply_full(LedgerId(1), 1, filter.to_bytes()))
-            .unwrap();
+        let shared = proxy_with(&filter);
 
         let retry = RetryPolicy {
             max_attempts: 2,
@@ -348,12 +330,11 @@ mod tests {
         let stack = stacks::full_upstream(shared.clone(), vec![upstream_addr], retry);
         let proxy_server =
             ProxyServer::start_with_stack(shared.clone(), "127.0.0.1:0", stack).unwrap();
-        let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
+        let browser = connect(proxy_server.addr());
 
         // Warm the cache for `cached` while the ledger is up. (The ledger
         // has no such record, so the status is NotRevoked.)
-        let Response::Status { status, .. } = browser.call(&Request::Query { id: cached }).unwrap()
-        else {
+        let Response::Status { status, .. } = call(&browser, Request::Query { id: cached }) else {
             panic!("warmup failed");
         };
         assert_eq!(status, RevocationStatus::NotRevoked);
@@ -367,7 +348,7 @@ mod tests {
         shared.invalidate(&cached); // drop the live copy …
         shared.complete(cached, RevocationStatus::NotRevoked, TimeMs(0)); // … reinsert far in the past → expired now
 
-        let resp = browser.call(&Request::Query { id: cached }).unwrap();
+        let resp = call(&browser, Request::Query { id: cached });
         let Response::StatusStale { id, status, age_ms } = resp else {
             panic!("expected stale answer, got {resp:?}");
         };
@@ -375,7 +356,7 @@ mod tests {
         assert_eq!(status, RevocationStatus::NotRevoked);
         assert!(age_ms > 0);
 
-        let resp = browser.call(&Request::Query { id: uncached }).unwrap();
+        let resp = call(&browser, Request::Query { id: uncached });
         let Response::Unavailable { id, .. } = resp else {
             panic!("expected unavailable, got {resp:?}");
         };

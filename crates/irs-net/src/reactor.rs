@@ -1,11 +1,11 @@
 //! The non-blocking event-loop network core.
 //!
-//! The threaded [`server`](crate::server) spawns one OS thread per
-//! accepted socket — fine for the bootstrap prototype, a hard wall at
-//! thousands of concurrent browsers (10 000 connections means 10 000
-//! stacks and a scheduler drowning in runnable threads). The reactor
-//! serves the same wire protocol from a *fixed* pool of worker threads,
-//! each running a readiness loop over non-blocking sockets:
+//! One OS thread per accepted socket is a hard wall at thousands of
+//! concurrent browsers (10 000 connections means 10 000 stacks and a
+//! scheduler drowning in runnable threads; E19 keeps such a server as
+//! its reference column). The reactor serves the wire protocol from a
+//! *fixed* pool of worker threads, each running a readiness loop over
+//! non-blocking sockets:
 //!
 //! * [`Poller`] — the readiness source. On Linux this is epoll via
 //!   direct `extern "C"` bindings (std already links libc; no new
@@ -17,7 +17,10 @@
 //!   connection lives entirely on its worker (no cross-worker locking
 //!   on the hot path).
 //! * Per-connection state machine — a read [`BytesBuf`], a write
-//!   [`BytesBuf`], and the [`FrameCodec`]. Readable: drain the socket
+//!   [`BytesBuf`], and the [`FrameCodec`]: requests are decoded with the
+//!   configured request cap, responses encoded with [`MAX_FRAME`] (a
+//!   snapshot or filter reply is far larger than anything a client may
+//!   send). Readable: drain the socket
 //!   (bounded per wakeup for fairness), decode every complete frame,
 //!   run the handler, append responses in request order. Writable:
 //!   flush; `EPOLLOUT` interest exists only while the write buffer is
@@ -38,7 +41,7 @@
 
 #![cfg(unix)]
 
-use crate::codec::{BytesBuf, FrameCodec};
+use crate::codec::{BytesBuf, FrameCodec, MAX_FRAME, MAX_REQUEST_FRAME};
 use bytes::Bytes;
 use irs_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
@@ -513,7 +516,7 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             workers: default_workers(),
-            max_frame: crate::framing::MAX_REQUEST_FRAME,
+            max_frame: MAX_REQUEST_FRAME,
             high_water: 64 << 20,
             registry: None,
         }
@@ -599,6 +602,7 @@ struct Worker {
     inbox: Arc<Mutex<VecDeque<TcpStream>>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// Decodes requests (the configured request cap).
     codec: FrameCodec,
     high_water: usize,
     handler: FrameFn,
@@ -755,7 +759,8 @@ impl Worker {
                         let response = (self.handler)(frame, conn.id);
                         self.metrics.request_us.record_since(started);
                         let before = conn.write_buf.len();
-                        let encoded = self.codec.encode(&response, &mut conn.write_buf);
+                        let encoded =
+                            FrameCodec::new(MAX_FRAME).encode(&response, &mut conn.write_buf);
                         // Account whatever landed in the buffer even on
                         // failure, so the close path's subtraction of
                         // the remaining buffer keeps the gauge exact.
@@ -971,8 +976,14 @@ impl Drop for ReactorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Framed;
     use crate::server::poll_until;
     use std::time::Duration;
+
+    /// A blocking client connection speaking whole frames.
+    fn connect(addr: SocketAddr) -> Framed<TcpStream> {
+        Framed::new(TcpStream::connect(addr).unwrap(), MAX_FRAME)
+    }
 
     fn echo_reactor(workers: usize) -> ReactorHandle {
         let config = ReactorConfig {
@@ -990,9 +1001,9 @@ mod tests {
     #[test]
     fn frame_echo_roundtrip() {
         let r = echo_reactor(2);
-        let mut stream = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut stream, b"hello reactor").unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        let mut stream = connect(r.addr());
+        stream.write_frame(b"hello reactor").unwrap();
+        let frame = stream.read_frame().unwrap();
         assert_eq!(frame.as_ref(), b"hello reactor");
         drop(stream);
         r.shutdown();
@@ -1001,14 +1012,14 @@ mod tests {
     #[test]
     fn pipelined_requests_answered_in_order() {
         let r = echo_reactor(1);
-        let mut stream = TcpStream::connect(r.addr()).unwrap();
+        let mut stream = connect(r.addr());
         // Write 50 frames back-to-back before reading anything: the
         // reactor must answer all of them, in order.
         for i in 0..50u32 {
-            crate::framing::write_frame(&mut stream, &i.to_be_bytes()).unwrap();
+            stream.write_frame(&i.to_be_bytes()).unwrap();
         }
         for i in 0..50u32 {
-            let frame = crate::framing::read_frame(&mut stream).unwrap();
+            let frame = stream.read_frame().unwrap();
             assert_eq!(frame.as_ref(), i.to_be_bytes());
         }
         r.shutdown();
@@ -1017,17 +1028,18 @@ mod tests {
     #[test]
     fn partial_frames_tolerated_at_any_boundary() {
         let r = echo_reactor(1);
-        let mut stream = TcpStream::connect(r.addr()).unwrap();
-        let mut wire = Vec::new();
-        crate::framing::write_frame(&mut wire, b"split me").unwrap();
+        let mut stream = connect(r.addr());
+        let mut wire = BytesBuf::new();
+        FrameCodec::new(MAX_FRAME)
+            .encode(b"split me", &mut wire)
+            .unwrap();
         // Dribble the frame one byte at a time with pauses: the decoder
         // must wait for completion, then answer exactly once.
-        for &b in &wire {
-            stream.write_all(&[b]).unwrap();
-            stream.flush().unwrap();
+        for &b in wire.as_slice() {
+            stream.get_mut().write_all(&[b]).unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        let frame = stream.read_frame().unwrap();
         assert_eq!(frame.as_ref(), b"split me");
         r.shutdown();
     }
@@ -1037,7 +1049,7 @@ mod tests {
         let r = echo_reactor(1);
         let mut stream = TcpStream::connect(r.addr()).unwrap();
         stream
-            .write_all(&(crate::framing::MAX_REQUEST_FRAME + 1).to_be_bytes())
+            .write_all(&(MAX_REQUEST_FRAME + 1).to_be_bytes())
             .unwrap();
         // The server must close; the read eventually sees EOF.
         stream
@@ -1055,9 +1067,7 @@ mod tests {
     fn many_connections_few_threads() {
         let r = echo_reactor(2);
         assert_eq!(r.workers(), 2);
-        let mut streams: Vec<TcpStream> = (0..100)
-            .map(|_| TcpStream::connect(r.addr()).unwrap())
-            .collect();
+        let mut streams: Vec<_> = (0..100).map(|_| connect(r.addr())).collect();
         assert!(
             poll_until(Duration::from_secs(10), || r.live_connections() == 100),
             "100 connections must register, saw {}",
@@ -1065,10 +1075,10 @@ mod tests {
         );
         // Every connection stays responsive.
         for (i, s) in streams.iter_mut().enumerate() {
-            crate::framing::write_frame(s, &(i as u32).to_be_bytes()).unwrap();
+            s.write_frame(&(i as u32).to_be_bytes()).unwrap();
         }
         for (i, s) in streams.iter_mut().enumerate() {
-            let frame = crate::framing::read_frame(s).unwrap();
+            let frame = s.read_frame().unwrap();
             assert_eq!(frame.as_ref(), (i as u32).to_be_bytes());
         }
         drop(streams);
@@ -1087,11 +1097,11 @@ mod tests {
         let threads: Vec<_> = (0..16u32)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let mut s = TcpStream::connect(addr).unwrap();
+                    let mut s = connect(addr);
                     for round in 0..20u32 {
                         let msg = (i * 1000 + round).to_be_bytes();
-                        crate::framing::write_frame(&mut s, &msg).unwrap();
-                        let frame = crate::framing::read_frame(&mut s).unwrap();
+                        s.write_frame(&msg).unwrap();
+                        let frame = s.read_frame().unwrap();
                         assert_eq!(frame.as_ref(), msg);
                     }
                 })
@@ -1106,11 +1116,11 @@ mod tests {
     #[test]
     fn large_response_drains_via_write_interest() {
         // Handler inflates a tiny request into ~8 MiB, far beyond any
-        // socket buffer: the response can only complete through
+        // socket buffer — and beyond the *request* cap, which does not
+        // bound responses: the response can only complete through
         // EPOLLOUT-driven incremental flushes.
         let config = ReactorConfig {
             workers: 1,
-            max_frame: 32 << 20,
             ..ReactorConfig::default()
         };
         let r = Reactor::bind(
@@ -1119,9 +1129,9 @@ mod tests {
             Arc::new(|frame: Bytes, _conn: u64| Bytes::from(vec![frame[0]; 8 << 20])),
         )
         .unwrap();
-        let mut stream = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut stream, &[0x5A]).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        let mut stream = connect(r.addr());
+        stream.write_frame(&[0x5A]).unwrap();
+        let frame = stream.read_frame().unwrap();
         assert_eq!(frame.len(), 8 << 20);
         assert!(frame.iter().all(|&b| b == 0x5A));
         r.shutdown();
@@ -1158,11 +1168,11 @@ mod tests {
         let gauge = |name: &str| irs_obs::parse_exposition(&registry.render())[name];
 
         let stream = TcpStream::connect(r.addr()).unwrap();
-        let mut write_half = stream.try_clone().unwrap();
+        let mut write_half = Framed::new(stream.try_clone().unwrap(), MAX_FRAME);
         let writer = std::thread::spawn(move || {
             let payload = vec![0xA5u8; PAYLOAD];
             for _ in 0..N {
-                crate::framing::write_frame(&mut write_half, &payload).unwrap();
+                write_half.write_frame(&payload).unwrap();
             }
         });
 
@@ -1179,10 +1189,10 @@ mod tests {
         // Drain everything, sampling the backlog as we go. The bound is
         // high-water plus one wakeup's worth of decoded frames (the
         // read budget) — far below the 64 MiB total that flowed.
-        let mut stream = stream;
+        let mut stream = Framed::new(stream, MAX_FRAME);
         let mut max_seen = stalled;
         for i in 0..N {
-            let frame = crate::framing::read_frame(&mut stream).unwrap();
+            let frame = stream.read_frame().unwrap();
             assert_eq!(frame.len(), PAYLOAD, "response {i} truncated");
             assert!(frame.iter().all(|&b| b == 0xA5), "response {i} corrupted");
             max_seen = max_seen.max(gauge("irs_net_write_buffer_bytes"));
@@ -1223,9 +1233,9 @@ mod tests {
             ..ReactorConfig::default()
         };
         let r = Reactor::bind("127.0.0.1:0", config, Arc::new(|f: Bytes, _conn: u64| f)).unwrap();
-        let mut s = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut s, b"x").unwrap();
-        let _ = crate::framing::read_frame(&mut s).unwrap();
+        let mut s = connect(r.addr());
+        s.write_frame(b"x").unwrap();
+        let _ = s.read_frame().unwrap();
         let parsed = irs_obs::parse_exposition(&registry.render());
         assert_eq!(parsed["irs_net_reactor_workers"], 2.0);
         assert_eq!(parsed["irs_net_live_connections"], 1.0);
@@ -1250,7 +1260,6 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let config = ReactorConfig {
             workers: 1,
-            max_frame: 32 << 20,
             registry: Some(registry.clone()),
             ..ReactorConfig::default()
         };
@@ -1264,13 +1273,12 @@ mod tests {
         .unwrap();
         let gauge = |name: &str| irs_obs::parse_exposition(&registry.render())[name];
 
-        let mut s = TcpStream::connect(r.addr()).unwrap();
+        let mut s = connect(r.addr());
         // One complete request the client will never read the answer to…
-        crate::framing::write_frame(&mut s, &[0x41]).unwrap();
+        s.write_frame(&[0x41]).unwrap();
         // …then half of a second frame: a 64-byte promise, 3 bytes sent.
-        s.write_all(&64u32.to_be_bytes()).unwrap();
-        s.write_all(&[1, 2, 3]).unwrap();
-        s.flush().unwrap();
+        s.get_mut().write_all(&64u32.to_be_bytes()).unwrap();
+        s.get_mut().write_all(&[1, 2, 3]).unwrap();
         assert!(
             poll_until(Duration::from_secs(5), || {
                 gauge("irs_net_write_buffer_bytes") > 0.0

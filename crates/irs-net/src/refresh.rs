@@ -1,29 +1,28 @@
 //! Wire-level filter refresh: how a proxy keeps its revoked-set filters
 //! current over the network (§4.4's hourly publication, on real sockets).
 //!
-//! Two entry points: [`refresh_filter`] for the sequential [`IrsProxy`]
-//! (simulator, single-threaded tools) and [`refresh_shared_filter`] for
-//! a served [`SharedProxy`] — the latter runs the version check and the
-//! apply inside one `update_filters` transaction, so concurrent lookups
-//! keep reading the old snapshot until the new one swaps in, and two
-//! racing refreshes cannot interleave their version reads and writes.
+//! One entry point, [`refresh`]: one round for one ledger over whatever
+//! [`Service`] reaches it. The wire calls happen outside any lock; the
+//! held-state re-check and the apply run inside one `update_filters`
+//! transaction, so concurrent lookups keep reading the old snapshot
+//! until the new one swaps in, and two racing refreshes cannot
+//! interleave their version reads and writes.
 //!
-//! [`RefreshWorker`] runs the shared refresh on a background thread and
-//! is built to survive a hostile network: a down ledger costs a failure
+//! [`RefreshWorker`] runs it on a background thread per shard and is
+//! built to survive a hostile network: a down ledger costs a failure
 //! counter and a backed-off retry, never a teardown — lookups keep
 //! serving the last-good snapshot throughout (the degradation ladder's
 //! "stale filters beat no filters" rung).
 
-use crate::client::LedgerClient;
-use crate::resilient::RetryPolicy;
-use crate::service::{CallCtx, Failover, RetryLayer, Service, ServiceExt, TransportPool};
+use crate::service::{
+    CallCtx, Failover, RetryLayer, RetryPolicy, Service, ServiceExt, TransportPool,
+};
 use crate::NetError;
 use irs_core::ids::LedgerId;
 use irs_core::time::{Clock, SystemClock};
 use irs_core::wire::{Request, Response};
 use irs_obs::{Counter, Gauge};
-use irs_proxy::filterset::FilterSet;
-use irs_proxy::{IrsProxy, SharedProxy};
+use irs_proxy::{FilterSet, FilterUpdate, SharedProxy};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,224 +66,112 @@ pub enum RefreshOutcome {
     AlreadyCurrent,
 }
 
-/// Pull the ledger's current filter into the proxy, using a delta when the
-/// proxy's held version allows it.
-pub fn refresh_filter(
-    proxy: &mut IrsProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters.version(ledger);
-    let response = client.call(&Request::GetFilter { have_version: have })?;
-    apply_response(&mut proxy.filters, ledger, response)
-}
-
-/// [`refresh_filter`] against a served [`SharedProxy`]. The wire call
-/// happens outside any lock; the version check and apply run inside one
-/// filter-set transaction, and in-flight lookups are never blocked for
-/// longer than the snapshot pointer swap.
-pub fn refresh_shared_filter(
+/// One refresh round: pull `ledger`'s current publication through
+/// `service` (usually `Retry(Failover(Tcp))`, so the fetch itself has
+/// whatever resilience the stack provides) and install it in `proxy`.
+///
+/// The tiered pipeline is asked first ([`Request::GetFilterTiered`] with
+/// the held `(epoch, version)`; DESIGN.md §16). A server predating it
+/// answers [`Response::Unsupported`], and the round degrades to the
+/// legacy [`Request::GetFilter`] flow — same round, same outcome
+/// accounting: the round's final wire result is recorded **once** into
+/// the proxy's per-ledger circuit breaker, so the query path shares one
+/// view of upstream health and an old peer's polite `Unsupported` never
+/// masks a failing fetch behind it.
+pub fn refresh<S: Service + ?Sized>(
     proxy: &SharedProxy,
-    client: &mut LedgerClient,
+    service: &S,
     ledger: LedgerId,
 ) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().version(ledger);
-    let response = client.call(&Request::GetFilter { have_version: have })?;
+    let held = |filters: &FilterSet| (filters.tiered_state(ledger), filters.version(ledger));
+    let have = held(&proxy.filters_snapshot());
+    let ((have_epoch, have_version), have_legacy) = have;
+    let ctx = CallCtx::wall();
+    let mut fetched = service.call(
+        Request::GetFilterTiered {
+            have_epoch,
+            have_version,
+        },
+        &ctx,
+    );
+    if matches!(fetched, Ok(Response::Unsupported { .. })) {
+        let legacy = Request::GetFilter {
+            have_version: have_legacy,
+        };
+        fetched = service.call(legacy, &ctx);
+    }
+    proxy.record_upstream(ledger, fetched.is_ok(), SystemClock.now());
+    let Some(update) = publication(fetched?)? else {
+        return Ok(RefreshOutcome::AlreadyCurrent);
+    };
+    let outcome = RefreshOutcome::of(&update);
     proxy.update_filters(|filters| {
         // Another refresher may have advanced the set between our
         // snapshot read and this transaction; re-check inside it.
-        if filters.version(ledger) != have {
+        if held(filters) != have {
             return Ok(RefreshOutcome::AlreadyCurrent);
         }
-        apply_response(filters, ledger, response)
+        filters
+            .apply(ledger, update)
+            .map_err(|_| NetError::Frame("filter update rejected"))?;
+        Ok(outcome)
     })
 }
 
-fn apply_response(
-    filters: &mut FilterSet,
-    ledger: LedgerId,
-    response: Response,
-) -> Result<RefreshOutcome, NetError> {
-    match response {
-        Response::FilterFull { version, data } => {
-            let bytes = data.len();
-            filters
-                .apply_full(ledger, version, data)
-                .map_err(|_| NetError::Frame("filter payload rejected"))?;
-            Ok(RefreshOutcome::InstalledFull { version, bytes })
-        }
+/// The update a filter response carries; `None` when the ledger says the
+/// proxy is current (an empty delta).
+fn publication(response: Response) -> Result<Option<FilterUpdate>, NetError> {
+    Ok(Some(match response {
+        Response::FilterFull { version, data } => FilterUpdate::full(version, data),
         Response::FilterDelta {
             from_version,
             to_version,
             data,
-        } => {
-            if from_version == to_version {
-                return Ok(RefreshOutcome::AlreadyCurrent);
-            }
-            let bytes = data.len();
-            filters
-                .apply_delta(ledger, from_version, to_version, data)
-                .map_err(|_| NetError::Frame("filter delta rejected"))?;
-            Ok(RefreshOutcome::AppliedDelta {
-                version: to_version,
-                bytes,
-            })
-        }
-        Response::Error { .. } => Err(NetError::Frame("ledger has no published filter")),
-        _ => Err(NetError::Frame("unexpected response to GetFilter")),
-    }
-}
-
-/// Epoch-aware refresh against the tiered pipeline (DESIGN.md §16):
-/// sends [`Request::GetFilterTiered`] with the held `(epoch, version)`
-/// and applies whichever tier the serve matrix answers with. A server
-/// predating the tiered pipeline answers [`Response::Unsupported`], and
-/// the refresh degrades to the legacy [`refresh_filter`] flow in the
-/// same round.
-pub fn refresh_tiered_filter(
-    proxy: &mut IrsProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let (have_epoch, have_version) = proxy.filters.tiered_state(ledger);
-    let response = client.call(&Request::GetFilterTiered {
-        have_epoch,
-        have_version,
-    })?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_filter(proxy, client, ledger);
-    }
-    apply_tiered_response(&mut proxy.filters, ledger, response)
-}
-
-/// [`refresh_tiered_filter`] against a served [`SharedProxy`]: the wire
-/// call runs outside any lock, and the `(epoch, version)` recheck plus
-/// the apply run inside one `update_filters` transaction.
-pub fn refresh_shared_filter_tiered(
-    proxy: &SharedProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().tiered_state(ledger);
-    let response = client.call(&Request::GetFilterTiered {
-        have_epoch: have.0,
-        have_version: have.1,
-    })?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_shared_filter(proxy, client, ledger);
-    }
-    proxy.update_filters(|filters| {
-        if filters.tiered_state(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_tiered_response(filters, ledger, response)
-    })
-}
-
-fn apply_tiered_response(
-    filters: &mut FilterSet,
-    ledger: LedgerId,
-    response: Response,
-) -> Result<RefreshOutcome, NetError> {
-    match response {
+        } if from_version != to_version => FilterUpdate::Delta {
+            from_version,
+            to_version,
+            data,
+        },
+        Response::FilterDelta { .. } => return Ok(None),
         Response::FilterTiered {
             epoch,
             base,
             delta_version,
             delta,
-        } => {
-            let bytes = base.len() + delta.len();
-            filters
-                .apply_tiered(ledger, epoch, base, delta_version, delta)
-                .map_err(|_| NetError::Frame("tiered filter payload rejected"))?;
-            Ok(RefreshOutcome::InstalledTiered {
+        } => FilterUpdate::Tiered {
+            epoch,
+            base,
+            delta_version,
+            delta,
+        },
+        Response::FilterBase { epoch, data } => FilterUpdate::Base { epoch, data },
+        Response::Error { .. } => return Err(NetError::Frame("ledger has no published filter")),
+        _ => return Err(NetError::Frame("unexpected response to a filter request")),
+    }))
+}
+
+impl RefreshOutcome {
+    /// What installing `update` amounts to.
+    fn of(update: &FilterUpdate) -> RefreshOutcome {
+        let bytes = update.payload_len() as usize;
+        match *update {
+            FilterUpdate::Full { version, .. } => RefreshOutcome::InstalledFull { version, bytes },
+            FilterUpdate::Delta { to_version, .. } => RefreshOutcome::AppliedDelta {
+                version: to_version,
+                bytes,
+            },
+            FilterUpdate::Tiered {
+                epoch,
+                delta_version,
+                ..
+            } => RefreshOutcome::InstalledTiered {
                 epoch,
                 version: delta_version,
                 bytes,
-            })
+            },
+            FilterUpdate::Base { epoch, .. } => RefreshOutcome::RolledEpoch { epoch, bytes },
         }
-        Response::FilterBase { epoch, data } => {
-            let bytes = data.len();
-            filters
-                .apply_base(ledger, epoch, data)
-                .map_err(|_| NetError::Frame("tiered base payload rejected"))?;
-            Ok(RefreshOutcome::RolledEpoch { epoch, bytes })
-        }
-        Response::FilterDelta {
-            from_version,
-            to_version,
-            data,
-        } => {
-            if from_version == to_version {
-                return Ok(RefreshOutcome::AlreadyCurrent);
-            }
-            let bytes = data.len();
-            filters
-                .apply_tiered_delta(ledger, from_version, to_version, data)
-                .map_err(|_| NetError::Frame("tiered delta rejected"))?;
-            Ok(RefreshOutcome::AppliedDelta {
-                version: to_version,
-                bytes,
-            })
-        }
-        Response::Error { .. } => Err(NetError::Frame("ledger has no published filter")),
-        _ => Err(NetError::Frame("unexpected response to GetFilterTiered")),
     }
-}
-
-/// [`refresh_shared_filter`] over a composed [`Service`] stack (usually
-/// `Retry(Failover(Tcp))`): whatever resilience the stack provides for
-/// the fetch itself, plus the outcome recorded into the proxy's
-/// per-ledger circuit breaker so the query path shares one view of
-/// upstream health.
-pub fn refresh_shared_filter_via<S: Service + ?Sized>(
-    proxy: &SharedProxy,
-    service: &S,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().version(ledger);
-    let result = service.call(
-        Request::GetFilter { have_version: have },
-        &CallCtx::at(SystemClock.now()),
-    );
-    proxy.record_upstream(ledger, result.is_ok(), SystemClock.now());
-    let response = result?;
-    proxy.update_filters(|filters| {
-        if filters.version(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_response(filters, ledger, response)
-    })
-}
-
-/// Tiered-first refresh over a composed [`Service`] stack — what the
-/// [`RefreshWorker`] runs each round. Falls back to the legacy
-/// [`refresh_shared_filter_via`] flow when the server answers
-/// [`Response::Unsupported`] (pre-tiered peer during a rolling upgrade).
-pub fn refresh_shared_filter_tiered_via<S: Service + ?Sized>(
-    proxy: &SharedProxy,
-    service: &S,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().tiered_state(ledger);
-    let result = service.call(
-        Request::GetFilterTiered {
-            have_epoch: have.0,
-            have_version: have.1,
-        },
-        &CallCtx::at(SystemClock.now()),
-    );
-    proxy.record_upstream(ledger, result.is_ok(), SystemClock.now());
-    let response = result?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_shared_filter_via(proxy, service, ledger);
-    }
-    proxy.update_filters(|filters| {
-        if filters.tiered_state(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_tiered_response(filters, ledger, response)
-    })
 }
 
 /// Point-in-time counters from a [`RefreshWorker`].
@@ -352,8 +239,8 @@ impl WorkerShared {
 /// and backoff schedule are independent, so a down shard retries on its
 /// own shrinking-then-doubling schedule (starting at 1/8 of the
 /// interval, capped at the full interval) while every healthy shard
-/// keeps its steady-state cadence. The [`FilterSet`] ORs the per-shard
-/// Blooms into one published filter as each arrives — filters are
+/// keeps its steady-state cadence. The proxy's `FilterSet` ORs the
+/// per-shard filters into one view as each arrives — filters are
 /// per-ledger already, so shard-awareness is purely a scheduling
 /// concern. Threads only exit on [`stop`].
 ///
@@ -364,18 +251,6 @@ pub struct RefreshWorker {
 }
 
 impl RefreshWorker {
-    /// Spawn a single-shard worker — the unsharded deployment's shape
-    /// (and the pre-sharding API, kept verbatim).
-    pub fn spawn(
-        proxy: Arc<SharedProxy>,
-        replicas: Vec<SocketAddr>,
-        ledger: LedgerId,
-        interval: Duration,
-        policy: RetryPolicy,
-    ) -> RefreshWorker {
-        RefreshWorker::spawn_sharded(proxy, vec![(ledger, replicas)], interval, policy)
-    }
-
     /// Spawn one refresh thread per shard. Each entry is a shard's
     /// ledger id plus its replica addresses (primary first — the
     /// failover order); `interval` is the steady-state refresh period
@@ -484,7 +359,7 @@ fn run_shard(
         }
         st.rounds.inc();
         shared.rounds.inc();
-        let delay = match refresh_shared_filter_tiered_via(proxy, &fetch, st.ledger) {
+        let delay = match refresh(proxy, &fetch, st.ledger) {
             Ok(outcome) => {
                 if !matches!(outcome, RefreshOutcome::AlreadyCurrent) {
                     st.installs.inc();
@@ -533,12 +408,26 @@ fn run_shard(
 mod tests {
     use super::*;
     use crate::ledger_server::LedgerServer;
+    use crate::service::service_fn;
     use irs_core::camera::Camera;
     use irs_core::claim::RevokeRequest;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+    use irs_proxy::{LookupOutcome, ProxyConfig};
+
+    fn connect(server: &LedgerServer) -> impl Service {
+        crate::service::transport::testing::connect(server.addr())
+    }
+
+    /// `upstream` as a peer from before the tiered pipeline would answer:
+    /// the new tag is `Unsupported`, everything else passes through.
+    fn pre_tiered(upstream: impl Service) -> impl Service {
+        service_fn(move |req, ctx: &CallCtx| match req {
+            Request::GetFilterTiered { .. } => Ok(Response::Unsupported { tag: 12 }),
+            other => upstream.call(other, ctx),
+        })
+    }
 
     #[test]
     fn full_then_current_over_wire() {
@@ -557,11 +446,11 @@ mod tests {
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = pre_tiered(connect(&server));
 
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::new(ProxyConfig::default());
         // First refresh: full.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(matches!(
             outcome,
             RefreshOutcome::InstalledFull { version: 1, .. }
@@ -572,7 +461,7 @@ mod tests {
             "revoked id hits the freshly pulled filter"
         );
         // Second refresh with no churn: already current.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
         server.shutdown();
     }
@@ -602,10 +491,10 @@ mod tests {
         ledger.publish_filter();
 
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
-        refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
-        assert_eq!(proxy.filters.version(LedgerId(1)), 1);
+        let client = pre_tiered(connect(&server));
+        let proxy = SharedProxy::new(ProxyConfig::default());
+        refresh(&proxy, &client, LedgerId(1)).unwrap();
+        assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 1);
 
         // Churn: revoke b, publish v2 while the server is live — all
         // `&self` on the shared concurrent ledger.
@@ -616,7 +505,7 @@ mod tests {
             l.publish_filter();
         }
         // Refresh again: must arrive as a delta, and b must now hit.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
             "{outcome:?}"
@@ -640,10 +529,9 @@ mod tests {
             io_timeout: std::time::Duration::from_millis(100),
             ..RetryPolicy::fast(5)
         };
-        let worker = RefreshWorker::spawn(
+        let worker = RefreshWorker::spawn_sharded(
             proxy.clone(),
-            vec![addr],
-            LedgerId(1),
+            vec![(LedgerId(1), vec![addr])],
             Duration::from_millis(40),
             policy,
         );
@@ -790,16 +678,26 @@ mod tests {
             TimestampAuthority::from_seed(10),
         );
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
-        assert!(refresh_filter(&mut proxy, &mut client, LedgerId(1)).is_err());
+        let proxy = SharedProxy::new(ProxyConfig::default());
+        // Neither pipeline has anything to serve, and an answered
+        // "nothing published" is not an upstream failure.
+        for client in [
+            connect(&server).boxed(),
+            pre_tiered(connect(&server)).boxed(),
+        ] {
+            assert!(matches!(
+                refresh(&proxy, &client, LedgerId(1)),
+                Err(NetError::Frame("ledger has no published filter"))
+            ));
+        }
+        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
         server.shutdown();
     }
 
     #[test]
     fn shared_refresh_full_then_delta() {
-        // Same flow as the sequential tests, but against a SharedProxy —
-        // the shape a served proxy uses while connection threads run.
+        // The whole legacy life cycle against one served proxy: full,
+        // delta, then current.
         let mut ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(12),
@@ -814,10 +712,10 @@ mod tests {
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = pre_tiered(connect(&server));
 
         let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(matches!(
             outcome,
             RefreshOutcome::InstalledFull { version: 1, .. }
@@ -835,14 +733,14 @@ mod tests {
             .claim_revoked(shot_b.claim, TimeMs(6))
             .expect("in-memory ledger cannot fail a claim");
         l.publish_filter();
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
             "{outcome:?}"
         );
         assert_eq!(proxy.lookup(b, TimeMs(7)), LookupOutcome::NeedsLedgerQuery);
         // No churn: already current.
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
         server.shutdown();
     }
@@ -869,11 +767,11 @@ mod tests {
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
+        let client = connect(&server);
 
         // Bootstrap: full tiered install (no epoch sealed yet).
         let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh_shared_filter_tiered(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
             matches!(
                 outcome,
@@ -896,7 +794,7 @@ mod tests {
         let shot_b = cam.capture(1);
         let (b, _) = l.claim_revoked(shot_b.claim, TimeMs(6)).unwrap();
         l.publish_filter();
-        let outcome = refresh_shared_filter_tiered(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
             "{outcome:?}"
@@ -912,7 +810,7 @@ mod tests {
             more.push(id);
         }
         l.publish_filter();
-        let outcome = refresh_shared_filter_tiered(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::RolledEpoch { epoch: 2, .. }),
             "{outcome:?}"
@@ -926,36 +824,55 @@ mod tests {
             );
         }
         // No churn: already current.
-        let outcome = refresh_shared_filter_tiered(&proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
         server.shutdown();
     }
 
     #[test]
     fn tiered_refresh_falls_back_to_legacy_on_unsupported() {
-        use crate::service::service_fn;
         use irs_filters::BloomFilter;
+        use irs_proxy::{BreakerConfig, BreakerState};
         // A pre-tiered server: answers Unsupported for the new tag,
         // serves the legacy full filter.
         let mut f = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         let id = irs_core::ids::RecordId::new(LedgerId(1), 7);
         f.insert(id.filter_key());
         let data = f.to_bytes();
-        let svc = service_fn(move |req, _ctx: &CallCtx| match req {
-            Request::GetFilterTiered { .. } => Ok(Response::Unsupported { tag: 12 }),
+        let svc = pre_tiered(service_fn(move |req, _ctx: &CallCtx| match req {
             Request::GetFilter { .. } => Ok(Response::FilterFull {
                 version: 3,
                 data: data.clone(),
             }),
             other => panic!("unexpected request {other:?}"),
+        }));
+        let proxy = SharedProxy::new(ProxyConfig::default()).with_breaker_config(BreakerConfig {
+            failure_threshold: 2,
+            open_cooldown_ms: 60_000,
         });
-        let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh_shared_filter_tiered_via(&proxy, &svc, LedgerId(1)).unwrap();
+        let outcome = refresh(&proxy, &svc, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::InstalledFull { version: 3, .. }),
             "{outcome:?}"
         );
         assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 3);
         assert_eq!(proxy.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
+        let breaker = proxy.breaker(LedgerId(1));
+        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
+        assert_eq!(breaker.state(), BreakerState::Closed);
+
+        // The breaker sees one outcome a round — the round's last wire
+        // result. When the legacy leg behind the polite `Unsupported`
+        // fails, the `Unsupported` must not count as a success that
+        // resets the failure run: two such rounds open the breaker.
+        let dying = pre_tiered(service_fn(|_req, _ctx: &CallCtx| {
+            Err::<Response, _>(NetError::ConnectionLost)
+        }));
+        for round in 1..=2 {
+            assert!(refresh(&proxy, &dying, LedgerId(1)).is_err());
+            assert_eq!(breaker.consecutive_failures(), round);
+            assert_eq!(proxy.degraded_stats().upstream_failures, u64::from(round));
+        }
+        assert_eq!(breaker.state(), BreakerState::Open);
     }
 }

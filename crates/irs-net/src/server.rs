@@ -1,4 +1,10 @@
-//! The generic threaded accept loop.
+//! A thread-per-connection accept loop — what [`ChaosProxy`] runs on
+//! (a relay that sleeps, stalls and blackholes on purpose wants a thread
+//! it may park), and what bench fixtures build reference servers from.
+//! Nothing that serves the wire protocol in production uses it: that is
+//! the [`reactor`](crate::reactor).
+//!
+//! [`ChaosProxy`]: crate::chaos::ChaosProxy
 //!
 //! One thread accepts; each connection gets its own thread running a
 //! caller-supplied handler. [`ServerHandle::shutdown`] flips a flag, then

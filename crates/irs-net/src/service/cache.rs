@@ -89,7 +89,7 @@ mod tests {
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::time::TimeMs;
     use irs_filters::BloomFilter;
-    use irs_proxy::ProxyConfig;
+    use irs_proxy::{FilterUpdate, ProxyConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A proxy whose filter contains exactly `hot`: lookups for it go
@@ -99,7 +99,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(hot.filter_key());
         proxy
-            .update_filters(|f| f.apply_full(LedgerId(1), 1, filter.to_bytes()))
+            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
             .unwrap();
         proxy
     }

@@ -45,11 +45,6 @@ impl<S> Failover<S> {
         self.cursor.load(Ordering::Relaxed) % self.replicas.len()
     }
 
-    /// The per-replica services.
-    pub fn replicas(&self) -> &[S] {
-        &self.replicas
-    }
-
     /// Rotations performed after failed calls.
     pub fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)

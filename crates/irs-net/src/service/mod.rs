@@ -5,7 +5,8 @@
 //! cross-cutting concern on the browser → proxy → ledger path is an
 //! independent [`Layer`] that wraps one service in another:
 //!
-//! * [`TcpTransport`] — the bottom: a pooled blocking socket client;
+//! * [`TcpTransport`] — the bottom: one multiplexed connection per
+//!   address, redialed when it dies;
 //! * [`DeadlineLayer`] — a wall-clock budget for the whole subtree;
 //! * [`RetryLayer`] — bounded retries with seeded jittered backoff;
 //! * [`FailoverLayer`] — a replica set with cursor rotation;
@@ -62,7 +63,7 @@ pub use chaos::{Chaos, ChaosLayer};
 pub use deadline::{Deadline, DeadlineLayer};
 pub use failover::{Failover, FailoverLayer};
 pub use governor::{Admission, Governor, GovernorLayer, GovernorPolicy, TokenGovernor};
-pub use retry::{jittered_backoff, Retry, RetryCounters, RetryLayer};
+pub use retry::{jittered_backoff, Retry, RetryCounters, RetryLayer, RetryPolicy};
 pub use route::{Route, RouteLayer};
 pub use shed::{Priority, Shed, ShedLayer, ShedPolicy};
 pub use singleflight::{SingleFlight, SingleFlightLayer};

@@ -3,18 +3,64 @@
 //! [`Retry`] re-runs its inner service until it succeeds, the attempt
 //! budget runs out, or the per-call deadline (the policy's
 //! `call_deadline`, tightened against anything the caller already set)
-//! elapses — the exact loop the pre-refactor `ResilientClient` ran, now
-//! a layer any service can wear. Backoff jitter is drawn from a seeded
-//! SplitMix64 stream, so two replayed runs back off identically.
+//! elapses. Backoff jitter is drawn from a seeded SplitMix64 stream, so
+//! two replayed runs back off identically. Over
+//! `Failover(`[`TcpTransport`](super::TcpTransport)`)` this is the first
+//! rung of the degradation ladder: reconnect, bounded retries, replica
+//! rotation, all inside one deadline.
 
 use super::{CallCtx, Layer, Service};
 use crate::chaos::splitmix64;
-use crate::resilient::RetryPolicy;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Retry/backoff/deadline knobs.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy {
+    /// Maximum attempts per call, including the first.
+    pub max_attempts: u32,
+    /// First backoff sleep; doubles per retry.
+    pub base_backoff: Duration,
+    /// Backoff ceiling.
+    pub max_backoff: Duration,
+    /// Total wall-clock budget for one call (connects, exchanges, and
+    /// backoff sleeps all count against it).
+    pub call_deadline: Duration,
+    /// Socket timeout for each connect/exchange attempt.
+    pub io_timeout: Duration,
+    /// Seed for backoff jitter (determinism for tests and E16).
+    pub jitter_seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 5,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(200),
+            call_deadline: Duration::from_secs(2),
+            io_timeout: Duration::from_millis(500),
+            jitter_seed: 0x5EED,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// A policy tuned for fast tests: short timeouts, small backoffs.
+    pub fn fast(jitter_seed: u64) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 5,
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(40),
+            call_deadline: Duration::from_millis(800),
+            io_timeout: Duration::from_millis(150),
+            jitter_seed,
+        }
+    }
+}
 
 /// Deterministic decorrelating jitter: `base * 2^(attempt-1)` capped at
 /// `max_backoff`, scaled by a factor in `[0.5, 1.0]` derived from
@@ -87,11 +133,6 @@ impl<S> Retry<S> {
     /// The wrapped service.
     pub fn get_ref(&self) -> &S {
         &self.inner
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Counters so far.

@@ -21,10 +21,9 @@
 
 use super::{
     BoxService, BreakerLayer, CacheLayer, Failover, GovernorLayer, GovernorPolicy, RetryLayer,
-    Route, Service, ServiceExt, ShedLayer, ShedPolicy, SingleFlightLayer, StaleServeLayer,
-    TcpTransport, TransportPool,
+    RetryPolicy, Route, Service, ServiceExt, ShedLayer, ShedPolicy, SingleFlightLayer,
+    StaleServeLayer, TcpTransport, TransportPool,
 };
-use crate::resilient::RetryPolicy;
 use irs_ledger::placement::{ShardMap, ShardSpec};
 use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
@@ -234,6 +233,7 @@ pub fn sharded_storm_upstream(
 mod tests {
     use super::*;
     use crate::ledger_server::LedgerServer;
+    use crate::service::transport::testing::{call, connect};
     use crate::service::{CallCtx, Service};
     use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::ids::LedgerId;
@@ -242,7 +242,7 @@ mod tests {
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
     use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::ProxyConfig;
+    use irs_proxy::{FilterUpdate, ProxyConfig};
 
     /// End-to-end over loopback: a full stack answers locally, goes
     /// upstream on filter hits, and degrades to stale when the ledger
@@ -255,10 +255,10 @@ mod tests {
             TimestampAuthority::from_seed(31),
         );
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
+        let owner = connect(server.addr());
         let kp = Keypair::from_seed(&[7u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"stacked"));
-        let Response::Claimed { id, .. } = owner.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&owner, Request::Claim(claim)) else {
             panic!("claim failed");
         };
 
@@ -269,7 +269,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
         proxy
-            .update_filters(|f| f.apply_full(LedgerId(1), 1, filter.to_bytes()))
+            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
             .unwrap();
 
         let retry = RetryPolicy {
@@ -308,10 +308,10 @@ mod tests {
             TimestampAuthority::from_seed(32),
         );
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
+        let owner = connect(server.addr());
         let kp = Keypair::from_seed(&[8u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"traced"));
-        let Response::Claimed { id, .. } = owner.call(&Request::Claim(claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&owner, Request::Claim(claim)) else {
             panic!("claim failed");
         };
 
@@ -319,7 +319,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
         proxy
-            .update_filters(|f| f.apply_full(LedgerId(1), 1, filter.to_bytes()))
+            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
             .unwrap();
         let stack = full_upstream(proxy, vec![server.addr()], RetryPolicy::fast(42));
 

@@ -140,6 +140,21 @@ impl Service for TcpTransport {
     }
 }
 
+/// What the crate's socket tests do over and over: dial a server, make
+/// one exchange.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    pub(crate) fn connect(addr: SocketAddr) -> TcpTransport {
+        TcpTransport::new(addr, Duration::from_secs(5))
+    }
+
+    pub(crate) fn call(client: &TcpTransport, request: Request) -> Response {
+        client.call(request, &CallCtx::wall()).unwrap()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,14 +20,105 @@
 //! Bloom: the proxy drops the old per-ledger filter (and its share of the
 //! big merged clone), which is where the tiered memory win comes from.
 //!
-//! Update accounting is accept-only: `bytes_received` and the update
-//! counters move only when an update validates and applies; a rejected
-//! update counts into `rejected` and changes nothing else.
+//! Every publication, of either pipeline, enters through the one
+//! validated [`FilterSet::apply`]. Update accounting is accept-only:
+//! `bytes_received` and the update counters move only when an update
+//! validates and applies; a rejected update counts into `rejected` and
+//! changes nothing else.
 
 use irs_core::ids::LedgerId;
 use irs_filters::delta::BloomDelta;
-use irs_filters::{BloomFilter, Filter, FilterError, TieredFilter};
+use irs_filters::{BloomFilter, Filter, FilterError, TieredFilter, TieredServe};
 use std::collections::HashMap;
+
+/// One filter publication as a ledger serves it — the four shapes of
+/// the serve matrix (DESIGN.md §16), mirroring the wire's
+/// `FilterFull` / `FilterDelta` / `FilterTiered` / `FilterBase`.
+#[derive(Clone, Debug)]
+pub enum FilterUpdate {
+    /// A full legacy Bloom snapshot (first contact or version gap).
+    Full {
+        /// Version the snapshot carries.
+        version: u64,
+        /// Serialized [`BloomFilter`].
+        data: bytes::Bytes,
+    },
+    /// A delta against whichever pipeline the ledger is on.
+    Delta {
+        /// Version the delta was cut against; must equal the held one.
+        from_version: u64,
+        /// Version held after the apply.
+        to_version: u64,
+        /// Serialized [`BloomDelta`].
+        data: bytes::Bytes,
+    },
+    /// A full tiered state (bootstrap or multi-epoch resync).
+    Tiered {
+        /// Epoch of the sealed base.
+        epoch: u64,
+        /// Serialized fuse8 base (empty before the first seal).
+        base: bytes::Bytes,
+        /// Version of the delta tier within `epoch`.
+        delta_version: u64,
+        /// Serialized delta-tier Bloom.
+        delta: bytes::Bytes,
+    },
+    /// A freshly sealed base: single-epoch advance onto an empty delta.
+    Base {
+        /// The newly sealed epoch; must be the held epoch + 1.
+        epoch: u64,
+        /// Serialized fuse8 base.
+        data: bytes::Bytes,
+    },
+}
+
+impl FilterUpdate {
+    /// A full legacy snapshot — what a test or an experiment installs
+    /// when it hands a proxy a Bloom filter it built itself.
+    pub fn full(version: u64, data: bytes::Bytes) -> FilterUpdate {
+        FilterUpdate::Full { version, data }
+    }
+
+    /// The update a tiered serve-matrix answer asks for (`None` when the
+    /// client is already current) — the in-process counterpart of
+    /// decoding a filter response off the wire.
+    pub fn from_serve(serve: TieredServe) -> Option<FilterUpdate> {
+        Some(match serve {
+            TieredServe::Current => return None,
+            TieredServe::Delta {
+                from_version,
+                to_version,
+                delta,
+            } => FilterUpdate::Delta {
+                from_version,
+                to_version,
+                data: delta.to_bytes(),
+            },
+            TieredServe::Base { epoch, base } => FilterUpdate::Base { epoch, data: base },
+            TieredServe::Tiered {
+                epoch,
+                base,
+                delta_version,
+                delta,
+            } => FilterUpdate::Tiered {
+                epoch,
+                base,
+                delta_version,
+                delta,
+            },
+        })
+    }
+
+    /// Payload bytes the update carried over the wire.
+    pub fn payload_len(&self) -> u64 {
+        (match self {
+            FilterUpdate::Full { data, .. }
+            | FilterUpdate::Delta { data, .. }
+            | FilterUpdate::Base { data, .. } => data.len(),
+            FilterUpdate::Tiered { base, delta, .. } => base.len() + delta.len(),
+        }) as u64
+    }
+}
 
 /// Per-ledger filters plus their merged views. `Clone` supports the
 /// shared proxy's copy-on-write refresh: build the next snapshot
@@ -81,34 +172,36 @@ impl FilterSet {
         }
     }
 
-    /// Count an update outcome: accepted updates account their payload
-    /// bytes, rejected ones only bump the rejection counter.
-    fn account(&mut self, bytes: u64, out: Result<(), FilterError>) -> Result<(), FilterError> {
+    /// Validate and apply one publication for `ledger` — the only way
+    /// filter state changes. Atomic: every variant parses and checks its
+    /// payload (geometry, held version, epoch step) before touching the
+    /// set, so a rejected update leaves it bit-identical and counts only
+    /// into `rejected`; an accepted one accounts its payload bytes.
+    pub fn apply(&mut self, ledger: LedgerId, update: FilterUpdate) -> Result<(), FilterError> {
+        let bytes = update.payload_len();
+        let out = match update {
+            FilterUpdate::Full { version, data } => self.install_full(ledger, version, data),
+            FilterUpdate::Delta {
+                from_version,
+                to_version,
+                data,
+            } => self.advance_delta(ledger, from_version, to_version, data),
+            FilterUpdate::Tiered {
+                epoch,
+                base,
+                delta_version,
+                delta,
+            } => self.install_tiered(ledger, epoch, base, delta_version, delta),
+            FilterUpdate::Base { epoch, data } => self.roll_base(ledger, epoch, data),
+        };
         match out {
-            Ok(()) => {
-                self.bytes_received += bytes;
-                Ok(())
-            }
-            Err(e) => {
-                self.rejected += 1;
-                Err(e)
-            }
+            Ok(()) => self.bytes_received += bytes,
+            Err(_) => self.rejected += 1,
         }
+        out
     }
 
-    /// Install a full legacy snapshot for a ledger.
-    pub fn apply_full(
-        &mut self,
-        ledger: LedgerId,
-        version: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let n = data.len() as u64;
-        let out = self.try_apply_full(ledger, version, data);
-        self.account(n, out)
-    }
-
-    fn try_apply_full(
+    fn install_full(
         &mut self,
         ledger: LedgerId,
         version: u64,
@@ -131,21 +224,10 @@ impl FilterSet {
         Ok(())
     }
 
-    /// Apply a legacy delta for a ledger; the held version must match
-    /// `from_version`. Atomic: a rejected delta leaves the set untouched.
-    pub fn apply_delta(
-        &mut self,
-        ledger: LedgerId,
-        from_version: u64,
-        to_version: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let n = data.len() as u64;
-        let out = self.try_apply_delta(ledger, from_version, to_version, data);
-        self.account(n, out)
-    }
-
-    fn try_apply_delta(
+    /// A delta lands on whichever pipeline the ledger is on: its legacy
+    /// Bloom, or (epoch-aware) the delta *tier* of its tiered state. The
+    /// held version must equal `from_version` either way.
+    fn advance_delta(
         &mut self,
         ledger: LedgerId,
         from_version: u64,
@@ -153,10 +235,27 @@ impl FilterSet {
         data: bytes::Bytes,
     ) -> Result<(), FilterError> {
         let delta = BloomDelta::from_bytes(data)?;
-        // A ledger on the tiered pipeline takes its deltas against the
-        // delta *tier*, with epoch awareness.
-        if self.tiered.iter().any(|(l, _)| *l == ledger) {
-            return self.try_apply_tiered_delta_parsed(ledger, from_version, to_version, &delta);
+        if let Some((_, tier)) = self.tiered.iter_mut().find(|(l, _)| *l == ledger) {
+            if tier.delta_version() != from_version {
+                return Err(FilterError::BadParams("delta from_version mismatch"));
+            }
+            tier.advance_delta(&delta, to_version)?;
+            self.tiered_updates.2 += 1;
+            // Incremental merged-view maintenance: only the flipped
+            // positions can have changed, and a position is set in the
+            // merged delta iff it is set in *some* ledger's delta tier.
+            // O(flips × ledgers), never a full O(ledgers × m) clone-and-OR.
+            if let Some(merged) = self.merged_delta.as_mut() {
+                for &pos in delta.positions() {
+                    if self.tiered.iter().any(|(_, t)| t.delta().bit(pos)) {
+                        merged.set_bit(pos);
+                    } else {
+                        merged.clear_bit(pos);
+                    }
+                }
+                self.merged_delta_live = !merged.is_empty();
+            }
+            return Ok(());
         }
         let Some((version, filter)) = self.per_ledger.get_mut(&ledger) else {
             return Err(FilterError::BadParams("delta for unknown ledger"));
@@ -171,22 +270,8 @@ impl FilterSet {
         Ok(())
     }
 
-    /// Install a full tiered state for a ledger (bootstrap or resync).
     /// Replaces any legacy Bloom held for the same ledger.
-    pub fn apply_tiered(
-        &mut self,
-        ledger: LedgerId,
-        epoch: u64,
-        base: bytes::Bytes,
-        delta_version: u64,
-        delta: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let n = (base.len() + delta.len()) as u64;
-        let out = self.try_apply_tiered(ledger, epoch, base, delta_version, delta);
-        self.account(n, out)
-    }
-
-    fn try_apply_tiered(
+    fn install_tiered(
         &mut self,
         ledger: LedgerId,
         epoch: u64,
@@ -219,20 +304,7 @@ impl FilterSet {
         Ok(())
     }
 
-    /// Roll a tiered ledger onto a freshly sealed base (single-epoch
-    /// advance onto an empty delta).
-    pub fn apply_base(
-        &mut self,
-        ledger: LedgerId,
-        epoch: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let n = data.len() as u64;
-        let out = self.try_apply_base(ledger, epoch, data);
-        self.account(n, out)
-    }
-
-    fn try_apply_base(
+    fn roll_base(
         &mut self,
         ledger: LedgerId,
         epoch: u64,
@@ -247,56 +319,6 @@ impl FilterSet {
         // merged delta removes its contribution (epoch rolls are rare and
         // the delta tier is tiny, so this is not a hot path).
         self.rebuild_merged_delta();
-        Ok(())
-    }
-
-    /// Apply a delta update to a tiered ledger's delta tier.
-    pub fn apply_tiered_delta(
-        &mut self,
-        ledger: LedgerId,
-        from_version: u64,
-        to_version: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let n = data.len() as u64;
-        let out = match BloomDelta::from_bytes(data) {
-            Ok(delta) => {
-                self.try_apply_tiered_delta_parsed(ledger, from_version, to_version, &delta)
-            }
-            Err(e) => Err(e),
-        };
-        self.account(n, out)
-    }
-
-    fn try_apply_tiered_delta_parsed(
-        &mut self,
-        ledger: LedgerId,
-        from_version: u64,
-        to_version: u64,
-        delta: &BloomDelta,
-    ) -> Result<(), FilterError> {
-        let Some((_, tier)) = self.tiered.iter_mut().find(|(l, _)| *l == ledger) else {
-            return Err(FilterError::BadParams("delta for unknown ledger"));
-        };
-        if tier.delta_version() != from_version {
-            return Err(FilterError::BadParams("delta from_version mismatch"));
-        }
-        tier.apply_delta(delta, to_version)?;
-        self.tiered_updates.2 += 1;
-        // Incremental merged-view maintenance: only the flipped positions
-        // can have changed, and a position is set in the merged delta iff
-        // it is set in *some* ledger's delta tier. O(flips × ledgers),
-        // never a full O(ledgers × m) clone-and-OR.
-        if let Some(merged) = self.merged_delta.as_mut() {
-            for &pos in delta.positions() {
-                if self.tiered.iter().any(|(_, t)| t.delta().bit(pos)) {
-                    merged.set_bit(pos);
-                } else {
-                    merged.clear_bit(pos);
-                }
-            }
-            self.merged_delta_live = !merged.is_empty();
-        }
         Ok(())
     }
 
@@ -408,7 +430,7 @@ impl FilterSet {
 mod tests {
     use super::*;
     use irs_filters::delta::BloomDelta;
-    use irs_filters::{PublishOutcome, TieredConfig, TieredPublisher, TieredServe};
+    use irs_filters::{PublishOutcome, TieredConfig, TieredPublisher};
     use std::collections::HashSet;
 
     fn filter_with(keys: std::ops::Range<u64>) -> BloomFilter {
@@ -419,12 +441,40 @@ mod tests {
         f
     }
 
+    fn full(version: u64, filter: &BloomFilter) -> FilterUpdate {
+        FilterUpdate::Full {
+            version,
+            data: filter.to_bytes(),
+        }
+    }
+
+    fn delta(from_version: u64, to_version: u64, data: bytes::Bytes) -> FilterUpdate {
+        FilterUpdate::Delta {
+            from_version,
+            to_version,
+            data,
+        }
+    }
+
+    /// Everything observable about a set: held versions, counters, and
+    /// the answer for a spread of keys (any flipped bit shows up in one).
+    fn fingerprint(fs: &FilterSet) -> impl PartialEq + std::fmt::Debug {
+        (
+            (fs.version(LedgerId(1)), fs.tiered_state(LedgerId(1))),
+            (fs.ledger_count(), fs.resident_filter_bytes()),
+            (fs.bytes_received, fs.updates, fs.tiered_updates),
+            (0..4_000u64)
+                .map(|k| fs.might_be_revoked(k))
+                .collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
     fn or_of_two_ledgers() {
         let mut fs = FilterSet::new();
-        fs.apply_full(LedgerId(1), 1, filter_with(0..100).to_bytes())
+        fs.apply(LedgerId(1), full(1, &filter_with(0..100)))
             .unwrap();
-        fs.apply_full(LedgerId(2), 1, filter_with(100..200).to_bytes())
+        fs.apply(LedgerId(2), full(1, &filter_with(100..200)))
             .unwrap();
         assert_eq!(fs.ledger_count(), 2);
         for k in 0..200u64 {
@@ -448,10 +498,10 @@ mod tests {
     fn delta_refresh() {
         let mut fs = FilterSet::new();
         let old = filter_with(0..100);
-        fs.apply_full(LedgerId(1), 1, old.to_bytes()).unwrap();
+        fs.apply(LedgerId(1), full(1, &old)).unwrap();
         let new = filter_with(0..150);
-        let delta = BloomDelta::diff(&old, &new).unwrap();
-        fs.apply_delta(LedgerId(1), 1, 2, delta.to_bytes()).unwrap();
+        let d = BloomDelta::diff(&old, &new).unwrap();
+        fs.apply(LedgerId(1), delta(1, 2, d.to_bytes())).unwrap();
         assert_eq!(fs.version(LedgerId(1)), 2);
         for k in 100..150u64 {
             assert_eq!(fs.might_be_revoked(k), Some(true));
@@ -463,41 +513,39 @@ mod tests {
     fn delta_version_mismatch_rejected() {
         let mut fs = FilterSet::new();
         let old = filter_with(0..10);
-        fs.apply_full(LedgerId(1), 5, old.to_bytes()).unwrap();
-        let delta = BloomDelta::diff(&old, &old).unwrap();
-        assert!(fs.apply_delta(LedgerId(1), 4, 6, delta.to_bytes()).is_err());
-        assert!(fs.apply_delta(LedgerId(9), 5, 6, delta.to_bytes()).is_err());
+        fs.apply(LedgerId(1), full(5, &old)).unwrap();
+        let d = BloomDelta::diff(&old, &old).unwrap().to_bytes();
+        assert!(fs.apply(LedgerId(1), delta(4, 6, d.clone())).is_err());
+        assert!(fs.apply(LedgerId(9), delta(5, 6, d)).is_err());
         assert_eq!(fs.rejected, 2);
     }
 
     #[test]
     fn geometry_mismatch_rejected() {
         let mut fs = FilterSet::new();
-        fs.apply_full(LedgerId(1), 1, filter_with(0..10).to_bytes())
-            .unwrap();
+        fs.apply(LedgerId(1), full(1, &filter_with(0..10))).unwrap();
         let odd = BloomFilter::with_params(1 << 12, 6, 7).unwrap();
-        assert!(fs.apply_full(LedgerId(2), 1, odd.to_bytes()).is_err());
+        assert!(fs.apply(LedgerId(2), full(1, &odd)).is_err());
         assert_eq!(fs.rejected, 1);
     }
 
     #[test]
     fn bytes_accounted_only_for_accepted_updates() {
         let mut fs = FilterSet::new();
-        let payload = filter_with(0..10).to_bytes();
-        let n = payload.len() as u64;
-        fs.apply_full(LedgerId(1), 1, payload).unwrap();
+        let accepted = full(1, &filter_with(0..10));
+        let n = accepted.payload_len();
+        fs.apply(LedgerId(1), accepted).unwrap();
         assert_eq!(fs.bytes_received, n);
         // A rejected update (wrong geometry) moves neither bytes nor the
         // update counters — only the rejection counter.
         let odd = BloomFilter::with_params(1 << 12, 6, 7).unwrap();
-        assert!(fs.apply_full(LedgerId(2), 1, odd.to_bytes()).is_err());
+        assert!(fs.apply(LedgerId(2), full(1, &odd)).is_err());
         assert_eq!(fs.bytes_received, n);
         assert_eq!(fs.updates, (1, 0));
         assert_eq!(fs.rejected, 1);
         // Same for a garbage delta.
-        assert!(fs
-            .apply_delta(LedgerId(1), 1, 2, bytes::Bytes::from_static(b"junk"))
-            .is_err());
+        let junk = bytes::Bytes::from_static(b"junk");
+        assert!(fs.apply(LedgerId(1), delta(1, 2, junk)).is_err());
         assert_eq!(fs.bytes_received, n);
         assert_eq!(fs.rejected, 2);
     }
@@ -506,32 +554,15 @@ mod tests {
     /// the FilterSet exactly as the refresh worker would.
     fn sync_tiered(fs: &mut FilterSet, ledger: LedgerId, snap: &irs_filters::TieredSnapshot) {
         let (have_epoch, have_version) = fs.tiered_state(ledger);
-        match snap.serve(have_epoch, have_version) {
-            TieredServe::Current => {}
-            TieredServe::Delta {
-                from_version,
-                to_version,
-                delta,
-            } => fs
-                .apply_tiered_delta(ledger, from_version, to_version, delta.to_bytes())
-                .unwrap(),
-            TieredServe::Base { epoch, base } => fs.apply_base(ledger, epoch, base).unwrap(),
-            TieredServe::Tiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            } => fs
-                .apply_tiered(ledger, epoch, base, delta_version, delta)
-                .unwrap(),
+        if let Some(update) = FilterUpdate::from_serve(snap.serve(have_epoch, have_version)) {
+            fs.apply(ledger, update).unwrap();
         }
     }
 
     #[test]
     fn tiered_install_supersedes_legacy_bloom() {
         let mut fs = FilterSet::new();
-        fs.apply_full(LedgerId(1), 3, filter_with(0..50).to_bytes())
-            .unwrap();
+        fs.apply(LedgerId(1), full(3, &filter_with(0..50))).unwrap();
         let legacy_bytes = fs.resident_filter_bytes();
         // Size the delta tier to the workload, as production would; the
         // 50 keys cross compact_at, so the install carries a sealed base.
@@ -615,14 +646,122 @@ mod tests {
         sync_tiered(&mut fs, LedgerId(1), &publisher.snapshot());
         let snap = publisher.snapshot();
         // Base roll for a ledger we don't hold tiered state for.
-        assert!(fs
-            .apply_base(LedgerId(9), 2, snap.base_bytes().clone())
-            .is_err());
+        let roll = FilterUpdate::Base {
+            epoch: 2,
+            data: snap.base_bytes().clone(),
+        };
+        assert!(fs.apply(LedgerId(9), roll).is_err());
         // Delta against the wrong from_version.
         let empty = BloomDelta::diff(snap.delta(), snap.delta()).unwrap();
         assert!(fs
-            .apply_tiered_delta(LedgerId(1), 77, 78, empty.to_bytes())
+            .apply(LedgerId(1), delta(77, 78, empty.to_bytes()))
             .is_err());
         assert_eq!(fs.rejected, 2);
+    }
+
+    /// Validate-before-mutate, for every variant on both pipelines: a
+    /// rejected update leaves the set bit-identical (same versions, same
+    /// counters, same answer for every probed key) and moves only
+    /// `rejected`.
+    #[test]
+    fn rejected_update_leaves_the_set_bit_identical() {
+        let junk = || bytes::Bytes::from_static(b"not a filter");
+        let odd = BloomFilter::with_params(1 << 12, 6, 7).unwrap();
+        let stale_delta = {
+            let f = filter_with(0..10);
+            BloomDelta::diff(&f, &filter_with(0..20))
+                .unwrap()
+                .to_bytes()
+        };
+
+        // Legacy pipeline.
+        let mut legacy = FilterSet::new();
+        legacy
+            .apply(LedgerId(1), full(3, &filter_with(0..100)))
+            .unwrap();
+        // Tiered pipeline, mid-epoch with a sealed base and a live delta.
+        let cfg = TieredConfig {
+            delta_capacity: 64,
+            delta_fpr: 1e-3,
+            compact_at: 16,
+        };
+        let mut publisher = TieredPublisher::new(cfg).unwrap();
+        publisher.publish(&(0..40u64).collect()).unwrap();
+        let mut tiered = FilterSet::new();
+        sync_tiered(&mut tiered, LedgerId(1), &publisher.snapshot());
+        publisher.publish(&(0..44u64).collect()).unwrap();
+        sync_tiered(&mut tiered, LedgerId(1), &publisher.snapshot());
+        let (epoch, version) = tiered.tiered_state(LedgerId(1));
+        let snap = publisher.snapshot();
+
+        // (what is wrong with it, the update) — `held` is the version the
+        // set holds on its pipeline, so the version errors are exact.
+        let bad_updates = |held: u64| {
+            vec![
+                (
+                    "full: garbage",
+                    FilterUpdate::Full {
+                        version: 9,
+                        data: junk(),
+                    },
+                ),
+                ("delta: garbage", delta(held, held + 1, junk())),
+                (
+                    "delta: wrong from_version",
+                    delta(held + 5, held + 6, stale_delta.clone()),
+                ),
+                (
+                    "tiered: garbage base",
+                    FilterUpdate::Tiered {
+                        epoch: epoch + 1,
+                        base: junk(),
+                        delta_version: 0,
+                        delta: snap.delta().to_bytes(),
+                    },
+                ),
+                (
+                    "base: garbage",
+                    FilterUpdate::Base {
+                        epoch: epoch + 1,
+                        data: junk(),
+                    },
+                ),
+                (
+                    "base: skips an epoch",
+                    FilterUpdate::Base {
+                        epoch: epoch + 2,
+                        data: snap.base_bytes().clone(),
+                    },
+                ),
+            ]
+        };
+        let mut tiered_bad = bad_updates(version);
+        tiered_bad.push((
+            "tiered: foreign delta geometry",
+            FilterUpdate::Tiered {
+                epoch: epoch + 1,
+                base: snap.base_bytes().clone(),
+                delta_version: 0,
+                delta: odd.to_bytes(),
+            },
+        ));
+        // Geometry is checked against what the same pipeline already holds.
+        let mut legacy_bad = bad_updates(3);
+        legacy_bad.push(("full: foreign geometry", full(9, &odd)));
+        for (name, fs, updates) in [
+            ("legacy", &mut legacy, legacy_bad),
+            ("tiered", &mut tiered, tiered_bad),
+        ] {
+            let before = fingerprint(fs);
+            let n = updates.len() as u64;
+            for (what, update) in updates {
+                assert!(
+                    fs.apply(LedgerId(1), update).is_err(),
+                    "{name}: accepted {what}"
+                );
+                assert!(before == fingerprint(fs), "{name}: mutated by {what}");
+            }
+            assert_eq!(fs.rejected, n, "{name}: every rejection counted once");
+        }
     }
 }

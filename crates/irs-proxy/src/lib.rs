@@ -32,7 +32,7 @@ pub mod proxy;
 pub mod shared;
 
 pub use batch::{Batch, BatchConfig, Batcher};
-pub use filterset::FilterSet;
+pub use filterset::{FilterSet, FilterUpdate};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use lru::LruTtlCache;
 pub use proxy::{IrsProxy, LookupOutcome, ProxyConfig, ProxyStats};

@@ -78,7 +78,7 @@ impl ProxyStats {
 /// The IRS proxy.
 ///
 /// ```
-/// use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+/// use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 /// use irs_core::claim::RevocationStatus;
 /// use irs_core::ids::{LedgerId, RecordId};
 /// use irs_core::time::TimeMs;
@@ -89,7 +89,8 @@ impl ProxyStats {
 /// let revoked = RecordId::new(LedgerId(1), 7);
 /// let mut f = BloomFilter::for_capacity(1_000, 0.02).unwrap();
 /// f.insert(revoked.filter_key());
-/// proxy.filters.apply_full(LedgerId(1), 1, f.to_bytes()).unwrap();
+/// let update = FilterUpdate::full(1, f.to_bytes());
+/// proxy.filters.apply(LedgerId(1), update).unwrap();
 ///
 /// // A photo outside the revoked set is answered locally…
 /// let clean = RecordId::new(LedgerId(1), 1_000);
@@ -163,6 +164,7 @@ impl IrsProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filterset::FilterUpdate;
     use irs_core::ids::LedgerId;
     use irs_filters::BloomFilter;
 
@@ -179,7 +181,9 @@ mod tests {
         for id in revoked {
             f.insert(id.filter_key());
         }
-        p.filters.apply_full(LedgerId(1), 1, f.to_bytes()).unwrap();
+        p.filters
+            .apply(LedgerId(1), FilterUpdate::full(1, f.to_bytes()))
+            .unwrap();
         p
     }
 

@@ -322,6 +322,7 @@ impl SharedProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filterset::FilterUpdate;
     use irs_core::ids::LedgerId;
     use irs_filters::BloomFilter;
     use std::sync::atomic::Ordering;
@@ -336,7 +337,7 @@ mod tests {
         for id in revoked {
             f.insert(id.filter_key());
         }
-        p.update_filters(|fs| fs.apply_full(LedgerId(1), 1, f.to_bytes()))
+        p.update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, f.to_bytes())))
             .unwrap();
     }
 
@@ -383,7 +384,7 @@ mod tests {
         let mut f = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         f.insert(rid(3).filter_key());
         seq.filters
-            .apply_full(LedgerId(1), 4, f.to_bytes())
+            .apply(LedgerId(1), FilterUpdate::full(4, f.to_bytes()))
             .unwrap();
         let _ = seq.lookup(rid(3), TimeMs(0));
         let shared = SharedProxy::from_proxy(seq);
@@ -425,7 +426,7 @@ mod tests {
                 f.insert(rid(version).filter_key());
                 // Simulate a slow refresh (network decode, union rebuild).
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                fs.apply_full(LedgerId(1), version, f.to_bytes())
+                fs.apply(LedgerId(1), FilterUpdate::full(version, f.to_bytes()))
             })
             .unwrap();
         }
@@ -519,7 +520,7 @@ mod tests {
         // A rejected update (wrong geometry) surfaces in the exposition.
         let odd = BloomFilter::with_params(1 << 12, 6, 0).unwrap();
         assert!(p
-            .update_filters(|fs| fs.apply_full(LedgerId(2), 1, odd.to_bytes()))
+            .update_filters(|fs| fs.apply(LedgerId(2), FilterUpdate::full(1, odd.to_bytes())))
             .is_err());
         let parsed = irs_obs::parse_exposition(&p.render_metrics());
         assert_eq!(parsed["irs_proxy_filter_rejected_updates"], 1.0);

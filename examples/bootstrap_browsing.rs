@@ -13,7 +13,7 @@ use irs::filters::BloomFilter;
 use irs::protocol::claim::RevocationStatus;
 use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
-use irs::proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs::simnet::{Histogram, Link};
 use irs::workload::pages::PageModel;
 use irs::workload::population::{PhotoPopulation, PopulationConfig};
@@ -77,7 +77,7 @@ fn main() {
     for (i, filter) in per_ledger.into_iter().enumerate() {
         proxy
             .filters
-            .apply_full(LedgerId(i as u16), 1, filter.to_bytes())
+            .apply(LedgerId(i as u16), FilterUpdate::full(1, filter.to_bytes()))
             .expect("install");
     }
     println!(

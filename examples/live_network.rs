@@ -6,14 +6,22 @@
 //! cargo run --example live_network
 //! ```
 
-use irs::filters::BloomFilter;
 use irs::ledger::{Ledger, LedgerConfig};
-use irs::net::{LedgerClient, LedgerServer, ProxyServer};
+use irs::net::refresh::refresh;
+use irs::net::service::{CallCtx, Service, TcpTransport};
+use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
-use std::time::Instant;
+use irs::proxy::{ProxyConfig, SharedProxy};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One request/response exchange over a transport (which dials on first
+/// use and redials if the connection dies).
+fn call(to: &TcpTransport, request: Request) -> Response {
+    to.call(request, &CallCtx::wall()).expect("exchange")
+}
 
 fn main() {
     // Start the ledger server.
@@ -25,20 +33,18 @@ fn main() {
     println!("ledger listening on {}", ledger_server.addr());
 
     // Owner claims 100 photos directly with the ledger; revokes 5.
-    let mut owner = LedgerClient::connect(ledger_server.addr()).expect("owner connect");
+    let owner = TcpTransport::new(ledger_server.addr(), Duration::from_secs(5));
     let mut camera = Camera::new(9, 128, 128);
     let mut claimed: Vec<RecordId> = Vec::new();
     let mut revoked: Vec<RecordId> = Vec::new();
     for i in 0..100u64 {
         let shot = camera.capture(i);
-        let Response::Claimed { id, .. } =
-            owner.call(&Request::Claim(shot.claim)).expect("claim call")
-        else {
+        let Response::Claimed { id, .. } = call(&owner, Request::Claim(shot.claim)) else {
             panic!("claim failed");
         };
         if i % 20 == 0 {
             let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
-            owner.call(&Request::Revoke(rv)).expect("revoke call");
+            call(&owner, Request::Revoke(rv));
             revoked.push(id);
         }
         claimed.push(id);
@@ -49,32 +55,26 @@ fn main() {
         revoked.len()
     );
 
-    // Proxy with the ledger's revoked-set filter, in front: photos whose
-    // id misses the filter are answered locally as not-revoked.
-    let mut filter = BloomFilter::for_capacity(10_000, 0.02).expect("filter");
-    for id in &revoked {
-        filter.insert(id.filter_key());
-    }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
-    proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
-        .expect("install filter");
-    let proxy_server =
-        ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).expect("proxy server");
+    // The ledger publishes its revoked-set filter (§4.4's hourly job);
+    // the proxy in front pulls it over the wire. Photos whose id misses
+    // the filter are then answered locally as not-revoked.
+    ledger_server.ledger().publish_filter();
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
+    let outcome = refresh(&proxy, &owner, LedgerId(1)).expect("filter refresh");
+    println!("proxy pulled the ledger's filter: {outcome:?}");
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
+        .expect("proxy server");
     println!("proxy listening on {}", proxy_server.addr());
 
     // The "browser": validate a mix of claimed, revoked, and unclaimed
     // photos through the proxy, timing every check.
-    let mut browser = LedgerClient::connect(proxy_server.addr()).expect("browser connect");
+    let browser = TcpTransport::new(proxy_server.addr(), Duration::from_secs(5));
     let mut latencies_us: Vec<u128> = Vec::new();
     let mut blocked = 0u32;
     for round in 0..3 {
         for (i, &id) in claimed.iter().enumerate() {
             let start = Instant::now();
-            let Response::Status { status, .. } =
-                browser.call(&Request::Query { id }).expect("query")
-            else {
+            let Response::Status { status, .. } = call(&browser, Request::Query { id }) else {
                 panic!("unexpected response");
             };
             latencies_us.push(start.elapsed().as_micros());
@@ -85,7 +85,7 @@ fn main() {
             if i % 3 == 0 {
                 let ghost = RecordId::new(LedgerId(1), 1_000_000 + i as u64);
                 let start = Instant::now();
-                browser.call(&Request::Query { id: ghost }).expect("query");
+                call(&browser, Request::Query { id: ghost });
                 latencies_us.push(start.elapsed().as_micros());
             }
         }

@@ -11,9 +11,9 @@
 use irs::crypto::{Digest, Keypair};
 use irs::ledger::{ConcurrentLedger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
 use irs::net::refresh::RefreshWorker;
-use irs::net::resilient::RetryPolicy;
 use irs::net::service::{stacks, CallCtx, Service};
 use irs::net::LedgerServer;
+use irs::net::RetryPolicy;
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::tsa::TimestampAuthority;

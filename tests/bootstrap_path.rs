@@ -3,7 +3,7 @@
 //! the proxy, with the load and privacy properties the paper claims.
 
 use irs::browser::{BrowserValidator, ValidationPlan};
-use irs::ledger::service::{FilterPublisher, FilterUpdate};
+use irs::ledger::service::{FilterPublisher, FilterUpdate as Published};
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::photo::LabelReading;
@@ -11,7 +11,7 @@ use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 
 /// Claim `n` photos on the ledger; revoke those whose index is in
 /// `revoke`. Returns (ids, keypairs).
@@ -50,10 +50,10 @@ fn filter_pipeline_full_then_delta_roundtrip() {
 
     // Hour 1: full snapshot.
     match publisher.publish(&mut ledger) {
-        FilterUpdate::Full { version, data } => {
+        Published::Full { version, data } => {
             proxy
                 .filters
-                .apply_full(LedgerId(1), version, data)
+                .apply(LedgerId(1), FilterUpdate::full(version, data))
                 .unwrap();
         }
         other => panic!("expected full, got {other:?}"),
@@ -82,7 +82,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
         }
     }
     match publisher.publish(&mut ledger) {
-        FilterUpdate::Delta {
+        Published::Delta {
             from_version,
             to_version,
             data,
@@ -96,7 +96,14 @@ fn filter_pipeline_full_then_delta_roundtrip() {
             );
             proxy
                 .filters
-                .apply_delta(LedgerId(1), from_version, to_version, data)
+                .apply(
+                    LedgerId(1),
+                    FilterUpdate::Delta {
+                        from_version,
+                        to_version,
+                        data,
+                    },
+                )
                 .unwrap();
         }
         other => panic!("expected delta, got {other:?}"),
@@ -122,12 +129,12 @@ fn browser_proxy_ledger_validation_chain() {
     let records = populate(&mut ledger, 30, |i| i == 3);
     let mut publisher = FilterPublisher::new();
     let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let FilterUpdate::Full { version, data } = publisher.publish(&mut ledger) else {
+    let Published::Full { version, data } = publisher.publish(&mut ledger) else {
         panic!("full expected");
     };
     proxy
         .filters
-        .apply_full(LedgerId(1), version, data)
+        .apply(LedgerId(1), FilterUpdate::full(version, data))
         .unwrap();
 
     let mut validator = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);

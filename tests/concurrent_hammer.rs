@@ -7,11 +7,22 @@
 use irs::crypto::{Digest, Keypair};
 use irs::filters::BloomFilter;
 use irs::ledger::{Ledger, LedgerConfig};
-use irs::net::{LedgerClient, LedgerServer, ProxyServer};
+use irs::net::service::{CallCtx, Service, TcpTransport};
+use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{ClaimRequest, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use std::sync::Arc;
+
+/// A client of `addr` and the one-exchange call the tests make on it.
+fn connect(addr: std::net::SocketAddr) -> TcpTransport {
+    TcpTransport::new(addr, std::time::Duration::from_secs(5))
+}
+
+fn call(client: &TcpTransport, request: Request) -> Response {
+    client.call(request, &CallCtx::wall()).unwrap()
+}
 
 const WRITERS: u64 = 4;
 const RECORDS_PER_WRITER: u64 = 10;
@@ -33,13 +44,13 @@ fn os_thread_count() -> Option<usize> {
 /// One writer's story for one record: claim it, flip its revocation
 /// several times, and return the status the ledger last acknowledged.
 fn hammer_record(
-    client: &mut LedgerClient,
+    client: &TcpTransport,
     keypair: &Keypair,
     payload: &[u8],
     flips: u64,
 ) -> (RecordId, RevocationStatus) {
     let claim = ClaimRequest::create(keypair, &Digest::of(payload));
-    let Response::Claimed { id, .. } = client.call(&Request::Claim(claim)).unwrap() else {
+    let Response::Claimed { id, .. } = call(client, Request::Claim(claim)) else {
         panic!("claim failed");
     };
     let mut epoch = 0u64;
@@ -51,7 +62,7 @@ fn hammer_record(
             status,
             epoch: new_epoch,
             ..
-        } = client.call(&Request::Revoke(rv)).unwrap()
+        } = call(client, Request::Revoke(rv))
         else {
             panic!("revoke failed");
         };
@@ -60,8 +71,7 @@ fn hammer_record(
         // Linearizability, single-writer case: a query issued after our
         // own ack must observe exactly the acked status — no other
         // thread holds this record's key, so no later write can race it.
-        let Response::Status { status: seen, .. } = client.call(&Request::Query { id }).unwrap()
-        else {
+        let Response::Status { status: seen, .. } = call(client, Request::Query { id }) else {
             panic!("query failed");
         };
         assert_eq!(seen, acked, "read after own ack must see the acked status");
@@ -92,12 +102,12 @@ fn hammer_ledger_and_proxy_under_concurrency() {
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut client = LedgerClient::connect(ledger_addr).unwrap();
+                    let client = connect(ledger_addr);
                     let mut probes = 0u64;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let id =
                             RecordId::new(LedgerId(1), probes % (WRITERS * RECORDS_PER_WRITER));
-                        match client.call(&Request::Query { id }).unwrap() {
+                        match call(&client, Request::Query { id }) {
                             Response::Status { .. } | Response::Error { .. } => {}
                             other => panic!("unexpected response {other:?}"),
                         }
@@ -110,14 +120,14 @@ fn hammer_ledger_and_proxy_under_concurrency() {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut client = LedgerClient::connect(ledger_addr).unwrap();
+                    let client = connect(ledger_addr);
                     let keypair = Keypair::from_seed(&[w as u8 + 1; 32]);
                     (0..RECORDS_PER_WRITER)
                         .map(|i| {
                             // Odd flip counts end Revoked, even end
                             // NotRevoked — phase 2 sees both outcomes.
                             hammer_record(
-                                &mut client,
+                                &client,
                                 &keypair,
                                 &(w * RECORDS_PER_WRITER + i).to_le_bytes(),
                                 5 + (i % 2),
@@ -146,22 +156,20 @@ fn hammer_ledger_and_proxy_under_concurrency() {
     for (id, _) in &finals {
         filter.insert(id.filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
+    let install = FilterUpdate::full(1, filter.to_bytes());
     proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
+        .update_filters(|f| f.apply(LedgerId(1), install))
         .unwrap();
-    let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_addr).unwrap();
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_addr).unwrap();
     let proxy_addr = proxy_server.addr();
 
     // Warm pass: one browser visits every record serially, forwarding
     // each upstream exactly once and filling the striped cache.
     {
-        let mut browser = LedgerClient::connect(proxy_addr).unwrap();
+        let browser = connect(proxy_addr);
         for (id, expected) in &finals {
-            let Response::Status { status, .. } =
-                browser.call(&Request::Query { id: *id }).unwrap()
-            else {
+            let Response::Status { status, .. } = call(&browser, Request::Query { id: *id }) else {
                 panic!("proxy query failed");
             };
             assert_eq!(status, *expected, "record {id:?}: first proxy answer");
@@ -177,10 +185,10 @@ fn hammer_ledger_and_proxy_under_concurrency() {
         for _ in 0..4 {
             let finals = &finals;
             scope.spawn(move || {
-                let mut browser = LedgerClient::connect(proxy_addr).unwrap();
+                let browser = connect(proxy_addr);
                 for (id, expected) in finals {
                     let Response::Status { status, .. } =
-                        browser.call(&Request::Query { id: *id }).unwrap()
+                        call(&browser, Request::Query { id: *id })
                     else {
                         panic!("proxy query failed");
                     };

@@ -8,14 +8,26 @@ use irs::imaging::watermark::WatermarkConfig;
 use irs::ledger::adversarial::{AdversarialLedger, Misbehavior};
 use irs::ledger::probe::Prober;
 use irs::ledger::{Ledger, LedgerConfig};
-use irs::net::{LedgerClient, LedgerServer};
+use irs::net::refresh::refresh;
+use irs::net::service::{CallCtx, Service, TcpTransport};
+use irs::net::{Framed, LedgerServer, NetError, MAX_FRAME};
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
 use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{FilterUpdate, IrsProxy, ProxyConfig};
+
+/// A client of `addr` (it dials on first use and redials by itself after
+/// a connection dies) and one exchange on it.
+fn connect(addr: std::net::SocketAddr) -> TcpTransport {
+    TcpTransport::new(addr, std::time::Duration::from_secs(5))
+}
+
+fn call(client: &TcpTransport, request: Request) -> Result<Response, NetError> {
+    client.call(request, &CallCtx::wall())
+}
 
 fn ledger(id: u16, seed: u64) -> Ledger {
     Ledger::new(
@@ -28,20 +40,21 @@ fn ledger(id: u16, seed: u64) -> Ledger {
 fn tcp_server_survives_garbage_frames() {
     let server = LedgerServer::start(ledger(1, 1), "127.0.0.1:0").unwrap();
     // Connection 1: sends garbage, gets errors, keeps working.
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut stream = Framed::new(stream, MAX_FRAME);
+    let mut exchange = |payload: &[u8]| {
+        stream.write_frame(payload).unwrap();
+        Response::from_bytes(stream.read_frame().unwrap()).unwrap()
+    };
     for payload in [&b"xx"[..], &[0xff; 100][..], &b""[..]] {
-        irs::net::framing::write_frame(&mut stream, payload).unwrap();
-        let frame = irs::net::framing::read_frame(&mut stream).unwrap();
-        let resp = Response::from_bytes(frame).unwrap();
+        let resp = exchange(payload);
         assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
     }
     // Then a valid request still works on the same connection.
-    irs::net::framing::write_frame(&mut stream, &Request::Ping.to_bytes().unwrap()).unwrap();
-    let frame = irs::net::framing::read_frame(&mut stream).unwrap();
-    assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
+    assert_eq!(exchange(&Request::Ping.to_bytes().unwrap()), Response::Pong);
     // Connection 2 unaffected.
-    let mut client = LedgerClient::connect(server.addr()).unwrap();
-    assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+    let client = connect(server.addr());
+    assert_eq!(call(&client, Request::Ping).unwrap(), Response::Pong);
     server.shutdown();
 }
 
@@ -64,13 +77,16 @@ fn truncated_filter_payload_rejected_cleanly() {
     for cut in [0usize, 4, 10, full.len() - 1] {
         let err = proxy
             .filters
-            .apply_full(LedgerId(1), 1, full.slice(..cut))
+            .apply(LedgerId(1), FilterUpdate::full(1, full.slice(..cut)))
             .unwrap_err();
         let _ = err.to_string();
         assert_eq!(proxy.filters.ledger_count(), 0, "no partial installs");
     }
     // The intact payload still installs.
-    proxy.filters.apply_full(LedgerId(1), 1, full).unwrap();
+    proxy
+        .filters
+        .apply(LedgerId(1), FilterUpdate::full(1, full))
+        .unwrap();
     assert_eq!(proxy.filters.ledger_count(), 1);
 }
 
@@ -177,7 +193,6 @@ fn revoked_ledger_server(seed: u64) -> (irs::net::LedgerServer, RecordId) {
 #[test]
 fn truncated_filter_fetch_keeps_last_good_then_recovers() {
     use irs::net::chaos::{ChaosConfig, ChaosProxy, FaultMode};
-    use irs::net::refresh::refresh_shared_filter;
     use irs::proxy::SharedProxy;
 
     let (server, id) = revoked_ledger_server(21);
@@ -187,11 +202,12 @@ fn truncated_filter_fetch_keeps_last_good_then_recovers() {
     )
     .unwrap();
     let proxy = SharedProxy::new(ProxyConfig::default());
-    let mut client = irs::net::LedgerClient::connect(chaos.addr()).unwrap();
+    let client = connect(chaos.addr());
+    let held = || proxy.filters_snapshot().tiered_state(LedgerId(1));
 
     // Healthy first fetch.
-    refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
-    assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 1);
+    refresh(&proxy, &client, LedgerId(1)).unwrap();
+    assert_eq!(held(), (1, 1));
 
     // Ledger churn: a second revoked record, new filter version.
     let l = server.ledger();
@@ -204,11 +220,10 @@ fn truncated_filter_fetch_keeps_last_good_then_recovers() {
     // Every refresh under truncation fails cleanly and changes nothing.
     chaos.set_fault_rate(1.0);
     for _ in 0..3 {
-        assert!(refresh_shared_filter(&proxy, &mut client, LedgerId(1)).is_err());
-        let _ = client.reconnect();
+        assert!(refresh(&proxy, &client, LedgerId(1)).is_err());
         assert_eq!(
-            proxy.filters_snapshot().version(LedgerId(1)),
-            1,
+            held(),
+            (1, 1),
             "last-good filters must survive a truncated fetch"
         );
     }
@@ -220,9 +235,8 @@ fn truncated_filter_fetch_keeps_last_good_then_recovers() {
 
     // Heal: the next refresh lands the delta.
     chaos.set_fault_rate(0.0);
-    client.reconnect().unwrap();
-    refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
-    assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 2);
+    refresh(&proxy, &client, LedgerId(1)).unwrap();
+    assert_eq!(held(), (1, 2));
     assert_eq!(
         proxy.lookup(id2, TimeMs(11)),
         irs::proxy::LookupOutcome::NeedsLedgerQuery,
@@ -232,15 +246,14 @@ fn truncated_filter_fetch_keeps_last_good_then_recovers() {
     server.shutdown();
 }
 
-/// A server restart kills every client stream; a typed ConnectionLost
-/// plus an explicit reconnect must put the client back in business on
-/// the same address — and the restarted server must still hold every
-/// write it acknowledged before going down (recovered from its WAL, not
-/// rebuilt fresh).
+/// A server restart kills every client stream: calls fail (typed, never
+/// a hang or a stray answer) while it is down, and the transport's own
+/// redial puts the client back in business on the same address — where
+/// the restarted server must still hold every write it acknowledged
+/// before going down (recovered from its WAL, not rebuilt fresh).
 #[test]
 fn server_restart_then_client_reconnects() {
     use irs::ledger::{DurabilityConfig, FsyncPolicy, LedgerConfig, StdDisk};
-    use irs::net::NetError;
     use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!(
@@ -268,50 +281,51 @@ fn server_restart_then_client_reconnects() {
 
     let server = start("127.0.0.1:0").unwrap();
     let addr = server.addr();
-    let mut client = irs::net::LedgerClient::connect(addr).unwrap();
+    let client = connect(addr);
 
     // Acknowledged pre-crash writes: a claim and its revocation.
     let mut cam = Camera::new(23, 96, 96);
     let shot = cam.capture(0);
-    let Response::Claimed { id, .. } = client.call(&Request::Claim(shot.claim)).unwrap() else {
+    let Response::Claimed { id, .. } = call(&client, Request::Claim(shot.claim)).unwrap() else {
         panic!("claim failed");
     };
     let rv = irs::protocol::RevokeRequest::create(&shot.keypair, id, true, 0);
     assert!(matches!(
-        client.call(&Request::Revoke(rv)).unwrap(),
+        call(&client, Request::Revoke(rv)).unwrap(),
         Response::RevokeAck { .. }
     ));
 
     server.shutdown();
-    let err = client.call(&Request::Ping).unwrap_err();
-    assert!(
-        matches!(err, NetError::ConnectionLost),
-        "expected ConnectionLost, got {err:?}"
-    );
-    // Every further call fails the same way until reconnect.
-    assert!(matches!(
-        client.call(&Request::Ping).unwrap_err(),
-        NetError::ConnectionLost
-    ));
+    // The established stream is dead (`ConnectionLost`) and so is the
+    // port (`Io`, connection refused): every call fails until the
+    // server is back.
+    for _ in 0..2 {
+        let err = call(&client, Request::Ping).unwrap_err();
+        assert!(
+            matches!(err, NetError::ConnectionLost | NetError::Io(_)),
+            "expected a transport failure, got {err:?}"
+        );
+    }
 
     let server = start(&addr.to_string()).unwrap();
-    client.reconnect().unwrap();
     // The restarted server answers from recovered state: the pre-crash
     // revocation is visible, not just the connection restored.
-    let Response::Status { status, .. } = client.call(&Request::Query { id }).unwrap() else {
+    let Response::Status { status, .. } = call(&client, Request::Query { id }).unwrap() else {
         panic!("query failed after restart");
     };
     assert_eq!(status, irs::protocol::RevocationStatus::Revoked);
+    assert!(client.reconnects() >= 1);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With one replica down hard, a ResilientClient must land every call on
-/// the survivor — and ride out injected faults on the path to it.
+/// With one replica down hard, `Retry(Failover(Tcp))` must land every
+/// call on the survivor — and ride out injected faults on the path to it.
 #[test]
 fn replica_failover_rides_through_chaos() {
     use irs::net::chaos::{ChaosConfig, ChaosProxy, FaultMode};
-    use irs::net::{ResilientClient, RetryPolicy};
+    use irs::net::service::{stacks, Failover, RetryLayer, ServiceExt};
+    use irs::net::RetryPolicy;
 
     let dead = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -326,11 +340,14 @@ fn replica_failover_rides_through_chaos() {
             .with_modes(&[FaultMode::Reset, FaultMode::TruncateResponse]),
     )
     .unwrap();
-    let mut client =
-        ResilientClient::new(vec![dead, chaos.addr()], RetryPolicy::fast(chaos_seed()));
+    let policy = RetryPolicy::fast(chaos_seed());
+    let client = Failover::new(stacks::transports(&[dead, chaos.addr()], policy.io_timeout))
+        .layered(RetryLayer::new(policy));
     let mut ok = 0;
     for _ in 0..20 {
-        if let Ok(Response::Status { status, .. }) = client.call(&Request::Query { id }) {
+        if let Ok(Response::Status { status, .. }) =
+            client.call(Request::Query { id }, &CallCtx::wall())
+        {
             assert_eq!(status, irs::protocol::RevocationStatus::Revoked);
             ok += 1;
         }
@@ -339,7 +356,7 @@ fn replica_failover_rides_through_chaos() {
     // a percent; require a strong majority for seed robustness.
     assert!(ok >= 17, "only {ok}/20 calls landed on the live replica");
     assert!(
-        client.stats.failovers >= 1,
+        client.get_ref().failovers() >= 1,
         "dead replica must force failover"
     );
     chaos.shutdown();
@@ -372,20 +389,17 @@ fn breaker_opens_serves_stale_and_recovers() {
             open_cooldown_ms: 100,
         }),
     );
-    {
-        let mut refresher = irs::net::LedgerClient::connect(server.addr()).unwrap();
-        irs::net::refresh::refresh_shared_filter(&shared, &mut refresher, LedgerId(1)).unwrap();
-    }
+    refresh(&shared, &connect(server.addr()), LedgerId(1)).unwrap();
     let retry = RetryPolicy {
         max_attempts: 2,
         ..RetryPolicy::fast(chaos_seed())
     };
     let stack = stacks::full_upstream(shared.clone(), vec![chaos.addr()], retry);
     let proxy_server = ProxyServer::start_with_stack(shared.clone(), "127.0.0.1:0", stack).unwrap();
-    let mut browser = irs::net::LedgerClient::connect(proxy_server.addr()).unwrap();
+    let browser = connect(proxy_server.addr());
 
     // Healthy: fresh answer, cache warmed.
-    let resp = browser.call(&Request::Query { id }).unwrap();
+    let resp = call(&browser, Request::Query { id }).unwrap();
     assert!(matches!(resp, Response::Status { .. }), "got {resp:?}");
 
     // Partition. The first failures trip the breaker; every answer in
@@ -393,7 +407,7 @@ fn breaker_opens_serves_stale_and_recovers() {
     chaos.set_outage(true);
     for i in 0..4 {
         std::thread::sleep(Duration::from_millis(3)); // let the TTL lapse
-        let resp = browser.call(&Request::Query { id }).unwrap();
+        let resp = call(&browser, Request::Query { id }).unwrap();
         assert!(
             matches!(resp, Response::StatusStale { .. }),
             "query {i} during outage got {resp:?}"
@@ -409,7 +423,7 @@ fn breaker_opens_serves_stale_and_recovers() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         std::thread::sleep(Duration::from_millis(3));
-        let resp = browser.call(&Request::Query { id }).unwrap();
+        let resp = call(&browser, Request::Query { id }).unwrap();
         if matches!(resp, Response::Status { .. }) {
             break;
         }

@@ -4,11 +4,22 @@
 
 use irs::filters::BloomFilter;
 use irs::ledger::{Ledger, LedgerConfig};
-use irs::net::{LedgerClient, LedgerServer, ProxyServer};
+use irs::net::service::{CallCtx, Service, TcpTransport};
+use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{FilterUpdate, IrsProxy, ProxyConfig, SharedProxy};
+use std::sync::Arc;
+
+/// A client of `addr` and the one-exchange call the tests make on it.
+fn connect(addr: std::net::SocketAddr) -> TcpTransport {
+    TcpTransport::new(addr, std::time::Duration::from_secs(5))
+}
+
+fn call(client: &TcpTransport, request: Request) -> Response {
+    client.call(request, &CallCtx::wall()).unwrap()
+}
 
 #[test]
 fn tcp_chain_blocks_revoked_and_reduces_load() {
@@ -19,18 +30,18 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
 
     // Claim 30 photos, revoke 3.
-    let mut owner = LedgerClient::connect(ledger_server.addr()).unwrap();
+    let owner = connect(ledger_server.addr());
     let mut cam = Camera::new(4, 96, 96);
     let mut claimed = Vec::new();
     let mut revoked = Vec::new();
     for i in 0..30u64 {
         let shot = cam.capture(i);
-        let Response::Claimed { id, .. } = owner.call(&Request::Claim(shot.claim)).unwrap() else {
+        let Response::Claimed { id, .. } = call(&owner, Request::Claim(shot.claim)) else {
             panic!("claim failed");
         };
         if i % 10 == 0 {
             let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
-            owner.call(&Request::Revoke(rv)).unwrap();
+            call(&owner, Request::Revoke(rv));
             revoked.push(id);
         }
         claimed.push(id);
@@ -44,16 +55,17 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     let mut proxy = IrsProxy::new(ProxyConfig::default());
     proxy
         .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
+        .apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes()))
         .unwrap();
-    let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
+    let proxy = Arc::new(SharedProxy::from_proxy(proxy));
+    let proxy_server =
+        ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
 
     // Browse all photos through the proxy.
-    let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
+    let browser = connect(proxy_server.addr());
     let mut blocked = 0;
     for id in &claimed {
-        let Response::Status { status, .. } = browser.call(&Request::Query { id: *id }).unwrap()
-        else {
+        let Response::Status { status, .. } = call(&browser, Request::Query { id: *id }) else {
             panic!("query failed");
         };
         if !status.allows_viewing() {
@@ -65,8 +77,7 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     // Unclaimed photos answered locally too.
     for n in 0..20u64 {
         let ghost = RecordId::new(LedgerId(1), 10_000 + n);
-        let Response::Status { status, .. } = browser.call(&Request::Query { id: ghost }).unwrap()
-        else {
+        let Response::Status { status, .. } = call(&browser, Request::Query { id: ghost }) else {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::NotRevoked);
@@ -108,17 +119,16 @@ fn filter_fetch_over_wire() {
     ledger.publish_filter();
 
     let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-    let mut client = LedgerClient::connect(server.addr()).unwrap();
-    let Response::FilterFull { version, data } = client
-        .call(&Request::GetFilter { have_version: 0 })
-        .unwrap()
+    let client = connect(server.addr());
+    let Response::FilterFull { version, data } =
+        call(&client, Request::GetFilter { have_version: 0 })
     else {
         panic!("expected full filter");
     };
     let mut proxy = IrsProxy::new(ProxyConfig::default());
     proxy
         .filters
-        .apply_full(LedgerId(1), version, data)
+        .apply(LedgerId(1), FilterUpdate::full(version, data))
         .unwrap();
     // The revoked id hits; a fresh id misses.
     use irs::proxy::LookupOutcome;

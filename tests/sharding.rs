@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use irs::crypto::{Digest, Keypair};
 use irs::ledger::{ConcurrentLedger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
-use irs::net::resilient::RetryPolicy;
-use irs::net::service::{stacks, CallCtx, Service};
-use irs::net::{LedgerClient, LedgerServer};
+use irs::net::service::{stacks, CallCtx, Service, TcpTransport};
+use irs::net::LedgerServer;
+use irs::net::RetryPolicy;
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::LedgerId;
 use irs::protocol::tsa::TimestampAuthority;
@@ -173,8 +173,10 @@ fn current_epoch_client_routes_cleanly_and_reads_the_map_over_the_wire() {
     assert_eq!(route.wrong_shards(), 0);
 
     // Raw wire read of the directory from either shard.
-    let mut client = LedgerClient::connect(s2.addr()).unwrap();
-    let Ok(Response::ShardMap { epoch, data }) = client.get_shard_map() else {
+    let client = TcpTransport::new(s2.addr(), std::time::Duration::from_secs(5));
+    let Ok(Response::ShardMap { epoch, data }) =
+        client.call(Request::GetShardMap, &CallCtx::wall())
+    else {
         panic!("GetShardMap failed over the wire");
     };
     assert_eq!(epoch, 2);

@@ -10,7 +10,7 @@ use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 use irs::simnet::{Histogram, LatencyModel, Link, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
     let mut proxy = IrsProxy::new(ProxyConfig::default());
     proxy
         .filters
-        .apply_full(LedgerId(1), 1, filter_bytes)
+        .apply(LedgerId(1), FilterUpdate::full(1, filter_bytes))
         .unwrap();
     (
         World {
