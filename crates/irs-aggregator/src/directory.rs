@@ -46,19 +46,9 @@ impl LocalLedgers {
         self.ledgers.insert(ledger.id(), ledger);
     }
 
-    /// Borrow a ledger.
+    /// Borrow a ledger (its whole request path is `&self`).
     pub fn get(&self, id: LedgerId) -> Option<&Ledger> {
         self.ledgers.get(&id)
-    }
-
-    /// Borrow a ledger mutably.
-    pub fn get_mut(&mut self, id: LedgerId) -> Option<&mut Ledger> {
-        self.ledgers.get_mut(&id)
-    }
-
-    /// Iterate ledgers.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Ledger> {
-        self.ledgers.values_mut()
     }
 }
 
@@ -73,7 +63,10 @@ impl LedgerDirectory for LocalLedgers {
         request: ClaimRequest,
         now: TimeMs,
     ) -> Option<(RecordId, TimestampToken)> {
-        Some(self.ledgers.get_mut(&ledger)?.claim_custodial(request, now))
+        self.ledgers
+            .get(&ledger)?
+            .claim_custodial(request, now)
+            .ok()
     }
 
     fn proof(&mut self, id: RecordId, now: TimeMs) -> Option<FreshnessProof> {

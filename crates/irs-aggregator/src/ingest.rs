@@ -393,13 +393,13 @@ mod tests {
 
     /// Owner claims + labels a photo on ledger 1.
     fn owner_photo(
-        ledgers: &mut LocalLedgers,
+        ledgers: &LocalLedgers,
         cam_seed: u64,
         revoke: bool,
     ) -> (PhotoFile, RecordId, Keypair) {
         let mut cam = Camera::new(cam_seed, 256, 256);
         let shot = cam.capture(100);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn valid_labeled_upload_accepted() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, _id, _) = owner_photo(&mut ledgers, 1, false);
+        let (photo, _id, _) = owner_photo(&ledgers, 1, false);
         let (decision, key) = agg.upload(photo, &mut ledgers, TimeMs(1_000));
         assert!(decision.accepted());
         assert!(agg.serve(key.unwrap()).is_some());
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn revoked_upload_denied() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, id, _) = owner_photo(&mut ledgers, 2, true);
+        let (photo, id, _) = owner_photo(&ledgers, 2, true);
         let (decision, key) = agg.upload(photo, &mut ledgers, TimeMs(1_000));
         assert_eq!(decision, UploadDecision::DeniedRevoked(id));
         assert!(key.is_none());
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn stripped_metadata_denied() {
         let (mut agg, mut ledgers) = setup();
-        let (mut photo, _, _) = owner_photo(&mut ledgers, 3, false);
+        let (mut photo, _, _) = owner_photo(&ledgers, 3, false);
         photo.metadata.strip_all();
         let (decision, _) = agg.upload(photo, &mut ledgers, TimeMs(1_000));
         assert_eq!(decision, UploadDecision::DeniedInconsistentLabel);
@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn recheck_takes_down_newly_revoked() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, id, keypair) = owner_photo(&mut ledgers, 4, false);
+        let (photo, id, keypair) = owner_photo(&ledgers, 4, false);
         let (_, key) = agg.upload(photo, &mut ledgers, TimeMs(1_000));
         let key = key.unwrap();
         assert!(agg.serve(key).is_some());
@@ -487,7 +487,7 @@ mod tests {
             .unwrap();
         let rv = irs_core::claim::RevokeRequest::create(&keypair, id, true, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(rv), TimeMs(2_000));
         // Too early: interval not elapsed.
@@ -506,7 +506,7 @@ mod tests {
             .unwrap();
         let unrv = irs_core::claim::RevokeRequest::create(&keypair, id, false, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(unrv), TimeMs(3_000));
         let r2 = agg.recheck(&mut ledgers, TimeMs(1_000 + 2 * 3_600_000));
@@ -517,7 +517,7 @@ mod tests {
     #[test]
     fn recheck_staples_freshness_proof() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, _, _) = owner_photo(&mut ledgers, 5, false);
+        let (photo, _, _) = owner_photo(&ledgers, 5, false);
         let (_, key) = agg.upload(photo, &mut ledgers, TimeMs(0));
         agg.recheck(&mut ledgers, TimeMs(3_600_000));
         let (_, proof) = agg.serve(key.unwrap()).unwrap();
@@ -529,7 +529,7 @@ mod tests {
     #[test]
     fn derivative_upload_with_different_claim_denied() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, id, _) = owner_photo(&mut ledgers, 6, false);
+        let (photo, id, _) = owner_photo(&ledgers, 6, false);
         let original_image = photo.image.clone();
         let (d1, _) = agg.upload(photo, &mut ledgers, TimeMs(1_000));
         assert!(d1.accepted());
@@ -539,7 +539,7 @@ mod tests {
         let mut attacker_photo = PhotoFile::new(attacker_image);
         let attacker_kp = Keypair::from_seed(&[77u8; 32]);
         let claim = ClaimRequest::create(&attacker_kp, &attacker_photo.digest());
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed {
             id: attacker_id, ..
         } = ledger.handle(Request::Claim(claim), TimeMs(2_000))
@@ -562,7 +562,7 @@ mod tests {
         let mut cam = Camera::new(60, 256, 256);
         let shot = cam.capture(100);
         let camera_kp = shot.keypair.clone();
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -588,7 +588,7 @@ mod tests {
         let (_, epoch) = ledgers.query(id, TimeMs(301)).unwrap();
         let rv = irs_core::claim::RevokeRequest::create(&camera_kp, id, true, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(rv), TimeMs(400));
         let report = agg.recheck(&mut ledgers, TimeMs(300 + 3_600_000));
@@ -600,7 +600,7 @@ mod tests {
         use irs_core::provenance::{Action, ProvenanceChain};
         let (mut agg, mut ledgers) = setup();
         let (_, id, keypair) = {
-            let (photo, id, kp) = owner_photo(&mut ledgers, 62, true); // revoked
+            let (photo, id, kp) = owner_photo(&ledgers, 62, true); // revoked
             (photo, id, kp)
         };
         let derivative = PhotoFile::new(irs_imaging::PhotoGenerator::new(62).generate(9, 128, 128));
@@ -626,7 +626,7 @@ mod tests {
         use irs_core::provenance::{Action, ProvenanceChain};
         let (mut agg, mut ledgers) = setup();
         let (_, id, keypair) = {
-            let (photo, id, kp) = owner_photo(&mut ledgers, 63, false);
+            let (photo, id, kp) = owner_photo(&ledgers, 63, false);
             (photo, id, kp)
         };
         // Chain whose final content does NOT match the upload.
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let (mut agg, mut ledgers) = setup();
-        let (photo, _, _) = owner_photo(&mut ledgers, 7, false);
+        let (photo, _, _) = owner_photo(&ledgers, 7, false);
         agg.upload(photo, &mut ledgers, TimeMs(0));
         let s = agg.stats;
         assert_eq!(s.uploads, 1);

@@ -32,7 +32,7 @@ pub enum CoercionOutcome {
 /// the owner to produce a validly signed revoke request. A standard ledger
 /// complies; a non-revocable ledger refuses.
 pub fn coerce_revocation(
-    ledger: &mut Ledger,
+    ledger: &Ledger,
     owner: &Keypair,
     id: irs_core::ids::RecordId,
     now: TimeMs,
@@ -63,7 +63,7 @@ pub fn evidence_ledger_pair(seed: u64) -> (Ledger, Ledger) {
 mod tests {
     use super::*;
 
-    fn claim(ledger: &mut Ledger, seed: u8) -> (irs_core::ids::RecordId, Keypair) {
+    fn claim(ledger: &Ledger, seed: u8) -> (irs_core::ids::RecordId, Keypair) {
         let kp = Keypair::from_seed(&[seed; 32]);
         let req = ClaimRequest::create(&kp, &Digest::of(&[seed]));
         match ledger.handle(Request::Claim(req), TimeMs(10)) {
@@ -74,10 +74,10 @@ mod tests {
 
     #[test]
     fn standard_ledger_is_coercible() {
-        let (mut standard, _) = evidence_ledger_pair(1);
-        let (id, kp) = claim(&mut standard, 1);
+        let (standard, _) = evidence_ledger_pair(1);
+        let (id, kp) = claim(&standard, 1);
         assert_eq!(
-            coerce_revocation(&mut standard, &kp, id, TimeMs(100)),
+            coerce_revocation(&standard, &kp, id, TimeMs(100)),
             CoercionOutcome::Revoked
         );
         assert_eq!(
@@ -88,10 +88,10 @@ mod tests {
 
     #[test]
     fn nonprofit_ledger_resists_coercion() {
-        let (_, mut nonprofit) = evidence_ledger_pair(2);
-        let (id, kp) = claim(&mut nonprofit, 2);
+        let (_, nonprofit) = evidence_ledger_pair(2);
+        let (id, kp) = claim(&nonprofit, 2);
         assert_eq!(
-            coerce_revocation(&mut nonprofit, &kp, id, TimeMs(100)),
+            coerce_revocation(&nonprofit, &kp, id, TimeMs(100)),
             CoercionOutcome::RefusedByPolicy
         );
         // Evidence stays viewable.
@@ -103,8 +103,8 @@ mod tests {
 
     #[test]
     fn nonprofit_still_answers_queries_normally() {
-        let (_, mut nonprofit) = evidence_ledger_pair(3);
-        let (id, _) = claim(&mut nonprofit, 3);
+        let (_, nonprofit) = evidence_ledger_pair(3);
+        let (id, _) = claim(&nonprofit, 3);
         match nonprofit.handle(Request::Query { id }, TimeMs(50)) {
             Response::Status { status, .. } => {
                 assert_eq!(status, RevocationStatus::NotRevoked)

@@ -76,10 +76,10 @@ mod tests {
     use irs_core::wire::{Request, Response};
     use irs_ledger::{Ledger, LedgerConfig};
 
-    fn labeled_photo(ledgers: &mut LocalLedgers) -> PhotoFile {
+    fn labeled_photo(ledgers: &LocalLedgers) -> PhotoFile {
         let mut cam = Camera::new(21, 256, 256);
         let shot = cam.capture(100);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn metadata_strip_alone_is_self_defeating() {
         let (mut ledgers, mut agg) = setup();
-        let labeled = labeled_photo(&mut ledgers);
+        let labeled = labeled_photo(&ledgers);
         let (attacked, report) = destruction_attack(&labeled, &[], &WatermarkConfig::default());
         assert!(report.watermark_survived, "no distortion applied");
         assert!(report.label_state_inconsistent);
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn mild_distortion_does_not_free_the_photo() {
         let (mut ledgers, mut agg) = setup();
-        let labeled = labeled_photo(&mut ledgers);
+        let labeled = labeled_photo(&ledgers);
         let ops = [Manipulation::Jpeg(70), Manipulation::Brightness(10)];
         let (attacked, report) = destruction_attack(&labeled, &ops, &WatermarkConfig::default());
         assert!(
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn heavy_distortion_kills_watermark_but_photo_stays_unsharable() {
         let (mut ledgers, mut agg) = setup();
-        let labeled = labeled_photo(&mut ledgers);
+        let labeled = labeled_photo(&ledgers);
         let ops = [
             Manipulation::Jpeg(5),
             Manipulation::Noise {
@@ -170,7 +170,7 @@ mod tests {
             derivative_check: false,
             ..AggregatorConfig::default()
         });
-        let labeled = labeled_photo(&mut ledgers);
+        let labeled = labeled_photo(&ledgers);
         let ops = [
             Manipulation::Jpeg(5),
             Manipulation::Noise {
@@ -188,8 +188,8 @@ mod tests {
 
     #[test]
     fn report_recipe_names() {
-        let (mut ledgers, _) = setup();
-        let labeled = labeled_photo(&mut ledgers);
+        let (ledgers, _) = setup();
+        let labeled = labeled_photo(&ledgers);
         let ops = [Manipulation::Jpeg(50)];
         let (_, report) = destruction_attack(&labeled, &ops, &WatermarkConfig::default());
         assert_eq!(report.recipe, vec!["jpeg-q50".to_string()]);

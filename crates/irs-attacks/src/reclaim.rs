@@ -81,7 +81,7 @@ pub fn run_reclaim_scenario(config: &ReclaimConfig) -> ReclaimOutcome {
     let shot = cam.capture(100);
     let owner_keypair = shot.keypair.clone();
     let original_image = shot.photo.image.clone();
-    let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+    let ledger = ledgers.get(LedgerId(1)).unwrap();
     let Response::Claimed {
         id: original_id,
         timestamp,
@@ -105,7 +105,7 @@ pub fn run_reclaim_scenario(config: &ReclaimConfig) -> ReclaimOutcome {
     let mut attacker_photo = PhotoFile::new(attacker_image);
     let attacker_kp = Keypair::from_seed(&[200u8; 32]);
     let attacker_claim = ClaimRequest::create(&attacker_kp, &attacker_photo.digest());
-    let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+    let ledger = ledgers.get(LedgerId(1)).unwrap();
     let Response::Claimed {
         id: attacker_id, ..
     } = ledger.handle(Request::Claim(attacker_claim), TimeMs(5_000))
@@ -147,7 +147,7 @@ pub fn run_reclaim_scenario(config: &ReclaimConfig) -> ReclaimOutcome {
         let (_, epoch) = ledgers.query(original_id, TimeMs(6_100)).unwrap();
         let unrv = RevokeRequest::create(&owner_keypair, original_id, false, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(unrv), TimeMs(6_100));
         let (d, _) = hardened_agg.upload(hosted_original, &mut ledgers, TimeMs(6_150));
@@ -155,7 +155,7 @@ pub fn run_reclaim_scenario(config: &ReclaimConfig) -> ReclaimOutcome {
         let (_, epoch) = ledgers.query(original_id, TimeMs(6_200)).unwrap();
         let rv = RevokeRequest::create(&owner_keypair, original_id, true, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(rv), TimeMs(6_200));
     }
@@ -169,14 +169,16 @@ pub fn run_reclaim_scenario(config: &ReclaimConfig) -> ReclaimOutcome {
     // t=10000: the owner notices the copy and appeals to the ledger.
     let evidence = wallet.appeal_evidence(&original_id).expect("evidence");
     let mut judge = AppealsJudge::default();
-    let appeal = judge.adjudicate(
-        ledgers.get_mut(LedgerId(1)).unwrap(),
-        &evidence,
-        attacker_id,
-        &attacker_photo,
-        &tsa_key,
-        TimeMs(10_000),
-    );
+    let appeal = judge
+        .adjudicate(
+            ledgers.get(LedgerId(1)).unwrap(),
+            &evidence,
+            attacker_id,
+            &attacker_photo,
+            &tsa_key,
+            TimeMs(10_000),
+        )
+        .expect("a memory-only ledger has no storage to fail");
 
     let attacker_record_final = ledgers
         .query(attacker_id, TimeMs(10_001))

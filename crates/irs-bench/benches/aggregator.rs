@@ -18,7 +18,7 @@ fn setup() -> (LocalLedgers, irs_core::photo::PhotoFile) {
     ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
     let mut cam = Camera::new(1, 256, 256);
     let shot = cam.capture(0);
-    let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+    let ledger = ledgers.get(LedgerId(1)).unwrap();
     let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0)) else {
         panic!("claim failed");
     };

@@ -9,7 +9,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::{Ledger, LedgerConfig};
 use irs_proxy::{ProxyConfig, SharedProxy};
 use parking_lot::Mutex;
 use std::sync::Barrier;
@@ -18,22 +18,23 @@ const RECORDS: u64 = 10_000;
 const QUERIES_PER_THREAD: u64 = 2_000;
 const THREADS: usize = 4;
 
-fn preloaded_pair() -> (Mutex<Ledger>, ConcurrentLedger) {
-    let mut seq = Ledger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(7),
-    );
-    let conc = ConcurrentLedger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(7),
-    );
-    let keypair = Keypair::from_seed(&[7; 32]);
-    for i in 0..RECORDS {
-        let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
-        seq.handle(Request::Claim(req), TimeMs(i));
-        conc.handle(Request::Claim(req), TimeMs(i));
-    }
-    (Mutex::new(seq), conc)
+/// The "global mutex" column is a local fixture: a `Mutex` around a
+/// one-stripe ledger, next to the default striped one shared by `&self`.
+fn preloaded_pair() -> (Mutex<Ledger>, Ledger) {
+    let preloaded = |stripes| {
+        let config = LedgerConfig::new(LedgerId(1));
+        let ledger = Ledger::with_shards(config, TimestampAuthority::from_seed(7), stripes);
+        let keypair = Keypair::from_seed(&[7; 32]);
+        for i in 0..RECORDS {
+            let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
+            ledger.handle(Request::Claim(req), TimeMs(i));
+        }
+        ledger
+    };
+    (
+        Mutex::new(preloaded(1)),
+        preloaded(irs_ledger::store::DEFAULT_SHARDS),
+    )
 }
 
 /// One batch: `THREADS` threads each issue `QUERIES_PER_THREAD` queries.

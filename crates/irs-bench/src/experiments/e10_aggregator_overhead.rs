@@ -27,7 +27,7 @@ fn setup(n_uploads: usize) -> (LocalLedgers, Vec<irs_core::photo::PhotoFile>) {
     let mut photos = Vec::new();
     for i in 0..n_uploads {
         let shot = cam.capture(i as u64);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } =
             ledger.handle(Request::Claim(shot.claim), TimeMs(i as u64))
         else {

@@ -1,15 +1,17 @@
 //! E15 — thread scaling of the validate path: global-mutex baseline vs
-//! the sharded concurrent ledger.
+//! the striped `&self` ledger.
 //!
-//! The §4.3 prototype's server originally held one `Mutex<Ledger>`
-//! across every request, so connection threads serialized even for pure
-//! status queries. The concurrent tier ([`ConcurrentLedger`], DESIGN.md
-//! "Concurrency architecture") makes the whole request path `&self`:
-//! striped record shards behind per-shard `RwLock`s, snapshot filters,
-//! atomic counters. This experiment drives the same query workload
-//! through both designs at 1/2/4/8 threads and reports aggregate
-//! throughput — the mutex design flatlines (or degrades, from handoff
-//! contention) while the sharded design scales with cores.
+//! The §4.3 prototype's server originally held one mutex around the
+//! whole ledger across every request, so connection threads serialized
+//! even for pure status queries. [`Ledger`] (DESIGN.md "Concurrency
+//! architecture") makes the whole request path `&self`: striped record
+//! shards behind per-shard `RwLock`s, snapshot filters, atomic counters.
+//! This experiment drives the same query workload through both designs
+//! at 1/2/4/8 threads and reports aggregate throughput — the mutex
+//! design flatlines (or degrades, from handoff contention) while the
+//! striped design scales with cores. The baseline is a local fixture:
+//! a `Mutex` around a one-stripe `Ledger`, which is what the old design
+//! amounted to.
 
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
@@ -18,7 +20,8 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::store::DEFAULT_SHARDS;
+use irs_ledger::{Ledger, LedgerConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -26,24 +29,27 @@ use std::sync::Barrier;
 /// Thread counts swept by the experiment.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Preload both ledgers with `records` claims (every 50th revoked at
-/// claim time, mirroring the ~2 % revoked-set density used elsewhere).
-fn preload(seq: &mut Ledger, conc: &ConcurrentLedger, records: u64) {
+/// A ledger with `stripes` lock stripes holding `records` claims (every
+/// 50th revoked at claim time, mirroring the ~2 % revoked-set density
+/// used elsewhere).
+fn preloaded(stripes: usize, records: u64) -> Ledger {
+    let ledger = Ledger::with_shards(
+        LedgerConfig::new(LedgerId(1)),
+        TimestampAuthority::from_seed(0xE15),
+        stripes,
+    );
     let keypair = Keypair::from_seed(&[0xE1; 32]);
     for i in 0..records {
-        let digest = Digest::of(&i.to_le_bytes());
-        let revoked = i % 50 == 0;
-        // ClaimRequest is Copy: the same request feeds both ledgers.
-        let req = ClaimRequest::create(&keypair, &digest);
-        if revoked {
-            seq.claim_revoked(req, TimeMs(i));
-            conc.claim_revoked(req, TimeMs(i))
+        let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
+        if i % 50 == 0 {
+            ledger
+                .claim_revoked(req, TimeMs(i))
                 .expect("in-memory ledger cannot fail a claim");
         } else {
-            seq.handle(Request::Claim(req), TimeMs(i));
-            conc.handle(Request::Claim(req), TimeMs(i));
+            ledger.handle(Request::Claim(req), TimeMs(i));
         }
     }
+    ledger
 }
 
 /// How often a validation asks for a signed freshness proof instead of
@@ -113,21 +119,13 @@ fn measure(
 /// `(mutex_ops_per_s, sharded_ops_per_s)`. Exposed for the regression
 /// test and the CI quick run.
 pub fn measure_pair(threads: usize, ops_per_thread: u64, records: u64) -> (f64, f64) {
-    let mut seq = Ledger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(0xE15),
-    );
-    let conc = ConcurrentLedger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(0xE15),
-    );
-    preload(&mut seq, &conc, records);
-    let seq = Mutex::new(seq);
+    let global = Mutex::new(preloaded(1, records));
+    let striped = preloaded(DEFAULT_SHARDS, records);
     let mutex_ops = measure(threads, ops_per_thread, records, &|req| {
-        seq.lock().handle(req, TimeMs(1_000_000))
+        global.lock().handle(req, TimeMs(1_000_000))
     });
     let sharded_ops = measure(threads, ops_per_thread, records, &|req| {
-        conc.handle(req, TimeMs(1_000_000))
+        striped.handle(req, TimeMs(1_000_000))
     });
     (mutex_ops, sharded_ops)
 }
@@ -159,10 +157,11 @@ pub fn run(quick: bool) -> String {
         "{records} preloaded records (2% revoked), {ops_per_thread} validations per \
          thread; every {PROOF_EVERY}th validation fetches a signed freshness proof"
     ));
-    table.note(
-        "baseline holds one Mutex<Ledger> across each request (the pre-concurrency \
-         server design); sharded is ConcurrentLedger with 16 record stripes",
-    );
+    table.note(format!(
+        "baseline holds one Mutex around a 1-stripe Ledger across each request (the \
+         pre-concurrency server design, an experiment-local fixture); sharded is the \
+         same Ledger with {DEFAULT_SHARDS} record stripes, shared by &self"
+    ));
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -190,7 +189,7 @@ mod tests {
 
     #[test]
     fn sharded_beats_mutex_at_four_threads() {
-        // The acceptance bar for the concurrent tier: at 4 threads the
+        // The acceptance bar for the `&self` request path: at 4 threads the
         // striped design must out-run the whole-service mutex. Wall-clock
         // speedup needs real cores; on a single-hardware-thread machine
         // the best possible outcome is a tie, so there we only require

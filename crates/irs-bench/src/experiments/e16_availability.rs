@@ -107,7 +107,7 @@ const RECORDS: u64 = 24;
 /// the run. Deterministic in `seed` up to socket-timing noise.
 pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> Availability {
     // Ledger with RECORDS revoked claims and a published filter.
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(seed),
     );
@@ -118,7 +118,7 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
             &keypair,
             &irs_crypto::Digest::of(&i.to_le_bytes()),
         );
-        let (id, _) = ledger.claim_revoked(claim, TimeMs(i));
+        let (id, _) = ledger.claim_revoked(claim, TimeMs(i)).unwrap();
         ids.push(id);
     }
     ledger.publish_filter();

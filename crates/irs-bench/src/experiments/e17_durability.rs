@@ -1,6 +1,6 @@
 //! E17 — crash-safety and the cost of durability.
 //!
-//! Three tables over the durable ledger stack ([`ConcurrentLedger`] on a
+//! Three tables over the durable ledger stack ([`Ledger`] on a
 //! seeded [`ChaosDisk`]):
 //!
 //! 1. **Crash-point sweep × fsync policy** — power loss is injected at
@@ -24,7 +24,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
-    ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, FsyncPolicy, LedgerConfig,
+    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, FsyncPolicy, Ledger, LedgerConfig,
 };
 use std::sync::Arc;
 
@@ -74,7 +74,7 @@ impl Workload {
 
     /// Drive the ledger until done or the first storage failure; returns
     /// the acknowledged (claim ids, revoked serials).
-    fn run(&self, ledger: &ConcurrentLedger) -> (Vec<RecordId>, Vec<u64>) {
+    fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
         let mut claims = Vec::new();
         let mut revokes = Vec::new();
         for (i, req) in self.claims.iter().enumerate() {
@@ -120,7 +120,7 @@ impl SweepOutcome {
 pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> SweepOutcome {
     // Dry run to learn the log's extent under this policy.
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(1)));
-    let ledger = ConcurrentLedger::recover(config(), tsa(), 4, durable(&calm, fsync)).unwrap();
+    let ledger = Ledger::recover(config(), tsa(), 4, durable(&calm, fsync)).unwrap();
     workload.run(&ledger);
     let total = calm.total_appended();
 
@@ -129,7 +129,7 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
     let mut cap = 1;
     while cap < total {
         let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::crash_at(0xE17, cap)));
-        let acked = match ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, fsync)) {
+        let acked = match Ledger::recover(config(), tsa(), 4, durable(&disk, fsync)) {
             Ok(ledger) => workload.run(&ledger),
             // Power loss during the very first header write: nothing acked.
             Err(_) => (Vec::new(), Vec::new()),
@@ -137,8 +137,7 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
         out.crash_points += 1;
         out.acked += (acked.0.len() + acked.1.len()) as u64;
 
-        let recovered =
-            ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, fsync)).unwrap();
+        let recovered = Ledger::recover(config(), tsa(), 4, durable(&disk, fsync)).unwrap();
         for id in &acked.0 {
             if matches!(
                 recovered.handle(Request::Query { id: *id }, TimeMs(1_000)),
@@ -169,8 +168,7 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
 pub fn recovery_time(records: u64, snapshot: bool) -> (u64, usize, usize) {
     let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(2)));
     let ledger =
-        ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault)).unwrap();
     let kp = Keypair::from_seed(&[0x18; 32]);
     for i in 0..records {
         ledger
@@ -187,8 +185,7 @@ pub fn recovery_time(records: u64, snapshot: bool) -> (u64, usize, usize) {
 
     let start = std::time::Instant::now();
     let recovered =
-        ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault)).unwrap();
     let micros = start.elapsed().as_micros() as u64;
     let report = recovered.recovery_report().unwrap();
     assert_eq!(recovered.store().len() as u64, records);
@@ -204,10 +201,8 @@ pub fn write_cost(fsync: Option<FsyncPolicy>, claims: u64) -> (f64, f64) {
         .collect();
     let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(3)));
     let ledger = match fsync {
-        Some(policy) => {
-            ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, policy)).unwrap()
-        }
-        None => ConcurrentLedger::new(config(), tsa()),
+        Some(policy) => Ledger::recover(config(), tsa(), 4, durable(&disk, policy)).unwrap(),
+        None => Ledger::new(config(), tsa()),
     };
     let start = std::time::Instant::now();
     for (i, req) in requests.iter().enumerate() {

@@ -5,7 +5,7 @@
 //!
 //! * **Armed tracing is free where it records nothing.** The E15
 //!   thread-scaling workload (7:1 status queries : freshness proofs
-//!   against a preloaded [`ConcurrentLedger`], 4 threads) runs with
+//!   against a preloaded [`Ledger`], 4 threads) runs with
 //!   and without a per-request [`SpanRecorder`]; the always-on metrics
 //!   registry is identical in both modes, so the delta is the cost of
 //!   carrying a recorder down the request path. The CI gate requires
@@ -24,7 +24,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::{Ledger, LedgerConfig};
 use irs_net::ledger_server::LedgerServer;
 use irs_net::service::{stacks, BoxService, CallCtx, Service};
 use irs_net::RetryPolicy;
@@ -95,8 +95,8 @@ fn lcg(state: &mut u64) -> u64 {
 
 // ---- part A: the E15 workload, untraced vs traced ------------------
 
-fn build_ledger(records: u64) -> ConcurrentLedger {
-    let conc = ConcurrentLedger::new(
+fn build_ledger(records: u64) -> Ledger {
+    let conc = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE18),
     );
@@ -116,12 +116,7 @@ fn build_ledger(records: u64) -> ConcurrentLedger {
 /// Drive the 7:1 query:proof mix on [`THREADS`] threads, recording
 /// each op's latency. `traced` arms every request with a fresh
 /// [`SpanRecorder`] through `handle_traced` — the cost under test.
-fn measure_ledger(
-    conc: &ConcurrentLedger,
-    ops_per_thread: u64,
-    records: u64,
-    traced: bool,
-) -> Sample {
+fn measure_ledger(conc: &Ledger, ops_per_thread: u64, records: u64, traced: bool) -> Sample {
     let lats: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -198,7 +193,7 @@ struct Rig {
 }
 
 fn build_rig(records: u64) -> Rig {
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE18),
     );
@@ -207,7 +202,10 @@ fn build_rig(records: u64) -> Rig {
     for i in 0..records {
         let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
         let id = if i % 50 == 0 {
-            ledger.claim_revoked(req, TimeMs(i)).0
+            ledger
+                .claim_revoked(req, TimeMs(i))
+                .expect("in-memory ledger cannot fail a claim")
+                .0
         } else {
             match ledger.handle(Request::Claim(req), TimeMs(i)) {
                 Response::Claimed { id, .. } => id,
@@ -336,7 +334,7 @@ pub fn run(quick: bool) -> String {
     }
     table.note(format!(
         "ledger = the E15 thread-scaling workload ({THREADS} threads, 7:1 status \
-         queries : freshness proofs against a preloaded ConcurrentLedger); traced \
+         queries : freshness proofs against a preloaded Ledger); traced \
          arms each request with a SpanRecorder (which the in-memory query path \
          never writes to) — the CI gate holds this p99 within 3%"
     ));

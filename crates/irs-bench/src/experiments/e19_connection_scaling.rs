@@ -24,7 +24,7 @@
 //! The thread-per-connection server is a *reference* kept in this file
 //! (`start_threaded`): `irs-net` has one engine, the reactor, and the
 //! column it is measured against is a bench fixture over the same
-//! codec and the same `ConcurrentLedger::handle`.
+//! codec and the same `Ledger::handle`.
 
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
@@ -33,7 +33,7 @@ use irs_core::time::{Clock, SystemClock, TimeMs};
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response, Wire};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::{ConcurrentLedger, LedgerConfig};
+use irs_ledger::{Ledger, LedgerConfig};
 use irs_net::codec::{serve_request, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
 use irs_net::ledger_server::LedgerServer;
 use irs_net::reactor::sys::raise_nofile_limit;
@@ -68,9 +68,9 @@ pub enum EngineKind {
 }
 
 /// The thread-per-connection reference: one parked OS thread per socket,
-/// each looping read → `ConcurrentLedger::handle` → write over the same
+/// each looping read → `Ledger::handle` → write over the same
 /// frame codec and request decoding the reactor servers use.
-fn start_threaded(ledger: Arc<ConcurrentLedger>) -> std::io::Result<ServerHandle> {
+fn start_threaded(ledger: Arc<Ledger>) -> std::io::Result<ServerHandle> {
     ServerHandle::spawn("127.0.0.1:0", move |stream, stop| {
         // Bound reads so the connection thread notices shutdown.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -115,8 +115,8 @@ pub struct RungResult {
 /// address them as dense serials 0..records without any out-of-band
 /// coordination (the child-process server rebuilds the same ledger from
 /// the same count).
-fn build_ledger(records: u64) -> ConcurrentLedger {
-    let conc = ConcurrentLedger::new(
+fn build_ledger(records: u64) -> Ledger {
+    let conc = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE19),
     );
@@ -134,7 +134,7 @@ fn build_ledger(records: u64) -> ConcurrentLedger {
 pub fn serve_child(records: u64) -> ! {
     raise_nofile_limit();
     let ledger = Arc::new(build_ledger(records));
-    let server = LedgerServer::start_shared(ledger, "127.0.0.1:0").expect("e19-server bind");
+    let server = LedgerServer::start(ledger, "127.0.0.1:0").expect("e19-server bind");
     println!("ADDR {}", server.addr());
     let _ = std::io::stdout().flush();
     // Parked on stdin: EOF means the parent is done with this rung.
@@ -222,9 +222,7 @@ fn start_server(engine: EngineKind, conns: usize, records: u64) -> std::io::Resu
     }
     let ledger = Arc::new(build_ledger(records));
     Ok(match engine {
-        EngineKind::Reactor => {
-            RungServer::InProc(LedgerServer::start_shared(ledger, "127.0.0.1:0")?)
-        }
+        EngineKind::Reactor => RungServer::InProc(LedgerServer::start(ledger, "127.0.0.1:0")?),
         EngineKind::Threaded => RungServer::Threaded(start_threaded(ledger)?),
     })
 }
@@ -439,7 +437,7 @@ pub fn run(quick: bool) -> String {
     );
     table.note(
         "threaded = a thread-per-connection reference server local to this experiment \
-         (same frame codec, same ConcurrentLedger::handle); irs-net's only engine is the reactor",
+         (same frame codec, same Ledger::handle); irs-net's only engine is the reactor",
     );
     table.render()
 }

@@ -29,7 +29,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
-    ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, Follower, FsyncPolicy,
+    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
     LedgerConfig, ReplicationPolicy, SegmentData,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,7 +95,7 @@ impl Workload {
 
     /// Drive the ledger until done or the first storage failure — the
     /// kill. Returns the acknowledged (claim ids, revoked serials).
-    fn run(&self, ledger: &ConcurrentLedger) -> (Vec<RecordId>, Vec<u64>) {
+    fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
         let mut claims = Vec::new();
         let mut revokes = Vec::new();
         for (i, req) in self.claims.iter().enumerate() {
@@ -117,7 +117,7 @@ impl Workload {
 /// One in-process poll: fetch the next segment from the primary's
 /// request path (the real wire dispatch, minus the socket) and apply it.
 /// Returns the applied count, or `Err` once the stream is unusable.
-fn poll_once(primary: &ConcurrentLedger, follower: &mut Follower) -> Result<usize, ()> {
+fn poll_once(primary: &Ledger, follower: &mut Follower) -> Result<usize, ()> {
     let resp = primary.handle(
         Request::WalSubscribe {
             from_seq: follower.next_seq(),
@@ -145,7 +145,7 @@ fn poll_once(primary: &ConcurrentLedger, follower: &mut Follower) -> Result<usiz
 
 /// Count how many of the acknowledged writes are visible on `ledger`
 /// (claims answer, revokes answer revoked).
-fn count_recovered(ledger: &ConcurrentLedger, acked: &(Vec<RecordId>, Vec<u64>)) -> u64 {
+fn count_recovered(ledger: &Ledger, acked: &(Vec<RecordId>, Vec<u64>)) -> u64 {
     let mut recovered = 0;
     for id in &acked.0 {
         if matches!(
@@ -204,7 +204,7 @@ pub fn kill_sweep(
     // Dry run to learn the log's extent (policy-independent: same
     // workload, same fsync).
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
-    let ledger = ConcurrentLedger::recover(
+    let ledger = Ledger::recover(
         config(),
         tsa(),
         4,
@@ -222,8 +222,7 @@ pub fn kill_sweep(
     while cap < total {
         out.kill_points += 1;
         let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::crash_at(seed, cap)));
-        let Ok(primary) = ConcurrentLedger::recover(config(), tsa(), 4, durable(&disk, policy))
-        else {
+        let Ok(primary) = Ledger::recover(config(), tsa(), 4, durable(&disk, policy)) else {
             // Killed during the very first header write: nothing acked,
             // nothing to promote.
             cap += stride;
@@ -276,7 +275,7 @@ pub fn kill_sweep(
 /// identical).
 pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(7)));
-    let primary = ConcurrentLedger::recover(
+    let primary = Ledger::recover(
         config(),
         tsa(),
         4,
@@ -425,7 +424,7 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
 
     // Kill the primary; promote the follower behind a fresh server.
     server.shutdown();
-    let replica = LedgerServer::start_shared(promoted, "127.0.0.1:0").unwrap();
+    let replica = LedgerServer::start(promoted, "127.0.0.1:0").unwrap();
     let stack = Failover::new(stacks::transports(
         &[primary_addr, replica.addr()],
         Duration::from_millis(500),

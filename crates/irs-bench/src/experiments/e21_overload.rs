@@ -259,7 +259,7 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
     // Ledger: rank 0 (the famous photo) claimed *unrevoked* — cheap
     // filter-negative validations pre-storm — every other rank claimed
     // revoked so its queries walk the upstream path continuously.
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(seed),
     );
@@ -272,7 +272,8 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
             ledger.claim_custodial(claim, irs_core::time::TimeMs(1))
         } else {
             ledger.claim_revoked(claim, irs_core::time::TimeMs(1 + i as u64))
-        };
+        }
+        .unwrap();
         ids.push(id);
     }
     ledger.publish_filter();

@@ -78,7 +78,7 @@ struct PacedShard {
 
 impl Service for PacedShard {
     fn call(&self, request: Request, _ctx: &CallCtx) -> Result<Response, NetError> {
-        let mut ledger = self.ledger.lock();
+        let ledger = self.ledger.lock();
         std::thread::sleep(SERVICE_TIME);
         Ok(ledger.handle(request, SystemClock.now()))
     }
@@ -113,9 +113,11 @@ pub fn scale_point(shards: usize, quick: bool, seed: u64) -> ScalePoint {
     let map = ShardMap::new(1, specs).expect("valid map");
     let backends: std::collections::HashMap<LedgerId, Arc<PacedShard>> = (1..=shards as u16)
         .map(|i| {
-            let ledger = Ledger::new(
+            // One stripe: the gate serializes every request anyway.
+            let ledger = Ledger::with_shards(
                 LedgerConfig::new(LedgerId(i)),
                 TimestampAuthority::from_seed(seed ^ u64::from(i)),
+                1,
             );
             (
                 LedgerId(i),
@@ -257,7 +259,7 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
         &data,
     )
     .unwrap();
-    let follower_server = LedgerServer::start_shared(follower.ledger(), "127.0.0.1:0").unwrap();
+    let follower_server = LedgerServer::start(follower.ledger(), "127.0.0.1:0").unwrap();
 
     // Shard 2: a plain single-replica shard.
     let shard2 = LedgerServer::start(

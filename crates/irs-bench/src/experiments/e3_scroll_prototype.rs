@@ -61,7 +61,7 @@ pub fn run(quick: bool) -> String {
 
     // Live infrastructure. The ledger knows the population's revoked
     // records (it answers queries straight from the population function).
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(0)),
         TimestampAuthority::from_seed(3),
     );

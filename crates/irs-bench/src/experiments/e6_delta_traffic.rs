@@ -4,8 +4,9 @@
 //! with a delta encoding such that the update traffic will be low."
 //!
 //! A ledger accumulates revocation churn for an hour, publishes, and we
-//! compare the delta bytes against re-shipping the full filter, across
-//! churn rates.
+//! compare the delta bytes a proxy one version behind is served
+//! (`GetFilter { have_version }`) against re-shipping the full filter,
+//! across churn rates.
 
 use crate::table::{bytes_h, f, Table};
 use irs_core::claim::{ClaimRequest, RevokeRequest};
@@ -14,7 +15,6 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::service::{FilterPublisher, FilterUpdate};
 use irs_ledger::{Ledger, LedgerConfig};
 
 /// Run E6.
@@ -34,7 +34,7 @@ pub fn run(quick: bool) -> String {
     for churn in [10u64, 100, 1_000, 10_000] {
         let mut cfg = LedgerConfig::new(LedgerId(1));
         cfg.filter_capacity = base_population;
-        let mut ledger = Ledger::new(cfg, TimestampAuthority::from_seed(6));
+        let ledger = Ledger::new(cfg, TimestampAuthority::from_seed(6));
         // Baseline population: claims with an initial revoked cohort so
         // the filter is realistically loaded.
         let mut keypairs: Vec<(irs_core::ids::RecordId, Keypair)> = Vec::new();
@@ -56,10 +56,10 @@ pub fn run(quick: bool) -> String {
                 keypairs.push((id, kp));
             }
         }
-        let mut publisher = FilterPublisher::new();
-        let first = publisher.publish(&mut ledger);
-        let FilterUpdate::Full { .. } = first else {
-            panic!("first publish must be full");
+        let have_version = ledger.publish_filter();
+        let first = ledger.handle(Request::GetFilter { have_version: 0 }, TimeMs(0));
+        let Response::FilterFull { .. } = first else {
+            panic!("first fetch must be full");
         };
         // One hour of churn: `churn` fresh revocations.
         for (id, kp) in keypairs.iter().take(churn as usize) {
@@ -67,10 +67,11 @@ pub fn run(quick: bool) -> String {
             let rv = RevokeRequest::create(kp, *id, true, epoch);
             ledger.handle(Request::Revoke(rv), TimeMs(999_999));
         }
-        match publisher.publish(&mut ledger) {
-            FilterUpdate::Delta {
-                data, full_bytes, ..
-            } => {
+        ledger.publish_filter();
+        let published = ledger.published_filter().expect("just published");
+        let full_bytes = published.to_bytes().len();
+        match ledger.handle(Request::GetFilter { have_version }, TimeMs(1_000_000)) {
+            Response::FilterDelta { data, .. } => {
                 table.row(vec![
                     format!("{churn}"),
                     bytes_h(full_bytes as u64),

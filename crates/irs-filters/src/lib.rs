@@ -13,7 +13,6 @@
 //! * [`bloom::BloomFilter`] — the standard Bloom filter the paper's sizing
 //!   argument assumes, with union (the proxy ORs per-ledger filters) and
 //!   byte-level serialization;
-//! * [`partitioned::PartitionedBloom`] — the k-partition variant;
 //! * [`counting::CountingBloom`] — 4-bit counters supporting deletion, used
 //!   by ledgers to maintain a filter under claim *and* unclaim churn;
 //! * [`xor::Xor8`] / [`xor::Xor16`] — static xor filters (Graf & Lemire,
@@ -37,14 +36,12 @@ pub mod counting;
 pub mod delta;
 pub mod fuse;
 pub mod hash;
-pub mod partitioned;
 pub mod tiered;
 pub mod xor;
 
 pub use bloom::BloomFilter;
 pub use counting::CountingBloom;
 pub use fuse::{Fuse16, Fuse8};
-pub use partitioned::PartitionedBloom;
 pub use tiered::{
     PublishOutcome, TieredConfig, TieredFilter, TieredPublisher, TieredServe, TieredSnapshot,
 };

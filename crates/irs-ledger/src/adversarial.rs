@@ -59,11 +59,6 @@ impl AdversarialLedger {
         &self.inner
     }
 
-    /// Mutable access (setup paths).
-    pub fn inner_mut(&mut self) -> &mut Ledger {
-        &mut self.inner
-    }
-
     /// Handle a request through the fault policy. `None` models a dropped
     /// request (timeout at the caller).
     pub fn handle(&mut self, request: Request, now: TimeMs) -> Option<Response> {

@@ -8,6 +8,7 @@
 //! mark it as permanently revoked."
 
 use crate::service::Ledger;
+use crate::wal::WalError;
 use irs_core::ids::RecordId;
 use irs_core::photo::PhotoFile;
 use irs_core::time::TimeMs;
@@ -76,16 +77,19 @@ impl AppealsJudge {
     /// re-claimed record on `ledger`; `accused_photo` is the published
     /// photo carrying the accused label; `trusted_tsa` verifies timestamp
     /// tokens. On `Upheld` the accused record is permanently revoked in
-    /// the ledger.
+    /// the ledger — through [`Ledger::permanently_revoke`], so on a
+    /// durable ledger the pin is logged (and replicated) before the
+    /// appeal counts as upheld. A storage failure is returned, not
+    /// counted: the appellant retries.
     pub fn adjudicate(
         &mut self,
-        ledger: &mut Ledger,
+        ledger: &Ledger,
         evidence: &AppealEvidence,
         accused: RecordId,
         accused_photo: &PhotoFile,
         trusted_tsa: &PublicKey,
         _now: TimeMs,
-    ) -> AppealOutcome {
+    ) -> Result<AppealOutcome, WalError> {
         // 1. Evidence integrity: the claim must prove ownership of the
         //    presented original.
         if !evidence
@@ -93,50 +97,59 @@ impl AppealsJudge {
             .proves_ownership_of(&evidence.original_photo.digest())
         {
             self.rejected += 1;
-            return AppealOutcome::RejectedBadEvidence(EvidenceDefect::OwnershipSignature);
+            return Ok(AppealOutcome::RejectedBadEvidence(
+                EvidenceDefect::OwnershipSignature,
+            ));
         }
         // 2. The timestamp must cover this claim and verify.
         if evidence.timestamp.stamped != evidence.claim.digest()
             || !evidence.timestamp.verify(trusted_tsa)
         {
             self.rejected += 1;
-            return AppealOutcome::RejectedBadEvidence(EvidenceDefect::Timestamp);
+            return Ok(AppealOutcome::RejectedBadEvidence(
+                EvidenceDefect::Timestamp,
+            ));
         }
         // 3. The accused record must exist, and must be *younger* than the
         //    appellant's claim (first claim wins).
         let Some(accused_rec) = ledger.store().get(&accused) else {
             self.rejected += 1;
-            return AppealOutcome::RejectedBadEvidence(EvidenceDefect::UnknownAccused);
+            return Ok(AppealOutcome::RejectedBadEvidence(
+                EvidenceDefect::UnknownAccused,
+            ));
         };
         if accused_rec.claim.timestamp.time <= evidence.timestamp.time {
             self.rejected += 1;
-            return AppealOutcome::RejectedBadEvidence(EvidenceDefect::NotEarlier);
+            return Ok(AppealOutcome::RejectedBadEvidence(
+                EvidenceDefect::NotEarlier,
+            ));
         }
         // 4. Robust-hash comparison of the two photos. The judge has the
         //    original in hand, so it can afford the crop-search variant —
         //    without it, a cropped re-claim (the cheapest §5 evasion)
         //    sails through.
-        match self
-            .matcher
-            .compare_with_crop_search(&evidence.original_photo.image, &accused_photo.image)
-        {
-            MatchVerdict::Derived => {
-                ledger
-                    .store_mut()
-                    .permanently_revoke(&accused)
-                    .expect("accused exists");
-                self.upheld += 1;
-                AppealOutcome::Upheld
-            }
-            MatchVerdict::Uncertain => {
-                self.escalated += 1;
-                AppealOutcome::EscalateToHuman
-            }
-            MatchVerdict::Distinct => {
-                self.rejected += 1;
-                AppealOutcome::RejectedNotDerived
-            }
-        }
+        Ok(
+            match self
+                .matcher
+                .compare_with_crop_search(&evidence.original_photo.image, &accused_photo.image)
+            {
+                MatchVerdict::Derived => {
+                    ledger
+                        .permanently_revoke(&accused)?
+                        .expect("accused exists");
+                    self.upheld += 1;
+                    AppealOutcome::Upheld
+                }
+                MatchVerdict::Uncertain => {
+                    self.escalated += 1;
+                    AppealOutcome::EscalateToHuman
+                }
+                MatchVerdict::Distinct => {
+                    self.rejected += 1;
+                    AppealOutcome::RejectedNotDerived
+                }
+            },
+        )
     }
 }
 
@@ -159,12 +172,22 @@ mod tests {
         tsa_key: PublicKey,
     }
 
+    fn tsa() -> TimestampAuthority {
+        TimestampAuthority::from_seed(7)
+    }
+
+    fn setup(attacker_image_op: Option<Manipulation>) -> (Scenario, RecordId, PhotoFile) {
+        let ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa());
+        setup_on(ledger, attacker_image_op)
+    }
+
     /// Owner claims at t=100; attacker re-claims a transcoded copy at
     /// t=5000.
-    fn setup(attacker_image_op: Option<Manipulation>) -> (Scenario, RecordId, PhotoFile) {
-        let tsa = TimestampAuthority::from_seed(7);
-        let tsa_key = tsa.public_key();
-        let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa);
+    fn setup_on(
+        ledger: Ledger,
+        attacker_image_op: Option<Manipulation>,
+    ) -> (Scenario, RecordId, PhotoFile) {
+        let tsa_key = ledger.tsa_key();
         let mut cam = Camera::new(5, 256, 256);
         let shot = cam.capture(100);
         let original_photo = shot.photo.clone();
@@ -204,17 +227,18 @@ mod tests {
 
     #[test]
     fn exact_copy_appeal_upheld() {
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(outcome, AppealOutcome::Upheld);
         assert_eq!(
             s.ledger.store().status(&accused).unwrap().0,
@@ -223,25 +247,89 @@ mod tests {
         assert_eq!(judge.upheld, 1);
     }
 
+    /// §3.2's revocation is *permanent*: the pin goes through the WAL,
+    /// so it is still there when the same disk is reopened, and a
+    /// follower tailing the log applies it too.
+    #[test]
+    fn upheld_appeal_survives_restart_and_reaches_a_follower() {
+        use crate::{ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy};
+        use std::sync::Arc;
+        let durable = |disk: &Arc<ChaosDisk>| {
+            DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, FsyncPolicy::Always)
+        };
+        let config = || LedgerConfig::new(LedgerId(1));
+        let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(3)));
+        let open = || Ledger::recover(config(), tsa(), 4, durable(&disk)).unwrap();
+        let (s, accused, accused_photo) = setup_on(open(), None);
+        let (seq, data) = s.ledger.replication_snapshot().unwrap();
+        let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(4)));
+        let mut follower =
+            Follower::bootstrap(config(), tsa(), 4, durable(&follower_disk), seq, &data).unwrap();
+
+        let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
+        let outcome = AppealsJudge::default()
+            .adjudicate(
+                &s.ledger,
+                &ev,
+                accused,
+                &accused_photo,
+                &s.tsa_key,
+                TimeMs(10_000),
+            )
+            .unwrap();
+        assert_eq!(outcome, AppealOutcome::Upheld);
+
+        let Response::WalSegment {
+            first_seq,
+            durable_seq,
+            log_start_seq,
+            frames,
+        } = s.ledger.handle(
+            Request::WalSubscribe {
+                from_seq: follower.next_seq(),
+                max_frames: 16,
+            },
+            TimeMs(10_001),
+        )
+        else {
+            panic!("expected a WAL segment");
+        };
+        let segment = crate::SegmentData {
+            first_seq,
+            durable_seq,
+            log_start_seq,
+            frames,
+        };
+        assert_eq!(follower.apply_segment(&segment).unwrap(), 1);
+        drop(s);
+        for ledger in [follower.ledger(), Arc::new(open())] {
+            assert_eq!(
+                ledger.store().status(&accused).unwrap().0,
+                RevocationStatus::PermanentlyRevoked
+            );
+        }
+    }
+
     #[test]
     fn transcoded_copy_appeal_upheld() {
-        let (mut s, accused, accused_photo) = setup(Some(Manipulation::Jpeg(50)));
+        let (s, accused, accused_photo) = setup(Some(Manipulation::Jpeg(50)));
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(outcome, AppealOutcome::Upheld);
     }
 
     #[test]
     fn unrelated_photo_appeal_rejected() {
-        let (mut s, _accused, _) = setup(None);
+        let (s, _accused, _) = setup(None);
         // Accuse a record whose photo is unrelated to the original.
         let mut cam2 = Camera::new(99, 256, 256);
         let other_shot = cam2.capture(4_000);
@@ -255,13 +343,14 @@ mod tests {
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             innocent,
             &other_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(outcome, AppealOutcome::RejectedNotDerived);
         assert_eq!(
             s.ledger.store().status(&innocent).unwrap().0,
@@ -274,7 +363,7 @@ mod tests {
     fn later_claimant_cannot_appeal_against_earlier() {
         // The *attacker* (later claim) appeals against the owner — must be
         // rejected on timestamp ordering.
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let attacker_kp = irs_crypto::Keypair::from_seed(&[66u8; 32]);
         let attacker_claim = ClaimRequest::create(&attacker_kp, &accused_photo.digest());
         let accused_rec = s.ledger.store().get(&accused).unwrap().claim.clone();
@@ -286,13 +375,14 @@ mod tests {
         };
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &fake_ev,
             s.original_id,
             &accused_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(
             outcome,
             AppealOutcome::RejectedBadEvidence(EvidenceDefect::NotEarlier)
@@ -301,20 +391,21 @@ mod tests {
 
     #[test]
     fn forged_ownership_rejected() {
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let mut ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         // Present a different photo than the claim covers.
         ev.original_photo = accused_photo.clone();
         ev.original_photo.image = Manipulation::Brightness(40).apply(&ev.original_photo.image);
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(
             outcome,
             AppealOutcome::RejectedBadEvidence(EvidenceDefect::OwnershipSignature)
@@ -323,18 +414,19 @@ mod tests {
 
     #[test]
     fn unknown_accused_rejected() {
-        let (mut s, _, accused_photo) = setup(None);
+        let (s, _, accused_photo) = setup(None);
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let ghost = RecordId::new(LedgerId(1), 999);
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             ghost,
             &accused_photo,
             &s.tsa_key,
             TimeMs(10_000),
         );
+        let outcome = outcome.unwrap();
         assert_eq!(
             outcome,
             AppealOutcome::RejectedBadEvidence(EvidenceDefect::UnknownAccused)

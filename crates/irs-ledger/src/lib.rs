@@ -3,12 +3,17 @@
 //! §3.1: ledgers are "essentially timestamped databases of photos" backing
 //! the four IRS operations. This crate implements a complete ledger:
 //!
-//! * [`store`] — the append-only claim store with status epochs and a
-//!   counting-Bloom index of claimed identifiers;
+//! * [`store`] — [`LedgerStore`], the append-only claim store: dense
+//!   serials from one atomic allocator, records and the counting-Bloom
+//!   index of revoked identifiers striped per shard, every operation
+//!   `&self` (the stripe count is a constructor argument; one stripe is
+//!   the single-lock layout);
 //! * [`service`] — [`Ledger`]: wire-protocol request handling, freshness
-//!   proofs, versioned filter snapshots with delta publication (§4.4), and
-//!   ledger policies (standard vs the §5 censorship-resistant
-//!   "non-revocable" ledgers run by nonprofits);
+//!   proofs, versioned filter snapshots with delta publication (§4.4),
+//!   and ledger policies (standard vs the §5 censorship-resistant
+//!   "non-revocable" ledgers run by nonprofits). Its request path is
+//!   entirely `&self`, so connection threads share it behind a plain
+//!   `Arc` and every §5 drill below exercises the code a server runs;
 //! * [`appeals`] — the §3.2 appeals process: timestamp-ordered ownership
 //!   evidence plus robust-hash comparison, ending in permanent revocation
 //!   of re-claimed copies;
@@ -17,15 +22,6 @@
 //! * [`probe`] — the countermeasure: "automated software that claims
 //!   photos on behalf of owners could periodically send probes to ledgers
 //!   to ensure that they are being answered correctly".
-
-//!
-//! For servers there is a concurrent tier: [`sharded`] provides the
-//! lock-striped [`ShardedLedgerStore`] (dense serials from one atomic
-//! allocator, records and the counting-Bloom index striped per shard),
-//! and [`concurrent`] wraps it as [`ConcurrentLedger`], whose request
-//! path is entirely `&self` so connection threads share it behind a
-//! plain `Arc` — no whole-service mutex. See DESIGN.md, "Concurrency
-//! architecture".
 //!
 //! Durability tier (DESIGN.md, "Durability & recovery"): [`wal`] is the
 //! checksummed write-ahead log every mutation hits before it is
@@ -52,7 +48,6 @@
 pub mod adversarial;
 pub mod appeals;
 pub mod chaosdisk;
-pub mod concurrent;
 pub mod disk;
 pub mod payments;
 pub mod placement;
@@ -60,24 +55,24 @@ pub mod probe;
 pub mod recovery;
 pub mod replication;
 pub mod service;
-pub mod sharded;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
 
 pub use appeals::{AppealOutcome, AppealsJudge};
 pub use chaosdisk::{ChaosDisk, ChaosDiskConfig, DiskFault};
-pub use concurrent::{ConcurrentLedger, Durability, DurabilityConfig};
 pub use disk::{Disk, StdDisk};
 pub use placement::{PlacementError, ShardDirectory, ShardMap, ShardSpec};
 pub use recovery::{RecoveredState, RecoveryError, RecoveryReport};
 pub use replication::{
     ApplyError, Follower, FollowerError, ReplicationLog, ReplicationPolicy, SegmentData,
 };
-pub use service::{Ledger, LedgerConfig, LedgerPolicy, LedgerStats};
-pub use sharded::ShardedLedgerStore;
+pub use service::{Durability, DurabilityConfig, Ledger, LedgerConfig, LedgerPolicy, LedgerStats};
 pub use store::{LedgerStore, StoreError};
 pub use wal::{AppendReceipt, FsyncPolicy, WalError, WalRecord, WalWriter};
+
+/// The name `benchmark/` knows the ledger by.
+pub type ConcurrentLedger = Ledger;
 
 /// Error codes carried in `Response::Error`.
 pub mod codes {

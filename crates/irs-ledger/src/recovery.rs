@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use irs_core::claim::{Claim, RevocationStatus};
 use irs_core::ids::{LedgerId, RecordId};
-use irs_filters::CountingBloom;
 use std::collections::BTreeMap;
 
 use crate::disk::Disk;
@@ -114,10 +113,6 @@ pub struct RecoveryReport {
 pub struct RecoveredState {
     /// All records, ascending serial order (holes possible).
     pub records: Vec<StoredClaim>,
-    /// The revocation filter: the snapshot's (with replayed transitions
-    /// applied) when a snapshot existed, otherwise `None` and the store
-    /// rebuilds per-shard filters from the records.
-    pub filter: Option<CountingBloom>,
     /// What happened.
     pub report: RecoveryReport,
 }
@@ -149,14 +144,12 @@ pub fn recover(
 
     // 2. WAL + resume point.
     let mut records: BTreeMap<u64, StoredClaim> = BTreeMap::new();
-    let mut filter = None;
     let mut report = RecoveryReport::default();
     if let Some(snap) = snapshot {
         report.snapshot_records = snap.records.len();
         for rec in snap.records {
             records.insert(rec.claim.id.serial, rec);
         }
-        filter = Some(snap.filter);
 
         if disk.exists(wal_path) {
             let bytes = disk.read(wal_path)?;
@@ -183,7 +176,6 @@ pub fn recover(
                 start,
                 ledger,
                 &mut records,
-                filter.as_mut(),
                 &mut report,
             )?;
         } else if snap.wal_offset > WAL_HEADER_LEN as u64 {
@@ -205,7 +197,6 @@ pub fn recover(
             WAL_HEADER_LEN,
             ledger,
             &mut records,
-            None,
             &mut report,
         )?;
     }
@@ -213,14 +204,12 @@ pub fn recover(
     report.recovered_records = records.len();
     Ok(RecoveredState {
         records: records.into_values().collect(),
-        filter,
         report,
     })
 }
 
 /// Parse the log from `start`, apply each operation, and repair a torn
 /// tail on disk if one is found.
-#[allow(clippy::too_many_arguments)]
 fn replay(
     disk: &Arc<dyn Disk>,
     wal_path: &str,
@@ -228,12 +217,11 @@ fn replay(
     start: usize,
     ledger: LedgerId,
     records: &mut BTreeMap<u64, StoredClaim>,
-    mut filter: Option<&mut CountingBloom>,
     report: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
     let contents = read_wal(bytes, start)?;
     for (_, record) in contents.records {
-        apply(ledger, record, records, filter.as_deref_mut())?;
+        apply(ledger, record, records)?;
         report.wal_records += 1;
     }
     if contents.torn_bytes > 0 {
@@ -248,7 +236,6 @@ fn apply(
     ledger: LedgerId,
     record: WalRecord,
     records: &mut BTreeMap<u64, StoredClaim>,
-    filter: Option<&mut CountingBloom>,
 ) -> Result<(), RecoveryError> {
     match record {
         WalRecord::Claim {
@@ -280,11 +267,6 @@ fn apply(
             if prev.is_some() {
                 return Err(RecoveryError::Replay("duplicate claim serial"));
             }
-            if initially_revoked {
-                if let Some(f) = filter {
-                    f.insert(id.filter_key());
-                }
-            }
         }
         WalRecord::Revoke(req) => {
             if req.id.ledger != ledger {
@@ -302,21 +284,12 @@ fn apply(
             if req.epoch != rec.claim.status_epoch {
                 return Err(RecoveryError::Replay("epoch chain broken"));
             }
-            let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
             rec.claim.status = if req.revoke {
                 RevocationStatus::Revoked
             } else {
                 RevocationStatus::NotRevoked
             };
             rec.claim.status_epoch += 1;
-            if let Some(f) = filter {
-                let key = rec.claim.id.filter_key();
-                match (was_revoked, req.revoke) {
-                    (false, true) => f.insert(key),
-                    (true, false) => f.remove(key),
-                    _ => {}
-                }
-            }
         }
         WalRecord::AppealPin { id } => {
             if id.ledger != ledger {
@@ -325,14 +298,8 @@ fn apply(
             let rec = records
                 .get_mut(&id.serial)
                 .ok_or(RecoveryError::Replay("appeal pin of unknown record"))?;
-            let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
             rec.claim.status = RevocationStatus::PermanentlyRevoked;
             rec.claim.status_epoch += 1;
-            if !was_revoked {
-                if let Some(f) = filter {
-                    f.insert(id.filter_key());
-                }
-            }
         }
     }
     Ok(())
@@ -349,7 +316,6 @@ mod tests {
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_crypto::{Digest, Keypair};
-    use irs_filters::Filter;
 
     const LEDGER: LedgerId = LedgerId(1);
 
@@ -407,13 +373,7 @@ mod tests {
         let (generation, offset) = wal.position();
         // Snapshot covering the claim, then one more op after the cut.
         let state = recover(&disk, "wal", "snap", LEDGER).unwrap();
-        let mut filter = CountingBloom::for_capacity(1000, 0.02).unwrap();
-        for r in &state.records {
-            if r.claim.status != RevocationStatus::NotRevoked {
-                filter.insert(r.claim.id.filter_key());
-            }
-        }
-        let snap = encode_snapshot(LEDGER, generation, offset, &state.records, &filter);
+        let snap = encode_snapshot(LEDGER, generation, offset, &state.records);
         disk.write_atomic("snap", &snap).unwrap();
         let (c1, _) = claim_record(1, 2, true);
         let lsn = wal.append(&c1).unwrap().lsn;
@@ -424,8 +384,7 @@ mod tests {
         assert_eq!(recovered.report.snapshot_records, 1);
         assert_eq!(recovered.report.wal_records, 1);
         assert_eq!(recovered.records.len(), 2);
-        let f = recovered.filter.expect("snapshot filter present");
-        assert!(f.contains(RecordId::new(LEDGER, 1).filter_key()));
+        assert_eq!(recovered.records[1].claim.status, RevocationStatus::Revoked);
 
         // Post-rotation: generation bumps, whole log replays.
         wal.rotate_at(offset).unwrap();
@@ -508,8 +467,7 @@ mod tests {
     fn mixed_generation_files_fail_closed() {
         let disk = disk();
         // Snapshot claims generation 5; log is generation 0.
-        let filter = CountingBloom::for_capacity(100, 0.02).unwrap();
-        let snap = encode_snapshot(LEDGER, 5, WAL_HEADER_LEN as u64, &[], &filter);
+        let snap = encode_snapshot(LEDGER, 5, WAL_HEADER_LEN as u64, &[]);
         disk.write_atomic("snap", &snap).unwrap();
         disk.write_atomic("wal", &encode_header(LEDGER, 0)).unwrap();
         assert!(matches!(
@@ -523,7 +481,6 @@ mod tests {
         let disk = disk();
         let state = recover(&disk, "wal", "snap", LEDGER).unwrap();
         assert!(state.records.is_empty());
-        assert!(state.filter.is_none());
         assert_eq!(state.report.recovered_records, 0);
     }
 }

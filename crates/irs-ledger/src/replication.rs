@@ -42,9 +42,9 @@ use irs_core::tsa::TimestampAuthority;
 use irs_obs::{Gauge, Histogram, Registry};
 use std::sync::{Condvar, Mutex};
 
-use crate::concurrent::{ConcurrentLedger, DurabilityConfig, SNAPSHOT_PATH, WAL_PATH};
 use crate::disk::Disk;
 use crate::recovery::RecoveryError;
+use crate::service::{DurabilityConfig, Ledger, SNAPSHOT_PATH, WAL_PATH};
 use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
 use crate::store::StoreError;
 use crate::wal::{crc32, decode_frames, encode_header, WalError, WAL_HEADER_LEN};
@@ -382,14 +382,14 @@ fn decode_sidecar(bytes: &[u8]) -> Result<u64, FollowerError> {
 }
 
 /// A replica that catches up from a primary snapshot and then applies
-/// the shipped WAL stream into its own [`ConcurrentLedger`] + local WAL.
+/// the shipped WAL stream into its own [`Ledger`] + local WAL.
 ///
 /// Transport-agnostic: the caller fetches the bootstrap snapshot and
 /// polls segments over whatever channel it has (`FetchSnapshot` and
 /// `WalSubscribe` over an `irs-net` transport, say), handing the payloads to
 /// [`bootstrap`](Self::bootstrap) / [`apply_segment`](Self::apply_segment).
 pub struct Follower {
-    ledger: Arc<ConcurrentLedger>,
+    ledger: Arc<Ledger>,
     disk: Arc<dyn Disk>,
     /// Sequence number the bootstrap snapshot covered.
     base_seq: u64,
@@ -427,19 +427,13 @@ impl Follower {
         }
         // Re-anchor the snapshot to the follower's fresh local WAL:
         // generation 0, replay resuming right after the header.
-        let local = encode_snapshot(
-            snap.ledger,
-            0,
-            WAL_HEADER_LEN as u64,
-            &snap.records,
-            &snap.filter,
-        );
+        let local = encode_snapshot(snap.ledger, 0, WAL_HEADER_LEN as u64, &snap.records);
         let disk = durability.disk.clone();
         disk.write_atomic(WAL_PATH, &encode_header(config.id, 0))?;
         disk.write_atomic(SNAPSHOT_PATH, &local)?;
         disk.write_atomic(REPLICA_SEQ_PATH, &encode_sidecar(snapshot_seq))?;
         durability.snapshot_every = None;
-        let ledger = ConcurrentLedger::recover(config, tsa, num_shards, durability)?;
+        let ledger = Ledger::recover(config, tsa, num_shards, durability)?;
         Ok(Follower::assemble(
             ledger,
             disk,
@@ -461,7 +455,7 @@ impl Follower {
         let disk = durability.disk.clone();
         let base_seq = decode_sidecar(&disk.read(REPLICA_SEQ_PATH)?)?;
         durability.snapshot_every = None;
-        let ledger = ConcurrentLedger::recover(config, tsa, num_shards, durability)?;
+        let ledger = Ledger::recover(config, tsa, num_shards, durability)?;
         let replayed = ledger
             .recovery_report()
             .map(|r| r.wal_records as u64)
@@ -474,12 +468,7 @@ impl Follower {
         ))
     }
 
-    fn assemble(
-        ledger: ConcurrentLedger,
-        disk: Arc<dyn Disk>,
-        base_seq: u64,
-        next_seq: u64,
-    ) -> Follower {
+    fn assemble(ledger: Ledger, disk: Arc<dyn Disk>, base_seq: u64, next_seq: u64) -> Follower {
         let registry = ledger.metrics().clone();
         let applied_gauge = registry.gauge("irs_ledger_repl_applied_seq");
         let source_durable_gauge = registry.gauge("irs_ledger_repl_source_durable_seq");
@@ -499,7 +488,7 @@ impl Follower {
     /// The ledger this follower applies into. Promotion is handing this
     /// handle to a server: the follower's state is already durable and
     /// byte-identical to everything it acked, so it serves immediately.
-    pub fn ledger(&self) -> Arc<ConcurrentLedger> {
+    pub fn ledger(&self) -> Arc<Ledger> {
         self.ledger.clone()
     }
 

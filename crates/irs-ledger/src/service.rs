@@ -1,24 +1,44 @@
-//! The ledger service: protocol handling, filter publication, proofs.
+//! The ledger service: protocol handling, filter publication, proofs,
+//! durability.
 //!
-//! Wraps a [`LedgerStore`] with the wire protocol, a signing key for
-//! freshness proofs, versioned revoked-set Bloom snapshots with delta
-//! publication
-//! (§4.4: "updated regularly (perhaps hourly), and transferred with a
-//! delta encoding"), and the ledger policy knob that models the §5
-//! censorship-resistant ledgers.
+//! [`Ledger`] wraps a [`LedgerStore`] with the wire protocol, a signing
+//! key for freshness proofs, versioned revoked-set filter snapshots with
+//! delta publication (§4.4: "updated regularly (perhaps hourly), and
+//! transferred with a delta encoding"), the ledger policy knob that
+//! models the §5 censorship-resistant ledgers, and — when opened with
+//! [`Ledger::recover`] — a write-ahead log every mutation hits before
+//! it is acknowledged.
+//!
+//! The whole request path is `&self`: connection threads call
+//! [`Ledger::handle`] directly behind a plain `Arc`, no whole-service
+//! mutex. Striped record state lives in the store; service-level state
+//! is either immutable (keys, config), atomic (request counters), or a
+//! read-mostly snapshot behind a brief `RwLock` (published filters:
+//! serves clone an `Arc` out and diff off the lock).
 
 use crate::codes;
-use crate::store::{ClaimOrigin, LedgerStore, StoreError};
-use irs_core::claim::RevocationStatus;
+use crate::disk::Disk;
+use crate::placement::ShardDirectory;
+use crate::recovery::{self, RecoveredState, RecoveryError, RecoveryReport};
+use crate::replication::{ApplyError, ReplicationLog, ReplicationPolicy, DEFAULT_RETAIN_FRAMES};
+use crate::snapshot::encode_snapshot;
+use crate::store::{ClaimOrigin, LedgerStore, StoreError, StoredClaim, DEFAULT_SHARDS};
+use crate::wal::{AppendReceipt, FsyncPolicy, WalError, WalRecord, WalStats, WalWriter};
+use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::freshness::FreshnessProof;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
-use irs_core::tsa::TimestampAuthority;
+use irs_core::tsa::{TimestampAuthority, TimestampToken};
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Keypair, PublicKey};
 use irs_filters::delta::BloomDelta;
 use irs_filters::{BloomFilter, TieredConfig, TieredPublisher, TieredServe, TieredSnapshot};
-use std::sync::Arc;
+use irs_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder};
+use parking_lot::{Mutex, RwLock};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Ledger behavioral policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,32 +86,6 @@ impl LedgerConfig {
     }
 }
 
-/// A published filter snapshot.
-#[derive(Clone, Debug)]
-struct FilterSnapshot {
-    version: u64,
-    filter: BloomFilter,
-}
-
-/// A complete IRS ledger.
-pub struct Ledger {
-    config: LedgerConfig,
-    store: LedgerStore,
-    signing_key: Keypair,
-    tsa_key: PublicKey,
-    snapshot: Option<FilterSnapshot>,
-    /// The immediately preceding snapshot, kept so requesters one version
-    /// behind get a delta instead of a full re-ship.
-    previous_snapshot: Option<FilterSnapshot>,
-    /// The tiered (fuse base + Bloom delta) publication state, advanced
-    /// alongside the legacy Bloom snapshot on every `publish_filter`.
-    tiered: TieredPublisher,
-    /// Count of wire requests served, by coarse kind (query, claim,
-    /// revoke, filter, proof, batch items) — the load metrics experiments
-    /// E4/E5 read.
-    pub stats: LedgerStats,
-}
-
 /// Request counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LedgerStats {
@@ -115,24 +109,291 @@ pub struct LedgerStats {
     pub proofs: u64,
 }
 
+/// File name of the write-ahead log inside the [`Disk`] namespace.
+pub const WAL_PATH: &str = "ledger.wal";
+/// File name of the snapshot inside the [`Disk`] namespace.
+pub const SNAPSHOT_PATH: &str = "ledger.snap";
+
+/// One published filter version.
+#[derive(Clone, Debug)]
+struct Snapshot {
+    version: u64,
+    filter: BloomFilter,
+}
+
+#[derive(Default)]
+struct SnapshotPair {
+    current: Option<Arc<Snapshot>>,
+    /// Previous version, retained so requesters one behind get a delta.
+    previous: Option<Arc<Snapshot>>,
+}
+
+/// The ledger's observability surface: the [`LedgerStats`] counters as
+/// sharded [`Counter`]s in a [`Registry`], plus durability gauges and
+/// latency histograms for the persistence path. The handles are cached
+/// here so the request path never takes the registry's name lock.
+struct LedgerObs {
+    registry: Arc<Registry>,
+    /// Misrouted keyed requests refused with `WrongShard`.
+    wrong_shard: Counter,
+    queries: Counter,
+    batch_items: Counter,
+    claims: Counter,
+    revokes: Counter,
+    filters_full: Counter,
+    filters_delta: Counter,
+    /// Sealed fuse bases served (tiered pipeline, epoch roll).
+    filters_base: Counter,
+    /// Full tiered installs served (bootstrap or multi-epoch lag).
+    filters_tiered: Counter,
+    proofs: Counter,
+    /// Committed records (refreshed on scrape).
+    records: Gauge,
+    /// Published filter version (refreshed on scrape).
+    filter_version: Gauge,
+    /// Tiered epoch (refreshed on scrape).
+    tiered_epoch: Gauge,
+    /// 1 when a WAL is attached, 0 for a memory-only ledger.
+    durable: Gauge,
+    /// Wall time of one durable apply (shard write + WAL append + commit).
+    durable_apply_us: Histogram,
+    /// Wall time of one full checkpoint.
+    snapshot_us: Histogram,
+}
+
+impl LedgerObs {
+    fn new() -> LedgerObs {
+        let registry = Arc::new(Registry::new());
+        LedgerObs {
+            wrong_shard: registry.counter("irs_ledger_wrong_shard_total"),
+            queries: registry.counter("irs_ledger_queries_total"),
+            batch_items: registry.counter("irs_ledger_batch_items_total"),
+            claims: registry.counter("irs_ledger_claims_total"),
+            revokes: registry.counter("irs_ledger_revokes_total"),
+            filters_full: registry.counter("irs_ledger_filters_full_total"),
+            filters_delta: registry.counter("irs_ledger_filters_delta_total"),
+            filters_base: registry.counter("irs_ledger_filters_base_total"),
+            filters_tiered: registry.counter("irs_ledger_filters_tiered_total"),
+            proofs: registry.counter("irs_ledger_proofs_total"),
+            records: registry.gauge("irs_ledger_records"),
+            filter_version: registry.gauge("irs_ledger_filter_version"),
+            tiered_epoch: registry.gauge("irs_ledger_tiered_epoch"),
+            durable: registry.gauge("irs_ledger_durable"),
+            durable_apply_us: registry.histogram("irs_ledger_durable_apply_us"),
+            snapshot_us: registry.histogram("irs_ledger_snapshot_us"),
+            registry,
+        }
+    }
+
+    fn stats_snapshot(&self) -> LedgerStats {
+        LedgerStats {
+            queries: self.queries.get(),
+            batch_items: self.batch_items.get(),
+            claims: self.claims.get(),
+            revokes: self.revokes.get(),
+            filters_full: self.filters_full.get(),
+            filters_delta: self.filters_delta.get(),
+            filters_base: self.filters_base.get(),
+            filters_tiered: self.filters_tiered.get(),
+            proofs: self.proofs.get(),
+        }
+    }
+}
+
+/// How a durable ledger persists: where, how eagerly, and how often it
+/// checkpoints.
+#[derive(Clone)]
+pub struct DurabilityConfig {
+    /// Storage backend ([`crate::StdDisk`] in production,
+    /// [`crate::ChaosDisk`] in crash experiments).
+    pub disk: Arc<dyn Disk>,
+    /// When acknowledgements imply an fsync.
+    pub fsync: FsyncPolicy,
+    /// Snapshot (and truncate the log) after this many logged operations;
+    /// `None` disables automatic snapshots ([`Ledger::snapshot_now`]
+    /// still works).
+    pub snapshot_every: Option<u64>,
+    /// When acknowledgements additionally wait on follower replication
+    /// (see [`ReplicationPolicy`]).
+    pub replication: ReplicationPolicy,
+}
+
+impl DurabilityConfig {
+    /// Durability on `disk` with the given fsync policy, no automatic
+    /// snapshots, and local-only replication.
+    pub fn new(disk: Arc<dyn Disk>, fsync: FsyncPolicy) -> DurabilityConfig {
+        DurabilityConfig {
+            disk,
+            fsync,
+            snapshot_every: None,
+            replication: ReplicationPolicy::LocalOnly,
+        }
+    }
+}
+
+/// The live durability state of a [`Ledger`].
+pub struct Durability {
+    wal: WalWriter,
+    disk: Arc<dyn Disk>,
+    snapshot_every: Option<u64>,
+    ops_since_snapshot: AtomicU64,
+    /// Guards against concurrent automatic snapshots; requests that lose
+    /// the race skip (the winner's snapshot covers their operations).
+    snapshotting: AtomicBool,
+    /// Shipped-frame retention + follower-ack gate.
+    replication: Arc<ReplicationLog>,
+    replication_policy: ReplicationPolicy,
+}
+
+impl Durability {
+    /// WAL activity counters (appends, fsyncs, piggybacked commits).
+    pub fn wal_stats(&self) -> WalStats {
+        self.wal.stats()
+    }
+
+    /// Current WAL `(generation, byte length)`.
+    pub fn wal_position(&self) -> (u64, u64) {
+        self.wal.position()
+    }
+
+    /// The replication log followers tail (tests observe acks through it).
+    pub fn replication(&self) -> &Arc<ReplicationLog> {
+        &self.replication
+    }
+
+    /// Highest sequence number safe to ship to a follower.
+    pub fn replicable_seq(&self) -> u64 {
+        self.wal.replicable_seq()
+    }
+
+    /// Append `rec` to the WAL and retain its frame for followers (a
+    /// follower retains frames too, so that once promoted it can serve
+    /// followers of its own). Called under the shard lock that made the
+    /// mutation, so log order is the order mutations took effect.
+    fn log(&self, rec: &WalRecord) -> Result<AppendReceipt, WalError> {
+        let receipt = self.wal.append(rec)?;
+        self.replication.publish(receipt.seq, rec.encode_framed());
+        Ok(receipt)
+    }
+}
+
+/// A complete IRS ledger. Its entire request path is `&self`: safe to
+/// share across connection threads behind a plain `Arc`.
+pub struct Ledger {
+    config: LedgerConfig,
+    store: LedgerStore,
+    signing_key: Keypair,
+    tsa_key: PublicKey,
+    snapshots: RwLock<SnapshotPair>,
+    /// The tiered publication state machine. A publish holds this mutex
+    /// from projection to both pointer rotations below (so publishers
+    /// serialize, fuse construction at compaction included); serving
+    /// never takes it.
+    tiered: Mutex<TieredPublisher>,
+    /// The publication serves read: an `Arc` rotated under a brief write
+    /// lock after each publish, cloned out under a brief read lock.
+    tiered_snap: RwLock<Arc<TieredSnapshot>>,
+    obs: LedgerObs,
+    durability: Option<Durability>,
+    recovery_report: Option<RecoveryReport>,
+    /// The shard this ledger serves plus its view of the placement
+    /// (DESIGN.md §15). Unset on unsharded deployments — every guard
+    /// below is then a no-op, so single-shard behavior is unchanged.
+    shard_dir: OnceLock<Arc<ShardDirectory>>,
+}
+
 impl Ledger {
-    /// Create a ledger. The TSA is shared ecosystem infrastructure; the
-    /// signing key is derived from the config seed (deterministic for
-    /// experiments).
+    /// Create a fresh memory-only ledger with [`DEFAULT_SHARDS`] stripes.
+    /// The TSA is shared ecosystem infrastructure; the signing key is
+    /// derived from the config seed (deterministic for experiments).
     pub fn new(config: LedgerConfig, tsa: TimestampAuthority) -> Ledger {
+        Ledger::with_shards(config, tsa, DEFAULT_SHARDS)
+    }
+
+    /// Create with an explicit stripe count (the E15 scaling experiment
+    /// sweeps this; one stripe is the single-lock layout).
+    pub fn with_shards(config: LedgerConfig, tsa: TimestampAuthority, num_shards: usize) -> Ledger {
+        Ledger::assemble(config, tsa, num_shards, None)
+    }
+
+    /// Open a durable ledger: recover whatever state the disk holds
+    /// (snapshot + WAL tail replay, see [`crate::recovery`]), then attach
+    /// a write-ahead log so every further mutation is persisted before it
+    /// is acknowledged. A fresh disk recovers to an empty ledger; a
+    /// corrupt one refuses to start (fail closed).
+    pub fn recover(
+        config: LedgerConfig,
+        tsa: TimestampAuthority,
+        num_shards: usize,
+        durability: DurabilityConfig,
+    ) -> Result<Ledger, RecoveryError> {
+        let state = recovery::recover(&durability.disk, WAL_PATH, SNAPSHOT_PATH, config.id)?;
+        let wal = WalWriter::open(
+            durability.disk.clone(),
+            WAL_PATH,
+            config.id,
+            durability.fsync,
+        )?;
+        Ok(Ledger::assemble(
+            config,
+            tsa,
+            num_shards,
+            Some((state, wal, durability)),
+        ))
+    }
+
+    /// The one place a ledger is put together: keys, store, publication
+    /// state, and — given recovered state and an open log — durability.
+    fn assemble(
+        config: LedgerConfig,
+        tsa: TimestampAuthority,
+        num_shards: usize,
+        durable: Option<(RecoveredState, WalWriter, DurabilityConfig)>,
+    ) -> Ledger {
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&config.seed.to_le_bytes());
         seed[8..16].copy_from_slice(b"IRSLEDGR");
         let tsa_key = tsa.public_key();
+        let obs = LedgerObs::new();
+        let (records, recovery_report, durability) = match durable {
+            None => (Vec::new(), None, None),
+            Some((state, wal, cfg)) => {
+                let replication = Arc::new(ReplicationLog::new(
+                    wal.last_seq() + 1,
+                    DEFAULT_RETAIN_FRAMES,
+                    &obs.registry,
+                ));
+                let durability = Durability {
+                    wal,
+                    disk: cfg.disk,
+                    snapshot_every: cfg.snapshot_every,
+                    ops_since_snapshot: AtomicU64::new(0),
+                    snapshotting: AtomicBool::new(false),
+                    replication,
+                    replication_policy: cfg.replication,
+                };
+                (state.records, Some(state.report), Some(durability))
+            }
+        };
+        let tiered = TieredPublisher::new(config.tiered).expect("valid tiered filter config");
         Ledger {
-            store: LedgerStore::new(config.id, tsa, config.filter_capacity),
+            store: LedgerStore::from_parts(
+                config.id,
+                tsa,
+                records,
+                config.filter_capacity,
+                num_shards,
+            ),
             signing_key: Keypair::from_seed(&seed),
             tsa_key,
-            snapshot: None,
-            previous_snapshot: None,
-            tiered: TieredPublisher::new(config.tiered).expect("valid tiered filter config"),
-            stats: LedgerStats::default(),
+            snapshots: RwLock::new(SnapshotPair::default()),
+            tiered_snap: RwLock::new(tiered.snapshot()),
+            tiered: Mutex::new(tiered),
+            obs,
             config,
+            durability,
+            recovery_report,
+            shard_dir: OnceLock::new(),
         }
     }
 
@@ -141,37 +402,70 @@ impl Ledger {
         self.config.id
     }
 
-    /// The key proofs are signed with (trusted by verifiers out of band).
+    /// The key proofs are signed with.
     pub fn public_key(&self) -> PublicKey {
         self.signing_key.public
     }
 
-    /// The timestamp authority key this ledger stamps claims with.
+    /// The timestamp authority key claims are stamped with.
     pub fn tsa_key(&self) -> PublicKey {
         self.tsa_key
     }
 
-    /// Direct store access (appeals, probes, experiments).
+    /// The striped store (experiments, appeals, probes).
     pub fn store(&self) -> &LedgerStore {
         &self.store
     }
 
-    /// Mutable store access (appeals process applies permanent
-    /// revocations).
-    pub fn store_mut(&mut self) -> &mut LedgerStore {
-        &mut self.store
+    /// A point-in-time copy of the request counters.
+    pub fn stats(&self) -> LedgerStats {
+        self.obs.stats_snapshot()
     }
 
-    /// Handle one wire request at the given time.
-    pub fn handle(&mut self, request: Request, now: TimeMs) -> Response {
+    /// The metrics registry (counters, durability gauges, histograms).
+    pub fn metrics(&self) -> &Arc<Registry> {
+        &self.obs.registry
+    }
+
+    /// Render the metrics exposition, refreshing the point-in-time
+    /// gauges (record count, published filter version, durability flag)
+    /// first. This is what [`Request::Metrics`] answers with.
+    pub fn metrics_text(&self) -> String {
+        self.obs.records.set(self.store.len() as u64);
+        self.obs.filter_version.set(self.filter_version());
+        self.obs.tiered_epoch.set(self.tiered_epoch());
+        self.obs.durable.set(self.durability.is_some() as u64);
+        self.obs.registry.render()
+    }
+
+    /// Handle one wire request at the given time. `&self`: any number of
+    /// connection threads may call this concurrently.
+    pub fn handle(&self, request: Request, now: TimeMs) -> Response {
+        self.handle_traced(request, now, None)
+    }
+
+    /// [`handle`](Self::handle) with an optional span recorder: the
+    /// durable apply and checkpoint paths record `ledger:wal` /
+    /// `ledger:snapshot` spans into it.
+    pub fn handle_traced(
+        &self,
+        request: Request,
+        now: TimeMs,
+        trace: Option<&Arc<SpanRecorder>>,
+    ) -> Response {
+        if let Some(refusal) = self.shard_guard(&request) {
+            return refusal;
+        }
         match request {
             Request::Claim(req) => {
-                self.stats.claims += 1;
-                let (id, timestamp) = self.store.claim(req, ClaimOrigin::Owner, false, now);
-                Response::Claimed { id, timestamp }
+                self.obs.claims.inc();
+                match self.durable_claim_traced(req, ClaimOrigin::Owner, false, now, trace) {
+                    Ok((id, timestamp)) => Response::Claimed { id, timestamp },
+                    Err(_) => err(codes::STORAGE, "durable log write failed"),
+                }
             }
             Request::Query { id } => {
-                self.stats.queries += 1;
+                self.obs.queries.inc();
                 match self.store.status(&id) {
                     Some((status, epoch)) => Response::Status { id, status, epoch },
                     None => err(codes::UNKNOWN_RECORD, "unknown record"),
@@ -181,19 +475,22 @@ impl Ledger {
                 if self.config.policy == LedgerPolicy::NonRevocable && req.revoke {
                     return err(codes::POLICY, "this ledger does not allow revocation");
                 }
-                self.stats.revokes += 1;
-                match self.store.apply_revoke(&req) {
-                    Ok((status, epoch)) => Response::RevokeAck {
+                self.obs.revokes.inc();
+                match self.durable_revoke_traced(&req, trace) {
+                    Err(_) => err(codes::STORAGE, "durable log write failed"),
+                    Ok(Ok((status, epoch))) => Response::RevokeAck {
                         id: req.id,
                         status,
                         epoch,
                     },
-                    Err(StoreError::UnknownRecord) => err(codes::UNKNOWN_RECORD, "unknown record"),
-                    Err(StoreError::BadSignature) => err(codes::BAD_SIGNATURE, "bad signature"),
-                    Err(StoreError::StaleEpoch) => err(codes::STALE_EPOCH, "stale epoch"),
-                    Err(StoreError::Permanent) => err(codes::POLICY, "permanently revoked"),
+                    Ok(Err(StoreError::UnknownRecord)) => {
+                        err(codes::UNKNOWN_RECORD, "unknown record")
+                    }
+                    Ok(Err(StoreError::BadSignature)) => err(codes::BAD_SIGNATURE, "bad signature"),
+                    Ok(Err(StoreError::StaleEpoch)) => err(codes::STALE_EPOCH, "stale epoch"),
                     // Only the follower apply path can produce this.
-                    Err(StoreError::DuplicateSerial) => err(codes::STORAGE, "duplicate serial"),
+                    Ok(Err(StoreError::DuplicateSerial)) => err(codes::STORAGE, "duplicate serial"),
+                    Ok(Err(StoreError::Permanent)) => err(codes::POLICY, "permanently revoked"),
                 }
             }
             Request::GetFilter { have_version } => self.serve_filter(have_version),
@@ -202,14 +499,15 @@ impl Ledger {
                 have_version,
             } => self.serve_filter_tiered(have_epoch, have_version),
             Request::GetProof { id } => {
-                self.stats.proofs += 1;
+                self.obs.proofs.inc();
                 match self.store.status(&id) {
                     Some((status, _)) => Response::Proof(self.issue_proof(id, status, now)),
                     None => err(codes::UNKNOWN_RECORD, "unknown record"),
                 }
             }
+            Request::Metrics => Response::MetricsText(self.metrics_text()),
             Request::Batch(ids) => {
-                self.stats.batch_items += ids.len() as u64;
+                self.obs.batch_items.add(ids.len() as u64);
                 let items = ids
                     .into_iter()
                     .map(|id| {
@@ -227,69 +525,337 @@ impl Ledger {
                 Response::BatchStatus(items)
             }
             Request::Ping => Response::Pong,
-            Request::Metrics => Response::MetricsText(self.metrics_text()),
-            // The sequential ledger has no WAL to ship: replication is a
-            // durable-ledger feature (see `ConcurrentLedger`).
-            Request::WalSubscribe { .. } | Request::FetchSnapshot => {
-                err(codes::UNAVAILABLE, "this ledger does not serve replication")
-            }
-            // Placement is a concurrent-tier feature (see
-            // `ConcurrentLedger::set_shard_directory`).
+            Request::WalSubscribe {
+                from_seq,
+                max_frames,
+            } => self.serve_wal_subscribe(from_seq, max_frames),
+            Request::FetchSnapshot => self.serve_replication_snapshot(),
+            // Reached only without a directory: the guard above serves
+            // the map whenever one is attached.
             Request::GetShardMap => err(codes::UNAVAILABLE, "this ledger has no shard directory"),
         }
     }
 
-    /// Render the request counters in the metrics exposition format. The
-    /// sequential ledger has no registry (it is single-threaded state the
-    /// caller owns); the counters are formatted directly so both ledger
-    /// flavors answer [`Request::Metrics`] with the same grammar.
-    pub fn metrics_text(&self) -> String {
-        let s = &self.stats;
-        let mut out = String::new();
-        for (name, value) in [
-            ("irs_ledger_batch_items_total", s.batch_items),
-            ("irs_ledger_claims_total", s.claims),
-            ("irs_ledger_filters_base_total", s.filters_base),
-            ("irs_ledger_filters_delta_total", s.filters_delta),
-            ("irs_ledger_filters_full_total", s.filters_full),
-            ("irs_ledger_filters_tiered_total", s.filters_tiered),
-            ("irs_ledger_proofs_total", s.proofs),
-            ("irs_ledger_queries_total", s.queries),
-            ("irs_ledger_revokes_total", s.revokes),
-        ] {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+    /// Attach this server's shard identity + placement view. Callable
+    /// once, before serving; returns `false` (and changes nothing) if a
+    /// directory is already attached. Subsequent epoch bumps go through
+    /// [`ShardDirectory::install`] on the shared handle.
+    pub fn set_shard_directory(&self, dir: Arc<ShardDirectory>) -> bool {
+        self.shard_dir.set(dir).is_ok()
+    }
+
+    /// The attached shard directory, if any.
+    pub fn shard_directory(&self) -> Option<&Arc<ShardDirectory>> {
+        self.shard_dir.get()
+    }
+
+    /// The placement guard (DESIGN.md §15): with a directory attached,
+    /// answer `GetShardMap` from it and refuse keyed requests this
+    /// shard does not own with `WrongShard { epoch }` — claims by
+    /// rendezvous over the claim digest, record-keyed requests exactly
+    /// by `RecordId::ledger`. Unkeyed requests (filters, metrics,
+    /// replication, ping) always serve locally.
+    fn shard_guard(&self, request: &Request) -> Option<Response> {
+        let dir = self.shard_dir.get()?;
+        if matches!(request, Request::GetShardMap) {
+            let map = dir.current();
+            return Some(Response::ShardMap {
+                epoch: map.epoch(),
+                data: map.to_bytes().into(),
+            });
         }
-        out.push_str(&format!(
-            "# TYPE irs_ledger_filter_version gauge\nirs_ledger_filter_version {}\n",
-            self.filter_version()
-        ));
-        out.push_str(&format!(
-            "# TYPE irs_ledger_tiered_epoch gauge\nirs_ledger_tiered_epoch {}\n",
-            self.tiered.epoch()
-        ));
-        out
+        let own = dir.own()?;
+        let misrouted = match request {
+            Request::Claim(c) => dir.current().shard_for_claim(c).ledger != own,
+            Request::Query { id } | Request::GetProof { id } => id.ledger != own,
+            Request::Revoke(r) => r.id.ledger != own,
+            Request::Batch(ids) => ids.iter().any(|id| id.ledger != own),
+            _ => false,
+        };
+        if misrouted {
+            self.obs.wrong_shard.inc();
+            Some(Response::WrongShard { epoch: dir.epoch() })
+        } else {
+            None
+        }
     }
 
-    /// Claim custodially on behalf of an aggregator (library-level API —
-    /// aggregators co-locate with ledgers in the eventual design).
+    /// Serve one bounded batch of durable WAL frames to a polling
+    /// follower. Polling `from_seq = n` doubles as the follower's
+    /// acknowledgement of every sequence number below `n`.
+    fn serve_wal_subscribe(&self, from_seq: u64, max_frames: u32) -> Response {
+        let Some(d) = &self.durability else {
+            return err(codes::UNAVAILABLE, "this ledger has no durable log");
+        };
+        d.replication.record_ack(from_seq.saturating_sub(1));
+        let seg = d
+            .replication
+            .segment(from_seq, max_frames, d.wal.replicable_seq());
+        Response::WalSegment {
+            first_seq: seg.first_seq,
+            durable_seq: seg.durable_seq,
+            log_start_seq: seg.log_start_seq,
+            frames: seg.frames,
+        }
+    }
+
+    /// Serve a full state snapshot plus the sequence number it covers,
+    /// for follower bootstrap.
+    fn serve_replication_snapshot(&self) -> Response {
+        match self.replication_snapshot() {
+            Ok((seq, data)) => Response::Snapshot {
+                seq,
+                data: data.into(),
+            },
+            Err(_) => err(codes::UNAVAILABLE, "this ledger has no durable log"),
+        }
+    }
+
+    /// Claim custodially (aggregator ingestion path).
     pub fn claim_custodial(
-        &mut self,
-        req: irs_core::claim::ClaimRequest,
+        &self,
+        req: ClaimRequest,
         now: TimeMs,
-    ) -> (RecordId, irs_core::tsa::TimestampToken) {
-        self.stats.claims += 1;
-        self.store.claim(req, ClaimOrigin::Custodial, false, now)
+    ) -> Result<(RecordId, TimestampToken), WalError> {
+        self.obs.claims.inc();
+        self.durable_claim_traced(req, ClaimOrigin::Custodial, false, now, None)
     }
 
-    /// Claim with the "auto-register revoked" default (§4.4: owners
-    /// unrevoke the ones they want to share).
+    /// Claim with the "auto-register revoked" default.
     pub fn claim_revoked(
-        &mut self,
-        req: irs_core::claim::ClaimRequest,
+        &self,
+        req: ClaimRequest,
         now: TimeMs,
-    ) -> (RecordId, irs_core::tsa::TimestampToken) {
-        self.stats.claims += 1;
-        self.store.claim(req, ClaimOrigin::Owner, true, now)
+    ) -> Result<(RecordId, TimestampToken), WalError> {
+        self.obs.claims.inc();
+        self.durable_claim_traced(req, ClaimOrigin::Owner, true, now, None)
+    }
+
+    /// Permanently revoke (appeals outcome), durably when a WAL is
+    /// attached. The outer error is storage, the inner the store verdict.
+    pub fn permanently_revoke(&self, id: &RecordId) -> Result<Result<(), StoreError>, WalError> {
+        let Some(d) = &self.durability else {
+            return Ok(self.store.permanently_revoke(id));
+        };
+        let rec = WalRecord::AppealPin { id: *id };
+        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
+        let out = self
+            .store
+            .permanently_revoke_with(id, || logged = d.log(&rec));
+        let receipt = logged?;
+        if out.is_ok() {
+            d.wal.commit(receipt.lsn)?;
+            self.maybe_snapshot(None);
+            replication_gate(d, receipt.seq)?;
+        }
+        Ok(out)
+    }
+
+    /// Apply one record shipped from a primary (the follower apply
+    /// path). Mirrors recovery's replay, but live: the primary's serial,
+    /// origin, timestamp, status, and epoch are preserved exactly — a
+    /// follower's state is byte-identical to the stream it applied — and
+    /// the record is appended to the *local* WAL under the same shard
+    /// lock that mutates the store, exactly like the primary path. The
+    /// append is not committed here; callers batch one commit per
+    /// segment via [`commit_replicated`](Self::commit_replicated).
+    pub(crate) fn apply_replicated(&self, record: &WalRecord) -> Result<AppendReceipt, ApplyError> {
+        let Some(d) = &self.durability else {
+            return Err(ApplyError::Wal(WalError::Io(io::Error::other(
+                "follower has no durable log",
+            ))));
+        };
+        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
+        match record {
+            WalRecord::Claim {
+                serial,
+                origin,
+                initially_revoked,
+                request,
+                timestamp,
+            } => {
+                let id = RecordId::new(self.config.id, *serial);
+                let status = if *initially_revoked {
+                    RevocationStatus::Revoked
+                } else {
+                    RevocationStatus::NotRevoked
+                };
+                let stored = StoredClaim {
+                    claim: Claim {
+                        id,
+                        request: *request,
+                        timestamp: *timestamp,
+                        status,
+                        status_epoch: 0,
+                    },
+                    origin: *origin,
+                };
+                self.store
+                    .insert_replicated(stored, |_| logged = d.log(record))?;
+            }
+            WalRecord::Revoke(req) => {
+                // Re-checks the epoch chain (and the signature, which the
+                // primary verified before logging): any reordering the
+                // framing checksums let through fails here, closed.
+                self.store
+                    .apply_revoke_with(req, || logged = d.log(record))?;
+            }
+            WalRecord::AppealPin { id } => {
+                self.store
+                    .permanently_revoke_with(id, || logged = d.log(record))?;
+            }
+        }
+        logged.map_err(ApplyError::Wal)
+    }
+
+    /// Commit the local WAL through `lsn` (follower batch commit).
+    pub(crate) fn commit_replicated(&self, lsn: u64) -> Result<(), WalError> {
+        match &self.durability {
+            Some(d) => d.wal.commit(lsn),
+            None => Ok(()),
+        }
+    }
+
+    /// Cut a follower-bootstrap snapshot: the full record set plus the
+    /// sequence number it covers, captured under every shard lock so
+    /// both describe the same instant (appends assign seqs under shard
+    /// locks, so no in-flight record can fall between them). The
+    /// encoding is anchored at `(generation 0, header offset)` — the
+    /// follower re-anchors it to its own fresh WAL anyway.
+    pub fn replication_snapshot(&self) -> Result<(u64, Vec<u8>), WalError> {
+        let Some(d) = &self.durability else {
+            return Err(WalError::Io(io::Error::other(
+                "this ledger has no durable log",
+            )));
+        };
+        let (records, seq) = self.store.frozen_copy(|| d.wal.last_seq());
+        let header_end = crate::wal::WAL_HEADER_LEN as u64;
+        Ok((
+            seq,
+            encode_snapshot(self.config.id, 0, header_end, &records),
+        ))
+    }
+
+    /// Claim, logging to the WAL from inside the shard write path when
+    /// durability is on. The record is acknowledged only after
+    /// [`WalWriter::commit`] returns per the fsync policy; if the log
+    /// write fails, the claim stays in memory but is *not* acknowledged —
+    /// exactly the promise recovery makes ("nothing acknowledged is
+    /// lost"), from the other side.
+    fn durable_claim_traced(
+        &self,
+        req: ClaimRequest,
+        origin: ClaimOrigin,
+        initially_revoked: bool,
+        now: TimeMs,
+        trace: Option<&Arc<SpanRecorder>>,
+    ) -> Result<(RecordId, TimestampToken), WalError> {
+        let Some(d) = &self.durability else {
+            return Ok(self.store.claim(req, origin, initially_revoked, now));
+        };
+        let span = SpanRecorder::maybe(trace, "ledger:wal");
+        let start = Instant::now();
+        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
+        let (id, timestamp) =
+            self.store
+                .claim_with(req, origin, initially_revoked, now, |stored| {
+                    let rec = WalRecord::Claim {
+                        serial: stored.claim.id.serial,
+                        origin: stored.origin,
+                        initially_revoked: stored.claim.status != RevocationStatus::NotRevoked,
+                        request: stored.claim.request,
+                        timestamp: stored.claim.timestamp,
+                    };
+                    logged = d.log(&rec);
+                });
+        let commit = logged.and_then(|receipt| d.wal.commit(receipt.lsn).map(|()| receipt.seq));
+        self.obs.durable_apply_us.record_since(start);
+        span.verdict_result(&commit, "err");
+        drop(span);
+        let seq = commit?;
+        self.maybe_snapshot(trace);
+        replication_gate(d, seq)?;
+        Ok((id, timestamp))
+    }
+
+    /// Revoke with WAL logging; only *accepted* revocations are logged
+    /// (the hook runs after signature and epoch checks pass, under the
+    /// shard lock).
+    fn durable_revoke_traced(
+        &self,
+        req: &RevokeRequest,
+        trace: Option<&Arc<SpanRecorder>>,
+    ) -> Result<Result<(RevocationStatus, u64), StoreError>, WalError> {
+        let Some(d) = &self.durability else {
+            return Ok(self.store.apply_revoke(req));
+        };
+        let span = SpanRecorder::maybe(trace, "ledger:wal");
+        let start = Instant::now();
+        let rec = WalRecord::Revoke(*req);
+        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
+        let out = self.store.apply_revoke_with(req, || logged = d.log(&rec));
+        let commit = if out.is_ok() {
+            logged.and_then(|receipt| d.wal.commit(receipt.lsn).map(|()| receipt.seq))
+        } else {
+            logged.map(|receipt| receipt.seq)
+        };
+        self.obs.durable_apply_us.record_since(start);
+        span.verdict_result(&commit, "err");
+        drop(span);
+        let seq = commit?;
+        if out.is_ok() {
+            self.maybe_snapshot(trace);
+            replication_gate(d, seq)?;
+        }
+        Ok(out)
+    }
+
+    /// Count an operation toward the automatic-snapshot threshold and
+    /// checkpoint when it trips. Best-effort: a failed snapshot leaves
+    /// the WAL intact, so durability is unaffected (replay just stays
+    /// longer).
+    fn maybe_snapshot(&self, trace: Option<&Arc<SpanRecorder>>) {
+        let Some(d) = &self.durability else { return };
+        let Some(every) = d.snapshot_every else {
+            return;
+        };
+        let n = d.ops_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
+        if n >= every && !d.snapshotting.swap(true, Ordering::AcqRel) {
+            d.ops_since_snapshot.store(0, Ordering::Relaxed);
+            let span = SpanRecorder::maybe(trace, "ledger:snapshot");
+            let result = self.snapshot_now();
+            span.verdict_result(&result, "err");
+            d.snapshotting.store(false, Ordering::Release);
+        }
+    }
+
+    /// Write a checksummed snapshot of the full store atomically, then
+    /// truncate the WAL to the frames after the cut. No-op without
+    /// durability.
+    pub fn snapshot_now(&self) -> Result<(), WalError> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
+        let start = Instant::now();
+        // The cut: record copy and WAL position taken under every shard
+        // lock, so they describe the same instant.
+        let (records, (generation, offset)) = self.store.frozen_copy(|| d.wal.position());
+        let bytes = encode_snapshot(self.config.id, generation, offset, &records);
+        d.disk.write_atomic(SNAPSHOT_PATH, &bytes)?;
+        d.wal.rotate_at(offset)?;
+        self.obs.snapshot_us.record_since(start);
+        Ok(())
+    }
+
+    /// The durability subsystem, when attached.
+    pub fn durability(&self) -> Option<&Durability> {
+        self.durability.as_ref()
+    }
+
+    /// What the last [`recover`](Self::recover) found (None for ledgers
+    /// created fresh).
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.recovery_report
     }
 
     /// Issue a signed freshness proof.
@@ -313,125 +879,106 @@ impl Ledger {
     /// same pass reconciles the tiered pipeline: the delta tier re-covers
     /// `revoked \ base`, and a delta past the compaction threshold seals
     /// a new fuse base (epoch roll).
-    pub fn publish_filter(&mut self) -> u64 {
-        let version = self.snapshot.as_ref().map(|s| s.version + 1).unwrap_or(1);
-        self.previous_snapshot = self.snapshot.take();
-        self.snapshot = Some(FilterSnapshot {
-            version,
-            filter: self.store.filter_index().to_bloom(),
-        });
-        self.tiered
+    ///
+    /// The publisher mutex is held from projection to both pointer
+    /// rotations, so concurrent publishers serialize: a later version
+    /// always carries a later projection, and the served tiered snapshot
+    /// never trails the publisher's own state. Serves never take that
+    /// mutex — they clone an `Arc` out under a brief read lock — so no
+    /// `GetFilter` waits behind a projection or a fuse construction.
+    pub fn publish_filter(&self) -> u64 {
+        let mut tiered = self.tiered.lock();
+        let filter = self.store.project_filter();
+        tiered
             .publish(&self.store.revoked_filter_keys())
             .expect("tiered config validated at construction");
+        *self.tiered_snap.write() = tiered.snapshot();
+        let mut pair = self.snapshots.write();
+        let version = pair.current.as_ref().map(|s| s.version + 1).unwrap_or(1);
+        pair.previous = pair.current.take();
+        pair.current = Some(Arc::new(Snapshot { version, filter }));
         version
-    }
-
-    /// Current published snapshot version (0 = never published).
-    pub fn filter_version(&self) -> u64 {
-        self.snapshot.as_ref().map(|s| s.version).unwrap_or(0)
-    }
-
-    /// The current published filter, if any (proxies use this in-process;
-    /// the wire path uses [`Request::GetFilter`]).
-    pub fn published_filter(&self) -> Option<&BloomFilter> {
-        self.snapshot.as_ref().map(|s| &s.filter)
     }
 
     /// Current tiered epoch (1 until the first compaction seals a base).
     pub fn tiered_epoch(&self) -> u64 {
-        self.tiered.epoch()
+        self.tiered_snap.read().epoch()
     }
 
     /// The current tiered publication (in-process consumers; the wire
     /// path uses [`Request::GetFilterTiered`]).
     pub fn tiered_snapshot(&self) -> Arc<TieredSnapshot> {
-        self.tiered.snapshot()
+        Arc::clone(&self.tiered_snap.read())
     }
 
-    /// Promote into a [`crate::ConcurrentLedger`] with `num_shards`
-    /// stripes; records, published snapshots, and stats carry over.
-    pub fn into_concurrent(self, num_shards: usize) -> crate::ConcurrentLedger {
-        crate::ConcurrentLedger::from_ledger(self, num_shards)
+    /// Current published snapshot version (0 = never published).
+    pub fn filter_version(&self) -> u64 {
+        self.snapshots
+            .read()
+            .current
+            .as_ref()
+            .map(|s| s.version)
+            .unwrap_or(0)
     }
 
-    /// Decompose for promotion (config, store, keys, (current, previous)
-    /// published snapshots, tiered publisher, stats).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        LedgerConfig,
-        LedgerStore,
-        Keypair,
-        PublicKey,
-        (Option<(u64, BloomFilter)>, Option<(u64, BloomFilter)>),
-        TieredPublisher,
-        LedgerStats,
-    ) {
-        (
-            self.config,
-            self.store,
-            self.signing_key,
-            self.tsa_key,
-            (
-                self.snapshot.map(|s| (s.version, s.filter)),
-                self.previous_snapshot.map(|s| (s.version, s.filter)),
-            ),
-            self.tiered,
-            self.stats,
-        )
+    /// The current published filter, if any (cloned `Arc`; cheap).
+    pub fn published_filter(&self) -> Option<BloomFilter> {
+        self.snapshots
+            .read()
+            .current
+            .as_ref()
+            .map(|s| s.filter.clone())
     }
 
-    fn serve_filter(&mut self, have_version: u64) -> Response {
-        let Some(snapshot) = &self.snapshot else {
+    fn serve_filter(&self, have_version: u64) -> Response {
+        // Clone the two Arcs under the read lock, then serialize and
+        // diff off-lock.
+        let (current, previous) = {
+            let pair = self.snapshots.read();
+            (pair.current.clone(), pair.previous.clone())
+        };
+        let Some(snapshot) = current else {
             return err(codes::BAD_REQUEST, "no filter published yet");
         };
         // Requesters already current get an empty delta; requesters one
         // version behind get the real delta (the retained previous
         // snapshot makes it computable); anything older re-ships full.
-        if have_version == snapshot.version {
-            let d =
-                BloomDelta::diff(&snapshot.filter, &snapshot.filter).expect("identical geometry");
-            self.stats.filters_delta += 1;
+        let base = if have_version == snapshot.version {
+            Some(&snapshot)
+        } else {
+            previous.as_ref().filter(|p| p.version == have_version)
+        };
+        if let Some(base) = base {
+            let d = BloomDelta::diff(&base.filter, &snapshot.filter)
+                .expect("same geometry across versions");
+            self.obs.filters_delta.inc();
             return Response::FilterDelta {
                 from_version: have_version,
                 to_version: snapshot.version,
                 data: d.to_bytes(),
             };
         }
-        if let Some(prev) = &self.previous_snapshot {
-            if have_version == prev.version {
-                let d = BloomDelta::diff(&prev.filter, &snapshot.filter)
-                    .expect("same geometry across versions");
-                self.stats.filters_delta += 1;
-                return Response::FilterDelta {
-                    from_version: prev.version,
-                    to_version: snapshot.version,
-                    data: d.to_bytes(),
-                };
-            }
-        }
-        self.stats.filters_full += 1;
+        self.obs.filters_full.inc();
         Response::FilterFull {
             version: snapshot.version,
             data: snapshot.filter.to_bytes(),
         }
     }
 
-    fn serve_filter_tiered(&mut self, have_epoch: u64, have_version: u64) -> Response {
+    fn serve_filter_tiered(&self, have_epoch: u64, have_version: u64) -> Response {
         // Publication cadence gates both pipelines: before the first
         // publish there is nothing tiered to serve either.
-        if self.snapshot.is_none() {
+        if self.snapshots.read().current.is_none() {
             return err(codes::BAD_REQUEST, "no filter published yet");
         }
-        let snap = self.tiered.snapshot();
+        // Clone the Arc under the read lock; diff and serialize off-lock.
+        let snap = self.tiered_snapshot();
         match snap.serve(have_epoch, have_version) {
             TieredServe::Current => {
                 // Same shape as the legacy path: up-to-date requesters
-                // get an empty delta rather than a distinct "no change"
-                // message.
+                // get an empty delta.
                 let d = BloomDelta::diff(snap.delta(), snap.delta()).expect("identical geometry");
-                self.stats.filters_delta += 1;
+                self.obs.filters_delta.inc();
                 Response::FilterDelta {
                     from_version: have_version,
                     to_version: snap.delta_version(),
@@ -443,7 +990,7 @@ impl Ledger {
                 to_version,
                 delta,
             } => {
-                self.stats.filters_delta += 1;
+                self.obs.filters_delta.inc();
                 Response::FilterDelta {
                     from_version,
                     to_version,
@@ -451,7 +998,7 @@ impl Ledger {
                 }
             }
             TieredServe::Base { epoch, base } => {
-                self.stats.filters_base += 1;
+                self.obs.filters_base.inc();
                 Response::FilterBase { epoch, data: base }
             }
             TieredServe::Tiered {
@@ -460,7 +1007,7 @@ impl Ledger {
                 delta_version,
                 delta,
             } => {
-                self.stats.filters_tiered += 1;
+                self.obs.filters_tiered.inc();
                 Response::FilterTiered {
                     epoch,
                     base,
@@ -479,79 +1026,33 @@ fn err(code: u16, message: &str) -> Response {
     }
 }
 
-/// Retains consecutive filter snapshots and produces deltas between them —
-/// the publication pipeline of §4.4 (experiment E6 measures the byte
-/// volumes).
-pub struct FilterPublisher {
-    previous: Option<(u64, BloomFilter)>,
-}
-
-/// What the publisher emits for one cadence tick.
-#[derive(Clone, Debug)]
-pub enum FilterUpdate {
-    /// First publication: subscribers need the full filter.
-    Full {
-        /// Snapshot version.
-        version: u64,
-        /// Serialized filter.
-        data: bytes::Bytes,
-    },
-    /// Subsequent publication: subscribers holding `from_version` apply
-    /// the delta.
-    Delta {
-        /// Previous version.
-        from_version: u64,
-        /// New version.
-        to_version: u64,
-        /// Serialized [`BloomDelta`].
-        data: bytes::Bytes,
-        /// Full-filter size for the same snapshot, for comparison.
-        full_bytes: usize,
-    },
-}
-
-impl Default for FilterPublisher {
-    fn default() -> Self {
-        Self::new()
+/// Block until the configured [`ReplicationPolicy`] is satisfied for
+/// `seq`. Called after the local commit, *outside* every shard lock (the
+/// follower's poll must be able to reach the replication log while we
+/// wait). A timeout surfaces as a storage error: the write is durable
+/// locally but was never acknowledged, so the client retries — the
+/// at-least-once edge the guarantee matrix documents.
+fn replication_gate(d: &Durability, seq: u64) -> Result<(), WalError> {
+    if let ReplicationPolicy::WaitForFollower { timeout_ms } = d.replication_policy {
+        if !d
+            .replication
+            .wait_acked(seq, Duration::from_millis(timeout_ms))
+        {
+            return Err(WalError::Io(io::Error::other(
+                "replication ack timeout: durable locally, unconfirmed on the follower",
+            )));
+        }
     }
-}
-
-impl FilterPublisher {
-    /// New publisher with no history.
-    pub fn new() -> FilterPublisher {
-        FilterPublisher { previous: None }
-    }
-
-    /// Publish the ledger's current claim set; returns the update to ship.
-    pub fn publish(&mut self, ledger: &mut Ledger) -> FilterUpdate {
-        let version = ledger.publish_filter();
-        let current = ledger.published_filter().expect("just published").clone();
-        let update = match &self.previous {
-            Some((prev_version, prev_filter)) => {
-                let delta =
-                    BloomDelta::diff(prev_filter, &current).expect("same geometry across versions");
-                FilterUpdate::Delta {
-                    from_version: *prev_version,
-                    to_version: version,
-                    data: delta.to_bytes(),
-                    full_bytes: current.to_bytes().len(),
-                }
-            }
-            None => FilterUpdate::Full {
-                version,
-                data: current.to_bytes(),
-            },
-        };
-        self.previous = Some((version, current));
-        update
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs_core::claim::{ClaimRequest, RevokeRequest};
-    use irs_crypto::{Digest, Keypair};
+    use irs_crypto::Digest;
+    use irs_filters::{Filter, Fuse8, TieredFilter};
+    use std::sync::Barrier;
+    use std::thread;
 
     fn ledger() -> Ledger {
         Ledger::new(
@@ -560,12 +1061,18 @@ mod tests {
         )
     }
 
-    fn kp(seed: u8) -> Keypair {
-        Keypair::from_seed(&[seed; 32])
+    fn small_tiers(id: u16) -> LedgerConfig {
+        let mut cfg = LedgerConfig::new(LedgerId(id));
+        cfg.tiered = TieredConfig {
+            delta_capacity: 64,
+            delta_fpr: 1e-3,
+            compact_at: 4,
+        };
+        cfg
     }
 
-    fn claim_one(l: &mut Ledger, seed: u8) -> (RecordId, Keypair) {
-        let keypair = kp(seed);
+    fn claim_one(l: &Ledger, seed: u8) -> (RecordId, Keypair) {
+        let keypair = Keypair::from_seed(&[seed; 32]);
         let req = ClaimRequest::create(&keypair, &Digest::of(&[seed]));
         match l.handle(Request::Claim(req), TimeMs(10)) {
             Response::Claimed { id, .. } => (id, keypair),
@@ -573,62 +1080,77 @@ mod tests {
         }
     }
 
+    fn revoke(l: &Ledger, id: RecordId, keypair: &Keypair) {
+        let rv = RevokeRequest::create(keypair, id, true, 0);
+        match l.handle(Request::Revoke(rv), TimeMs(20)) {
+            Response::RevokeAck { status, epoch, .. } => {
+                assert_eq!((status, epoch), (RevocationStatus::Revoked, 1));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn claim_revoked(l: &Ledger, seed: u8) -> RecordId {
+        let (id, keypair) = claim_one(l, seed);
+        revoke(l, id, &keypair);
+        id
+    }
+
+    const BOOTSTRAP: Request = Request::GetFilterTiered {
+        have_epoch: 0,
+        have_version: 0,
+    };
+
+    /// The tier a bootstrapping client would install right now.
+    fn fetch_tier(l: &Ledger) -> TieredFilter {
+        match l.handle(BOOTSTRAP, TimeMs(5)) {
+            Response::FilterTiered {
+                epoch,
+                base,
+                delta_version,
+                delta,
+            } => TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn assert_error(response: Response, expected: u16) {
+        match response {
+            Response::Error { code, .. } => assert_eq!(code, expected),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn claim_query_revoke_flow() {
-        let mut l = ledger();
-        let (id, keypair) = claim_one(&mut l, 1);
+        let l = ledger();
+        let (id, keypair) = claim_one(&l, 1);
         match l.handle(Request::Query { id }, TimeMs(20)) {
             Response::Status { status, epoch, .. } => {
-                assert_eq!(status, RevocationStatus::NotRevoked);
-                assert_eq!(epoch, 0);
+                assert_eq!((status, epoch), (RevocationStatus::NotRevoked, 0));
             }
             other => panic!("unexpected {other:?}"),
         }
-        let rv = RevokeRequest::create(&keypair, id, true, 0);
-        match l.handle(Request::Revoke(rv), TimeMs(30)) {
-            Response::RevokeAck { status, epoch, .. } => {
-                assert_eq!(status, RevocationStatus::Revoked);
-                assert_eq!(epoch, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats.claims, 1);
-        assert_eq!(l.stats.queries, 1);
-        assert_eq!(l.stats.revokes, 1);
+        revoke(&l, id, &keypair);
+        let stats = l.stats();
+        assert_eq!((stats.claims, stats.queries, stats.revokes), (1, 1, 1));
+        assert_eq!(l.handle(Request::Ping, TimeMs(0)), Response::Pong);
+        let ghost = RecordId::new(LedgerId(1), 404);
+        assert_error(
+            l.handle(Request::Query { id: ghost }, TimeMs(1)),
+            codes::UNKNOWN_RECORD,
+        );
     }
 
     #[test]
-    fn unknown_record_errors() {
-        let mut l = ledger();
-        let id = RecordId::new(LedgerId(1), 404);
-        match l.handle(Request::Query { id }, TimeMs(1)) {
-            Response::Error { code, .. } => assert_eq!(code, codes::UNKNOWN_RECORD),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_batch_yields_empty_status_list() {
-        let mut l = ledger();
-        match l.handle(Request::Batch(Vec::new()), TimeMs(1)) {
-            Response::BatchStatus(items) => assert!(items.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats.batch_items, 0);
-    }
-
-    #[test]
-    fn batch_answers_duplicates_positionally() {
+    fn batch_answers_positionally_and_fails_open() {
         // A proxy that doesn't dedup may repeat an id; each occurrence
         // gets its own slot in the reply, in request order.
-        let mut l = ledger();
-        let (id, keypair) = claim_one(&mut l, 3);
-        let rv = RevokeRequest::create(&keypair, id, true, 0);
-        let Response::RevokeAck { .. } = l.handle(Request::Revoke(rv), TimeMs(5)) else {
-            panic!("revoke failed");
-        };
+        let l = ledger();
+        let a = claim_revoked(&l, 3);
+        let (b, _) = claim_one(&l, 4);
         let unknown = RecordId::new(LedgerId(1), 404);
-        let batch = vec![id, unknown, id];
+        let batch = vec![a, unknown, b, a];
         match l.handle(Request::Batch(batch.clone()), TimeMs(10)) {
             Response::BatchStatus(items) => {
                 assert_eq!(
@@ -636,37 +1158,80 @@ mod tests {
                     batch,
                     "reply order must mirror request order, duplicates included"
                 );
-                assert_eq!(items[0].1, RevocationStatus::Revoked);
-                // Unknown ids fail open.
-                assert_eq!(items[1].1, RevocationStatus::NotRevoked);
-                assert_eq!(items[2].1, RevocationStatus::Revoked);
+                // Unknown records are reported NotRevoked: the viewer
+                // fails open (Nongoal #4) and an unknown id is
+                // indistinguishable from another ledger's.
+                let statuses: Vec<_> = items.iter().map(|(_, s)| *s).collect();
+                use RevocationStatus::{NotRevoked, Revoked};
+                assert_eq!(statuses, [Revoked, NotRevoked, NotRevoked, Revoked]);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(l.stats.batch_items, 3);
+        assert_eq!(l.stats().batch_items, 4);
+        match l.handle(Request::Batch(Vec::new()), TimeMs(1)) {
+            Response::BatchStatus(items) => assert!(items.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().batch_items, 4);
     }
 
     #[test]
-    fn non_revocable_policy_refuses_revocation_but_allows_unrevoke() {
+    fn batch_preserves_order_across_shards() {
+        // Claim enough records that consecutive serials land on different
+        // shards, revoke every third, then batch-query them in a shuffled
+        // order: the reply must mirror the request positionally even
+        // though the lookups fan out across shard locks.
+        let l = ledger();
+        let mut ids = Vec::new();
+        for seed in 0..32u8 {
+            let (id, keypair) = claim_one(&l, seed);
+            if seed % 3 == 0 {
+                revoke(&l, id, &keypair);
+            }
+            ids.push(id);
+        }
+        // Deterministic shuffle: stride through the list coprime to its
+        // length, mixing shards at every step.
+        let batch: Vec<RecordId> = (0..ids.len()).map(|i| ids[(i * 7) % ids.len()]).collect();
+        match l.handle(Request::Batch(batch.clone()), TimeMs(30)) {
+            Response::BatchStatus(items) => {
+                assert_eq!(
+                    items.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                    batch,
+                    "sharded lookups must not reorder the reply"
+                );
+                for (id, status) in items {
+                    let expected = if id.serial % 3 == 0 {
+                        RevocationStatus::Revoked
+                    } else {
+                        RevocationStatus::NotRevoked
+                    };
+                    assert_eq!(status, expected, "wrong status for serial {}", id.serial);
+                }
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().batch_items, 32);
+    }
+
+    #[test]
+    fn non_revocable_policy_refuses_revocation() {
         let mut cfg = LedgerConfig::new(LedgerId(2));
         cfg.policy = LedgerPolicy::NonRevocable;
-        let mut l = Ledger::new(cfg, TimestampAuthority::from_seed(2));
-        let keypair = kp(9);
+        let l = Ledger::new(cfg, TimestampAuthority::from_seed(2));
+        let keypair = Keypair::from_seed(&[9; 32]);
         let req = ClaimRequest::create(&keypair, &Digest::of(b"evidence"));
         let Response::Claimed { id, .. } = l.handle(Request::Claim(req), TimeMs(1)) else {
             panic!("claim failed");
         };
         let rv = RevokeRequest::create(&keypair, id, true, 0);
-        match l.handle(Request::Revoke(rv), TimeMs(2)) {
-            Response::Error { code, .. } => assert_eq!(code, codes::POLICY),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_error(l.handle(Request::Revoke(rv), TimeMs(2)), codes::POLICY);
     }
 
     #[test]
     fn proof_issuance_and_verification() {
-        let mut l = ledger();
-        let (id, _) = claim_one(&mut l, 3);
+        let l = ledger();
+        let (id, _) = claim_one(&l, 3);
         match l.handle(Request::GetProof { id }, TimeMs(1_000)) {
             Response::Proof(p) => {
                 assert!(p.verify(&l.public_key(), TimeMs(2_000)));
@@ -675,132 +1240,77 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(l.stats.proofs, 1);
+        assert_eq!(l.stats().proofs, 1);
     }
 
     #[test]
-    fn batch_query() {
-        let mut l = ledger();
-        let (a, keypair) = claim_one(&mut l, 4);
-        let (b, _) = claim_one(&mut l, 5);
-        let rv = RevokeRequest::create(&keypair, a, true, 0);
-        l.handle(Request::Revoke(rv), TimeMs(5));
-        let unknown = RecordId::new(LedgerId(1), 77);
-        match l.handle(Request::Batch(vec![a, b, unknown]), TimeMs(6)) {
-            Response::BatchStatus(items) => {
-                assert_eq!(items.len(), 3);
-                assert_eq!(items[0], (a, RevocationStatus::Revoked));
-                assert_eq!(items[1], (b, RevocationStatus::NotRevoked));
-                assert_eq!(items[2], (unknown, RevocationStatus::NotRevoked));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats.batch_items, 3);
+    fn custodial_and_revoked_claims() {
+        let l = ledger();
+        let req = ClaimRequest::create(&Keypair::from_seed(&[11; 32]), &Digest::of(b"upload"));
+        let (id, _) = l.claim_custodial(req, TimeMs(1)).unwrap();
+        assert_eq!(l.store().get(&id).unwrap().origin, ClaimOrigin::Custodial);
+        let req2 = ClaimRequest::create(&Keypair::from_seed(&[12; 32]), &Digest::of(b"auto"));
+        let (id2, _) = l.claim_revoked(req2, TimeMs(2)).unwrap();
+        assert_eq!(l.store().status(&id2), Some((RevocationStatus::Revoked, 0)));
     }
 
+    /// The §4.4 publication pipeline over the wire: nothing before the
+    /// first publish, then Full, then a Delta (much smaller than the
+    /// filter it patches) for a requester one version behind, and an
+    /// empty delta for one already current.
     #[test]
     fn filter_publication_full_then_delta() {
-        let mut l = ledger();
-        let (id_a, kp_a) = claim_one(&mut l, 6);
-        let rv = RevokeRequest::create(&kp_a, id_a, true, 0);
-        l.handle(Request::Revoke(rv), TimeMs(5));
-        let mut publisher = FilterPublisher::new();
-        let first = publisher.publish(&mut l);
-        assert!(matches!(first, FilterUpdate::Full { version: 1, .. }));
-        let (id_b, kp_b) = claim_one(&mut l, 7);
-        let rv = RevokeRequest::create(&kp_b, id_b, true, 0);
-        l.handle(Request::Revoke(rv), TimeMs(6));
-        let second = publisher.publish(&mut l);
-        match second {
-            FilterUpdate::Delta {
-                from_version,
-                to_version,
-                data,
-                full_bytes,
-            } => {
-                assert_eq!((from_version, to_version), (1, 2));
-                assert!(
-                    data.len() < full_bytes,
-                    "delta {} should be smaller than full {}",
-                    data.len(),
-                    full_bytes
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wire_filter_request() {
-        let mut l = ledger();
-        let (id, kp) = claim_one(&mut l, 8);
-        let rv = RevokeRequest::create(&kp, id, true, 0);
-        l.handle(Request::Revoke(rv), TimeMs(1));
-        // Before publication: error.
-        match l.handle(Request::GetFilter { have_version: 0 }, TimeMs(1)) {
-            Response::Error { code, .. } => assert_eq!(code, codes::BAD_REQUEST),
-            other => panic!("unexpected {other:?}"),
-        }
-        l.publish_filter();
-        match l.handle(Request::GetFilter { have_version: 0 }, TimeMs(2)) {
+        let l = ledger();
+        claim_revoked(&l, 2);
+        assert_error(
+            l.handle(Request::GetFilter { have_version: 0 }, TimeMs(1)),
+            codes::BAD_REQUEST,
+        );
+        assert_eq!(l.publish_filter(), 1);
+        let full_bytes = match l.handle(Request::GetFilter { have_version: 0 }, TimeMs(2)) {
             Response::FilterFull { version, data } => {
                 assert_eq!(version, 1);
-                let f = BloomFilter::from_bytes(data).unwrap();
+                let f = BloomFilter::from_bytes(data.clone()).unwrap();
                 assert_eq!(f.inserted(), 1);
+                data.len()
             }
             other => panic!("unexpected {other:?}"),
+        };
+        claim_revoked(&l, 3);
+        assert_eq!(l.publish_filter(), 2);
+        assert_eq!(l.filter_version(), 2);
+        for (have_version, served_from) in [(1, 1), (2, 2)] {
+            match l.handle(Request::GetFilter { have_version }, TimeMs(3)) {
+                Response::FilterDelta {
+                    from_version,
+                    to_version,
+                    data,
+                } => {
+                    assert_eq!((from_version, to_version), (served_from, 2));
+                    assert!(
+                        data.len() < full_bytes,
+                        "delta {} should be smaller than full {full_bytes}",
+                        data.len(),
+                    );
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        // Up-to-date requester gets an (empty) delta.
-        match l.handle(Request::GetFilter { have_version: 1 }, TimeMs(3)) {
-            Response::FilterDelta {
-                from_version,
-                to_version,
-                ..
-            } => assert_eq!((from_version, to_version), (1, 1)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(l.stats().filters_delta, 2);
     }
 
     #[test]
     fn wire_tiered_filter_flow() {
-        use irs_filters::{Filter, TieredFilter};
-        let mut l = ledger();
-        let (id, kp) = claim_one(&mut l, 20);
-        let rv = RevokeRequest::create(&kp, id, true, 0);
-        l.handle(Request::Revoke(rv), TimeMs(1));
+        let l = ledger();
+        let id = claim_revoked(&l, 20);
         // Before publication: error, exactly like the legacy path.
-        match l.handle(
-            Request::GetFilterTiered {
-                have_epoch: 0,
-                have_version: 0,
-            },
-            TimeMs(1),
-        ) {
-            Response::Error { code, .. } => assert_eq!(code, codes::BAD_REQUEST),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_error(l.handle(BOOTSTRAP, TimeMs(1)), codes::BAD_REQUEST);
         l.publish_filter();
         // Bootstrap requester: full tiered install (no epoch sealed yet,
-        // so the base blob is empty and the delta answers the key).
-        let tier = match l.handle(
-            Request::GetFilterTiered {
-                have_epoch: 0,
-                have_version: 0,
-            },
-            TimeMs(2),
-        ) {
-            Response::FilterTiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            } => {
-                assert_eq!(epoch, 1, "no compaction has sealed a base yet");
-                assert!(base.is_empty());
-                TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap()
-            }
-            other => panic!("unexpected {other:?}"),
-        };
+        // so there is no base and the delta answers the key).
+        let tier = fetch_tier(&l);
+        assert_eq!(tier.epoch(), 1, "no compaction has sealed a base yet");
+        assert!(tier.base().is_none());
         assert!(tier.contains(id.filter_key()));
         // Up-to-date requester: empty delta, version unchanged.
         match l.handle(
@@ -817,27 +1327,16 @@ mod tests {
             } => assert_eq!(from_version, to_version),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(l.stats.filters_tiered, 1);
-        assert_eq!(l.stats.filters_delta, 1);
+        assert_eq!(l.stats().filters_tiered, 1);
+        assert_eq!(l.stats().filters_delta, 1);
     }
 
     #[test]
     fn tiered_compaction_rolls_epoch_through_publication() {
-        use irs_filters::{Filter, Fuse8};
-        let mut cfg = LedgerConfig::new(LedgerId(3));
-        cfg.tiered = TieredConfig {
-            delta_capacity: 64,
-            delta_fpr: 1e-3,
-            compact_at: 4,
-        };
-        let mut l = Ledger::new(cfg, TimestampAuthority::from_seed(3));
-        let mut keys = Vec::new();
-        for seed in 30..38u8 {
-            let (id, keypair) = claim_one(&mut l, seed);
-            let rv = RevokeRequest::create(&keypair, id, true, 0);
-            l.handle(Request::Revoke(rv), TimeMs(2));
-            keys.push(id.filter_key());
-        }
+        let l = Ledger::new(small_tiers(3), TimestampAuthority::from_seed(3));
+        let keys: Vec<u64> = (30..38u8)
+            .map(|seed| claim_revoked(&l, seed).filter_key())
+            .collect();
         // 8 delta keys ≥ compact_at=4: the publish seals epoch 2.
         l.publish_filter();
         assert_eq!(l.tiered_epoch(), 2);
@@ -858,27 +1357,184 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(l.stats.filters_base, 1);
+        assert_eq!(l.stats().filters_base, 1);
     }
 
     #[test]
-    fn custodial_and_revoked_claims() {
-        let mut l = ledger();
-        let keypair = kp(11);
-        let req = ClaimRequest::create(&keypair, &Digest::of(b"upload"));
-        let (id, _) = l.claim_custodial(req, TimeMs(1));
+    fn tiered_wire_serving_under_concurrent_publication() {
+        let l = Ledger::with_shards(small_tiers(1), TimestampAuthority::from_seed(1), 4);
+        let keys: Vec<u64> = (0..8u8)
+            .map(|seed| claim_revoked(&l, seed).filter_key())
+            .collect();
+        l.publish_filter();
+        assert_eq!(l.tiered_epoch(), 2, "8 keys past compact_at=4 must seal");
+        // Readers hammer the bootstrap path while more publications roll
+        // epochs underneath them; every response must decode into a tier
+        // that answers all keys revoked before the first publish.
+        let stop = AtomicBool::new(false);
+        thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Acquire) {
+                        let tier = fetch_tier(&l);
+                        for &k in &keys {
+                            assert!(tier.contains(k), "tier lost a revoked key");
+                        }
+                    }
+                });
+            }
+            for round in 0..4u8 {
+                for seed in 0..6u8 {
+                    claim_revoked(&l, 16 + round * 6 + seed);
+                }
+                l.publish_filter();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        assert!(l.tiered_epoch() >= 3, "publication rounds never compacted");
+        assert!(l.stats().filters_tiered >= 2);
+    }
+
+    /// Publishers race each other and a stream of revocations. With
+    /// revoke-only traffic a later publication can only cover more keys,
+    /// so a reader must never see a version, a tiered `(epoch, delta
+    /// version)`, or the coverage either carries move backwards — a
+    /// proxy one version behind would otherwise apply a delta that
+    /// *clears* a revoked key.
+    #[test]
+    fn racing_publishers_never_move_the_filter_backwards() {
+        const PUBLISHERS: usize = 2;
+        let mut cfg = small_tiers(1);
+        cfg.filter_capacity = 2_000;
+        let l = Ledger::with_shards(cfg, TimestampAuthority::from_seed(1), 4);
+        let owned: Vec<(RecordId, Keypair)> = (0..120u8).map(|seed| claim_one(&l, seed)).collect();
+        let keys: Vec<u64> = owned.iter().map(|(id, _)| id.filter_key()).collect();
+        let covered = |f: &dyn Filter| keys.iter().filter(|&&k| f.contains(k)).count();
+        let revoking = AtomicBool::new(true);
+        let start = Barrier::new(PUBLISHERS + 2);
+        thread::scope(|scope| {
+            for _ in 0..PUBLISHERS {
+                scope.spawn(|| {
+                    start.wait();
+                    while revoking.load(Ordering::Acquire) {
+                        l.publish_filter();
+                    }
+                    // One publish that starts after the last revocation.
+                    l.publish_filter();
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                let (mut legacy, mut tiered) = ((0, 0), ((0, 0), 0));
+                while revoking.load(Ordering::Acquire) {
+                    let Response::FilterFull { version, data } =
+                        l.handle(Request::GetFilter { have_version: 0 }, TimeMs(5))
+                    else {
+                        continue; // nothing published yet
+                    };
+                    let seen = (version, covered(&BloomFilter::from_bytes(data).unwrap()));
+                    assert!(
+                        seen.0 >= legacy.0 && seen.1 >= legacy.1,
+                        "filter went from {legacy:?} to {seen:?} (version, keys covered)"
+                    );
+                    legacy = seen;
+                    let tier = fetch_tier(&l);
+                    let seen = ((tier.epoch(), tier.delta_version()), covered(&tier));
+                    assert!(
+                        seen.0 >= tiered.0 && seen.1 >= tiered.1,
+                        "tier went from {tiered:?} to {seen:?} ((epoch, version), keys covered)"
+                    );
+                    tiered = seen;
+                }
+            });
+            start.wait();
+            for (id, keypair) in &owned {
+                revoke(&l, *id, keypair);
+            }
+            revoking.store(false, Ordering::Release);
+        });
+        assert_eq!(covered(&l.published_filter().unwrap()), keys.len());
+        assert_eq!(covered(&fetch_tier(&l)), keys.len());
+        // The served tiered snapshot is the publisher's own latest state.
+        let (served, own) = (l.tiered_snapshot(), l.tiered.lock().snapshot());
         assert_eq!(
-            l.store().get(&id).unwrap().origin,
-            crate::store::ClaimOrigin::Custodial
+            (served.epoch(), served.delta_version()),
+            (own.epoch(), own.delta_version())
         );
-        let req2 = ClaimRequest::create(&kp(12), &Digest::of(b"auto"));
-        let (id2, _) = l.claim_revoked(req2, TimeMs(2));
-        assert_eq!(l.store().status(&id2), Some((RevocationStatus::Revoked, 0)));
     }
 
     #[test]
-    fn ping_pong() {
-        let mut l = ledger();
-        assert_eq!(l.handle(Request::Ping, TimeMs(0)), Response::Pong);
+    fn parallel_claims_and_queries() {
+        let l = ledger();
+        let all_ids: Vec<RecordId> = thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u8)
+                .map(|t| {
+                    let l = &l;
+                    scope.spawn(move || (0..25u8).map(|i| claim_one(l, t * 25 + i).0).collect())
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| -> Vec<RecordId> { w.join().unwrap() })
+                .collect()
+        });
+        assert_eq!(all_ids.len(), 100);
+        thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for id in &all_ids {
+                        match l.handle(Request::Query { id: *id }, TimeMs(50)) {
+                            Response::Status { .. } => {}
+                            other => panic!("unexpected {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(l.stats().queries, 400);
+        assert_eq!(l.store().len(), 100);
+    }
+
+    /// One exposition, durable or not: a memory-only ledger answers
+    /// `Request::Metrics` with every series a durable one does (bar the
+    /// replication log's own gauges), from the same registry.
+    #[test]
+    fn memory_only_ledger_exposes_the_durable_series_set() {
+        let disk: Arc<dyn Disk> = Arc::new(crate::ChaosDisk::new(crate::ChaosDiskConfig::off(1)));
+        let durable = Ledger::recover(
+            LedgerConfig::new(LedgerId(1)),
+            TimestampAuthority::from_seed(1),
+            4,
+            DurabilityConfig::new(disk, FsyncPolicy::Always),
+        )
+        .unwrap();
+        let scrape = |l: &Ledger| {
+            let (id, _) = claim_one(l, 1);
+            l.handle(Request::Query { id }, TimeMs(20));
+            let Response::MetricsText(text) = l.handle(Request::Metrics, TimeMs(30)) else {
+                panic!("expected metrics text");
+            };
+            irs_obs::parse_exposition(&text)
+        };
+        let (memory, durable) = (scrape(&ledger()), scrape(&durable));
+        assert_eq!(
+            memory.keys().collect::<Vec<_>>(),
+            durable
+                .keys()
+                .filter(|name| !name.starts_with("irs_ledger_repl_"))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (memory["irs_ledger_durable"], durable["irs_ledger_durable"]),
+            (0.0, 1.0)
+        );
+        for name in [
+            "irs_ledger_records",
+            "irs_ledger_queries_total",
+            "irs_ledger_claims_total",
+        ] {
+            assert_eq!((memory[name], durable[name]), (1.0, 1.0), "{name}");
+        }
+        assert_eq!(memory["irs_ledger_tiered_epoch"], 1.0);
     }
 }

@@ -1,9 +1,10 @@
 //! Checksummed ledger snapshots.
 //!
-//! A snapshot is a point-in-time copy of the full record set plus the
-//! counting-Bloom revocation index, written atomically (tmp + fsync +
-//! rename via [`crate::disk::Disk::write_atomic`]) and guarded by a
-//! trailing CRC-32 over the entire body. It also records the WAL
+//! A snapshot is a point-in-time copy of the full record set (the store
+//! rebuilds its per-stripe revocation filters from the records), written
+//! atomically (tmp + fsync + rename via
+//! [`crate::disk::Disk::write_atomic`]) and guarded by a trailing CRC-32
+//! over the entire body. It also records the WAL
 //! `(generation, offset)` it was cut at, which is what lets recovery
 //! replay exactly the log suffix the snapshot does not cover — and no
 //! more — even if the crash landed between the snapshot commit and the
@@ -12,39 +13,46 @@
 //! File layout:
 //!
 //! ```text
-//! [magic "IRSSNAP1" (8)] [ledger id (2)]
+//! [magic "IRSSNAP2" (8)] [ledger id (2)]
 //! [wal generation (8)] [wal offset (8)]
 //! [record count (8)] [record]*
-//! [filter blob len u32] [CountingBloom::to_bytes blob]
 //! [crc32 over everything above (4)]
 //! record := [serial u64] [origin u8] [status u8] [epoch u64]
 //!           [ClaimRequest] [TimestampToken]
 //! ```
+//!
+//! `IRSSNAP1` carried a monolithic counting-Bloom blob after the records
+//! that nothing read; such a file is refused as
+//! [`SnapshotError::UnsupportedVersion`], never parsed.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use irs_core::claim::{Claim, ClaimRequest, RevocationStatus};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::tsa::TimestampToken;
 use irs_core::wire::Wire;
-use irs_filters::CountingBloom;
 
 use crate::store::{ClaimOrigin, StoredClaim};
 use crate::wal::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"IRSSNAP1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"IRSSNAP2";
 
 /// Errors decoding a snapshot file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The file fails structural validation or its checksum.
     Corrupt(&'static str),
+    /// An intact file in the retired `IRSSNAP1` layout.
+    UnsupportedVersion,
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
+            SnapshotError::UnsupportedVersion => {
+                write!(f, "snapshot is in the retired IRSSNAP1 format")
+            }
         }
     }
 }
@@ -64,8 +72,6 @@ pub struct SnapshotData {
     /// All records, in ascending serial order (serials may have holes
     /// after a recovery that dropped unacknowledged claims).
     pub records: Vec<StoredClaim>,
-    /// The counting-Bloom revocation index as of the cut point.
-    pub filter: CountingBloom,
 }
 
 /// Encode a snapshot body. `records` must be in ascending serial order.
@@ -74,7 +80,6 @@ pub fn encode_snapshot(
     wal_generation: u64,
     wal_offset: u64,
     records: &[StoredClaim],
-    filter: &CountingBloom,
 ) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(64 + records.len() * 256);
     buf.put_slice(SNAPSHOT_MAGIC);
@@ -95,9 +100,6 @@ pub fn encode_snapshot(
         rec.claim.request.encode(&mut buf).expect(fixed);
         rec.claim.timestamp.encode(&mut buf).expect(fixed);
     }
-    let filter_blob = filter.to_bytes();
-    buf.put_u32(filter_blob.len() as u32);
-    buf.put_slice(&filter_blob);
     let crc = crc32(&buf);
     buf.put_u32(crc);
     buf.to_vec()
@@ -108,7 +110,7 @@ pub fn encode_snapshot(
 /// was written atomically, so damage means the media lied and the caller
 /// must fail closed.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
-    if bytes.len() < 8 + 2 + 8 + 8 + 8 + 4 + 4 {
+    if bytes.len() < 8 + 2 + 8 + 8 + 8 + 4 {
         return Err(SnapshotError::Corrupt("file shorter than header"));
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
@@ -119,6 +121,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     let mut buf = Bytes::copy_from_slice(body);
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
+    if &magic == b"IRSSNAP1" {
+        return Err(SnapshotError::UnsupportedVersion);
+    }
     if &magic != SNAPSHOT_MAGIC {
         return Err(SnapshotError::Corrupt("bad magic"));
     }
@@ -168,21 +173,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
             origin,
         });
     }
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Corrupt("filter length"));
+    if buf.has_remaining() {
+        return Err(SnapshotError::Corrupt("trailing bytes after records"));
     }
-    let filter_len = buf.get_u32() as usize;
-    if buf.remaining() != filter_len {
-        return Err(SnapshotError::Corrupt("filter length mismatch"));
-    }
-    let filter = CountingBloom::from_bytes(buf.copy_to_bytes(filter_len))
-        .map_err(|_| SnapshotError::Corrupt("filter payload"))?;
     Ok(SnapshotData {
         ledger,
         wal_generation,
         wal_offset,
         records,
-        filter,
     })
 }
 
@@ -192,61 +190,50 @@ mod tests {
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_crypto::{Digest, Keypair};
-    use irs_filters::Filter;
 
-    fn sample() -> (Vec<StoredClaim>, CountingBloom) {
+    fn sample() -> Vec<StoredClaim> {
         let tsa = TimestampAuthority::from_seed(1);
-        let mut filter = CountingBloom::for_capacity(1000, 0.02).unwrap();
-        let mut records = Vec::new();
-        for (i, serial) in [0u64, 1, 3, 7].iter().enumerate() {
-            let kp = Keypair::from_seed(&[i as u8 + 1; 32]);
-            let request = ClaimRequest::create(&kp, &Digest::of(&[i as u8]));
-            let id = RecordId::new(LedgerId(5), *serial);
-            let status = if i % 2 == 1 {
-                filter.insert(id.filter_key());
-                RevocationStatus::Revoked
-            } else {
-                RevocationStatus::NotRevoked
-            };
-            records.push(StoredClaim {
-                claim: Claim {
-                    id,
-                    request,
-                    timestamp: tsa.stamp(request.digest(), TimeMs(100 + i as u64)),
-                    status,
-                    status_epoch: i as u64,
-                },
-                origin: if i % 2 == 0 {
-                    ClaimOrigin::Owner
+        [0u64, 1, 3, 7]
+            .iter()
+            .enumerate()
+            .map(|(i, serial)| {
+                let kp = Keypair::from_seed(&[i as u8 + 1; 32]);
+                let request = ClaimRequest::create(&kp, &Digest::of(&[i as u8]));
+                let (status, origin) = if i % 2 == 1 {
+                    (RevocationStatus::Revoked, ClaimOrigin::Custodial)
                 } else {
-                    ClaimOrigin::Custodial
-                },
-            });
-        }
-        (records, filter)
+                    (RevocationStatus::NotRevoked, ClaimOrigin::Owner)
+                };
+                StoredClaim {
+                    claim: Claim {
+                        id: RecordId::new(LedgerId(5), *serial),
+                        request,
+                        timestamp: tsa.stamp(request.digest(), TimeMs(100 + i as u64)),
+                        status,
+                        status_epoch: i as u64,
+                    },
+                    origin,
+                }
+            })
+            .collect()
     }
 
     #[test]
     fn roundtrip_including_serial_holes() {
-        let (records, filter) = sample();
-        let bytes = encode_snapshot(LedgerId(5), 3, 4242, &records, &filter);
+        let records = sample();
+        let bytes = encode_snapshot(LedgerId(5), 3, 4242, &records);
         let snap = decode_snapshot(&bytes).unwrap();
         assert_eq!(snap.ledger, LedgerId(5));
         assert_eq!(snap.wal_generation, 3);
         assert_eq!(snap.wal_offset, 4242);
         assert_eq!(snap.records, records);
-        assert_eq!(snap.filter, filter);
-        assert!(snap
-            .filter
-            .contains(RecordId::new(LedgerId(5), 1).filter_key()));
     }
 
     #[test]
     fn any_flipped_bit_is_rejected() {
-        let (records, filter) = sample();
-        let bytes = encode_snapshot(LedgerId(5), 0, 22, &records, &filter);
+        let bytes = encode_snapshot(LedgerId(5), 0, 22, &sample());
         // Sample bit positions across the file (exhaustive is slow in
-        // debug builds; stride covers header, records, filter, and crc).
+        // debug builds; stride covers header, records, and crc).
         for pos in (0..bytes.len() * 8).step_by(41) {
             let mut bad = bytes.clone();
             bad[pos / 8] ^= 1 << (pos % 8);
@@ -258,22 +245,48 @@ mod tests {
     }
 
     #[test]
-    fn truncation_rejected() {
-        let (records, filter) = sample();
-        let bytes = encode_snapshot(LedgerId(5), 0, 22, &records, &filter);
+    fn truncation_and_trailing_bytes_rejected() {
+        let bytes = encode_snapshot(LedgerId(5), 0, 22, &sample());
         for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        // Extra payload under a valid checksum is still not a snapshot.
+        let mut padded = bytes[..bytes.len() - 4].to_vec();
+        padded.extend_from_slice(&[0; 9]);
+        let crc = crc32(&padded);
+        padded.extend_from_slice(&crc.to_be_bytes());
+        assert_eq!(
+            decode_snapshot(&padded).unwrap_err(),
+            SnapshotError::Corrupt("trailing bytes after records")
+        );
     }
 
     #[test]
     fn out_of_order_serials_rejected() {
-        let (mut records, filter) = sample();
+        let mut records = sample();
         records.swap(1, 2);
-        let bytes = encode_snapshot(LedgerId(5), 0, 0, &records, &filter);
+        let bytes = encode_snapshot(LedgerId(5), 0, 0, &records);
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(SnapshotError::Corrupt("serials not ascending"))
         ));
+    }
+
+    /// An intact file in the retired layout (records, then a
+    /// length-prefixed filter blob, all under a valid CRC) is refused by
+    /// name — its blob is never mistaken for anything.
+    #[test]
+    fn irssnap1_file_is_refused_not_misparsed() {
+        let v2 = encode_snapshot(LedgerId(5), 0, 22, &sample());
+        let mut v1 = v2[..v2.len() - 4].to_vec();
+        v1[..8].copy_from_slice(b"IRSSNAP1");
+        v1.extend_from_slice(&3u32.to_be_bytes());
+        v1.extend_from_slice(&[0xAA; 3]);
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_be_bytes());
+        assert_eq!(
+            decode_snapshot(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion
+        );
     }
 }

@@ -1,15 +1,35 @@
 //! The claim store.
 //!
 //! Append-only: claims are never deleted (revocation flips status, appeals
-//! pin it). Serial numbers are dense, so lookup is a vector index. The
-//! store also maintains the counting-Bloom index from which filter
-//! snapshots are projected.
+//! pin it). Serials are allocated from a single atomic counter, so they
+//! stay dense; the records themselves are striped across `N` shards
+//! (`shard = serial % N`, within-shard slot `serial / N`), each behind
+//! its own `parking_lot::RwLock`, and every operation takes `&self`.
+//! Every mutation touches exactly one shard, so writers on different
+//! shards never contend and there is no lock ordering hazard; the
+//! multi-shard operations — filter projection, the snapshot cut — take
+//! all shard read locks in index order, which cannot deadlock against
+//! single-shard writers. A one-stripe store is the plain monolithic
+//! layout: one lock, slot = serial.
+//!
+//! Each shard keeps its own [`CountingBloom`] over the **revoked**
+//! records it owns, with identical geometry across shards. §4.4's
+//! arithmetic ("if the photo does not hit in the filter, it is
+//! definitely not revoked"; 2 % FPR ⇒ 50× load reduction) requires the
+//! published filter to cover the revoked set — a filter of all claims
+//! would be hit by every labeled photo and save nothing — and a counting
+//! filter because revocation toggles: insert on revoke, remove on
+//! unrevoke. Counting-filter insertion is additive per bit position, so
+//! the union of the per-shard projections is independent of the stripe
+//! count — see `projection_is_independent_of_stripe_count` below.
 
 use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::{TimestampAuthority, TimestampToken};
-use irs_filters::CountingBloom;
+use irs_filters::{BloomFilter, CountingBloom};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors from store operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,32 +81,96 @@ pub struct StoredClaim {
     pub origin: ClaimOrigin,
 }
 
-/// The ledger's record database.
+/// Default stripe count for servers (a few× typical core counts; the
+/// E15 thread-scaling experiment shows the curve).
+pub const DEFAULT_SHARDS: usize = 16;
+
+struct Shard {
+    /// Slots indexed by `serial / num_shards`. `None` marks a serial
+    /// that has been allocated by `claim` but whose record has not been
+    /// committed yet (the window between the atomic fetch-add and the
+    /// shard write-lock acquisition on another thread).
+    slots: Vec<Option<StoredClaim>>,
+    /// Counting filter over this shard's revoked records.
+    filter: CountingBloom,
+}
+
+/// A sharded, internally synchronized claim store; all operations take
+/// `&self`.
 pub struct LedgerStore {
     id: LedgerId,
-    records: Vec<StoredClaim>,
     tsa: TimestampAuthority,
-    /// Counting filter over `RecordId::filter_key` of the **revoked**
-    /// records. §4.4's arithmetic ("if the photo does not hit in the
-    /// filter, it is definitely not revoked"; 2 % FPR ⇒ 50× load
-    /// reduction) requires the published filter to cover the revoked set —
-    /// a filter of all claims would be hit by every labeled photo and
-    /// save nothing. A counting filter because revocation toggles:
-    /// insert on revoke, remove on unrevoke.
-    filter_index: CountingBloom,
+    next_serial: AtomicU64,
+    shards: Box<[RwLock<Shard>]>,
 }
 
 impl LedgerStore {
-    /// Create a store. `filter_capacity` sizes the published Bloom filter
-    /// (2 % target FPR at that population, per §4.4).
-    pub fn new(id: LedgerId, tsa: TimestampAuthority, filter_capacity: u64) -> LedgerStore {
+    /// Create an empty store with `num_shards` stripes. `filter_capacity`
+    /// sizes the published Bloom filter (2 % target FPR at that
+    /// population, per §4.4).
+    pub fn new(
+        id: LedgerId,
+        tsa: TimestampAuthority,
+        filter_capacity: u64,
+        num_shards: usize,
+    ) -> LedgerStore {
+        assert!(num_shards > 0, "need at least one shard");
+        let shards = (0..num_shards)
+            .map(|_| {
+                RwLock::new(Shard {
+                    slots: Vec::new(),
+                    filter: CountingBloom::for_capacity(filter_capacity, 0.02)
+                        .expect("valid filter params"),
+                })
+            })
+            .collect();
         LedgerStore {
             id,
-            records: Vec::new(),
             tsa,
-            filter_index: CountingBloom::for_capacity(filter_capacity, 0.02)
-                .expect("valid filter params"),
+            next_serial: AtomicU64::new(0),
+            shards,
         }
+    }
+
+    /// Rebuild from a recovered record set. Serials may have holes —
+    /// recovery drops claims that were allocated but never durably
+    /// committed — so the next serial is one past the highest record
+    /// present, not the record count.
+    pub(crate) fn from_parts(
+        id: LedgerId,
+        tsa: TimestampAuthority,
+        records: Vec<StoredClaim>,
+        filter_capacity: u64,
+        num_shards: usize,
+    ) -> LedgerStore {
+        let store = LedgerStore::new(id, tsa, filter_capacity, num_shards);
+        let next = records
+            .iter()
+            .map(|r| r.claim.id.serial + 1)
+            .max()
+            .unwrap_or(0);
+        store.next_serial.store(next, Ordering::Relaxed);
+        for stored in records {
+            let serial = stored.claim.id.serial;
+            let mut shard = store.shards[store.shard_of(serial)].write();
+            let slot = store.slot_of(serial);
+            if shard.slots.len() <= slot {
+                shard.slots.resize(slot + 1, None);
+            }
+            if stored.claim.status != RevocationStatus::NotRevoked {
+                shard.filter.insert(stored.claim.id.filter_key());
+            }
+            shard.slots[slot] = Some(stored);
+        }
+        store
+    }
+
+    fn shard_of(&self, serial: u64) -> usize {
+        (serial % self.shards.len() as u64) as usize
+    }
+
+    fn slot_of(&self, serial: u64) -> usize {
+        (serial / self.shards.len() as u64) as usize
     }
 
     /// This ledger's identifier.
@@ -94,33 +178,59 @@ impl LedgerStore {
         self.id
     }
 
-    /// Number of records.
+    /// Number of stripes.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Number of allocated serials (committed records may briefly lag by
+    /// the few in flight between allocation and shard insertion).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.next_serial.load(Ordering::Acquire) as usize
     }
 
     /// True when no records exist.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Record a claim; returns the new identifier and timestamp token.
+    /// Serial allocation is a single fetch-add, so serials stay dense
+    /// under any interleaving.
     pub fn claim(
-        &mut self,
+        &self,
         request: ClaimRequest,
         origin: ClaimOrigin,
         initially_revoked: bool,
         now: TimeMs,
     ) -> (RecordId, TimestampToken) {
-        let serial = self.records.len() as u64;
+        self.claim_with(request, origin, initially_revoked, now, |_| {})
+    }
+
+    /// [`claim`](Self::claim) with a durability hook: `log` runs under the
+    /// shard write lock, after the record is inserted. Because every
+    /// mutation of a given record happens under its shard lock, WAL
+    /// appends made from these hooks land in the log in exactly the order
+    /// the mutations took effect — the invariant replay depends on.
+    pub fn claim_with(
+        &self,
+        request: ClaimRequest,
+        origin: ClaimOrigin,
+        initially_revoked: bool,
+        now: TimeMs,
+        log: impl FnOnce(&StoredClaim),
+    ) -> (RecordId, TimestampToken) {
+        let serial = self.next_serial.fetch_add(1, Ordering::AcqRel);
         let id = RecordId::new(self.id, serial);
+        // The timestamp signature is the expensive part; compute it
+        // before taking the shard lock.
         let timestamp = self.tsa.stamp(request.digest(), now);
         let status = if initially_revoked {
             RevocationStatus::Revoked
         } else {
             RevocationStatus::NotRevoked
         };
-        self.records.push(StoredClaim {
+        let stored = StoredClaim {
             claim: Claim {
                 id,
                 request,
@@ -129,37 +239,102 @@ impl LedgerStore {
                 status_epoch: 0,
             },
             origin,
-        });
-        if initially_revoked {
-            self.filter_index.insert(id.filter_key());
+        };
+        let slot = self.slot_of(serial);
+        let mut shard = self.shards[self.shard_of(serial)].write();
+        if shard.slots.len() <= slot {
+            shard.slots.resize(slot + 1, None);
         }
+        if initially_revoked {
+            shard.filter.insert(id.filter_key());
+        }
+        shard.slots[slot] = Some(stored);
+        log(shard.slots[slot].as_ref().expect("just inserted"));
         (id, timestamp)
     }
 
-    /// Look up a record.
-    pub fn get(&self, id: &RecordId) -> Option<&StoredClaim> {
+    /// Insert a claim exactly as the primary stored it (replication apply
+    /// path): the serial, timestamp, origin, and status come from the
+    /// shipped WAL record, not from local allocation or stamping, so a
+    /// follower's state is byte-identical to the primary's. `log` runs
+    /// under the shard write lock, like [`claim_with`](Self::claim_with).
+    /// Fails if the serial's slot is already occupied — a duplicate serial
+    /// in a replication stream means the stream is broken.
+    pub(crate) fn insert_replicated(
+        &self,
+        stored: StoredClaim,
+        log: impl FnOnce(&StoredClaim),
+    ) -> Result<(), StoreError> {
+        let serial = stored.claim.id.serial;
+        let revoked = stored.claim.status != RevocationStatus::NotRevoked;
+        let key = stored.claim.id.filter_key();
+        // Keep the allocator one past the highest replicated serial so a
+        // promoted follower allocates fresh serials, never reused ones.
+        self.next_serial.fetch_max(serial + 1, Ordering::AcqRel);
+        let slot = self.slot_of(serial);
+        let mut shard = self.shards[self.shard_of(serial)].write();
+        if shard.slots.len() <= slot {
+            shard.slots.resize(slot + 1, None);
+        }
+        if shard.slots[slot].is_some() {
+            return Err(StoreError::DuplicateSerial);
+        }
+        if revoked {
+            shard.filter.insert(key);
+        }
+        shard.slots[slot] = Some(stored);
+        log(shard.slots[slot].as_ref().expect("just inserted"));
+        Ok(())
+    }
+
+    /// Look up a record (cloned out of the shard).
+    pub fn get(&self, id: &RecordId) -> Option<StoredClaim> {
         if id.ledger != self.id {
             return None;
         }
-        self.records.get(id.serial as usize)
+        let shard = self.shards[self.shard_of(id.serial)].read();
+        shard.slots.get(self.slot_of(id.serial))?.clone()
     }
 
     /// Current status and epoch.
     pub fn status(&self, id: &RecordId) -> Option<(RevocationStatus, u64)> {
-        self.get(id).map(|r| (r.claim.status, r.claim.status_epoch))
+        if id.ledger != self.id {
+            return None;
+        }
+        let shard = self.shards[self.shard_of(id.serial)].read();
+        let stored = shard.slots.get(self.slot_of(id.serial))?.as_ref()?;
+        Some((stored.claim.status, stored.claim.status_epoch))
     }
 
-    /// Apply a signed revoke/unrevoke request.
+    /// Apply a signed revoke/unrevoke request. Record mutation and the
+    /// filter-index update happen under the same shard write lock, so a
+    /// concurrent filter projection can never observe one without the
+    /// other.
     pub fn apply_revoke(
-        &mut self,
+        &self,
         request: &RevokeRequest,
+    ) -> Result<(RevocationStatus, u64), StoreError> {
+        self.apply_revoke_with(request, || {})
+    }
+
+    /// [`apply_revoke`](Self::apply_revoke) with a durability hook: `log`
+    /// runs under the shard write lock, only if the revocation was
+    /// accepted (the WAL records applied operations, not attempts).
+    pub fn apply_revoke_with(
+        &self,
+        request: &RevokeRequest,
+        log: impl FnOnce(),
     ) -> Result<(RevocationStatus, u64), StoreError> {
         if request.id.ledger != self.id {
             return Err(StoreError::UnknownRecord);
         }
-        let rec = self
-            .records
-            .get_mut(request.id.serial as usize)
+        let slot = self.slot_of(request.id.serial);
+        let mut shard = self.shards[self.shard_of(request.id.serial)].write();
+        let shard = &mut *shard;
+        let rec = shard
+            .slots
+            .get_mut(slot)
+            .and_then(Option::as_mut)
             .ok_or(StoreError::UnknownRecord)?;
         if rec.claim.status == RevocationStatus::PermanentlyRevoked {
             return Err(StoreError::Permanent);
@@ -180,71 +355,119 @@ impl LedgerStore {
         let key = rec.claim.id.filter_key();
         let result = (rec.claim.status, rec.claim.status_epoch);
         match (was_revoked, request.revoke) {
-            (false, true) => self.filter_index.insert(key),
-            (true, false) => self.filter_index.remove(key),
+            (false, true) => shard.filter.insert(key),
+            (true, false) => shard.filter.remove(key),
             _ => {}
         }
+        log();
         Ok(result)
     }
 
-    /// Permanently revoke (appeals outcome); bypasses signatures because it
-    /// is an administrative action of the ledger itself.
-    pub fn permanently_revoke(&mut self, id: &RecordId) -> Result<(), StoreError> {
+    /// Permanently revoke (appeals outcome); administrative, unsigned.
+    pub fn permanently_revoke(&self, id: &RecordId) -> Result<(), StoreError> {
+        self.permanently_revoke_with(id, || {})
+    }
+
+    /// [`permanently_revoke`](Self::permanently_revoke) with a durability
+    /// hook, run under the shard write lock on success.
+    pub fn permanently_revoke_with(
+        &self,
+        id: &RecordId,
+        log: impl FnOnce(),
+    ) -> Result<(), StoreError> {
         if id.ledger != self.id {
             return Err(StoreError::UnknownRecord);
         }
-        let rec = self
-            .records
-            .get_mut(id.serial as usize)
+        let slot = self.slot_of(id.serial);
+        let mut shard = self.shards[self.shard_of(id.serial)].write();
+        let shard = &mut *shard;
+        let rec = shard
+            .slots
+            .get_mut(slot)
+            .and_then(Option::as_mut)
             .ok_or(StoreError::UnknownRecord)?;
         let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
         rec.claim.status = RevocationStatus::PermanentlyRevoked;
         rec.claim.status_epoch += 1;
         if !was_revoked {
-            self.filter_index.insert(id.filter_key());
+            shard.filter.insert(id.filter_key());
         }
+        log();
         Ok(())
     }
 
-    /// The counting filter over **revoked** identifiers (projected to a
-    /// plain Bloom filter for publication by the service layer).
-    pub fn filter_index(&self) -> &CountingBloom {
-        &self.filter_index
+    /// Copy every committed record (ascending serial order) while *all*
+    /// shard locks are held, and call `f` inside the same critical
+    /// section. This is the snapshot cut: `f` captures the WAL position,
+    /// and because every mutation both holds a shard lock and logs from
+    /// inside it, the copy and the position describe the same instant.
+    pub fn frozen_copy<T>(&self, f: impl FnOnce() -> T) -> (Vec<StoredClaim>, T) {
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let extra = f();
+        let mut records: Vec<StoredClaim> = guards
+            .iter()
+            .flat_map(|g| g.slots.iter().flatten().cloned())
+            .collect();
+        drop(guards);
+        records.sort_by_key(|r| r.claim.id.serial);
+        (records, extra)
     }
 
-    /// The exact `filter_key` set of currently revoked records — the
-    /// input the tiered publisher seals into a fuse base (the counting
-    /// filter cannot be enumerated, so compaction reads the records).
+    /// Project the revoked-set Bloom filter from the per-shard counting
+    /// filters. Takes all shard read locks in index order (single-shard
+    /// writers cannot deadlock against this), so the result is a
+    /// consistent snapshot: no revocation is half-applied in it.
+    pub fn project_filter(&self) -> BloomFilter {
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let mut merged = guards[0].filter.to_bloom();
+        for guard in &guards[1..] {
+            merged
+                .union_with(&guard.filter.to_bloom())
+                .expect("identical geometry across shards");
+        }
+        merged
+    }
+
+    /// The exact `filter_key` set of currently revoked records, captured
+    /// under every shard read lock so the set is a consistent snapshot —
+    /// the tiered publisher seals this into a fuse base at compaction.
     pub fn revoked_filter_keys(&self) -> std::collections::HashSet<u64> {
-        self.records
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        guards
             .iter()
+            .flat_map(|g| g.slots.iter().flatten())
             .filter(|r| r.claim.status != RevocationStatus::NotRevoked)
             .map(|r| r.claim.id.filter_key())
             .collect()
     }
 
-    /// Decompose into raw parts for promotion to a
-    /// [`crate::sharded::ShardedLedgerStore`].
-    pub(crate) fn into_parts(self) -> (LedgerId, TimestampAuthority, Vec<StoredClaim>) {
-        (self.id, self.tsa, self.records)
-    }
-
-    /// Iterate all records (appeals scans, probes, stats).
-    pub fn iter(&self) -> impl Iterator<Item = &StoredClaim> {
-        self.records.iter()
-    }
-
     /// Count records by status: (not revoked, revoked, permanent).
+    /// Shards are visited one at a time; concurrent writers may be
+    /// counted in either state, as with any live statistic.
     pub fn status_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for r in &self.records {
-            match r.claim.status {
-                RevocationStatus::NotRevoked => counts.0 += 1,
-                RevocationStatus::Revoked => counts.1 += 1,
-                RevocationStatus::PermanentlyRevoked => counts.2 += 1,
+        for shard in self.shards.iter() {
+            let shard = shard.read();
+            for stored in shard.slots.iter().flatten() {
+                match stored.claim.status {
+                    RevocationStatus::NotRevoked => counts.0 += 1,
+                    RevocationStatus::Revoked => counts.1 += 1,
+                    RevocationStatus::PermanentlyRevoked => counts.2 += 1,
+                }
             }
         }
         counts
+    }
+
+    /// Visit every committed record (shard by shard, serial order within
+    /// each shard).
+    pub fn for_each(&self, mut f: impl FnMut(&StoredClaim)) {
+        for shard in self.shards.iter() {
+            let shard = shard.read();
+            for stored in shard.slots.iter().flatten() {
+                f(stored);
+            }
+        }
     }
 }
 
@@ -252,16 +475,23 @@ impl LedgerStore {
 mod tests {
     use super::*;
     use irs_crypto::{Digest, Keypair};
+    use irs_filters::Filter;
+    use std::sync::Arc;
 
-    fn store() -> LedgerStore {
-        LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), 10_000)
+    fn store(shards: usize) -> LedgerStore {
+        LedgerStore::new(
+            LedgerId(1),
+            TimestampAuthority::from_seed(1),
+            10_000,
+            shards,
+        )
     }
 
     fn kp(seed: u8) -> Keypair {
         Keypair::from_seed(&[seed; 32])
     }
 
-    fn make_claim(s: &mut LedgerStore, seed: u8, revoked: bool) -> (RecordId, Keypair) {
+    fn make_claim(s: &LedgerStore, seed: u8, revoked: bool) -> (RecordId, Keypair) {
         let keypair = kp(seed);
         let req = ClaimRequest::create(&keypair, &Digest::of(&[seed]));
         let (id, _tok) = s.claim(req, ClaimOrigin::Owner, revoked, TimeMs(100));
@@ -269,129 +499,175 @@ mod tests {
     }
 
     #[test]
-    fn claim_assigns_dense_serials() {
-        let mut s = store();
-        let (a, _) = make_claim(&mut s, 1, false);
-        let (b, _) = make_claim(&mut s, 2, false);
-        assert_eq!(a.serial, 0);
-        assert_eq!(b.serial, 1);
-        assert_eq!(s.len(), 2);
+    fn serials_stay_dense_across_shards() {
+        let s = store(4);
+        let ids: Vec<u64> = (0..20)
+            .map(|i| make_claim(&s, i as u8, false).0.serial)
+            .collect();
+        assert_eq!(ids, (0..20).collect::<Vec<u64>>());
+        assert_eq!(s.len(), 20);
+        for serial in 0..20 {
+            assert!(s.status(&RecordId::new(LedgerId(1), serial)).is_some());
+        }
     }
 
     #[test]
-    fn status_lifecycle() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 3, false);
+    fn status_lifecycle_and_rejections() {
+        let s = store(3);
+        let (id, keypair) = make_claim(&s, 3, false);
         assert_eq!(s.status(&id), Some((RevocationStatus::NotRevoked, 0)));
         let req = RevokeRequest::create(&keypair, id, true, 0);
-        let (st, ep) = s.apply_revoke(&req).unwrap();
-        assert_eq!(st, RevocationStatus::Revoked);
-        assert_eq!(ep, 1);
-        // Unrevoke at the new epoch.
-        let req2 = RevokeRequest::create(&keypair, id, false, 1);
-        let (st2, ep2) = s.apply_revoke(&req2).unwrap();
-        assert_eq!(st2, RevocationStatus::NotRevoked);
-        assert_eq!(ep2, 2);
-    }
-
-    #[test]
-    fn initially_revoked_claims() {
-        // §4.4: "many photos will be automatically registered and revoked".
-        let mut s = store();
-        let (id, _) = make_claim(&mut s, 4, true);
-        assert_eq!(s.status(&id), Some((RevocationStatus::Revoked, 0)));
-    }
-
-    #[test]
-    fn wrong_key_rejected() {
-        let mut s = store();
-        let (id, _) = make_claim(&mut s, 5, false);
-        let intruder = kp(99);
-        let req = RevokeRequest::create(&intruder, id, true, 0);
-        assert_eq!(s.apply_revoke(&req), Err(StoreError::BadSignature));
-    }
-
-    #[test]
-    fn stale_epoch_rejected() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 6, false);
-        let old = RevokeRequest::create(&keypair, id, true, 0);
-        s.apply_revoke(&old).unwrap();
-        // Replay the same (epoch-0) request.
-        assert_eq!(s.apply_revoke(&old), Err(StoreError::StaleEpoch));
-    }
-
-    #[test]
-    fn permanent_revocation_is_final() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 7, false);
+        assert_eq!(s.apply_revoke(&req), Ok((RevocationStatus::Revoked, 1)));
+        // Replay rejected, wrong key rejected, unrevoke at the new epoch
+        // accepted, permanent is final.
+        assert_eq!(s.apply_revoke(&req), Err(StoreError::StaleEpoch));
+        let intruder = RevokeRequest::create(&kp(99), id, false, 1);
+        assert_eq!(s.apply_revoke(&intruder), Err(StoreError::BadSignature));
+        let unrevoke = RevokeRequest::create(&keypair, id, false, 1);
+        assert_eq!(
+            s.apply_revoke(&unrevoke),
+            Ok((RevocationStatus::NotRevoked, 2))
+        );
         s.permanently_revoke(&id).unwrap();
         assert_eq!(
             s.status(&id),
-            Some((RevocationStatus::PermanentlyRevoked, 1))
+            Some((RevocationStatus::PermanentlyRevoked, 3))
         );
-        let req = RevokeRequest::create(&keypair, id, false, 1);
-        assert_eq!(s.apply_revoke(&req), Err(StoreError::Permanent));
+        let late = RevokeRequest::create(&keypair, id, false, 3);
+        assert_eq!(s.apply_revoke(&late), Err(StoreError::Permanent));
+        assert_eq!(s.status_counts(), (0, 0, 1));
     }
 
     #[test]
-    fn unknown_and_foreign_records() {
-        let mut s = store();
-        let foreign = RecordId::new(LedgerId(2), 0);
-        assert_eq!(s.status(&foreign), None);
+    fn foreign_and_missing_records() {
+        let s = store(2);
+        assert_eq!(s.status(&RecordId::new(LedgerId(9), 0)), None);
+        assert_eq!(s.status(&RecordId::new(LedgerId(1), 7)), None);
         assert_eq!(
-            s.permanently_revoke(&foreign),
+            s.permanently_revoke(&RecordId::new(LedgerId(1), 7)),
             Err(StoreError::UnknownRecord)
         );
-        let missing = RecordId::new(LedgerId(1), 42);
-        assert_eq!(s.status(&missing), None);
+        assert_eq!(
+            s.permanently_revoke(&RecordId::new(LedgerId(9), 0)),
+            Err(StoreError::UnknownRecord)
+        );
     }
 
     #[test]
-    fn filter_index_tracks_revocations_not_claims() {
-        use irs_filters::Filter;
-        let mut s = store();
+    fn filter_tracks_revocations_not_claims() {
+        let s = store(4);
+        let hit = |id: RecordId| s.project_filter().contains(id.filter_key());
         // Unrevoked claim: NOT in the filter ("miss ⇒ definitely not
         // revoked" must hold for all shared photos).
-        let (id, keypair) = make_claim(&mut s, 8, false);
-        assert!(!s.filter_index().contains(id.filter_key()));
-        // Revoke: enters the filter.
-        let rv = RevokeRequest::create(&keypair, id, true, 0);
-        s.apply_revoke(&rv).unwrap();
-        assert!(s.filter_index().contains(id.filter_key()));
-        // Unrevoke: leaves the filter again.
-        let unrv = RevokeRequest::create(&keypair, id, false, 1);
-        s.apply_revoke(&unrv).unwrap();
-        assert!(!s.filter_index().contains(id.filter_key()));
-        // Auto-registered-revoked claims are in from the start.
-        let (id2, _) = make_claim(&mut s, 9, true);
-        assert!(s.filter_index().contains(id2.filter_key()));
-        // Permanent revocation inserts too.
-        let (id3, _) = make_claim(&mut s, 10, false);
+        let (id, keypair) = make_claim(&s, 8, false);
+        assert!(!hit(id));
+        s.apply_revoke(&RevokeRequest::create(&keypair, id, true, 0))
+            .unwrap();
+        assert!(hit(id));
+        s.apply_revoke(&RevokeRequest::create(&keypair, id, false, 1))
+            .unwrap();
+        assert!(!hit(id));
+        // §4.4: "many photos will be automatically registered and
+        // revoked" — those are in from the start; so are appeal pins.
+        let (id2, _) = make_claim(&s, 9, true);
+        assert_eq!(s.status(&id2), Some((RevocationStatus::Revoked, 0)));
+        assert!(hit(id2));
+        let (id3, _) = make_claim(&s, 10, false);
         s.permanently_revoke(&id3).unwrap();
-        assert!(s.filter_index().contains(id3.filter_key()));
-    }
-
-    #[test]
-    fn status_counts() {
-        let mut s = store();
-        make_claim(&mut s, 1, false);
-        make_claim(&mut s, 2, true);
-        let (id, _) = make_claim(&mut s, 3, false);
-        s.permanently_revoke(&id).unwrap();
-        assert_eq!(s.status_counts(), (1, 1, 1));
+        assert!(hit(id3));
     }
 
     #[test]
     fn timestamp_tokens_verify() {
         let tsa = TimestampAuthority::from_seed(9);
         let tsa_key = tsa.public_key();
-        let mut s = LedgerStore::new(LedgerId(3), tsa, 100);
-        let keypair = kp(10);
-        let req = ClaimRequest::create(&keypair, &Digest::of(b"p"));
+        let s = LedgerStore::new(LedgerId(3), tsa, 100, 2);
+        let req = ClaimRequest::create(&kp(10), &Digest::of(b"p"));
         let (_, tok) = s.claim(req, ClaimOrigin::Owner, false, TimeMs(55));
         assert!(tok.verify(&tsa_key));
         assert_eq!(tok.time, TimeMs(55));
         assert_eq!(tok.stamped, req.digest());
+    }
+
+    /// 40 claims (every third born revoked), then every fifth of the
+    /// rest revoked: the op sequence both differentials below replay.
+    fn run_ops(s: &LedgerStore) {
+        for seed in 0..40u8 {
+            let (id, keypair) = make_claim(s, seed, seed % 3 == 0);
+            if seed % 3 != 0 && id.serial % 5 == 0 {
+                s.apply_revoke(&RevokeRequest::create(&keypair, id, true, 0))
+                    .unwrap();
+            }
+        }
+    }
+
+    fn assert_same_state(a: &LedgerStore, b: &LedgerStore) {
+        assert_eq!(a.len(), b.len());
+        for serial in 0..a.len() as u64 + 1 {
+            let id = RecordId::new(LedgerId(1), serial);
+            assert_eq!(a.status(&id), b.status(&id), "serial {serial}");
+        }
+        assert_eq!(a.project_filter().to_bytes(), b.project_filter().to_bytes());
+    }
+
+    #[test]
+    fn projection_is_independent_of_stripe_count() {
+        // The one-stripe store is the monolithic reference layout: the
+        // same operations against 7 stripes must leave every status
+        // equal and the projected filters bit-equal.
+        let (mono, striped) = (store(1), store(7));
+        run_ops(&mono);
+        run_ops(&striped);
+        assert_same_state(&mono, &striped);
+    }
+
+    #[test]
+    fn from_parts_preserves_records_and_filter() {
+        let mono = store(1);
+        run_ops(&mono);
+        let (records, ()) = mono.frozen_copy(|| ());
+        let striped = LedgerStore::from_parts(
+            LedgerId(1),
+            TimestampAuthority::from_seed(1),
+            records,
+            10_000,
+            5,
+        );
+        assert_same_state(&mono, &striped);
+        // New serials continue densely after the migrated ones.
+        let (id, _) = make_claim(&striped, 200, false);
+        assert_eq!(id.serial, 40);
+    }
+
+    #[test]
+    fn concurrent_claims_keep_invariants() {
+        let s = Arc::new(store(8));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for i in 0..50u8 {
+                        make_claim(&s, t * 50 + i, i % 2 == 0);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(s.len(), 200);
+        assert_eq!(s.status_counts(), (100, 100, 0));
+        // Every serial is committed and queryable.
+        for serial in 0..200 {
+            let id = RecordId::new(LedgerId(1), serial);
+            assert!(s.status(&id).is_some(), "serial {serial} missing");
+        }
+        // Filter covers exactly the revoked records (no false negatives).
+        let filter = s.project_filter();
+        s.for_each(|stored| {
+            if stored.claim.status != RevocationStatus::NotRevoked {
+                assert!(filter.contains(stored.claim.id.filter_key()));
+            }
+        });
     }
 }

@@ -6,11 +6,11 @@
 //! and pipelined clients ([`crate::mux::MuxClient`]) multiplex many
 //! requests per connection.
 //!
-//! Connections share one [`ConcurrentLedger`] behind a plain `Arc` and
-//! call its `&self` request path directly: no whole-service mutex is
-//! held across request handling, so independent connections proceed in
-//! parallel (the E15 thread-scaling experiment measures the difference
-//! against the old `Mutex<Ledger>` design).
+//! Connections share one [`Ledger`] behind a plain `Arc` and call its
+//! `&self` request path directly: no whole-service mutex is held across
+//! request handling, so independent connections proceed in parallel (the
+//! E15 thread-scaling experiment measures the difference against a
+//! `Mutex<Ledger>` fixture).
 
 use crate::codec::{serve_request, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
@@ -18,29 +18,28 @@ use crate::service::{
     service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
 };
 use irs_core::wire::Response;
-use irs_ledger::sharded::DEFAULT_SHARDS;
-use irs_ledger::{ConcurrentLedger, Ledger};
+use irs_ledger::store::DEFAULT_SHARDS;
+use irs_ledger::Ledger;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// The ledger's `&self` request path as the innermost [`Service`].
-fn ledger_service(ledger: Arc<ConcurrentLedger>) -> impl Service {
+fn ledger_service(ledger: Arc<Ledger>) -> impl Service {
     service_fn(move |req, ctx: &CallCtx| Ok(ledger.handle(req, ctx.now)))
 }
 
 /// A running TCP ledger server.
 pub struct LedgerServer {
-    ledger: Arc<ConcurrentLedger>,
+    ledger: Arc<Ledger>,
     handle: ReactorHandle,
 }
 
 impl LedgerServer {
-    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral).
-    /// The ledger is promoted to a [`ConcurrentLedger`] with
-    /// [`DEFAULT_SHARDS`] stripes; records, published filter snapshots,
-    /// and stats carry over.
-    pub fn start(ledger: Ledger, addr: &str) -> std::io::Result<LedgerServer> {
-        LedgerServer::start_shared(Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)), addr)
+    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral)
+    /// with default reactor tuning. Pass an `Arc<Ledger>` to keep driving
+    /// the same instance from outside the server.
+    pub fn start(ledger: impl Into<Arc<Ledger>>, addr: &str) -> std::io::Result<LedgerServer> {
+        LedgerServer::start_reactor(ledger.into(), addr, ReactorConfig::default())
     }
 
     /// Start a *durable* ledger server: recover any state the disk holds
@@ -57,19 +56,9 @@ impl LedgerServer {
         durability: irs_ledger::DurabilityConfig,
         addr: &str,
     ) -> std::io::Result<LedgerServer> {
-        let ledger = ConcurrentLedger::recover(config, tsa, DEFAULT_SHARDS, durability)
+        let ledger = Ledger::recover(config, tsa, DEFAULT_SHARDS, durability)
             .map_err(|e| std::io::Error::other(format!("ledger recovery failed: {e}")))?;
-        LedgerServer::start_shared(Arc::new(ledger), addr)
-    }
-
-    /// Start serving an already-shared concurrent ledger (callers that
-    /// want to drive the same instance from outside the server, or to
-    /// pick a stripe count) with default reactor tuning.
-    pub fn start_shared(
-        ledger: Arc<ConcurrentLedger>,
-        addr: &str,
-    ) -> std::io::Result<LedgerServer> {
-        LedgerServer::start_reactor(ledger, addr, ReactorConfig::default())
+        LedgerServer::start(ledger, addr)
     }
 
     /// Start serving one **shard** of a sharded deployment: attaches
@@ -81,7 +70,7 @@ impl LedgerServer {
     /// already has a directory or `dir` names a different shard than the
     /// ledger's id.
     pub fn start_sharded(
-        ledger: Arc<ConcurrentLedger>,
+        ledger: Arc<Ledger>,
         addr: &str,
         dir: Arc<irs_ledger::ShardDirectory>,
     ) -> std::io::Result<LedgerServer> {
@@ -95,7 +84,7 @@ impl LedgerServer {
                 "ledger already has a shard directory",
             ));
         }
-        LedgerServer::start_shared(ledger, addr)
+        LedgerServer::start(ledger, addr)
     }
 
     /// Start with explicit [`ReactorConfig`] tuning (worker count,
@@ -104,7 +93,7 @@ impl LedgerServer {
     /// exposition as the ledger's counters, and its `max_frame` by
     /// [`MAX_REQUEST_FRAME`].
     pub fn start_reactor(
-        ledger: Arc<ConcurrentLedger>,
+        ledger: Arc<Ledger>,
         addr: &str,
         config: ReactorConfig,
     ) -> std::io::Result<LedgerServer> {
@@ -123,7 +112,7 @@ impl LedgerServer {
     /// on the reactor's per-connection id, so one abusive connection
     /// exhausts its own bucket while its neighbours keep their full rate.
     pub fn start_governed(
-        ledger: Arc<ConcurrentLedger>,
+        ledger: Arc<Ledger>,
         addr: &str,
         config: ReactorConfig,
         governor: GovernorPolicy,
@@ -140,7 +129,7 @@ impl LedgerServer {
     /// answered by `admitted` — the ledger itself, or the ledger behind
     /// its admission layers.
     fn serve(
-        ledger: Arc<ConcurrentLedger>,
+        ledger: Arc<Ledger>,
         addr: &str,
         mut config: ReactorConfig,
         admitted: impl Service + 'static,
@@ -175,7 +164,7 @@ impl LedgerServer {
 
     /// Shared access to the ledger (e.g. to publish filters or apply
     /// revocations while serving — every operation is `&self`).
-    pub fn ledger(&self) -> Arc<ConcurrentLedger> {
+    pub fn ledger(&self) -> Arc<Ledger> {
         self.ledger.clone()
     }
 
@@ -298,13 +287,13 @@ mod tests {
             let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
             DurabilityConfig::new(disk, FsyncPolicy::OsDefault)
         };
-        let ledger = ConcurrentLedger::recover(config.clone(), tsa.clone(), 4, durable(1)).unwrap();
+        let ledger = Ledger::recover(config.clone(), tsa.clone(), 4, durable(1)).unwrap();
         let kp = Keypair::from_seed(&[0x20; 32]);
         for i in 0..RECORDS {
             let claim = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
             ledger.handle(Request::Claim(claim), irs_core::time::TimeMs(i));
         }
-        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
 
         let Response::Snapshot { seq, data } =
             call(&connect(server.addr()), Request::FetchSnapshot)
@@ -497,7 +486,7 @@ mod tests {
             TimestampAuthority::from_seed(1),
         );
         LedgerServer::start_governed(
-            Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)),
+            Arc::new(ledger),
             "127.0.0.1:0",
             ReactorConfig {
                 workers: 1,

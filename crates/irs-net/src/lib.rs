@@ -18,7 +18,7 @@
 //!   composable layers) every caller reaches a server through;
 //!   [`service::TcpTransport`] is the bottom of every stack and
 //!   [`service::stacks`] holds the canonical compositions;
-//! * [`ledger_server`] — a [`irs_ledger::ConcurrentLedger`] behind the
+//! * [`ledger_server`] — a [`irs_ledger::Ledger`] behind the
 //!   wire protocol;
 //! * [`proxy_server`] — an [`irs_proxy::SharedProxy`] that answers
 //!   locally when it can and forwards filter misses upstream;

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn full_then_current_over_wire() {
-        let mut ledger = Ledger::new(
+        let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(9),
         );
@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn delta_served_when_one_version_behind() {
-        let mut ledger = Ledger::new(
+        let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(11),
         );
@@ -546,7 +546,7 @@ mod tests {
         assert_eq!(proxy.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
 
         // Bring the ledger up on that same port with a published filter.
-        let mut ledger = Ledger::new(
+        let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(15),
         );
@@ -587,7 +587,7 @@ mod tests {
         use irs_core::claim::RevokeRequest;
         // Shard 1 is live with a published filter; shard 2 is a reserved
         // but unbound port — every fetch against it times out.
-        let mut ledger = Ledger::new(
+        let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(21),
         );
@@ -698,7 +698,7 @@ mod tests {
     fn shared_refresh_full_then_delta() {
         // The whole legacy life cycle against one served proxy: full,
         // delta, then current.
-        let mut ledger = Ledger::new(
+        let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(12),
         );
@@ -756,7 +756,7 @@ mod tests {
             delta_fpr: 1e-3,
             compact_at: 4,
         };
-        let mut ledger = Ledger::new(config, TimestampAuthority::from_seed(31));
+        let ledger = Ledger::new(config, TimestampAuthority::from_seed(31));
         let mut cam = Camera::new(31, 96, 96);
         let shot = cam.capture(0);
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0))

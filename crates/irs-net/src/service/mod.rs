@@ -218,7 +218,7 @@ pub trait ServiceExt: Service + Sized {
 impl<S: Service + Sized> ServiceExt for S {}
 
 /// A service from a closure — the unit-test workhorse (and the hook for
-/// in-process transports: a closure over a `ConcurrentLedger` is a
+/// in-process transports: a closure over a `Ledger` is a
 /// transport with no socket under it).
 pub struct ServiceFn<F> {
     f: F,

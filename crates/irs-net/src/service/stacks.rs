@@ -144,19 +144,6 @@ pub fn storm_over<S: Service + Send + Sync + 'static>(
         .boxed()
 }
 
-/// [`storm_over`] with plain TCP transports — the production
-/// composition for a proxy that must survive revocation storms.
-pub fn storm_upstream(
-    proxy: Arc<SharedProxy>,
-    replicas: Vec<SocketAddr>,
-    retry: RetryPolicy,
-    governor: GovernorPolicy,
-    shed: ShedPolicy,
-) -> BoxService {
-    let t = transports(&replicas, retry.io_timeout);
-    storm_over(proxy, t, retry, governor, shed)
-}
-
 /// A shard's replica addresses, parsed. A replica that does not parse
 /// is skipped (a map can carry hostnames this build cannot resolve);
 /// an empty result means the shard is undialable from here.
@@ -200,31 +187,6 @@ pub fn sharded_full_upstream(proxy: Arc<SharedProxy>, map: ShardMap, retry: Retr
             .layered(BreakerLayer::new(proxy.clone()).with_fallback(spec.ledger))
             .layered(StaleServeLayer::new(proxy.clone()))
             .layered(CacheLayer::new(proxy.clone()))
-            .boxed()
-    })
-}
-
-/// The sharded storm rung (the ISSUE's
-/// `Route(Governor(Shed(Cache(SingleFlight(full))))))` composition):
-/// every shard gets its own admission gate, so a storm focused on one
-/// shard's keys sheds there while the other shards keep full service.
-pub fn sharded_storm_upstream(
-    proxy: Arc<SharedProxy>,
-    map: ShardMap,
-    retry: RetryPolicy,
-    governor: GovernorPolicy,
-    shed: ShedPolicy,
-) -> Route {
-    let pool = Arc::new(TransportPool::new(retry.io_timeout));
-    Route::new(map, move |spec: &ShardSpec| {
-        let registry = proxy.metrics().clone();
-        shard_replica_stack(&pool, spec, retry)
-            .layered(BreakerLayer::new(proxy.clone()).with_fallback(spec.ledger))
-            .layered(StaleServeLayer::new(proxy.clone()))
-            .layered(SingleFlightLayer::new().with_registry(registry.clone()))
-            .layered(CacheLayer::new(proxy.clone()))
-            .layered(ShedLayer::new(shed).with_registry(registry.clone()))
-            .layered(GovernorLayer::new(governor).with_registry(registry))
             .boxed()
     })
 }

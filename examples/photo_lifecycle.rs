@@ -29,7 +29,7 @@ fn main() {
     let shot = camera.capture(0);
     let keypair = shot.keypair.clone();
     let Response::Claimed { id, timestamp } = ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Claim(shot.claim), TimeMs(0))
     else {
@@ -53,7 +53,7 @@ fn main() {
     let (_, epoch) = ledgers.query_status(id);
     let rv = RevokeRequest::create(&keypair, id, true, epoch);
     ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(rv), t30);
     println!("day 30: owner revoked {id}");
@@ -77,7 +77,7 @@ fn main() {
     let (_, epoch) = ledgers.query_status(id);
     let unrv = RevokeRequest::create(&keypair, id, false, epoch);
     ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(unrv), t60);
     let report = aggregator.recheck(&mut ledgers, TimeMs(61 * 86_400_000));

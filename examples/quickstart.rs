@@ -16,7 +16,7 @@ use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority}
 fn main() {
     // The ecosystem: one ledger, one timestamp authority, one camera.
     let tsa = TimestampAuthority::from_seed(1);
-    let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa);
+    let ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa);
     let mut camera = Camera::new(42, 256, 256);
 
     // 1. CLAIM — the camera takes a photo, generates a per-photo keypair,

@@ -9,7 +9,7 @@
 //! ```
 
 use irs::crypto::{Digest, Keypair};
-use irs::ledger::{ConcurrentLedger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
+use irs::ledger::{Ledger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
 use irs::net::refresh::RefreshWorker;
 use irs::net::service::{stacks, CallCtx, Service};
 use irs::net::LedgerServer;
@@ -35,7 +35,7 @@ fn main() {
             LedgerId(i),
             ShardMap::new(1, vec![ShardSpec::new(LedgerId(i), Vec::new())]).unwrap(),
         ));
-        let ledger = Arc::new(ConcurrentLedger::new(
+        let ledger = Arc::new(Ledger::new(
             LedgerConfig::new(LedgerId(i)),
             TimestampAuthority::from_seed(u64::from(i)),
         ));

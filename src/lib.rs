@@ -43,8 +43,8 @@
 //! use irs::protocol::ids::LedgerId;
 //!
 //! // A ledger and a camera.
-//! let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)),
-//!                              TimestampAuthority::from_seed(1));
+//! let ledger = Ledger::new(LedgerConfig::new(LedgerId(1)),
+//!                          TimestampAuthority::from_seed(1));
 //! let mut camera = Camera::new(7, 256, 256);
 //!
 //! // Claim a photo.

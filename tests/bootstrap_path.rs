@@ -3,7 +3,6 @@
 //! the proxy, with the load and privacy properties the paper claims.
 
 use irs::browser::{BrowserValidator, ValidationPlan};
-use irs::ledger::service::{FilterPublisher, FilterUpdate as Published};
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::photo::LabelReading;
@@ -13,10 +12,29 @@ use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
 use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
 
+/// One cadence tick in process: publish, then fetch what a proxy
+/// holding `have_version` is served over `GetFilter`.
+fn publish_and_fetch(ledger: &Ledger, have_version: u64) -> FilterUpdate {
+    ledger.publish_filter();
+    match ledger.handle(Request::GetFilter { have_version }, TimeMs(0)) {
+        Response::FilterFull { version, data } => FilterUpdate::full(version, data),
+        Response::FilterDelta {
+            from_version,
+            to_version,
+            data,
+        } => FilterUpdate::Delta {
+            from_version,
+            to_version,
+            data,
+        },
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
 /// Claim `n` photos on the ledger; revoke those whose index is in
 /// `revoke`. Returns (ids, keypairs).
 fn populate(
-    ledger: &mut Ledger,
+    ledger: &Ledger,
     n: usize,
     revoke: impl Fn(usize) -> bool,
 ) -> Vec<(irs::protocol::ids::RecordId, irs::crypto::Keypair)> {
@@ -40,24 +58,17 @@ fn populate(
 
 #[test]
 fn filter_pipeline_full_then_delta_roundtrip() {
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(1),
     );
-    let records = populate(&mut ledger, 50, |i| i % 10 == 0); // 5 revoked
-    let mut publisher = FilterPublisher::new();
+    let records = populate(&ledger, 50, |i| i % 10 == 0); // 5 revoked
     let mut proxy = IrsProxy::new(ProxyConfig::default());
 
     // Hour 1: full snapshot.
-    match publisher.publish(&mut ledger) {
-        Published::Full { version, data } => {
-            proxy
-                .filters
-                .apply(LedgerId(1), FilterUpdate::full(version, data))
-                .unwrap();
-        }
-        other => panic!("expected full, got {other:?}"),
-    }
+    let first = publish_and_fetch(&ledger, proxy.filters.version(LedgerId(1)));
+    assert!(matches!(first, FilterUpdate::Full { .. }), "got {first:?}");
+    proxy.filters.apply(LedgerId(1), first).unwrap();
     assert_eq!(proxy.filters.version(LedgerId(1)), 1);
 
     // Revoked records hit the filter; unrevoked ones miss.
@@ -81,33 +92,18 @@ fn filter_pipeline_full_then_delta_roundtrip() {
             ledger.handle(Request::Revoke(rv), TimeMs(2_000));
         }
     }
-    match publisher.publish(&mut ledger) {
-        Published::Delta {
-            from_version,
-            to_version,
-            data,
-            full_bytes,
-        } => {
-            assert!(
-                data.len() < full_bytes / 4,
-                "delta {} vs full {} bytes",
-                data.len(),
-                full_bytes
-            );
-            proxy
-                .filters
-                .apply(
-                    LedgerId(1),
-                    FilterUpdate::Delta {
-                        from_version,
-                        to_version,
-                        data,
-                    },
-                )
-                .unwrap();
-        }
-        other => panic!("expected delta, got {other:?}"),
-    }
+    let second = publish_and_fetch(&ledger, proxy.filters.version(LedgerId(1)));
+    let FilterUpdate::Delta { data, .. } = &second else {
+        panic!("expected delta, got {second:?}");
+    };
+    let full_bytes = ledger.published_filter().unwrap().to_bytes().len();
+    assert!(
+        data.len() < full_bytes / 4,
+        "delta {} vs full {full_bytes} bytes",
+        data.len(),
+    );
+    proxy.filters.apply(LedgerId(1), second).unwrap();
+    assert_eq!(proxy.filters.version(LedgerId(1)), 2);
     // The newly revoked records now hit.
     for (i, (id, _)) in records.iter().enumerate() {
         if i % 10 == 5 {
@@ -122,19 +118,15 @@ fn filter_pipeline_full_then_delta_roundtrip() {
 
 #[test]
 fn browser_proxy_ledger_validation_chain() {
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(2),
     );
-    let records = populate(&mut ledger, 30, |i| i == 3);
-    let mut publisher = FilterPublisher::new();
+    let records = populate(&ledger, 30, |i| i == 3);
     let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let Published::Full { version, data } = publisher.publish(&mut ledger) else {
-        panic!("full expected");
-    };
     proxy
         .filters
-        .apply(LedgerId(1), FilterUpdate::full(version, data))
+        .apply(LedgerId(1), publish_and_fetch(&ledger, 0))
         .unwrap();
 
     let mut validator = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
@@ -180,13 +172,13 @@ fn browser_proxy_ledger_validation_chain() {
 #[test]
 fn in_browser_filter_cuts_proxy_traffic() {
     // §4.4's early-adoption variant: the browser itself holds the filter.
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(3),
     );
-    let records = populate(&mut ledger, 40, |i| i == 0);
+    let records = populate(&ledger, 40, |i| i == 0);
     ledger.publish_filter();
-    let filter = ledger.published_filter().unwrap().clone();
+    let filter = ledger.published_filter().unwrap();
 
     let mut with_filter = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
     with_filter.install_filter(filter);

@@ -1,17 +1,17 @@
 //! End-to-end crash-safety: acknowledged writes survive power loss at
 //! every injected crash point, torn final records never prevent startup,
 //! and mid-log corruption of a revocation fails closed. Drives the whole
-//! durable stack — [`ConcurrentLedger`] over a seeded [`ChaosDisk`] —
+//! durable stack — [`Ledger`] over a seeded [`ChaosDisk`] —
 //! the in-process equivalent of E17's crash-point sweep.
 
 use std::sync::Arc;
 
 use irs::crypto::{Digest, Keypair};
-use irs::ledger::concurrent::{SNAPSHOT_PATH, WAL_PATH};
+use irs::ledger::service::{SNAPSHOT_PATH, WAL_PATH};
 use irs::ledger::wal::{encode_header, WAL_HEADER_LEN};
 use irs::ledger::{
-    ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, FsyncPolicy,
-    LedgerConfig, WalRecord,
+    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, FsyncPolicy, Ledger, LedgerConfig,
+    WalRecord,
 };
 use irs::protocol::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs::protocol::ids::{LedgerId, RecordId};
@@ -40,8 +40,8 @@ fn durability(disk: &Arc<ChaosDisk>, fsync: FsyncPolicy) -> DurabilityConfig {
     DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, fsync)
 }
 
-fn recover(disk: &Arc<ChaosDisk>, fsync: FsyncPolicy) -> ConcurrentLedger {
-    ConcurrentLedger::recover(
+fn recover(disk: &Arc<ChaosDisk>, fsync: FsyncPolicy) -> Ledger {
+    Ledger::recover(
         config(),
         TimestampAuthority::from_seed(17),
         4,
@@ -74,7 +74,7 @@ impl Workload {
     /// Run against `ledger`, returning the acknowledged operations:
     /// claimed record ids and the serials whose revocation was acked.
     /// Stops at the first storage failure (the simulated power loss).
-    fn run(&self, ledger: &ConcurrentLedger) -> (Vec<RecordId>, Vec<u64>) {
+    fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
         let mut acked_claims = Vec::new();
         let mut acked_revokes = Vec::new();
         for (i, req) in self.claims.iter().enumerate() {
@@ -102,7 +102,7 @@ impl Workload {
 }
 
 /// Assert that a recovered ledger still holds every acknowledged write.
-fn assert_acked_recovered(ledger: &ConcurrentLedger, acked: &(Vec<RecordId>, Vec<u64>)) {
+fn assert_acked_recovered(ledger: &Ledger, acked: &(Vec<RecordId>, Vec<u64>)) {
     for id in &acked.0 {
         let resp = ledger.handle(Request::Query { id: *id }, TimeMs(1_000));
         assert!(
@@ -147,7 +147,7 @@ fn acked_writes_survive_crash_at_every_point_under_fsync_always() {
         // Power loss during the initial header write: nothing was ever
         // acknowledged, so there is nothing to check — but the *next*
         // boot must still come up clean.
-        let acked = match ConcurrentLedger::recover(
+        let acked = match Ledger::recover(
             config(),
             TimestampAuthority::from_seed(17),
             4,
@@ -272,7 +272,7 @@ fn mid_log_corrupted_revocation_fails_closed() {
     corrupt[revoke_frame_start + 12] ^= 0x10;
     let broken = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(6)));
     broken.write_atomic(WAL_PATH, &corrupt).unwrap();
-    let result = ConcurrentLedger::recover(
+    let result = Ledger::recover(
         config(),
         TimestampAuthority::from_seed(17),
         4,
@@ -308,8 +308,7 @@ fn snapshot_truncates_wal_and_preserves_state_across_crash() {
     let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(chaos_seed() ^ 10)));
     let mut dcfg = durability(&disk, FsyncPolicy::Always);
     dcfg.snapshot_every = Some(8);
-    let ledger =
-        ConcurrentLedger::recover(config(), TimestampAuthority::from_seed(17), 4, dcfg).unwrap();
+    let ledger = Ledger::recover(config(), TimestampAuthority::from_seed(17), 4, dcfg).unwrap();
     let acked = workload.run(&ledger);
     assert_eq!(acked.0.len() as u64, CLAIMS);
 

@@ -61,7 +61,7 @@ fn tcp_server_survives_garbage_frames() {
 #[test]
 fn truncated_filter_payload_rejected_cleanly() {
     let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let mut l = ledger(1, 2);
+    let l = ledger(1, 2);
     // Claim + revoke so the filter is non-trivial.
     let mut cam = Camera::new(1, 128, 128);
     let shot = cam.capture(0);
@@ -175,7 +175,7 @@ fn chaos_seed() -> u64 {
 
 /// A ledger server with one revoked record and a published filter.
 fn revoked_ledger_server(seed: u64) -> (irs::net::LedgerServer, RecordId) {
-    let mut l = ledger(1, seed);
+    let l = ledger(1, seed);
     let mut cam = Camera::new(seed, 96, 96);
     let shot = cam.capture(0);
     let Response::Claimed { id, .. } = l.handle(Request::Claim(shot.claim), TimeMs(0)) else {

@@ -40,7 +40,7 @@ fn full_lifecycle_share_revoke_unrevoke() {
     let shot = cam.capture(0);
     let Response::Claimed { id, timestamp } = w
         .ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Claim(shot.claim), TimeMs(0))
     else {
@@ -83,7 +83,7 @@ fn full_lifecycle_share_revoke_unrevoke() {
     let (_, epoch) = w.ledgers.query(id, TimeMs(3_000)).unwrap();
     let rv = w.wallet.revoke_request(&id, true, epoch).unwrap();
     w.ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(rv), TimeMs(3_000));
 
@@ -117,7 +117,7 @@ fn full_lifecycle_share_revoke_unrevoke() {
     let (_, epoch) = w.ledgers.query(id, TimeMs(4_100_000)).unwrap();
     let unrv = w.wallet.revoke_request(&id, false, epoch).unwrap();
     w.ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(unrv), TimeMs(4_100_000));
     let report = w
@@ -132,13 +132,13 @@ fn goal1_owner_never_reveals_identity_or_content() {
     // The ledger's stored record contains only the per-photo public key,
     // a signature, a timestamp, and a flag — no photo bytes, no photo
     // hash in the clear, no account identity.
-    let mut w = world();
+    let w = world();
     let mut cam = Camera::new(2, 128, 128);
     let shot = cam.capture(0);
     let digest = shot.digest;
     let Response::Claimed { id, .. } = w
         .ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Claim(shot.claim), TimeMs(0))
     else {
@@ -163,11 +163,11 @@ fn goal1_owner_never_reveals_identity_or_content() {
 
 #[test]
 fn two_photos_same_owner_unlinkable_at_ledger() {
-    let mut w = world();
+    let w = world();
     let mut cam = Camera::new(3, 128, 128);
     let a = cam.capture(0);
     let b = cam.capture(1);
-    let ledger = w.ledgers.get_mut(LedgerId(1)).unwrap();
+    let ledger = w.ledgers.get(LedgerId(1)).unwrap();
     let Response::Claimed { id: ida, .. } = ledger.handle(Request::Claim(a.claim), TimeMs(0))
     else {
         panic!()
@@ -194,7 +194,7 @@ fn validation_before_save_and_share_apis() {
     let keypair = shot.keypair.clone();
     let Response::Claimed { id, .. } = w
         .ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Claim(shot.claim), TimeMs(0))
     else {
@@ -202,7 +202,7 @@ fn validation_before_save_and_share_apis() {
     };
     let rv = RevokeRequest::create(&keypair, id, true, 0);
     w.ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(rv), TimeMs(10));
     let (status, _) = w.ledgers.query(id, TimeMs(20)).unwrap();

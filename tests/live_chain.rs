@@ -102,7 +102,7 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
 #[test]
 fn filter_fetch_over_wire() {
     // A proxy bootstraps its filter via the wire protocol.
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(6),
     );

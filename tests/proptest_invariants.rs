@@ -408,13 +408,13 @@ fn codec_rejects_oversized_frames_on_both_sides() {
 fn replication_pair(
     claims: u64,
 ) -> (
-    irs::ledger::ConcurrentLedger,
+    irs::ledger::Ledger,
     irs::ledger::Follower,
     irs::ledger::SegmentData,
 ) {
     use irs::ledger::{
-        ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, Follower,
-        FsyncPolicy, LedgerConfig, SegmentData,
+        ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
+        LedgerConfig, SegmentData,
     };
     use irs::protocol::tsa::TimestampAuthority;
     use std::sync::Arc;
@@ -424,7 +424,7 @@ fn replication_pair(
         let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
         DurabilityConfig::new(disk as Arc<dyn Disk>, FsyncPolicy::Always)
     };
-    let primary = ConcurrentLedger::recover(
+    let primary = Ledger::recover(
         LedgerConfig::new(ledger_id),
         TimestampAuthority::from_seed(0x77),
         4,

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use irs::crypto::{Digest, Keypair};
 use irs::ledger::wal::WalWriter;
 use irs::ledger::{
-    ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DiskFault, DurabilityConfig, Follower,
-    FsyncPolicy, LedgerConfig, SegmentData,
+    ChaosDisk, ChaosDiskConfig, Disk, DiskFault, DurabilityConfig, Follower, FsyncPolicy, Ledger,
+    LedgerConfig, SegmentData,
 };
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::LedgerId;
@@ -37,7 +37,7 @@ fn claim(i: u64) -> ClaimRequest {
 }
 
 /// One in-process follower poll against the primary's request path.
-fn poll_once(primary: &ConcurrentLedger, follower: &mut Follower) -> usize {
+fn poll_once(primary: &Ledger, follower: &mut Follower) -> usize {
     let Response::WalSegment {
         first_seq,
         durable_seq,
@@ -63,7 +63,7 @@ fn poll_once(primary: &ConcurrentLedger, follower: &mut Follower) -> usize {
         .expect("clean stream must apply")
 }
 
-fn bootstrap_from(primary: &ConcurrentLedger, disk: &Arc<ChaosDisk>) -> Follower {
+fn bootstrap_from(primary: &Ledger, disk: &Arc<ChaosDisk>) -> Follower {
     let (seq, data) = primary.replication_snapshot().unwrap();
     Follower::bootstrap(
         config(),
@@ -76,7 +76,7 @@ fn bootstrap_from(primary: &ConcurrentLedger, disk: &Arc<ChaosDisk>) -> Follower
     .unwrap()
 }
 
-fn state_bytes(ledger: &ConcurrentLedger) -> Vec<u8> {
+fn state_bytes(ledger: &Ledger) -> Vec<u8> {
     ledger.replication_snapshot().unwrap().1
 }
 
@@ -128,8 +128,7 @@ fn every_n_boundary_gates_replicable_seq() {
 fn follower_rejects_gap_and_resyncs() {
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(2)));
     let primary =
-        ConcurrentLedger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always)).unwrap();
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(3)));
     let mut follower = bootstrap_from(&primary, &follower_disk);
 
@@ -191,25 +190,17 @@ fn fsync_lie_during_tail_follow_forces_resync() {
     let (seed, survivors) = (0..64)
         .find_map(|seed| {
             let disk = lying_disk(seed);
-            let primary = ConcurrentLedger::recover(
-                config(),
-                tsa(),
-                4,
-                durability(&disk, FsyncPolicy::Always),
-            )
-            .unwrap();
+            let primary =
+                Ledger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always))
+                    .unwrap();
             for i in 0..CLAIMS {
                 primary.claim_custodial(claim(i), TimeMs(i)).unwrap();
             }
             drop(primary);
             disk.crash(); // the lied-about tail evaporates
-            let reborn = ConcurrentLedger::recover(
-                config(),
-                tsa(),
-                4,
-                durability(&disk, FsyncPolicy::Always),
-            )
-            .unwrap();
+            let reborn =
+                Ledger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always))
+                    .unwrap();
             let survivors = reborn.store().len() as u64;
             (survivors < CLAIMS).then_some((seed, survivors))
         })
@@ -221,8 +212,7 @@ fn fsync_lie_during_tail_follow_forces_resync() {
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(5)));
     let disk = lying_disk(seed);
     let primary =
-        ConcurrentLedger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always)).unwrap();
     let mut follower = bootstrap_from(&primary, &follower_disk);
     for i in 0..CLAIMS {
         primary.claim_custodial(claim(i), TimeMs(i)).unwrap();
@@ -237,8 +227,7 @@ fn fsync_lie_during_tail_follow_forces_resync() {
     // The reborn primary lost records the follower already holds: its
     // durable seq sits *below* the follower's cursor.
     let reborn =
-        ConcurrentLedger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always)).unwrap();
     assert_eq!(reborn.store().len() as u64, survivors);
     let Response::WalSegment {
         durable_seq,
@@ -282,8 +271,7 @@ fn fsync_lie_during_tail_follow_forces_resync() {
 fn follower_reopen_relocates_cursor() {
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(7)));
     let primary =
-        ConcurrentLedger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always)).unwrap();
     for i in 0..3 {
         primary.claim_custodial(claim(i), TimeMs(i)).unwrap();
     }
@@ -322,8 +310,7 @@ fn follower_reopen_relocates_cursor() {
 fn promoted_follower_accepts_writes() {
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(9)));
     let primary =
-        ConcurrentLedger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always))
-            .unwrap();
+        Ledger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always)).unwrap();
     for i in 0..4 {
         primary.claim_custodial(claim(i), TimeMs(i)).unwrap();
     }

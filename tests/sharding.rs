@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use irs::crypto::{Digest, Keypair};
-use irs::ledger::{ConcurrentLedger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
+use irs::ledger::{Ledger, LedgerConfig, ShardDirectory, ShardMap, ShardSpec};
 use irs::net::service::{stacks, CallCtx, Service, TcpTransport};
 use irs::net::LedgerServer;
 use irs::net::RetryPolicy;
@@ -36,7 +36,7 @@ fn two_shard_cluster() -> (LedgerServer, LedgerServer, ShardMap) {
         .iter()
         .enumerate()
         .map(|(i, dir)| {
-            let ledger = Arc::new(ConcurrentLedger::new(
+            let ledger = Arc::new(Ledger::new(
                 LedgerConfig::new(LedgerId(i as u16 + 1)),
                 TimestampAuthority::from_seed(0x515 + i as u64),
             ));

@@ -27,7 +27,7 @@ struct World {
 }
 
 fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
-    let mut ledger = Ledger::new(
+    let ledger = Ledger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(77),
     );
