@@ -2,22 +2,17 @@
 //! per-lookup cost that bounds bootstrap-proxy throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use irs_core::claim::RevocationStatus;
+use irs_bench::rig::{install_revoked_filter, validate};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 
-fn proxy_with(revoked: u64, population: u64) -> IrsProxy {
-    let mut filter = BloomFilter::for_capacity(population, 0.02).unwrap();
-    for i in 0..revoked {
-        filter.insert(RecordId::new(LedgerId(0), i).filter_key());
-    }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
-    proxy
-        .filters
-        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
-        .unwrap();
+fn proxy_with(revoked: u64, population: u64) -> SharedProxy {
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+    let filter = BloomFilter::for_capacity(population, 0.02).unwrap();
+    let keys = (0..revoked).map(|i| RecordId::new(LedgerId(0), i).filter_key());
+    install_revoked_filter(&proxy, filter, keys);
     proxy
 }
 
@@ -26,7 +21,7 @@ fn bench_lookup(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     // Filter-negative path (the common case).
-    let mut proxy = proxy_with(10_000, 1_000_000);
+    let proxy = proxy_with(10_000, 1_000_000);
     let mut serial = 1_000_000u64;
     group.bench_function("filter_negative", |b| {
         b.iter(|| {
@@ -36,10 +31,9 @@ fn bench_lookup(c: &mut Criterion) {
     });
 
     // Cache-hit path.
-    let mut proxy = proxy_with(10_000, 1_000_000);
+    let proxy = proxy_with(10_000, 1_000_000);
     let hot = RecordId::new(LedgerId(0), 5);
-    proxy.lookup(hot, TimeMs(0));
-    proxy.complete(hot, RevocationStatus::NotRevoked, TimeMs(0));
+    validate(&proxy, hot, false, TimeMs(0));
     group.bench_function("cache_hit", |b| {
         b.iter(|| {
             let out = proxy.lookup(hot, TimeMs(1));

@@ -5,15 +5,14 @@
 //! deployments and report the attribution metrics, plus the anonymity-set
 //! sizes of the queries that do reach a ledger.
 
+use crate::rig::{install_revoked_filter, revoked_keys, validate};
 use crate::table::{f, pct, Table};
-use irs_core::claim::RevocationStatus;
-use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
 use irs_proxy::privacy::{analyze, anonymity_set_size, LedgerLogEntry};
-use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
-use irs_workload::trace::{generate, ViewTraceConfig};
+use irs_workload::trace::{generate, ViewEvent, ViewTraceConfig};
 
 /// Run E13.
 pub fn run(quick: bool) -> String {
@@ -33,60 +32,31 @@ pub fn run(quick: bool) -> String {
     let total_views = trace.len() as u64;
     let activity: Vec<(u64, u32)> = trace.iter().map(|e| (e.at_ms, e.user)).collect();
 
+    // What the ledger logs for one view, by the address it came from.
+    let entry = |e: &ViewEvent, source_user| LedgerLogEntry {
+        at_ms: e.at_ms,
+        source_user,
+        photo_serial: e.photo.id.serial,
+    };
     // Deployment A: direct — every view queries the ledger from the
     // viewer's own address.
-    let direct_log: Vec<LedgerLogEntry> = trace
-        .iter()
-        .map(|e| LedgerLogEntry {
-            at_ms: e.at_ms,
-            source_user: Some(e.user),
-            photo_serial: e.photo.id.serial,
-        })
-        .collect();
-
+    let direct_log: Vec<_> = trace.iter().map(|e| entry(e, Some(e.user))).collect();
     // Deployment B: proxied, no filter — all views still reach the
     // ledger, but from the proxy's address.
-    let proxied_log: Vec<LedgerLogEntry> = trace
-        .iter()
-        .map(|e| LedgerLogEntry {
-            at_ms: e.at_ms,
-            source_user: None,
-            photo_serial: e.photo.id.serial,
-        })
-        .collect();
-
+    let proxied_log: Vec<_> = trace.iter().map(|e| entry(e, None)).collect();
     // Deployment C: proxied + revoked-set filter + cache — only filter
     // hits reach the ledger.
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let mut filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
-    for meta in population.iter() {
-        if meta.revoked {
-            filter.insert(meta.id.filter_key());
-        }
-    }
-    proxy
-        .filters
-        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
-        .unwrap();
-    let mut filtered_log = Vec::new();
-    for e in &trace {
-        if proxy.lookup(e.photo.id, TimeMs(e.at_ms)) == LookupOutcome::NeedsLedgerQuery {
-            proxy.complete(
-                e.photo.id,
-                if e.photo.revoked {
-                    RevocationStatus::Revoked
-                } else {
-                    RevocationStatus::NotRevoked
-                },
-                TimeMs(e.at_ms),
-            );
-            filtered_log.push(LedgerLogEntry {
-                at_ms: e.at_ms,
-                source_user: None,
-                photo_serial: e.photo.id.serial,
-            });
-        }
-    }
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+    let filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
+    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    let filtered_log: Vec<_> = trace
+        .iter()
+        .filter(|e| {
+            validate(&proxy, e.photo.id, e.photo.revoked, TimeMs(e.at_ms))
+                == LookupOutcome::NeedsLedgerQuery
+        })
+        .map(|e| entry(e, None))
+        .collect();
 
     let mut table = Table::new(
         "E13 — ledger-side attribution under three deployments",
@@ -133,11 +103,43 @@ pub fn run(quick: bool) -> String {
     out
 }
 
+/// The §4.2 mixing window replayed over the view trace in virtual time:
+/// a pending query flushes upstream, with everything pending beside it,
+/// at the first 10 ms timer tick by which the oldest has been held
+/// `hold_ms`. Returns each batch's anonymity set (distinct users) and the
+/// mean hold in ms. (The live window is `irs_net::service::BatchLayer`;
+/// it runs on the wall clock and never sees who asked, so it cannot
+/// replay this statistic.)
+fn hold_windows(trace: &[ViewEvent], hold_ms: u64) -> (Vec<usize>, f64) {
+    let mut pending: Vec<(u64, u32)> = Vec::new(); // (enqueued at, user)
+    let (mut anon_sets, mut total_hold) = (Vec::new(), 0u64);
+    let mut flush_if_due = |pending: &mut Vec<(u64, u32)>, now: u64| {
+        // Saturating: the closing flush can land before the last arrival.
+        let held = |at: u64| now.saturating_sub(at);
+        if pending.first().is_some_and(|&(at, _)| held(at) >= hold_ms) {
+            total_hold += pending.iter().map(|&(at, _)| held(at)).sum::<u64>();
+            let mut users: Vec<u32> = pending.drain(..).map(|(_, user)| user).collect();
+            users.sort_unstable();
+            users.dedup();
+            anon_sets.push(users.len());
+        }
+    };
+    let mut tick = 0u64;
+    for e in trace {
+        while tick + 10 <= e.at_ms {
+            tick += 10;
+            flush_if_due(&mut pending, tick);
+        }
+        pending.push((e.at_ms, e.user));
+    }
+    flush_if_due(&mut pending, tick + hold_ms + 1);
+    (anon_sets, total_hold as f64 / trace.len().max(1) as f64)
+}
+
 /// Second table: the aggregation that §4.2's privacy rests on has a price —
-/// queries wait for company. Sweep the batcher's hold window and report the
+/// queries wait for company. Sweep the hold window and report the
 /// anonymity-set / added-latency tradeoff.
-fn run_batching_tradeoff(trace: &[irs_workload::trace::ViewEvent]) -> String {
-    use irs_proxy::{BatchConfig, Batcher};
+fn run_batching_tradeoff(trace: &[ViewEvent]) -> String {
     let mut table = Table::new(
         "E13b — proxy batching: anonymity set vs added hold latency",
         &[
@@ -149,40 +151,16 @@ fn run_batching_tradeoff(trace: &[irs_workload::trace::ViewEvent]) -> String {
         ],
     );
     for &hold_ms in &[0u64, 50, 200, 1_000, 5_000] {
-        let mut batcher = Batcher::new(BatchConfig {
-            max_batch: 4096,
-            max_hold_ms: hold_ms,
-            // Disable the k-floor early flush: this sweep isolates the
-            // hold-window dial.
-            min_batch: usize::MAX,
-        });
-        let mut anon_sizes: Vec<usize> = Vec::new();
-        let mut last_poll = 0u64;
-        for e in trace {
-            // Poll the time-driven flush at 10 ms granularity between
-            // events (what a proxy's timer wheel would do).
-            while last_poll + 10 <= e.at_ms {
-                last_poll += 10;
-                if let Some(b) = batcher.poll(TimeMs(last_poll)) {
-                    anon_sizes.push(b.anonymity_set);
-                }
-            }
-            if let Some(b) = batcher.enqueue(e.photo.id, e.user, TimeMs(e.at_ms)) {
-                anon_sizes.push(b.anonymity_set);
-            }
-        }
-        if let Some(b) = batcher.poll(TimeMs(last_poll + hold_ms + 1)) {
-            anon_sizes.push(b.anonymity_set);
-        }
-        let batches = anon_sizes.len().max(1);
-        let mean_anon = anon_sizes.iter().sum::<usize>() as f64 / batches as f64;
-        let min_anon = anon_sizes.iter().copied().min().unwrap_or(0);
+        let (anon_sets, mean_hold) = hold_windows(trace, hold_ms);
+        let batches = anon_sets.len().max(1);
+        let mean_anon = anon_sets.iter().sum::<usize>() as f64 / batches as f64;
+        let min_anon = anon_sets.iter().copied().min().unwrap_or(0);
         table.row(vec![
             format!("{hold_ms} ms"),
             format!("{}", batches),
             f(mean_anon, 1),
             format!("{min_anon}"),
-            format!("{} ms", f(batcher.mean_hold_ms(), 1)),
+            format!("{} ms", f(mean_hold, 1)),
         ]);
     }
     table.note(
@@ -204,5 +182,31 @@ mod tests {
             .find(|l| l.trim_start().starts_with("proxied "))
             .unwrap();
         assert!(proxied.contains("0.00%"), "{proxied}");
+    }
+
+    #[test]
+    fn longer_holds_mix_more_users() {
+        use super::*;
+        let population = PhotoPopulation::new(PopulationConfig {
+            total: 5_000,
+            ..PopulationConfig::default()
+        });
+        let config = ViewTraceConfig {
+            users: 50,
+            duration_ms: 30_000,
+            mean_interval_ms: 1_500.0,
+            ..ViewTraceConfig::default()
+        };
+        let trace = generate(&config, &population);
+        let rows: Vec<(usize, f64)> = [0u64, 50, 200, 1_000, 5_000]
+            .iter()
+            .map(|&hold_ms| {
+                let (sets, _) = hold_windows(&trace, hold_ms);
+                let mean = sets.iter().sum::<usize>() as f64 / sets.len() as f64;
+                (*sets.iter().min().unwrap(), mean)
+            })
+            .collect();
+        assert_eq!(rows[0].0, 1, "no hold: some query rides alone");
+        assert!(rows.windows(2).all(|w| w[0].1 <= w[1].1), "{rows:?}");
     }
 }

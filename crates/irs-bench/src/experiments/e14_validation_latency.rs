@@ -6,12 +6,11 @@
 //! revoked-set filter, using the discrete-event simulator's calibrated
 //! latency profiles and a real proxy instance making the decisions.
 
+use crate::rig::{install_revoked_filter, revoked_keys, validate};
 use crate::table::{f, Table};
-use irs_core::claim::RevocationStatus;
-use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_simnet::latency::profiles;
 use irs_simnet::Histogram;
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
@@ -39,69 +38,30 @@ pub fn run(quick: bool) -> String {
         direct.record(direct_link.rtt(&mut rng));
     }
 
-    // (b) proxied, no filter (cache only).
-    let mut proxied = Histogram::new();
-    {
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+    // (b) and (c): every check pays browser→proxy; the ones the proxy
+    // cannot answer locally also pay proxy→ledger.
+    let mut proxied_run = |proxy: &SharedProxy| {
+        let mut latencies = Histogram::new();
         for i in 0..checks {
             let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
             let base = to_proxy.rtt(&mut rng);
-            let latency = match proxy.lookup(meta.id, TimeMs(i)) {
-                LookupOutcome::NeedsLedgerQuery => {
-                    proxy.complete(
-                        meta.id,
-                        if meta.revoked {
-                            RevocationStatus::Revoked
-                        } else {
-                            RevocationStatus::NotRevoked
-                        },
-                        TimeMs(i),
-                    );
-                    base + proxy_ledger.rtt(&mut rng)
-                }
+            latencies.record(match validate(proxy, meta.id, meta.revoked, TimeMs(i)) {
+                LookupOutcome::NeedsLedgerQuery => base + proxy_ledger.rtt(&mut rng),
                 _ => base,
-            };
-            proxied.record(latency);
+            });
         }
-    }
+        latencies
+    };
+
+    // (b) proxied, no filter (cache only).
+    let mut proxied = proxied_run(&SharedProxy::with_shards(ProxyConfig::default(), 1));
 
     // (c) proxied + revoked-set filter.
-    let mut filtered = Histogram::new();
-    let filtered_stats;
-    {
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
-        let mut filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
-        for meta in population.iter() {
-            if meta.revoked {
-                filter.insert(meta.id.filter_key());
-            }
-        }
-        proxy
-            .filters
-            .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
-            .unwrap();
-        for i in 0..checks {
-            let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
-            let base = to_proxy.rtt(&mut rng);
-            let latency = match proxy.lookup(meta.id, TimeMs(i)) {
-                LookupOutcome::NeedsLedgerQuery => {
-                    proxy.complete(
-                        meta.id,
-                        if meta.revoked {
-                            RevocationStatus::Revoked
-                        } else {
-                            RevocationStatus::NotRevoked
-                        },
-                        TimeMs(i),
-                    );
-                    base + proxy_ledger.rtt(&mut rng)
-                }
-                _ => base,
-            };
-            filtered.record(latency);
-        }
-        filtered_stats = proxy.stats;
-    }
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+    let filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
+    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    let mut filtered = proxied_run(&proxy);
+    let filtered_stats = proxy.stats();
 
     let mut table = Table::new(
         "E14 — per-check validation latency (simulated WAN profiles)",

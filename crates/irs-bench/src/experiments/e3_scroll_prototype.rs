@@ -8,6 +8,7 @@
 //! check service issues actual wire queries and feeds the measured
 //! wall-clock latency into the viewport model.
 
+use crate::rig::{install_revoked_filter, revoked_keys};
 use crate::table::Table;
 use irs_browser::pipeline::{CheckService, NoChecks};
 use irs_browser::scroll::{run_session, ScrollConfig};
@@ -18,7 +19,7 @@ use irs_filters::BloomFilter;
 use irs_ledger::{Ledger, LedgerConfig};
 use irs_net::service::{CallCtx, Service, TcpTransport};
 use irs_net::{LedgerServer, ProxyServer};
-use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_simnet::{LatencyModel, Link};
 use irs_workload::population::{PhotoMeta, PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
@@ -76,17 +77,9 @@ pub fn run(quick: bool) -> String {
         }
     }
     let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").expect("ledger server");
-    let mut filter = BloomFilter::for_capacity(20_000, 0.02).expect("filter");
-    for meta in population.iter() {
-        if meta.revoked {
-            filter.insert(meta.id.filter_key());
-        }
-    }
     let proxy = std::sync::Arc::new(SharedProxy::new(ProxyConfig::default()));
-    let install = FilterUpdate::full(1, filter.to_bytes());
-    proxy
-        .update_filters(|f| f.apply(LedgerId(0), install))
-        .expect("install");
+    let filter = BloomFilter::for_capacity(20_000, 0.02).expect("filter");
+    install_revoked_filter(&proxy, filter, revoked_keys(&population));
     let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
         .expect("proxy server");
 

@@ -11,13 +11,12 @@
 //! the 1 B and 100 B populations, and finally measure the end-to-end load
 //! reduction with a real proxy run.
 
+use crate::rig::{install_revoked_filter, revoked_keys, validate};
 use crate::table::{bytes_h, f, pct, Table};
-use irs_core::claim::RevocationStatus;
-use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::analysis;
 use irs_filters::{BloomFilter, Filter};
-use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
@@ -88,40 +87,26 @@ pub fn run(quick: bool) -> String {
         total: if quick { 50_000 } else { 400_000 },
         ..PopulationConfig::default()
     });
-    let revoked: Vec<u64> = population
-        .iter()
-        .filter(|m| m.revoked)
-        .map(|m| m.id.filter_key())
-        .collect();
+    let revoked: Vec<u64> = revoked_keys(&population).collect();
     let m_bits = ((revoked.len() as f64) * BITS_PER_KEY) as u64;
     let k = analysis::optimal_k(m_bits, revoked.len() as u64);
-    let mut filter = BloomFilter::with_params(m_bits.max(64), k, 0).expect("filter");
-    for &key in &revoked {
-        filter.insert(key);
-    }
-    let mut proxy = IrsProxy::new(ProxyConfig {
-        cache_capacity: 10_000,
-        cache_ttl_ms: 3_600_000,
-    });
-    proxy
-        .filters
-        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
-        .expect("install");
+    let filter = BloomFilter::with_params(m_bits.max(64), k, 0).expect("filter");
+    let proxy = SharedProxy::with_shards(
+        ProxyConfig {
+            cache_capacity: 10_000,
+            cache_ttl_ms: 3_600_000,
+        },
+        1,
+    );
+    install_revoked_filter(&proxy, filter, revoked);
     let zipf = Zipf::new(population.public_count() as usize, 0.9);
     let mut rng = StdRng::seed_from_u64(0xE4);
     let views = if quick { 20_000 } else { 100_000 };
     for i in 0..views {
         let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
-        if proxy.lookup(meta.id, TimeMs(i)) == LookupOutcome::NeedsLedgerQuery {
-            let status = if meta.revoked {
-                RevocationStatus::Revoked
-            } else {
-                RevocationStatus::NotRevoked
-            };
-            proxy.complete(meta.id, status, TimeMs(i));
-        }
+        validate(&proxy, meta.id, meta.revoked, TimeMs(i));
     }
-    let s = proxy.stats;
+    let s = proxy.stats();
     table.note(format!(
         "end-to-end proxy run: {} views → {} ledger queries = {}× reduction \
          (filter answered {}, cache {})",

@@ -8,19 +8,30 @@
 //! the ledger), sweeping cache size and popularity skew, and then show the
 //! combined filter+cache configuration.
 
+use crate::rig::{install_revoked_filter, revoked_keys, validate};
 use crate::table::{f, pct, Table};
-use irs_core::claim::RevocationStatus;
-use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A never-expiring cache of `capacity` entries on one stripe: an exact
+/// LRU, which is what the table sweeps (a striped LRU evicts differently).
+fn lru_proxy(capacity: usize) -> SharedProxy {
+    SharedProxy::with_shards(
+        ProxyConfig {
+            cache_capacity: capacity,
+            cache_ttl_ms: u64::MAX / 4,
+        },
+        1,
+    )
+}
+
 fn run_trace(
-    proxy: &mut IrsProxy,
+    proxy: &SharedProxy,
     population: &PhotoPopulation,
     zipf: &Zipf,
     views: u64,
@@ -29,14 +40,7 @@ fn run_trace(
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..views {
         let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
-        if proxy.lookup(meta.id, TimeMs(i)) == LookupOutcome::NeedsLedgerQuery {
-            let status = if meta.revoked {
-                RevocationStatus::Revoked
-            } else {
-                RevocationStatus::NotRevoked
-            };
-            proxy.complete(meta.id, status, TimeMs(i));
-        }
+        validate(proxy, meta.id, meta.revoked, TimeMs(i));
     }
 }
 
@@ -64,12 +68,9 @@ pub fn run(quick: bool) -> String {
         let mut cells = vec![format!("{theta}")];
         for frac in [0.001f64, 0.01, 0.1, 1.0] {
             let capacity = ((public as f64 * frac) as usize).max(1);
-            let mut proxy = IrsProxy::new(ProxyConfig {
-                cache_capacity: capacity,
-                cache_ttl_ms: u64::MAX / 4,
-            });
-            run_trace(&mut proxy, &population, &zipf, views, 0xE5);
-            cells.push(pct(proxy.stats.ledger_query_fraction()));
+            let proxy = lru_proxy(capacity);
+            run_trace(&proxy, &population, &zipf, views, 0xE5);
+            cells.push(pct(proxy.stats().ledger_query_fraction()));
         }
         table.row(cells);
     }
@@ -77,22 +78,11 @@ pub fn run(quick: bool) -> String {
 
     // Combined: filter + 1% cache at θ=0.9.
     let zipf = Zipf::new(public as usize, 0.9);
-    let mut proxy = IrsProxy::new(ProxyConfig {
-        cache_capacity: (public / 100).max(1) as usize,
-        cache_ttl_ms: u64::MAX / 4,
-    });
-    let mut filter = BloomFilter::for_capacity(population.total(), 0.02).expect("filter");
-    for meta in population.iter() {
-        if meta.revoked {
-            filter.insert(meta.id.filter_key());
-        }
-    }
-    proxy
-        .filters
-        .apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes()))
-        .expect("install");
-    run_trace(&mut proxy, &population, &zipf, views, 0xE5);
-    let s = proxy.stats;
+    let proxy = lru_proxy((public / 100).max(1) as usize);
+    let filter = BloomFilter::for_capacity(population.total(), 0.02).expect("filter");
+    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    run_trace(&proxy, &population, &zipf, views, 0xE5);
+    let s = proxy.stats();
     table.note(format!(
         "filter + 1% cache @ θ=0.9: {} of views reach the ledger ({}× reduction)",
         pct(s.ledger_query_fraction()),

@@ -11,6 +11,7 @@
 //! under `benches/`.
 
 pub mod experiments;
+pub mod rig;
 pub mod table;
 
 /// Run an experiment by id ("e1".."e23" or "all"). `quick` trades

@@ -2,9 +2,9 @@
 //!
 //! [`Batched`] holds concurrent `Query` calls for a bounded window and
 //! flushes them upstream as one [`Request::Batch`], so the ledger sees
-//! one request from the proxy where many viewers asked (the k-anonymity
-//! mixing the sequential [`irs_proxy::batch::Batcher`] models for the
-//! simulator, here on the live blocking path). The first caller into an
+//! one request from the proxy where many viewers asked — the only
+//! batching implementation in the workspace (E13b sweeps the same dial
+//! over a view trace in virtual time). The first caller into an
 //! empty window becomes the *leader*: it waits out the window (or until
 //! the batch fills), performs the one upstream call, and publishes the
 //! answers; followers block on a condvar and pick their answer up.
@@ -65,9 +65,7 @@ impl<S: Service> Layer<S> for BatchLayer {
             state: Mutex::new(State {
                 generation: 1,
                 pending: Vec::new(),
-                done_generation: 0,
-                results: HashMap::new(),
-                failures: HashMap::new(),
+                done: HashMap::new(),
             }),
             flushed: Condvar::new(),
             flushes: AtomicU64::new(0),
@@ -80,13 +78,12 @@ struct State {
     /// Generation currently accumulating.
     generation: u64,
     pending: Vec<RecordId>,
-    /// Highest generation whose results (or failure) are published.
-    done_generation: u64,
-    results: HashMap<(u64, RecordId), RevocationStatus>,
-    /// The leader's upstream error, kept with its kind so every waiter
-    /// sees what actually failed (a breaker rejection must not come out
-    /// the other side dressed as a lost connection).
-    failures: HashMap<u64, NetError>,
+    /// Published generations: a window is done exactly when it has an
+    /// entry here, whatever order the upstream calls return in. A
+    /// failure keeps the leader's upstream error with its kind, so every
+    /// waiter sees what actually failed (a breaker rejection must not
+    /// come out the other side dressed as a lost connection).
+    done: HashMap<u64, Result<HashMap<RecordId, RevocationStatus>, NetError>>,
 }
 
 /// The [`BatchLayer`] service. Counters: [`flushes`](Batched::flushes)
@@ -112,18 +109,19 @@ impl<S> Batched<S> {
     }
 
     /// Read a waiter's answer out of a published generation.
-    fn extract(state: &State, generation: u64, id: RecordId) -> Result<Response, NetError> {
-        if let Some(error) = state.failures.get(&generation) {
-            return Err(error.replicate());
-        }
-        match state.results.get(&(generation, id)) {
-            Some(&status) => Ok(Response::Status {
-                id,
-                status,
-                epoch: 0,
-            }),
-            None => Err(NetError::Frame("batch reply missing id")),
-        }
+    fn extract(
+        outcome: &Result<HashMap<RecordId, RevocationStatus>, NetError>,
+        id: RecordId,
+    ) -> Result<Response, NetError> {
+        let statuses = outcome.as_ref().map_err(NetError::replicate)?;
+        let &status = statuses
+            .get(&id)
+            .ok_or(NetError::Frame("batch reply missing id"))?;
+        Ok(Response::Status {
+            id,
+            status,
+            epoch: 0,
+        })
     }
 }
 
@@ -175,33 +173,22 @@ impl<S: Service> Service for Batched<S> {
                 .fetch_add(taken.len() as u64, Ordering::Relaxed);
             let result = self.inner.call(Request::Batch(unique), ctx);
 
-            let mut state = self.state.lock().expect("batch state poisoned");
-            match result {
-                Ok(Response::BatchStatus(items)) => {
-                    for (id, status) in items {
-                        state.results.insert((generation, id), status);
-                    }
-                }
+            let outcome = match result {
+                Ok(Response::BatchStatus(items)) => Ok(items.into_iter().collect()),
                 // An error fails the whole window *typed*: every waiter
                 // gets a replica of the actual upstream error, never a
                 // silent empty verdict or a flattened ConnectionLost.
-                Err(error) => {
-                    state.failures.insert(generation, error);
-                }
+                Err(error) => Err(error),
                 // An unexpected reply shape is a protocol bug; say so.
-                Ok(_) => {
-                    state.failures.insert(
-                        generation,
-                        NetError::Frame("batch reply had unexpected shape"),
-                    );
-                }
-            }
-            state.done_generation = generation;
+                Ok(_) => Err(NetError::Frame("batch reply had unexpected shape")),
+            };
+            let answer = Self::extract(&outcome, id);
+            let mut state = self.state.lock().expect("batch state poisoned");
             // Drop generations every waiter has had ample time to read.
-            state.results.retain(|(g, _), _| g + 2 > generation);
-            state.failures.retain(|g, _| g + 2 > generation);
+            state.done.retain(|g, _| g + 2 > generation);
+            state.done.insert(generation, outcome);
             self.flushed.notify_all();
-            return Self::extract(&state, generation, id);
+            return answer;
         }
 
         span.verdict("follower");
@@ -214,7 +201,7 @@ impl<S: Service> Service for Batched<S> {
         // leader that died mid-flush.
         let hard_cap = Instant::now() + self.policy.max_hold + Duration::from_secs(5);
         let give_up = ctx.deadline.map_or(hard_cap, |d| d.min(hard_cap));
-        while state.done_generation < generation {
+        while !state.done.contains_key(&generation) {
             let now = Instant::now();
             if now >= give_up {
                 return Err(if ctx.expired() {
@@ -233,7 +220,7 @@ impl<S: Service> Service for Batched<S> {
                 .expect("batch state poisoned");
             state = next;
         }
-        Self::extract(&state, generation, id)
+        Self::extract(&state.done[&generation], id)
     }
 }
 
@@ -246,16 +233,19 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    /// Every id of a batch answered `status`.
+    fn answer(ids: Vec<RecordId>, status: RevocationStatus) -> Result<Response, NetError> {
+        Ok(Response::BatchStatus(
+            ids.into_iter().map(|id| (id, status)).collect(),
+        ))
+    }
+
     /// An upstream answering batches and counting how many it saw.
     fn batch_upstream(calls: Arc<AtomicU64>) -> impl Service {
         service_fn(move |req, _ctx: &CallCtx| match req {
             Request::Batch(ids) => {
                 calls.fetch_add(1, Ordering::SeqCst);
-                Ok(Response::BatchStatus(
-                    ids.into_iter()
-                        .map(|id| (id, RevocationStatus::Revoked))
-                        .collect(),
-                ))
+                answer(ids, RevocationStatus::Revoked)
             }
             _ => panic!("batched layer must only send Batch upstream"),
         })
@@ -324,11 +314,7 @@ mod tests {
             service_fn(move |req, _ctx: &CallCtx| match req {
                 Request::Batch(ids) => {
                     seen_in.lock().unwrap().push(ids.clone());
-                    Ok(Response::BatchStatus(
-                        ids.into_iter()
-                            .map(|id| (id, RevocationStatus::NotRevoked))
-                            .collect(),
-                    ))
+                    answer(ids, RevocationStatus::NotRevoked)
                 }
                 _ => panic!("unexpected request"),
             })
@@ -397,11 +383,7 @@ mod tests {
         .with_modes(&[FaultMode::CorruptResponse]);
         let svc = Arc::new(
             service_fn(|req, _ctx: &CallCtx| match req {
-                Request::Batch(ids) => Ok(Response::BatchStatus(
-                    ids.into_iter()
-                        .map(|id| (id, RevocationStatus::NotRevoked))
-                        .collect(),
-                )),
+                Request::Batch(ids) => answer(ids, RevocationStatus::NotRevoked),
                 _ => panic!("unexpected request"),
             })
             .layered(ChaosLayer::new(config))
@@ -467,11 +449,7 @@ mod tests {
                     // The leader stalls here, holding the generation
                     // unpublished well past the follower's deadline.
                     std::thread::sleep(Duration::from_millis(1_500));
-                    Ok(Response::BatchStatus(
-                        ids.into_iter()
-                            .map(|id| (id, RevocationStatus::Revoked))
-                            .collect(),
-                    ))
+                    answer(ids, RevocationStatus::Revoked)
                 }
                 _ => panic!("unexpected request"),
             })
@@ -517,6 +495,52 @@ mod tests {
             leader.join().unwrap(),
             Ok(Response::Status { .. })
         ));
+    }
+
+    /// Regression: a window is done when *its* flush returns, not when
+    /// any later one does. Window 1's upstream call is slow, window 2's
+    /// fast; window 1's follower used to wake on window 2's completion,
+    /// find no answer under its own generation and fail with "batch
+    /// reply missing id".
+    #[test]
+    fn generations_may_complete_out_of_order() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let svc = Arc::new(
+            service_fn(move |req, _ctx: &CallCtx| match req {
+                Request::Batch(ids) => {
+                    if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                        std::thread::sleep(Duration::from_millis(400));
+                    }
+                    answer(ids, RevocationStatus::Revoked)
+                }
+                _ => panic!("unexpected request"),
+            })
+            .layered(BatchLayer::new(BatchPolicy {
+                max_batch: 2,
+                max_hold: Duration::from_millis(50),
+            })),
+        );
+        // Two full windows, the second opened while the first is still
+        // upstream.
+        let threads: Vec<_> = (0..4u64)
+            .map(|i| {
+                let svc = svc.clone();
+                let t = std::thread::spawn(move || {
+                    let id = RecordId::new(LedgerId(1), i);
+                    (id, svc.call(Request::Query { id }, &CallCtx::at(TimeMs(0))))
+                });
+                std::thread::sleep(Duration::from_millis(if i == 1 { 100 } else { 10 }));
+                t
+            })
+            .collect();
+        for t in threads {
+            let (asked, resp) = t.join().unwrap();
+            assert!(
+                matches!(resp, Ok(Response::Status { id, .. }) if id == asked),
+                "{asked:?}: {resp:?}"
+            );
+        }
+        assert_eq!(svc.flushes(), 2);
     }
 
     #[test]

@@ -10,30 +10,24 @@
 //! * [`lru`] — the TTL'd LRU lookup cache;
 //! * [`filterset`] — per-ledger filter versions, delta refresh, and the
 //!   merged OR filter;
-//! * [`proxy`] — [`IrsProxy`]: the decision pipeline (filter → cache →
-//!   ledger) as a sans-io state machine usable from both the simulator and
-//!   the TCP server;
-//! * [`batch`] — upstream query batching with a k-anonymity floor (the
-//!   aggregation that §4.2's privacy argument rests on);
-//! * [`privacy`] — attribution accounting for experiment E13.
-
-//! * [`shared`] — [`SharedProxy`]: the same pipeline with a fully
-//!   `&self` lookup path (snapshot-swapped filters, striped cache,
-//!   atomic counters) for multi-threaded servers;
+//! * [`proxy`] — [`SharedProxy`], the one proxy: the decision pipeline
+//!   (filter → cache → ledger) as a sans-io, fully `&self` state machine
+//!   (snapshot-swapped filters, striped cache, atomic counters) that the
+//!   simulator, the experiment rigs and the TCP server all drive;
 //! * [`health`] — per-ledger circuit breakers driving the degradation
-//!   ladder (retry → failover → stale-serve → fail-open).
+//!   ladder (retry → failover → stale-serve → fail-open);
+//! * [`privacy`] — attribution accounting for experiment E13.
+//!
+//! The §4.2 mixing window (query batching) is a service layer,
+//! `irs_net::service::BatchLayer`, not part of this crate.
 
-pub mod batch;
 pub mod filterset;
 pub mod health;
 pub mod lru;
 pub mod privacy;
 pub mod proxy;
-pub mod shared;
 
-pub use batch::{Batch, BatchConfig, Batcher};
 pub use filterset::{FilterSet, FilterUpdate};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use lru::LruTtlCache;
-pub use proxy::{IrsProxy, LookupOutcome, ProxyConfig, ProxyStats};
-pub use shared::{DegradedStats, SharedProxy};
+pub use proxy::{DegradedStats, LookupOutcome, ProxyConfig, ProxyStats, SharedProxy};

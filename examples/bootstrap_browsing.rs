@@ -13,7 +13,7 @@ use irs::filters::BloomFilter;
 use irs::protocol::claim::RevocationStatus;
 use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
-use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, Link};
 use irs::workload::pages::PageModel;
 use irs::workload::population::{PhotoPopulation, PopulationConfig};
@@ -24,7 +24,7 @@ use rand::SeedableRng;
 /// A check service that drives the real proxy pipeline: filter → cache →
 /// (simulated) ledger round trip.
 struct ProxiedChecks {
-    proxy: IrsProxy,
+    proxy: SharedProxy,
     population: PhotoPopulation,
     browser_proxy: Link,
     proxy_ledger: Link,
@@ -64,7 +64,7 @@ fn main() {
     // "If the photo does not hit in the filter, it is definitely not
     // revoked" — and since most viewed photos are not revoked, most
     // lookups never reach a ledger.
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
     let revoked_total = population.iter().filter(|m| m.revoked).count() as u64;
     let mut per_ledger: Vec<BloomFilter> = (0..4)
         .map(|_| BloomFilter::for_capacity(revoked_total, 0.02).expect("filter"))
@@ -75,15 +75,16 @@ fn main() {
         }
     }
     for (i, filter) in per_ledger.into_iter().enumerate() {
+        let update = FilterUpdate::full(1, filter.to_bytes());
         proxy
-            .filters
-            .apply(LedgerId(i as u16), FilterUpdate::full(1, filter.to_bytes()))
+            .update_filters(|fs| fs.apply(LedgerId(i as u16), update))
             .expect("install");
     }
+    let filters = proxy.filters_snapshot();
     println!(
         "proxy holds {} ledger filters, merged FPR ≈ {:.3}%",
-        proxy.filters.ledger_count(),
-        proxy.filters.merged_fpr().unwrap_or(0.0) * 100.0
+        filters.ledger_count(),
+        filters.merged_fpr().unwrap_or(0.0) * 100.0
     );
 
     // Browse 40 pinterest-like pages with and without IRS.
@@ -126,7 +127,7 @@ fn main() {
     println!("page completion with IRS:    {}", irs_complete.summary());
     println!("added page delay:            {}", irs_delay.summary());
 
-    let stats = checks.proxy.stats;
+    let stats = checks.proxy.stats();
     println!(
         "proxy: {} lookups → {} ledger queries ({}× load reduction; {} filter-answered, {} cached)",
         stats.lookups,

@@ -10,7 +10,7 @@ use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
 
 /// One cadence tick in process: publish, then fetch what a proxy
 /// holding `have_version` is served over `GetFilter`.
@@ -63,13 +63,16 @@ fn filter_pipeline_full_then_delta_roundtrip() {
         TimestampAuthority::from_seed(1),
     );
     let records = populate(&ledger, 50, |i| i % 10 == 0); // 5 revoked
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
+    let held = || proxy.filters_snapshot().version(LedgerId(1));
 
     // Hour 1: full snapshot.
-    let first = publish_and_fetch(&ledger, proxy.filters.version(LedgerId(1)));
+    let first = publish_and_fetch(&ledger, held());
     assert!(matches!(first, FilterUpdate::Full { .. }), "got {first:?}");
-    proxy.filters.apply(LedgerId(1), first).unwrap();
-    assert_eq!(proxy.filters.version(LedgerId(1)), 1);
+    proxy
+        .update_filters(|fs| fs.apply(LedgerId(1), first))
+        .unwrap();
+    assert_eq!(held(), 1);
 
     // Revoked records hit the filter; unrevoked ones miss.
     for (i, (id, _)) in records.iter().enumerate() {
@@ -92,7 +95,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
             ledger.handle(Request::Revoke(rv), TimeMs(2_000));
         }
     }
-    let second = publish_and_fetch(&ledger, proxy.filters.version(LedgerId(1)));
+    let second = publish_and_fetch(&ledger, held());
     let FilterUpdate::Delta { data, .. } = &second else {
         panic!("expected delta, got {second:?}");
     };
@@ -102,8 +105,10 @@ fn filter_pipeline_full_then_delta_roundtrip() {
         "delta {} vs full {full_bytes} bytes",
         data.len(),
     );
-    proxy.filters.apply(LedgerId(1), second).unwrap();
-    assert_eq!(proxy.filters.version(LedgerId(1)), 2);
+    proxy
+        .update_filters(|fs| fs.apply(LedgerId(1), second))
+        .unwrap();
+    assert_eq!(held(), 2);
     // The newly revoked records now hit.
     for (i, (id, _)) in records.iter().enumerate() {
         if i % 10 == 5 {
@@ -123,10 +128,9 @@ fn browser_proxy_ledger_validation_chain() {
         TimestampAuthority::from_seed(2),
     );
     let records = populate(&ledger, 30, |i| i == 3);
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
-        .filters
-        .apply(LedgerId(1), publish_and_fetch(&ledger, 0))
+        .update_filters(|fs| fs.apply(LedgerId(1), publish_and_fetch(&ledger, 0)))
         .unwrap();
 
     let mut validator = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);

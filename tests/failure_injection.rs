@@ -17,7 +17,7 @@ use irs::protocol::time::TimeMs;
 use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
-use irs::proxy::{FilterUpdate, IrsProxy, ProxyConfig};
+use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
 
 /// A client of `addr` (it dials on first use and redials by itself after
 /// a connection dies) and one exchange on it.
@@ -60,7 +60,7 @@ fn tcp_server_survives_garbage_frames() {
 
 #[test]
 fn truncated_filter_payload_rejected_cleanly() {
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
     let l = ledger(1, 2);
     // Claim + revoke so the filter is non-trivial.
     let mut cam = Camera::new(1, 128, 128);
@@ -76,18 +76,20 @@ fn truncated_filter_payload_rejected_cleanly() {
     // and without corrupting the proxy's filter set.
     for cut in [0usize, 4, 10, full.len() - 1] {
         let err = proxy
-            .filters
-            .apply(LedgerId(1), FilterUpdate::full(1, full.slice(..cut)))
+            .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, full.slice(..cut))))
             .unwrap_err();
         let _ = err.to_string();
-        assert_eq!(proxy.filters.ledger_count(), 0, "no partial installs");
+        assert_eq!(
+            proxy.filters_snapshot().ledger_count(),
+            0,
+            "no partial installs"
+        );
     }
     // The intact payload still installs.
     proxy
-        .filters
-        .apply(LedgerId(1), FilterUpdate::full(1, full))
+        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, full)))
         .unwrap();
-    assert_eq!(proxy.filters.ledger_count(), 1);
+    assert_eq!(proxy.filters_snapshot().ledger_count(), 1);
 }
 
 #[test]
@@ -193,7 +195,6 @@ fn revoked_ledger_server(seed: u64) -> (irs::net::LedgerServer, RecordId) {
 #[test]
 fn truncated_filter_fetch_keeps_last_good_then_recovers() {
     use irs::net::chaos::{ChaosConfig, ChaosProxy, FaultMode};
-    use irs::proxy::SharedProxy;
 
     let (server, id) = revoked_ledger_server(21);
     let chaos = ChaosProxy::start(
@@ -371,7 +372,7 @@ fn breaker_opens_serves_stale_and_recovers() {
     use irs::net::chaos::{ChaosConfig, ChaosProxy};
     use irs::net::service::stacks;
     use irs::net::{ProxyServer, RetryPolicy};
-    use irs::proxy::{BreakerConfig, BreakerState, SharedProxy};
+    use irs::proxy::{BreakerConfig, BreakerState};
     use std::sync::Arc;
     use std::time::Duration;
 

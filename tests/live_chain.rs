@@ -9,7 +9,7 @@ use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, IrsProxy, ProxyConfig, SharedProxy};
+use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
 use std::sync::Arc;
 
 /// A client of `addr` and the one-exchange call the tests make on it.
@@ -52,12 +52,10 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     for id in &revoked {
         filter.insert(id.filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .filters
-        .apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes()))
+        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
         .unwrap();
-    let proxy = Arc::new(SharedProxy::from_proxy(proxy));
     let proxy_server =
         ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
 
@@ -125,10 +123,9 @@ fn filter_fetch_over_wire() {
     else {
         panic!("expected full filter");
     };
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
-        .filters
-        .apply(LedgerId(1), FilterUpdate::full(version, data))
+        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(version, data)))
         .unwrap();
     // The revoked id hits; a fresh id misses.
     use irs::proxy::LookupOutcome;

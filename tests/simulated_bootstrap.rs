@@ -1,7 +1,7 @@
 //! The bootstrap phase as a *discrete-event* simulation: browser check
 //! events flow through link delays to the proxy, filter misses flow on to
 //! the ledger, and responses flow back — all on the `irs-simnet` event
-//! loop with the real `IrsProxy` and `Ledger` instances making every
+//! loop with the real `SharedProxy` and `Ledger` instances making every
 //! decision. Validates that the sans-io components compose under
 //! event-driven scheduling exactly as they do under the analytic loops.
 
@@ -10,14 +10,14 @@ use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, LatencyModel, Link, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 struct World {
     ledger: Ledger,
-    proxy: IrsProxy,
+    proxy: SharedProxy,
     rng: StdRng,
     browser_proxy: Link,
     proxy_ledger: Link,
@@ -47,10 +47,9 @@ fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
     }
     ledger.publish_filter();
     let filter_bytes = ledger.published_filter().unwrap().to_bytes();
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
-        .filters
-        .apply(LedgerId(1), FilterUpdate::full(1, filter_bytes))
+        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter_bytes)))
         .unwrap();
     (
         World {
@@ -157,7 +156,7 @@ fn event_driven_bootstrap_browse() {
     assert!(s.p50 <= 40, "p50 {} should be a proxy round trip", s.p50);
     assert!(s.max >= 50, "some checks must have reached the ledger");
 
-    let stats = world.proxy.stats;
+    let stats = world.proxy.stats();
     assert_eq!(stats.lookups, 300);
     assert!(
         stats.ledger_queries < 60,
@@ -187,7 +186,7 @@ fn event_driven_revocation_propagates_within_cache_ttl() {
     // A photo validated (and cached) as NotRevoked is revoked mid-session;
     // after the proxy cache TTL the event-driven path must start blocking.
     let (mut world, ids) = build_world();
-    world.proxy = IrsProxy::new(ProxyConfig {
+    world.proxy = SharedProxy::new(ProxyConfig {
         cache_capacity: 1024,
         cache_ttl_ms: 5_000,
     });
