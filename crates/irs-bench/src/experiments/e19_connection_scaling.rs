@@ -34,7 +34,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response, Wire};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{Ledger, LedgerConfig};
-use irs_net::codec::{serve_request, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
+use irs_net::codec::{serve_burst, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
 use irs_net::ledger_server::LedgerServer;
 use irs_net::reactor::sys::raise_nofile_limit;
 use irs_net::{NetError, ServerHandle};
@@ -81,8 +81,13 @@ fn start_threaded(ledger: Arc<Ledger>) -> std::io::Result<ServerHandle> {
                 Err(e) if e.is_timeout() => continue,
                 Err(_) => return,
             };
-            let reply = serve_request(frame, |req| ledger.handle(req, SystemClock.now()));
-            if conn.write_frame(&reply).is_err() {
+            let reply = serve_burst(vec![frame], |reqs| {
+                let now = SystemClock.now();
+                reqs.into_iter()
+                    .map(|req| ledger.handle(req, now))
+                    .collect()
+            });
+            if conn.write_frame(&reply[0]).is_err() {
                 return;
             }
         }

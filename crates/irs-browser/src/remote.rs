@@ -6,7 +6,8 @@
 //! [`RemoteValidator`] is that embedder: it owns the validator plus any
 //! service stack (a bare [`TcpTransport`], the full resilience ladder
 //! from `irs_net::service::stacks`, or a `service_fn` mock in tests) and
-//! maps each wire response onto the right completion:
+//! maps each wire response — checked to be about the id that was asked —
+//! onto the right completion:
 //!
 //! * `Status` → [`complete`](BrowserValidator::complete) (fresh, cached);
 //! * `StatusStale` → [`complete_stale`](BrowserValidator::complete_stale)
@@ -18,12 +19,13 @@
 //! [`TcpTransport`]: irs_net::service::TcpTransport
 
 use crate::validator::{BrowserValidator, ValidationPlan};
+use irs_core::ids::RecordId;
 use irs_core::photo::LabelReading;
 use irs_core::policy::ValidationOutcome;
 use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
 use irs_net::service::CallCtx;
-use irs_net::Service;
+use irs_net::{NetError, Service};
 use irs_obs::SpanRecorder;
 use std::sync::Arc;
 
@@ -75,20 +77,67 @@ impl<S: Service> RemoteValidator<S> {
         now: TimeMs,
         ctx: &CallCtx,
     ) -> ValidationOutcome {
-        let id = match self.validator.plan(reading, now) {
-            ValidationPlan::Local(outcome) => return outcome,
-            ValidationPlan::AskProxy(id) => id,
-        };
-        let reply = self.service.call(Request::Query { id }, ctx);
+        match self.validator.plan(reading, now) {
+            ValidationPlan::Local(outcome) => outcome,
+            ValidationPlan::AskProxy(id) => {
+                let reply = self.service.call(Request::Query { id }, ctx);
+                self.complete(id, reply, now)
+            }
+        }
+    }
+
+    /// Validate a page's photos together, as a browser issues them
+    /// (§4.3: only the slowest check can hold up render): plan all
+    /// locally, send every id that needs the proxy in **one**
+    /// [`Service::call_all`] — over a [`TcpTransport`] that is one
+    /// pipelined `write` — and complete each exactly as
+    /// [`validate`](Self::validate) would. Outcomes in page order.
+    ///
+    /// [`TcpTransport`]: irs_net::service::TcpTransport
+    pub fn validate_page(
+        &mut self,
+        readings: &[LabelReading],
+        now: TimeMs,
+    ) -> Vec<ValidationOutcome> {
+        let plan = |reading| self.validator.plan(reading, now);
+        let plans: Vec<_> = readings.iter().map(plan).collect();
+        let asked = plans.iter().filter_map(|plan| match plan {
+            ValidationPlan::AskProxy(id) => Some(Request::Query { id: *id }),
+            ValidationPlan::Local(_) => None,
+        });
+        let replies = self.service.call_all(asked.collect(), &CallCtx::at(now));
+        let mut replies = replies.into_iter();
+        let outcomes = plans.into_iter().map(|plan| match plan {
+            ValidationPlan::Local(outcome) => outcome,
+            ValidationPlan::AskProxy(id) => {
+                let reply = replies.next().expect("one reply per asked id");
+                self.complete(id, reply, now)
+            }
+        });
+        outcomes.collect()
+    }
+
+    /// Map the stack's reply to the query for `asked` onto a completion.
+    /// A reply that names another record answers nothing that was asked:
+    /// it completes as unreachable and is never cached.
+    fn complete(
+        &mut self,
+        asked: RecordId,
+        reply: Result<Response, NetError>,
+        now: TimeMs,
+    ) -> ValidationOutcome {
         match reply {
-            Ok(Response::Status { id, status, .. }) => self.validator.complete(id, status, now),
-            Ok(Response::StatusStale { id, status, age_ms }) => {
+            Ok(Response::Status { id, status, .. }) if id == asked => {
+                self.validator.complete(id, status, now)
+            }
+            Ok(Response::StatusStale { id, status, age_ms }) if id == asked => {
+                let max_stale_ms = self.max_stale_ms;
                 self.validator
-                    .complete_stale(id, status, age_ms, self.max_stale_ms)
+                    .complete_stale(id, status, age_ms, max_stale_ms)
             }
             // Unavailable, unexpected replies, or transport failure: the
             // proxy could not answer; the viewer policy decides.
-            Ok(_) | Err(_) => self.validator.complete_unreachable(id),
+            Ok(_) | Err(_) => self.validator.complete_unreachable(asked),
         }
     }
 
@@ -188,6 +237,82 @@ mod tests {
         assert_eq!(outcome, ValidationOutcome::Unknown(rid(1)));
         let outcome = remote.validate(&labeled(rid(2)), TimeMs(0));
         assert_eq!(outcome, ValidationOutcome::Unknown(rid(2)));
+    }
+
+    /// A reply naming another record answers nothing that was asked:
+    /// unreachable for the asked id, and the named id is not cached.
+    #[test]
+    fn reply_about_another_record_completes_nothing() {
+        let service = service_fn(|_req, _ctx| {
+            Ok(Response::Status {
+                id: rid(2),
+                status: RevocationStatus::NotRevoked,
+                epoch: 1,
+            })
+        });
+        let mut remote = RemoteValidator::new(validator(), service, 1_000);
+        assert_eq!(
+            remote.validate(&labeled(rid(1)), TimeMs(0)),
+            ValidationOutcome::Unknown(rid(1))
+        );
+        assert_eq!(
+            remote.validate_page(&[labeled(rid(1))], TimeMs(0)),
+            [ValidationOutcome::Unknown(rid(1))]
+        );
+        assert_eq!(
+            remote.validator.plan(&labeled(rid(2)), TimeMs(1)),
+            ValidationPlan::AskProxy(rid(2)),
+            "the mismatched status must not have been cached"
+        );
+    }
+
+    /// A page goes down the stack as one group holding only the ids the
+    /// browser could not settle itself, and completes like `validate`.
+    #[test]
+    fn a_page_is_planned_locally_and_asked_as_one_group() {
+        struct Pages(std::sync::Mutex<Vec<usize>>);
+        impl Service for Pages {
+            fn call(&self, _req: Request, _ctx: &CallCtx) -> Result<Response, NetError> {
+                panic!("a page must go down as one group")
+            }
+            fn call_all(&self, r: Vec<Request>, _c: &CallCtx) -> Vec<Result<Response, NetError>> {
+                self.0.lock().unwrap().push(r.len());
+                let answer = |req| match req {
+                    Request::Query { id } if id.serial == 3 => Err(NetError::ConnectionLost),
+                    Request::Query { id } if id.serial == 4 => Ok(Response::StatusStale {
+                        id,
+                        status: RevocationStatus::NotRevoked,
+                        age_ms: 5,
+                    }),
+                    Request::Query { id } => Ok(Response::Status {
+                        id,
+                        status: RevocationStatus::Revoked,
+                        epoch: 1,
+                    }),
+                    _ => panic!("validator must only send queries"),
+                };
+                r.into_iter().map(answer).collect()
+            }
+        }
+        let unlabeled = LabelReading {
+            metadata_id: None,
+            watermark_id: None,
+        };
+        let page = [1, 2, 3, 4].map(|n| labeled(rid(n)));
+        let page = [&page[..2], &[unlabeled], &page[2..]].concat();
+        let mut remote = RemoteValidator::new(validator(), Pages(Default::default()), 1_000);
+        let expected = [
+            ValidationOutcome::Revoked(rid(1)),
+            ValidationOutcome::Revoked(rid(2)),
+            ValidationOutcome::NotClaimed,
+            ValidationOutcome::Unknown(rid(3)),
+            ValidationOutcome::Valid(rid(4)),
+        ];
+        assert_eq!(remote.validate_page(&page, TimeMs(0)), expected);
+        // Fresh answers were cached: the reload asks only for the failed
+        // and the stale id.
+        assert_eq!(remote.validate_page(&page, TimeMs(1)), expected);
+        assert_eq!(*remote.get_ref().0.lock().unwrap(), [4, 2]);
     }
 
     #[test]

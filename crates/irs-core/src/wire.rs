@@ -522,6 +522,20 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// The record a `Query` answer speaks about (`Status`, `StatusStale`,
+    /// `Unavailable`): a caller must check it against the id it asked
+    /// before caching or relaying the answer.
+    pub fn query_id(&self) -> Option<RecordId> {
+        match self {
+            Response::Status { id, .. }
+            | Response::StatusStale { id, .. }
+            | Response::Unavailable { id, .. } => Some(*id),
+            _ => None,
+        }
+    }
+}
+
 impl Wire for Request {
     fn encode(&self, buf: &mut BytesMut) -> Result<(), WireError> {
         buf.put_u8(PROTOCOL_VERSION);

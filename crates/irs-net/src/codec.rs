@@ -20,9 +20,10 @@
 //!   boundary loses nothing: the next call resumes the same frame;
 //! * [`MAX_REQUEST_FRAME`] / [`MAX_FRAME`] — the declared-length caps,
 //!   one per direction;
-//! * [`serve_request`] / [`response_bytes`] — the wire payloads at the
-//!   frame boundary: how every server turns a request frame into a
-//!   response frame, including the answers for requests it cannot read.
+//! * [`serve_burst`] / [`response_bytes`] — the wire payloads at the
+//!   frame boundary: how every server turns a burst of request frames
+//!   into response frames, including the answers for requests it cannot
+//!   read.
 //!
 //! The cap is enforced *from the length prefix alone*, before any
 //! payload accumulates, so a hostile peer cannot stage a huge
@@ -319,23 +320,40 @@ pub fn response_bytes(response: &Response) -> Bytes {
     }
 }
 
-/// One request frame in, one response payload out — the body of every
-/// server's frame handler. `handle` sees only requests that decoded.
+/// A burst of request frames in, one response payload each out, in
+/// frame order — the body of every server's burst handler. `handle`
+/// sees only the requests that decoded and answers each, in order.
 ///
 /// A well-framed request whose tag this build has never heard of is a
 /// *newer peer*, not a protocol violation: it is answered with a
 /// structured [`Response::Unsupported`] so the client can degrade per
 /// operation (the rolling-upgrade rule) instead of treating the whole
 /// connection as poisoned. Anything else undecodable gets `BAD_REQUEST`.
-pub fn serve_request(frame: Bytes, handle: impl FnOnce(Request) -> Response) -> Bytes {
-    response_bytes(&match Request::from_bytes(frame) {
-        Ok(request) => handle(request),
-        Err(WireError::BadTag(tag)) => Response::Unsupported { tag },
-        Err(e) => Response::Error {
-            code: irs_ledger::codes::BAD_REQUEST,
-            message: format!("bad request: {e}"),
-        },
-    })
+pub fn serve_burst(
+    frames: Vec<Bytes>,
+    handle: impl FnOnce(Vec<Request>) -> Vec<Response>,
+) -> Vec<Bytes> {
+    let mut requests = Vec::with_capacity(frames.len());
+    let refused: Vec<Option<Response>> = frames
+        .into_iter()
+        .map(|frame| match Request::from_bytes(frame) {
+            Ok(request) => {
+                requests.push(request);
+                None
+            }
+            Err(WireError::BadTag(tag)) => Some(Response::Unsupported { tag }),
+            Err(e) => Some(Response::Error {
+                code: irs_ledger::codes::BAD_REQUEST,
+                message: format!("bad request: {e}"),
+            }),
+        })
+        .collect();
+    let mut handled = handle(requests).into_iter();
+    let answers = refused.into_iter().map(|refusal| {
+        let answer = refusal.or_else(|| handled.next());
+        response_bytes(&answer.expect("handler answers every request"))
+    });
+    answers.collect()
 }
 
 #[cfg(test)]
@@ -534,26 +552,26 @@ mod tests {
     }
 
     #[test]
-    fn serve_request_answers_what_it_cannot_decode() {
-        let answer = |frame: &[u8]| {
-            let out = serve_request(Bytes::copy_from_slice(frame), |req| {
-                assert_eq!(
-                    req,
-                    Request::Ping,
-                    "only decodable requests reach the handler"
-                );
-                Response::Pong
-            });
-            Response::from_bytes(out).unwrap()
-        };
-        assert_eq!(answer(&Request::Ping.to_bytes().unwrap()), Response::Pong);
+    fn serve_burst_answers_what_it_cannot_decode_in_place() {
+        let ping = Request::Ping.to_bytes().unwrap();
         // Protocol version 1, then a tag far beyond anything assigned.
-        assert_eq!(answer(&[1, 0xee]), Response::Unsupported { tag: 0xee });
-        for garbage in [&b"xx"[..], &[0xff; 100][..], &b""[..]] {
-            let Response::Error { code, .. } = answer(garbage) else {
+        let frames: [&[u8]; 6] = [&ping, &[1, 0xee], b"xx", &ping, &[0xff; 100], b""];
+        let frames = frames.iter().map(|f| Bytes::copy_from_slice(f)).collect();
+        let out = serve_burst(frames, |requests| {
+            // Only decodable requests reach the handler, in order.
+            assert_eq!(requests, [Request::Ping, Request::Ping]);
+            vec![Response::Pong, Response::Pong]
+        });
+        let decode = |payload| Response::from_bytes(payload).unwrap();
+        let out: Vec<Response> = out.into_iter().map(decode).collect();
+        assert_eq!(out[0], Response::Pong);
+        assert_eq!(out[1], Response::Unsupported { tag: 0xee });
+        assert_eq!(out[3], Response::Pong);
+        for garbage in [&out[2], &out[4], &out[5]] {
+            let Response::Error { code, .. } = garbage else {
                 panic!("garbage must be refused with an error");
             };
-            assert_eq!(code, irs_ledger::codes::BAD_REQUEST);
+            assert_eq!(*code, irs_ledger::codes::BAD_REQUEST);
         }
     }
 }

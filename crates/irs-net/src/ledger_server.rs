@@ -12,7 +12,7 @@
 //! E15 thread-scaling experiment measures the difference against a
 //! `Mutex<Ledger>` fixture).
 
-use crate::codec::{serve_request, MAX_REQUEST_FRAME};
+use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{
     service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
@@ -125,7 +125,7 @@ impl LedgerServer {
         LedgerServer::serve(ledger, addr, config, admitted)
     }
 
-    /// Bind the reactor: every frame is decoded by [`serve_request`] and
+    /// Bind the reactor: every burst is decoded by [`serve_burst`] and
     /// answered by `admitted` — the ledger itself, or the ledger behind
     /// its admission layers.
     fn serve(
@@ -139,18 +139,20 @@ impl LedgerServer {
         let handle = Reactor::bind(
             addr,
             config,
-            Arc::new(move |frame, conn| {
-                serve_request(frame, |request| {
+            Arc::new(move |frames, conn| {
+                serve_burst(frames, |requests| {
                     let ctx = CallCtx::wall().with_client(conn);
                     // Neither the ledger nor its admission layers error
                     // today (sheds are Ok answers), but keep the wire
                     // honest if a future layer does.
-                    admitted
-                        .call(request, &ctx)
-                        .unwrap_or_else(|e| Response::Error {
+                    let answers = admitted.call_all(requests, &ctx).into_iter();
+                    let on_wire = answers.map(|answer| {
+                        answer.unwrap_or_else(|e| Response::Error {
                             code: irs_ledger::codes::UNAVAILABLE,
                             message: format!("admission: {e}"),
                         })
+                    });
+                    on_wire.collect()
                 })
             }),
         )?;

@@ -6,7 +6,10 @@
 //! [`MuxClient`] assigns each call a correlation id, appends its frame
 //! to the shared stream, and a single reader thread matches arriving
 //! responses back to waiting callers by that order — slot *k* in the
-//! FIFO of in-flight correlation ids owns the *k*-th response frame.
+//! FIFO of in-flight correlation ids owns the *k*-th response frame. A
+//! group ([`MuxClient::call_all`]) takes consecutive slots and puts all
+//! its frames on the wire in one `write`, so a page's misses cost one
+//! exchange, not one each.
 //!
 //! Failure semantics: any transport error is fatal to the connection
 //! (ordered correlation cannot resynchronize a torn stream), every
@@ -24,7 +27,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,22 +44,52 @@ enum SlotState {
     Abandoned,
 }
 
-/// One in-flight call: a correlation id plus the rendezvous cell its
-/// caller waits on. The cell uses std's `Mutex`/`Condvar` pair (the
-/// vendored `parking_lot` ships no condvar).
+/// One in-flight call: the rendezvous cell its caller waits on; its
+/// place in the pending FIFO is its correlation id. The cell uses std's
+/// `Mutex`/`Condvar` pair (the vendored `parking_lot` ships no condvar).
 struct Slot {
-    id: u64,
     state: std::sync::Mutex<SlotState>,
     ready: std::sync::Condvar,
 }
 
 impl Slot {
-    fn new(id: u64) -> Arc<Slot> {
+    fn new() -> Arc<Slot> {
         Arc::new(Slot {
-            id,
             state: std::sync::Mutex::new(SlotState::Waiting),
             ready: std::sync::Condvar::new(),
         })
+    }
+
+    /// Rendezvous with the reader: block until the response lands, the
+    /// connection dies, or `deadline` passes.
+    fn wait(&self, deadline: Instant) -> Result<Response, NetError> {
+        let mut state = self.state.lock().expect("slot lock poisoned");
+        loop {
+            match &*state {
+                SlotState::Done(bytes) => {
+                    let bytes = bytes.clone();
+                    drop(state);
+                    return Ok(Response::from_bytes(bytes)?);
+                }
+                SlotState::Failed => return Err(NetError::ConnectionLost),
+                SlotState::Abandoned => unreachable!("only the caller abandons"),
+                SlotState::Waiting => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        // Leave the slot in the FIFO so correlation
+                        // stays aligned; the reader discards the late
+                        // response.
+                        *state = SlotState::Abandoned;
+                        return Err(NetError::DeadlineExceeded);
+                    }
+                    state = self
+                        .ready
+                        .wait_timeout(state, deadline - now)
+                        .expect("slot lock poisoned")
+                        .0;
+                }
+            }
+        }
     }
 
     fn fill(&self, state: SlotState) {
@@ -100,7 +133,6 @@ pub struct MuxClient {
     /// what makes slot order equal wire order.
     writer: Mutex<(TcpStream, BytesBuf)>,
     shared: Arc<Shared>,
-    next_id: AtomicU64,
     reader: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -139,7 +171,6 @@ impl MuxClient {
             addr,
             writer: Mutex::new((stream, BytesBuf::new())),
             shared,
-            next_id: AtomicU64::new(1),
             reader: Mutex::new(Some(reader)),
         })
     }
@@ -167,60 +198,67 @@ impl MuxClient {
     /// must redial); [`NetError::DeadlineExceeded`] abandons only this
     /// call — the connection stays usable.
     pub fn call(&self, request: &Request, deadline: Instant) -> Result<Response, NetError> {
+        let mut answers = self.call_all(std::slice::from_ref(request), deadline);
+        answers.pop().expect("one answer per request")
+    }
+
+    /// A group of pipelined exchanges: every request takes a slot and
+    /// all frames go out in **one `write`** under the writer lock, then
+    /// the slots are waited on — the server answers such a burst in one
+    /// turn. One answer per request, in order, each failing on its own:
+    /// a request that cannot be encoded never touches the stream, a
+    /// deadline abandons only the slots still empty, and a dead
+    /// connection fails exactly the unanswered ones.
+    pub fn call_all(
+        &self,
+        requests: &[Request],
+        deadline: Instant,
+    ) -> Vec<Result<Response, NetError>> {
         // Encode before touching the stream: an unencodable request is
         // the caller's bug and must not poison a healthy connection.
-        let payload = request.to_bytes()?;
-        if self.is_dead() {
-            return Err(NetError::ConnectionLost);
-        }
-        if Instant::now() >= deadline {
-            return Err(NetError::DeadlineExceeded);
+        let payloads: Vec<Result<bytes::Bytes, NetError>> =
+            requests.iter().map(|r| Ok(r.to_bytes()?)).collect();
+        let payloads = payloads.into_iter();
+        let refuse = if self.is_dead() {
+            Some(NetError::ConnectionLost)
+        } else if Instant::now() >= deadline {
+            Some(NetError::DeadlineExceeded)
+        } else {
+            None
+        };
+        if let Some(e) = refuse {
+            return payloads.map(|p| p.and(Err(e.replicate()))).collect();
         }
 
-        let slot = Slot::new(self.next_id.fetch_add(1, Ordering::Relaxed));
-        {
-            // Slot push and frame write are one atomic step: wire order
-            // is exactly pending-queue order.
+        let slots: Vec<Result<Arc<Slot>, NetError>> = {
+            // Slot pushes and the frame write are one atomic step: wire
+            // order is exactly pending-queue order.
             let mut writer = self.writer.lock();
             let (stream, scratch) = &mut *writer;
             scratch.clear();
-            FrameCodec::new(MAX_FRAME).encode(&payload, scratch)?;
-            self.shared.pending.lock().push_back(slot.clone());
-            if let Err(e) = stream.write_all(scratch.as_slice()) {
+            let slots: Vec<_> = payloads
+                .map(|payload| {
+                    FrameCodec::new(MAX_FRAME).encode(&payload?, scratch)?;
+                    Ok(Slot::new())
+                })
+                .collect();
+            let mut pending = self.shared.pending.lock();
+            pending.extend(slots.iter().flatten().cloned());
+            drop(pending);
+            if stream.write_all(scratch.as_slice()).is_err() {
                 drop(writer);
+                // Fails every slot just pushed along with the rest.
                 self.shared.poison();
-                return Err(NetError::Io(e).into_lost());
             }
-        }
+            slots
+        };
 
-        // Rendezvous with the reader.
-        let mut state = slot.state.lock().expect("slot lock poisoned");
-        loop {
-            match &*state {
-                SlotState::Done(bytes) => {
-                    let bytes = bytes.clone();
-                    drop(state);
-                    return Ok(Response::from_bytes(bytes)?);
-                }
-                SlotState::Failed => return Err(NetError::ConnectionLost),
-                SlotState::Abandoned => unreachable!("only the caller abandons"),
-                SlotState::Waiting => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        // Leave the slot in the FIFO so correlation
-                        // stays aligned; the reader discards the late
-                        // response.
-                        *state = SlotState::Abandoned;
-                        return Err(NetError::DeadlineExceeded);
-                    }
-                    state = slot
-                        .ready
-                        .wait_timeout(state, deadline - now)
-                        .expect("slot lock poisoned")
-                        .0;
-                }
-            }
-        }
+        // Responses arrive in slot order, so waiting on the last slot
+        // first parks this thread once for the whole group.
+        let waited = slots.into_iter().rev();
+        let mut answers: Vec<_> = waited.map(|s| s?.wait(deadline)).collect();
+        answers.reverse();
+        answers
     }
 }
 
@@ -239,17 +277,6 @@ impl Drop for MuxClient {
     }
 }
 
-impl NetError {
-    /// Collapse transport-level failures into [`NetError::ConnectionLost`]
-    /// (the signal that the stream is poisoned and must be redialed).
-    fn into_lost(self) -> NetError {
-        match self {
-            NetError::Io(_) | NetError::Closed | NetError::Frame(_) => NetError::ConnectionLost,
-            other => other,
-        }
-    }
-}
-
 /// The reader thread: pull response frames off the wire, deliver each
 /// to the oldest in-flight slot.
 fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
@@ -262,17 +289,9 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
             Ok(frame) => {
                 let slot = shared.pending.lock().pop_front();
                 match slot {
-                    Some(slot) => {
-                        let mut s = slot.state.lock().expect("slot lock poisoned");
-                        if matches!(*s, SlotState::Waiting) {
-                            *s = SlotState::Done(frame);
-                            slot.ready.notify_all();
-                        }
-                        // Abandoned: the frame is consumed (keeping the
-                        // FIFO aligned) and dropped. Correlation id
-                        // stays with the slot for diagnostics.
-                        let _ = slot.id;
-                    }
+                    // An abandoned slot ignores the fill: the frame is
+                    // consumed (keeping the FIFO aligned) and dropped.
+                    Some(slot) => slot.fill(SlotState::Done(frame)),
                     None => {
                         // A response nobody asked for: the server and
                         // client disagree about the stream state.
@@ -295,7 +314,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactor::{Reactor, ReactorConfig};
+    use crate::reactor::{per_frame, Reactor, ReactorConfig};
     use crate::server::poll_until;
     use irs_core::wire::Wire;
     use std::sync::atomic::AtomicUsize;
@@ -311,7 +330,7 @@ mod tests {
                 workers: 1,
                 ..ReactorConfig::default()
             },
-            Arc::new(move |frame: bytes::Bytes, _conn: u64| {
+            per_frame(move |frame| {
                 let n = seq.fetch_add(1, Ordering::SeqCst);
                 let response = match Request::from_bytes(frame) {
                     Ok(Request::Ping) => Response::Pong,
@@ -372,7 +391,7 @@ mod tests {
                 workers: 1,
                 ..ReactorConfig::default()
             },
-            Arc::new(|_frame: bytes::Bytes, _conn: u64| {
+            per_frame(|_frame| {
                 std::thread::sleep(Duration::from_millis(400));
                 crate::codec::response_bytes(&Response::Pong)
             }),
@@ -401,7 +420,7 @@ mod tests {
                 workers: 1,
                 ..ReactorConfig::default()
             },
-            Arc::new(|_frame: bytes::Bytes, _conn: u64| {
+            per_frame(|_frame| {
                 std::thread::sleep(Duration::from_millis(200));
                 crate::codec::response_bytes(&Response::Pong)
             }),
@@ -484,5 +503,82 @@ mod tests {
         assert_eq!(mux.in_flight(), 0, "no slot may be enqueued");
         drop(mux);
         r.shutdown();
+    }
+
+    /// A raw peer for the group tests: reads `reads` request frames,
+    /// answers the first `prompt` at once (`seq n`), the rest — if
+    /// `late` — after a 300 ms stall, then serves one more exchange.
+    fn scripted_peer(reads: usize, prompt: usize, late: bool) -> (SocketAddr, impl FnOnce()) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let seq = |n: usize| {
+            crate::codec::response_bytes(&Response::Error {
+                code: 400,
+                message: format!("seq {n}"),
+            })
+        };
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = Framed::new(stream, crate::codec::MAX_REQUEST_FRAME);
+            (0..reads).for_each(|_| drop(peer.read_frame().unwrap()));
+            (0..prompt).for_each(|n| peer.write_frame(&seq(n)).unwrap());
+            if late {
+                std::thread::sleep(Duration::from_millis(300));
+                (prompt..reads).for_each(|n| peer.write_frame(&seq(n)).unwrap());
+                peer.read_frame().unwrap();
+                peer.write_frame(&seq(reads)).unwrap();
+            }
+        });
+        (addr, move || server.join().unwrap())
+    }
+
+    fn seq_of(answer: &Result<Response, NetError>) -> &str {
+        match answer {
+            Ok(Response::Error { message, .. }) => message,
+            other => panic!("expected a seq answer, got {other:?}"),
+        }
+    }
+
+    /// Slots abandoned at the group's deadline stay in the FIFO: their
+    /// late responses are discarded and a later call gets its own.
+    #[test]
+    fn group_deadline_abandons_only_unanswered_slots_and_keeps_the_fifo_aligned() {
+        let (addr, join) = scripted_peer(4, 2, true);
+        let mux = MuxClient::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let answers = mux.call_all(
+            &[Request::Ping, Request::Ping, Request::Ping, Request::Ping],
+            deadline,
+        );
+        assert_eq!(
+            (seq_of(&answers[0]), seq_of(&answers[1])),
+            ("seq 0", "seq 1")
+        );
+        for late in &answers[2..] {
+            assert!(matches!(late, Err(NetError::DeadlineExceeded)), "{late:?}");
+        }
+        assert!(!mux.is_dead());
+        assert_eq!(seq_of(&mux.call(&Request::Ping, far())), "seq 4");
+        join();
+    }
+
+    /// The server dying mid-group fails exactly the unanswered items.
+    #[test]
+    fn group_server_death_fails_exactly_the_unanswered_items() {
+        let (addr, join) = scripted_peer(4, 2, false);
+        let mux = MuxClient::connect(addr).unwrap();
+        let answers = mux.call_all(
+            &[Request::Ping, Request::Ping, Request::Ping, Request::Ping],
+            far(),
+        );
+        join();
+        assert_eq!(
+            (seq_of(&answers[0]), seq_of(&answers[1])),
+            ("seq 0", "seq 1")
+        );
+        for lost in &answers[2..] {
+            assert!(matches!(lost, Err(NetError::ConnectionLost)), "{lost:?}");
+        }
+        assert!(mux.is_dead());
     }
 }

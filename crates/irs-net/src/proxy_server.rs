@@ -5,12 +5,16 @@
 //! Browsers connect to the proxy with the same wire protocol they would
 //! use against a ledger; the ledger only ever sees the proxy's address,
 //! which is the privacy property (§4.2). The server runs on the
-//! [`reactor`](crate::reactor) engine; because a proxy handler may
-//! *block* on a bounded upstream call (the stack's transport waits for
-//! the ledger's answer), the worker pool is sized several times the core
-//! count — each blocked handler parks one worker, and the pool must keep
-//! enough event loops live to serve cache hits meanwhile (DESIGN.md §12
-//! has the sizing rule). Handler state is shared, `&self`, lock-striped:
+//! [`reactor`](crate::reactor) engine, which hands the handler a *burst*
+//! — every frame one readiness event delivered — and each run of `Query`
+//! frames in it goes down the stack as one [`Service::call_all`], so a
+//! page's misses overlap into one upstream exchange per shard. Because a
+//! handler may *block* on that bounded upstream call (the stack's
+//! transport waits for the ledger's answers), the worker pool is sized
+//! several times the core count — a blocked handler parks its worker
+//! once per shard per burst, and the pool must keep enough event loops
+//! live to serve cache hits meanwhile (DESIGN.md §12 has the sizing
+//! rule). Handler state is shared, `&self`, lock-striped:
 //! one [`SharedProxy`] and one composed [`Service`] stack behind plain
 //! `Arc`s, so a filter refresh or a slow upstream call on one connection
 //! never blocks lookups on another.
@@ -21,7 +25,7 @@
 //! rungs live in [`crate::service::stacks`] and the ordering rules in
 //! DESIGN.md §10.
 
-use crate::codec::{serve_request, MAX_REQUEST_FRAME};
+use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
@@ -29,6 +33,7 @@ use irs_core::wire::{Request, Response};
 use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A running TCP proxy.
 pub struct ProxyServer {
@@ -41,6 +46,34 @@ pub struct ProxyServer {
 /// 10 000 connections still never means 10 000 threads).
 fn proxy_workers() -> usize {
     (4 * crate::reactor::default_workers()).clamp(4, 32)
+}
+
+/// One run of `Query` frames down the stack — a group, or a plain call
+/// for a run of one — each answer appended in its wire form.
+fn answer_queries(
+    stack: &BoxService,
+    mut run: Vec<Request>,
+    ctx: &CallCtx,
+    out: &mut Vec<Response>,
+) {
+    let on_wire = |answer| match answer {
+        Ok(response) => response,
+        // Shed load keeps its admission shape on the wire: the browser's
+        // retry layer backs off by the hint instead of treating a live
+        // but protecting server as dead.
+        Err(NetError::Overloaded { retry_after_ms }) => Response::Overloaded { retry_after_ms },
+        // A stack without the stale-serve rung lets failures surface; the
+        // browser gets an honest error, never a bogus status.
+        Err(_) => Response::Error {
+            code: irs_ledger::codes::UNAVAILABLE,
+            message: "upstream unavailable".to_string(),
+        },
+    };
+    match run.len() {
+        0 => {}
+        1 => out.push(on_wire(stack.call(run.remove(0), ctx))),
+        _ => out.extend(stack.call_all(run, ctx).into_iter().map(on_wire)),
+    }
 }
 
 impl ProxyServer {
@@ -92,41 +125,47 @@ impl ProxyServer {
         let handle = Reactor::bind(
             addr,
             config,
-            Arc::new(move |frame, conn| {
-                let start = std::time::Instant::now();
-                let response = serve_request(frame, |request| match request {
-                    req @ Request::Query { .. } => {
-                        // One clock reading per request: every layer sees
-                        // the same instant. The connection id rides along
-                        // so admission layers in the stack can meter
-                        // per-client.
-                        match stack.call(req, &CallCtx::wall().with_client(conn)) {
-                            Ok(response) => response,
-                            // Shed load keeps its admission shape on the
-                            // wire: the browser's retry layer backs off
-                            // by the hint instead of treating a live but
-                            // protecting server as dead.
-                            Err(NetError::Overloaded { retry_after_ms }) => {
-                                Response::Overloaded { retry_after_ms }
-                            }
-                            // A stack without the stale-serve rung lets
-                            // failures surface; the browser gets an
-                            // honest error, never a bogus status.
-                            Err(_) => Response::Error {
-                                code: irs_ledger::codes::UNAVAILABLE,
-                                message: "upstream unavailable".to_string(),
-                            },
+            Arc::new(move |frames, conn| {
+                let burst = frames.len() as u64;
+                // `irs_proxy_request_us` keeps one sample per frame: how
+                // many are recorded so far, and since when the rest run.
+                let (mut recorded, mut mark) = (0u64, Instant::now());
+                let out = serve_burst(frames, |requests| {
+                    // One clock reading per burst: every layer sees the
+                    // same instant. The connection id rides along so
+                    // admission layers in the stack can meter per-client.
+                    let ctx = CallCtx::wall().with_client(conn);
+                    let mut responses = Vec::with_capacity(requests.len());
+                    // Each maximal run of consecutive `Query` frames goes
+                    // down the stack as one group; anything else is
+                    // answered in place, so order holds.
+                    let mut run = Vec::with_capacity(requests.len());
+                    for request in requests {
+                        if matches!(request, Request::Query { .. }) {
+                            run.push(request);
+                            continue;
                         }
+                        answer_queries(&stack, std::mem::take(&mut run), &ctx, &mut responses);
+                        responses.push(match request {
+                            Request::Ping => Response::Pong,
+                            Request::Metrics => {
+                                // A scrape counts everything before it.
+                                let done = responses.len() as u64;
+                                request_us.record_spread_since(mark, done - recorded);
+                                (recorded, mark) = (done, Instant::now());
+                                Response::MetricsText(shared.render_metrics())
+                            }
+                            _ => Response::Error {
+                                code: irs_ledger::codes::BAD_REQUEST,
+                                message: "proxy only serves Query/Ping/Metrics".to_string(),
+                            },
+                        });
                     }
-                    Request::Ping => Response::Pong,
-                    Request::Metrics => Response::MetricsText(shared.render_metrics()),
-                    _ => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: "proxy only serves Query/Ping/Metrics".to_string(),
-                    },
+                    answer_queries(&stack, run, &ctx, &mut responses);
+                    responses
                 });
-                request_us.record_since(start);
-                response
+                request_us.record_spread_since(mark, burst - recorded);
+                out
             }),
         )?;
         Ok(ProxyServer { proxy, handle })
@@ -294,6 +333,53 @@ mod tests {
         // Reactor gauges land in the same exposition (this connection).
         assert_eq!(parsed["irs_net_live_connections"], 1.0);
         proxy_server.shutdown();
+    }
+
+    /// A mixed burst — `Query, Metrics, Query, Ping` in one `write` — is
+    /// answered in order, and the scrape in the middle counts exactly
+    /// what preceded it.
+    #[test]
+    fn mixed_burst_keeps_order_and_the_scrape_counts_what_preceded_it() {
+        use crate::codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME};
+        use irs_core::wire::Wire;
+        use std::io::Write;
+        let dead = "127.0.0.1:1".parse().unwrap();
+        let proxy = proxy_with(&BloomFilter::with_params(1 << 10, 4, 0).unwrap());
+        let server = ProxyServer::start_shared(proxy, "127.0.0.1:0", dead).unwrap();
+        let id = RecordId::new(LedgerId(1), 424_242);
+        let mut wire = BytesBuf::new();
+        for request in [
+            Request::Query { id },
+            Request::Metrics,
+            Request::Query { id },
+            Request::Ping,
+        ] {
+            let codec = FrameCodec::new(MAX_FRAME);
+            codec
+                .encode(&request.to_bytes().unwrap(), &mut wire)
+                .unwrap();
+        }
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut browser = Framed::new(stream, MAX_FRAME);
+        browser.get_mut().write_all(wire.as_slice()).unwrap();
+        let mut next = || Response::from_bytes(browser.read_frame().unwrap()).unwrap();
+        assert!(matches!(next(), Response::Status { .. }));
+        let Response::MetricsText(text) = next() else {
+            panic!("expected metrics text");
+        };
+        assert!(matches!(next(), Response::Status { .. }));
+        assert_eq!(next(), Response::Pong);
+        let scrape = irs_obs::parse_exposition(&text);
+        assert_eq!(scrape["irs_proxy_lookups_total"], 1.0);
+        assert_eq!(scrape["irs_proxy_request_us_count"], 1.0);
+        // Once the burst is done every frame has its sample.
+        let after = irs_obs::parse_exposition(&server.proxy().render_metrics());
+        assert_eq!(after["irs_proxy_request_us_count"], 4.0);
+        assert_eq!(
+            after["irs_net_request_us_count"],
+            after["irs_net_frames_total"]
+        );
+        server.shutdown();
     }
 
     /// The full ladder over real sockets: cache a status, kill the

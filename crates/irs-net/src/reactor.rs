@@ -22,7 +22,8 @@
 //!   snapshot or filter reply is far larger than anything a client may
 //!   send). Readable: drain the socket
 //!   (bounded per wakeup for fairness), decode every complete frame,
-//!   run the handler, append responses in request order. Writable:
+//!   hand them to the handler as bursts of at most [`MAX_BURST`], append
+//!   responses in request order. Writable:
 //!   flush; `EPOLLOUT` interest exists only while the write buffer is
 //!   non-empty. Responses are written in arrival order, which is what
 //!   lets clients pipeline many requests on one connection and match
@@ -482,15 +483,17 @@ impl Waker {
     }
 }
 
-/// Produce the response payload for one request frame. Runs on a
-/// reactor worker thread; must be `Send + Sync` and should be fast or
+/// Produce the response payloads for one burst of request frames — every
+/// complete frame one readiness event delivered on a connection, at most
+/// [`MAX_BURST`] — one response per frame, in order. Runs on a reactor
+/// worker thread; must be `Send + Sync` and should be fast or
 /// deadline-bounded (DESIGN.md §12). The second argument is the
 /// connection id: a reactor-wide monotone counter stamped at accept
 /// time, stable for the connection's whole life. Servers key per-client
 /// admission (token buckets, fairness) on it — it never repeats within
 /// one reactor, so a reconnecting abuser starts a fresh bucket rather
 /// than inheriting a stranger's.
-pub type FrameFn = Arc<dyn Fn(Bytes, u64) -> Bytes + Send + Sync>;
+pub type BurstFn = Arc<dyn Fn(Vec<Bytes>, u64) -> Vec<Bytes> + Send + Sync>;
 
 /// Reactor tuning knobs.
 #[derive(Clone)]
@@ -507,8 +510,9 @@ pub struct ReactorConfig {
     /// Metrics registry; when set the reactor publishes
     /// `irs_net_live_connections` / `irs_net_reactor_workers` gauges,
     /// `irs_net_accepted_total` / `irs_net_frames_total` /
-    /// `irs_net_frame_errors_total` counters, and an
-    /// `irs_net_request_us` handler-latency histogram into it.
+    /// `irs_net_bursts_total` / `irs_net_frame_errors_total` counters,
+    /// and an `irs_net_request_us` handler-latency histogram (one sample
+    /// per frame; a burst's samples sum to its handler time) into it.
     pub registry: Option<Arc<Registry>>,
 }
 
@@ -537,6 +541,12 @@ pub fn default_workers() -> usize {
 const READ_CHUNKS_PER_WAKEUP: usize = 16;
 const READ_CHUNK: usize = 64 << 10;
 
+/// Most frames one handler invocation gets. A handler serves a burst
+/// under one clock reading and one deadline (DESIGN.md §10), so the cap
+/// bounds how far down a backlogged connection's queue that shared
+/// budget must stretch; the rest of the backlog forms the next burst.
+pub const MAX_BURST: usize = 64;
+
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_BASE: u64 = 2;
@@ -551,6 +561,8 @@ struct Metrics {
     write_buffer: Gauge,
     accepted: Counter,
     frames: Counter,
+    /// Handler invocations: frames ÷ bursts is the overlap a server sees.
+    bursts: Counter,
     frame_errors: Counter,
     request_us: Histogram,
 }
@@ -565,6 +577,7 @@ impl Metrics {
                     write_buffer: r.gauge("irs_net_write_buffer_bytes"),
                     accepted: r.counter("irs_net_accepted_total"),
                     frames: r.counter("irs_net_frames_total"),
+                    bursts: r.counter("irs_net_bursts_total"),
                     frame_errors: r.counter("irs_net_frame_errors_total"),
                     request_us: r.histogram("irs_net_request_us"),
                 }
@@ -574,6 +587,7 @@ impl Metrics {
                 write_buffer: Gauge::new(),
                 accepted: Counter::default(),
                 frames: Counter::default(),
+                bursts: Counter::default(),
                 frame_errors: Counter::default(),
                 request_us: Histogram::new(),
             },
@@ -582,7 +596,7 @@ impl Metrics {
 }
 
 struct Conn {
-    /// Reactor-wide connection id (see [`FrameFn`]).
+    /// Reactor-wide connection id (see [`BurstFn`]).
     id: u64,
     stream: TcpStream,
     read_buf: BytesBuf,
@@ -605,7 +619,7 @@ struct Worker {
     /// Decodes requests (the configured request cap).
     codec: FrameCodec,
     high_water: usize,
-    handler: FrameFn,
+    handler: BurstFn,
     metrics: Arc<Metrics>,
     live: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
@@ -749,38 +763,33 @@ impl Worker {
                     Err(_) => return Verdict::Close,
                 }
             }
-            // Decode and serve every complete frame, responses appended
-            // in request order (the pipelining contract).
+            // Decode and serve every complete frame, a burst at a time,
+            // responses appended in request order (the pipelining
+            // contract).
             loop {
-                match self.codec.decode(&mut conn.read_buf) {
-                    Ok(Some(frame)) => {
-                        self.metrics.frames.inc();
-                        let started = Instant::now();
-                        let response = (self.handler)(frame, conn.id);
-                        self.metrics.request_us.record_since(started);
-                        let before = conn.write_buf.len();
-                        let encoded =
-                            FrameCodec::new(MAX_FRAME).encode(&response, &mut conn.write_buf);
-                        // Account whatever landed in the buffer even on
-                        // failure, so the close path's subtraction of
-                        // the remaining buffer keeps the gauge exact.
-                        self.metrics
-                            .write_buffer
-                            .add((conn.write_buf.len() - before) as u64);
-                        if encoded.is_err() {
-                            // An unencodable (oversized) response would
-                            // desynchronize the stream; drop the conn.
-                            self.metrics.frame_errors.inc();
-                            return Verdict::Close;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
+                let mut burst = Vec::new();
+                let mut poisoned = false;
+                while burst.len() < MAX_BURST {
+                    match self.codec.decode(&mut conn.read_buf) {
+                        Ok(Some(frame)) => burst.push(frame),
+                        Ok(None) => break,
                         // Hostile or corrupt length prefix: the stream
                         // can never resynchronize.
-                        self.metrics.frame_errors.inc();
-                        return Verdict::Close;
+                        Err(_) => {
+                            poisoned = true;
+                            break;
+                        }
                     }
+                }
+                let more = burst.len() == MAX_BURST;
+                if !burst.is_empty() && !serve(&self.handler, &self.metrics, conn, burst)
+                    || poisoned
+                {
+                    self.metrics.frame_errors.inc();
+                    return Verdict::Close;
+                }
+                if !more {
+                    break;
                 }
             }
         }
@@ -829,6 +838,33 @@ impl Worker {
     }
 }
 
+/// Run the handler over one burst and buffer its responses; `false` if
+/// the stream can no longer stay in sync.
+fn serve(handler: &BurstFn, metrics: &Metrics, conn: &mut Conn, burst: Vec<Bytes>) -> bool {
+    let frames = burst.len();
+    metrics.frames.add(frames as u64);
+    metrics.bursts.inc();
+    let started = Instant::now();
+    let responses = handler(burst, conn.id);
+    metrics
+        .request_us
+        .record_spread_since(started, frames as u64);
+    let before = conn.write_buf.len();
+    let codec = FrameCodec::new(MAX_FRAME);
+    // An unencodable (oversized) or missing response would desynchronize
+    // the stream.
+    let mut encoded = responses
+        .iter()
+        .map(|r| codec.encode(r, &mut conn.write_buf));
+    let in_sync = responses.len() == frames && encoded.all(|e| e.is_ok());
+    // Account whatever landed in the buffer even on failure, so the close
+    // path's subtraction of the remaining buffer keeps the gauge exact.
+    metrics
+        .write_buffer
+        .add((conn.write_buf.len() - before) as u64);
+    in_sync
+}
+
 /// Write as much of the buffered responses as the socket accepts.
 fn flush(conn: &mut Conn) -> Result<(), ()> {
     while !conn.write_buf.is_empty() {
@@ -852,7 +888,7 @@ impl Reactor {
     pub fn bind(
         addr: &str,
         config: ReactorConfig,
-        handler: FrameFn,
+        handler: BurstFn,
     ) -> std::io::Result<ReactorHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -973,6 +1009,12 @@ impl Drop for ReactorHandle {
     }
 }
 
+/// A test handler answering each frame of a burst on its own.
+#[cfg(test)]
+pub(crate) fn per_frame(f: impl Fn(Bytes) -> Bytes + Send + Sync + 'static) -> BurstFn {
+    Arc::new(move |frames, _conn| frames.into_iter().map(&f).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,12 +1032,7 @@ mod tests {
             workers,
             ..ReactorConfig::default()
         };
-        Reactor::bind(
-            "127.0.0.1:0",
-            config,
-            Arc::new(|frame: Bytes, _conn: u64| frame),
-        )
-        .unwrap()
+        Reactor::bind("127.0.0.1:0", config, per_frame(|frame| frame)).unwrap()
     }
 
     #[test]
@@ -1126,7 +1163,7 @@ mod tests {
         let r = Reactor::bind(
             "127.0.0.1:0",
             config,
-            Arc::new(|frame: Bytes, _conn: u64| Bytes::from(vec![frame[0]; 8 << 20])),
+            per_frame(|frame| Bytes::from(vec![frame[0]; 8 << 20])),
         )
         .unwrap();
         let mut stream = connect(r.addr());
@@ -1162,7 +1199,7 @@ mod tests {
             // request arrival paces response generation and the only
             // thing between the server and 64 MiB of buffered output is
             // the high-water toggle.
-            Arc::new(|frame: Bytes, _conn: u64| frame),
+            per_frame(|frame| frame),
         )
         .unwrap();
         let gauge = |name: &str| irs_obs::parse_exposition(&registry.render())[name];
@@ -1232,7 +1269,7 @@ mod tests {
             registry: Some(registry.clone()),
             ..ReactorConfig::default()
         };
-        let r = Reactor::bind("127.0.0.1:0", config, Arc::new(|f: Bytes, _conn: u64| f)).unwrap();
+        let r = Reactor::bind("127.0.0.1:0", config, per_frame(|frame| frame)).unwrap();
         let mut s = connect(r.addr());
         s.write_frame(b"x").unwrap();
         let _ = s.read_frame().unwrap();
@@ -1248,6 +1285,45 @@ mod tests {
         assert!(poll_until(Duration::from_secs(5), || {
             irs_obs::parse_exposition(&registry.render())["irs_net_live_connections"] == 0.0
         }));
+        r.shutdown();
+    }
+
+    /// A pipelined backlog is served in order, in bursts of at most
+    /// `MAX_BURST`; per-frame metrics stay per-frame and
+    /// `irs_net_bursts_total` counts handler invocations.
+    #[test]
+    fn pipelined_backlog_is_answered_in_order_in_capped_bursts() {
+        let registry = Arc::new(Registry::new());
+        let config = ReactorConfig {
+            workers: 1,
+            registry: Some(registry.clone()),
+            ..ReactorConfig::default()
+        };
+        let bursts = Arc::new(Mutex::new(Vec::new()));
+        let seen = bursts.clone();
+        let handler: BurstFn = Arc::new(move |frames, _conn| {
+            seen.lock().push(frames.len());
+            frames
+        });
+        let r = Reactor::bind("127.0.0.1:0", config, handler).unwrap();
+        let mut stream = connect(r.addr());
+        let mut wire = BytesBuf::new();
+        for i in 0..200u32 {
+            let codec = FrameCodec::new(MAX_FRAME);
+            codec.encode(&i.to_be_bytes(), &mut wire).unwrap();
+        }
+        stream.get_mut().write_all(wire.as_slice()).unwrap();
+        for i in 0..200u32 {
+            assert_eq!(stream.read_frame().unwrap().as_ref(), i.to_be_bytes());
+        }
+        let bursts = bursts.lock().clone();
+        assert_eq!(bursts.iter().sum::<usize>(), 200);
+        assert!(bursts.iter().all(|&n| n <= MAX_BURST), "{bursts:?}");
+        assert!(bursts.len() < 200, "nothing ever overlapped: {bursts:?}");
+        let parsed = irs_obs::parse_exposition(&registry.render());
+        assert_eq!(parsed["irs_net_frames_total"], 200.0);
+        assert_eq!(parsed["irs_net_request_us_count"], 200.0);
+        assert_eq!(parsed["irs_net_bursts_total"], bursts.len() as f64);
         r.shutdown();
     }
 
@@ -1268,7 +1344,7 @@ mod tests {
         let r = Reactor::bind(
             "127.0.0.1:0",
             config,
-            Arc::new(|frame: Bytes, _conn: u64| Bytes::from(vec![frame[0]; 8 << 20])),
+            per_frame(|frame| Bytes::from(vec![frame[0]; 8 << 20])),
         )
         .unwrap();
         let gauge = |name: &str| irs_obs::parse_exposition(&registry.render())[name];

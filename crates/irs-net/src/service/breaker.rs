@@ -4,11 +4,12 @@
 //! [`CircuitBreaker`](irs_proxy::health::CircuitBreaker) for the ledger a
 //! request targets: an open breaker short-circuits the call with
 //! [`NetError::BreakerOpen`] (don't hammer a known-dead ledger), and
-//! every completed inner call records one health verdict. The layer sits
-//! *outside* retries on purpose — one logical call is one verdict, no
-//! matter how many attempts the retry layer burned (DESIGN.md §10).
+//! every completed inner call records one health verdict — per item
+//! when a group passes through. The layer sits *outside* retries on
+//! purpose — one logical call is one verdict, no matter how many
+//! attempts the retry layer burned (DESIGN.md §10).
 
-use super::{CallCtx, Layer, Service};
+use super::{call_one, Answers, CallCtx, Layer, Service};
 use crate::NetError;
 use irs_core::ids::LedgerId;
 use irs_core::wire::{Request, Response};
@@ -79,24 +80,46 @@ impl<S> Breaker<S> {
 
 impl<S: Service> Service for Breaker<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        call_one(self, req, ctx)
+    }
+
+    /// Gates each item on its own ledger's breaker, forwards the
+    /// admitted ones as one group and records one verdict per item. The
+    /// group is admitted before its first verdict lands — a closed
+    /// breaker lets a whole page through to a shard that just died — but
+    /// a half-open one admits exactly one probe; the rest fail fast.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
         let span = ctx.span("breaker");
-        let ledger = self.ledger_of(&req);
-        if !self.proxy.breaker(ledger).allow(ctx.now) {
-            // Open: fail fast, and record nothing — probes are admitted
-            // by `allow` itself once the cooldown elapses.
-            span.verdict("open");
-            return Err(NetError::BreakerOpen);
+        let mut answers = Answers::new(reqs.len());
+        let (mut admitted, mut forward) = (Vec::new(), Vec::new());
+        for (i, req) in reqs.into_iter().enumerate() {
+            let ledger = self.ledger_of(&req);
+            if self.proxy.breaker(ledger).allow(ctx.now) {
+                admitted.push((i, ledger));
+                forward.push(req);
+            } else {
+                // Open: fail fast, and record nothing — probes are
+                // admitted by `allow` itself once the cooldown elapses.
+                span.verdict("open");
+                answers.set(i, Err(NetError::BreakerOpen));
+            }
         }
-        let result = self.inner.call(req, ctx);
-        // Any answer counts as healthy — an application-level error still
-        // proves the exchange path works. That includes shed load: an
-        // `Overloaded` answer (or the typed error retries reduce it to)
-        // is backpressure from a live server, and tripping the breaker
-        // on it would turn an overload into a self-inflicted outage.
-        let healthy = matches!(&result, Ok(_) | Err(NetError::Overloaded { .. }));
-        self.proxy.record_upstream(ledger, healthy, ctx.now);
-        span.verdict_result(&result, "err");
-        result
+        if forward.is_empty() {
+            return answers.finish();
+        }
+        for ((i, ledger), result) in admitted.into_iter().zip(self.inner.call_all(forward, ctx)) {
+            // Any answer counts as healthy — an application-level error
+            // still proves the exchange path works. That includes shed
+            // load: an `Overloaded` answer (or the typed error retries
+            // reduce it to) is backpressure from a live server, and
+            // tripping the breaker on it would turn an overload into a
+            // self-inflicted outage.
+            let healthy = matches!(&result, Ok(_) | Err(NetError::Overloaded { .. }));
+            self.proxy.record_upstream(ledger, healthy, ctx.now);
+            span.verdict_result(&result, "err");
+            answers.set(i, result);
+        }
+        answers.finish()
     }
 }
 

@@ -3,15 +3,20 @@
 //!
 //! [`Cache`] answers a `Query` without touching the layers below when
 //! the merged filter proves the record unrevoked or the cache stripe
-//! holds a live entry; only genuine misses flow inward. An inner answer
-//! of [`Response::Status`] is written back to the stripe on the way out
+//! holds a live entry; only genuine misses flow inward — a group's
+//! misses together. An inner answer of [`Response::Status`] *for the id
+//! that was asked* is written back to the stripe on the way out
 //! (populating the last-good store [`super::StaleServeLayer`] later
-//! reads). Non-`Query` requests pass straight through.
+//! reads); an answer naming another record is a [`NetError::Frame`] and
+//! bumps `irs_proxy_mismatched_answers_total`. Non-`Query` requests pass
+//! straight through.
 
-use super::{CallCtx, Layer, Service};
+use super::{Answers, CallCtx, Layer, Service};
 use crate::NetError;
 use irs_core::claim::RevocationStatus;
+use irs_core::ids::RecordId;
 use irs_core::wire::{Request, Response};
+use irs_obs::{Counter, MaybeSpan};
 use irs_proxy::{LookupOutcome, SharedProxy};
 use std::sync::Arc;
 
@@ -33,6 +38,10 @@ impl<S: Service> Layer<S> for CacheLayer {
     fn wrap(&self, inner: S) -> Cache<S> {
         Cache {
             inner,
+            mismatched: self
+                .proxy
+                .metrics()
+                .counter("irs_proxy_mismatched_answers_total"),
             proxy: self.proxy.clone(),
         }
     }
@@ -42,6 +51,56 @@ impl<S: Service> Layer<S> for CacheLayer {
 pub struct Cache<S> {
     inner: S,
     proxy: Arc<SharedProxy>,
+    /// Upstream answers about a record other than the one asked for.
+    mismatched: Counter,
+}
+
+impl<S: Service> Cache<S> {
+    /// The filter's or the cache's answer for `id`; `None` is a miss.
+    fn answer_locally(&self, id: RecordId, ctx: &CallCtx, span: &MaybeSpan) -> Option<Response> {
+        let status = match self.proxy.lookup_traced(id, ctx.now, ctx.recorder()) {
+            LookupOutcome::NotRevokedByFilter => {
+                span.verdict("filter-negative");
+                RevocationStatus::NotRevoked
+            }
+            LookupOutcome::Cached(status) => {
+                span.verdict("cached");
+                status
+            }
+            LookupOutcome::NeedsLedgerQuery => return None,
+        };
+        // Local answers carry epoch 0: the proxy attests liveness, not
+        // the ledger's status-change counter.
+        let epoch = 0;
+        Some(Response::Status { id, status, epoch })
+    }
+
+    /// The inner answer to a miss on `asked`, on its way out: a fresh
+    /// `Status` is written back. An answer about another record — a
+    /// misbehaving ledger, a desynchronised stream — is nobody's status:
+    /// never cached, never relayed.
+    fn settle(
+        &self,
+        asked: RecordId,
+        result: Result<Response, NetError>,
+        ctx: &CallCtx,
+        span: &MaybeSpan,
+    ) -> Result<Response, NetError> {
+        span.verdict_result(&result, "err");
+        let response = result?;
+        if response
+            .query_id()
+            .is_some_and(|answered| answered != asked)
+        {
+            self.mismatched.inc();
+            span.verdict("err");
+            return Err(NetError::Frame("answer names a different record"));
+        }
+        if let Response::Status { status, .. } = response {
+            self.proxy.complete(asked, status, ctx.now);
+        }
+        Ok(response)
+    }
 }
 
 impl<S: Service> Service for Cache<S> {
@@ -51,34 +110,48 @@ impl<S: Service> Service for Cache<S> {
             span.verdict("passthrough");
             return self.inner.call(req, ctx);
         };
-        match self.proxy.lookup_traced(id, ctx.now, ctx.recorder()) {
-            // Local answers carry epoch 0: the proxy attests liveness,
-            // not the ledger's status-change counter.
-            LookupOutcome::NotRevokedByFilter => {
-                span.verdict("filter-negative");
-                Ok(Response::Status {
-                    id,
-                    status: RevocationStatus::NotRevoked,
-                    epoch: 0,
-                })
-            }
-            LookupOutcome::Cached(status) => {
-                span.verdict("cached");
-                Ok(Response::Status {
-                    id,
-                    status,
-                    epoch: 0,
-                })
-            }
-            LookupOutcome::NeedsLedgerQuery => {
-                let result = self.inner.call(Request::Query { id }, ctx);
-                if let Ok(Response::Status { id, status, .. }) = &result {
-                    self.proxy.complete(*id, *status, ctx.now);
+        match self.answer_locally(id, ctx, &span) {
+            Some(local) => Ok(local),
+            None => self.settle(id, self.inner.call(req, ctx), ctx, &span),
+        }
+    }
+
+    /// Looks every `Query` up first, then forwards only the misses (and
+    /// any non-`Query` request) as one group. Built from the steps
+    /// `call` is built from; a one-frame validate that the cache answers
+    /// is the latency floor and should not pay for a group's vectors.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        let span = ctx.span("cache");
+        let mut answers = Answers::new(reqs.len());
+        // What goes inward: the slot it answers and, for a miss, the id
+        // that was asked.
+        let (mut asked, mut forward) = (Vec::new(), Vec::new());
+        for (i, req) in reqs.into_iter().enumerate() {
+            let query_id = match req {
+                Request::Query { id } => Some(id),
+                _ => None,
+            };
+            match query_id.and_then(|id| self.answer_locally(id, ctx, &span)) {
+                Some(local) => answers.set(i, Ok(local)),
+                None => {
+                    asked.push((i, query_id));
+                    forward.push(req);
                 }
-                span.verdict_result(&result, "err");
-                result
             }
         }
+        if forward.is_empty() {
+            return answers.finish();
+        }
+        for ((i, asked), result) in asked.into_iter().zip(self.inner.call_all(forward, ctx)) {
+            answers.set(
+                i,
+                match asked {
+                    Some(id) => self.settle(id, result, ctx, &span),
+                    None => result,
+                },
+            );
+        }
+        answers.finish()
     }
 }
 
@@ -92,12 +165,12 @@ mod tests {
     use irs_proxy::{FilterUpdate, ProxyConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A proxy whose filter contains exactly `hot`: lookups for it go
+    /// A proxy whose filter contains exactly `hot`: lookups for those go
     /// upstream, everything else is answered by the filter.
-    fn proxy_with_filter(hot: RecordId) -> Arc<SharedProxy> {
+    fn proxy_with_filter(hot: &[RecordId]) -> Arc<SharedProxy> {
         let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
-        filter.insert(hot.filter_key());
+        hot.iter().for_each(|id| filter.insert(id.filter_key()));
         proxy
             .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
             .unwrap();
@@ -107,7 +180,7 @@ mod tests {
     #[test]
     fn filter_negative_never_reaches_inner() {
         let hot = RecordId::new(LedgerId(1), 1);
-        let proxy = proxy_with_filter(hot);
+        let proxy = proxy_with_filter(&[hot]);
         let svc = service_fn(|_req, _ctx: &CallCtx| -> Result<Response, NetError> {
             panic!("filter-negative lookups must stay local")
         })
@@ -129,7 +202,7 @@ mod tests {
     #[test]
     fn miss_goes_upstream_then_serves_cached() {
         let hot = RecordId::new(LedgerId(1), 1);
-        let proxy = proxy_with_filter(hot);
+        let proxy = proxy_with_filter(&[hot]);
         let upstream_calls = Arc::new(AtomicU64::new(0));
         let calls_in = upstream_calls.clone();
         let svc = service_fn(move |req, _ctx: &CallCtx| {
@@ -173,7 +246,7 @@ mod tests {
     #[test]
     fn stale_answers_are_not_written_back() {
         let hot = RecordId::new(LedgerId(1), 1);
-        let proxy = proxy_with_filter(hot);
+        let proxy = proxy_with_filter(&[hot]);
         let svc = service_fn(move |req, _ctx: &CallCtx| {
             let Request::Query { id } = req else {
                 panic!("unexpected request")
@@ -201,5 +274,40 @@ mod tests {
             svc.call(Request::Ping, &CallCtx::at(TimeMs(0))).unwrap(),
             Response::Pong
         );
+    }
+
+    /// A ledger (or a desynchronised stream) answering about *another*
+    /// record must not plant that record's status: here the reply to
+    /// every query says "1:77 is not revoked", and 1:77 is revoked.
+    #[test]
+    fn answer_about_another_record_is_refused_and_never_cached() {
+        let rid = |n| RecordId::new(LedgerId(1), n);
+        let (asked, also_asked, victim) = (rid(1), rid(2), rid(77));
+        let proxy = proxy_with_filter(&[asked, also_asked, victim]);
+        let liar = service_fn(move |_req, _ctx: &CallCtx| {
+            Ok(Response::Status {
+                id: victim,
+                status: RevocationStatus::NotRevoked,
+                epoch: 9,
+            })
+        })
+        .layered(CacheLayer::new(proxy.clone()));
+        let ctx = CallCtx::at(TimeMs(5));
+        let query = |id| Request::Query { id };
+        let single = liar.call(query(asked), &ctx);
+        assert!(matches!(single, Err(NetError::Frame(_))), "{single:?}");
+        // Positional correlation across a group makes the check matter
+        // more: the honest slot is relayed, the others refused.
+        let group = liar.call_all(vec![query(asked), query(victim), query(also_asked)], &ctx);
+        assert!(matches!(group[0], Err(NetError::Frame(_))), "{group:?}");
+        assert!(matches!(group[1], Ok(Response::Status { id, .. }) if id == victim));
+        assert!(matches!(group[2], Err(NetError::Frame(_))), "{group:?}");
+        assert_eq!(proxy.cache_len(), 1, "only the answer that was asked for");
+        assert_eq!(
+            proxy.lookup(asked, TimeMs(6)),
+            LookupOutcome::NeedsLedgerQuery
+        );
+        let scrape = irs_obs::parse_exposition(&proxy.render_metrics());
+        assert_eq!(scrape["irs_proxy_mismatched_answers_total"], 3.0);
     }
 }

@@ -1,12 +1,12 @@
 //! Replica rotation.
 //!
 //! [`Failover`] holds one inner service per replica and a shared cursor.
-//! Each call goes to the cursor's replica; a failure rotates the cursor
-//! so the *next* attempt (usually driven by [`super::RetryLayer`] above)
+//! Each call (or group) goes to the cursor's replica; a failure rotates
+//! the cursor so the *next* attempt (usually driven by [`super::RetryLayer`] above)
 //! lands on the next replica in line. The failure itself still surfaces
 //! — retrying is the retry layer's job, not this one's.
 
-use super::{CallCtx, Layer, Service};
+use super::{call_one, CallCtx, Layer, Service};
 use crate::NetError;
 use irs_core::wire::{Request, Response};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,30 +53,33 @@ impl<S> Failover<S> {
 
 impl<S: Service> Service for Failover<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        call_one(self, req, ctx)
+    }
+
+    /// The whole group goes to the cursor's replica; any failure in it
+    /// is one failed attempt — one rotation, however many items failed.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
         let span = ctx.span("failover");
         let len = self.replicas.len();
         let index = self.cursor.load(Ordering::Relaxed) % len;
-        match self.replicas[index].call(req, ctx) {
-            Ok(response) => {
-                span.verdict("ok");
-                Ok(response)
-            }
-            Err(e) => {
-                span.verdict(if len > 1 { "rotated" } else { "err" });
-                if len > 1 {
-                    // Racing failures both try to advance from `index`;
-                    // only one rotation happens per observed position.
-                    let _ = self.cursor.compare_exchange(
-                        index,
-                        (index + 1) % len,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
+        let answers = self.replicas[index].call_all(reqs, ctx);
+        if answers.iter().all(Result::is_ok) {
+            span.verdict("ok");
+        } else {
+            span.verdict(if len > 1 { "rotated" } else { "err" });
+            if len > 1 {
+                // Racing failures both try to advance from `index`;
+                // only one rotation happens per observed position.
+                let _ = self.cursor.compare_exchange(
+                    index,
+                    (index + 1) % len,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+                self.failovers.fetch_add(1, Ordering::Relaxed);
             }
         }
+        answers
     }
 }
 

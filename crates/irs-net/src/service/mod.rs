@@ -166,6 +166,50 @@ impl CallCtx {
 pub trait Service: Send + Sync {
     /// Process one request.
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError>;
+
+    /// Process a group — a page's worth of requests issued together —
+    /// under one `ctx` (one clock reading, one deadline: what the caller
+    /// waits for is the group). One answer per request, in request
+    /// order. The default is one [`call`](Service::call) after another;
+    /// the layers of the canonical ladder override it to keep each
+    /// item's semantics while the misses overlap on the wire
+    /// (DESIGN.md §10), and build `call` as the group of one.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        reqs.into_iter().map(|req| self.call(req, ctx)).collect()
+    }
+}
+
+/// `call` for a layer whose one body is `call_all`: the group of one.
+fn call_one<S: Service + ?Sized>(
+    svc: &S,
+    req: Request,
+    ctx: &CallCtx,
+) -> Result<Response, NetError> {
+    let mut answers = svc.call_all(vec![req], ctx);
+    answers.pop().expect("call_all answers every request")
+}
+
+/// A group's answers while a layer gathers them out of order (local
+/// answers first, forwarded ones as they come back): slot *i* belongs to
+/// request *i* and is filled exactly once.
+struct Answers(Vec<Option<Result<Response, NetError>>>);
+
+impl Answers {
+    fn new(len: usize) -> Answers {
+        Answers((0..len).map(|_| None).collect())
+    }
+
+    fn set(&mut self, i: usize, answer: Result<Response, NetError>) {
+        debug_assert!(self.0[i].is_none(), "request {i} answered twice");
+        self.0[i] = Some(answer);
+    }
+
+    fn finish(self) -> Vec<Result<Response, NetError>> {
+        let answers = self.0.into_iter();
+        answers
+            .map(|a| a.expect("every request answered"))
+            .collect()
+    }
 }
 
 /// A service combinator: wraps an inner value (usually a [`Service`],
@@ -185,17 +229,26 @@ impl<S: Service + ?Sized> Service for Box<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
     }
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        (**self).call_all(reqs, ctx)
+    }
 }
 
 impl<S: Service + ?Sized> Service for Arc<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
     }
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        (**self).call_all(reqs, ctx)
+    }
 }
 
 impl<S: Service + ?Sized> Service for &S {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
+    }
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        (**self).call_all(reqs, ctx)
     }
 }
 
@@ -240,6 +293,9 @@ where
         (self.f)(req, ctx)
     }
 }
+
+#[cfg(test)]
+mod group_tests;
 
 #[cfg(test)]
 mod tests {

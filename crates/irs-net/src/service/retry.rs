@@ -1,7 +1,8 @@
 //! Bounded retries with seeded, jittered exponential backoff.
 //!
-//! [`Retry`] re-runs its inner service until it succeeds, the attempt
-//! budget runs out, or the per-call deadline (the policy's
+//! [`Retry`] re-runs its inner service — for a group, only the requests
+//! still unanswered — until it succeeds, the attempt budget runs out, or
+//! the per-call deadline (the policy's
 //! `call_deadline`, tightened against anything the caller already set)
 //! elapses. Backoff jitter is drawn from a seeded SplitMix64 stream, so
 //! two replayed runs back off identically. Over
@@ -9,7 +10,7 @@
 //! rung of the degradation ladder: reconnect, bounded retries, replica
 //! rotation, all inside one deadline.
 
-use super::{CallCtx, Layer, Service};
+use super::{call_one, Answers, CallCtx, Layer, Service};
 use crate::chaos::splitmix64;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
@@ -159,6 +160,13 @@ impl<S> Retry<S> {
 
 impl<S: Service> Service for Retry<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        call_one(self, req, ctx)
+    }
+
+    /// One loop for the whole group: each attempt resends only the
+    /// requests still unanswered, and one backoff separates attempts.
+    /// Counters count per request, as if each had been retried alone.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
         let span = ctx.span("retry");
         // The budget is `min(caller's deadline, now + call_deadline)`:
         // `with_deadline` keeps the earlier instant, and the loop below
@@ -171,50 +179,66 @@ impl<S: Service> Service for Retry<S> {
             // The caller arrived with nothing left: refuse rather than
             // burn an attempt that cannot finish inside the budget.
             span.verdict("deadline");
-            return Err(NetError::DeadlineExceeded);
+            let refused = reqs.iter().map(|_| Err(NetError::DeadlineExceeded));
+            return refused.collect();
         }
+        let mut answers = Answers::new(reqs.len());
+        let mut pending: Vec<usize> = (0..reqs.len()).collect();
         let mut attempts = 0u32;
-        loop {
+        while !pending.is_empty() {
             attempts += 1;
-            self.shared.attempts.fetch_add(1, Ordering::Relaxed);
+            let sent = pending.len() as u64;
+            self.shared.attempts.fetch_add(sent, Ordering::Relaxed);
             if attempts > 1 {
-                self.shared.retries.fetch_add(1, Ordering::Relaxed);
+                self.shared.retries.fetch_add(sent, Ordering::Relaxed);
             }
+            let resend = pending.iter().map(|&i| reqs[i].clone()).collect();
             // A shed answer (`Response::Overloaded`) is retryable like an
             // error, but its backoff honors the server's hint: sleep at
             // least `retry_after_ms` — hammering a shedding server with
             // the normal (often shorter) backoff would feed the storm.
-            let shed_hint = match self.inner.call(req.clone(), &ctx) {
-                Ok(Response::Overloaded { retry_after_ms }) => Some(retry_after_ms),
-                Ok(response) => {
-                    span.verdict("ok");
-                    return Ok(response);
+            let mut unanswered: Vec<(usize, Option<u64>)> = Vec::new();
+            for (i, answer) in pending.drain(..).zip(self.inner.call_all(resend, &ctx)) {
+                match answer {
+                    Ok(Response::Overloaded { retry_after_ms }) => {
+                        unanswered.push((i, Some(retry_after_ms)))
+                    }
+                    Ok(response) => answers.set(i, Ok(response)),
+                    Err(_) => unanswered.push((i, None)),
                 }
-                Err(_) => None,
-            };
-            let give_up = |verdict: &'static str| {
-                self.shared.exhausted.fetch_add(1, Ordering::Relaxed);
-                span.verdict(verdict);
-                match shed_hint {
-                    // Typed, so breakers and callers see backpressure,
-                    // not failure.
-                    Some(retry_after_ms) => NetError::Overloaded { retry_after_ms },
-                    None => NetError::Exhausted { attempts },
+            }
+            if unanswered.is_empty() {
+                span.verdict("ok");
+                break;
+            }
+            let mut spent = attempts >= self.policy.max_attempts || Instant::now() >= deadline;
+            if !spent {
+                let hint = unanswered.iter().filter_map(|(_, hint)| *hint).max();
+                let backoff = jittered_backoff(&self.policy, attempts, self.next_jitter())
+                    .max(Duration::from_millis(hint.unwrap_or(0)));
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                spent = remaining.is_zero();
+                std::thread::sleep(backoff.min(remaining));
+            }
+            if spent {
+                self.shared
+                    .exhausted
+                    .fetch_add(unanswered.len() as u64, Ordering::Relaxed);
+                span.verdict("exhausted");
+                for (i, shed_hint) in unanswered {
+                    let gave_up = match shed_hint {
+                        // Typed, so breakers and callers see
+                        // backpressure, not failure.
+                        Some(retry_after_ms) => NetError::Overloaded { retry_after_ms },
+                        None => NetError::Exhausted { attempts },
+                    };
+                    answers.set(i, Err(gave_up));
                 }
-            };
-            if attempts >= self.policy.max_attempts || Instant::now() >= deadline {
-                return Err(give_up("exhausted"));
+                break;
             }
-            let mut backoff = jittered_backoff(&self.policy, attempts, self.next_jitter());
-            if let Some(retry_after_ms) = shed_hint {
-                backoff = backoff.max(Duration::from_millis(retry_after_ms));
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(give_up("exhausted"));
-            }
-            std::thread::sleep(backoff.min(remaining));
+            pending = unanswered.into_iter().map(|(i, _)| i).collect();
         }
+        answers.finish()
     }
 }
 

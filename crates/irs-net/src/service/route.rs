@@ -21,6 +21,8 @@
 //! * `Query` / `Revoke` / `GetProof` → exactly by `RecordId::ledger`;
 //! * `Batch` → split per owning shard, sub-batches dispatched per
 //!   shard, statuses reassembled in request order;
+//! * a group ([`Service::call_all`]) → one sub-group per owning shard,
+//!   answers back in request order;
 //! * `GetShardMap` → answered locally from the router's directory;
 //! * unkeyed requests (`GetFilter`, `Ping`, `Metrics`, replication
 //!   ops) → the map's first shard. Per-shard maintenance traffic
@@ -34,7 +36,7 @@
 //! [`NetError::WrongShard`] — never a loop, and never a breaker trip
 //! (refusals are `Ok` responses end to end).
 
-use super::{BoxService, CallCtx, Layer, Service};
+use super::{Answers, BoxService, CallCtx, Layer, Service};
 use crate::NetError;
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
@@ -202,25 +204,45 @@ impl Route {
         }
     }
 
-    /// Dispatch one non-batch request: route, call, self-heal on a
-    /// `WrongShard` refusal, retry once.
-    fn dispatch(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        for attempt in 0..2 {
-            let map = self.dir.current();
-            let spec = self.target(&map, &req)?;
-            let stack = self.stack_for(spec);
-            let resp = stack.call(req.clone(), ctx)?;
-            let Response::WrongShard { .. } = resp else {
-                return Ok(resp);
-            };
-            self.wrong_shards.fetch_add(1, Ordering::Relaxed);
-            if attempt == 0 {
-                self.heal(&stack, ctx)?;
+    /// `via` refused `req` with `WrongShard`: refetch the map from it,
+    /// then retry once under whatever map is current. A second refusal
+    /// is not staleness and surfaces as an error — never a loop.
+    fn refused(
+        &self,
+        req: &Request,
+        via: &Arc<BoxService>,
+        ctx: &CallCtx,
+    ) -> Result<Response, NetError> {
+        self.wrong_shards.fetch_add(1, Ordering::Relaxed);
+        self.heal(via, ctx)?;
+        let map = self.dir.current();
+        let stack = self.stack_for(self.target(&map, req)?);
+        match stack.call(req.clone(), ctx)? {
+            Response::WrongShard { .. } => {
+                self.wrong_shards.fetch_add(1, Ordering::Relaxed);
+                Err(NetError::WrongShard { epoch: map.epoch() })
             }
+            response => Ok(response),
         }
-        Err(NetError::WrongShard {
-            epoch: self.dir.epoch(),
-        })
+    }
+
+    /// Dispatch one keyed request: route, call, heal-and-retry if
+    /// refused — the steps of [`call_all`](Service::call_all) without a
+    /// group's vectors (a one-frame validate is the latency floor).
+    fn dispatch(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        let map = self.dir.current();
+        let stack = self.stack_for(self.target(&map, &req)?);
+        match stack.call(req.clone(), ctx)? {
+            Response::WrongShard { .. } => self.refused(&req, &stack, ctx),
+            response => Ok(response),
+        }
+    }
+
+    /// The router's own map, as a shard would serve it.
+    fn local_map(&self) -> Response {
+        let map = self.dir.current();
+        let (epoch, data) = (map.epoch(), map.to_bytes().into());
+        Response::ShardMap { epoch, data }
     }
 
     /// Split a batch per owning shard, dispatch each sub-batch, and
@@ -270,18 +292,50 @@ impl Service for Route {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         let span = ctx.span("route");
         let result = match req {
-            Request::GetShardMap => {
-                let map = self.dir.current();
-                Ok(Response::ShardMap {
-                    epoch: map.epoch(),
-                    data: map.to_bytes().into(),
-                })
-            }
+            Request::GetShardMap => Ok(self.local_map()),
             Request::Batch(ids) => self.dispatch_batch(ids, ctx),
             other => self.dispatch(other, ctx),
         };
         span.verdict_result(&result, "err");
         result
+    }
+
+    /// `GetShardMap` and `Batch` items are answered in place; the rest go
+    /// out as one group per owning shard (shards in order of first
+    /// appearance, answers back in request order), and an item refused
+    /// with `WrongShard` takes the heal-and-retry path.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        let span = ctx.span("route");
+        let map = self.dir.current();
+        let mut answers = Answers::new(reqs.len());
+        let mut groups: Vec<(&ShardSpec, Vec<usize>)> = Vec::new();
+        for (i, req) in reqs.iter().enumerate() {
+            let spec = match req {
+                Request::GetShardMap => Err(Ok(self.local_map())),
+                Request::Batch(ids) => Err(self.dispatch_batch(ids.clone(), ctx)),
+                keyed => self.target(&map, keyed).map_err(Err),
+            };
+            match spec {
+                Ok(spec) => match groups.iter_mut().find(|(s, _)| s.ledger == spec.ledger) {
+                    Some((_, members)) => members.push(i),
+                    None => groups.push((spec, vec![i])),
+                },
+                Err(answered) => answers.set(i, answered),
+            }
+        }
+        for (spec, members) in groups {
+            let stack = self.stack_for(spec);
+            let sub = members.iter().map(|&i| reqs[i].clone()).collect();
+            for (i, answer) in members.into_iter().zip(stack.call_all(sub, ctx)) {
+                let answer = match answer {
+                    Ok(Response::WrongShard { .. }) => self.refused(&reqs[i], &stack, ctx),
+                    other => other,
+                };
+                span.verdict_result(&answer, "err");
+                answers.set(i, answer);
+            }
+        }
+        answers.finish()
     }
 }
 

@@ -8,8 +8,9 @@
 //! honest `Unavailable` beats a lie. Non-`Query` failures pass through
 //! untouched: there is no such thing as a stale filter delta.
 
-use super::{CallCtx, Layer, Service};
+use super::{call_one, CallCtx, Layer, Service};
 use crate::NetError;
+use irs_core::ids::RecordId;
 use irs_core::wire::{Request, Response};
 use irs_proxy::SharedProxy;
 use std::sync::Arc;
@@ -45,40 +46,45 @@ pub struct StaleServe<S> {
 
 impl<S: Service> Service for StaleServe<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        call_one(self, req, ctx)
+    }
+
+    /// Forwards the group whole and degrades item by item.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
         let span = ctx.span("stale");
-        let query_id = match &req {
-            Request::Query { id } => Some(*id),
-            _ => None,
-        };
-        match self.inner.call(req, ctx) {
-            Ok(response) => {
+        let query_ids: Vec<Option<RecordId>> = reqs
+            .iter()
+            .map(|req| match req {
+                Request::Query { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        let answers = self.inner.call_all(reqs, ctx).into_iter();
+        let degrade = |(answer, query_id)| match (answer, query_id) {
+            (Ok(response), _) => {
                 span.verdict("ok");
                 Ok(response)
             }
-            Err(e) => {
-                let Some(id) = query_id else {
-                    span.verdict("err");
-                    return Err(e);
-                };
-                Ok(match self.proxy.lookup_stale(id, ctx.now) {
-                    Some((status, age_ms)) => {
-                        span.verdict("stale");
-                        Response::StatusStale { id, status, age_ms }
-                    }
-                    None => {
-                        span.verdict("unavailable");
-                        Response::Unavailable {
-                            id,
-                            age_ms: self
-                                .proxy
-                                .breaker(id.ledger)
-                                .staleness_ms(ctx.now)
-                                .unwrap_or(u64::MAX),
-                        }
-                    }
-                })
+            (Err(e), None) => {
+                span.verdict("err");
+                Err(e)
             }
-        }
+            (Err(_), Some(id)) => Ok(match self.proxy.lookup_stale(id, ctx.now) {
+                Some((status, age_ms)) => {
+                    span.verdict("stale");
+                    Response::StatusStale { id, status, age_ms }
+                }
+                None => {
+                    span.verdict("unavailable");
+                    let breaker = self.proxy.breaker(id.ledger);
+                    Response::Unavailable {
+                        id,
+                        age_ms: breaker.staleness_ms(ctx.now).unwrap_or(u64::MAX),
+                    }
+                }
+            }),
+        };
+        answers.zip(query_ids).map(degrade).collect()
     }
 }
 

@@ -14,7 +14,7 @@
 //! leaves the connection healthy: an unrepresentable request is the
 //! caller's bug, not the stream's.
 
-use super::{CallCtx, Service};
+use super::{call_one, CallCtx, Service};
 use crate::mux::MuxClient;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
@@ -123,20 +123,37 @@ impl TransportPool {
 
 impl Service for TcpTransport {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        call_one(self, req, ctx)
+    }
+
+    /// The whole group rides one [`MuxClient::call_all`]: one `write`,
+    /// one exchange, each answer failing on its own.
+    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+        if reqs.is_empty() {
+            return Vec::new(); // nothing to say is no reason to dial
+        }
         let span = ctx.span("transport");
+        let refused = |e: NetError| reqs.iter().map(|_| Err(e.replicate())).collect();
         if ctx.expired() {
             span.verdict("deadline");
-            return Err(NetError::DeadlineExceeded);
+            return refused(NetError::DeadlineExceeded);
         }
-        let result = self.live_mux().and_then(|mux| {
-            // Every exchange is bounded: the caller's deadline if set,
-            // tightened by the transport's own I/O budget.
-            let budget = Instant::now() + self.io_timeout;
-            let deadline = ctx.deadline.map_or(budget, |d| d.min(budget));
-            mux.call(&req, deadline)
+        let answers: Vec<_> = match self.live_mux() {
+            Ok(mux) => {
+                // Every exchange is bounded: the caller's deadline if set,
+                // tightened by the transport's own I/O budget.
+                let budget = Instant::now() + self.io_timeout;
+                let deadline = ctx.deadline.map_or(budget, |d| d.min(budget));
+                mux.call_all(&reqs, deadline)
+            }
+            Err(e) => refused(e),
+        };
+        span.verdict(if answers.iter().all(Result::is_ok) {
+            "ok"
+        } else {
+            "err"
         });
-        span.verdict_result(&result, "err");
-        result
+        answers
     }
 }
 

@@ -192,6 +192,22 @@ impl Histogram {
         self.record(start.elapsed().as_micros() as u64);
     }
 
+    /// Record `n` observations that sum to the time elapsed since
+    /// `start`, in microseconds — one per frame of a burst that was
+    /// handled in one go. Observations are whole, so all get the even
+    /// share and one also gets the remainder: `_count` keeps meaning
+    /// frames and `_sum` wall time.
+    pub fn record_spread_since(&self, start: std::time::Instant, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let total = start.elapsed().as_micros() as u64;
+        for _ in 1..n {
+            self.record(total / n);
+        }
+        self.record(total / n + total % n);
+    }
+
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let inner = &*self.inner;

@@ -9,44 +9,69 @@
 //! ```
 
 use irs::browser::pipeline::{CheckService, CheckTiming, NetworkParams, NoChecks, PageLoader};
+use irs::browser::{BrowserValidator, RemoteValidator};
 use irs::filters::BloomFilter;
+use irs::net::service::{service_fn, BoxService, CacheLayer, CallCtx, ServiceExt};
 use irs::protocol::claim::RevocationStatus;
-use irs::protocol::ids::LedgerId;
+use irs::protocol::ids::{LedgerId, RecordId};
+use irs::protocol::photo::LabelReading;
+use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
-use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
+use irs::protocol::wire::{Request, Response};
+use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, Link};
-use irs::workload::pages::PageModel;
+use irs::workload::pages::{PageModel, ResourceKind};
 use irs::workload::population::{PhotoPopulation, PopulationConfig};
 use irs::workload::samplers::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
-/// A check service that drives the real proxy pipeline: filter → cache →
+/// A check service that drives the real pipeline: the browser validates
+/// a page's photos together ([`RemoteValidator::validate_page`]) through
+/// the proxy's filter → cache front, and what those cannot settle takes a
 /// (simulated) ledger round trip.
 struct ProxiedChecks {
-    proxy: SharedProxy,
-    population: PhotoPopulation,
+    browser: RemoteValidator<BoxService>,
+    /// The ids of the page being loaded that reached a ledger.
+    reached_ledger: Arc<Mutex<HashSet<RecordId>>>,
+    /// Photos a page showed a placeholder for.
+    hidden: usize,
     browser_proxy: Link,
     proxy_ledger: Link,
     rng: StdRng,
     now: TimeMs,
 }
 
+impl ProxiedChecks {
+    /// Issue the page's checks as one group, as the browser does once the
+    /// preload scanner has the image list.
+    fn validate(&mut self, page: &PageModel) {
+        let labels = page.resources.iter().filter_map(|res| match res.kind {
+            ResourceKind::ClaimedImage(meta) => Some(LabelReading {
+                metadata_id: Some(meta.id),
+                watermark_id: Some(meta.id),
+            }),
+            _ => None,
+        });
+        self.now = self.now.plus(1);
+        self.reached_ledger.lock().expect("no panics").clear();
+        let outcomes = self
+            .browser
+            .validate_page(&labels.collect::<Vec<_>>(), self.now);
+        let hidden = |o: &&ValidationOutcome| matches!(o, ValidationOutcome::Revoked(_));
+        self.hidden += outcomes.iter().filter(hidden).count();
+    }
+}
+
 impl CheckService for ProxiedChecks {
     fn check_ms(&mut self, photo: &irs::workload::population::PhotoMeta) -> u64 {
-        self.now = self.now.plus(1);
         let to_proxy = self.browser_proxy.rtt(&mut self.rng);
-        match self.proxy.lookup(photo.id, self.now) {
-            LookupOutcome::NotRevokedByFilter | LookupOutcome::Cached(_) => to_proxy,
-            LookupOutcome::NeedsLedgerQuery => {
-                let status = if self.population.photo(photo.id.serial).revoked {
-                    RevocationStatus::Revoked
-                } else {
-                    RevocationStatus::NotRevoked
-                };
-                self.proxy.complete(photo.id, status, self.now);
-                to_proxy + self.proxy_ledger.rtt(&mut self.rng)
-            }
+        let reached = self.reached_ledger.lock().expect("no panics");
+        match reached.contains(&photo.id) {
+            true => to_proxy + self.proxy_ledger.rtt(&mut self.rng),
+            false => to_proxy,
         }
     }
 }
@@ -64,7 +89,7 @@ fn main() {
     // "If the photo does not hit in the filter, it is definitely not
     // revoked" — and since most viewed photos are not revoked, most
     // lookups never reach a ledger.
-    let proxy = SharedProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     let revoked_total = population.iter().filter(|m| m.revoked).count() as u64;
     let mut per_ledger: Vec<BloomFilter> = (0..4)
         .map(|_| BloomFilter::for_capacity(revoked_total, 0.02).expect("filter"))
@@ -87,10 +112,30 @@ fn main() {
         filters.merged_fpr().unwrap_or(0.0) * 100.0
     );
 
+    // The ledgers, in process: ground truth from the population, and a
+    // note of every id that got this far.
+    let reached_ledger = Arc::new(Mutex::new(HashSet::new()));
+    let reached = reached_ledger.clone();
+    let ledgers = service_fn(move |req, _ctx: &CallCtx| {
+        let Request::Query { id } = req else {
+            panic!("the browser only sends queries");
+        };
+        reached.lock().expect("no panics").insert(id);
+        let status = match population.photo(id.serial).revoked {
+            true => RevocationStatus::Revoked,
+            false => RevocationStatus::NotRevoked,
+        };
+        let epoch = 1;
+        Ok(Response::Status { id, status, epoch })
+    });
+    let stack = ledgers.layered(CacheLayer::new(proxy.clone())).boxed();
+    let validator = BrowserValidator::new(ViewerPolicy::default(), 512, 600_000);
+
     // Browse 40 pinterest-like pages with and without IRS.
     let mut checks = ProxiedChecks {
-        proxy,
-        population,
+        browser: RemoteValidator::new(validator, stack, 60_000),
+        reached_ledger,
+        hidden: 0,
         browser_proxy: irs::simnet::latency::profiles::browser_to_proxy(),
         proxy_ledger: irs::simnet::latency::profiles::proxy_to_ledger(),
         rng: StdRng::seed_from_u64(2),
@@ -114,6 +159,7 @@ fn main() {
             CheckTiming::MetadataFirst,
             StdRng::seed_from_u64(4),
         );
+        checks.validate(&page);
         let with = loader.load(&page, &mut checks);
         baseline_complete.record(without.page_complete_ms);
         irs_complete.record(with.page_complete_ms);
@@ -127,7 +173,13 @@ fn main() {
     println!("page completion with IRS:    {}", irs_complete.summary());
     println!("added page delay:            {}", irs_delay.summary());
 
-    let stats = checks.proxy.stats();
+    let browser = checks.browser.validator.stats;
+    println!(
+        "browser: {} photos examined, {} answered by its own cache, {} asked of the proxy \
+         (one group per page), {} shown as placeholders",
+        browser.examined, browser.local_cache, browser.proxy_queries, checks.hidden
+    );
+    let stats = proxy.stats();
     println!(
         "proxy: {} lookups → {} ledger queries ({}× load reduction; {} filter-answered, {} cached)",
         stats.lookups,

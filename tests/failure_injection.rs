@@ -18,6 +18,7 @@ use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
 use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use std::sync::Arc;
 
 /// A client of `addr` (it dials on first use and redials by itself after
 /// a connection dies) and one exchange on it.
@@ -437,6 +438,183 @@ fn breaker_opens_serves_stale_and_recovers() {
     proxy_server.shutdown();
     chaos.shutdown();
     server.shutdown();
+}
+
+/// Two live shards, twelve revoked photos each (claimed before the
+/// placement guard attaches), shard 2 reachable only through a chaos
+/// interposer that starts fault-free; a proxy whose filter holds every
+/// id, with a 1 ms TTL so every page walks upstream while last-good
+/// copies survive.
+struct ShardedCluster {
+    ids: Vec<RecordId>,
+    map: irs::ledger::placement::ShardMap,
+    chaos: irs::net::chaos::ChaosProxy,
+    servers: Vec<LedgerServer>,
+}
+
+impl ShardedCluster {
+    fn start() -> ShardedCluster {
+        use irs::ledger::placement::{ShardDirectory, ShardMap, ShardSpec};
+        use irs::net::chaos::{ChaosConfig, ChaosProxy, FaultMode};
+        let ledgers = [1u16, 2].map(|l| Arc::new(ledger(l, 60 + u64::from(l))));
+        let mut ids = Vec::new();
+        for l in &ledgers {
+            for n in 0..12u8 {
+                let kp = irs::crypto::Keypair::from_seed(&[n + 50 * l.id().0 as u8; 32]);
+                let claim = ClaimRequest::create(&kp, &irs::crypto::Digest::of(&[n]));
+                ids.push(l.claim_revoked(claim, TimeMs(0)).unwrap().0);
+            }
+        }
+        let free_port = || {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap()
+        };
+        let addrs = [free_port(), free_port()];
+        let cuts = [FaultMode::Reset, FaultMode::TruncateResponse];
+        let config = ChaosConfig::new(chaos_seed(), 0.0).with_modes(&cuts);
+        let chaos = ChaosProxy::start(addrs[1], config).unwrap();
+        let spec =
+            |l, addr: std::net::SocketAddr| ShardSpec::new(LedgerId(l), vec![addr.to_string()]);
+        let map = ShardMap::new(1, vec![spec(1, addrs[0]), spec(2, chaos.addr())]).unwrap();
+        let start = |(l, addr): (&Arc<Ledger>, std::net::SocketAddr)| {
+            let dir = ShardDirectory::for_shard(l.id(), map.clone());
+            LedgerServer::start_sharded(l.clone(), &addr.to_string(), dir.into()).unwrap()
+        };
+        let servers = ledgers.iter().zip(addrs).map(start).collect();
+        ShardedCluster {
+            ids,
+            map,
+            chaos,
+            servers,
+        }
+    }
+
+    fn proxy(&self) -> Arc<SharedProxy> {
+        let shared = SharedProxy::new(ProxyConfig {
+            cache_capacity: 64,
+            cache_ttl_ms: 1,
+        });
+        let mut filter = irs::filters::BloomFilter::with_params(1 << 14, 6, 0).unwrap();
+        let unclaimed = [1, 2].map(|l| RecordId::new(LedgerId(l), 9_999));
+        for id in self.ids.iter().chain(&unclaimed) {
+            filter.insert(id.filter_key());
+        }
+        for l in [1, 2] {
+            let update = FilterUpdate::full(1, filter.to_bytes());
+            let applied = shared.update_filters(|f| f.apply(LedgerId(l), update));
+            applied.unwrap();
+        }
+        shared.into()
+    }
+
+    fn stack(&self, proxy: &Arc<SharedProxy>) -> irs::net::service::Route {
+        let retry = irs::net::RetryPolicy::fast(chaos_seed());
+        irs::net::service::stacks::sharded_full_upstream(proxy.clone(), self.map.clone(), retry)
+    }
+
+    fn shutdown(self) {
+        self.chaos.shutdown();
+        self.servers.into_iter().for_each(LedgerServer::shutdown);
+    }
+}
+
+/// A group changes timing, not answers — over live sockets: twin proxies
+/// on the product's sharded stack, one asked page by page, the other
+/// photo by photo, for claimed, unknown and filter-negative ids.
+#[test]
+fn a_group_and_its_calls_one_by_one_agree_over_live_shards() {
+    let cluster = ShardedCluster::start();
+    let (grouped, serial) = (cluster.proxy(), cluster.proxy());
+    let (pages, photos) = (cluster.stack(&grouped), cluster.stack(&serial));
+    let mut ids = cluster.ids.clone();
+    ids.extend([1, 2].map(|l| RecordId::new(LedgerId(l), 9_999))); // unknown records
+    ids.extend([1, 2].map(|l| RecordId::new(LedgerId(l), 7_777))); // filter-negative
+    for round in 0..20u64 {
+        let reqs: Vec<_> = (0..16)
+            .map(|i| ids[(chaos_seed() + round * 5 + i * 3) as usize % ids.len()])
+            .map(|id| Request::Query { id })
+            .collect();
+        let ctx = CallCtx::at(TimeMs(round * 10));
+        let one_by_one: Vec<_> = reqs.iter().map(|r| photos.call(r.clone(), &ctx)).collect();
+        let together = pages.call_all(reqs, &ctx);
+        assert_eq!(
+            format!("{together:?}"),
+            format!("{one_by_one:?}"),
+            "round {round}"
+        );
+    }
+    assert_eq!(grouped.stats(), serial.stats());
+    assert_eq!(grouped.cache_len(), serial.cache_len());
+    assert!(grouped.stats().ledger_queries > 200 && grouped.stats().filter_negative > 0);
+    cluster.shutdown();
+}
+
+/// A shard cut off while pages are in flight: its connection is reset or
+/// its answer truncated mid-page at a seeded rate, then it is partitioned
+/// for good. Through the product client (`validate_page` → `ProxyServer`
+/// → `Route` → per-shard ladders) every photo of every page still gets
+/// its own outcome, in order: fresh while a retry lands, stale where the
+/// proxy holds a last-good copy, `Unknown` where it does not — and the
+/// healthy shard never notices.
+#[test]
+fn shard_killed_mid_page_degrades_per_photo_in_order() {
+    use irs::browser::{BrowserValidator, RemoteValidator};
+    use irs::protocol::photo::LabelReading;
+    use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
+    use irs::proxy::BreakerState::{Closed, Open};
+
+    let cluster = ShardedCluster::start();
+    let shared = cluster.proxy();
+    let stack = Box::new(cluster.stack(&shared));
+    let proxy_server =
+        irs::net::ProxyServer::start_with_stack(shared.clone(), "127.0.0.1:0", stack).unwrap();
+    let validator = BrowserValidator::new(ViewerPolicy::default(), 1, 1);
+    let mut browser = RemoteValidator::new(validator, connect(proxy_server.addr()), 60_000);
+
+    // Pages interleave the shards; the last four ids of shard 2 are held
+    // back so the proxy has no last-good copy of them.
+    let labeled = |id: &RecordId| LabelReading {
+        metadata_id: Some(*id),
+        watermark_id: Some(*id),
+    };
+    let (known, unseen) = cluster.ids.split_at(20);
+    let page: Vec<_> = (0..8).flat_map(|i| [known[i], known[12 + i]]).collect();
+    let readings: Vec<_> = page.iter().map(labeled).collect();
+    let revoked: Vec<_> = page
+        .iter()
+        .map(|id| ValidationOutcome::Revoked(*id))
+        .collect();
+    for round in 0..12 {
+        let now = TimeMs(10 * (round + 1));
+        // Cut mid-page or not, a retry lands or a stale `Revoked` is
+        // honored: every photo stays hidden, none errors or swaps ids.
+        assert_eq!(
+            browser.validate_page(&readings, now),
+            revoked,
+            "round {round}"
+        );
+        // The first page warms the last-good store; then the cuts begin.
+        cluster.chaos.set_fault_rate(0.15);
+        std::thread::sleep(std::time::Duration::from_millis(3)); // let the TTL lapse
+    }
+    assert!(
+        cluster.chaos.stats().total_injected() > 0,
+        "no page was ever cut"
+    );
+
+    // Partition shard 2 for good and add the photos never seen before.
+    cluster.chaos.set_outage(true);
+    std::thread::sleep(std::time::Duration::from_millis(3));
+    let readings: Vec<_> = page.iter().chain(unseen).map(labeled).collect();
+    let mut expected = revoked;
+    expected.extend(unseen.iter().map(|id| ValidationOutcome::Unknown(*id)));
+    assert_eq!(browser.validate_page(&readings, TimeMs(1_000)), expected);
+    let breakers = [1, 2].map(|l| shared.breaker(LedgerId(l)).state());
+    assert_eq!(breakers, [Closed, Open]);
+    let degraded = shared.degraded_stats();
+    assert!(degraded.stale_served >= 8 && degraded.unavailable >= 4);
+    proxy_server.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
