@@ -5,7 +5,7 @@
 //! deployments and report the attribution metrics, plus the anonymity-set
 //! sizes of the queries that do reach a ledger.
 
-use crate::rig::{install_revoked_filter, revoked_keys, validate};
+use crate::rig::{install_revoked_filter, validate};
 use crate::table::{f, pct, Table};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
@@ -48,7 +48,7 @@ pub fn run(quick: bool) -> String {
     // hits reach the ledger.
     let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     let filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
-    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    install_revoked_filter(&proxy, filter, &population);
     let filtered_log: Vec<_> = trace
         .iter()
         .filter(|e| {

@@ -6,7 +6,7 @@
 //! revoked-set filter, using the discrete-event simulator's calibrated
 //! latency profiles and a real proxy instance making the decisions.
 
-use crate::rig::{install_revoked_filter, revoked_keys, validate};
+use crate::rig::{install_revoked_filter, validate};
 use crate::table::{f, Table};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
@@ -59,7 +59,7 @@ pub fn run(quick: bool) -> String {
     // (c) proxied + revoked-set filter.
     let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     let filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
-    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    install_revoked_filter(&proxy, filter, &population);
     let mut filtered = proxied_run(&proxy);
     let filtered_stats = proxy.stats();
 

@@ -1,16 +1,16 @@
-//! E23 — the tiered filter pipeline vs the Bloom-only proxy.
+//! E23 — a sealed tier vs the Bloom-only proxy.
 //!
-//! PR 10 replaces the proxy's per-ledger Bloom + merged-clone pipeline
-//! with tiered filters (frozen fuse8 base sealed per epoch + small Bloom
-//! delta, DESIGN.md §16). This experiment quantifies what the swap buys
-//! at the proxy, *through the real `FilterSet` lookup path*, not a
-//! micro-bench of the raw filters (that is E12):
+//! The filter pipeline (DESIGN.md §16) holds, per ledger, a frozen fuse8
+//! base sealed per epoch plus a small Bloom delta. Before the first seal
+//! a tier is only its Bloom — the paper's per-ledger Bloom + merged OR.
+//! This experiment quantifies what sealing buys at the proxy, both
+//! states *through the same `FilterSet` lookup path*, not a micro-bench
+//! of the raw filters (that is E12):
 //!
 //! * **memory** — total proxy-resident filter bytes
-//!   ([`FilterSet::resident_filter_bytes`]). The legacy pipeline pays for
-//!   each per-ledger Bloom *plus* the merged clone; the tiered pipeline
-//!   pays one near-optimal fuse base plus two cache-resident delta
-//!   Blooms.
+//!   ([`FilterSet::resident_filter_bytes`]). Bloom-only pays for each
+//!   per-ledger Bloom *plus* the merged clone; a sealed tier pays one
+//!   near-optimal fuse base plus two cache-resident delta Blooms.
 //! * **lookup latency** — ns per [`FilterSet::might_be_revoked`] over a
 //!   50/50 member/non-member mix, at matched service FPR (the Bloom is
 //!   sized at 0.39% ≈ the fuse8 base's ≈1/256).
@@ -46,24 +46,24 @@ fn seed_from_env() -> u64 {
 
 struct Point {
     n: u64,
-    legacy_bytes: u64,
+    bloom_bytes: u64,
     tiered_bytes: u64,
-    legacy_ns: f64,
+    bloom_ns: f64,
     tiered_ns: f64,
 }
 
 impl Point {
     fn memory_cut(&self) -> f64 {
-        1.0 - self.tiered_bytes as f64 / self.legacy_bytes as f64
+        1.0 - self.tiered_bytes as f64 / self.bloom_bytes as f64
     }
     fn speedup(&self) -> f64 {
-        self.legacy_ns / self.tiered_ns
+        self.bloom_ns / self.tiered_ns
     }
 }
 
-/// The pre-tentpole proxy state: one ledger's Bloom at matched FPR,
-/// merged clone included (that is what `FilterSet` kept resident).
-fn legacy_set(keys: &[u64]) -> FilterSet {
+/// The unsealed proxy state: one ledger's whole revoked set in a Bloom
+/// at matched FPR, merged clone included.
+fn bloom_only_set(keys: &[u64]) -> FilterSet {
     let mut bloom = BloomFilter::for_capacity(keys.len() as u64, BLOOM_FPR).unwrap();
     for &k in keys {
         bloom.insert(k);
@@ -74,7 +74,7 @@ fn legacy_set(keys: &[u64]) -> FilterSet {
     fs
 }
 
-/// The tiered proxy state: a sealed fuse8 base over the same keys plus
+/// The sealed proxy state: a fuse8 base over the same keys plus
 /// an empty delta tier (the steady state right after a compaction).
 fn tiered_set(keys: &[u64]) -> FilterSet {
     let base = Fuse8::build(keys).unwrap();
@@ -107,7 +107,7 @@ fn lookup_ns(fs: &FilterSet, n: u64, trials: u64) -> f64 {
             } else {
                 mix64(u64::MAX / 2 + i)
             };
-            if fs.might_be_revoked(key) == Some(true) {
+            if fs.might_be_revoked(LedgerId(1), key) == Some(true) {
                 hits += 1;
             }
         }
@@ -122,13 +122,13 @@ fn lookup_ns(fs: &FilterSet, n: u64, trials: u64) -> f64 {
 
 fn measure_point(n: u64, trials: u64) -> Point {
     let keys: Vec<u64> = (0..n).map(mix64).collect();
-    let legacy = legacy_set(&keys);
+    let bloom = bloom_only_set(&keys);
     let tiered = tiered_set(&keys);
     Point {
         n,
-        legacy_bytes: legacy.resident_filter_bytes(),
+        bloom_bytes: bloom.resident_filter_bytes(),
         tiered_bytes: tiered.resident_filter_bytes(),
-        legacy_ns: lookup_ns(&legacy, n, trials),
+        bloom_ns: lookup_ns(&bloom, n, trials),
         tiered_ns: lookup_ns(&tiered, n, trials),
     }
 }
@@ -176,7 +176,7 @@ fn soundness_drill(quick: bool, seed: u64) -> DrillResult {
                     let fs = shared.read().unwrap().clone();
                     for j in 0..256u64 {
                         let i = (j.wrapping_mul(0x9e37_79b9).wrapping_add(r)) % upto;
-                        if fs.might_be_revoked(key(i)) == Some(false) {
+                        if fs.might_be_revoked(LedgerId(1), key(i)) == Some(false) {
                             misses += 1;
                         }
                         probes += 1;
@@ -253,10 +253,10 @@ pub fn run(quick: bool) -> String {
         let p = measure_point(n, trials);
         table.row(vec![
             format!("{:.0e}", n as f64),
-            format!("{:.2} MB", p.legacy_bytes as f64 / 1e6),
+            format!("{:.2} MB", p.bloom_bytes as f64 / 1e6),
             format!("{:.2} MB", p.tiered_bytes as f64 / 1e6),
             format!("{:.0}%", p.memory_cut() * 100.0),
-            format!("{} ns", f(p.legacy_ns, 0)),
+            format!("{} ns", f(p.bloom_ns, 0)),
             format!("{} ns", f(p.tiered_ns, 0)),
             format!("{}x", f(p.speedup(), 2)),
         ]);
@@ -270,10 +270,10 @@ pub fn run(quick: bool) -> String {
         let scale = 100_000_000.0 / p.n as f64;
         table.row(vec![
             "1e8*".to_string(),
-            format!("{:.0} MB", p.legacy_bytes as f64 * scale / 1e6),
+            format!("{:.0} MB", p.bloom_bytes as f64 * scale / 1e6),
             format!("{:.0} MB", p.tiered_bytes as f64 * scale / 1e6),
             format!("{:.0}%", p.memory_cut() * 100.0),
-            format!("~{} ns", f(p.legacy_ns, 0)),
+            format!("~{} ns", f(p.bloom_ns, 0)),
             format!("~{} ns", f(p.tiered_ns, 0)),
             format!("{}x", f(p.speedup(), 2)),
         ]);
@@ -281,7 +281,7 @@ pub fn run(quick: bool) -> String {
 
     let d = soundness_drill(quick, seed_from_env());
     table.note(
-        "bytes are FilterSet::resident_filter_bytes() (legacy pays the per-ledger \
+        "bytes are FilterSet::resident_filter_bytes() (bloom-only pays the per-ledger \
          Bloom plus the merged clone); lookups via might_be_revoked, 50/50 \
          member mix, matched ~0.39% service FPR; * = linear projection"
             .to_string(),
@@ -305,7 +305,7 @@ pub fn check(quick: bool) -> Result<String, String> {
         return Err(format!(
             "memory cut {:.0}% < 20% (bloom-only {} B, tiered {} B)",
             p.memory_cut() * 100.0,
-            p.legacy_bytes,
+            p.bloom_bytes,
             p.tiered_bytes
         ));
     }
@@ -313,7 +313,7 @@ pub fn check(quick: bool) -> Result<String, String> {
         return Err(format!(
             "lookup speedup {:.2}x < 1.5x (bloom-only {:.0} ns, tiered {:.0} ns)",
             p.speedup(),
-            p.legacy_ns,
+            p.bloom_ns,
             p.tiered_ns
         ));
     }

@@ -8,7 +8,7 @@
 //! check service issues actual wire queries and feeds the measured
 //! wall-clock latency into the viewport model.
 
-use crate::rig::{install_revoked_filter, revoked_keys};
+use crate::rig::install_revoked_filter;
 use crate::table::Table;
 use irs_browser::pipeline::{CheckService, NoChecks};
 use irs_browser::scroll::{run_session, ScrollConfig};
@@ -79,7 +79,7 @@ pub fn run(quick: bool) -> String {
     let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").expect("ledger server");
     let proxy = std::sync::Arc::new(SharedProxy::new(ProxyConfig::default()));
     let filter = BloomFilter::for_capacity(20_000, 0.02).expect("filter");
-    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    install_revoked_filter(&proxy, filter, &population);
     let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
         .expect("proxy server");
 

@@ -11,7 +11,7 @@
 //! the 1 B and 100 B populations, and finally measure the end-to-end load
 //! reduction with a real proxy run.
 
-use crate::rig::{install_revoked_filter, revoked_keys, validate};
+use crate::rig::{install_revoked_filter, validate};
 use crate::table::{bytes_h, f, pct, Table};
 use irs_core::time::TimeMs;
 use irs_filters::analysis;
@@ -87,9 +87,9 @@ pub fn run(quick: bool) -> String {
         total: if quick { 50_000 } else { 400_000 },
         ..PopulationConfig::default()
     });
-    let revoked: Vec<u64> = revoked_keys(&population).collect();
-    let m_bits = ((revoked.len() as f64) * BITS_PER_KEY) as u64;
-    let k = analysis::optimal_k(m_bits, revoked.len() as u64);
+    let revoked = population.iter().filter(|m| m.revoked).count() as u64;
+    let m_bits = ((revoked as f64) * BITS_PER_KEY) as u64;
+    let k = analysis::optimal_k(m_bits, revoked);
     let filter = BloomFilter::with_params(m_bits.max(64), k, 0).expect("filter");
     let proxy = SharedProxy::with_shards(
         ProxyConfig {
@@ -98,7 +98,7 @@ pub fn run(quick: bool) -> String {
         },
         1,
     );
-    install_revoked_filter(&proxy, filter, revoked);
+    install_revoked_filter(&proxy, filter, &population);
     let zipf = Zipf::new(population.public_count() as usize, 0.9);
     let mut rng = StdRng::seed_from_u64(0xE4);
     let views = if quick { 20_000 } else { 100_000 };

@@ -8,7 +8,7 @@
 //! the ledger), sweeping cache size and popularity skew, and then show the
 //! combined filter+cache configuration.
 
-use crate::rig::{install_revoked_filter, revoked_keys, validate};
+use crate::rig::{install_revoked_filter, validate};
 use crate::table::{f, pct, Table};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
@@ -80,7 +80,7 @@ pub fn run(quick: bool) -> String {
     let zipf = Zipf::new(public as usize, 0.9);
     let proxy = lru_proxy((public / 100).max(1) as usize);
     let filter = BloomFilter::for_capacity(population.total(), 0.02).expect("filter");
-    install_revoked_filter(&proxy, filter, revoked_keys(&population));
+    install_revoked_filter(&proxy, filter, &population);
     run_trace(&proxy, &population, &zipf, views, 0xE5);
     let s = proxy.stats();
     table.note(format!(

@@ -5,8 +5,10 @@
 //!
 //! A ledger accumulates revocation churn for an hour, publishes, and we
 //! compare the delta bytes a proxy one version behind is served
-//! (`GetFilter { have_version }`) against re-shipping the full filter,
-//! across churn rates.
+//! (`GetFilterTiered` with the held `(epoch, version)`) against
+//! re-shipping the full filter (the bootstrap answer), across churn
+//! rates. The ledger never seals a base here (`compact_at: u64::MAX`),
+//! so its publication is the paper's single Bloom filter at 2 % FPR.
 
 use crate::table::{bytes_h, f, Table};
 use irs_core::claim::{ClaimRequest, RevokeRequest};
@@ -15,7 +17,17 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
+use irs_filters::TieredConfig;
 use irs_ledger::{Ledger, LedgerConfig};
+
+/// What a proxy holding `(have_epoch, have_version)` is served.
+fn fetch(ledger: &Ledger, have_epoch: u64, have_version: u64) -> Response {
+    let request = Request::GetFilterTiered {
+        have_epoch,
+        have_version,
+    };
+    ledger.handle(request, TimeMs(1_000_000))
+}
 
 /// Run E6.
 pub fn run(quick: bool) -> String {
@@ -33,7 +45,11 @@ pub fn run(quick: bool) -> String {
 
     for churn in [10u64, 100, 1_000, 10_000] {
         let mut cfg = LedgerConfig::new(LedgerId(1));
-        cfg.filter_capacity = base_population;
+        cfg.tiered = TieredConfig {
+            delta_capacity: base_population,
+            delta_fpr: 0.02,
+            compact_at: u64::MAX,
+        };
         let ledger = Ledger::new(cfg, TimestampAuthority::from_seed(6));
         // Baseline population: claims with an initial revoked cohort so
         // the filter is realistically loaded.
@@ -56,9 +72,13 @@ pub fn run(quick: bool) -> String {
                 keypairs.push((id, kp));
             }
         }
-        let have_version = ledger.publish_filter();
-        let first = ledger.handle(Request::GetFilter { have_version: 0 }, TimeMs(0));
-        let Response::FilterFull { .. } = first else {
+        ledger.publish_filter();
+        let Response::FilterTiered {
+            epoch,
+            delta_version,
+            ..
+        } = fetch(&ledger, 0, 0)
+        else {
             panic!("first fetch must be full");
         };
         // One hour of churn: `churn` fresh revocations.
@@ -68,9 +88,11 @@ pub fn run(quick: bool) -> String {
             ledger.handle(Request::Revoke(rv), TimeMs(999_999));
         }
         ledger.publish_filter();
-        let published = ledger.published_filter().expect("just published");
-        let full_bytes = published.to_bytes().len();
-        match ledger.handle(Request::GetFilter { have_version }, TimeMs(1_000_000)) {
+        let Response::FilterTiered { base, delta, .. } = fetch(&ledger, 0, 0) else {
+            panic!("bootstrap fetch must be full");
+        };
+        let full_bytes = base.len() + delta.len();
+        match fetch(&ledger, epoch, delta_version) {
             Response::FilterDelta { data, .. } => {
                 table.row(vec![
                     format!("{churn}"),

@@ -1,5 +1,5 @@
-//! What the single-threaded proxy rigs (E4/E5/E13/E14, `benches/proxy.rs`)
-//! share. They drive the proxy a server runs, built with
+//! What the single-threaded proxy rigs (E4/E5/E13/E14) share. They drive
+//! the proxy a server runs, built with
 //! `SharedProxy::with_shards(config, 1)`: one cache stripe is an exact
 //! LRU, so the recorded tables do not depend on the stripe count.
 
@@ -10,27 +10,26 @@ use irs_filters::BloomFilter;
 use irs_proxy::{FilterUpdate, LookupOutcome, SharedProxy};
 use irs_workload::population::PhotoPopulation;
 
-/// Filter keys of the population's revoked photos.
-pub fn revoked_keys(population: &PhotoPopulation) -> impl Iterator<Item = u64> + '_ {
-    population
-        .iter()
-        .filter(|m| m.revoked)
-        .map(|m| m.id.filter_key())
-}
-
-/// Insert `revoked` into `filter` and install it on `proxy` as ledger
-/// 0's revoked-set filter.
+/// Install the population's revoked set on `proxy` the way §4.4 has it
+/// arrive: one Bloom per ledger, each a copy of the (empty) `geometry`
+/// holding that ledger's revoked keys, OR-ed by the proxy. Every ledger
+/// of the population gets one, revoked keys or not — a miss only counts
+/// for ledgers whose filter is held.
 pub fn install_revoked_filter(
     proxy: &SharedProxy,
-    mut filter: BloomFilter,
-    revoked: impl IntoIterator<Item = u64>,
+    geometry: BloomFilter,
+    population: &PhotoPopulation,
 ) {
-    for key in revoked {
-        filter.insert(key);
+    let mut per_ledger = vec![geometry; usize::from(population.config().ledgers)];
+    for meta in population.iter().filter(|m| m.revoked) {
+        per_ledger[usize::from(meta.id.ledger.0)].insert(meta.id.filter_key());
     }
-    proxy
-        .update_filters(|fs| fs.apply(LedgerId(0), FilterUpdate::full(1, filter.to_bytes())))
-        .expect("install");
+    proxy.update_filters(|fs| {
+        for (ledger, filter) in (0u16..).zip(per_ledger) {
+            fs.apply(LedgerId(ledger), FilterUpdate::full(1, filter.to_bytes()))
+                .expect("install");
+        }
+    });
 }
 
 /// One validation with ground truth standing in for the ledger: a

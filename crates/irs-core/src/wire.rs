@@ -301,12 +301,6 @@ pub enum Request {
     },
     /// Revoke or unrevoke (§3.1).
     Revoke(RevokeRequest),
-    /// Fetch the claimed-set filter; `have_version` enables a delta reply
-    /// (0 = none held).
-    GetFilter {
-        /// Version the requester already holds.
-        have_version: u64,
-    },
     /// Request a signed freshness proof for a record (§3.2).
     GetProof {
         /// The record to attest.
@@ -338,9 +332,8 @@ pub enum Request {
     /// pipeline. The server answers with [`Response::FilterDelta`] (same
     /// epoch, one version behind), [`Response::FilterBase`] (single-epoch
     /// roll onto an empty delta), or [`Response::FilterTiered`] (full
-    /// resync). Servers predating the tiered pipeline answer
-    /// [`Response::Unsupported`] and the client falls back to
-    /// [`Request::GetFilter`].
+    /// resync). Request tag 4 (the retired whole-Bloom fetch) is never
+    /// reused: a peer still sending it gets [`Response::Unsupported`].
     GetFilterTiered {
         /// Base epoch the requester holds (0 = none).
         have_epoch: u64,
@@ -377,14 +370,8 @@ pub enum Response {
         /// New status epoch.
         epoch: u64,
     },
-    /// Complete filter snapshot.
-    FilterFull {
-        /// Snapshot version.
-        version: u64,
-        /// `BloomFilter::to_bytes` payload.
-        data: Bytes,
-    },
-    /// Delta from the requester's version.
+    /// Delta-tier diff from the requester's version (response tag 4, the
+    /// retired whole-Bloom snapshot, is never reused).
     FilterDelta {
         /// Version the delta applies to.
         from_version: u64,
@@ -552,10 +539,6 @@ impl Wire for Request {
                 buf.put_u8(3);
                 r.encode(buf)?;
             }
-            Request::GetFilter { have_version } => {
-                buf.put_u8(4);
-                have_version.encode(buf)?;
-            }
             Request::GetProof { id } => {
                 buf.put_u8(5);
                 id.encode(buf)?;
@@ -603,9 +586,6 @@ impl Wire for Request {
                 id: RecordId::decode(buf)?,
             }),
             3 => Ok(Request::Revoke(RevokeRequest::decode(buf)?)),
-            4 => Ok(Request::GetFilter {
-                have_version: u64::decode(buf)?,
-            }),
             5 => Ok(Request::GetProof {
                 id: RecordId::decode(buf)?,
             }),
@@ -663,11 +643,6 @@ impl Wire for Response {
                 id.encode(buf)?;
                 status.encode(buf)?;
                 epoch.encode(buf)?;
-            }
-            Response::FilterFull { version, data } => {
-                buf.put_u8(4);
-                version.encode(buf)?;
-                put_blob(buf, data);
             }
             Response::FilterDelta {
                 from_version,
@@ -787,10 +762,6 @@ impl Wire for Response {
                 id: RecordId::decode(buf)?,
                 status: RevocationStatus::decode(buf)?,
                 epoch: u64::decode(buf)?,
-            }),
-            4 => Ok(Response::FilterFull {
-                version: u64::decode(buf)?,
-                data: get_blob(buf)?,
             }),
             5 => Ok(Response::FilterDelta {
                 from_version: u64::decode(buf)?,
@@ -933,7 +904,6 @@ mod tests {
             true,
             5,
         )));
-        roundtrip(&Request::GetFilter { have_version: 0 });
         roundtrip(&Request::GetProof { id: rid(3) });
         roundtrip(&Request::Batch(vec![rid(1), rid(2), rid(3)]));
         roundtrip(&Request::Ping);
@@ -971,10 +941,6 @@ mod tests {
             id: rid(2),
             status: RevocationStatus::NotRevoked,
             epoch: 4,
-        });
-        roundtrip(&Response::FilterFull {
-            version: 7,
-            data: Bytes::from_static(b"filter-bytes"),
         });
         roundtrip(&Response::FilterDelta {
             from_version: 7,
@@ -1135,6 +1101,17 @@ mod tests {
     fn bad_tag_rejected() {
         let bytes = Bytes::from(vec![PROTOCOL_VERSION, 0xee]);
         assert_eq!(Request::from_bytes(bytes), Err(WireError::BadTag(0xee)));
+        // Tag 4 (whole-Bloom fetch / snapshot) is retired on both sides.
+        let mut retired = BytesMut::new();
+        retired.put_u8(PROTOCOL_VERSION);
+        retired.put_u8(4);
+        7u64.encode(&mut retired).unwrap();
+        let retired = retired.freeze();
+        assert_eq!(
+            Request::from_bytes(retired.clone()),
+            Err(WireError::BadTag(4))
+        );
+        assert_eq!(Response::from_bytes(retired), Err(WireError::BadTag(4)));
     }
 
     #[test]

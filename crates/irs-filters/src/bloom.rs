@@ -1,7 +1,7 @@
 //! The standard Bloom filter, as assumed by the paper's §4.4 sizing
 //! argument.
 //!
-//! Ledgers export a filter of their claimed photo identifiers; proxies OR
+//! Ledgers export a filter of their revoked photo identifiers; proxies OR
 //! all ledger filters together ([`BloomFilter::union_with`]) and consult the
 //! result before issuing a real ledger query.
 

@@ -1,10 +1,10 @@
 //! Probabilistic membership filters for the IRS bootstrap design (§4.4 of
 //! the paper).
 //!
-//! Proxies (and optionally browsers) hold a filter over all *claimed* photo
-//! identifiers so that the common case — a labeled photo that is claimed but
-//! whose record is not present / not revoked — can be answered locally, and
-//! only filter hits generate real ledger queries. The paper sizes this as
+//! Proxies (and optionally browsers) hold a filter over all *revoked* photo
+//! identifiers so that the common case — a labeled photo that is claimed
+//! but not revoked — can be answered locally, and only filter hits
+//! generate real ledger queries. The paper sizes this as
 //! "a 1 GB filter … 2 % false-hit rate with a population of 1 billion
 //! photos, thereby lessening the load on ledgers by a factor of fifty".
 //!
@@ -13,8 +13,6 @@
 //! * [`bloom::BloomFilter`] — the standard Bloom filter the paper's sizing
 //!   argument assumes, with union (the proxy ORs per-ledger filters) and
 //!   byte-level serialization;
-//! * [`counting::CountingBloom`] — 4-bit counters supporting deletion, used
-//!   by ledgers to maintain a filter under claim *and* unclaim churn;
 //! * [`xor::Xor8`] / [`xor::Xor16`] — static xor filters (Graf & Lemire,
 //!   cited as "more recent advances" \[15\]);
 //! * [`fuse::Fuse8`] / [`fuse::Fuse16`] — fuse-graph filters in the spirit
@@ -23,16 +21,18 @@
 //! * [`delta`] — delta encoding of Bloom filter updates, for the paper's
 //!   "transferred with a delta encoding such that the update traffic will
 //!   be low" (hourly refresh, §4.4);
-//! * [`tiered`] — the production pipeline: a frozen fuse8 base sealed per
-//!   epoch plus a small Bloom delta for churn since the seal, with
-//!   background compaction rolling the epoch (DESIGN.md §16).
+//! * [`tiered`] — the one publication pipeline: a frozen fuse8 base
+//!   sealed per epoch plus a small Bloom delta for churn since the seal,
+//!   with background compaction rolling the epoch (DESIGN.md §16). Until
+//!   the first seal a tier is just its delta Bloom — the paper's filter —
+//!   and un-revocation needs no counters: each publish re-covers
+//!   `revoked \ base` from scratch.
 //!
 //! All filters share the [`Filter`] trait and key on `u64` values; callers
 //! hash record identifiers down to 64 bits (see `irs_core::RecordId`).
 
 pub mod analysis;
 pub mod bloom;
-pub mod counting;
 pub mod delta;
 pub mod fuse;
 pub mod hash;
@@ -40,7 +40,6 @@ pub mod tiered;
 pub mod xor;
 
 pub use bloom::BloomFilter;
-pub use counting::CountingBloom;
 pub use fuse::{Fuse16, Fuse8};
 pub use tiered::{
     PublishOutcome, TieredConfig, TieredFilter, TieredPublisher, TieredServe, TieredSnapshot,

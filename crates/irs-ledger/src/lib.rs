@@ -4,12 +4,12 @@
 //! the four IRS operations. This crate implements a complete ledger:
 //!
 //! * [`store`] — [`LedgerStore`], the append-only claim store: dense
-//!   serials from one atomic allocator, records and the counting-Bloom
-//!   index of revoked identifiers striped per shard, every operation
-//!   `&self` (the stripe count is a constructor argument; one stripe is
-//!   the single-lock layout);
+//!   serials from one atomic allocator, records striped per shard, every
+//!   operation `&self` (the stripe count is a constructor argument; one
+//!   stripe is the single-lock layout);
 //! * [`service`] — [`Ledger`]: wire-protocol request handling, freshness
-//!   proofs, versioned filter snapshots with delta publication (§4.4),
+//!   proofs, the revoked-set filter publication (§4.4; fuse base +
+//!   Bloom delta re-covered from the exact revoked set at each publish),
 //!   and ledger policies (standard vs the §5 censorship-resistant
 //!   "non-revocable" ledgers run by nonprofits). Its request path is
 //!   entirely `&self`, so connection threads share it behind a plain

@@ -13,7 +13,7 @@
 //! [`Ledger::handle`] directly behind a plain `Arc`, no whole-service
 //! mutex. Striped record state lives in the store; service-level state
 //! is either immutable (keys, config), atomic (request counters), or a
-//! read-mostly snapshot behind a brief `RwLock` (published filters:
+//! read-mostly snapshot behind a brief `RwLock` (the published filter:
 //! serves clone an `Arc` out and diff off the lock).
 
 use crate::codes;
@@ -32,7 +32,7 @@ use irs_core::tsa::{TimestampAuthority, TimestampToken};
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Keypair, PublicKey};
 use irs_filters::delta::BloomDelta;
-use irs_filters::{BloomFilter, TieredConfig, TieredPublisher, TieredServe, TieredSnapshot};
+use irs_filters::{TieredConfig, TieredPublisher, TieredServe, TieredSnapshot};
 use irs_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder};
 use parking_lot::{Mutex, RwLock};
 use std::io;
@@ -58,8 +58,6 @@ pub struct LedgerConfig {
     pub id: LedgerId,
     /// Behavioral policy.
     pub policy: LedgerPolicy,
-    /// Expected claimed-photo population (sizes the published filter).
-    pub filter_capacity: u64,
     /// Validity window for freshness proofs (ms). §3.2's "recently
     /// verified"; also the aggregator recheck period.
     pub proof_validity_ms: u64,
@@ -67,8 +65,8 @@ pub struct LedgerConfig {
     /// emits a new snapshot version (publication cadence is driven by the
     /// caller's clock; this is just bookkeeping for tests).
     pub seed: u64,
-    /// Sizing of the tiered (fuse base + Bloom delta) filter pipeline:
-    /// delta capacity/FPR and the compaction threshold (DESIGN.md §16).
+    /// Sizing of the published filter (fuse base + Bloom delta): delta
+    /// capacity/FPR and the compaction threshold (DESIGN.md §16).
     pub tiered: TieredConfig,
 }
 
@@ -78,7 +76,6 @@ impl LedgerConfig {
         LedgerConfig {
             id,
             policy: LedgerPolicy::Standard,
-            filter_capacity: 100_000,
             proof_validity_ms: 3_600_000, // 1 hour
             seed: id.0 as u64,
             tiered: TieredConfig::default(),
@@ -97,11 +94,9 @@ pub struct LedgerStats {
     pub claims: u64,
     /// Revocations processed (including unrevokes).
     pub revokes: u64,
-    /// Filter snapshots served (full).
-    pub filters_full: u64,
     /// Filter deltas served.
     pub filters_delta: u64,
-    /// Sealed fuse bases served (tiered pipeline, epoch roll).
+    /// Sealed fuse bases served (epoch roll).
     pub filters_base: u64,
     /// Full tiered installs served (bootstrap or multi-epoch lag).
     pub filters_tiered: u64,
@@ -113,20 +108,6 @@ pub struct LedgerStats {
 pub const WAL_PATH: &str = "ledger.wal";
 /// File name of the snapshot inside the [`Disk`] namespace.
 pub const SNAPSHOT_PATH: &str = "ledger.snap";
-
-/// One published filter version.
-#[derive(Clone, Debug)]
-struct Snapshot {
-    version: u64,
-    filter: BloomFilter,
-}
-
-#[derive(Default)]
-struct SnapshotPair {
-    current: Option<Arc<Snapshot>>,
-    /// Previous version, retained so requesters one behind get a delta.
-    previous: Option<Arc<Snapshot>>,
-}
 
 /// The ledger's observability surface: the [`LedgerStats`] counters as
 /// sharded [`Counter`]s in a [`Registry`], plus durability gauges and
@@ -140,9 +121,8 @@ struct LedgerObs {
     batch_items: Counter,
     claims: Counter,
     revokes: Counter,
-    filters_full: Counter,
     filters_delta: Counter,
-    /// Sealed fuse bases served (tiered pipeline, epoch roll).
+    /// Sealed fuse bases served (epoch roll).
     filters_base: Counter,
     /// Full tiered installs served (bootstrap or multi-epoch lag).
     filters_tiered: Counter,
@@ -170,7 +150,6 @@ impl LedgerObs {
             batch_items: registry.counter("irs_ledger_batch_items_total"),
             claims: registry.counter("irs_ledger_claims_total"),
             revokes: registry.counter("irs_ledger_revokes_total"),
-            filters_full: registry.counter("irs_ledger_filters_full_total"),
             filters_delta: registry.counter("irs_ledger_filters_delta_total"),
             filters_base: registry.counter("irs_ledger_filters_base_total"),
             filters_tiered: registry.counter("irs_ledger_filters_tiered_total"),
@@ -191,7 +170,6 @@ impl LedgerObs {
             batch_items: self.batch_items.get(),
             claims: self.claims.get(),
             revokes: self.revokes.get(),
-            filters_full: self.filters_full.get(),
             filters_delta: self.filters_delta.get(),
             filters_base: self.filters_base.get(),
             filters_tiered: self.filters_tiered.get(),
@@ -284,9 +262,13 @@ pub struct Ledger {
     store: LedgerStore,
     signing_key: Keypair,
     tsa_key: PublicKey,
-    snapshots: RwLock<SnapshotPair>,
-    /// The tiered publication state machine. A publish holds this mutex
-    /// from projection to both pointer rotations below (so publishers
+    /// Publications so far (0 = never published; serves refuse until
+    /// the first one). Bumped under the `tiered` mutex, after the
+    /// snapshot rotation (Release): a serve that reads n ≥ 1 (Acquire)
+    /// finds at least the n-th publication behind `tiered_snap`.
+    publications: AtomicU64,
+    /// The publication state machine. A publish holds this mutex from
+    /// the revoked-key cut to the pointer rotation below (so publishers
     /// serialize, fuse construction at compaction included); serving
     /// never takes it.
     tiered: Mutex<TieredPublisher>,
@@ -377,16 +359,10 @@ impl Ledger {
         };
         let tiered = TieredPublisher::new(config.tiered).expect("valid tiered filter config");
         Ledger {
-            store: LedgerStore::from_parts(
-                config.id,
-                tsa,
-                records,
-                config.filter_capacity,
-                num_shards,
-            ),
+            store: LedgerStore::from_parts(config.id, tsa, records, num_shards),
             signing_key: Keypair::from_seed(&seed),
             tsa_key,
-            snapshots: RwLock::new(SnapshotPair::default()),
+            publications: AtomicU64::new(0),
             tiered_snap: RwLock::new(tiered.snapshot()),
             tiered: Mutex::new(tiered),
             obs,
@@ -493,7 +469,6 @@ impl Ledger {
                     Ok(Err(StoreError::Permanent)) => err(codes::POLICY, "permanently revoked"),
                 }
             }
-            Request::GetFilter { have_version } => self.serve_filter(have_version),
             Request::GetFilterTiered {
                 have_epoch,
                 have_version,
@@ -874,30 +849,26 @@ impl Ledger {
         )
     }
 
-    /// Publish a new filter snapshot; returns its version. Called on the
-    /// publication cadence (e.g. hourly) by the surrounding system. The
-    /// same pass reconciles the tiered pipeline: the delta tier re-covers
-    /// `revoked \ base`, and a delta past the compaction threshold seals
-    /// a new fuse base (epoch roll).
+    /// Publish the revoked-set filter; returns how many publications
+    /// there have been. Called on the publication cadence (e.g. hourly)
+    /// by the surrounding system. One all-stripe cut of the revoked keys
+    /// feeds the publisher: the delta tier re-covers `revoked \ base`,
+    /// and a delta past the compaction threshold seals a new fuse base
+    /// (epoch roll).
     ///
-    /// The publisher mutex is held from projection to both pointer
-    /// rotations, so concurrent publishers serialize: a later version
-    /// always carries a later projection, and the served tiered snapshot
-    /// never trails the publisher's own state. Serves never take that
-    /// mutex — they clone an `Arc` out under a brief read lock — so no
-    /// `GetFilter` waits behind a projection or a fuse construction.
+    /// The publisher mutex is held from the cut to the pointer rotation,
+    /// so concurrent publishers serialize: a later publication always
+    /// carries a later cut, and the served snapshot never trails the
+    /// publisher's own state. Serves never take that mutex — they clone
+    /// an `Arc` out under a brief read lock — so no fetch waits behind a
+    /// cut or a fuse construction.
     pub fn publish_filter(&self) -> u64 {
         let mut tiered = self.tiered.lock();
-        let filter = self.store.project_filter();
         tiered
             .publish(&self.store.revoked_filter_keys())
             .expect("tiered config validated at construction");
         *self.tiered_snap.write() = tiered.snapshot();
-        let mut pair = self.snapshots.write();
-        let version = pair.current.as_ref().map(|s| s.version + 1).unwrap_or(1);
-        pair.previous = pair.current.take();
-        pair.current = Some(Arc::new(Snapshot { version, filter }));
-        version
+        self.publications.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Current tiered epoch (1 until the first compaction seals a base).
@@ -911,72 +882,22 @@ impl Ledger {
         Arc::clone(&self.tiered_snap.read())
     }
 
-    /// Current published snapshot version (0 = never published).
+    /// Publications so far (0 = never published).
     pub fn filter_version(&self) -> u64 {
-        self.snapshots
-            .read()
-            .current
-            .as_ref()
-            .map(|s| s.version)
-            .unwrap_or(0)
-    }
-
-    /// The current published filter, if any (cloned `Arc`; cheap).
-    pub fn published_filter(&self) -> Option<BloomFilter> {
-        self.snapshots
-            .read()
-            .current
-            .as_ref()
-            .map(|s| s.filter.clone())
-    }
-
-    fn serve_filter(&self, have_version: u64) -> Response {
-        // Clone the two Arcs under the read lock, then serialize and
-        // diff off-lock.
-        let (current, previous) = {
-            let pair = self.snapshots.read();
-            (pair.current.clone(), pair.previous.clone())
-        };
-        let Some(snapshot) = current else {
-            return err(codes::BAD_REQUEST, "no filter published yet");
-        };
-        // Requesters already current get an empty delta; requesters one
-        // version behind get the real delta (the retained previous
-        // snapshot makes it computable); anything older re-ships full.
-        let base = if have_version == snapshot.version {
-            Some(&snapshot)
-        } else {
-            previous.as_ref().filter(|p| p.version == have_version)
-        };
-        if let Some(base) = base {
-            let d = BloomDelta::diff(&base.filter, &snapshot.filter)
-                .expect("same geometry across versions");
-            self.obs.filters_delta.inc();
-            return Response::FilterDelta {
-                from_version: have_version,
-                to_version: snapshot.version,
-                data: d.to_bytes(),
-            };
-        }
-        self.obs.filters_full.inc();
-        Response::FilterFull {
-            version: snapshot.version,
-            data: snapshot.filter.to_bytes(),
-        }
+        self.publications.load(Ordering::Acquire)
     }
 
     fn serve_filter_tiered(&self, have_epoch: u64, have_version: u64) -> Response {
-        // Publication cadence gates both pipelines: before the first
-        // publish there is nothing tiered to serve either.
-        if self.snapshots.read().current.is_none() {
+        // Publication cadence gates serving: a proxy must not take the
+        // constructor's empty tiers for "nothing is revoked here".
+        if self.filter_version() == 0 {
             return err(codes::BAD_REQUEST, "no filter published yet");
         }
         // Clone the Arc under the read lock; diff and serialize off-lock.
         let snap = self.tiered_snapshot();
         match snap.serve(have_epoch, have_version) {
             TieredServe::Current => {
-                // Same shape as the legacy path: up-to-date requesters
-                // get an empty delta.
+                // Up-to-date requesters get an empty delta.
                 let d = BloomDelta::diff(snap.delta(), snap.delta()).expect("identical geometry");
                 self.obs.filters_delta.inc();
                 Response::FilterDelta {
@@ -1255,60 +1176,18 @@ mod tests {
     }
 
     /// The §4.4 publication pipeline over the wire: nothing before the
-    /// first publish, then Full, then a Delta (much smaller than the
-    /// filter it patches) for a requester one version behind, and an
-    /// empty delta for one already current.
-    #[test]
-    fn filter_publication_full_then_delta() {
-        let l = ledger();
-        claim_revoked(&l, 2);
-        assert_error(
-            l.handle(Request::GetFilter { have_version: 0 }, TimeMs(1)),
-            codes::BAD_REQUEST,
-        );
-        assert_eq!(l.publish_filter(), 1);
-        let full_bytes = match l.handle(Request::GetFilter { have_version: 0 }, TimeMs(2)) {
-            Response::FilterFull { version, data } => {
-                assert_eq!(version, 1);
-                let f = BloomFilter::from_bytes(data.clone()).unwrap();
-                assert_eq!(f.inserted(), 1);
-                data.len()
-            }
-            other => panic!("unexpected {other:?}"),
-        };
-        claim_revoked(&l, 3);
-        assert_eq!(l.publish_filter(), 2);
-        assert_eq!(l.filter_version(), 2);
-        for (have_version, served_from) in [(1, 1), (2, 2)] {
-            match l.handle(Request::GetFilter { have_version }, TimeMs(3)) {
-                Response::FilterDelta {
-                    from_version,
-                    to_version,
-                    data,
-                } => {
-                    assert_eq!((from_version, to_version), (served_from, 2));
-                    assert!(
-                        data.len() < full_bytes,
-                        "delta {} should be smaller than full {full_bytes}",
-                        data.len(),
-                    );
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(l.stats().filters_delta, 2);
-    }
-
+    /// first publish, then a full install, an empty delta for a requester
+    /// already current, and a real delta (much smaller than the filter
+    /// it patches) for one a version behind.
     #[test]
     fn wire_tiered_filter_flow() {
         let l = ledger();
         let id = claim_revoked(&l, 20);
-        // Before publication: error, exactly like the legacy path.
         assert_error(l.handle(BOOTSTRAP, TimeMs(1)), codes::BAD_REQUEST);
-        l.publish_filter();
+        assert_eq!(l.publish_filter(), 1);
         // Bootstrap requester: full tiered install (no epoch sealed yet,
         // so there is no base and the delta answers the key).
-        let tier = fetch_tier(&l);
+        let mut tier = fetch_tier(&l);
         assert_eq!(tier.epoch(), 1, "no compaction has sealed a base yet");
         assert!(tier.base().is_none());
         assert!(tier.contains(id.filter_key()));
@@ -1327,8 +1206,32 @@ mod tests {
             } => assert_eq!(from_version, to_version),
             other => panic!("unexpected {other:?}"),
         }
+        // One publication later the same requester is a version behind.
+        let id2 = claim_revoked(&l, 21);
+        assert_eq!(l.publish_filter(), 2);
+        assert_eq!(l.filter_version(), 2);
+        match l.handle(
+            Request::GetFilterTiered {
+                have_epoch: tier.epoch(),
+                have_version: tier.delta_version(),
+            },
+            TimeMs(4),
+        ) {
+            Response::FilterDelta {
+                from_version,
+                to_version,
+                data,
+            } => {
+                assert_eq!((from_version, to_version), (1, 2));
+                assert!(data.len() < tier.delta().to_bytes().len() / 10);
+                let delta = BloomDelta::from_bytes(data).unwrap();
+                tier.advance_delta(&delta, to_version).unwrap();
+                assert!(tier.contains(id2.filter_key()));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         assert_eq!(l.stats().filters_tiered, 1);
-        assert_eq!(l.stats().filters_delta, 1);
+        assert_eq!(l.stats().filters_delta, 2);
     }
 
     #[test]
@@ -1397,16 +1300,13 @@ mod tests {
 
     /// Publishers race each other and a stream of revocations. With
     /// revoke-only traffic a later publication can only cover more keys,
-    /// so a reader must never see a version, a tiered `(epoch, delta
-    /// version)`, or the coverage either carries move backwards — a
-    /// proxy one version behind would otherwise apply a delta that
-    /// *clears* a revoked key.
+    /// so a reader must never see the `(epoch, delta version)` or the
+    /// coverage it carries move backwards — a proxy one version behind
+    /// would otherwise apply a delta that *clears* a revoked key.
     #[test]
     fn racing_publishers_never_move_the_filter_backwards() {
         const PUBLISHERS: usize = 2;
-        let mut cfg = small_tiers(1);
-        cfg.filter_capacity = 2_000;
-        let l = Ledger::with_shards(cfg, TimestampAuthority::from_seed(1), 4);
+        let l = Ledger::with_shards(small_tiers(1), TimestampAuthority::from_seed(1), 4);
         let owned: Vec<(RecordId, Keypair)> = (0..120u8).map(|seed| claim_one(&l, seed)).collect();
         let keys: Vec<u64> = owned.iter().map(|(id, _)| id.filter_key()).collect();
         let covered = |f: &dyn Filter| keys.iter().filter(|&&k| f.contains(k)).count();
@@ -1425,19 +1325,11 @@ mod tests {
             }
             scope.spawn(|| {
                 start.wait();
-                let (mut legacy, mut tiered) = ((0, 0), ((0, 0), 0));
+                let mut tiered = ((0, 0), 0);
                 while revoking.load(Ordering::Acquire) {
-                    let Response::FilterFull { version, data } =
-                        l.handle(Request::GetFilter { have_version: 0 }, TimeMs(5))
-                    else {
+                    if l.filter_version() == 0 {
                         continue; // nothing published yet
-                    };
-                    let seen = (version, covered(&BloomFilter::from_bytes(data).unwrap()));
-                    assert!(
-                        seen.0 >= legacy.0 && seen.1 >= legacy.1,
-                        "filter went from {legacy:?} to {seen:?} (version, keys covered)"
-                    );
-                    legacy = seen;
+                    }
                     let tier = fetch_tier(&l);
                     let seen = ((tier.epoch(), tier.delta_version()), covered(&tier));
                     assert!(
@@ -1453,7 +1345,6 @@ mod tests {
             }
             revoking.store(false, Ordering::Release);
         });
-        assert_eq!(covered(&l.published_filter().unwrap()), keys.len());
         assert_eq!(covered(&fetch_tier(&l)), keys.len());
         // The served tiered snapshot is the publisher's own latest state.
         let (served, own) = (l.tiered_snapshot(), l.tiered.lock().snapshot());

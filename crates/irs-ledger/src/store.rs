@@ -7,27 +7,24 @@
 //! its own `parking_lot::RwLock`, and every operation takes `&self`.
 //! Every mutation touches exactly one shard, so writers on different
 //! shards never contend and there is no lock ordering hazard; the
-//! multi-shard operations — filter projection, the snapshot cut — take
+//! multi-shard operations — the revoked-key cut, the snapshot cut — take
 //! all shard read locks in index order, which cannot deadlock against
 //! single-shard writers. A one-stripe store is the plain monolithic
 //! layout: one lock, slot = serial.
 //!
-//! Each shard keeps its own [`CountingBloom`] over the **revoked**
-//! records it owns, with identical geometry across shards. §4.4's
-//! arithmetic ("if the photo does not hit in the filter, it is
-//! definitely not revoked"; 2 % FPR ⇒ 50× load reduction) requires the
-//! published filter to cover the revoked set — a filter of all claims
-//! would be hit by every labeled photo and save nothing — and a counting
-//! filter because revocation toggles: insert on revoke, remove on
-//! unrevoke. Counting-filter insertion is additive per bit position, so
-//! the union of the per-shard projections is independent of the stripe
-//! count — see `projection_is_independent_of_stripe_count` below.
+//! The store keeps no filter of its own. §4.4's arithmetic ("if the
+//! photo does not hit in the filter, it is definitely not revoked"; 2 %
+//! FPR ⇒ 50× load reduction) requires the published filter to cover the
+//! **revoked** set — a filter of all claims would be hit by every
+//! labeled photo and save nothing — and revocation toggles, so each
+//! publish re-reads the exact set ([`LedgerStore::revoked_filter_keys`])
+//! and the tiered publisher re-covers it: an unrevoked key drops out of
+//! the next delta tier without any per-key removal bookkeeping here.
 
 use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::{TimestampAuthority, TimestampToken};
-use irs_filters::{BloomFilter, CountingBloom};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,8 +88,6 @@ struct Shard {
     /// committed yet (the window between the atomic fetch-add and the
     /// shard write-lock acquisition on another thread).
     slots: Vec<Option<StoredClaim>>,
-    /// Counting filter over this shard's revoked records.
-    filter: CountingBloom,
 }
 
 /// A sharded, internally synchronized claim store; all operations take
@@ -105,24 +100,11 @@ pub struct LedgerStore {
 }
 
 impl LedgerStore {
-    /// Create an empty store with `num_shards` stripes. `filter_capacity`
-    /// sizes the published Bloom filter (2 % target FPR at that
-    /// population, per §4.4).
-    pub fn new(
-        id: LedgerId,
-        tsa: TimestampAuthority,
-        filter_capacity: u64,
-        num_shards: usize,
-    ) -> LedgerStore {
+    /// Create an empty store with `num_shards` stripes.
+    pub fn new(id: LedgerId, tsa: TimestampAuthority, num_shards: usize) -> LedgerStore {
         assert!(num_shards > 0, "need at least one shard");
         let shards = (0..num_shards)
-            .map(|_| {
-                RwLock::new(Shard {
-                    slots: Vec::new(),
-                    filter: CountingBloom::for_capacity(filter_capacity, 0.02)
-                        .expect("valid filter params"),
-                })
-            })
+            .map(|_| RwLock::new(Shard { slots: Vec::new() }))
             .collect();
         LedgerStore {
             id,
@@ -140,10 +122,9 @@ impl LedgerStore {
         id: LedgerId,
         tsa: TimestampAuthority,
         records: Vec<StoredClaim>,
-        filter_capacity: u64,
         num_shards: usize,
     ) -> LedgerStore {
-        let store = LedgerStore::new(id, tsa, filter_capacity, num_shards);
+        let store = LedgerStore::new(id, tsa, num_shards);
         let next = records
             .iter()
             .map(|r| r.claim.id.serial + 1)
@@ -156,9 +137,6 @@ impl LedgerStore {
             let slot = store.slot_of(serial);
             if shard.slots.len() <= slot {
                 shard.slots.resize(slot + 1, None);
-            }
-            if stored.claim.status != RevocationStatus::NotRevoked {
-                shard.filter.insert(stored.claim.id.filter_key());
             }
             shard.slots[slot] = Some(stored);
         }
@@ -245,9 +223,6 @@ impl LedgerStore {
         if shard.slots.len() <= slot {
             shard.slots.resize(slot + 1, None);
         }
-        if initially_revoked {
-            shard.filter.insert(id.filter_key());
-        }
         shard.slots[slot] = Some(stored);
         log(shard.slots[slot].as_ref().expect("just inserted"));
         (id, timestamp)
@@ -266,8 +241,6 @@ impl LedgerStore {
         log: impl FnOnce(&StoredClaim),
     ) -> Result<(), StoreError> {
         let serial = stored.claim.id.serial;
-        let revoked = stored.claim.status != RevocationStatus::NotRevoked;
-        let key = stored.claim.id.filter_key();
         // Keep the allocator one past the highest replicated serial so a
         // promoted follower allocates fresh serials, never reused ones.
         self.next_serial.fetch_max(serial + 1, Ordering::AcqRel);
@@ -278,9 +251,6 @@ impl LedgerStore {
         }
         if shard.slots[slot].is_some() {
             return Err(StoreError::DuplicateSerial);
-        }
-        if revoked {
-            shard.filter.insert(key);
         }
         shard.slots[slot] = Some(stored);
         log(shard.slots[slot].as_ref().expect("just inserted"));
@@ -306,10 +276,8 @@ impl LedgerStore {
         Some((stored.claim.status, stored.claim.status_epoch))
     }
 
-    /// Apply a signed revoke/unrevoke request. Record mutation and the
-    /// filter-index update happen under the same shard write lock, so a
-    /// concurrent filter projection can never observe one without the
-    /// other.
+    /// Apply a signed revoke/unrevoke request under the record's shard
+    /// write lock.
     pub fn apply_revoke(
         &self,
         request: &RevokeRequest,
@@ -330,7 +298,6 @@ impl LedgerStore {
         }
         let slot = self.slot_of(request.id.serial);
         let mut shard = self.shards[self.shard_of(request.id.serial)].write();
-        let shard = &mut *shard;
         let rec = shard
             .slots
             .get_mut(slot)
@@ -345,20 +312,13 @@ impl LedgerStore {
         if !request.verify(&rec.claim.request.pubkey, rec.claim.status_epoch) {
             return Err(StoreError::BadSignature);
         }
-        let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
         rec.claim.status = if request.revoke {
             RevocationStatus::Revoked
         } else {
             RevocationStatus::NotRevoked
         };
         rec.claim.status_epoch += 1;
-        let key = rec.claim.id.filter_key();
         let result = (rec.claim.status, rec.claim.status_epoch);
-        match (was_revoked, request.revoke) {
-            (false, true) => shard.filter.insert(key),
-            (true, false) => shard.filter.remove(key),
-            _ => {}
-        }
         log();
         Ok(result)
     }
@@ -380,18 +340,13 @@ impl LedgerStore {
         }
         let slot = self.slot_of(id.serial);
         let mut shard = self.shards[self.shard_of(id.serial)].write();
-        let shard = &mut *shard;
         let rec = shard
             .slots
             .get_mut(slot)
             .and_then(Option::as_mut)
             .ok_or(StoreError::UnknownRecord)?;
-        let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
         rec.claim.status = RevocationStatus::PermanentlyRevoked;
         rec.claim.status_epoch += 1;
-        if !was_revoked {
-            shard.filter.insert(id.filter_key());
-        }
         log();
         Ok(())
     }
@@ -413,24 +368,11 @@ impl LedgerStore {
         (records, extra)
     }
 
-    /// Project the revoked-set Bloom filter from the per-shard counting
-    /// filters. Takes all shard read locks in index order (single-shard
-    /// writers cannot deadlock against this), so the result is a
-    /// consistent snapshot: no revocation is half-applied in it.
-    pub fn project_filter(&self) -> BloomFilter {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut merged = guards[0].filter.to_bloom();
-        for guard in &guards[1..] {
-            merged
-                .union_with(&guard.filter.to_bloom())
-                .expect("identical geometry across shards");
-        }
-        merged
-    }
-
     /// The exact `filter_key` set of currently revoked records, captured
-    /// under every shard read lock so the set is a consistent snapshot —
-    /// the tiered publisher seals this into a fuse base at compaction.
+    /// under every shard read lock (taken in index order, so single-shard
+    /// writers cannot deadlock against it) so the set is a consistent
+    /// snapshot: no revocation is half-applied in it. This is what a
+    /// publish hands the tiered publisher.
     pub fn revoked_filter_keys(&self) -> std::collections::HashSet<u64> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         guards
@@ -475,16 +417,10 @@ impl LedgerStore {
 mod tests {
     use super::*;
     use irs_crypto::{Digest, Keypair};
-    use irs_filters::Filter;
     use std::sync::Arc;
 
     fn store(shards: usize) -> LedgerStore {
-        LedgerStore::new(
-            LedgerId(1),
-            TimestampAuthority::from_seed(1),
-            10_000,
-            shards,
-        )
+        LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), shards)
     }
 
     fn kp(seed: u8) -> Keypair {
@@ -556,7 +492,7 @@ mod tests {
     #[test]
     fn filter_tracks_revocations_not_claims() {
         let s = store(4);
-        let hit = |id: RecordId| s.project_filter().contains(id.filter_key());
+        let hit = |id: RecordId| s.revoked_filter_keys().contains(&id.filter_key());
         // Unrevoked claim: NOT in the filter ("miss ⇒ definitely not
         // revoked" must hold for all shared photos).
         let (id, keypair) = make_claim(&s, 8, false);
@@ -581,7 +517,7 @@ mod tests {
     fn timestamp_tokens_verify() {
         let tsa = TimestampAuthority::from_seed(9);
         let tsa_key = tsa.public_key();
-        let s = LedgerStore::new(LedgerId(3), tsa, 100, 2);
+        let s = LedgerStore::new(LedgerId(3), tsa, 2);
         let req = ClaimRequest::create(&kp(10), &Digest::of(b"p"));
         let (_, tok) = s.claim(req, ClaimOrigin::Owner, false, TimeMs(55));
         assert!(tok.verify(&tsa_key));
@@ -607,14 +543,14 @@ mod tests {
             let id = RecordId::new(LedgerId(1), serial);
             assert_eq!(a.status(&id), b.status(&id), "serial {serial}");
         }
-        assert_eq!(a.project_filter().to_bytes(), b.project_filter().to_bytes());
+        assert_eq!(a.revoked_filter_keys(), b.revoked_filter_keys());
     }
 
     #[test]
     fn projection_is_independent_of_stripe_count() {
         // The one-stripe store is the monolithic reference layout: the
         // same operations against 7 stripes must leave every status
-        // equal and the projected filters bit-equal.
+        // and the revoked key set equal.
         let (mono, striped) = (store(1), store(7));
         run_ops(&mono);
         run_ops(&striped);
@@ -626,13 +562,8 @@ mod tests {
         let mono = store(1);
         run_ops(&mono);
         let (records, ()) = mono.frozen_copy(|| ());
-        let striped = LedgerStore::from_parts(
-            LedgerId(1),
-            TimestampAuthority::from_seed(1),
-            records,
-            10_000,
-            5,
-        );
+        let striped =
+            LedgerStore::from_parts(LedgerId(1), TimestampAuthority::from_seed(1), records, 5);
         assert_same_state(&mono, &striped);
         // New serials continue densely after the migrated ones.
         let (id, _) = make_claim(&striped, 200, false);
@@ -662,12 +593,14 @@ mod tests {
             let id = RecordId::new(LedgerId(1), serial);
             assert!(s.status(&id).is_some(), "serial {serial} missing");
         }
-        // Filter covers exactly the revoked records (no false negatives).
-        let filter = s.project_filter();
+        // The key cut covers exactly the revoked records.
+        let keys = s.revoked_filter_keys();
+        assert_eq!(keys.len(), 100);
         s.for_each(|stored| {
-            if stored.claim.status != RevocationStatus::NotRevoked {
-                assert!(filter.contains(stored.claim.id.filter_key()));
-            }
+            assert_eq!(
+                keys.contains(&stored.claim.id.filter_key()),
+                stored.claim.status != RevocationStatus::NotRevoked
+            );
         });
     }
 }

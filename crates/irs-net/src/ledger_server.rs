@@ -264,9 +264,13 @@ mod tests {
         for (who, addr) in [("ledger", server.addr()), ("proxy", proxy.addr())] {
             let stream = std::net::TcpStream::connect(addr).unwrap();
             let mut stream = Framed::new(stream, MAX_FRAME);
-            // Protocol version 1, then a tag far beyond anything assigned.
-            let answer = raw_exchange(&mut stream, &[1u8, 0xee]);
-            assert_eq!(answer, Response::Unsupported { tag: 0xee }, "{who}");
+            // Protocol version 1, then a tag far beyond anything assigned —
+            // and the retired whole-Bloom filter fetch (tag 4 + the
+            // `have_version` an old proxy would send), never reassigned.
+            for frame in [&[1u8, 0xee][..], &[1, 4, 0, 0, 0, 0, 0, 0, 0, 7]] {
+                let answer = raw_exchange(&mut stream, frame);
+                assert_eq!(answer, Response::Unsupported { tag: frame[1] }, "{who}");
+            }
             // Same socket, known request: the decode failure must not
             // have poisoned the connection.
             let ping = Request::Ping.to_bytes().unwrap();

@@ -22,8 +22,8 @@
 //!   wire protocol;
 //! * [`proxy_server`] — an [`irs_proxy::SharedProxy`] that answers
 //!   locally when it can and forwards filter misses upstream;
-//! * [`mod@refresh`] — the proxy's hourly filter pull (tiered first, legacy
-//!   on `Unsupported`) over the wire;
+//! * [`mod@refresh`] — the proxy's hourly filter pull over the wire (one
+//!   `GetFilterTiered` a round);
 //! * [`chaos`] / [`server`] — the fault-injecting interposer the
 //!   failure drills run through, and the thread-per-connection accept
 //!   loop it (alone) is built on.

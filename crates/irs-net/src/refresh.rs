@@ -22,7 +22,7 @@ use irs_core::ids::LedgerId;
 use irs_core::time::{Clock, SystemClock};
 use irs_core::wire::{Request, Response};
 use irs_obs::{Counter, Gauge};
-use irs_proxy::{FilterSet, FilterUpdate, SharedProxy};
+use irs_proxy::{FilterUpdate, SharedProxy};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,14 +31,7 @@ use std::time::Duration;
 /// What a refresh round did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefreshOutcome {
-    /// Installed a full snapshot (first contact or version gap).
-    InstalledFull {
-        /// New version held.
-        version: u64,
-        /// Snapshot bytes transferred.
-        bytes: usize,
-    },
-    /// Applied a delta (legacy filter version or tiered delta tier).
+    /// Applied a delta to the ledger's delta tier.
     AppliedDelta {
         /// New version held.
         version: u64,
@@ -70,36 +63,26 @@ pub enum RefreshOutcome {
 /// `service` (usually `Retry(Failover(Tcp))`, so the fetch itself has
 /// whatever resilience the stack provides) and install it in `proxy`.
 ///
-/// The tiered pipeline is asked first ([`Request::GetFilterTiered`] with
-/// the held `(epoch, version)`; DESIGN.md §16). A server predating it
-/// answers [`Response::Unsupported`], and the round degrades to the
-/// legacy [`Request::GetFilter`] flow — same round, same outcome
-/// accounting: the round's final wire result is recorded **once** into
+/// One request a round: [`Request::GetFilterTiered`] with the held
+/// `(epoch, version)` (DESIGN.md §16). The wire result is recorded into
 /// the proxy's per-ledger circuit breaker, so the query path shares one
-/// view of upstream health and an old peer's polite `Unsupported` never
-/// masks a failing fetch behind it.
+/// view of upstream health. A peer predating the pipeline answers
+/// [`Response::Unsupported`]: it answered, so its breaker stays closed,
+/// but the round fails and nothing is installed — the proxy holds no
+/// filter for that ledger and its ids go to the ledger (fail-safe).
 pub fn refresh<S: Service + ?Sized>(
     proxy: &SharedProxy,
     service: &S,
     ledger: LedgerId,
 ) -> Result<RefreshOutcome, NetError> {
-    let held = |filters: &FilterSet| (filters.tiered_state(ledger), filters.version(ledger));
-    let have = held(&proxy.filters_snapshot());
-    let ((have_epoch, have_version), have_legacy) = have;
-    let ctx = CallCtx::wall();
-    let mut fetched = service.call(
+    let have @ (have_epoch, have_version) = proxy.filters_snapshot().tiered_state(ledger);
+    let fetched = service.call(
         Request::GetFilterTiered {
             have_epoch,
             have_version,
         },
-        &ctx,
+        &CallCtx::wall(),
     );
-    if matches!(fetched, Ok(Response::Unsupported { .. })) {
-        let legacy = Request::GetFilter {
-            have_version: have_legacy,
-        };
-        fetched = service.call(legacy, &ctx);
-    }
     proxy.record_upstream(ledger, fetched.is_ok(), SystemClock.now());
     let Some(update) = publication(fetched?)? else {
         return Ok(RefreshOutcome::AlreadyCurrent);
@@ -108,7 +91,7 @@ pub fn refresh<S: Service + ?Sized>(
     proxy.update_filters(|filters| {
         // Another refresher may have advanced the set between our
         // snapshot read and this transaction; re-check inside it.
-        if held(filters) != have {
+        if filters.tiered_state(ledger) != have {
             return Ok(RefreshOutcome::AlreadyCurrent);
         }
         filters
@@ -122,7 +105,6 @@ pub fn refresh<S: Service + ?Sized>(
 /// proxy is current (an empty delta).
 fn publication(response: Response) -> Result<Option<FilterUpdate>, NetError> {
     Ok(Some(match response {
-        Response::FilterFull { version, data } => FilterUpdate::full(version, data),
         Response::FilterDelta {
             from_version,
             to_version,
@@ -146,6 +128,9 @@ fn publication(response: Response) -> Result<Option<FilterUpdate>, NetError> {
         },
         Response::FilterBase { epoch, data } => FilterUpdate::Base { epoch, data },
         Response::Error { .. } => return Err(NetError::Frame("ledger has no published filter")),
+        Response::Unsupported { .. } => {
+            return Err(NetError::Frame("peer predates the filter pipeline"))
+        }
         _ => return Err(NetError::Frame("unexpected response to a filter request")),
     }))
 }
@@ -155,7 +140,6 @@ impl RefreshOutcome {
     fn of(update: &FilterUpdate) -> RefreshOutcome {
         let bytes = update.payload_len() as usize;
         match *update {
-            FilterUpdate::Full { version, .. } => RefreshOutcome::InstalledFull { version, bytes },
             FilterUpdate::Delta { to_version, .. } => RefreshOutcome::AppliedDelta {
                 version: to_version,
                 bytes,
@@ -199,8 +183,7 @@ struct ShardRefresh {
     consecutive_failures: Gauge,
     installs: Counter,
     filter_version: Gauge,
-    /// Tiered base epoch held for this shard (0 until the shard's ledger
-    /// seals one or the proxy bootstraps tiered state).
+    /// Base epoch held for this shard (0 until the first install).
     filter_epoch: Gauge,
 }
 
@@ -366,16 +349,9 @@ fn run_shard(
                     shared.installs.inc();
                 }
                 st.consecutive_failures.set(0);
-                // Gauge whichever pipeline the shard is on: tiered state
-                // when installed, else the legacy filter version.
-                let snap = proxy.filters_snapshot();
-                let (epoch, version) = snap.tiered_state(st.ledger);
+                let (epoch, version) = proxy.filters_snapshot().tiered_state(st.ledger);
                 st.filter_epoch.set(epoch);
-                st.filter_version.set(if (epoch, version) == (0, 0) {
-                    snap.version(st.ledger)
-                } else {
-                    version
-                });
+                st.filter_version.set(version);
                 interval
             }
             Err(_) => {
@@ -420,98 +396,13 @@ mod tests {
         crate::service::transport::testing::connect(server.addr())
     }
 
-    /// `upstream` as a peer from before the tiered pipeline would answer:
-    /// the new tag is `Unsupported`, everything else passes through.
+    /// `upstream` as a peer from before the filter pipeline would answer:
+    /// its tag is `Unsupported`, everything else passes through.
     fn pre_tiered(upstream: impl Service) -> impl Service {
         service_fn(move |req, ctx: &CallCtx| match req {
             Request::GetFilterTiered { .. } => Ok(Response::Unsupported { tag: 12 }),
             other => upstream.call(other, ctx),
         })
-    }
-
-    #[test]
-    fn full_then_current_over_wire() {
-        let ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(9),
-        );
-        // One revoked record, then publish.
-        let mut cam = Camera::new(9, 96, 96);
-        let shot = cam.capture(0);
-        let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0))
-        else {
-            panic!("claim failed");
-        };
-        let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
-        ledger.handle(Request::Revoke(rv), TimeMs(1));
-        ledger.publish_filter();
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let client = pre_tiered(connect(&server));
-
-        let proxy = SharedProxy::new(ProxyConfig::default());
-        // First refresh: full.
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert!(matches!(
-            outcome,
-            RefreshOutcome::InstalledFull { version: 1, .. }
-        ));
-        assert_eq!(
-            proxy.lookup(id, TimeMs(10)),
-            LookupOutcome::NeedsLedgerQuery,
-            "revoked id hits the freshly pulled filter"
-        );
-        // Second refresh with no churn: already current.
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
-        server.shutdown();
-    }
-
-    #[test]
-    fn delta_served_when_one_version_behind() {
-        let ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(11),
-        );
-        let mut cam = Camera::new(11, 96, 96);
-        // Two claims; revoke the first, publish v1.
-        let shot_a = cam.capture(0);
-        let Response::Claimed { id: a, .. } =
-            ledger.handle(Request::Claim(shot_a.claim), TimeMs(0))
-        else {
-            panic!()
-        };
-        let shot_b = cam.capture(1);
-        let Response::Claimed { id: b, .. } =
-            ledger.handle(Request::Claim(shot_b.claim), TimeMs(1))
-        else {
-            panic!()
-        };
-        let rv = RevokeRequest::create(&shot_a.keypair, a, true, 0);
-        ledger.handle(Request::Revoke(rv), TimeMs(2));
-        ledger.publish_filter();
-
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let client = pre_tiered(connect(&server));
-        let proxy = SharedProxy::new(ProxyConfig::default());
-        refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 1);
-
-        // Churn: revoke b, publish v2 while the server is live — all
-        // `&self` on the shared concurrent ledger.
-        {
-            let l = server.ledger();
-            let rv = RevokeRequest::create(&shot_b.keypair, b, true, 0);
-            l.handle(Request::Revoke(rv), TimeMs(3));
-            l.publish_filter();
-        }
-        // Refresh again: must arrive as a delta, and b must now hit.
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert!(
-            matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
-            "{outcome:?}"
-        );
-        assert_eq!(proxy.lookup(b, TimeMs(10)), LookupOutcome::NeedsLedgerQuery);
-        server.shutdown();
     }
 
     #[test]
@@ -641,6 +532,18 @@ mod tests {
             LookupOutcome::NeedsLedgerQuery,
             "healthy shard's revocation is live on the lookup path"
         );
+        // The healthy shard's filter speaks for its own ids only: nothing
+        // is known about the down shard, so its ids must reach it.
+        let on_shard = |ledger| irs_core::ids::RecordId::new(LedgerId(ledger), 999);
+        assert_eq!(
+            proxy.lookup(on_shard(1), TimeMs(10)),
+            LookupOutcome::NotRevokedByFilter
+        );
+        assert_eq!(
+            proxy.lookup(on_shard(2), TimeMs(10)),
+            LookupOutcome::NeedsLedgerQuery,
+            "a miss in shard 1's filter answered for the down shard"
+        );
 
         // Let the dead shard accumulate a visible failure run, then check
         // the two shards' counters stayed independent.
@@ -679,69 +582,12 @@ mod tests {
         );
         let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
         let proxy = SharedProxy::new(ProxyConfig::default());
-        // Neither pipeline has anything to serve, and an answered
-        // "nothing published" is not an upstream failure.
-        for client in [
-            connect(&server).boxed(),
-            pre_tiered(connect(&server)).boxed(),
-        ] {
-            assert!(matches!(
-                refresh(&proxy, &client, LedgerId(1)),
-                Err(NetError::Frame("ledger has no published filter"))
-            ));
-        }
-        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn shared_refresh_full_then_delta() {
-        // The whole legacy life cycle against one served proxy: full,
-        // delta, then current.
-        let ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(12),
-        );
-        let mut cam = Camera::new(12, 96, 96);
-        let shot = cam.capture(0);
-        let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0))
-        else {
-            panic!()
-        };
-        let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
-        ledger.handle(Request::Revoke(rv), TimeMs(1));
-        ledger.publish_filter();
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let client = pre_tiered(connect(&server));
-
-        let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
+        // An answered "nothing published" is not an upstream failure.
         assert!(matches!(
-            outcome,
-            RefreshOutcome::InstalledFull { version: 1, .. }
+            refresh(&proxy, &connect(&server), LedgerId(1)),
+            Err(NetError::Frame("ledger has no published filter"))
         ));
-        assert_eq!(
-            proxy.lookup(id, TimeMs(5)),
-            LookupOutcome::NeedsLedgerQuery,
-            "revoked id hits the pulled filter"
-        );
-
-        // Churn on the live ledger, then a delta refresh.
-        let shot_b = cam.capture(1);
-        let l = server.ledger();
-        let (b, _) = l
-            .claim_revoked(shot_b.claim, TimeMs(6))
-            .expect("in-memory ledger cannot fail a claim");
-        l.publish_filter();
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert!(
-            matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
-            "{outcome:?}"
-        );
-        assert_eq!(proxy.lookup(b, TimeMs(7)), LookupOutcome::NeedsLedgerQuery);
-        // No churn: already current.
-        let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
+        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
         server.shutdown();
     }
 
@@ -829,50 +675,63 @@ mod tests {
         server.shutdown();
     }
 
+    /// A peer from before the filter pipeline answers `Unsupported`:
+    /// the round fails, nothing is installed (so the ledger's ids keep
+    /// going to the ledger), and — the peer did answer — its breaker
+    /// stays closed. A worker pointed at such a peer counts failures and
+    /// backs off like against any other failing shard.
     #[test]
-    fn tiered_refresh_falls_back_to_legacy_on_unsupported() {
-        use irs_filters::BloomFilter;
-        use irs_proxy::{BreakerConfig, BreakerState};
-        // A pre-tiered server: answers Unsupported for the new tag,
-        // serves the legacy full filter.
-        let mut f = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
+    fn unsupported_peer_fails_the_round_and_installs_nothing() {
+        use crate::codec::serve_burst;
+        use crate::reactor::{Reactor, ReactorConfig};
+        use irs_proxy::BreakerState;
         let id = irs_core::ids::RecordId::new(LedgerId(1), 7);
-        f.insert(id.filter_key());
-        let data = f.to_bytes();
-        let svc = pre_tiered(service_fn(move |req, _ctx: &CallCtx| match req {
-            Request::GetFilter { .. } => Ok(Response::FilterFull {
-                version: 3,
-                data: data.clone(),
-            }),
-            other => panic!("unexpected request {other:?}"),
+        let svc = pre_tiered(service_fn(|req, _ctx: &CallCtx| {
+            panic!("one request a round, got a second: {req:?}")
         }));
-        let proxy = SharedProxy::new(ProxyConfig::default()).with_breaker_config(BreakerConfig {
-            failure_threshold: 2,
-            open_cooldown_ms: 60_000,
-        });
-        let outcome = refresh(&proxy, &svc, LedgerId(1)).unwrap();
-        assert!(
-            matches!(outcome, RefreshOutcome::InstalledFull { version: 3, .. }),
-            "{outcome:?}"
-        );
-        assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 3);
-        assert_eq!(proxy.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
-        let breaker = proxy.breaker(LedgerId(1));
-        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
-        assert_eq!(breaker.state(), BreakerState::Closed);
-
-        // The breaker sees one outcome a round — the round's last wire
-        // result. When the legacy leg behind the polite `Unsupported`
-        // fails, the `Unsupported` must not count as a success that
-        // resets the failure run: two such rounds open the breaker.
-        let dying = pre_tiered(service_fn(|_req, _ctx: &CallCtx| {
-            Err::<Response, _>(NetError::ConnectionLost)
-        }));
-        for round in 1..=2 {
-            assert!(refresh(&proxy, &dying, LedgerId(1)).is_err());
-            assert_eq!(breaker.consecutive_failures(), round);
-            assert_eq!(proxy.degraded_stats().upstream_failures, u64::from(round));
+        let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
+        for _ in 0..3 {
+            assert!(matches!(
+                refresh(&proxy, &svc, LedgerId(1)),
+                Err(NetError::Frame("peer predates the filter pipeline"))
+            ));
         }
-        assert_eq!(breaker.state(), BreakerState::Open);
+        let held = |proxy: &SharedProxy| {
+            assert_eq!(proxy.filters_snapshot().ledger_count(), 0);
+            assert_eq!(proxy.lookup(id, TimeMs(5)), LookupOutcome::NeedsLedgerQuery);
+            assert_eq!(proxy.degraded_stats().upstream_failures, 0);
+            assert_eq!(proxy.breaker(LedgerId(1)).state(), BreakerState::Closed);
+        };
+        held(&proxy);
+
+        // The same over a socket, through the worker.
+        let old_peer = Reactor::bind(
+            "127.0.0.1:0",
+            ReactorConfig::default(),
+            Arc::new(|frames, _conn| {
+                serve_burst(frames, |requests| {
+                    vec![Response::Unsupported { tag: 12 }; requests.len()]
+                })
+            }),
+        )
+        .unwrap();
+        let worker = RefreshWorker::spawn_sharded(
+            proxy.clone(),
+            vec![(LedgerId(1), vec![old_peer.addr()])],
+            Duration::from_millis(40),
+            RetryPolicy::fast(5),
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while worker.stats().consecutive_failures < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let stats = worker.stats();
+        worker.stop();
+        old_peer.shutdown();
+        assert!(
+            stats.failures >= 2 && stats.consecutive_failures >= 2 && stats.installs == 0,
+            "{stats:?}"
+        );
+        held(&proxy);
     }
 }

@@ -25,7 +25,7 @@ pub struct BreakerLayer {
 
 impl BreakerLayer {
     /// A layer gating on `proxy`'s breakers. Requests that don't name a
-    /// record (e.g. `GetFilter`, `Ping`) are attributed to ledger 0.
+    /// record (e.g. `GetFilterTiered`, `Ping`) are attributed to ledger 0.
     pub fn new(proxy: Arc<SharedProxy>) -> BreakerLayer {
         BreakerLayer {
             proxy,
@@ -66,7 +66,6 @@ impl<S> Breaker<S> {
             Request::Query { id } | Request::GetProof { id } => id.ledger,
             Request::Revoke(r) => r.id.ledger,
             Request::Claim(_)
-            | Request::GetFilter { .. }
             | Request::GetFilterTiered { .. }
             | Request::Ping
             | Request::Metrics

@@ -24,7 +24,7 @@
 //! * a group ([`Service::call_all`]) → one sub-group per owning shard,
 //!   answers back in request order;
 //! * `GetShardMap` → answered locally from the router's directory;
-//! * unkeyed requests (`GetFilter`, `Ping`, `Metrics`, replication
+//! * unkeyed requests (`GetFilterTiered`, `Ping`, `Metrics`, replication
 //!   ops) → the map's first shard. Per-shard maintenance traffic
 //!   should target a shard's stack directly instead.
 //!

@@ -47,8 +47,7 @@ pub fn priority_of(req: &Request) -> Priority {
         // diagnostics; replication pulls re-poll. All can wait out a storm.
         // Shard-map fetches ride the same lane: a router self-healing
         // from `WrongShard` retries on its own schedule.
-        Request::GetFilter { .. }
-        | Request::GetFilterTiered { .. }
+        Request::GetFilterTiered { .. }
         | Request::Metrics
         | Request::Ping
         | Request::WalSubscribe { .. }

@@ -145,10 +145,7 @@ mod tests {
         let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
         let svc = down().layered(StaleServeLayer::new(proxy));
         assert!(matches!(
-            svc.call(
-                Request::GetFilter { have_version: 0 },
-                &CallCtx::at(TimeMs(0))
-            ),
+            svc.call(Request::FetchSnapshot, &CallCtx::at(TimeMs(0))),
             Err(NetError::ConnectionLost)
         ));
     }

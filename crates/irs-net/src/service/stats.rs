@@ -157,7 +157,7 @@ mod tests {
         for _ in 0..3 {
             svc.call(Request::Ping, &ctx).unwrap();
         }
-        let _ = svc.call(Request::GetFilter { have_version: 0 }, &ctx);
+        let _ = svc.call(Request::FetchSnapshot, &ctx);
         let snap = handle.snapshot();
         assert_eq!(snap.calls, 4);
         assert_eq!(snap.ok, 3);

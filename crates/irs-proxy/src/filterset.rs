@@ -3,25 +3,24 @@
 //! §4.4: each ledger publishes a filter over its **revoked** set, "which
 //! the proxies would download and then take the OR of all ledger Bloom
 //! filters. … if the photo does not hit in the filter, it is definitely
-//! not revoked". Two publication pipelines coexist:
+//! not revoked". There is one publication pipeline (DESIGN.md §16): per
+//! ledger, a frozen fuse8 base sealed per epoch plus a small Bloom delta
+//! for churn since the seal. The delta tiers share one geometry and are
+//! ORed into a single merged view maintained *incrementally* — a delta
+//! update touches O(flipped bits), never O(ledgers × m); the fuse bases
+//! cannot be ORed (each has its own layout), so they are probed
+//! individually at lookup — cheap, since a fuse probe is three cache
+//! lines. A ledger that has not sealed an epoch yet has no base: its
+//! tier is one Bloom filter, and a set of such tiers *is* the paper's
+//! "OR of all ledger Bloom filters".
 //!
-//! * **Legacy**: one Bloom filter per ledger, identical geometry across
-//!   the ecosystem, ORed into a single merged Bloom. Updates arrive as
-//!   full snapshots (first contact) or deltas (steady state).
-//! * **Tiered** (DESIGN.md §16): per ledger, a frozen fuse8 base sealed
-//!   per epoch plus a small Bloom delta for churn since the seal. The
-//!   fuse bases cannot be ORed (each has its own layout), so they are
-//!   probed individually at lookup — cheap, since a fuse probe is three
-//!   cache lines — while the small delta tiers share one geometry and
-//!   are merged into a single delta view maintained *incrementally*:
-//!   a delta update touches O(flipped bits), never O(ledgers × m).
+//! A miss speaks only for ledgers whose filter is held: the record id
+//! names its ledger, and [`FilterSet::might_be_revoked`] answers `None`
+//! (must query) for a ledger with no tier installed, however many other
+//! ledgers' filters miss.
 //!
-//! A ledger that upgrades to the tiered pipeline replaces its legacy
-//! Bloom: the proxy drops the old per-ledger filter (and its share of the
-//! big merged clone), which is where the tiered memory win comes from.
-//!
-//! Every publication, of either pipeline, enters through the one
-//! validated [`FilterSet::apply`]. Update accounting is accept-only:
+//! Every publication enters through the one validated
+//! [`FilterSet::apply`]. Update accounting is accept-only:
 //! `bytes_received` and the update counters move only when an update
 //! validates and applies; a rejected update counts into `rejected` and
 //! changes nothing else.
@@ -29,21 +28,13 @@
 use irs_core::ids::LedgerId;
 use irs_filters::delta::BloomDelta;
 use irs_filters::{BloomFilter, Filter, FilterError, TieredFilter, TieredServe};
-use std::collections::HashMap;
 
-/// One filter publication as a ledger serves it — the four shapes of
-/// the serve matrix (DESIGN.md §16), mirroring the wire's
-/// `FilterFull` / `FilterDelta` / `FilterTiered` / `FilterBase`.
+/// One filter publication as a ledger serves it — the shapes of the
+/// serve matrix (DESIGN.md §16), mirroring the wire's `FilterDelta` /
+/// `FilterTiered` / `FilterBase`.
 #[derive(Clone, Debug)]
 pub enum FilterUpdate {
-    /// A full legacy Bloom snapshot (first contact or version gap).
-    Full {
-        /// Version the snapshot carries.
-        version: u64,
-        /// Serialized [`BloomFilter`].
-        data: bytes::Bytes,
-    },
-    /// A delta against whichever pipeline the ledger is on.
+    /// A delta against the ledger's delta tier.
     Delta {
         /// Version the delta was cut against; must equal the held one.
         from_version: u64,
@@ -73,10 +64,16 @@ pub enum FilterUpdate {
 }
 
 impl FilterUpdate {
-    /// A full legacy snapshot — what a test or an experiment installs
-    /// when it hands a proxy a Bloom filter it built itself.
+    /// A whole Bloom filter as one ledger's unsealed tier (epoch 1, no
+    /// base, `data` as the delta at `version`) — what a test or an
+    /// experiment installs when it hands a proxy a Bloom it built itself.
     pub fn full(version: u64, data: bytes::Bytes) -> FilterUpdate {
-        FilterUpdate::Full { version, data }
+        FilterUpdate::Tiered {
+            epoch: 1,
+            base: bytes::Bytes::new(),
+            delta_version: version,
+            delta: data,
+        }
     }
 
     /// The update a tiered serve-matrix answer asks for (`None` when the
@@ -112,37 +109,31 @@ impl FilterUpdate {
     /// Payload bytes the update carried over the wire.
     pub fn payload_len(&self) -> u64 {
         (match self {
-            FilterUpdate::Full { data, .. }
-            | FilterUpdate::Delta { data, .. }
-            | FilterUpdate::Base { data, .. } => data.len(),
+            FilterUpdate::Delta { data, .. } | FilterUpdate::Base { data, .. } => data.len(),
             FilterUpdate::Tiered { base, delta, .. } => base.len() + delta.len(),
         }) as u64
     }
 }
 
-/// Per-ledger filters plus their merged views. `Clone` supports the
+/// Per-ledger filters plus their merged view. `Clone` supports the
 /// shared proxy's copy-on-write refresh: build the next snapshot
 /// off-lock, then swap it in atomically.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FilterSet {
-    per_ledger: HashMap<LedgerId, (u64, BloomFilter)>,
-    merged: Option<BloomFilter>,
-    /// Tiered per-ledger state (fuse base + Bloom delta). A `Vec`, not a
-    /// map: the hot lookup path walks every entry anyway (fuse bases are
+    /// Per-ledger state (fuse base + Bloom delta). A `Vec`, not a map:
+    /// the hot lookup path walks every entry anyway (fuse bases are
     /// probed individually), reads never mutate (the set is copy-on-write
     /// behind `SharedProxy`), and applies are refresh-cadence rare.
     tiered: Vec<(LedgerId, TieredFilter)>,
-    /// OR of every tiered ledger's delta tier (shared delta geometry).
+    /// OR of every ledger's delta tier (shared delta geometry).
     merged_delta: Option<BloomFilter>,
     /// Whether `merged_delta` has any bit set — right after a compaction
     /// it usually does not, and the lookup path skips its probe entirely.
     merged_delta_live: bool,
-    /// Bytes received across all *accepted* updates (experiment E6).
+    /// Bytes received across all *accepted* updates.
     pub bytes_received: u64,
-    /// Accepted legacy updates applied (full, delta).
-    pub updates: (u64, u64),
-    /// Accepted tiered updates applied (full installs, base rolls,
-    /// delta applies).
+    /// Accepted updates applied (full installs, base rolls, delta
+    /// applies).
     pub tiered_updates: (u64, u64, u64),
     /// Updates rejected (malformed payload, geometry or version
     /// mismatch). Rejected updates contribute nothing to the byte or
@@ -150,26 +141,10 @@ pub struct FilterSet {
     pub rejected: u64,
 }
 
-impl Default for FilterSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FilterSet {
     /// Empty set.
     pub fn new() -> FilterSet {
-        FilterSet {
-            per_ledger: HashMap::new(),
-            merged: None,
-            tiered: Vec::new(),
-            merged_delta: None,
-            merged_delta_live: false,
-            bytes_received: 0,
-            updates: (0, 0),
-            tiered_updates: (0, 0, 0),
-            rejected: 0,
-        }
+        FilterSet::default()
     }
 
     /// Validate and apply one publication for `ledger` — the only way
@@ -180,7 +155,6 @@ impl FilterSet {
     pub fn apply(&mut self, ledger: LedgerId, update: FilterUpdate) -> Result<(), FilterError> {
         let bytes = update.payload_len();
         let out = match update {
-            FilterUpdate::Full { version, data } => self.install_full(ledger, version, data),
             FilterUpdate::Delta {
                 from_version,
                 to_version,
@@ -201,32 +175,6 @@ impl FilterSet {
         out
     }
 
-    fn install_full(
-        &mut self,
-        ledger: LedgerId,
-        version: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), FilterError> {
-        let filter = BloomFilter::from_bytes(data)?;
-        if let Some(existing) = self.any_filter() {
-            if existing.m_bits() != filter.m_bits()
-                || existing.k() != filter.k()
-                || existing.seed() != filter.seed()
-            {
-                return Err(FilterError::BadParams(
-                    "ledger filter geometry differs from ecosystem convention",
-                ));
-            }
-        }
-        self.per_ledger.insert(ledger, (version, filter));
-        self.updates.0 += 1;
-        self.rebuild();
-        Ok(())
-    }
-
-    /// A delta lands on whichever pipeline the ledger is on: its legacy
-    /// Bloom, or (epoch-aware) the delta *tier* of its tiered state. The
-    /// held version must equal `from_version` either way.
     fn advance_delta(
         &mut self,
         ledger: LedgerId,
@@ -235,42 +183,31 @@ impl FilterSet {
         data: bytes::Bytes,
     ) -> Result<(), FilterError> {
         let delta = BloomDelta::from_bytes(data)?;
-        if let Some((_, tier)) = self.tiered.iter_mut().find(|(l, _)| *l == ledger) {
-            if tier.delta_version() != from_version {
-                return Err(FilterError::BadParams("delta from_version mismatch"));
-            }
-            tier.advance_delta(&delta, to_version)?;
-            self.tiered_updates.2 += 1;
-            // Incremental merged-view maintenance: only the flipped
-            // positions can have changed, and a position is set in the
-            // merged delta iff it is set in *some* ledger's delta tier.
-            // O(flips × ledgers), never a full O(ledgers × m) clone-and-OR.
-            if let Some(merged) = self.merged_delta.as_mut() {
-                for &pos in delta.positions() {
-                    if self.tiered.iter().any(|(_, t)| t.delta().bit(pos)) {
-                        merged.set_bit(pos);
-                    } else {
-                        merged.clear_bit(pos);
-                    }
-                }
-                self.merged_delta_live = !merged.is_empty();
-            }
-            return Ok(());
-        }
-        let Some((version, filter)) = self.per_ledger.get_mut(&ledger) else {
+        let Some((_, tier)) = self.tiered.iter_mut().find(|(l, _)| *l == ledger) else {
             return Err(FilterError::BadParams("delta for unknown ledger"));
         };
-        if *version != from_version {
+        if tier.delta_version() != from_version {
             return Err(FilterError::BadParams("delta from_version mismatch"));
         }
-        delta.apply(filter)?;
-        *version = to_version;
-        self.updates.1 += 1;
-        self.rebuild();
+        tier.advance_delta(&delta, to_version)?;
+        self.tiered_updates.2 += 1;
+        // Incremental merged-view maintenance: only the flipped
+        // positions can have changed, and a position is set in the
+        // merged delta iff it is set in *some* ledger's delta tier.
+        // O(flips × ledgers), never a full O(ledgers × m) clone-and-OR.
+        if let Some(merged) = self.merged_delta.as_mut() {
+            for &pos in delta.positions() {
+                if self.tiered.iter().any(|(_, t)| t.delta().bit(pos)) {
+                    merged.set_bit(pos);
+                } else {
+                    merged.clear_bit(pos);
+                }
+            }
+            self.merged_delta_live = !merged.is_empty();
+        }
         Ok(())
     }
 
-    /// Replaces any legacy Bloom held for the same ledger.
     fn install_tiered(
         &mut self,
         ledger: LedgerId,
@@ -280,20 +217,16 @@ impl FilterSet {
         delta: bytes::Bytes,
     ) -> Result<(), FilterError> {
         let tier = TieredFilter::from_wire(epoch, &base, delta_version, delta)?;
-        if let Some(existing) = self.any_tiered_delta() {
-            let d = tier.delta();
-            if existing.m_bits() != d.m_bits()
-                || existing.k() != d.k()
-                || existing.seed() != d.seed()
-            {
+        // The delta tiers are ORed, so they share one geometry — checked
+        // against the *other* ledgers: the tier being replaced is free to
+        // change its own.
+        if let Some((_, other)) = self.tiered.iter().find(|(l, _)| *l != ledger) {
+            let (held, new) = (other.delta(), tier.delta());
+            if held.m_bits() != new.m_bits() || held.k() != new.k() || held.seed() != new.seed() {
                 return Err(FilterError::BadParams(
                     "tiered delta geometry differs from ecosystem convention",
                 ));
             }
-        }
-        // The tiered pipeline supersedes the ledger's legacy Bloom.
-        if self.per_ledger.remove(&ledger).is_some() {
-            self.rebuild();
         }
         match self.tiered.iter_mut().find(|(l, _)| *l == ledger) {
             Some(entry) => entry.1 = tier,
@@ -322,13 +255,8 @@ impl FilterSet {
         Ok(())
     }
 
-    /// The legacy version held for a ledger (0 = none).
-    pub fn version(&self, ledger: LedgerId) -> u64 {
-        self.per_ledger.get(&ledger).map(|(v, _)| *v).unwrap_or(0)
-    }
-
-    /// The tiered `(epoch, delta_version)` held for a ledger
-    /// (`(0, 0)` = not on the tiered pipeline).
+    /// The `(epoch, delta_version)` held for a ledger (`(0, 0)` = no
+    /// filter held).
     pub fn tiered_state(&self, ledger: LedgerId) -> (u64, u64) {
         self.tiered
             .iter()
@@ -337,32 +265,9 @@ impl FilterSet {
             .unwrap_or((0, 0))
     }
 
-    /// Number of ledgers with installed filters (either pipeline).
+    /// Number of ledgers with installed filters.
     pub fn ledger_count(&self) -> usize {
-        self.per_ledger.len() + self.tiered.len()
-    }
-
-    fn any_filter(&self) -> Option<&BloomFilter> {
-        self.per_ledger.values().map(|(_, f)| f).next()
-    }
-
-    fn any_tiered_delta(&self) -> Option<&BloomFilter> {
-        self.tiered.first().map(|(_, t)| t.delta())
-    }
-
-    fn rebuild(&mut self) {
-        let mut iter = self.per_ledger.values();
-        let Some((_, first)) = iter.next() else {
-            self.merged = None;
-            return;
-        };
-        let mut merged = first.clone();
-        for (_, f) in iter {
-            merged
-                .union_with(f)
-                .expect("geometry validated at install time");
-        }
-        self.merged = Some(merged);
+        self.tiered.len()
     }
 
     fn rebuild_merged_delta(&mut self) {
@@ -382,19 +287,15 @@ impl FilterSet {
         self.merged_delta = Some(merged);
     }
 
-    /// Query the installed filters: `Some(false)` = definitely not
-    /// revoked on any ledger (answer locally), `Some(true)` = might be
-    /// revoked (must query), `None` = no filters installed yet (must
-    /// query). Probe order: the merged views first (one Bloom probe
-    /// each), then the per-ledger fuse bases (three cache lines each).
-    pub fn might_be_revoked(&self, key: u64) -> Option<bool> {
-        if self.merged.is_none() && self.tiered.is_empty() {
+    /// Query the installed filters for a record of `ledger`:
+    /// `Some(false)` = definitely not revoked (answer locally),
+    /// `Some(true)` = might be revoked (must query), `None` = `ledger`'s
+    /// filter is not held, so no miss can speak for it (must query).
+    /// Probe order: the merged delta first (one Bloom probe), then the
+    /// per-ledger fuse bases (three cache lines each).
+    pub fn might_be_revoked(&self, ledger: LedgerId, key: u64) -> Option<bool> {
+        if !self.tiered.iter().any(|(l, _)| *l == ledger) {
             return None;
-        }
-        if let Some(m) = &self.merged {
-            if m.contains(key) {
-                return Some(true);
-            }
         }
         if self.merged_delta_live {
             if let Some(d) = &self.merged_delta {
@@ -410,19 +311,12 @@ impl FilterSet {
         )
     }
 
-    /// Estimated FPR of the legacy merged filter at its current fill.
-    pub fn merged_fpr(&self) -> Option<f64> {
-        self.merged.as_ref().map(|f| f.estimated_fpr())
-    }
-
-    /// Total proxy-resident filter bytes: per-ledger filters of both
-    /// pipelines plus the merged views (the E23 memory metric).
+    /// Total proxy-resident filter bytes: the per-ledger tiers plus the
+    /// merged delta view (the E23 memory metric).
     pub fn resident_filter_bytes(&self) -> u64 {
-        let legacy: u64 = self.per_ledger.values().map(|(_, f)| f.bits() / 8).sum();
-        let merged = self.merged.as_ref().map_or(0, |f| f.bits() / 8);
         let tiered: u64 = self.tiered.iter().map(|(_, t)| t.resident_bits() / 8).sum();
         let merged_delta = self.merged_delta.as_ref().map_or(0, |f| f.bits() / 8);
-        legacy + merged + tiered + merged_delta
+        tiered + merged_delta
     }
 }
 
@@ -430,6 +324,7 @@ impl FilterSet {
 mod tests {
     use super::*;
     use irs_filters::delta::BloomDelta;
+    use irs_filters::hash::mix64;
     use irs_filters::{PublishOutcome, TieredConfig, TieredPublisher};
     use std::collections::HashSet;
 
@@ -442,10 +337,7 @@ mod tests {
     }
 
     fn full(version: u64, filter: &BloomFilter) -> FilterUpdate {
-        FilterUpdate::Full {
-            version,
-            data: filter.to_bytes(),
-        }
+        FilterUpdate::full(version, filter.to_bytes())
     }
 
     fn delta(from_version: u64, to_version: u64, data: bytes::Bytes) -> FilterUpdate {
@@ -460,53 +352,65 @@ mod tests {
     /// the answer for a spread of keys (any flipped bit shows up in one).
     fn fingerprint(fs: &FilterSet) -> impl PartialEq + std::fmt::Debug {
         (
-            (fs.version(LedgerId(1)), fs.tiered_state(LedgerId(1))),
+            (fs.tiered_state(LedgerId(1)), fs.tiered_state(LedgerId(2))),
             (fs.ledger_count(), fs.resident_filter_bytes()),
-            (fs.bytes_received, fs.updates, fs.tiered_updates),
+            (fs.bytes_received, fs.tiered_updates),
             (0..4_000u64)
-                .map(|k| fs.might_be_revoked(k))
+                .map(|k| fs.might_be_revoked(LedgerId(1), k))
                 .collect::<Vec<_>>(),
         )
     }
 
+    /// The unsealed tier *is* the paper's filter: a set fed whole Blooms
+    /// and `BloomDelta`s answers every key exactly as the per-ledger
+    /// Blooms OR-ed by hand, and holds those Blooms plus one merged clone.
     #[test]
-    fn or_of_two_ledgers() {
+    fn unsealed_tiers_are_the_papers_bloom_or() {
+        let ledgers = [LedgerId(1), LedgerId(2), LedgerId(3)];
+        let keys = |ledger: u64, round: u64| {
+            let start = ledger * 1_000_000 + round * 150;
+            (start..start + 150).map(mix64)
+        };
         let mut fs = FilterSet::new();
-        fs.apply(LedgerId(1), full(1, &filter_with(0..100)))
-            .unwrap();
-        fs.apply(LedgerId(2), full(1, &filter_with(100..200)))
-            .unwrap();
-        assert_eq!(fs.ledger_count(), 2);
-        for k in 0..200u64 {
-            assert_eq!(fs.might_be_revoked(k), Some(true), "key {k}");
+        let mut plain: Vec<BloomFilter> = Vec::new();
+        for (i, &ledger) in ledgers.iter().enumerate() {
+            let mut f = filter_with(0..0);
+            keys(i as u64, 0).for_each(|k| f.insert(k));
+            fs.apply(ledger, full(1, &f)).unwrap();
+            plain.push(f);
         }
-        // A far-away key should (almost surely) miss.
-        let misses = (10_000..11_000u64)
-            .filter(|&k| fs.might_be_revoked(k) == Some(false))
-            .count();
-        assert!(misses > 950, "misses {misses}");
+        for round in 1..4u64 {
+            for (i, &ledger) in ledgers.iter().enumerate() {
+                let mut next = plain[i].clone();
+                keys(i as u64, round).for_each(|k| next.insert(k));
+                let d = BloomDelta::diff(&plain[i], &next).unwrap();
+                fs.apply(ledger, delta(round, round + 1, d.to_bytes()))
+                    .unwrap();
+                plain[i] = next;
+            }
+            let mut or = plain[0].clone();
+            or.union_with(&plain[1]).unwrap();
+            or.union_with(&plain[2]).unwrap();
+            let probes = (0..3u64)
+                .flat_map(|i| keys(i, round))
+                .chain((0..5_000u64).map(|k| mix64(k + (1 << 40))));
+            for key in probes {
+                for &ledger in &ledgers {
+                    assert_eq!(fs.might_be_revoked(ledger, key), Some(or.contains(key)));
+                }
+            }
+        }
+        assert_eq!(fs.ledger_count(), 3);
+        assert_eq!(fs.tiered_state(LedgerId(2)), (1, 4));
+        assert_eq!(fs.tiered_updates, (3, 0, 9));
+        assert_eq!(fs.resident_filter_bytes(), 4 * plain[0].bits() / 8);
     }
 
     #[test]
     fn empty_set_answers_none() {
         let fs = FilterSet::new();
-        assert_eq!(fs.might_be_revoked(1), None);
-        assert_eq!(fs.merged_fpr(), None);
-    }
-
-    #[test]
-    fn delta_refresh() {
-        let mut fs = FilterSet::new();
-        let old = filter_with(0..100);
-        fs.apply(LedgerId(1), full(1, &old)).unwrap();
-        let new = filter_with(0..150);
-        let d = BloomDelta::diff(&old, &new).unwrap();
-        fs.apply(LedgerId(1), delta(1, 2, d.to_bytes())).unwrap();
-        assert_eq!(fs.version(LedgerId(1)), 2);
-        for k in 100..150u64 {
-            assert_eq!(fs.might_be_revoked(k), Some(true));
-        }
-        assert_eq!(fs.updates, (1, 1));
+        assert_eq!(fs.might_be_revoked(LedgerId(1), 1), None);
+        assert_eq!(fs.resident_filter_bytes(), 0);
     }
 
     #[test]
@@ -529,6 +433,36 @@ mod tests {
         assert_eq!(fs.rejected, 1);
     }
 
+    /// Regression: the geometry check used to compare against the first
+    /// held tier — possibly the one being replaced — so a lone ledger
+    /// that re-sized its delta tier was rejected on every round and the
+    /// proxy kept answering from the old publication.
+    #[test]
+    fn a_lone_ledger_may_change_its_delta_geometry() {
+        let cfg = |delta_capacity| TieredConfig {
+            delta_capacity,
+            delta_fpr: 1e-3,
+            compact_at: u64::MAX,
+        };
+        let mut fs = FilterSet::new();
+        let mut small = TieredPublisher::new(cfg(64)).unwrap();
+        small.publish(&(0..20u64).map(mix64).collect()).unwrap();
+        sync_tiered(&mut fs, LedgerId(1), &small.snapshot());
+        // The ledger restarts with a larger delta tier and ten more keys.
+        let mut large = TieredPublisher::new(cfg(4_096)).unwrap();
+        large.publish(&(0..30u64).map(mix64).collect()).unwrap();
+        let bootstrap = FilterUpdate::from_serve(large.snapshot().serve(0, 0)).unwrap();
+        fs.apply(LedgerId(1), bootstrap.clone()).unwrap();
+        for key in (0..30u64).map(mix64) {
+            assert_eq!(fs.might_be_revoked(LedgerId(1), key), Some(true));
+        }
+        // Against *another* ledger's tier the convention still binds.
+        fs.apply(LedgerId(2), bootstrap).unwrap();
+        let back = FilterUpdate::from_serve(small.snapshot().serve(0, 0)).unwrap();
+        assert!(fs.apply(LedgerId(1), back).is_err());
+        assert_eq!(fs.rejected, 1);
+    }
+
     #[test]
     fn bytes_accounted_only_for_accepted_updates() {
         let mut fs = FilterSet::new();
@@ -541,7 +475,7 @@ mod tests {
         let odd = BloomFilter::with_params(1 << 12, 6, 7).unwrap();
         assert!(fs.apply(LedgerId(2), full(1, &odd)).is_err());
         assert_eq!(fs.bytes_received, n);
-        assert_eq!(fs.updates, (1, 0));
+        assert_eq!(fs.tiered_updates, (1, 0, 0));
         assert_eq!(fs.rejected, 1);
         // Same for a garbage delta.
         let junk = bytes::Bytes::from_static(b"junk");
@@ -560,36 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_install_supersedes_legacy_bloom() {
-        let mut fs = FilterSet::new();
-        fs.apply(LedgerId(1), full(3, &filter_with(0..50))).unwrap();
-        let legacy_bytes = fs.resident_filter_bytes();
-        // Size the delta tier to the workload, as production would; the
-        // 50 keys cross compact_at, so the install carries a sealed base.
-        let cfg = TieredConfig {
-            delta_capacity: 64,
-            delta_fpr: 1e-3,
-            compact_at: 16,
-        };
-        let mut publisher = TieredPublisher::new(cfg).unwrap();
-        publisher.publish(&(0..50u64).collect()).unwrap();
-        sync_tiered(&mut fs, LedgerId(1), &publisher.snapshot());
-        // Legacy filter dropped, tiered state installed.
-        assert_eq!(fs.version(LedgerId(1)), 0);
-        assert_ne!(fs.tiered_state(LedgerId(1)), (0, 0));
-        assert_eq!(fs.ledger_count(), 1);
-        for k in 0..50u64 {
-            assert_eq!(fs.might_be_revoked(k), Some(true), "key {k}");
-        }
-        assert!(
-            fs.resident_filter_bytes() < legacy_bytes,
-            "tiered {} should undercut legacy {} resident bytes",
-            fs.resident_filter_bytes(),
-            legacy_bytes
-        );
-    }
-
-    #[test]
     fn tiered_pipeline_tracks_publisher_without_false_negatives() {
         let cfg = TieredConfig {
             delta_capacity: 512,
@@ -604,8 +508,8 @@ mod tests {
         let mut compactions = 0;
         for round in 0..20u64 {
             for i in (round * 20)..((round + 1) * 20) {
-                revoked_a.insert(irs_filters::hash::mix64(i));
-                revoked_b.insert(irs_filters::hash::mix64(i + 1_000_000));
+                revoked_a.insert(mix64(i));
+                revoked_b.insert(mix64(i + 1_000_000));
             }
             if matches!(
                 pub_a.publish(&revoked_a).unwrap(),
@@ -617,7 +521,9 @@ mod tests {
             sync_tiered(&mut fs, LedgerId(1), &pub_a.snapshot());
             sync_tiered(&mut fs, LedgerId(2), &pub_b.snapshot());
             for &k in revoked_a.iter().chain(revoked_b.iter()) {
-                assert_eq!(fs.might_be_revoked(k), Some(true), "lost key {k}");
+                for ledger in [LedgerId(1), LedgerId(2)] {
+                    assert_eq!(fs.might_be_revoked(ledger, k), Some(true), "lost {k}");
+                }
             }
         }
         assert!(compactions >= 2, "sweep never compacted");
@@ -659,10 +565,12 @@ mod tests {
         assert_eq!(fs.rejected, 2);
     }
 
-    /// Validate-before-mutate, for every variant on both pipelines: a
-    /// rejected update leaves the set bit-identical (same versions, same
-    /// counters, same answer for every probed key) and moves only
-    /// `rejected`.
+    /// Validate-before-mutate, for every variant, on an unsealed set (whole
+    /// Blooms) and on one mid-epoch with a sealed base and a live delta:
+    /// a rejected update leaves the set bit-identical (same versions,
+    /// same counters, same answer for every probed key) and moves only
+    /// `rejected`. Both sets hold a second ledger, which is what binds
+    /// ledger 1 to the shared delta geometry.
     #[test]
     fn rejected_update_leaves_the_set_bit_identical() {
         let junk = || bytes::Bytes::from_static(b"not a filter");
@@ -674,12 +582,13 @@ mod tests {
                 .to_bytes()
         };
 
-        // Legacy pipeline.
-        let mut legacy = FilterSet::new();
-        legacy
+        let mut unsealed = FilterSet::new();
+        unsealed
             .apply(LedgerId(1), full(3, &filter_with(0..100)))
             .unwrap();
-        // Tiered pipeline, mid-epoch with a sealed base and a live delta.
+        unsealed
+            .apply(LedgerId(2), full(1, &filter_with(100..200)))
+            .unwrap();
         let cfg = TieredConfig {
             delta_capacity: 64,
             delta_fpr: 1e-3,
@@ -687,28 +596,22 @@ mod tests {
         };
         let mut publisher = TieredPublisher::new(cfg).unwrap();
         publisher.publish(&(0..40u64).collect()).unwrap();
-        let mut tiered = FilterSet::new();
-        sync_tiered(&mut tiered, LedgerId(1), &publisher.snapshot());
+        let mut sealed = FilterSet::new();
+        sync_tiered(&mut sealed, LedgerId(1), &publisher.snapshot());
         publisher.publish(&(0..44u64).collect()).unwrap();
-        sync_tiered(&mut tiered, LedgerId(1), &publisher.snapshot());
-        let (epoch, version) = tiered.tiered_state(LedgerId(1));
+        sync_tiered(&mut sealed, LedgerId(1), &publisher.snapshot());
+        sync_tiered(&mut sealed, LedgerId(2), &publisher.snapshot());
         let snap = publisher.snapshot();
 
-        // (what is wrong with it, the update) — `held` is the version the
-        // set holds on its pipeline, so the version errors are exact.
-        let bad_updates = |held: u64| {
-            vec![
-                (
-                    "full: garbage",
-                    FilterUpdate::Full {
-                        version: 9,
-                        data: junk(),
-                    },
-                ),
-                ("delta: garbage", delta(held, held + 1, junk())),
+        for (name, fs) in [("unsealed", &mut unsealed), ("sealed", &mut sealed)] {
+            // The state held for ledger 1, so the step errors are exact.
+            let (epoch, version) = fs.tiered_state(LedgerId(1));
+            let updates = [
+                ("full: garbage", FilterUpdate::full(9, junk())),
+                ("delta: garbage", delta(version, version + 1, junk())),
                 (
                     "delta: wrong from_version",
-                    delta(held + 5, held + 6, stale_delta.clone()),
+                    delta(version + 5, version + 6, stale_delta.clone()),
                 ),
                 (
                     "tiered: garbage base",
@@ -717,6 +620,15 @@ mod tests {
                         base: junk(),
                         delta_version: 0,
                         delta: snap.delta().to_bytes(),
+                    },
+                ),
+                (
+                    "tiered: delta geometry differs from ledger 2's",
+                    FilterUpdate::Tiered {
+                        epoch: epoch + 1,
+                        base: snap.base_bytes().clone(),
+                        delta_version: 0,
+                        delta: odd.to_bytes(),
                     },
                 ),
                 (
@@ -733,25 +645,7 @@ mod tests {
                         data: snap.base_bytes().clone(),
                     },
                 ),
-            ]
-        };
-        let mut tiered_bad = bad_updates(version);
-        tiered_bad.push((
-            "tiered: foreign delta geometry",
-            FilterUpdate::Tiered {
-                epoch: epoch + 1,
-                base: snap.base_bytes().clone(),
-                delta_version: 0,
-                delta: odd.to_bytes(),
-            },
-        ));
-        // Geometry is checked against what the same pipeline already holds.
-        let mut legacy_bad = bad_updates(3);
-        legacy_bad.push(("full: foreign geometry", full(9, &odd)));
-        for (name, fs, updates) in [
-            ("legacy", &mut legacy, legacy_bad),
-            ("tiered", &mut tiered, tiered_bad),
-        ] {
+            ];
             let before = fingerprint(fs);
             let n = updates.len() as u64;
             for (what, update) in updates {

@@ -8,8 +8,10 @@
 //! no filter are answered locally with *definitely not revoked* (§4.4).
 //!
 //! * [`lru`] — the TTL'd LRU lookup cache;
-//! * [`filterset`] — per-ledger filter versions, delta refresh, and the
-//!   merged OR filter;
+//! * [`filterset`] — the one filter pipeline's proxy half: per-ledger
+//!   tiers (fuse base + Bloom delta; before the first seal just the
+//!   paper's Bloom), the one validated `apply`, the merged OR view, and
+//!   the rule that a miss speaks only for ledgers whose filter is held;
 //! * [`proxy`] — [`SharedProxy`], the one proxy: the decision pipeline
 //!   (filter → cache → ledger) as a sans-io, fully `&self` state machine
 //!   (snapshot-swapped filters, striped cache, atomic counters) that the

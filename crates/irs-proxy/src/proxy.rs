@@ -58,8 +58,8 @@ impl Default for ProxyConfig {
 /// What the proxy decides for one lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LookupOutcome {
-    /// Answered locally: the merged revoked-set filter misses, so no
-    /// ledger has this record revoked.
+    /// Answered locally: the record's ledger's filter is held and the
+    /// merged revoked-set filter misses, so the record is not revoked.
     NotRevokedByFilter,
     /// Answered locally from the status cache.
     Cached(RevocationStatus),
@@ -267,7 +267,7 @@ impl SharedProxy {
         {
             let span = SpanRecorder::maybe(trace, "proxy:filter");
             let filters = self.filters_snapshot();
-            if filters.might_be_revoked(id.filter_key()) == Some(false) {
+            if filters.might_be_revoked(id.ledger, id.filter_key()) == Some(false) {
                 self.obs.filter_negative.inc();
                 span.verdict("negative");
                 return LookupOutcome::NotRevokedByFilter;
@@ -492,6 +492,45 @@ mod tests {
         assert_eq!(p.lookup(rid(5), TimeMs(0)), LookupOutcome::NeedsLedgerQuery);
     }
 
+    /// Regression: a miss used to be "not revoked on any ledger" as soon
+    /// as *one* ledger's filter was installed, so while another shard's
+    /// first refresh was still outstanding (down, unpublished, second to
+    /// arrive) its revoked photos validated as fresh with no staleness
+    /// bound.
+    #[test]
+    fn a_filter_miss_is_authoritative_only_for_ledgers_whose_filter_is_held() {
+        let p = small_proxy(&[rid(1)]);
+        let foreign = RecordId::new(LedgerId(2), 7);
+        assert_eq!(
+            p.filters_snapshot()
+                .might_be_revoked(LedgerId(2), foreign.filter_key()),
+            None
+        );
+        assert_eq!(
+            p.lookup(foreign, TimeMs(0)),
+            LookupOutcome::NeedsLedgerQuery
+        );
+        assert_eq!(
+            p.lookup(rid(7), TimeMs(0)),
+            LookupOutcome::NotRevokedByFilter
+        );
+        // Once ledger 2's own filter arrives its misses count too, and
+        // the OR still spans both: ledger 1's revoked key hits under
+        // either name.
+        let empty = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
+        p.update_filters(|fs| fs.apply(LedgerId(2), FilterUpdate::full(1, empty.to_bytes())))
+            .unwrap();
+        assert_eq!(
+            p.lookup(foreign, TimeMs(0)),
+            LookupOutcome::NotRevokedByFilter
+        );
+        assert_eq!(
+            p.filters_snapshot()
+                .might_be_revoked(LedgerId(2), rid(1).filter_key()),
+            Some(true)
+        );
+    }
+
     #[test]
     fn stats_load_reduction() {
         let p = small_proxy(&[rid(1)]);
@@ -600,7 +639,7 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert_eq!(p.filters_snapshot().version(LedgerId(1)), 19);
+        assert_eq!(p.filters_snapshot().tiered_state(LedgerId(1)), (1, 19));
         assert_eq!(p.stats().lookups, total);
         assert!(total > 0);
     }
@@ -685,7 +724,8 @@ mod tests {
         assert_eq!(parsed["irs_proxy_cache_entries"], 1.0);
         assert_eq!(parsed["irs_proxy_filter_rejected_updates"], 0.0);
         assert!(parsed["irs_proxy_filter_resident_bytes"] > 0.0);
-        // A rejected update (wrong geometry) surfaces in the exposition.
+        // A rejected update (ledger 2 off ledger 1's geometry) surfaces
+        // in the exposition.
         let odd = BloomFilter::with_params(1 << 12, 6, 0).unwrap();
         assert!(p
             .update_filters(|fs| fs.apply(LedgerId(2), FilterUpdate::full(1, odd.to_bytes())))

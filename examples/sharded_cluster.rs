@@ -151,9 +151,13 @@ fn main() {
             ..retry
         },
     );
-    while filter_proxy.filters_snapshot().version(LedgerId(1)) == 0
-        || filter_proxy.filters_snapshot().version(LedgerId(3)) == 0
-    {
+    let held = |ledger| {
+        filter_proxy
+            .filters_snapshot()
+            .tiered_state(LedgerId(ledger))
+            != (0, 0)
+    };
+    while !(held(1) && held(3)) {
         std::thread::sleep(Duration::from_millis(5));
     }
     for (ledger, stats) in worker.shard_stats() {

@@ -12,23 +12,12 @@ use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
 use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
 
-/// One cadence tick in process: publish, then fetch what a proxy
-/// holding `have_version` is served over `GetFilter`.
-fn publish_and_fetch(ledger: &Ledger, have_version: u64) -> FilterUpdate {
+/// One cadence tick in process: publish, then what a proxy holding
+/// `(epoch, version)` is served.
+fn publish_and_fetch(ledger: &Ledger, (epoch, version): (u64, u64)) -> FilterUpdate {
     ledger.publish_filter();
-    match ledger.handle(Request::GetFilter { have_version }, TimeMs(0)) {
-        Response::FilterFull { version, data } => FilterUpdate::full(version, data),
-        Response::FilterDelta {
-            from_version,
-            to_version,
-            data,
-        } => FilterUpdate::Delta {
-            from_version,
-            to_version,
-            data,
-        },
-        other => panic!("unexpected {other:?}"),
-    }
+    FilterUpdate::from_serve(ledger.tiered_snapshot().serve(epoch, version))
+        .expect("the publish moved the filter")
 }
 
 /// Claim `n` photos on the ledger; revoke those whose index is in
@@ -64,15 +53,18 @@ fn filter_pipeline_full_then_delta_roundtrip() {
     );
     let records = populate(&ledger, 50, |i| i % 10 == 0); // 5 revoked
     let proxy = SharedProxy::new(ProxyConfig::default());
-    let held = || proxy.filters_snapshot().version(LedgerId(1));
+    let held = || proxy.filters_snapshot().tiered_state(LedgerId(1));
 
-    // Hour 1: full snapshot.
+    // Hour 1: full install.
     let first = publish_and_fetch(&ledger, held());
-    assert!(matches!(first, FilterUpdate::Full { .. }), "got {first:?}");
+    assert!(
+        matches!(first, FilterUpdate::Tiered { .. }),
+        "got {first:?}"
+    );
     proxy
         .update_filters(|fs| fs.apply(LedgerId(1), first))
         .unwrap();
-    assert_eq!(held(), 1);
+    assert_eq!(held(), (1, 1));
 
     // Revoked records hit the filter; unrevoked ones miss.
     for (i, (id, _)) in records.iter().enumerate() {
@@ -99,7 +91,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
     let FilterUpdate::Delta { data, .. } = &second else {
         panic!("expected delta, got {second:?}");
     };
-    let full_bytes = ledger.published_filter().unwrap().to_bytes().len();
+    let full_bytes = ledger.tiered_snapshot().delta().to_bytes().len();
     assert!(
         data.len() < full_bytes / 4,
         "delta {} vs full {full_bytes} bytes",
@@ -108,7 +100,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
     proxy
         .update_filters(|fs| fs.apply(LedgerId(1), second))
         .unwrap();
-    assert_eq!(held(), 2);
+    assert_eq!(held(), (1, 2));
     // The newly revoked records now hit.
     for (i, (id, _)) in records.iter().enumerate() {
         if i % 10 == 5 {
@@ -130,7 +122,7 @@ fn browser_proxy_ledger_validation_chain() {
     let records = populate(&ledger, 30, |i| i == 3);
     let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), publish_and_fetch(&ledger, 0)))
+        .update_filters(|fs| fs.apply(LedgerId(1), publish_and_fetch(&ledger, (0, 0))))
         .unwrap();
 
     let mut validator = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
@@ -182,7 +174,8 @@ fn in_browser_filter_cuts_proxy_traffic() {
     );
     let records = populate(&ledger, 40, |i| i == 0);
     ledger.publish_filter();
-    let filter = ledger.published_filter().unwrap();
+    // One revoked key: no base sealed, the delta tier is the whole filter.
+    let filter = ledger.tiered_snapshot().delta().clone();
 
     let mut with_filter = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
     with_filter.install_filter(filter);

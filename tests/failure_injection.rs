@@ -72,7 +72,7 @@ fn truncated_filter_payload_rejected_cleanly() {
     let rv = irs::protocol::RevokeRequest::create(&shot.keypair, id, true, 0);
     l.handle(Request::Revoke(rv), TimeMs(1));
     l.publish_filter();
-    let full = l.published_filter().unwrap().to_bytes();
+    let full = l.tiered_snapshot().delta().to_bytes();
     // Truncate at several points: every one must fail without panicking
     // and without corrupting the proxy's filter set.
     for cut in [0usize, 4, 10, full.len() - 1] {
@@ -628,7 +628,10 @@ fn wire_decoder_never_panics_on_mutated_frames() {
             id: RecordId::new(LedgerId(1), 5),
         },
         Request::Claim(ClaimRequest::create(&kp, &irs::crypto::Digest::of(b"p"))),
-        Request::GetFilter { have_version: 3 },
+        Request::GetFilterTiered {
+            have_epoch: 2,
+            have_version: 3,
+        },
         Request::Batch(vec![RecordId::new(LedgerId(1), 1)]),
     ];
     for req in requests {

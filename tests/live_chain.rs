@@ -5,7 +5,7 @@
 use irs::filters::BloomFilter;
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::net::service::{CallCtx, Service, TcpTransport};
-use irs::net::{LedgerServer, ProxyServer};
+use irs::net::{LedgerServer, ProxyServer, RefreshOutcome};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
@@ -118,15 +118,12 @@ fn filter_fetch_over_wire() {
 
     let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
     let client = connect(server.addr());
-    let Response::FilterFull { version, data } =
-        call(&client, Request::GetFilter { have_version: 0 })
-    else {
-        panic!("expected full filter");
-    };
     let proxy = SharedProxy::new(ProxyConfig::default());
-    proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(version, data)))
-        .unwrap();
+    let outcome = irs::net::refresh::refresh(&proxy, &client, LedgerId(1)).unwrap();
+    assert!(
+        matches!(outcome, RefreshOutcome::InstalledTiered { .. }),
+        "{outcome:?}"
+    );
     // The revoked id hits; a fresh id misses.
     use irs::proxy::LookupOutcome;
     assert_eq!(

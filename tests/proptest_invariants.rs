@@ -3,11 +3,11 @@
 use bytes::Bytes;
 use irs::crypto::Keypair;
 use irs::filters::delta::BloomDelta;
-use irs::filters::{BloomFilter, CountingBloom, Filter, Fuse8, Xor8};
+use irs::filters::{BloomFilter, Filter, Fuse8, TieredConfig, TieredPublisher, Xor8};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response, Wire};
-use irs::proxy::LruTtlCache;
+use irs::proxy::{FilterSet, FilterUpdate, LruTtlCache};
 use proptest::prelude::*;
 
 proptest! {
@@ -18,38 +18,42 @@ proptest! {
     fn filters_have_no_false_negatives(keys in prop::collection::hash_set(any::<u64>(), 1..400)) {
         let keys: Vec<u64> = keys.into_iter().collect();
         let mut bloom = BloomFilter::for_capacity(keys.len() as u64, 0.01).unwrap();
-        let mut counting = CountingBloom::for_capacity(keys.len() as u64, 0.01).unwrap();
         for &k in &keys {
             bloom.insert(k);
-            counting.insert(k);
         }
         let xor = Xor8::build(&keys).unwrap();
         let fuse = Fuse8::build(&keys).unwrap();
         for &k in &keys {
             prop_assert!(bloom.contains(k));
-            prop_assert!(counting.contains(k));
             prop_assert!(xor.contains(k));
             prop_assert!(fuse.contains(k));
         }
     }
 
-    /// Counting filter: removing a subset never loses the rest.
+    /// Un-revocation: a publish after a subset is unrevoked never loses
+    /// the rest, sealed base or not, for a proxy following along.
     #[test]
-    fn counting_bloom_removal_preserves_others(
+    fn republish_after_unrevocation_preserves_others(
         keys in prop::collection::hash_set(any::<u64>(), 2..200),
         remove_fraction in 0.0f64..0.9,
+        seals in any::<bool>(),
     ) {
         let keys: Vec<u64> = keys.into_iter().collect();
-        let mut f = CountingBloom::for_capacity(keys.len() as u64, 0.01).unwrap();
-        for &k in &keys {
-            f.insert(k);
-        }
+        let compact_at = if seals { 16 } else { u64::MAX };
+        let cfg = TieredConfig { delta_capacity: 256, delta_fpr: 0.01, compact_at };
+        let mut publisher = TieredPublisher::new(cfg).unwrap();
+        let mut held = FilterSet::new();
         let cut = ((keys.len() as f64) * remove_fraction) as usize;
-        for &k in &keys[..cut] {
-            f.remove(k);
+        for revoked in [&keys[..], &keys[cut..]] {
+            publisher.publish(&revoked.iter().copied().collect()).unwrap();
+            let (epoch, version) = held.tiered_state(LedgerId(1));
+            let serve = publisher.snapshot().serve(epoch, version);
+            if let Some(update) = FilterUpdate::from_serve(serve) {
+                held.apply(LedgerId(1), update).unwrap();
+            }
         }
         for &k in &keys[cut..] {
-            prop_assert!(f.contains(k), "kept key lost after removals");
+            prop_assert_eq!(held.might_be_revoked(LedgerId(1), k), Some(true));
         }
     }
 
@@ -102,7 +106,7 @@ proptest! {
         let req = match tag {
             0 => Request::Ping,
             1 => Request::Query { id },
-            2 => Request::GetFilter { have_version: version },
+            2 => Request::GetFilterTiered { have_epoch: serial, have_version: version },
             3 => Request::Revoke(irs::protocol::RevokeRequest::create(&kp, id, revoke, version)),
             _ => Request::Batch(batch.iter().map(|&s| RecordId::new(LedgerId(2), s)).collect()),
         };

@@ -46,10 +46,10 @@ fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
         ids.push(id);
     }
     ledger.publish_filter();
-    let filter_bytes = ledger.published_filter().unwrap().to_bytes();
+    let bootstrap = FilterUpdate::from_serve(ledger.tiered_snapshot().serve(0, 0)).unwrap();
     let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter_bytes)))
+        .update_filters(|fs| fs.apply(LedgerId(1), bootstrap))
         .unwrap();
     (
         World {
