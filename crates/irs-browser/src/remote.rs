@@ -153,7 +153,7 @@ mod tests {
     use irs_core::claim::RevocationStatus;
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::policy::ViewerPolicy;
-    use irs_net::service::{service_fn, stacks};
+    use irs_net::service::{service_fn, stacks, Pending};
     use irs_net::NetError;
 
     fn rid(n: u64) -> RecordId {
@@ -275,7 +275,9 @@ mod tests {
             fn call(&self, _req: Request, _ctx: &CallCtx) -> Result<Response, NetError> {
                 panic!("a page must go down as one group")
             }
-            fn call_all(&self, r: Vec<Request>, _c: &CallCtx) -> Vec<Result<Response, NetError>> {
+            // Like the wire: answers decided when the group is sent,
+            // collected when it is waited.
+            fn start_all(&self, r: Vec<Request>, _c: &CallCtx) -> Pending<'_> {
                 self.0.lock().unwrap().push(r.len());
                 let answer = |req| match req {
                     Request::Query { id } if id.serial == 3 => Err(NetError::ConnectionLost),
@@ -291,7 +293,8 @@ mod tests {
                     }),
                     _ => panic!("validator must only send queries"),
                 };
-                r.into_iter().map(answer).collect()
+                let answers: Vec<_> = r.into_iter().map(answer).collect();
+                Pending::Later(Box::new(move || answers))
             }
         }
         let unlabeled = LabelReading {

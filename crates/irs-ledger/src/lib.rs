@@ -49,7 +49,6 @@ pub mod adversarial;
 pub mod appeals;
 pub mod chaosdisk;
 pub mod disk;
-pub mod payments;
 pub mod placement;
 pub mod probe;
 pub mod recovery;

@@ -7,9 +7,10 @@
 //! to the shared stream, and a single reader thread matches arriving
 //! responses back to waiting callers by that order — slot *k* in the
 //! FIFO of in-flight correlation ids owns the *k*-th response frame. A
-//! group ([`MuxClient::call_all`]) takes consecutive slots and puts all
+//! group ([`MuxClient::send_all`]) takes consecutive slots and puts all
 //! its frames on the wire in one `write`, so a page's misses cost one
-//! exchange, not one each.
+//! exchange, not one each; the caller collects the answers later
+//! ([`Sent::wait`]), so several groups can be in flight at once.
 //!
 //! Failure semantics: any transport error is fatal to the connection
 //! (ordered correlation cannot resynchronize a torn stream), every
@@ -198,22 +199,20 @@ impl MuxClient {
     /// must redial); [`NetError::DeadlineExceeded`] abandons only this
     /// call — the connection stays usable.
     pub fn call(&self, request: &Request, deadline: Instant) -> Result<Response, NetError> {
-        let mut answers = self.call_all(std::slice::from_ref(request), deadline);
+        let sent = self.send_all(std::slice::from_ref(request), deadline);
+        let mut answers = sent.wait();
         answers.pop().expect("one answer per request")
     }
 
-    /// A group of pipelined exchanges: every request takes a slot and
-    /// all frames go out in **one `write`** under the writer lock, then
-    /// the slots are waited on — the server answers such a burst in one
-    /// turn. One answer per request, in order, each failing on its own:
-    /// a request that cannot be encoded never touches the stream, a
-    /// deadline abandons only the slots still empty, and a dead
-    /// connection fails exactly the unanswered ones.
-    pub fn call_all(
-        &self,
-        requests: &[Request],
-        deadline: Instant,
-    ) -> Vec<Result<Response, NetError>> {
+    /// Put a group of pipelined exchanges on the wire: every request
+    /// takes a slot and all frames go out in **one `write`** under the
+    /// writer lock — the server answers such a burst in one turn — and
+    /// return without waiting; [`Sent::wait`] collects the answers. One
+    /// answer per request, in order, each failing on its own: a request
+    /// that cannot be encoded never touches the stream, a deadline
+    /// abandons only the slots still empty when they are waited on, and a
+    /// dead connection fails exactly the unanswered ones.
+    pub fn send_all(&self, requests: &[Request], deadline: Instant) -> Sent {
         // Encode before touching the stream: an unencodable request is
         // the caller's bug and must not poison a healthy connection.
         let payloads: Vec<Result<bytes::Bytes, NetError>> =
@@ -227,7 +226,8 @@ impl MuxClient {
             None
         };
         if let Some(e) = refuse {
-            return payloads.map(|p| p.and(Err(e.replicate()))).collect();
+            let slots = payloads.map(|p| p.and(Err(e.replicate()))).collect();
+            return Sent { slots, deadline };
         }
 
         let slots: Vec<Result<Arc<Slot>, NetError>> = {
@@ -252,10 +252,28 @@ impl MuxClient {
             }
             slots
         };
+        Sent { slots, deadline }
+    }
+}
 
+/// A group [`MuxClient::send_all`] put on the wire, not yet collected.
+/// Dropping it unwaited leaves its slots in the FIFO: the reader still
+/// consumes their responses, so later calls get their own answers.
+#[must_use = "a sent group must be waited"]
+pub struct Sent {
+    slots: Vec<Result<Arc<Slot>, NetError>>,
+    deadline: Instant,
+}
+
+impl Sent {
+    /// The answers, in request order. A slot already filled answers
+    /// whatever the clock says; only one still empty at `deadline`
+    /// is abandoned.
+    pub fn wait(self) -> Vec<Result<Response, NetError>> {
         // Responses arrive in slot order, so waiting on the last slot
         // first parks this thread once for the whole group.
-        let waited = slots.into_iter().rev();
+        let deadline = self.deadline;
+        let waited = self.slots.into_iter().rev();
         let mut answers: Vec<_> = waited.map(|s| s?.wait(deadline)).collect();
         answers.reverse();
         answers
@@ -546,10 +564,8 @@ mod tests {
         let (addr, join) = scripted_peer(4, 2, true);
         let mux = MuxClient::connect(addr).unwrap();
         let deadline = Instant::now() + Duration::from_millis(100);
-        let answers = mux.call_all(
-            &[Request::Ping, Request::Ping, Request::Ping, Request::Ping],
-            deadline,
-        );
+        let pings = [Request::Ping, Request::Ping, Request::Ping, Request::Ping];
+        let answers = mux.send_all(&pings, deadline).wait();
         assert_eq!(
             (seq_of(&answers[0]), seq_of(&answers[1])),
             ("seq 0", "seq 1")
@@ -567,10 +583,8 @@ mod tests {
     fn group_server_death_fails_exactly_the_unanswered_items() {
         let (addr, join) = scripted_peer(4, 2, false);
         let mux = MuxClient::connect(addr).unwrap();
-        let answers = mux.call_all(
-            &[Request::Ping, Request::Ping, Request::Ping, Request::Ping],
-            far(),
-        );
+        let pings = [Request::Ping, Request::Ping, Request::Ping, Request::Ping];
+        let answers = mux.send_all(&pings, far()).wait();
         join();
         assert_eq!(
             (seq_of(&answers[0]), seq_of(&answers[1])),

@@ -8,13 +8,14 @@
 //! [`reactor`](crate::reactor) engine, which hands the handler a *burst*
 //! — every frame one readiness event delivered — and each run of `Query`
 //! frames in it goes down the stack as one [`Service::call_all`], so a
-//! page's misses overlap into one upstream exchange per shard. Because a
-//! handler may *block* on that bounded upstream call (the stack's
-//! transport waits for the ledger's answers), the worker pool is sized
-//! several times the core count — a blocked handler parks its worker
-//! once per shard per burst, and the pool must keep enough event loops
-//! live to serve cache hits meanwhile (DESIGN.md §12 has the sizing
-//! rule). Handler state is shared, `&self`, lock-striped:
+//! page's misses overlap into one upstream exchange per shard, every
+//! shard's in flight at once. Because a handler may *block* on that
+//! bounded upstream call (the stack's transport waits for the ledger's
+//! answers), the worker pool is sized several times the core count — a
+//! blocked handler parks its worker once per burst, and the pool must
+//! keep enough event loops live to serve cache hits meanwhile (DESIGN.md
+//! §12 has the sizing rule). Handler state is shared, `&self`,
+//! lock-striped:
 //! one [`SharedProxy`] and one composed [`Service`] stack behind plain
 //! `Arc`s, so a filter refresh or a slow upstream call on one connection
 //! never blocks lookups on another.

@@ -9,10 +9,12 @@
 //! purpose — one logical call is one verdict, no matter how many
 //! attempts the retry layer burned (DESIGN.md §10).
 
-use super::{call_one, Answers, CallCtx, Layer, Service};
+use super::{Answers, CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::ids::LedgerId;
+use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
+use irs_obs::MaybeSpan;
 use irs_proxy::SharedProxy;
 use std::sync::Arc;
 
@@ -75,11 +77,47 @@ impl<S> Breaker<S> {
             Request::Batch(ids) => ids.first().map(|id| id.ledger).unwrap_or(self.fallback),
         }
     }
+
+    /// `req`'s ledger when its breaker admits it. An open one fails fast
+    /// and records nothing — probes are admitted by `allow` itself once
+    /// the cooldown elapses.
+    fn admit(&self, req: &Request, now: TimeMs, span: &MaybeSpan) -> Option<LedgerId> {
+        let ledger = self.ledger_of(req);
+        let admitted = self.proxy.breaker(ledger).allow(now);
+        if !admitted {
+            span.verdict("open");
+        }
+        admitted.then_some(ledger)
+    }
+
+    /// One verdict for one answer. Any answer counts as healthy — an
+    /// application-level error still proves the exchange path works.
+    /// That includes shed load: an `Overloaded` answer (or the typed
+    /// error retries reduce it to) is backpressure from a live server,
+    /// and tripping the breaker on it would turn an overload into a
+    /// self-inflicted outage.
+    fn record(
+        &self,
+        ledger: LedgerId,
+        result: &Result<Response, NetError>,
+        now: TimeMs,
+        span: &MaybeSpan,
+    ) {
+        let healthy = matches!(result, Ok(_) | Err(NetError::Overloaded { .. }));
+        self.proxy.record_upstream(ledger, healthy, now);
+        span.verdict_result(result, "err");
+    }
 }
 
 impl<S: Service> Service for Breaker<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        call_one(self, req, ctx)
+        let span = ctx.span("breaker");
+        let ledger = self
+            .admit(&req, ctx.now, &span)
+            .ok_or(NetError::BreakerOpen)?;
+        let result = self.inner.call(req, ctx);
+        self.record(ledger, &result, ctx.now, &span);
+        result
     }
 
     /// Gates each item on its own ledger's breaker, forwards the
@@ -87,38 +125,31 @@ impl<S: Service> Service for Breaker<S> {
     /// group is admitted before its first verdict lands — a closed
     /// breaker lets a whole page through to a shard that just died — but
     /// a half-open one admits exactly one probe; the rest fail fast.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+    /// Verdicts are recorded when the group is waited.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
         let span = ctx.span("breaker");
         let mut answers = Answers::new(reqs.len());
         let (mut admitted, mut forward) = (Vec::new(), Vec::new());
         for (i, req) in reqs.into_iter().enumerate() {
-            let ledger = self.ledger_of(&req);
-            if self.proxy.breaker(ledger).allow(ctx.now) {
-                admitted.push((i, ledger));
-                forward.push(req);
-            } else {
-                // Open: fail fast, and record nothing — probes are
-                // admitted by `allow` itself once the cooldown elapses.
-                span.verdict("open");
-                answers.set(i, Err(NetError::BreakerOpen));
+            match self.admit(&req, ctx.now, &span) {
+                Some(ledger) => {
+                    admitted.push((i, ledger));
+                    forward.push(req);
+                }
+                None => answers.set(i, Err(NetError::BreakerOpen)),
             }
         }
         if forward.is_empty() {
-            return answers.finish();
+            return Pending::Ready(answers.finish());
         }
-        for ((i, ledger), result) in admitted.into_iter().zip(self.inner.call_all(forward, ctx)) {
-            // Any answer counts as healthy — an application-level error
-            // still proves the exchange path works. That includes shed
-            // load: an `Overloaded` answer (or the typed error retries
-            // reduce it to) is backpressure from a live server, and
-            // tripping the breaker on it would turn an overload into a
-            // self-inflicted outage.
-            let healthy = matches!(&result, Ok(_) | Err(NetError::Overloaded { .. }));
-            self.proxy.record_upstream(ledger, healthy, ctx.now);
-            span.verdict_result(&result, "err");
-            answers.set(i, result);
-        }
-        answers.finish()
+        let now = ctx.now;
+        self.inner.start_all(forward, ctx).then(move |results| {
+            for ((i, ledger), result) in admitted.into_iter().zip(results) {
+                self.record(ledger, &result, now, &span);
+                answers.set(i, result);
+            }
+            answers.finish()
+        })
     }
 }
 

@@ -11,10 +11,11 @@
 //! bumps `irs_proxy_mismatched_answers_total`. Non-`Query` requests pass
 //! straight through.
 
-use super::{Answers, CallCtx, Layer, Service};
+use super::{Answers, CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::RecordId;
+use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
 use irs_obs::{Counter, MaybeSpan};
 use irs_proxy::{LookupOutcome, SharedProxy};
@@ -83,7 +84,7 @@ impl<S: Service> Cache<S> {
         &self,
         asked: RecordId,
         result: Result<Response, NetError>,
-        ctx: &CallCtx,
+        now: TimeMs,
         span: &MaybeSpan,
     ) -> Result<Response, NetError> {
         span.verdict_result(&result, "err");
@@ -97,7 +98,7 @@ impl<S: Service> Cache<S> {
             return Err(NetError::Frame("answer names a different record"));
         }
         if let Response::Status { status, .. } = response {
-            self.proxy.complete(asked, status, ctx.now);
+            self.proxy.complete(asked, status, now);
         }
         Ok(response)
     }
@@ -112,15 +113,16 @@ impl<S: Service> Service for Cache<S> {
         };
         match self.answer_locally(id, ctx, &span) {
             Some(local) => Ok(local),
-            None => self.settle(id, self.inner.call(req, ctx), ctx, &span),
+            None => self.settle(id, self.inner.call(req, ctx), ctx.now, &span),
         }
     }
 
-    /// Looks every `Query` up first, then forwards only the misses (and
-    /// any non-`Query` request) as one group. Built from the steps
-    /// `call` is built from; a one-frame validate that the cache answers
-    /// is the latency floor and should not pay for a group's vectors.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+    /// Looks every `Query` up first, then starts only the misses (and
+    /// any non-`Query` request) as one group, and writes fresh answers
+    /// back when it is waited. Built from the steps `call` is built
+    /// from; a one-frame validate that the cache answers is the latency
+    /// floor and should not pay for a group's vectors.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
         let span = ctx.span("cache");
         let mut answers = Answers::new(reqs.len());
         // What goes inward: the slot it answers and, for a miss, the id
@@ -140,18 +142,21 @@ impl<S: Service> Service for Cache<S> {
             }
         }
         if forward.is_empty() {
-            return answers.finish();
+            return Pending::Ready(answers.finish());
         }
-        for ((i, asked), result) in asked.into_iter().zip(self.inner.call_all(forward, ctx)) {
-            answers.set(
-                i,
-                match asked {
-                    Some(id) => self.settle(id, result, ctx, &span),
-                    None => result,
-                },
-            );
-        }
-        answers.finish()
+        let now = ctx.now;
+        self.inner.start_all(forward, ctx).then(move |results| {
+            for ((i, asked), result) in asked.into_iter().zip(results) {
+                answers.set(
+                    i,
+                    match asked {
+                        Some(id) => self.settle(id, result, now, &span),
+                        None => result,
+                    },
+                );
+            }
+            answers.finish()
+        })
     }
 }
 

@@ -6,9 +6,10 @@
 //! lands on the next replica in line. The failure itself still surfaces
 //! — retrying is the retry layer's job, not this one's.
 
-use super::{call_one, CallCtx, Layer, Service};
+use super::{CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::wire::{Request, Response};
+use irs_obs::MaybeSpan;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Wraps a `Vec` of per-replica services into one rotating service.
@@ -49,37 +50,49 @@ impl<S> Failover<S> {
     pub fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
+
+    /// The end of an attempt on replica `index`: a failure rotates the
+    /// cursor once.
+    fn settle(&self, index: usize, all_ok: bool, span: &MaybeSpan) {
+        let len = self.replicas.len();
+        if all_ok {
+            span.verdict("ok");
+            return;
+        }
+        span.verdict(if len > 1 { "rotated" } else { "err" });
+        if len > 1 {
+            // Racing failures both try to advance from `index`;
+            // only one rotation happens per observed position.
+            let _ = self.cursor.compare_exchange(
+                index,
+                (index + 1) % len,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            self.failovers.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl<S: Service> Service for Failover<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        call_one(self, req, ctx)
+        let span = ctx.span("failover");
+        let index = self.current_index();
+        let answer = self.replicas[index].call(req, ctx);
+        self.settle(index, answer.is_ok(), &span);
+        answer
     }
 
     /// The whole group goes to the cursor's replica; any failure in it
     /// is one failed attempt — one rotation, however many items failed.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
         let span = ctx.span("failover");
-        let len = self.replicas.len();
-        let index = self.cursor.load(Ordering::Relaxed) % len;
-        let answers = self.replicas[index].call_all(reqs, ctx);
-        if answers.iter().all(Result::is_ok) {
-            span.verdict("ok");
-        } else {
-            span.verdict(if len > 1 { "rotated" } else { "err" });
-            if len > 1 {
-                // Racing failures both try to advance from `index`;
-                // only one rotation happens per observed position.
-                let _ = self.cursor.compare_exchange(
-                    index,
-                    (index + 1) % len,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        answers
+        let index = self.current_index();
+        let started = self.replicas[index].start_all(reqs, ctx);
+        started.then(move |answers| {
+            self.settle(index, answers.iter().all(Result::is_ok), &span);
+            answers
+        })
     }
 }
 

@@ -167,26 +167,55 @@ pub trait Service: Send + Sync {
     /// Process one request.
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError>;
 
-    /// Process a group — a page's worth of requests issued together —
+    /// Start a group — a page's worth of requests issued together —
     /// under one `ctx` (one clock reading, one deadline: what the caller
-    /// waits for is the group). One answer per request, in request
-    /// order. The default is one [`call`](Service::call) after another;
-    /// the layers of the canonical ladder override it to keep each
-    /// item's semantics while the misses overlap on the wire
-    /// (DESIGN.md §10), and build `call` as the group of one.
+    /// waits for is the group); [`Pending::wait`] yields one answer per
+    /// request, in request order. The default is eager: one
+    /// [`call`](Service::call) after another. The ladder's layers
+    /// override it so the misses overlap on the wire (DESIGN.md §10),
+    /// and build `call` from the same steps, straight down: one frame
+    /// defers nothing.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        Pending::Ready(reqs.into_iter().map(|req| self.call(req, ctx)).collect())
+    }
+
+    /// Process a group: [`start_all`](Service::start_all), then wait.
+    /// Never overridden — a layer's group semantics live in `start_all`.
     fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        reqs.into_iter().map(|req| self.call(req, ctx)).collect()
+        self.start_all(reqs, ctx).wait()
     }
 }
 
-/// `call` for a layer whose one body is `call_all`: the group of one.
-fn call_one<S: Service + ?Sized>(
-    svc: &S,
-    req: Request,
-    ctx: &CallCtx,
-) -> Result<Response, NetError> {
-    let mut answers = svc.call_all(vec![req], ctx);
-    answers.pop().expect("call_all answers every request")
+/// A started group: its answers, or the step that collects them. It
+/// borrows only the service that started it, and must be waited: the
+/// bookkeeping (verdicts, write-back, spans) happens in
+/// [`wait`](Pending::wait). Dropped unwaited it loses that, but never
+/// desynchronises a connection — late responses are discarded.
+#[must_use = "a started group must be waited"]
+pub enum Pending<'a> {
+    /// Answered already.
+    Ready(Vec<Result<Response, NetError>>),
+    /// On its way; the closure collects the answers.
+    Later(Box<dyn FnOnce() -> Vec<Result<Response, NetError>> + 'a>),
+}
+
+impl<'a> Pending<'a> {
+    /// The answers, one per request, in request order.
+    pub fn wait(self) -> Vec<Result<Response, NetError>> {
+        match self {
+            Pending::Ready(answers) => answers,
+            Pending::Later(collect) => collect(),
+        }
+    }
+
+    /// A layer's second phase: `finish` runs on the answers when the
+    /// group is waited, never at start.
+    fn then<F>(self, finish: F) -> Pending<'a>
+    where
+        F: FnOnce(Vec<Result<Response, NetError>>) -> Vec<Result<Response, NetError>> + 'a,
+    {
+        Pending::Later(Box::new(move || finish(self.wait())))
+    }
 }
 
 /// A group's answers while a layer gathers them out of order (local
@@ -229,8 +258,8 @@ impl<S: Service + ?Sized> Service for Box<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
     }
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        (**self).call_all(reqs, ctx)
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        (**self).start_all(reqs, ctx)
     }
 }
 
@@ -238,8 +267,8 @@ impl<S: Service + ?Sized> Service for Arc<S> {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
     }
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        (**self).call_all(reqs, ctx)
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        (**self).start_all(reqs, ctx)
     }
 }
 
@@ -247,8 +276,8 @@ impl<S: Service + ?Sized> Service for &S {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         (**self).call(req, ctx)
     }
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        (**self).call_all(reqs, ctx)
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        (**self).start_all(reqs, ctx)
     }
 }
 

@@ -10,10 +10,11 @@
 //! rung of the degradation ladder: reconnect, bounded retries, replica
 //! rotation, all inside one deadline.
 
-use super::{call_one, Answers, CallCtx, Layer, Service};
+use super::{Answers, CallCtx, Layer, Pending, Service};
 use crate::chaos::splitmix64;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
+use irs_obs::MaybeSpan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,47 +159,53 @@ impl<S> Retry<S> {
     }
 }
 
-impl<S: Service> Service for Retry<S> {
-    fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        call_one(self, req, ctx)
-    }
-
-    /// One loop for the whole group: each attempt resends only the
-    /// requests still unanswered, and one backoff separates attempts.
-    /// Counters count per request, as if each had been retried alone.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        let span = ctx.span("retry");
-        // The budget is `min(caller's deadline, now + call_deadline)`:
-        // `with_deadline` keeps the earlier instant, and the loop below
-        // reads the deadline back *from the tightened ctx* — a caller
-        // that granted less than the policy's allowance wins (§10:
-        // layers only ever shrink the budget).
+impl<S: Service> Retry<S> {
+    /// Count the first attempt of `len` requests and return its ctx and
+    /// deadline, `min(caller's deadline, now + call_deadline)`:
+    /// `with_deadline` keeps the earlier instant and the deadline is
+    /// read back *from the tightened ctx* — a caller that granted less
+    /// than the policy's allowance wins (§10: layers only ever shrink the
+    /// budget). `None` when the caller arrived with nothing left: refuse
+    /// rather than burn an attempt that cannot finish inside the budget.
+    fn first_attempt(
+        &self,
+        len: usize,
+        ctx: &CallCtx,
+        span: &MaybeSpan,
+    ) -> Option<(CallCtx, Instant)> {
         let ctx = ctx.with_deadline(Instant::now() + self.policy.call_deadline);
         let deadline = ctx.deadline.expect("with_deadline always sets one");
         if Instant::now() >= deadline {
-            // The caller arrived with nothing left: refuse rather than
-            // burn an attempt that cannot finish inside the budget.
             span.verdict("deadline");
-            let refused = reqs.iter().map(|_| Err(NetError::DeadlineExceeded));
-            return refused.collect();
+            return None;
         }
+        self.shared
+            .attempts
+            .fetch_add(len as u64, Ordering::Relaxed);
+        Some((ctx, deadline))
+    }
+
+    /// Everything after the first attempt: each attempt resends only the
+    /// requests still unanswered, and one backoff separates attempts.
+    /// Counters count per request, as if each had been retried alone.
+    fn resend(
+        &self,
+        reqs: Vec<Request>,
+        mut answered: Vec<Result<Response, NetError>>,
+        ctx: &CallCtx,
+        deadline: Instant,
+        span: &MaybeSpan,
+    ) -> Vec<Result<Response, NetError>> {
         let mut answers = Answers::new(reqs.len());
         let mut pending: Vec<usize> = (0..reqs.len()).collect();
-        let mut attempts = 0u32;
-        while !pending.is_empty() {
-            attempts += 1;
-            let sent = pending.len() as u64;
-            self.shared.attempts.fetch_add(sent, Ordering::Relaxed);
-            if attempts > 1 {
-                self.shared.retries.fetch_add(sent, Ordering::Relaxed);
-            }
-            let resend = pending.iter().map(|&i| reqs[i].clone()).collect();
+        let mut attempts = 1u32;
+        loop {
             // A shed answer (`Response::Overloaded`) is retryable like an
             // error, but its backoff honors the server's hint: sleep at
             // least `retry_after_ms` — hammering a shedding server with
             // the normal (often shorter) backoff would feed the storm.
             let mut unanswered: Vec<(usize, Option<u64>)> = Vec::new();
-            for (i, answer) in pending.drain(..).zip(self.inner.call_all(resend, &ctx)) {
+            for (i, answer) in pending.drain(..).zip(answered) {
                 match answer {
                     Ok(Response::Overloaded { retry_after_ms }) => {
                         unanswered.push((i, Some(retry_after_ms)))
@@ -221,9 +228,10 @@ impl<S: Service> Service for Retry<S> {
                 std::thread::sleep(backoff.min(remaining));
             }
             if spent {
+                let exhausted = unanswered.len() as u64;
                 self.shared
                     .exhausted
-                    .fetch_add(unanswered.len() as u64, Ordering::Relaxed);
+                    .fetch_add(exhausted, Ordering::Relaxed);
                 span.verdict("exhausted");
                 for (i, shed_hint) in unanswered {
                     let gave_up = match shed_hint {
@@ -237,8 +245,39 @@ impl<S: Service> Service for Retry<S> {
                 break;
             }
             pending = unanswered.into_iter().map(|(i, _)| i).collect();
+            attempts += 1;
+            let sent = pending.len() as u64;
+            self.shared.attempts.fetch_add(sent, Ordering::Relaxed);
+            self.shared.retries.fetch_add(sent, Ordering::Relaxed);
+            let resend = pending.iter().map(|&i| reqs[i].clone()).collect();
+            answered = self.inner.call_all(resend, ctx);
         }
         answers.finish()
+    }
+}
+
+impl<S: Service> Service for Retry<S> {
+    fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        let span = ctx.span("retry");
+        let (ctx, deadline) = self
+            .first_attempt(1, ctx, &span)
+            .ok_or(NetError::DeadlineExceeded)?;
+        let first = self.inner.call(req.clone(), &ctx);
+        let mut answers = self.resend(vec![req], vec![first], &ctx, deadline, &span);
+        answers.pop().expect("one answer per request")
+    }
+
+    /// One loop for the whole group. Only the first attempt is started
+    /// here; resends, backoffs and the verdict happen when the group is
+    /// waited.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        let span = ctx.span("retry");
+        let Some((ctx, deadline)) = self.first_attempt(reqs.len(), ctx, &span) else {
+            let refused = reqs.iter().map(|_| Err(NetError::DeadlineExceeded));
+            return Pending::Ready(refused.collect());
+        };
+        let first = self.inner.start_all(reqs.clone(), &ctx);
+        first.then(move |answered| self.resend(reqs, answered, &ctx, deadline, &span))
     }
 }
 

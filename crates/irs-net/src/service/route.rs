@@ -21,8 +21,9 @@
 //! * `Query` / `Revoke` / `GetProof` → exactly by `RecordId::ledger`;
 //! * `Batch` → split per owning shard, sub-batches dispatched per
 //!   shard, statuses reassembled in request order;
-//! * a group ([`Service::call_all`]) → one sub-group per owning shard,
-//!   answers back in request order;
+//! * a group ([`Service::start_all`]) → one sub-group per owning shard,
+//!   every shard's started before any is waited on, answers back in
+//!   request order;
 //! * `GetShardMap` → answered locally from the router's directory;
 //! * unkeyed requests (`GetFilterTiered`, `Ping`, `Metrics`, replication
 //!   ops) → the map's first shard. Per-shard maintenance traffic
@@ -36,7 +37,7 @@
 //! [`NetError::WrongShard`] — never a loop, and never a breaker trip
 //! (refusals are `Ok` responses end to end).
 
-use super::{Answers, BoxService, CallCtx, Layer, Service};
+use super::{Answers, BoxService, CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
@@ -227,7 +228,7 @@ impl Route {
     }
 
     /// Dispatch one keyed request: route, call, heal-and-retry if
-    /// refused — the steps of [`call_all`](Service::call_all) without a
+    /// refused — the steps of [`start_all`](Service::start_all) without a
     /// group's vectors (a one-frame validate is the latency floor).
     fn dispatch(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
         let map = self.dir.current();
@@ -301,14 +302,19 @@ impl Service for Route {
     }
 
     /// `GetShardMap` and `Batch` items are answered in place; the rest go
-    /// out as one group per owning shard (shards in order of first
-    /// appearance, answers back in request order), and an item refused
-    /// with `WrongShard` takes the heal-and-retry path.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+    /// out as one group per owning shard, and an item refused with
+    /// `WrongShard` takes the heal-and-retry path. Every shard's group is
+    /// started before any is waited on (shards in order of first
+    /// appearance, answers back in request order), so a page costs its
+    /// slowest shard's exchange, not their sum. The shard stacks are
+    /// rebuilt under the router's lock as the map changes, so a pending
+    /// cannot borrow them: the router collects its groups before it
+    /// returns.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
         let span = ctx.span("route");
         let map = self.dir.current();
         let mut answers = Answers::new(reqs.len());
-        let mut groups: Vec<(&ShardSpec, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(LedgerId, Arc<BoxService>, Vec<usize>)> = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
             let spec = match req {
                 Request::GetShardMap => Err(Ok(self.local_map())),
@@ -316,26 +322,31 @@ impl Service for Route {
                 keyed => self.target(&map, keyed).map_err(Err),
             };
             match spec {
-                Ok(spec) => match groups.iter_mut().find(|(s, _)| s.ledger == spec.ledger) {
-                    Some((_, members)) => members.push(i),
-                    None => groups.push((spec, vec![i])),
+                Ok(spec) => match groups.iter_mut().find(|(l, ..)| *l == spec.ledger) {
+                    Some((.., members)) => members.push(i),
+                    None => groups.push((spec.ledger, self.stack_for(spec), vec![i])),
                 },
                 Err(answered) => answers.set(i, answered),
             }
         }
-        for (spec, members) in groups {
-            let stack = self.stack_for(spec);
-            let sub = members.iter().map(|&i| reqs[i].clone()).collect();
-            for (i, answer) in members.into_iter().zip(stack.call_all(sub, ctx)) {
+        let started: Vec<_> = groups
+            .iter()
+            .map(|(_, stack, members)| {
+                let sub = members.iter().map(|&i| reqs[i].clone()).collect();
+                stack.start_all(sub, ctx)
+            })
+            .collect();
+        for ((_, stack, members), pending) in groups.iter().zip(started) {
+            for (&i, answer) in members.iter().zip(pending.wait()) {
                 let answer = match answer {
-                    Ok(Response::WrongShard { .. }) => self.refused(&reqs[i], &stack, ctx),
+                    Ok(Response::WrongShard { .. }) => self.refused(&reqs[i], stack, ctx),
                     other => other,
                 };
                 span.verdict_result(&answer, "err");
                 answers.set(i, answer);
             }
         }
-        answers.finish()
+        Pending::Ready(answers.finish())
     }
 }
 

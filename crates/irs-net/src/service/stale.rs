@@ -8,10 +8,12 @@
 //! honest `Unavailable` beats a lie. Non-`Query` failures pass through
 //! untouched: there is no such thing as a stale filter delta.
 
-use super::{call_one, CallCtx, Layer, Service};
+use super::{CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::ids::RecordId;
+use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
+use irs_obs::MaybeSpan;
 use irs_proxy::SharedProxy;
 use std::sync::Arc;
 
@@ -44,23 +46,18 @@ pub struct StaleServe<S> {
     proxy: Arc<SharedProxy>,
 }
 
-impl<S: Service> Service for StaleServe<S> {
-    fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        call_one(self, req, ctx)
-    }
-
-    /// Forwards the group whole and degrades item by item.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
-        let span = ctx.span("stale");
-        let query_ids: Vec<Option<RecordId>> = reqs
-            .iter()
-            .map(|req| match req {
-                Request::Query { id } => Some(*id),
-                _ => None,
-            })
-            .collect();
-        let answers = self.inner.call_all(reqs, ctx).into_iter();
-        let degrade = |(answer, query_id)| match (answer, query_id) {
+impl<S> StaleServe<S> {
+    /// One answer for the request that asked `query_id`, if it was a
+    /// `Query`: a failed one degrades to the last-good status or an
+    /// honest `Unavailable`.
+    fn degrade(
+        &self,
+        answer: Result<Response, NetError>,
+        query_id: Option<RecordId>,
+        now: TimeMs,
+        span: &MaybeSpan,
+    ) -> Result<Response, NetError> {
+        match (answer, query_id) {
             (Ok(response), _) => {
                 span.verdict("ok");
                 Ok(response)
@@ -69,7 +66,7 @@ impl<S: Service> Service for StaleServe<S> {
                 span.verdict("err");
                 Err(e)
             }
-            (Err(_), Some(id)) => Ok(match self.proxy.lookup_stale(id, ctx.now) {
+            (Err(_), Some(id)) => Ok(match self.proxy.lookup_stale(id, now) {
                 Some((status, age_ms)) => {
                     span.verdict("stale");
                     Response::StatusStale { id, status, age_ms }
@@ -79,12 +76,38 @@ impl<S: Service> Service for StaleServe<S> {
                     let breaker = self.proxy.breaker(id.ledger);
                     Response::Unavailable {
                         id,
-                        age_ms: breaker.staleness_ms(ctx.now).unwrap_or(u64::MAX),
+                        age_ms: breaker.staleness_ms(now).unwrap_or(u64::MAX),
                     }
                 }
             }),
-        };
-        answers.zip(query_ids).map(degrade).collect()
+        }
+    }
+}
+
+fn query_id(req: &Request) -> Option<RecordId> {
+    match req {
+        Request::Query { id } => Some(*id),
+        _ => None,
+    }
+}
+
+impl<S: Service> Service for StaleServe<S> {
+    fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
+        let span = ctx.span("stale");
+        let query_id = query_id(&req);
+        self.degrade(self.inner.call(req, ctx), query_id, ctx.now, &span)
+    }
+
+    /// Forwards the group whole and degrades item by item when it is
+    /// waited.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        let span = ctx.span("stale");
+        let query_ids: Vec<Option<RecordId>> = reqs.iter().map(query_id).collect();
+        let now = ctx.now;
+        self.inner.start_all(reqs, ctx).then(move |answers| {
+            let degrade = |(answer, id)| self.degrade(answer, id, now, &span);
+            answers.into_iter().zip(query_ids).map(degrade).collect()
+        })
     }
 }
 

@@ -14,10 +14,11 @@
 //! leaves the connection healthy: an unrepresentable request is the
 //! caller's bug, not the stream's.
 
-use super::{call_one, CallCtx, Service};
+use super::{CallCtx, Pending, Service};
 use crate::mux::MuxClient;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
+use irs_obs::MaybeSpan;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -69,6 +70,23 @@ impl TcpTransport {
         self.connects.fetch_add(1, Ordering::Relaxed);
         *slot = Some(mux.clone());
         Ok(mux)
+    }
+
+    /// The connection an exchange starting now rides, and its deadline:
+    /// the caller's if set, tightened by the transport's own I/O budget
+    /// — every exchange is bounded. Fails when the caller's budget is
+    /// spent or the dial fails.
+    fn dial(&self, ctx: &CallCtx, span: &MaybeSpan) -> Result<(Arc<MuxClient>, Instant), NetError> {
+        if ctx.expired() {
+            span.verdict("deadline");
+            return Err(NetError::DeadlineExceeded);
+        }
+        let mux = self.live_mux().map_err(|e| {
+            span.verdict("err");
+            e
+        })?;
+        let budget = Instant::now() + self.io_timeout;
+        Ok((mux, ctx.deadline.map_or(budget, |d| d.min(budget))))
     }
 }
 
@@ -123,37 +141,31 @@ impl TransportPool {
 
 impl Service for TcpTransport {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError> {
-        call_one(self, req, ctx)
+        let span = ctx.span("transport");
+        let (mux, deadline) = self.dial(ctx, &span)?;
+        let answer = mux.call(&req, deadline);
+        span.verdict_result(&answer, "err");
+        answer
     }
 
-    /// The whole group rides one [`MuxClient::call_all`]: one `write`,
-    /// one exchange, each answer failing on its own.
-    fn call_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Vec<Result<Response, NetError>> {
+    /// The whole group rides one [`MuxClient::send_all`]: one `write`,
+    /// one exchange, each answer failing on its own, collected in `wait`.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
         if reqs.is_empty() {
-            return Vec::new(); // nothing to say is no reason to dial
+            return Pending::Ready(Vec::new()); // nothing to say is no reason to dial
         }
         let span = ctx.span("transport");
-        let refused = |e: NetError| reqs.iter().map(|_| Err(e.replicate())).collect();
-        if ctx.expired() {
-            span.verdict("deadline");
-            return refused(NetError::DeadlineExceeded);
-        }
-        let answers: Vec<_> = match self.live_mux() {
-            Ok(mux) => {
-                // Every exchange is bounded: the caller's deadline if set,
-                // tightened by the transport's own I/O budget.
-                let budget = Instant::now() + self.io_timeout;
-                let deadline = ctx.deadline.map_or(budget, |d| d.min(budget));
-                mux.call_all(&reqs, deadline)
-            }
-            Err(e) => refused(e),
+        let (mux, deadline) = match self.dial(ctx, &span) {
+            Ok(dialed) => dialed,
+            Err(e) => return Pending::Ready(reqs.iter().map(|_| Err(e.replicate())).collect()),
         };
-        span.verdict(if answers.iter().all(Result::is_ok) {
-            "ok"
-        } else {
-            "err"
-        });
-        answers
+        let sent = mux.send_all(&reqs, deadline);
+        Pending::Later(Box::new(move || {
+            let answers = sent.wait();
+            let ok = answers.iter().all(Result::is_ok);
+            span.verdict(if ok { "ok" } else { "err" });
+            answers
+        }))
     }
 }
 

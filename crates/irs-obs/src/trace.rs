@@ -67,6 +67,10 @@ struct RecorderInner {
 /// Intended for a single chain of nested calls; it is thread-safe
 /// (the batch layer's leader may complete a follower's span on another
 /// thread), but depths are only meaningful for properly nested use.
+/// Self-time accounting ([`breakdown`](SpanRecorder::breakdown)) is
+/// defined for one call: a traced group's per-shard chains overlap in
+/// time (every shard is started before any is waited on), so their
+/// spans all fall inside the router's but do not nest in one another.
 pub struct SpanRecorder {
     id: TraceId,
     epoch: Instant,
