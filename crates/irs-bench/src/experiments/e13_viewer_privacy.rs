@@ -107,9 +107,9 @@ pub fn run(quick: bool) -> String {
 /// a pending query flushes upstream, with everything pending beside it,
 /// at the first 10 ms timer tick by which the oldest has been held
 /// `hold_ms`. Returns each batch's anonymity set (distinct users) and the
-/// mean hold in ms. (The live window is `irs_net::service::BatchLayer`;
-/// it runs on the wall clock and never sees who asked, so it cannot
-/// replay this statistic.)
+/// mean hold in ms. This is the paper-claim fixture: the live path has
+/// no window — a page's misses reach a ledger as pipelined `Query`
+/// frames on the proxy's connection.
 fn hold_windows(trace: &[ViewEvent], hold_ms: u64) -> (Vec<usize>, f64) {
     let mut pending: Vec<(u64, u32)> = Vec::new(); // (enqueued at, user)
     let (mut anon_sets, mut total_hold) = (Vec::new(), 0u64);

@@ -372,10 +372,37 @@ pub fn run(quick: bool) -> String {
     out
 }
 
+/// The layer spans one traced ladder query writes, outermost first.
+const WALK: [&str; 8] = [
+    "cache",
+    "proxy:filter",
+    "proxy:cache",
+    "stale",
+    "breaker",
+    "retry",
+    "failover",
+    "transport",
+];
+
+/// The span-walk half of the gate: a fully traced ladder query must
+/// write the eight layer spans of [`WALK`], in order. Timing-free, so it
+/// holds on a loaded machine; returns the recorder and the query's wall
+/// time for the accounting check.
+fn span_walk() -> Result<(Arc<SpanRecorder>, f64), String> {
+    let (rec, wall_us) = attribution_trace();
+    let names: Vec<_> = rec.spans().iter().map(|s| s.name).collect();
+    if names != WALK {
+        return Err(format!("span walk {names:?} != expected {WALK:?}"));
+    }
+    Ok((rec, wall_us))
+}
+
 /// CI gate: on the E15 workload an armed recorder must cost < 3% at
 /// p99 (plus `EPSILON_US` of absolute slack for timer granularity),
-/// and a fully traced ladder query must walk all eight layers with
-/// self-times accounting for at least 95% of its wall time.
+/// and a fully traced ladder query must pass `span_walk` with
+/// self-times accounting for at least 95% of its wall time. The timing
+/// halves mean something only on an otherwise idle machine: CI runs
+/// this alone, on a release build.
 pub fn check(quick: bool) -> Result<String, String> {
     let (untraced, traced) = measure_ledger_overhead(quick);
     let budget = untraced.p99_us * 1.03 + EPSILON_US;
@@ -385,23 +412,8 @@ pub fn check(quick: bool) -> Result<String, String> {
             traced.p99_us, budget, untraced.p99_us
         ));
     }
-    let (rec, wall_us) = attribution_trace();
-    let spans = rec.spans();
-    let names: Vec<_> = spans.iter().map(|s| s.name).collect();
-    let expected = [
-        "cache",
-        "proxy:filter",
-        "proxy:cache",
-        "stale",
-        "breaker",
-        "retry",
-        "failover",
-        "transport",
-    ];
-    if names != expected {
-        return Err(format!("span walk {names:?} != expected {expected:?}"));
-    }
-    let accounted_us: f64 = spans[0].duration_ns() as f64 / 1_000.0;
+    let (rec, wall_us) = span_walk()?;
+    let accounted_us: f64 = rec.spans()[0].duration_ns() as f64 / 1_000.0;
     if accounted_us < 0.95 * wall_us {
         return Err(format!(
             "spans account for {accounted_us:.1} of {wall_us:.1} µs wall (< 95%)"
@@ -430,8 +442,11 @@ mod tests {
         }
     }
 
+    /// The timing-free half of the gate: the test runner shares the
+    /// machine with every other test, so the p99 budget is left to
+    /// `experiments e18 --quick --check`.
     #[test]
-    fn gate_passes_on_healthy_hardware() {
-        super::check(true).expect("e18 gate");
+    fn traced_query_walks_all_eight_layers() {
+        super::span_walk().expect("e18 span walk");
     }
 }

@@ -251,8 +251,6 @@ impl Wire for RevokeRequest {
 
 /// Maximum accepted length for variable payloads (filters), 256 MiB.
 const MAX_BLOB: usize = 256 << 20;
-/// Maximum accepted batch size.
-const MAX_BATCH: usize = 100_000;
 
 fn put_blob(buf: &mut BytesMut, data: &Bytes) {
     buf.put_u32(data.len() as u32);
@@ -294,7 +292,10 @@ fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
 pub enum Request {
     /// Claim a photo (§3.1).
     Claim(ClaimRequest),
-    /// Query one record's status (the validation path).
+    /// Query one record's status (the validation path). Request tag 6
+    /// (the retired batched query) is never reused: a page's checks are
+    /// pipelined `Query` frames, and a peer still sending tag 6 gets
+    /// [`Response::Unsupported`].
     Query {
         /// The record to check.
         id: RecordId,
@@ -306,8 +307,6 @@ pub enum Request {
         /// The record to attest.
         id: RecordId,
     },
-    /// Batched status query (proxies aggregate many browsers).
-    Batch(Vec<RecordId>),
     /// Liveness check (also used by owner probes).
     Ping,
     /// Fetch the server's metrics exposition (operators scrape this).
@@ -352,7 +351,8 @@ pub enum Response {
         /// Authenticated claim timestamp.
         timestamp: TimestampToken,
     },
-    /// Status of a queried record.
+    /// Status of a queried record. Response tag 7 (the retired batched
+    /// statuses) is never reused.
     Status {
         /// The record queried.
         id: RecordId,
@@ -382,8 +382,6 @@ pub enum Response {
     },
     /// Signed freshness proof.
     Proof(FreshnessProof),
-    /// Batched statuses, in request order.
-    BatchStatus(Vec<(RecordId, RevocationStatus)>),
     /// Liveness reply.
     Pong,
     /// Error reply.
@@ -543,13 +541,6 @@ impl Wire for Request {
                 buf.put_u8(5);
                 id.encode(buf)?;
             }
-            Request::Batch(ids) => {
-                buf.put_u8(6);
-                buf.put_u32(ids.len() as u32);
-                for id in ids {
-                    id.encode(buf)?;
-                }
-            }
             Request::Ping => buf.put_u8(7),
             Request::Metrics => buf.put_u8(8),
             Request::WalSubscribe {
@@ -589,18 +580,6 @@ impl Wire for Request {
             5 => Ok(Request::GetProof {
                 id: RecordId::decode(buf)?,
             }),
-            6 => {
-                need(buf, 4)?;
-                let n = buf.get_u32() as usize;
-                if n > MAX_BATCH {
-                    return Err(WireError::BadValue("batch too large"));
-                }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(RecordId::decode(buf)?);
-                }
-                Ok(Request::Batch(ids))
-            }
             7 => Ok(Request::Ping),
             8 => Ok(Request::Metrics),
             9 => {
@@ -657,14 +636,6 @@ impl Wire for Response {
             Response::Proof(p) => {
                 buf.put_u8(6);
                 p.encode(buf)?;
-            }
-            Response::BatchStatus(items) => {
-                buf.put_u8(7);
-                buf.put_u32(items.len() as u32);
-                for (id, status) in items {
-                    id.encode(buf)?;
-                    status.encode(buf)?;
-                }
             }
             Response::Pong => buf.put_u8(8),
             Response::Error { code, message } => {
@@ -769,18 +740,6 @@ impl Wire for Response {
                 data: get_blob(buf)?,
             }),
             6 => Ok(Response::Proof(FreshnessProof::decode(buf)?)),
-            7 => {
-                need(buf, 4)?;
-                let n = buf.get_u32() as usize;
-                if n > MAX_BATCH {
-                    return Err(WireError::BadValue("batch too large"));
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push((RecordId::decode(buf)?, RevocationStatus::decode(buf)?));
-                }
-                Ok(Response::BatchStatus(items))
-            }
             8 => Ok(Response::Pong),
             9 => {
                 need(buf, 2)?;
@@ -905,7 +864,6 @@ mod tests {
             5,
         )));
         roundtrip(&Request::GetProof { id: rid(3) });
-        roundtrip(&Request::Batch(vec![rid(1), rid(2), rid(3)]));
         roundtrip(&Request::Ping);
         roundtrip(&Request::Metrics);
         roundtrip(&Request::WalSubscribe {
@@ -950,10 +908,6 @@ mod tests {
         let proof =
             FreshnessProof::issue(&kp(), rid(5), RevocationStatus::NotRevoked, TimeMs(1), 1000);
         roundtrip(&Response::Proof(proof));
-        roundtrip(&Response::BatchStatus(vec![
-            (rid(1), RevocationStatus::NotRevoked),
-            (rid(2), RevocationStatus::Revoked),
-        ]));
         roundtrip(&Response::Pong);
         roundtrip(&Response::Error {
             code: 404,
@@ -1112,6 +1066,19 @@ mod tests {
             Err(WireError::BadTag(4))
         );
         assert_eq!(Response::from_bytes(retired), Err(WireError::BadTag(4)));
+        // So are request tag 6 (batched query, here with one id) and
+        // response tag 7 (batched statuses).
+        let mut batch = BytesMut::new();
+        batch.put_u8(PROTOCOL_VERSION);
+        batch.put_u8(6);
+        batch.put_u32(1);
+        rid(1).encode(&mut batch).unwrap();
+        assert_eq!(
+            Request::from_bytes(batch.freeze()),
+            Err(WireError::BadTag(6))
+        );
+        let statuses = Bytes::from(vec![PROTOCOL_VERSION, 7, 0, 0, 0, 0]);
+        assert_eq!(Response::from_bytes(statuses), Err(WireError::BadTag(7)));
     }
 
     #[test]
@@ -1121,18 +1088,6 @@ mod tests {
         bytes[5] ^= 0x40;
         assert!(matches!(
             Request::from_bytes(Bytes::from(bytes)),
-            Err(WireError::BadValue(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_batch_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(PROTOCOL_VERSION);
-        buf.put_u8(6);
-        buf.put_u32(MAX_BATCH as u32 + 1);
-        assert!(matches!(
-            Request::from_bytes(buf.freeze()),
             Err(WireError::BadValue(_))
         ));
     }

@@ -81,13 +81,6 @@ impl AdversarialLedger {
                     other => Some(other),
                 }
             }
-            (Misbehavior::LieNotRevoked, Request::Batch(ids)) => {
-                let items = ids
-                    .iter()
-                    .map(|&id| (id, RevocationStatus::NotRevoked))
-                    .collect();
-                Some(Response::BatchStatus(items))
-            }
             (Misbehavior::DropRevocations, Request::Revoke(rv)) => {
                 // Acknowledge with plausible data but change nothing.
                 let (status, epoch) = self

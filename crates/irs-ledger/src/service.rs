@@ -88,8 +88,6 @@ impl LedgerConfig {
 pub struct LedgerStats {
     /// Single status queries served.
     pub queries: u64,
-    /// Batched status items served.
-    pub batch_items: u64,
     /// Claims recorded.
     pub claims: u64,
     /// Revocations processed (including unrevokes).
@@ -118,7 +116,6 @@ struct LedgerObs {
     /// Misrouted keyed requests refused with `WrongShard`.
     wrong_shard: Counter,
     queries: Counter,
-    batch_items: Counter,
     claims: Counter,
     revokes: Counter,
     filters_delta: Counter,
@@ -147,7 +144,6 @@ impl LedgerObs {
         LedgerObs {
             wrong_shard: registry.counter("irs_ledger_wrong_shard_total"),
             queries: registry.counter("irs_ledger_queries_total"),
-            batch_items: registry.counter("irs_ledger_batch_items_total"),
             claims: registry.counter("irs_ledger_claims_total"),
             revokes: registry.counter("irs_ledger_revokes_total"),
             filters_delta: registry.counter("irs_ledger_filters_delta_total"),
@@ -167,7 +163,6 @@ impl LedgerObs {
     fn stats_snapshot(&self) -> LedgerStats {
         LedgerStats {
             queries: self.queries.get(),
-            batch_items: self.batch_items.get(),
             claims: self.claims.get(),
             revokes: self.revokes.get(),
             filters_delta: self.filters_delta.get(),
@@ -481,24 +476,6 @@ impl Ledger {
                 }
             }
             Request::Metrics => Response::MetricsText(self.metrics_text()),
-            Request::Batch(ids) => {
-                self.obs.batch_items.add(ids.len() as u64);
-                let items = ids
-                    .into_iter()
-                    .map(|id| {
-                        let status = self
-                            .store
-                            .status(&id)
-                            .map(|(s, _)| s)
-                            // Unknown records are reported NotRevoked: the
-                            // viewer fails open (Nongoal #4) and an unknown
-                            // id is indistinguishable from another ledger's.
-                            .unwrap_or(RevocationStatus::NotRevoked);
-                        (id, status)
-                    })
-                    .collect();
-                Response::BatchStatus(items)
-            }
             Request::Ping => Response::Pong,
             Request::WalSubscribe {
                 from_seq,
@@ -544,7 +521,6 @@ impl Ledger {
             Request::Claim(c) => dir.current().shard_for_claim(c).ledger != own,
             Request::Query { id } | Request::GetProof { id } => id.ledger != own,
             Request::Revoke(r) => r.id.ledger != own,
-            Request::Batch(ids) => ids.iter().any(|id| id.ledger != own),
             _ => false,
         };
         if misrouted {
@@ -1061,78 +1037,6 @@ mod tests {
             l.handle(Request::Query { id: ghost }, TimeMs(1)),
             codes::UNKNOWN_RECORD,
         );
-    }
-
-    #[test]
-    fn batch_answers_positionally_and_fails_open() {
-        // A proxy that doesn't dedup may repeat an id; each occurrence
-        // gets its own slot in the reply, in request order.
-        let l = ledger();
-        let a = claim_revoked(&l, 3);
-        let (b, _) = claim_one(&l, 4);
-        let unknown = RecordId::new(LedgerId(1), 404);
-        let batch = vec![a, unknown, b, a];
-        match l.handle(Request::Batch(batch.clone()), TimeMs(10)) {
-            Response::BatchStatus(items) => {
-                assert_eq!(
-                    items.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-                    batch,
-                    "reply order must mirror request order, duplicates included"
-                );
-                // Unknown records are reported NotRevoked: the viewer
-                // fails open (Nongoal #4) and an unknown id is
-                // indistinguishable from another ledger's.
-                let statuses: Vec<_> = items.iter().map(|(_, s)| *s).collect();
-                use RevocationStatus::{NotRevoked, Revoked};
-                assert_eq!(statuses, [Revoked, NotRevoked, NotRevoked, Revoked]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats().batch_items, 4);
-        match l.handle(Request::Batch(Vec::new()), TimeMs(1)) {
-            Response::BatchStatus(items) => assert!(items.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats().batch_items, 4);
-    }
-
-    #[test]
-    fn batch_preserves_order_across_shards() {
-        // Claim enough records that consecutive serials land on different
-        // shards, revoke every third, then batch-query them in a shuffled
-        // order: the reply must mirror the request positionally even
-        // though the lookups fan out across shard locks.
-        let l = ledger();
-        let mut ids = Vec::new();
-        for seed in 0..32u8 {
-            let (id, keypair) = claim_one(&l, seed);
-            if seed % 3 == 0 {
-                revoke(&l, id, &keypair);
-            }
-            ids.push(id);
-        }
-        // Deterministic shuffle: stride through the list coprime to its
-        // length, mixing shards at every step.
-        let batch: Vec<RecordId> = (0..ids.len()).map(|i| ids[(i * 7) % ids.len()]).collect();
-        match l.handle(Request::Batch(batch.clone()), TimeMs(30)) {
-            Response::BatchStatus(items) => {
-                assert_eq!(
-                    items.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-                    batch,
-                    "sharded lookups must not reorder the reply"
-                );
-                for (id, status) in items {
-                    let expected = if id.serial % 3 == 0 {
-                        RevocationStatus::Revoked
-                    } else {
-                        RevocationStatus::NotRevoked
-                    };
-                    assert_eq!(status, expected, "wrong status for serial {}", id.serial);
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(l.stats().batch_items, 32);
     }
 
     #[test]

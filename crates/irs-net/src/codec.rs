@@ -37,11 +37,12 @@ use bytes::Bytes;
 use irs_core::wire::{Request, Response, Wire, WireError};
 use std::io::{ErrorKind, Read, Write};
 
-/// Largest frame a *server* accepts (the upload direction). Requests
-/// are tiny — the largest legitimate one is a `Batch` of 100 000 record
-/// ids (~1.4 MiB); nothing a client sends approaches a filter payload.
-/// Servers decode with this cap so a malicious client cannot make every
-/// connection stage [`MAX_FRAME`] bytes.
+/// Largest frame a *server* accepts (the upload direction). The cap
+/// bounds what any client can make a server stage per connection:
+/// legitimate requests (a query, a signed claim or revocation) are a
+/// few hundred bytes, and nothing a client sends approaches a filter
+/// payload, so a malicious client cannot make every connection stage
+/// [`MAX_FRAME`] bytes.
 pub const MAX_REQUEST_FRAME: u32 = 2 << 20;
 
 /// Largest frame anyone sends or a *client* accepts (the download

@@ -191,8 +191,9 @@ impl LedgerServer {
 mod tests {
     use super::*;
     use crate::codec::{Framed, MAX_FRAME};
+    use bytes::{BufMut, BytesMut};
     use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
-    use irs_core::ids::LedgerId;
+    use irs_core::ids::{LedgerId, RecordId};
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Wire};
     use irs_crypto::{Digest, Keypair};
@@ -266,8 +267,13 @@ mod tests {
             let mut stream = Framed::new(stream, MAX_FRAME);
             // Protocol version 1, then a tag far beyond anything assigned —
             // and the retired whole-Bloom filter fetch (tag 4 + the
-            // `have_version` an old proxy would send), never reassigned.
-            for frame in [&[1u8, 0xee][..], &[1, 4, 0, 0, 0, 0, 0, 0, 0, 7]] {
+            // `have_version` an old proxy would send) and batched query
+            // (tag 6, count 1, one record id), never reassigned.
+            let mut batch = BytesMut::new();
+            batch.put_slice(&[1, 6, 0, 0, 0, 1]);
+            RecordId::new(LedgerId(1), 3).encode(&mut batch).unwrap();
+            let retired = [&[1u8, 0xee][..], &[1, 4, 0, 0, 0, 0, 0, 0, 0, 7], &batch];
+            for frame in retired {
                 let answer = raw_exchange(&mut stream, frame);
                 assert_eq!(answer, Response::Unsupported { tag: frame[1] }, "{who}");
             }

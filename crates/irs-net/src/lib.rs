@@ -14,8 +14,9 @@
 //! * [`mux`] — the client: pipelined requests with correlation slots
 //!   over one shared connection;
 //! * [`service`] — the tower-style middleware stack (transport, retry,
-//!   failover, breaker, stale-serve, cache, batch, chaos, stats as
-//!   composable layers) every caller reaches a server through;
+//!   failover, breaker, stale-serve, cache, single-flight, shed,
+//!   governor and route as composable layers) every caller reaches a
+//!   server through;
 //!   [`service::TcpTransport`] is the bottom of every stack and
 //!   [`service::stacks`] holds the canonical compositions;
 //! * [`ledger_server`] — a [`irs_ledger::Ledger`] behind the
@@ -77,7 +78,8 @@ pub enum NetError {
     /// circuit breaker is open.
     BreakerOpen,
     /// The call's wall-clock deadline elapsed before work could start
-    /// (see [`service::DeadlineLayer`] and [`service::CallCtx`]).
+    /// (see [`service::CallCtx::with_deadline`] and
+    /// [`service::RetryPolicy`]).
     DeadlineExceeded,
     /// The server (or a local [`service::ShedLayer`] / governor) refused
     /// the call under overload. Distinct from [`NetError::ConnectionLost`]
@@ -107,7 +109,7 @@ impl NetError {
     }
 
     /// A best-effort structural copy, for fanning one upstream error out
-    /// to many waiters (single-flight followers, batch followers).
+    /// to many waiters (single-flight followers).
     /// `NetError` is not `Clone` because `std::io::Error` is not; the
     /// replica of an [`NetError::Io`] preserves the kind and message.
     pub fn replicate(&self) -> NetError {

@@ -74,7 +74,6 @@ impl<S> Breaker<S> {
             | Request::WalSubscribe { .. }
             | Request::FetchSnapshot
             | Request::GetShardMap => self.fallback,
-            Request::Batch(ids) => ids.first().map(|id| id.ledger).unwrap_or(self.fallback),
         }
     }
 

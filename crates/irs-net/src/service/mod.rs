@@ -7,22 +7,18 @@
 //!
 //! * [`TcpTransport`] — the bottom: one multiplexed connection per
 //!   address, redialed when it dies;
-//! * [`DeadlineLayer`] — a wall-clock budget for the whole subtree;
 //! * [`RetryLayer`] — bounded retries with seeded jittered backoff;
 //! * [`FailoverLayer`] — a replica set with cursor rotation;
 //! * [`BreakerLayer`] — the per-ledger lock-free circuit breaker;
 //! * [`StaleServeLayer`] — honest last-good answers when all else fails;
 //! * [`CacheLayer`] — the proxy's filter + striped TTL cache front;
-//! * [`BatchLayer`] — an aggregation window that mixes concurrent
-//!   queries into one upstream [`Request::Batch`];
 //! * [`SingleFlightLayer`] — concurrent misses on one record collapse
 //!   into a single upstream call whose verdict fans out to all waiters;
 //! * [`ShedLayer`] — priority load shedding by queue-depth and
 //!   deadline-headroom watermarks, answering `Response::Overloaded`;
 //! * [`GovernorLayer`] — per-client token-bucket admission with a
 //!   shared spillover pool;
-//! * [`ChaosLayer`] — deterministic in-process fault injection;
-//! * [`StatsLayer`] — a call-count/latency observation hook.
+//! * [`Route`] — the shard router over per-shard stacks.
 //!
 //! The degradation ladder from DESIGN.md ("Failure model & degradation
 //! ladder") is then literally a composition —
@@ -40,11 +36,8 @@ use irs_obs::{MaybeSpan, SpanRecorder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub mod batch;
 pub mod breaker;
 pub mod cache;
-pub mod chaos;
-pub mod deadline;
 pub mod failover;
 pub mod governor;
 pub mod retry;
@@ -53,14 +46,10 @@ pub mod shed;
 pub mod singleflight;
 pub mod stacks;
 pub mod stale;
-pub mod stats;
 pub mod transport;
 
-pub use batch::{BatchLayer, BatchPolicy, Batched};
 pub use breaker::{Breaker, BreakerLayer};
 pub use cache::{Cache, CacheLayer};
-pub use chaos::{Chaos, ChaosLayer};
-pub use deadline::{Deadline, DeadlineLayer};
 pub use failover::{Failover, FailoverLayer};
 pub use governor::{Admission, Governor, GovernorLayer, GovernorPolicy, TokenGovernor};
 pub use retry::{jittered_backoff, Retry, RetryCounters, RetryLayer, RetryPolicy};
@@ -68,7 +57,6 @@ pub use route::{Route, RouteLayer};
 pub use shed::{Priority, Shed, ShedLayer, ShedPolicy};
 pub use singleflight::{SingleFlight, SingleFlightLayer};
 pub use stale::{StaleServe, StaleServeLayer};
-pub use stats::{Stats, StatsHandle, StatsLayer, StatsSnapshot};
 pub use transport::{TcpTransport, TransportPool};
 
 /// Per-call context threaded through a stack: the logical timestamp the

@@ -363,11 +363,10 @@ mod tests {
 
     #[test]
     fn outer_deadline_tighter_than_policy_wins() {
-        // An outer DeadlineLayer grants 20 ms; the retry policy would
-        // grant itself 800 ms. The inner service must see the *outer*
-        // budget — retries must never extend a deadline the caller
-        // already tightened.
-        use crate::service::DeadlineLayer;
+        // The caller grants 20 ms; the retry policy would grant itself
+        // 800 ms. The inner service must see the caller's budget —
+        // retries must never extend a deadline the caller already
+        // tightened.
         let tight = Duration::from_millis(20);
         let svc = service_fn(move |_req, ctx: &CallCtx| {
             let remaining = ctx.remaining().expect("deadline must be set");
@@ -377,9 +376,9 @@ mod tests {
             );
             Ok(Response::Pong)
         })
-        .layered(RetryLayer::new(RetryPolicy::fast(11)))
-        .layered(DeadlineLayer::new(tight));
-        svc.call(Request::Ping, &CallCtx::at(TimeMs(0))).unwrap();
+        .layered(RetryLayer::new(RetryPolicy::fast(11)));
+        let ctx = CallCtx::at(TimeMs(0)).with_deadline(Instant::now() + tight);
+        svc.call(Request::Ping, &ctx).unwrap();
     }
 
     #[test]

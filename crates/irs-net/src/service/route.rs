@@ -19,8 +19,6 @@
 //!
 //! * `Claim` → rendezvous over the claim digest ([`ShardMap::claim_key`]);
 //! * `Query` / `Revoke` / `GetProof` → exactly by `RecordId::ledger`;
-//! * `Batch` → split per owning shard, sub-batches dispatched per
-//!   shard, statuses reassembled in request order;
 //! * a group ([`Service::start_all`]) → one sub-group per owning shard,
 //!   every shard's started before any is waited on, answers back in
 //!   request order;
@@ -39,7 +37,6 @@
 
 use super::{Answers, BoxService, CallCtx, Layer, Pending, Service};
 use crate::NetError;
-use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::wire::{Request, Response};
 use irs_ledger::placement::{ShardDirectory, ShardMap, ShardSpec};
@@ -163,8 +160,7 @@ impl Route {
         self.stacks.write().retain(|l, _| map.spec(*l).is_some());
     }
 
-    /// The shard owning `req` under `map`. `Batch` never reaches here
-    /// (it is split per shard first).
+    /// The shard owning `req` under `map`.
     fn target<'m>(&self, map: &'m ShardMap, req: &Request) -> Result<&'m ShardSpec, NetError> {
         let record_owner = |id: &RecordId| {
             map.shard_for_record(id)
@@ -174,13 +170,6 @@ impl Route {
             Request::Claim(c) => Ok(map.shard_for_claim(c)),
             Request::Query { id } | Request::GetProof { id } => record_owner(id),
             Request::Revoke(r) => record_owner(&r.id),
-            // Sub-batches arrive here single-owner by construction
-            // (`dispatch_batch` groups by owning shard): the first id
-            // names that owner.
-            Request::Batch(ids) => match ids.first() {
-                Some(id) => record_owner(id),
-                None => Ok(&map.shards()[0]),
-            },
             // Unkeyed: the map's first shard answers.
             _ => Ok(&map.shards()[0]),
         }
@@ -245,48 +234,6 @@ impl Route {
         let (epoch, data) = (map.epoch(), map.to_bytes().into());
         Response::ShardMap { epoch, data }
     }
-
-    /// Split a batch per owning shard, dispatch each sub-batch, and
-    /// reassemble statuses in the caller's order. Any non-`BatchStatus`
-    /// sub-reply (an `Overloaded` refusal, an error) is returned
-    /// verbatim — partial batches are not a thing the wire can say.
-    fn dispatch_batch(&self, ids: Vec<RecordId>, ctx: &CallCtx) -> Result<Response, NetError> {
-        if ids.is_empty() {
-            return self.dispatch(Request::Batch(ids), ctx);
-        }
-        let map = self.dir.current();
-        let mut groups: HashMap<LedgerId, Vec<(usize, RecordId)>> = HashMap::new();
-        for (i, id) in ids.iter().enumerate() {
-            // Strict, like single queries: an id no shard owns cannot
-            // be answered by anyone, and a shard's guard would refuse a
-            // sub-batch carrying it anyway.
-            let owner = map
-                .shard_for_record(id)
-                .ok_or(NetError::WrongShard { epoch: map.epoch() })?
-                .ledger;
-            groups.entry(owner).or_default().push((i, *id));
-        }
-        let mut out: Vec<Option<(RecordId, RevocationStatus)>> = vec![None; ids.len()];
-        for (_, members) in groups {
-            let sub: Vec<RecordId> = members.iter().map(|(_, id)| *id).collect();
-            match self.dispatch(Request::Batch(sub), ctx)? {
-                Response::BatchStatus(items) => {
-                    if items.len() != members.len() {
-                        return Err(NetError::Frame("short batch reply"));
-                    }
-                    for ((i, _), item) in members.into_iter().zip(items) {
-                        out[i] = Some(item);
-                    }
-                }
-                other => return Ok(other),
-            }
-        }
-        let items = out
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(NetError::Frame("batch reassembly hole"))?;
-        Ok(Response::BatchStatus(items))
-    }
 }
 
 impl Service for Route {
@@ -294,16 +241,15 @@ impl Service for Route {
         let span = ctx.span("route");
         let result = match req {
             Request::GetShardMap => Ok(self.local_map()),
-            Request::Batch(ids) => self.dispatch_batch(ids, ctx),
             other => self.dispatch(other, ctx),
         };
         span.verdict_result(&result, "err");
         result
     }
 
-    /// `GetShardMap` and `Batch` items are answered in place; the rest go
-    /// out as one group per owning shard, and an item refused with
-    /// `WrongShard` takes the heal-and-retry path. Every shard's group is
+    /// `GetShardMap` is answered in place; the rest go out as one group
+    /// per owning shard, and an item refused with `WrongShard` takes the
+    /// heal-and-retry path. Every shard's group is
     /// started before any is waited on (shards in order of first
     /// appearance, answers back in request order), so a page costs its
     /// slowest shard's exchange, not their sum. The shard stacks are
@@ -318,7 +264,6 @@ impl Service for Route {
         for (i, req) in reqs.iter().enumerate() {
             let spec = match req {
                 Request::GetShardMap => Err(Ok(self.local_map())),
-                Request::Batch(ids) => Err(self.dispatch_batch(ids.clone(), ctx)),
                 keyed => self.target(&map, keyed).map_err(Err),
             };
             match spec {
@@ -354,7 +299,7 @@ impl Service for Route {
 mod tests {
     use super::*;
     use crate::service::{service_fn, ServiceExt};
-    use irs_core::claim::ClaimRequest;
+    use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::time::TimeMs;
     use irs_crypto::{Digest, Keypair};
     use std::sync::Mutex;
@@ -386,11 +331,6 @@ mod tests {
                         status: RevocationStatus::NotRevoked,
                         epoch: 0,
                     },
-                    Request::Batch(ids) => Response::BatchStatus(
-                        ids.into_iter()
-                            .map(|id| (id, RevocationStatus::NotRevoked))
-                            .collect(),
-                    ),
                     _ => Response::Pong,
                 })
             })
@@ -424,29 +364,6 @@ mod tests {
             route.call(Request::Query { id }, &ctx),
             Err(NetError::WrongShard { epoch: 1 })
         ));
-    }
-
-    #[test]
-    fn batch_splits_per_shard_and_reassembles_in_request_order() {
-        let (route, calls) = echo_route(map(1, &[1, 2]));
-        let ctx = CallCtx::at(TimeMs(0));
-        // Interleave shards so reassembly must reorder.
-        let ids = vec![
-            RecordId::new(LedgerId(2), 1),
-            RecordId::new(LedgerId(1), 2),
-            RecordId::new(LedgerId(2), 3),
-            RecordId::new(LedgerId(1), 4),
-        ];
-        let resp = route.call(Request::Batch(ids.clone()), &ctx).unwrap();
-        let Response::BatchStatus(items) = resp else {
-            panic!("expected BatchStatus");
-        };
-        let got: Vec<RecordId> = items.iter().map(|(id, _)| *id).collect();
-        assert_eq!(got, ids, "statuses must come back in request order");
-        // Exactly one sub-call per involved shard.
-        let mut shards = calls.lock().unwrap().clone();
-        shards.sort_unstable();
-        assert_eq!(shards, vec![1, 2]);
     }
 
     #[test]

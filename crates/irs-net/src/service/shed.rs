@@ -39,7 +39,6 @@ pub fn priority_of(req: &Request) -> Priority {
         // Validates and proofs are why the system exists; claims and
         // revocations are rare and user-facing.
         Request::Query { .. }
-        | Request::Batch(_)
         | Request::GetProof { .. }
         | Request::Claim(_)
         | Request::Revoke(_) => Priority::High,

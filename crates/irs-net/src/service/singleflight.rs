@@ -1,9 +1,8 @@
 //! Single-flight miss coalescing — the revocation-storm defense.
 //!
-//! [`SingleFlight`] generalizes [`BatchLayer`](super::BatchLayer) for
-//! the stampede case: where the batch window *holds* queries to mix
-//! them, single-flight adds **no hold at all** — the first `Query` for a
-//! record id becomes the leader and goes upstream immediately; every
+//! [`SingleFlight`] is the stampede defense, and it adds **no hold at
+//! all**: the first `Query` for a record id becomes the leader and goes
+//! upstream immediately; every
 //! concurrent `Query` for the *same* id becomes a follower that waits on
 //! the leader's flight and receives a copy of its verdict (success or
 //! typed error, via [`NetError::replicate`]). Distinct ids never wait on
@@ -156,7 +155,7 @@ impl<S: Service> Service for SingleFlight<S> {
                     });
                 }
                 // Re-check every 50 ms so a missed notify can't wedge a
-                // follower (same discipline as the batch window).
+                // follower.
                 let wait = (give_up - now).min(Duration::from_millis(50));
                 let (next, _timeout) = self
                     .landed

@@ -14,10 +14,9 @@
 //! answer; [`BreakerLayer`] outside [`RetryLayer`] so one logical call
 //! records one health verdict no matter how many attempts it burned;
 //! [`FailoverLayer`](super::FailoverLayer) innermost so each retry
-//! attempt can land on a different replica. The retry layer carries the wall-clock deadline
-//! (`RetryPolicy::call_deadline`), which is why no separate
-//! [`DeadlineLayer`](super::DeadlineLayer) appears in these rungs — a
-//! transport used *without* retries should wear one explicitly.
+//! attempt can land on a different replica. The retry layer carries the
+//! wall-clock deadline (`RetryPolicy::call_deadline`); a caller can only
+//! tighten it, through [`CallCtx::with_deadline`](super::CallCtx::with_deadline).
 
 use super::{
     BoxService, BreakerLayer, CacheLayer, Failover, GovernorLayer, GovernorPolicy, RetryLayer,

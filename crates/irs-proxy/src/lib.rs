@@ -20,8 +20,9 @@
 //!   ladder (retry → failover → stale-serve → fail-open);
 //! * [`privacy`] — attribution accounting for experiment E13.
 //!
-//! The §4.2 mixing window (query batching) is a service layer,
-//! `irs_net::service::BatchLayer`, not part of this crate.
+//! The §4.2 aggregation is the proxy standing in for every viewer; there
+//! is no mixing window. Upstream, a page's misses go out as pipelined
+//! `Query` frames through the `irs_net::service` stack (DESIGN.md §10).
 
 pub mod filterset;
 pub mod health;

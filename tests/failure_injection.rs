@@ -632,7 +632,16 @@ fn wire_decoder_never_panics_on_mutated_frames() {
             have_epoch: 2,
             have_version: 3,
         },
-        Request::Batch(vec![RecordId::new(LedgerId(1), 1)]),
+        Request::Revoke(irs::protocol::RevokeRequest::create(
+            &kp,
+            RecordId::new(LedgerId(1), 1),
+            true,
+            4,
+        )),
+        Request::WalSubscribe {
+            from_seq: 9,
+            max_frames: 64,
+        },
     ];
     for req in requests {
         let bytes = req.to_bytes().unwrap();

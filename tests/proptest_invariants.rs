@@ -99,7 +99,7 @@ proptest! {
         version in any::<u64>(),
         seed in any::<u8>(),
         revoke in any::<bool>(),
-        batch in prop::collection::vec(any::<u64>(), 0..20),
+        max_frames in any::<u32>(),
     ) {
         let kp = Keypair::from_seed(&[seed; 32]);
         let id = RecordId::new(LedgerId(1), serial);
@@ -108,7 +108,7 @@ proptest! {
             1 => Request::Query { id },
             2 => Request::GetFilterTiered { have_epoch: serial, have_version: version },
             3 => Request::Revoke(irs::protocol::RevokeRequest::create(&kp, id, revoke, version)),
-            _ => Request::Batch(batch.iter().map(|&s| RecordId::new(LedgerId(2), s)).collect()),
+            _ => Request::WalSubscribe { from_seq: serial, max_frames },
         };
         let decoded = Request::from_bytes(req.to_bytes().unwrap()).unwrap();
         prop_assert_eq!(decoded, req);
