@@ -9,7 +9,8 @@
 //!
 //! `--check` runs an experiment's acceptance gate instead of rendering
 //! its table: exit 0 if the recorded results still hold, exit 1 on
-//! drift, exit 2 if the experiment has no gate.
+//! drift, exit 2 if the experiment has no gate. The gated drills are
+//! E16 and E18–E23; CI runs each with `--quick --check` on two seeds.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +29,7 @@ fn main() {
         .map(String::as_str)
         .collect();
     if ids.is_empty() {
-        eprintln!("usage: experiments <e1..e23|all> [--quick] [--check]");
+        eprintln!("usage: experiments <e1..e14|e16..e23|all> [--quick] [--check]");
         std::process::exit(2);
     }
     for id in ids {
@@ -49,7 +50,7 @@ fn main() {
         match irs_bench::run_experiment(id, quick) {
             Some(output) => println!("{output}"),
             None => {
-                eprintln!("unknown experiment '{id}' (expected e1..e23 or all)");
+                eprintln!("unknown experiment '{id}' (expected e1..e14, e16..e23 or all)");
                 std::process::exit(2);
             }
         }

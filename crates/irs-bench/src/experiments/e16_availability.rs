@@ -23,6 +23,7 @@
 //! rate the full ladder keeps ≥99% success while the baseline measurably
 //! fails.
 
+use crate::rig::chaos_seed;
 use crate::table::{f, Table};
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
@@ -37,14 +38,14 @@ use irs_net::service::{stacks, BoxService, CallCtx, Service, TcpTransport};
 use irs_net::RetryPolicy;
 use irs_proxy::health::BreakerConfig;
 use irs_proxy::{ProxyConfig, SharedProxy};
+use irs_simnet::Histogram;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault rates swept by the experiment.
 pub const FAULT_RATES: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 
-/// Default chaos seed; override with `CHAOS_SEED` to replay another
-/// universe.
+/// Default chaos seed; [`chaos_seed`] replays another universe.
 pub const DEFAULT_SEED: u64 = 0xE16;
 
 /// The three rungs of the ladder under comparison.
@@ -166,7 +167,7 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
     let outage_start = queries / 2;
     let outage_end = outage_start + queries * 15 / 100;
 
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(queries);
+    let mut latencies_us = Histogram::new();
     let mut ok = 0usize;
     let mut stale = 0usize;
     for q in 0..queries {
@@ -179,7 +180,7 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
         let id = ids[q % ids.len()];
         let start = std::time::Instant::now();
         let response = browser.call(Request::Query { id }, &CallCtx::wall());
-        latencies_us.push(start.elapsed().as_micros() as u64);
+        latencies_us.record(start.elapsed().as_micros() as u64);
         match response {
             Ok(Response::Status { status, .. }) => {
                 assert_eq!(status, RevocationStatus::Revoked);
@@ -200,12 +201,11 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
     chaos.shutdown();
     ledger_server.shutdown();
 
-    latencies_us.sort_unstable();
-    let pct = |p: f64| latencies_us[((latencies_us.len() - 1) as f64 * p) as usize];
+    let summary = latencies_us.summary();
     Availability {
         success_rate: ok as f64 / queries as f64,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
+        p50_us: summary.p50,
+        p99_us: summary.p99,
         stale_fraction: stale as f64 / queries as f64,
     }
 }
@@ -213,10 +213,7 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
 /// Run E16.
 pub fn run(quick: bool) -> String {
     let queries = if quick { 160 } else { 600 };
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = chaos_seed(DEFAULT_SEED);
 
     let mut table = Table::new(
         "E16 — validate availability under chaos (browser → proxy → chaos → ledger)",
@@ -265,10 +262,7 @@ pub fn run(quick: bool) -> String {
 /// serves. `Ok` carries a summary, `Err` the first violated bound.
 pub fn check(quick: bool) -> Result<String, String> {
     let queries = if quick { 160 } else { 600 };
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = chaos_seed(DEFAULT_SEED);
     let mut lines = Vec::new();
     for &rate in &FAULT_RATES {
         let full = measure(PolicyKind::Full, rate, queries, seed);

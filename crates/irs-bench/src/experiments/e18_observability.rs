@@ -3,12 +3,12 @@
 //! DESIGN.md §11 makes two promises about the `irs-obs` subsystem and
 //! this experiment prices both:
 //!
-//! * **Armed tracing is free where it records nothing.** The E15
-//!   thread-scaling workload (7:1 status queries : freshness proofs
-//!   against a preloaded [`Ledger`], 4 threads) runs with
-//!   and without a per-request [`SpanRecorder`]; the always-on metrics
-//!   registry is identical in both modes, so the delta is the cost of
-//!   carrying a recorder down the request path. The CI gate requires
+//! * **Armed tracing is free where it records nothing.** The 7:1
+//!   ledger workload (status queries : freshness proofs against
+//!   [`rig::preloaded_ledger`](crate::rig::preloaded_ledger), 4 threads)
+//!   runs with and without a per-request [`SpanRecorder`]; the
+//!   always-on metrics registry is identical in both modes, so the delta
+//!   is the cost of carrying a recorder down the request path. The CI gate requires
 //!   the traced p99 within 3% of untraced.
 //! * **Recording every layer is cheap enough to sample.** The same
 //!   comparison through the full resilience ladder over loopback TCP,
@@ -16,20 +16,19 @@
 //!   prints where its microseconds went, and its per-layer self-times
 //!   must account for ≥95% of measured wall time.
 
+use crate::rig::{preloaded_ledger, IdStream};
 use crate::table::{f, Table};
-use irs_core::claim::ClaimRequest;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
-use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
-use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::Ledger;
 use irs_net::ledger_server::LedgerServer;
 use irs_net::service::{stacks, BoxService, CallCtx, Service};
 use irs_net::RetryPolicy;
 use irs_obs::SpanRecorder;
 use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs_simnet::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,11 +37,11 @@ use std::time::Instant;
 /// best-of-N micro-benchmarks do.
 const ROUNDS: usize = 5;
 
-/// Threads driving the ledger workload (the E15 sweep's knee).
-const THREADS: usize = 4;
+/// Threads driving the ledger workload.
+const THREADS: u64 = 4;
 
 /// Every `PROOF_EVERY`th ledger op asks for a signed freshness proof —
-/// the same 7:1 mix E15 sweeps, so the p99 sits on the signing path.
+/// the 7:1 mix, so the p99 sits on the signing path.
 const PROOF_EVERY: u64 = 8;
 
 /// Slack added to the 3% relative gate: at microsecond latencies a p99
@@ -62,20 +61,12 @@ pub struct Sample {
     pub p99_us: f64,
 }
 
-fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
-}
-
-fn sample_of(mut latencies_ns: Vec<u64>) -> Sample {
-    latencies_ns.sort_unstable();
+fn sample_of(mut latencies_ns: Histogram) -> Sample {
+    let mut us = |q: f64| latencies_ns.quantile(q).unwrap_or(0) as f64 / 1_000.0;
     Sample {
-        p50_us: percentile(&latencies_ns, 50.0),
-        p95_us: percentile(&latencies_ns, 95.0),
-        p99_us: percentile(&latencies_ns, 99.0),
+        p50_us: us(0.50),
+        p95_us: us(0.95),
+        p99_us: us(0.99),
     }
 }
 
@@ -86,45 +77,21 @@ fn keep_best(best: &mut Option<Sample>, s: Sample) {
     }
 }
 
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 16
-}
-
-// ---- part A: the E15 workload, untraced vs traced ------------------
-
-fn build_ledger(records: u64) -> Ledger {
-    let conc = Ledger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(0xE18),
-    );
-    let keypair = Keypair::from_seed(&[0xE8; 32]);
-    for i in 0..records {
-        let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
-        if i % 50 == 0 {
-            conc.claim_revoked(req, TimeMs(i))
-                .expect("in-memory ledger cannot fail a claim");
-        } else {
-            conc.handle(Request::Claim(req), TimeMs(i));
-        }
-    }
-    conc
-}
+// ---- part A: the 7:1 ledger workload, untraced vs traced -----------
 
 /// Drive the 7:1 query:proof mix on [`THREADS`] threads, recording
 /// each op's latency. `traced` arms every request with a fresh
 /// [`SpanRecorder`] through `handle_traced` — the cost under test.
 fn measure_ledger(conc: &Ledger, ops_per_thread: u64, records: u64, traced: bool) -> Sample {
-    let lats: Vec<u64> = std::thread::scope(|scope| {
+    let mut lats = Histogram::new();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 scope.spawn(move || {
-                    let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1);
-                    let mut lats = Vec::with_capacity(ops_per_thread as usize);
+                    let mut ids = IdStream::new(0, t);
+                    let mut lats = Histogram::new();
                     for op in 0..ops_per_thread {
-                        let id = RecordId::new(LedgerId(1), lcg(&mut state) % records);
+                        let id = RecordId::new(LedgerId(1), ids.below(records));
                         let request = if op % PROOF_EVERY == 0 {
                             Request::GetProof { id }
                         } else {
@@ -137,7 +104,7 @@ fn measure_ledger(conc: &Ledger, ops_per_thread: u64, records: u64, traced: bool
                         } else {
                             conc.handle(request, TimeMs(1_000_000))
                         };
-                        lats.push(start.elapsed().as_nanos() as u64);
+                        lats.record(start.elapsed().as_nanos() as u64);
                         assert!(
                             matches!(resp, Response::Status { .. } | Response::Proof(_)),
                             "preloaded ledger must answer: {resp:?}"
@@ -147,20 +114,19 @@ fn measure_ledger(conc: &Ledger, ops_per_thread: u64, records: u64, traced: bool
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("workload thread"))
-            .collect()
+        for h in handles {
+            lats.merge(&h.join().expect("workload thread"));
+        }
     });
     sample_of(lats)
 }
 
-/// Best-of-`ROUNDS` untraced vs traced on the E15 workload. Exposed
+/// Best-of-`ROUNDS` untraced vs traced on the 7:1 workload. Exposed
 /// for the CI gate and the regression test.
 pub fn measure_ledger_overhead(quick: bool) -> (Sample, Sample) {
     let records: u64 = if quick { 2_000 } else { 10_000 };
     let ops_per_thread: u64 = if quick { 2_000 } else { 8_000 };
-    let conc = build_ledger(records);
+    let conc = preloaded_ledger(records);
     // Warm caches and branch predictors off the clock.
     measure_ledger(&conc, ops_per_thread / 4, records, false);
     let mut best_untraced: Option<Sample> = None;
@@ -182,10 +148,10 @@ pub fn measure_ledger_overhead(quick: bool) -> (Sample, Sample) {
 
 // ---- part B: the full TCP ladder, every layer recording ------------
 
-/// A live ledger (preloaded with `records` claims, 2% revoked) behind
-/// the full ladder, with a merged filter containing every preloaded id
-/// — so every query is a filter *hit* and walks the whole stack to the
-/// wire unless the striped cache answers first.
+/// A live [`preloaded_ledger`] behind the full ladder, with a merged
+/// filter containing every preloaded id — so every query is a filter
+/// *hit* and walks the whole stack to the wire unless the striped cache
+/// answers first.
 struct Rig {
     server: LedgerServer,
     stack: BoxService,
@@ -193,28 +159,12 @@ struct Rig {
 }
 
 fn build_rig(records: u64) -> Rig {
-    let ledger = Ledger::new(
-        LedgerConfig::new(LedgerId(1)),
-        TimestampAuthority::from_seed(0xE18),
-    );
-    let keypair = Keypair::from_seed(&[0xE8; 32]);
     let mut filter = BloomFilter::with_params(1 << 16, 6, 0).unwrap();
-    for i in 0..records {
-        let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
-        let id = if i % 50 == 0 {
-            ledger
-                .claim_revoked(req, TimeMs(i))
-                .expect("in-memory ledger cannot fail a claim")
-                .0
-        } else {
-            match ledger.handle(Request::Claim(req), TimeMs(i)) {
-                Response::Claimed { id, .. } => id,
-                other => panic!("preload claim failed: {other:?}"),
-            }
-        };
-        filter.insert(id.filter_key());
+    for serial in 0..records {
+        filter.insert(RecordId::new(LedgerId(1), serial).filter_key());
     }
-    let server = LedgerServer::start(ledger, "127.0.0.1:0").expect("bind loopback");
+    let server =
+        LedgerServer::start(preloaded_ledger(records), "127.0.0.1:0").expect("bind loopback");
     let proxy = Arc::new(SharedProxy::new(ProxyConfig {
         cache_capacity: 1024,
         // A zero TTL keeps the workload honest: cached answers expire as
@@ -236,10 +186,10 @@ fn build_rig(records: u64) -> Rig {
 /// Run `requests` queries through the ladder; `traced` attaches a
 /// fresh recorder to each, so all eight layers write spans.
 fn measure_ladder(rig: &Rig, requests: u64, traced: bool) -> Sample {
-    let mut latencies_ns = Vec::with_capacity(requests as usize);
-    let mut state = 0xE18_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut latencies_ns = Histogram::new();
+    let mut ids = IdStream::new(0xE18, 0);
     for _ in 0..requests {
-        let id = RecordId::new(LedgerId(1), lcg(&mut state) % rig.records);
+        let id = RecordId::new(LedgerId(1), ids.below(rig.records));
         let ctx = if traced {
             CallCtx::wall().with_trace(SpanRecorder::new())
         } else {
@@ -247,7 +197,7 @@ fn measure_ladder(rig: &Rig, requests: u64, traced: bool) -> Sample {
         };
         let start = Instant::now();
         let resp = rig.stack.call(Request::Query { id }, &ctx);
-        latencies_ns.push(start.elapsed().as_nanos() as u64);
+        latencies_ns.record(start.elapsed().as_nanos() as u64);
         assert!(
             matches!(resp, Ok(Response::Status { .. })),
             "live upstream must answer: {resp:?}"
@@ -333,8 +283,8 @@ pub fn run(quick: bool) -> String {
         table.row(row);
     }
     table.note(format!(
-        "ledger = the E15 thread-scaling workload ({THREADS} threads, 7:1 status \
-         queries : freshness proofs against a preloaded Ledger); traced \
+        "ledger = {THREADS} threads of 7:1 status queries : freshness proofs \
+         against a preloaded Ledger; traced \
          arms each request with a SpanRecorder (which the in-memory query path \
          never writes to) — the CI gate holds this p99 within 3%"
     ));
@@ -397,7 +347,7 @@ fn span_walk() -> Result<(Arc<SpanRecorder>, f64), String> {
     Ok((rec, wall_us))
 }
 
-/// CI gate: on the E15 workload an armed recorder must cost < 3% at
+/// CI gate: on the 7:1 ledger workload an armed recorder must cost < 3% at
 /// p99 (plus `EPSILON_US` of absolute slack for timer granularity),
 /// and a fully traced ladder query must pass `span_walk` with
 /// self-times accounting for at least 95% of its wall time. The timing
@@ -420,7 +370,7 @@ pub fn check(quick: bool) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "e18 ok: E15-workload p99 untraced {:.1} µs, traced {:.1} µs ({:+.1}%); \
+        "e18 ok: 7:1 ledger workload p99 untraced {:.1} µs, traced {:.1} µs ({:+.1}%); \
          8-layer walk accounts for {:.0}% of wall",
         untraced.p99_us,
         traced.p99_us,

@@ -21,6 +21,7 @@
 //!    [`Failover`](irs_net::service::Failover) client rotates onto it;
 //!    every acknowledged write must answer from the promoted replica.
 
+use crate::rig::{chaos_seed, poll_wal, tail_over_tcp};
 use crate::table::{f, Table};
 use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
@@ -30,7 +31,7 @@ use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
-    LedgerConfig, ReplicationPolicy, SegmentData,
+    LedgerConfig, ReplicationPolicy,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,9 +39,6 @@ use std::time::Duration;
 
 /// Ledger id used throughout.
 const LEDGER: LedgerId = LedgerId(1);
-
-/// Frames per follower poll.
-const POLL_FRAMES: u32 = 64;
 
 /// Replication policies swept by the kill table.
 pub const POLICIES: [ReplicationPolicy; 2] = [
@@ -60,15 +58,6 @@ fn durable(disk: &Arc<ChaosDisk>, replication: ReplicationPolicy) -> DurabilityC
     let mut d = DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, FsyncPolicy::Always);
     d.replication = replication;
     d
-}
-
-/// Default chaos seed; override with `CHAOS_SEED` to replay another
-/// universe (CI runs seeds 7 and 13).
-fn seed_from_env() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xE20)
 }
 
 /// A precomputed claim+revoke workload (signing hoisted out of the sweep).
@@ -114,33 +103,10 @@ impl Workload {
     }
 }
 
-/// One in-process poll: fetch the next segment from the primary's
-/// request path (the real wire dispatch, minus the socket) and apply it.
-/// Returns the applied count, or `Err` once the stream is unusable.
-fn poll_once(primary: &Ledger, follower: &mut Follower) -> Result<usize, ()> {
-    let resp = primary.handle(
-        Request::WalSubscribe {
-            from_seq: follower.next_seq(),
-            max_frames: POLL_FRAMES,
-        },
-        TimeMs(0),
-    );
-    match resp {
-        Response::WalSegment {
-            first_seq,
-            durable_seq,
-            log_start_seq,
-            frames,
-        } => follower
-            .apply_segment(&SegmentData {
-                first_seq,
-                durable_seq,
-                log_start_seq,
-                frames,
-            })
-            .map_err(|_| ()),
-        _ => Err(()),
-    }
+/// One in-process poll through the primary's request path (the real
+/// wire dispatch, minus the socket). `None` once the stream is unusable.
+fn poll_once(primary: &Ledger, follower: &mut Follower) -> Option<usize> {
+    poll_wal(follower, |req| Some(primary.handle(req, TimeMs(0))))
 }
 
 /// Count how many of the acknowledged writes are visible on `ledger`
@@ -248,7 +214,7 @@ pub fn kill_sweep(
                 // the stream with it, so nothing durable-but-unshipped
                 // can sneak across afterwards.
                 while !dead.load(Ordering::SeqCst) {
-                    if poll_once(&primary, &mut follower).is_err() {
+                    if poll_once(&primary, &mut follower).is_none() {
                         break;
                     }
                     if throttle {
@@ -318,7 +284,7 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
     }
 
     // …and tail until the stream is dry.
-    while poll_once(&primary, &mut follower).unwrap() > 0 {}
+    while poll_once(&primary, &mut follower).expect("catch-up stream") > 0 {}
 
     let (_, primary_bytes) = primary.replication_snapshot().unwrap();
     let (_, follower_bytes) = follower.ledger().replication_snapshot().unwrap();
@@ -370,57 +336,24 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
     let promoted = follower.ledger();
 
     // Tail over the wire while the workload runs.
-    let dead = Arc::new(AtomicBool::new(false));
-    let acked = {
-        let poller_dead = dead.clone();
-        std::thread::scope(|s| {
-            let poller = s.spawn(move || {
-                let tail = TcpTransport::new(primary_addr, Duration::from_secs(5));
-                while !poller_dead.load(Ordering::SeqCst) {
-                    let Ok(Response::WalSegment {
-                        first_seq,
-                        durable_seq,
-                        log_start_seq,
-                        frames,
-                    }) = tail.call(
-                        Request::WalSubscribe {
-                            from_seq: follower.next_seq(),
-                            max_frames: POLL_FRAMES,
-                        },
-                        &CallCtx::wall(),
-                    )
-                    else {
-                        break;
-                    };
-                    if follower
-                        .apply_segment(&SegmentData {
-                            first_seq,
-                            durable_seq,
-                            log_start_seq,
-                            frames,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
-            let kp = Keypair::from_seed(&[0x22; 32]);
-            let client = TcpTransport::new(primary_addr, Duration::from_secs(5));
-            let mut acked: Vec<RecordId> = Vec::new();
-            for i in 0..claims {
-                let req = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
-                if let Ok(Response::Claimed { id, .. }) =
-                    client.call(Request::Claim(req), &CallCtx::wall())
-                {
-                    acked.push(id);
-                }
+    let dead = AtomicBool::new(false);
+    let acked = std::thread::scope(|s| {
+        let poller = s.spawn(|| tail_over_tcp(primary_addr, &mut follower, &dead));
+        let kp = Keypair::from_seed(&[0x22; 32]);
+        let client = TcpTransport::new(primary_addr, Duration::from_secs(5));
+        let mut acked: Vec<RecordId> = Vec::new();
+        for i in 0..claims {
+            let req = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
+            if let Ok(Response::Claimed { id, .. }) =
+                client.call(Request::Claim(req), &CallCtx::wall())
+            {
+                acked.push(id);
             }
-            dead.store(true, Ordering::SeqCst);
-            poller.join().unwrap();
-            acked
-        })
-    };
+        }
+        dead.store(true, Ordering::SeqCst);
+        poller.join().unwrap();
+        acked
+    });
 
     // Kill the primary; promote the follower behind a fresh server.
     server.shutdown();
@@ -452,7 +385,7 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
 
 /// Run E20.
 pub fn run(quick: bool) -> String {
-    let seed = seed_from_env();
+    let seed = chaos_seed(0xE20);
     let workload = Workload::new(if quick { 16 } else { 32 });
     let points = if quick { 50 } else { 80 };
 
@@ -545,7 +478,7 @@ pub fn run(quick: bool) -> String {
 /// end byte-identical. Quick mode shrinks the workload, never the kill
 /// point count — the guarantee is per-point, not amortized.
 pub fn check(quick: bool) -> Result<String, String> {
-    let seed = seed_from_env();
+    let seed = chaos_seed(0xE20);
     let workload = Workload::new(if quick { 12 } else { 32 });
     let points = if quick { 50 } else { 80 };
 

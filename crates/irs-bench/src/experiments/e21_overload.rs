@@ -37,6 +37,7 @@
 //! 4. coalescing cuts ledger-observed query QPS during the storm by
 //!    ≥ 10× versus defenses-off.
 
+use crate::rig::chaos_seed;
 use crate::table::{f, Table};
 use irs_core::claim::{ClaimRequest, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
@@ -49,6 +50,7 @@ use irs_net::refresh::refresh;
 use irs_net::service::{stacks, CallCtx, GovernorPolicy, Service, ShedPolicy, TcpTransport};
 use irs_net::{Framed, LedgerServer, NetError, RetryPolicy, MAX_FRAME};
 use irs_proxy::{ProxyConfig, SharedProxy};
+use irs_simnet::Histogram;
 use irs_workload::openloop::{
     BotProfile, DiurnalCurve, FlashCrowd, OpenLoopConfig, RevocationStorm, ScheduledRequest,
 };
@@ -56,7 +58,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default seed; override with `CHAOS_SEED` to replay another universe.
+/// Default seed; [`chaos_seed`] replays another universe.
 pub const DEFAULT_SEED: u64 = 0xE21;
 
 /// Photo universe (= Zipf table size). Rank 0 is the famous photo.
@@ -144,13 +146,6 @@ fn phases(quick: bool) -> (u64, u64, u64) {
     } else {
         (3_000, 4_000, 1_000)
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
 /// Per-request record a driver connection brings home.
@@ -429,14 +424,14 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
     // Percentiles over answered organic requests, by phase. The first
     // 300 ms are connection warmup and excluded from the pre-storm
     // window.
-    let lat = |from: u64, to: u64| -> Vec<u64> {
-        let mut v: Vec<u64> = organic
-            .iter()
-            .filter(|a| a.verdict != Verdict::Lost && a.at_ms >= from && a.at_ms < to)
-            .map(|a| a.latency_us)
-            .collect();
-        v.sort_unstable();
-        v
+    let lat = |from: u64, to: u64| {
+        let mut h = Histogram::new();
+        for a in &organic {
+            if a.verdict != Verdict::Lost && a.at_ms >= from && a.at_ms < to {
+                h.record(a.latency_us);
+            }
+        }
+        h.summary()
     };
     let pre = lat(300, storm_at);
     let storm = lat(storm_at, storm_end);
@@ -463,10 +458,10 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
     ledger_server.shutdown();
 
     StormOutcome {
-        pre_p50_us: percentile(&pre, 0.50),
-        pre_p99_us: percentile(&pre, 0.99),
-        storm_p50_us: percentile(&storm, 0.50),
-        storm_p99_us: percentile(&storm, 0.99),
+        pre_p50_us: pre.p50,
+        pre_p99_us: pre.p99,
+        storm_p50_us: storm.p50,
+        storm_p99_us: storm.p99,
         goodput: in_storm_good as f64 / in_storm_offered.max(1) as f64,
         ledger_qps: (queries_at_end - queries_at_storm) as f64 / (storm_ms as f64 / 1_000.0),
         coalesced_per_leader: if leaders > 0.0 {
@@ -481,10 +476,7 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
 
 /// Run E21.
 pub fn run(quick: bool) -> String {
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = chaos_seed(DEFAULT_SEED);
     let (pre_ms, storm_ms, _) = phases(quick);
 
     let mut table = Table::new(
@@ -558,10 +550,7 @@ fn measure_defended_best_of_two(quick: bool, seed: u64) -> StormOutcome {
 
 /// CI gate: the four ISSUE acceptance criteria, at the current scale.
 pub fn check(quick: bool) -> Result<String, String> {
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = chaos_seed(DEFAULT_SEED);
 
     let off = measure(Defense::Off, quick, seed);
     let coalesce = measure(Defense::Coalesce, quick, seed);

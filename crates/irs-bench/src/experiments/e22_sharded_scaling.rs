@@ -26,6 +26,7 @@
 //! and 13): ≥3× aggregate validate QPS at 4 shards vs 1, and the drill
 //! recovers 100% of acked writes with no shard-2 collateral.
 
+use crate::rig::{chaos_seed, tail_over_tcp, IdStream};
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
 use irs_core::ids::{LedgerId, RecordId};
@@ -35,7 +36,7 @@ use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
-    LedgerConfig, ReplicationPolicy, SegmentData, ShardDirectory, ShardMap, ShardSpec,
+    LedgerConfig, ReplicationPolicy, ShardDirectory, ShardMap, ShardSpec,
 };
 use irs_net::service::{stacks, CallCtx, Route, Service, TcpTransport, TransportPool};
 use irs_net::{LedgerServer, NetError, RetryPolicy};
@@ -45,15 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default seed; override with `CHAOS_SEED` (CI runs 7 and 13).
+/// Default seed; [`chaos_seed`] replays another placement.
 pub const DEFAULT_SEED: u64 = 0xE22;
-
-fn seed_from_env() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
 
 /// Shard counts the scaling table sweeps.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -165,18 +159,16 @@ pub fn scale_point(shards: usize, quick: bool, seed: u64) -> ScalePoint {
     let stop = AtomicBool::new(false);
     let by_shard = Arc::new(by_shard);
     std::thread::scope(|s| {
-        for d in 0..DRIVERS {
+        for d in 0..DRIVERS as u64 {
             let route = route.clone();
             let by_shard = by_shard.clone();
             let good = &good;
             let stop = &stop;
             s.spawn(move || {
-                let mut x = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(d as u64 + 1);
+                let mut draws = IdStream::new(seed, d);
                 while !stop.load(Ordering::Relaxed) {
-                    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    x ^= x >> 27;
-                    let group = &by_shard[(x % by_shard.len() as u64) as usize];
-                    let id = group[((x >> 32) % group.len() as u64) as usize];
+                    let group = &by_shard[draws.below(by_shard.len() as u64) as usize];
+                    let id = group[draws.below(group.len() as u64) as usize];
                     if matches!(
                         route.call(Request::Query { id }, &CallCtx::wall()),
                         Ok(Response::Status { .. })
@@ -219,7 +211,6 @@ pub struct DrillOutcome {
 
 /// The mid-sweep failover drill over real sockets (module docs, part 2).
 pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
-    const POLL_FRAMES: u32 = 64;
     let claims_n: u64 = if quick { 24 } else { 48 };
     let sweep_rounds = if quick { 40 } else { 120 };
 
@@ -320,56 +311,23 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
 
     // Ingest through the route while a WAL poller tails the primary
     // into the follower (the PR-7 replication path, over real sockets).
-    let dead = Arc::new(AtomicBool::new(false));
+    let dead = AtomicBool::new(false);
     let kp = Keypair::from_seed(&[0x23; 32]);
-    let acked: Vec<RecordId> = {
-        let poller_dead = dead.clone();
-        std::thread::scope(|s| {
-            let poller = s.spawn(move || {
-                let tail = TcpTransport::new(primary_addr, Duration::from_secs(5));
-                while !poller_dead.load(Ordering::SeqCst) {
-                    let Ok(Response::WalSegment {
-                        first_seq,
-                        durable_seq,
-                        log_start_seq,
-                        frames,
-                    }) = tail.call(
-                        Request::WalSubscribe {
-                            from_seq: follower.next_seq(),
-                            max_frames: POLL_FRAMES,
-                        },
-                        &CallCtx::wall(),
-                    )
-                    else {
-                        break;
-                    };
-                    if follower
-                        .apply_segment(&SegmentData {
-                            first_seq,
-                            durable_seq,
-                            log_start_seq,
-                            frames,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
-            let mut acked = Vec::new();
-            for i in 0..claims_n {
-                let claim = ClaimRequest::create(&kp, &Digest::of(&(seed ^ i).to_le_bytes()));
-                if let Ok(Response::Claimed { id, .. }) =
-                    route.call(Request::Claim(claim), &CallCtx::wall())
-                {
-                    acked.push(id);
-                }
+    let acked: Vec<RecordId> = std::thread::scope(|s| {
+        let poller = s.spawn(|| tail_over_tcp(primary_addr, &mut follower, &dead));
+        let mut acked = Vec::new();
+        for i in 0..claims_n {
+            let claim = ClaimRequest::create(&kp, &Digest::of(&(seed ^ i).to_le_bytes()));
+            if let Ok(Response::Claimed { id, .. }) =
+                route.call(Request::Claim(claim), &CallCtx::wall())
+            {
+                acked.push(id);
             }
-            dead.store(true, Ordering::SeqCst);
-            poller.join().unwrap();
-            acked
-        })
-    };
+        }
+        dead.store(true, Ordering::SeqCst);
+        poller.join().unwrap();
+        acked
+    });
     let acked_shard1 = acked.iter().filter(|id| id.ledger == LedgerId(1)).count() as u64;
     let acked_shard2 = acked.len() as u64 - acked_shard1;
 
@@ -427,7 +385,7 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
 
 /// Run E22.
 pub fn run(quick: bool) -> String {
-    let seed = seed_from_env();
+    let seed = chaos_seed(DEFAULT_SEED);
 
     let mut scaling = Table::new(
         "E22a — linear scaling: routed shards vs aggregate validate QPS",
@@ -513,7 +471,7 @@ pub fn run(quick: bool) -> String {
 /// vs 1, 100% acked-write recovery through the mid-sweep kill, zero
 /// shard-2 collateral.
 pub fn check(quick: bool) -> Result<String, String> {
-    let seed = seed_from_env();
+    let seed = chaos_seed(DEFAULT_SEED);
 
     let one = scale_point(1, quick, seed);
     let four = scale_point(4, quick, seed);

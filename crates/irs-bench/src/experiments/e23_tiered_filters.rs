@@ -22,6 +22,7 @@
 //! ≥20% memory cut and ≥1.5× lookup speedup at 10⁶ keys, zero false
 //! negatives through concurrent epoch compaction.
 
+use crate::rig::chaos_seed;
 use crate::table::{f, Table};
 use irs_core::ids::LedgerId;
 use irs_filters::hash::mix64;
@@ -36,13 +37,6 @@ use std::time::Instant;
 const BLOOM_FPR: f64 = 0.0039;
 
 const DEFAULT_SEED: u64 = 7;
-
-fn seed_from_env() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
 
 struct Point {
     n: u64,
@@ -279,7 +273,7 @@ pub fn run(quick: bool) -> String {
         ]);
     }
 
-    let d = soundness_drill(quick, seed_from_env());
+    let d = soundness_drill(quick, chaos_seed(DEFAULT_SEED));
     table.note(
         "bytes are FilterSet::resident_filter_bytes() (bloom-only pays the per-ledger \
          Bloom plus the merged clone); lookups via might_be_revoked, 50/50 \
@@ -317,7 +311,7 @@ pub fn check(quick: bool) -> Result<String, String> {
             p.tiered_ns
         ));
     }
-    let seed = seed_from_env();
+    let seed = chaos_seed(DEFAULT_SEED);
     let d = soundness_drill(quick, seed);
     if d.false_negatives != 0 {
         return Err(format!(

@@ -6,7 +6,6 @@ pub mod e11_tet_adoption;
 pub mod e12_filter_comparison;
 pub mod e13_viewer_privacy;
 pub mod e14_validation_latency;
-pub mod e15_thread_scaling;
 pub mod e16_availability;
 pub mod e17_durability;
 pub mod e18_observability;

@@ -2,19 +2,19 @@
 //!
 //! The paper is a position paper with no numbered tables; its evaluation
 //! content is a set of quantitative claims. DESIGN.md §4 assigns each
-//! claim an experiment id (E1–E23); this crate holds one module per
-//! experiment, each exposing `run(quick: bool) -> String` that regenerates
-//! the corresponding table. The `experiments` binary dispatches on the
-//! experiment id; `quick` shrinks the workloads for CI smoke runs.
-//!
-//! Criterion micro-benches (build/query/sign/embed/ingest throughput) live
-//! under `benches/`.
+//! claim an experiment id (E1–E14, plus the implementation drills E16–E23;
+//! E15 is retired); this crate holds one module per experiment, each
+//! exposing `run(quick: bool) -> String` that regenerates the
+//! corresponding table, and the drills a `check(quick)` gate. The
+//! `experiments` binary dispatches on the experiment id; `quick` shrinks
+//! the workloads for CI smoke runs. Timing lives in the `benchmark/`
+//! package (`BENCHMARK.json`); [`rig`] holds what the rigs share.
 
 pub mod experiments;
 pub mod rig;
 pub mod table;
 
-/// Run an experiment by id ("e1".."e23" or "all"). `quick` trades
+/// Run an experiment by id ("e1".."e14", "e16".."e23" or "all"). `quick` trades
 /// precision for speed (used by tests).
 pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
     use experiments::*;
@@ -33,7 +33,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
         "e12" => e12_filter_comparison::run(quick),
         "e13" => e13_viewer_privacy::run(quick),
         "e14" => e14_validation_latency::run(quick),
-        "e15" => e15_thread_scaling::run(quick),
         "e16" => e16_availability::run(quick),
         "e17" => e17_durability::run(quick),
         "e18" => e18_observability::run(quick),
@@ -46,7 +45,7 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
             let mut out = String::new();
             for id in [
                 "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
+                "e14", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
             ] {
                 out.push_str(&run_experiment(id, quick).expect("known id"));
                 out.push('\n');

@@ -1,14 +1,28 @@
-//! What the single-threaded proxy rigs (E4/E5/E13/E14) share. They drive
-//! the proxy a server runs, built with
-//! `SharedProxy::with_shards(config, 1)`: one cache stripe is an exact
-//! LRU, so the recorded tables do not depend on the stripe count.
+//! What the experiment rigs share.
+//!
+//! * The single-threaded proxy rigs (E4/E5/E13/E14) drive the proxy a
+//!   server runs, built with `SharedProxy::with_shards(config, 1)`: one
+//!   cache stripe is an exact LRU, so the recorded tables do not depend
+//!   on the stripe count.
+//! * The systems drills (E16, E18–E23) take their seed, id stream,
+//!   preloaded ledger and follower WAL tail from here, and record every
+//!   latency percentile into [`irs_simnet::Histogram`] — the exact
+//!   nearest-rank histogram E1 and E14 use.
 
-use irs_core::claim::RevocationStatus;
+use irs_core::claim::{ClaimRequest, RevocationStatus};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
+use irs_core::tsa::TimestampAuthority;
+use irs_core::wire::{Request, Response};
+use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
+use irs_ledger::{Follower, Ledger, LedgerConfig, SegmentData};
+use irs_net::service::{CallCtx, Service, TcpTransport};
 use irs_proxy::{FilterUpdate, LookupOutcome, SharedProxy};
 use irs_workload::population::PhotoPopulation;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Install the population's revoked set on `proxy` the way §4.4 has it
 /// arrive: one Bloom per ledger, each a copy of the (empty) `geometry`
@@ -45,4 +59,137 @@ pub fn validate(proxy: &SharedProxy, id: RecordId, revoked: bool, now: TimeMs) -
         proxy.complete(id, status, now);
     }
     outcome
+}
+
+/// A drill's seed: `CHAOS_SEED` when it holds a `u64`, else `default`.
+/// CI runs every gate on two seeds, so a gate's bars must hold for any
+/// fault universe, id stream or placement, not one lucky draw.
+pub fn chaos_seed(default: u64) -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The seeded sampler the drills draw ids from (Knuth's MMIX LCG, top
+/// bits). Lane `k` of a seed is driver thread `k`'s stream, decorrelated
+/// from its neighbours'.
+pub struct IdStream(u64);
+
+impl IdStream {
+    /// Lane `lane` of `seed`.
+    pub fn new(seed: u64, lane: u64) -> IdStream {
+        IdStream(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane + 1))
+    }
+
+    /// The next draw in `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 16) % n
+    }
+}
+
+/// The ledger the load drills query: `records` claims on `LedgerId(1)`
+/// at the dense serials `0..records`, every 50th revoked (the ~2 %
+/// revoked density used elsewhere). Built from the count alone, so a
+/// child process serving it (E19's `e19-server`) needs no other input.
+pub fn preloaded_ledger(records: u64) -> Ledger {
+    let ledger = Ledger::new(
+        LedgerConfig::new(LedgerId(1)),
+        TimestampAuthority::from_seed(0xE18),
+    );
+    let keypair = Keypair::from_seed(&[0xE8; 32]);
+    for i in 0..records {
+        let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
+        if i % 50 == 0 {
+            ledger
+                .claim_revoked(req, TimeMs(i))
+                .expect("in-memory ledger cannot fail a claim");
+        } else {
+            ledger.handle(Request::Claim(req), TimeMs(i));
+        }
+    }
+    ledger
+}
+
+/// WAL frames a follower asks for per poll.
+const POLL_FRAMES: u32 = 64;
+
+/// One follower poll: `fetch` answers the `WalSubscribe` from the
+/// follower's cursor, and the segment is applied. Returns the frames
+/// applied, or `None` once the stream is unusable (no answer, not a
+/// segment, or a segment the follower refuses).
+pub fn poll_wal(
+    follower: &mut Follower,
+    fetch: impl FnOnce(Request) -> Option<Response>,
+) -> Option<usize> {
+    let Some(Response::WalSegment {
+        first_seq,
+        durable_seq,
+        log_start_seq,
+        frames,
+    }) = fetch(Request::WalSubscribe {
+        from_seq: follower.next_seq(),
+        max_frames: POLL_FRAMES,
+    })
+    else {
+        return None;
+    };
+    let segment = SegmentData {
+        first_seq,
+        durable_seq,
+        log_start_seq,
+        frames,
+    };
+    follower.apply_segment(&segment).ok()
+}
+
+/// Tail `primary`'s WAL over TCP into `follower` until `stop` is set or
+/// the stream breaks — the replication path a follower runs, over real
+/// sockets.
+pub fn tail_over_tcp(primary: SocketAddr, follower: &mut Follower, stop: &AtomicBool) {
+    let tail = TcpTransport::new(primary, Duration::from_secs(5));
+    while !stop.load(Ordering::SeqCst)
+        && poll_wal(follower, |req| tail.call(req, &CallCtx::wall()).ok()).is_some()
+    {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn preloaded_ledger_answers_every_serial_and_revokes_every_fiftieth() {
+        let ledger = preloaded_ledger(120);
+        for serial in 0..120 {
+            let id = RecordId::new(LedgerId(1), serial);
+            let Response::Status { status, .. } =
+                ledger.handle(Request::Query { id }, TimeMs(1_000))
+            else {
+                panic!("serial {serial} not answered with a status");
+            };
+            let revoked = status == RevocationStatus::Revoked;
+            assert_eq!(revoked, serial % 50 == 0, "serial {serial}: {status:?}");
+        }
+    }
+
+    /// Any value set here is a seed some gate may see (tests share the
+    /// process environment), and every gate holds for any seed.
+    #[test]
+    fn chaos_seed_falls_back_to_its_default() {
+        let saved = std::env::var_os("CHAOS_SEED");
+        std::env::remove_var("CHAOS_SEED");
+        assert_eq!(chaos_seed(0xE16), 0xE16);
+        std::env::set_var("CHAOS_SEED", "not-a-seed");
+        assert_eq!(chaos_seed(0xE16), 0xE16);
+        std::env::set_var("CHAOS_SEED", "13");
+        assert_eq!(chaos_seed(0xE16), 13);
+        match saved {
+            Some(seed) => std::env::set_var("CHAOS_SEED", seed),
+            None => std::env::remove_var("CHAOS_SEED"),
+        }
+    }
 }

@@ -287,8 +287,8 @@ impl Ledger {
         Ledger::with_shards(config, tsa, DEFAULT_SHARDS)
     }
 
-    /// Create with an explicit stripe count (the E15 scaling experiment
-    /// sweeps this; one stripe is the single-lock layout).
+    /// Create with an explicit stripe count (one stripe is the
+    /// single-lock layout).
     pub fn with_shards(config: LedgerConfig, tsa: TimestampAuthority, num_shards: usize) -> Ledger {
         Ledger::assemble(config, tsa, num_shards, None)
     }

@@ -78,8 +78,8 @@ pub struct StoredClaim {
     pub origin: ClaimOrigin,
 }
 
-/// Default stripe count for servers (a few× typical core counts; the
-/// E15 thread-scaling experiment shows the curve).
+/// Default stripe count for servers (a few× typical core counts, so
+/// concurrent requests rarely meet on one stripe lock).
 pub const DEFAULT_SHARDS: usize = 16;
 
 struct Shard {

@@ -8,9 +8,7 @@
 //!
 //! Connections share one [`Ledger`] behind a plain `Arc` and call its
 //! `&self` request path directly: no whole-service mutex is held across
-//! request handling, so independent connections proceed in parallel (the
-//! E15 thread-scaling experiment measures the difference against a
-//! `Mutex<Ledger>` fixture).
+//! request handling, so independent connections proceed in parallel.
 
 use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};

@@ -25,9 +25,10 @@
 //!   locally when it can and forwards filter misses upstream;
 //! * [`mod@refresh`] — the proxy's hourly filter pull over the wire (one
 //!   `GetFilterTiered` a round);
-//! * [`chaos`] / [`server`] — the fault-injecting interposer the
-//!   failure drills run through, and the thread-per-connection accept
-//!   loop it (alone) is built on.
+//! * [`chaos`] — the fault-injecting interposer the failure drills run
+//!   through. It relays on a crate-private thread-per-connection accept
+//!   loop: a relay that sleeps, stalls and blackholes on purpose wants a
+//!   thread it may park.
 //!
 //! Shutdown is explicit and joins every worker/connection thread
 //! (structured concurrency: no task outlives its component).
@@ -39,7 +40,7 @@ pub mod mux;
 pub mod proxy_server;
 pub mod reactor;
 pub mod refresh;
-pub mod server;
+mod server;
 pub mod service;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, FaultMode};
@@ -49,7 +50,6 @@ pub use mux::MuxClient;
 pub use proxy_server::ProxyServer;
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
 pub use refresh::{RefreshOutcome, RefreshWorker};
-pub use server::ServerHandle;
 pub use service::{BoxService, CallCtx, Layer, RetryPolicy, Service, ServiceExt};
 
 /// Errors from the network layer.

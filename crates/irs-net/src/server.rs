@@ -1,8 +1,7 @@
 //! A thread-per-connection accept loop — what [`ChaosProxy`] runs on
 //! (a relay that sleeps, stalls and blackholes on purpose wants a thread
-//! it may park), and what bench fixtures build reference servers from.
-//! Nothing that serves the wire protocol in production uses it: that is
-//! the [`reactor`](crate::reactor).
+//! it may park), and nothing else. Nothing that serves the wire protocol
+//! uses it: that is the [`reactor`](crate::reactor).
 //!
 //! [`ChaosProxy`]: crate::chaos::ChaosProxy
 //!
@@ -22,6 +21,7 @@ use std::time::Duration;
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    #[cfg(test)]
     live_conns: Arc<AtomicUsize>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -82,6 +82,7 @@ impl ServerHandle {
         Ok(ServerHandle {
             addr: local,
             stop,
+            #[cfg(test)]
             live_conns,
             accept_thread: Some(accept_thread),
         })
@@ -94,6 +95,7 @@ impl ServerHandle {
 
     /// Connection threads currently tracked (finished ones disappear
     /// within one accept-loop tick, connected or idle).
+    #[cfg(test)]
     pub fn live_connections(&self) -> usize {
         self.live_conns.load(Ordering::SeqCst)
     }

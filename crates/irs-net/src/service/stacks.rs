@@ -60,18 +60,14 @@ pub fn retrying_upstream(
 }
 
 /// The whole ladder: retries, failover, circuit breaker, stale-serve,
-/// all behind the local cache front.
+/// all behind the local cache front — [`full_over`] one [`TcpTransport`]
+/// per replica.
 pub fn full_upstream(
     proxy: Arc<SharedProxy>,
     replicas: Vec<SocketAddr>,
     retry: RetryPolicy,
 ) -> BoxService {
-    Failover::new(transports(&replicas, retry.io_timeout))
-        .layered(RetryLayer::new(retry))
-        .layered(BreakerLayer::new(proxy.clone()))
-        .layered(StaleServeLayer::new(proxy.clone()))
-        .layered(CacheLayer::new(proxy))
-        .boxed()
+    full_over(proxy, transports(&replicas, retry.io_timeout), retry)
 }
 
 /// [`full_upstream`] over caller-supplied transports — experiments

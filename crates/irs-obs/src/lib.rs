@@ -20,7 +20,7 @@
 //! Design rule: **zero cost when off**. A request with no recorder
 //! attached pays one `Option` check per layer; metrics increments are
 //! single relaxed atomic adds. E18 keeps the ledger honest (<3% p99
-//! overhead on the thread-scaling workload).
+//! overhead on its 7:1 query : proof workload).
 
 pub mod metrics;
 pub mod trace;

@@ -106,37 +106,6 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// A windowless rate counter: events per simulated second.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RateCounter {
-    events: u64,
-}
-
-impl RateCounter {
-    /// Record one event.
-    pub fn tick(&mut self) {
-        self.events += 1;
-    }
-
-    /// Record several events.
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Total events.
-    pub fn total(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per second over an elapsed span.
-    pub fn per_second(&self, elapsed_ms: u64) -> f64 {
-        if elapsed_ms == 0 {
-            return 0.0;
-        }
-        self.events as f64 * 1000.0 / elapsed_ms as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,17 +166,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn rate_counter() {
-        let mut r = RateCounter::default();
-        r.tick();
-        r.add(9);
-        assert_eq!(r.total(), 10);
-        assert_eq!(r.per_second(1_000), 10.0);
-        assert_eq!(r.per_second(2_000), 5.0);
-        assert_eq!(r.per_second(0), 0.0);
     }
 
     #[test]
