@@ -123,11 +123,6 @@ impl Aggregator {
         }
     }
 
-    /// Hosted photo count.
-    pub fn hosted_count(&self) -> usize {
-        self.hosted.len()
-    }
-
     /// Borrow a hosted photo.
     pub fn get(&self, key: u64) -> Option<&HostedPhoto> {
         self.hosted.get(&key)
@@ -364,13 +359,6 @@ impl Aggregator {
         }
         Some((&hosted.photo, hosted.proof.as_ref()))
     }
-
-    /// Baseline (non-IRS) ops per upload, for the E10 overhead fraction:
-    /// decode + dedupe-hash + store + thumbnail ≈ 4 units of work; IRS
-    /// adds watermark read (≈1), ledger query (≈0.1 — network-bound, not
-    /// CPU), and a hash-db probe (shared with dedupe). The benches measure
-    /// real CPU time; this constant documents the unit model.
-    pub const BASELINE_OPS_PER_UPLOAD: f64 = 4.0;
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl BrowserValidator {
         self.local_filter = Some(filter);
     }
 
-    /// Whether a local filter is installed.
-    pub fn has_filter(&self) -> bool {
-        self.local_filter.is_some()
-    }
-
     /// Classify a photo given its label reading.
     pub fn plan(&mut self, reading: &LabelReading, now: TimeMs) -> ValidationPlan {
         self.stats.examined += 1;

@@ -127,11 +127,6 @@ macro_rules! xor_filter {
                 (mix_seeded(key, seed ^ 0x5bf0_3635_d1a2_4f27) & (<$fp>::MAX as u64)) as $fp
             }
 
-            /// Number of slots (3 × block).
-            pub fn slots_len(&self) -> usize {
-                self.fingerprints.len()
-            }
-
             /// Bits per key for `n` keys stored.
             pub fn bits_per_key(&self, n: usize) -> f64 {
                 (self.fingerprints.len() * $fpbits) as f64 / n.max(1) as f64

@@ -138,12 +138,6 @@ impl ChaosDisk {
         self.inner.lock().appended
     }
 
-    /// Re-arm (or disarm with `None`) the crash threshold. The byte count
-    /// is measured from disk creation, not from this call.
-    pub fn set_crash_at_bytes(&self, bytes: Option<u64>) {
-        self.inner.lock().config.crash_at_bytes = bytes;
-    }
-
     /// Simulate power loss now: every file's unsynced tail survives only
     /// as a seeded prefix, and whatever survived is now "on media"
     /// (durable). The disk stays usable afterwards — this models the

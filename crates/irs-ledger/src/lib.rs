@@ -6,7 +6,9 @@
 //! * [`store`] — [`LedgerStore`], the append-only claim store: dense
 //!   serials from one atomic allocator, records striped per shard, every
 //!   operation `&self` (the stripe count is a constructor argument; one
-//!   stripe is the single-lock layout);
+//!   stripe is the single-lock layout). [`LedgerStore::apply_logged`] is
+//!   the one step from a logged [`WalRecord`] to store state, shared by
+//!   the primary, the follower and recovery;
 //! * [`service`] — [`Ledger`]: wire-protocol request handling, freshness
 //!   proofs, the revoked-set filter publication (§4.4; fuse base +
 //!   Bloom delta re-covered from the exact revoked set at each publish),
@@ -25,16 +27,21 @@
 //!
 //! Durability tier (DESIGN.md, "Durability & recovery"): [`wal`] is the
 //! checksummed write-ahead log every mutation hits before it is
-//! acknowledged, [`snapshot`] the periodic checkpoint that bounds replay,
-//! [`recovery`] the open-time replay that rebuilds state exactly (and
-//! fails closed on anything tearing cannot explain), [`disk`] the narrow
-//! storage trait they share, and [`chaosdisk`] its seeded
-//! fault-injecting double for crash experiments (E17).
+//! acknowledged — claims, revokes and appeal pins all take the
+//! [`Ledger`]'s one durable-write step (apply and log under the stripe
+//! lock, commit, time, snapshot trigger, replication gate) —
+//! [`snapshot`] the periodic checkpoint that bounds replay, [`recovery`]
+//! the open-time replay that seeds the store from the snapshot and
+//! replays the WAL tail through `apply_logged` (failing closed on
+//! anything tearing cannot explain), [`disk`] the narrow storage trait
+//! they share, and [`chaosdisk`] its seeded fault-injecting double for
+//! crash experiments (E17).
 //!
 //! Replication tier (DESIGN.md, "Replication & failover"): [`replication`]
 //! ships the WAL to a [`Follower`] on another disk — every durable record
 //! carries a dense sequence number, followers catch up from a seq-stamped
-//! snapshot plus the live stream, and the
+//! snapshot plus the live stream (each record a signature check plus the
+//! same store step, logged to the follower's own WAL), and the
 //! [`ReplicationPolicy`] decides whether client acks
 //! wait for the replica (E20's zero-acked-loss guarantee) or only the
 //! local fsync.
@@ -62,7 +69,7 @@ pub use appeals::{AppealOutcome, AppealsJudge};
 pub use chaosdisk::{ChaosDisk, ChaosDiskConfig, DiskFault};
 pub use disk::{Disk, StdDisk};
 pub use placement::{PlacementError, ShardDirectory, ShardMap, ShardSpec};
-pub use recovery::{RecoveredState, RecoveryError, RecoveryReport};
+pub use recovery::{RecoveryError, RecoveryReport};
 pub use replication::{
     ApplyError, Follower, FollowerError, ReplicationLog, ReplicationPolicy, SegmentData,
 };

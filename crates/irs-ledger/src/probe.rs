@@ -76,11 +76,6 @@ impl Prober {
         }
     }
 
-    /// Number of planted canaries.
-    pub fn canary_count(&self) -> usize {
-        self.canaries.len()
-    }
-
     /// Run one probe round: toggle each canary's revocation and verify the
     /// public answer reflects it. Returns per-canary results.
     pub fn probe_round(&mut self, ledger: &mut AdversarialLedger, now: TimeMs) -> Vec<ProbeResult> {

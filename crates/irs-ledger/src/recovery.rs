@@ -5,17 +5,21 @@
 //! 1. **Snapshot** (if present): decode under its CRC. Any damage is
 //!    fatal — snapshots are written atomically, so a corrupt one means
 //!    the media lied, and serving guesses about revocation state is the
-//!    one thing this system must never do (*fail closed*).
+//!    one thing this system must never do (*fail closed*). Its records
+//!    seed the store.
 //! 2. **Resume point**: the snapshot records the WAL `(generation,
 //!    offset)` it was cut at. If the log still carries that generation,
 //!    replay starts at the offset (the covered prefix is skipped
 //!    unparsed). If the log is one generation ahead, the post-snapshot
 //!    rotation completed and replay starts at the header. Anything else
 //!    means files from different histories are mixed — fail closed.
-//! 3. **Replay**: apply each logged operation to the record map,
-//!    re-checking the epoch chain. A replay mismatch (revoke of an
-//!    unknown record, broken epoch chain) can only happen if the log or
-//!    snapshot is wrong — fail closed.
+//! 3. **Replay**: apply each logged record to the store through
+//!    [`LedgerStore::apply_logged`], the step the primary and the
+//!    follower apply records with. A record that does not apply (revoke
+//!    of an unknown record, broken epoch chain, duplicate serial) can
+//!    only come from a wrong log or snapshot — fail closed. Signatures
+//!    are not re-verified: the log is CRC-checked and only ever holds
+//!    records that were verified before they were logged.
 //! 4. **Torn tail**: an incomplete or checksum-failed *final* frame is
 //!    the signature of a cut append. Nothing acknowledged under fsync
 //!    `Always` can live there, so the tail is dropped and the log is
@@ -29,14 +33,13 @@
 use std::io;
 use std::sync::Arc;
 
-use irs_core::claim::{Claim, RevocationStatus};
-use irs_core::ids::{LedgerId, RecordId};
-use std::collections::BTreeMap;
+use irs_core::ids::LedgerId;
+use irs_core::tsa::TimestampAuthority;
 
 use crate::disk::Disk;
 use crate::snapshot::{decode_snapshot, SnapshotError};
-use crate::store::StoredClaim;
-use crate::wal::{read_header, read_wal, WalError, WalRecord, WAL_HEADER_LEN};
+use crate::store::{LedgerStore, StoreError};
+use crate::wal::{read_header, read_wal, WalError, WAL_HEADER_LEN};
 
 /// Errors from recovery. All variants except `Io` mean the on-disk state
 /// cannot be trusted and the ledger must not start (fail closed).
@@ -48,8 +51,11 @@ pub enum RecoveryError {
     Snapshot(SnapshotError),
     /// The WAL fails validation mid-log.
     Wal(WalError),
-    /// The log parsed but does not describe a coherent history.
+    /// The snapshot and the log do not belong together (another ledger,
+    /// another generation, a log the snapshot references gone).
     Replay(&'static str),
+    /// A logged record does not apply to the state before it.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -59,6 +65,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::Snapshot(e) => write!(f, "recovery: {e}"),
             RecoveryError::Wal(e) => write!(f, "recovery: {e}"),
             RecoveryError::Replay(what) => write!(f, "recovery replay failed: {what}"),
+            RecoveryError::Store(e) => write!(f, "recovery replay failed: {e}"),
         }
     }
 }
@@ -70,6 +77,7 @@ impl std::error::Error for RecoveryError {
             RecoveryError::Snapshot(e) => Some(e),
             RecoveryError::Wal(e) => Some(e),
             RecoveryError::Replay(_) => None,
+            RecoveryError::Store(e) => Some(e),
         }
     }
 }
@@ -108,201 +116,80 @@ pub struct RecoveryReport {
     pub recovered_records: usize,
 }
 
-/// The state recovery hands to the store layer.
-#[derive(Debug)]
-pub struct RecoveredState {
-    /// All records, ascending serial order (holes possible).
-    pub records: Vec<StoredClaim>,
-    /// What happened.
-    pub report: RecoveryReport,
-}
-
-/// Recover ledger state from `snapshot_path` + `wal_path` on `disk`.
+/// Rebuild a ledger's store from `snapshot_path` + `wal_path` on `disk`:
+/// the snapshot's records seed a store of `num_shards` stripes stamped by
+/// `tsa`, and the WAL tail replays into it.
 ///
 /// Also repairs a torn WAL tail in place (rewriting the good prefix
 /// atomically), so a subsequent [`crate::wal::WalWriter::open`] on the
 /// same path succeeds and appends after valid bytes.
-pub fn recover(
+pub(crate) fn recover_store(
     disk: &Arc<dyn Disk>,
     wal_path: &str,
     snapshot_path: &str,
     ledger: LedgerId,
-) -> Result<RecoveredState, RecoveryError> {
+    tsa: TimestampAuthority,
+    num_shards: usize,
+) -> Result<(LedgerStore, RecoveryReport), RecoveryError> {
     // 1. Snapshot.
-    let snapshot = if disk.exists(snapshot_path) {
-        let bytes = disk.read(snapshot_path)?;
-        let snap = decode_snapshot(&bytes)?;
+    let mut report = RecoveryReport::default();
+    let (records, resume) = if disk.exists(snapshot_path) {
+        let snap = decode_snapshot(&disk.read(snapshot_path)?)?;
         if snap.ledger != ledger {
             return Err(RecoveryError::Replay(
                 "snapshot belongs to a different ledger",
             ));
         }
-        Some(snap)
+        report.snapshot_records = snap.records.len();
+        (snap.records, Some((snap.wal_generation, snap.wal_offset)))
     } else {
-        None
+        (Vec::new(), None)
     };
+    let store = LedgerStore::from_parts(ledger, tsa, records, num_shards);
 
     // 2. WAL + resume point.
-    let mut records: BTreeMap<u64, StoredClaim> = BTreeMap::new();
-    let mut report = RecoveryReport::default();
-    if let Some(snap) = snapshot {
-        report.snapshot_records = snap.records.len();
-        for rec in snap.records {
-            records.insert(rec.claim.id.serial, rec);
-        }
-
-        if disk.exists(wal_path) {
-            let bytes = disk.read(wal_path)?;
-            let (wal_ledger, generation) = read_header(&bytes)?;
-            if wal_ledger != ledger {
-                return Err(RecoveryError::Replay("wal belongs to a different ledger"));
-            }
-            let start = if generation == snap.wal_generation {
-                // Crash before (or without) rotation: the snapshot covers
-                // the prefix up to its recorded offset.
-                snap.wal_offset as usize
-            } else if generation == snap.wal_generation + 1 {
-                // Rotation completed: the whole log is post-snapshot.
-                WAL_HEADER_LEN
-            } else {
-                return Err(RecoveryError::Replay(
-                    "wal generation does not match snapshot",
-                ));
-            };
-            replay(
-                disk,
-                wal_path,
-                &bytes,
-                start,
-                ledger,
-                &mut records,
-                &mut report,
-            )?;
-        } else if snap.wal_offset > WAL_HEADER_LEN as u64 {
-            // The snapshot says a log with committed frames existed.
-            return Err(RecoveryError::Replay(
-                "wal missing but snapshot references it",
-            ));
-        }
-    } else if disk.exists(wal_path) {
+    if disk.exists(wal_path) {
         let bytes = disk.read(wal_path)?;
-        let (wal_ledger, _) = read_header(&bytes)?;
+        let (wal_ledger, generation) = read_header(&bytes)?;
         if wal_ledger != ledger {
             return Err(RecoveryError::Replay("wal belongs to a different ledger"));
         }
-        replay(
-            disk,
-            wal_path,
-            &bytes,
-            WAL_HEADER_LEN,
-            ledger,
-            &mut records,
-            &mut report,
-        )?;
+        let start = match resume {
+            None => WAL_HEADER_LEN,
+            // Crash before (or without) rotation: the snapshot covers the
+            // prefix up to its recorded offset.
+            Some((cut, offset)) if cut == generation => offset as usize,
+            // Rotation completed: the whole log is post-snapshot.
+            Some((cut, _)) if cut + 1 == generation => WAL_HEADER_LEN,
+            Some(_) => {
+                return Err(RecoveryError::Replay(
+                    "wal generation does not match snapshot",
+                ))
+            }
+        };
+        // 3. Replay.
+        let contents = read_wal(&bytes, start)?;
+        for (_, record) in &contents.records {
+            store
+                .apply_logged(record, || {})
+                .map_err(RecoveryError::Store)?;
+        }
+        report.wal_records = contents.records.len();
+        if contents.torn_bytes > 0 {
+            // 4. Drop the torn tail durably so the next append starts clean.
+            disk.write_atomic(wal_path, &bytes[..contents.good_len as usize])?;
+            report.torn_bytes_dropped = contents.torn_bytes;
+        }
+    } else if resume.is_some_and(|(_, offset)| offset > WAL_HEADER_LEN as u64) {
+        // The snapshot says a log with committed frames existed.
+        return Err(RecoveryError::Replay(
+            "wal missing but snapshot references it",
+        ));
     }
 
-    report.recovered_records = records.len();
-    Ok(RecoveredState {
-        records: records.into_values().collect(),
-        report,
-    })
-}
-
-/// Parse the log from `start`, apply each operation, and repair a torn
-/// tail on disk if one is found.
-fn replay(
-    disk: &Arc<dyn Disk>,
-    wal_path: &str,
-    bytes: &[u8],
-    start: usize,
-    ledger: LedgerId,
-    records: &mut BTreeMap<u64, StoredClaim>,
-    report: &mut RecoveryReport,
-) -> Result<(), RecoveryError> {
-    let contents = read_wal(bytes, start)?;
-    for (_, record) in contents.records {
-        apply(ledger, record, records)?;
-        report.wal_records += 1;
-    }
-    if contents.torn_bytes > 0 {
-        // 4. Drop the torn tail durably so the next append starts clean.
-        disk.write_atomic(wal_path, &bytes[..contents.good_len as usize])?;
-        report.torn_bytes_dropped = contents.torn_bytes;
-    }
-    Ok(())
-}
-
-fn apply(
-    ledger: LedgerId,
-    record: WalRecord,
-    records: &mut BTreeMap<u64, StoredClaim>,
-) -> Result<(), RecoveryError> {
-    match record {
-        WalRecord::Claim {
-            serial,
-            origin,
-            initially_revoked,
-            request,
-            timestamp,
-        } => {
-            let id = RecordId::new(ledger, serial);
-            let status = if initially_revoked {
-                RevocationStatus::Revoked
-            } else {
-                RevocationStatus::NotRevoked
-            };
-            let prev = records.insert(
-                serial,
-                StoredClaim {
-                    claim: Claim {
-                        id,
-                        request,
-                        timestamp,
-                        status,
-                        status_epoch: 0,
-                    },
-                    origin,
-                },
-            );
-            if prev.is_some() {
-                return Err(RecoveryError::Replay("duplicate claim serial"));
-            }
-        }
-        WalRecord::Revoke(req) => {
-            if req.id.ledger != ledger {
-                return Err(RecoveryError::Replay("revoke for a different ledger"));
-            }
-            let rec = records
-                .get_mut(&req.id.serial)
-                .ok_or(RecoveryError::Replay("revoke of unknown record"))?;
-            if rec.claim.status == RevocationStatus::PermanentlyRevoked {
-                return Err(RecoveryError::Replay("revoke after permanent pin"));
-            }
-            // The signature was verified before the record was logged;
-            // replay re-checks only the epoch chain, which detects any
-            // reordering or loss the checksums let through.
-            if req.epoch != rec.claim.status_epoch {
-                return Err(RecoveryError::Replay("epoch chain broken"));
-            }
-            rec.claim.status = if req.revoke {
-                RevocationStatus::Revoked
-            } else {
-                RevocationStatus::NotRevoked
-            };
-            rec.claim.status_epoch += 1;
-        }
-        WalRecord::AppealPin { id } => {
-            if id.ledger != ledger {
-                return Err(RecoveryError::Replay("appeal pin for a different ledger"));
-            }
-            let rec = records
-                .get_mut(&id.serial)
-                .ok_or(RecoveryError::Replay("appeal pin of unknown record"))?;
-            rec.claim.status = RevocationStatus::PermanentlyRevoked;
-            rec.claim.status_epoch += 1;
-        }
-    }
-    Ok(())
+    let (live, revoked, pinned) = store.status_counts();
+    report.recovered_records = live + revoked + pinned;
+    Ok((store, report))
 }
 
 #[cfg(test)]
@@ -310,14 +197,36 @@ mod tests {
     use super::*;
     use crate::chaosdisk::{ChaosDisk, ChaosDiskConfig};
     use crate::snapshot::encode_snapshot;
-    use crate::store::ClaimOrigin;
-    use crate::wal::{encode_header, FsyncPolicy, WalWriter};
-    use irs_core::claim::{ClaimRequest, RevokeRequest};
+    use crate::store::{ClaimOrigin, StoredClaim};
+    use crate::wal::{encode_header, FsyncPolicy, WalRecord, WalWriter};
+    use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
+    use irs_core::ids::RecordId;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_crypto::{Digest, Keypair};
 
     const LEDGER: LedgerId = LedgerId(1);
+
+    /// What a disk recovers to, as records.
+    #[derive(Debug)]
+    struct RecoveredState {
+        records: Vec<StoredClaim>,
+        report: RecoveryReport,
+    }
+
+    /// [`recover_store`] into one stripe, its records copied out.
+    fn recover(
+        disk: &Arc<dyn Disk>,
+        wal_path: &str,
+        snapshot_path: &str,
+        ledger: LedgerId,
+    ) -> Result<RecoveredState, RecoveryError> {
+        // Replay inserts logged tokens; this authority never stamps.
+        let tsa = TimestampAuthority::from_seed(0);
+        let (store, report) = recover_store(disk, wal_path, snapshot_path, ledger, tsa, 1)?;
+        let (records, ()) = store.frozen_copy(|| ());
+        Ok(RecoveredState { records, report })
+    }
 
     fn disk() -> Arc<dyn Disk> {
         Arc::new(ChaosDisk::new(ChaosDiskConfig::off(9)))

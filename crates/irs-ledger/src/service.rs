@@ -19,12 +19,12 @@
 use crate::codes;
 use crate::disk::Disk;
 use crate::placement::ShardDirectory;
-use crate::recovery::{self, RecoveredState, RecoveryError, RecoveryReport};
+use crate::recovery::{recover_store, RecoveryError, RecoveryReport};
 use crate::replication::{ApplyError, ReplicationLog, ReplicationPolicy, DEFAULT_RETAIN_FRAMES};
 use crate::snapshot::encode_snapshot;
-use crate::store::{ClaimOrigin, LedgerStore, StoreError, StoredClaim, DEFAULT_SHARDS};
+use crate::store::{ClaimOrigin, LedgerStore, StoreError, DEFAULT_SHARDS, FRESH_SERIAL};
 use crate::wal::{AppendReceipt, FsyncPolicy, WalError, WalRecord, WalStats, WalWriter};
-use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
+use irs_core::claim::{ClaimRequest, RevocationStatus};
 use irs_core::freshness::FreshnessProof;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
@@ -290,7 +290,9 @@ impl Ledger {
     /// Create with an explicit stripe count (one stripe is the
     /// single-lock layout).
     pub fn with_shards(config: LedgerConfig, tsa: TimestampAuthority, num_shards: usize) -> Ledger {
-        Ledger::assemble(config, tsa, num_shards, None)
+        let tsa_key = tsa.public_key();
+        let store = LedgerStore::new(config.id, tsa, num_shards);
+        Ledger::assemble(config, tsa_key, store, None)
     }
 
     /// Open a durable ledger: recover whatever state the disk holds
@@ -304,7 +306,15 @@ impl Ledger {
         num_shards: usize,
         durability: DurabilityConfig,
     ) -> Result<Ledger, RecoveryError> {
-        let state = recovery::recover(&durability.disk, WAL_PATH, SNAPSHOT_PATH, config.id)?;
+        let tsa_key = tsa.public_key();
+        let (store, report) = recover_store(
+            &durability.disk,
+            WAL_PATH,
+            SNAPSHOT_PATH,
+            config.id,
+            tsa,
+            num_shards,
+        )?;
         let wal = WalWriter::open(
             durability.disk.clone(),
             WAL_PATH,
@@ -313,28 +323,27 @@ impl Ledger {
         )?;
         Ok(Ledger::assemble(
             config,
-            tsa,
-            num_shards,
-            Some((state, wal, durability)),
+            tsa_key,
+            store,
+            Some((report, wal, durability)),
         ))
     }
 
     /// The one place a ledger is put together: keys, store, publication
-    /// state, and — given recovered state and an open log — durability.
+    /// state, and — given a recovery report and an open log — durability.
     fn assemble(
         config: LedgerConfig,
-        tsa: TimestampAuthority,
-        num_shards: usize,
-        durable: Option<(RecoveredState, WalWriter, DurabilityConfig)>,
+        tsa_key: PublicKey,
+        store: LedgerStore,
+        durable: Option<(RecoveryReport, WalWriter, DurabilityConfig)>,
     ) -> Ledger {
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&config.seed.to_le_bytes());
         seed[8..16].copy_from_slice(b"IRSLEDGR");
-        let tsa_key = tsa.public_key();
         let obs = LedgerObs::new();
-        let (records, recovery_report, durability) = match durable {
-            None => (Vec::new(), None, None),
-            Some((state, wal, cfg)) => {
+        let (recovery_report, durability) = match durable {
+            None => (None, None),
+            Some((report, wal, cfg)) => {
                 let replication = Arc::new(ReplicationLog::new(
                     wal.last_seq() + 1,
                     DEFAULT_RETAIN_FRAMES,
@@ -349,12 +358,12 @@ impl Ledger {
                     replication,
                     replication_policy: cfg.replication,
                 };
-                (state.records, Some(state.report), Some(durability))
+                (Some(report), Some(durability))
             }
         };
         let tiered = TieredPublisher::new(config.tiered).expect("valid tiered filter config");
         Ledger {
-            store: LedgerStore::from_parts(config.id, tsa, records, num_shards),
+            store,
             signing_key: Keypair::from_seed(&seed),
             tsa_key,
             publications: AtomicU64::new(0),
@@ -429,8 +438,7 @@ impl Ledger {
         }
         match request {
             Request::Claim(req) => {
-                self.obs.claims.inc();
-                match self.durable_claim_traced(req, ClaimOrigin::Owner, false, now, trace) {
+                match self.claim_as(req, ClaimOrigin::Owner, false, now, trace) {
                     Ok((id, timestamp)) => Response::Claimed { id, timestamp },
                     Err(_) => err(codes::STORAGE, "durable log write failed"),
                 }
@@ -447,7 +455,7 @@ impl Ledger {
                     return err(codes::POLICY, "this ledger does not allow revocation");
                 }
                 self.obs.revokes.inc();
-                match self.durable_revoke_traced(&req, trace) {
+                match self.durable_write(&WalRecord::Revoke(req), trace) {
                     Err(_) => err(codes::STORAGE, "durable log write failed"),
                     Ok(Ok((status, epoch))) => Response::RevokeAck {
                         id: req.id,
@@ -494,11 +502,6 @@ impl Ledger {
     /// [`ShardDirectory::install`] on the shared handle.
     pub fn set_shard_directory(&self, dir: Arc<ShardDirectory>) -> bool {
         self.shard_dir.set(dir).is_ok()
-    }
-
-    /// The attached shard directory, if any.
-    pub fn shard_directory(&self) -> Option<&Arc<ShardDirectory>> {
-        self.shard_dir.get()
     }
 
     /// The placement guard (DESIGN.md §15): with a directory attached,
@@ -568,8 +571,7 @@ impl Ledger {
         req: ClaimRequest,
         now: TimeMs,
     ) -> Result<(RecordId, TimestampToken), WalError> {
-        self.obs.claims.inc();
-        self.durable_claim_traced(req, ClaimOrigin::Custodial, false, now, None)
+        self.claim_as(req, ClaimOrigin::Custodial, false, now, None)
     }
 
     /// Claim with the "auto-register revoked" default.
@@ -578,85 +580,35 @@ impl Ledger {
         req: ClaimRequest,
         now: TimeMs,
     ) -> Result<(RecordId, TimestampToken), WalError> {
-        self.obs.claims.inc();
-        self.durable_claim_traced(req, ClaimOrigin::Owner, true, now, None)
+        self.claim_as(req, ClaimOrigin::Owner, true, now, None)
     }
 
     /// Permanently revoke (appeals outcome), durably when a WAL is
     /// attached. The outer error is storage, the inner the store verdict.
     pub fn permanently_revoke(&self, id: &RecordId) -> Result<Result<(), StoreError>, WalError> {
-        let Some(d) = &self.durability else {
-            return Ok(self.store.permanently_revoke(id));
-        };
-        let rec = WalRecord::AppealPin { id: *id };
-        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
-        let out = self
-            .store
-            .permanently_revoke_with(id, || logged = d.log(&rec));
-        let receipt = logged?;
-        if out.is_ok() {
-            d.wal.commit(receipt.lsn)?;
-            self.maybe_snapshot(None);
-            replication_gate(d, receipt.seq)?;
-        }
-        Ok(out)
+        let pin = WalRecord::AppealPin { id: *id };
+        Ok(self.durable_write(&pin, None)?.map(drop))
     }
 
     /// Apply one record shipped from a primary (the follower apply
-    /// path). Mirrors recovery's replay, but live: the primary's serial,
-    /// origin, timestamp, status, and epoch are preserved exactly — a
-    /// follower's state is byte-identical to the stream it applied — and
-    /// the record is appended to the *local* WAL under the same shard
-    /// lock that mutates the store, exactly like the primary path. The
-    /// append is not committed here; callers batch one commit per
-    /// segment via [`commit_replicated`](Self::commit_replicated).
+    /// path): the record's signature is checked at this trust boundary,
+    /// then it goes through the store step recovery replays with, so the
+    /// primary's serial, origin, timestamp, status and epoch are kept
+    /// exactly — a follower's state is byte-identical to the stream it
+    /// applied — and the record is appended to the *local* WAL under the
+    /// stripe lock that mutates the store, as on the primary. The append
+    /// is not committed here; callers batch one commit per segment via
+    /// [`commit_replicated`](Self::commit_replicated).
     pub(crate) fn apply_replicated(&self, record: &WalRecord) -> Result<AppendReceipt, ApplyError> {
         let Some(d) = &self.durability else {
             return Err(ApplyError::Wal(WalError::Io(io::Error::other(
                 "follower has no durable log",
             ))));
         };
-        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
-        match record {
-            WalRecord::Claim {
-                serial,
-                origin,
-                initially_revoked,
-                request,
-                timestamp,
-            } => {
-                let id = RecordId::new(self.config.id, *serial);
-                let status = if *initially_revoked {
-                    RevocationStatus::Revoked
-                } else {
-                    RevocationStatus::NotRevoked
-                };
-                let stored = StoredClaim {
-                    claim: Claim {
-                        id,
-                        request: *request,
-                        timestamp: *timestamp,
-                        status,
-                        status_epoch: 0,
-                    },
-                    origin: *origin,
-                };
-                self.store
-                    .insert_replicated(stored, |_| logged = d.log(record))?;
-            }
-            WalRecord::Revoke(req) => {
-                // Re-checks the epoch chain (and the signature, which the
-                // primary verified before logging): any reordering the
-                // framing checksums let through fails here, closed.
-                self.store
-                    .apply_revoke_with(req, || logged = d.log(record))?;
-            }
-            WalRecord::AppealPin { id } => {
-                self.store
-                    .permanently_revoke_with(id, || logged = d.log(record))?;
-            }
-        }
-        logged.map_err(ApplyError::Wal)
+        let mut logged = None;
+        self.store
+            .apply_verified(record, || logged = Some(d.log(record)))?;
+        Ok(logged.expect("an applied record is logged")?)
     }
 
     /// Commit the local WAL through `lsn` (follower batch commit).
@@ -687,13 +639,8 @@ impl Ledger {
         ))
     }
 
-    /// Claim, logging to the WAL from inside the shard write path when
-    /// durability is on. The record is acknowledged only after
-    /// [`WalWriter::commit`] returns per the fsync policy; if the log
-    /// write fails, the claim stays in memory but is *not* acknowledged —
-    /// exactly the promise recovery makes ("nothing acknowledged is
-    /// lost"), from the other side.
-    fn durable_claim_traced(
+    /// Stamp a new claim at the next serial and write it durably.
+    fn claim_as(
         &self,
         req: ClaimRequest,
         origin: ClaimOrigin,
@@ -701,60 +648,49 @@ impl Ledger {
         now: TimeMs,
         trace: Option<&Arc<SpanRecorder>>,
     ) -> Result<(RecordId, TimestampToken), WalError> {
-        let Some(d) = &self.durability else {
-            return Ok(self.store.claim(req, origin, initially_revoked, now));
-        };
-        let span = SpanRecorder::maybe(trace, "ledger:wal");
-        let start = Instant::now();
-        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
-        let (id, timestamp) =
-            self.store
-                .claim_with(req, origin, initially_revoked, now, |stored| {
-                    let rec = WalRecord::Claim {
-                        serial: stored.claim.id.serial,
-                        origin: stored.origin,
-                        initially_revoked: stored.claim.status != RevocationStatus::NotRevoked,
-                        request: stored.claim.request,
-                        timestamp: stored.claim.timestamp,
-                    };
-                    logged = d.log(&rec);
-                });
-        let commit = logged.and_then(|receipt| d.wal.commit(receipt.lsn).map(|()| receipt.seq));
-        self.obs.durable_apply_us.record_since(start);
-        span.verdict_result(&commit, "err");
-        drop(span);
-        let seq = commit?;
-        self.maybe_snapshot(trace);
-        replication_gate(d, seq)?;
+        self.obs.claims.inc();
+        let (id, timestamp, record) = self.store.new_claim(req, origin, initially_revoked, now);
+        self.durable_write(&record, trace)?.expect(FRESH_SERIAL);
         Ok((id, timestamp))
     }
 
-    /// Revoke with WAL logging; only *accepted* revocations are logged
-    /// (the hook runs after signature and epoch checks pass, under the
-    /// shard lock).
-    fn durable_revoke_traced(
+    /// The one durable-write step every acknowledged mutation takes —
+    /// claim, revoke, appeal pin:
+    ///
+    /// 1. apply `record` under its stripe lock (a `Revoke`'s signature
+    ///    verified), appending it to the WAL from inside that lock;
+    /// 2. commit per the fsync policy;
+    /// 3. time it (`irs_ledger_durable_apply_us`, span `ledger:wal`);
+    /// 4. count it toward the snapshot trigger;
+    /// 5. pass the replication gate.
+    ///
+    /// Only applied records are logged, committed and gated; a refused
+    /// one returns its store verdict. If the log write fails the mutation
+    /// stays in memory but is *not* acknowledged — exactly the promise
+    /// recovery makes ("nothing acknowledged is lost"), from the other
+    /// side. A memory-only ledger stops after step 1. The outer error is
+    /// storage, the inner the store verdict.
+    fn durable_write(
         &self,
-        req: &RevokeRequest,
+        record: &WalRecord,
         trace: Option<&Arc<SpanRecorder>>,
     ) -> Result<Result<(RevocationStatus, u64), StoreError>, WalError> {
         let Some(d) = &self.durability else {
-            return Ok(self.store.apply_revoke(req));
+            return Ok(self.store.apply_verified(record, || {}));
         };
         let span = SpanRecorder::maybe(trace, "ledger:wal");
         let start = Instant::now();
-        let rec = WalRecord::Revoke(*req);
-        let mut logged: Result<AppendReceipt, WalError> = Ok(AppendReceipt { lsn: 0, seq: 0 });
-        let out = self.store.apply_revoke_with(req, || logged = d.log(&rec));
-        let commit = if out.is_ok() {
-            logged.and_then(|receipt| d.wal.commit(receipt.lsn).map(|()| receipt.seq))
-        } else {
-            logged.map(|receipt| receipt.seq)
-        };
+        let mut logged = None;
+        let out = self
+            .store
+            .apply_verified(record, || logged = Some(d.log(record)));
+        let commit = logged
+            .map(|receipt| receipt.and_then(|r| d.wal.commit(r.lsn).map(|()| r.seq)))
+            .transpose();
         self.obs.durable_apply_us.record_since(start);
         span.verdict_result(&commit, "err");
         drop(span);
-        let seq = commit?;
-        if out.is_ok() {
+        if let Some(seq) = commit? {
             self.maybe_snapshot(trace);
             replication_gate(d, seq)?;
         }
@@ -946,6 +882,7 @@ fn replication_gate(d: &Durability, seq: u64) -> Result<(), WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irs_core::claim::RevokeRequest;
     use irs_crypto::Digest;
     use irs_filters::{Filter, Fuse8, TieredFilter};
     use std::sync::Barrier;
@@ -1288,6 +1225,30 @@ mod tests {
         });
         assert_eq!(l.stats().queries, 400);
         assert_eq!(l.store().len(), 100);
+    }
+
+    /// An appeal pin is a durable write like any other: it takes the
+    /// same step as a claim or a revoke, so it is timed once, and a
+    /// recovery of the disk finds it.
+    #[test]
+    fn durable_appeal_pin_records_one_apply_sample() {
+        let disk: Arc<dyn Disk> = Arc::new(crate::ChaosDisk::new(crate::ChaosDiskConfig::off(2)));
+        let open = || {
+            let durability = DurabilityConfig::new(disk.clone(), FsyncPolicy::Always);
+            let tsa = TimestampAuthority::from_seed(1);
+            Ledger::recover(LedgerConfig::new(LedgerId(1)), tsa, 4, durability).unwrap()
+        };
+        let l = open();
+        let (id, _) = claim_one(&l, 4);
+        let samples = || l.obs.durable_apply_us.snapshot().count;
+        let before = samples();
+        assert_eq!(l.permanently_revoke(&id).unwrap(), Ok(()));
+        assert_eq!(samples(), before + 1);
+        drop(l);
+        assert_eq!(
+            open().store().status(&id),
+            Some((RevocationStatus::PermanentlyRevoked, 1))
+        );
     }
 
     /// One exposition, durable or not: a memory-only ledger answers

@@ -1,7 +1,7 @@
 //! Checksummed ledger snapshots.
 //!
-//! A snapshot is a point-in-time copy of the full record set (the store
-//! rebuilds its per-stripe revocation filters from the records), written
+//! A snapshot is a point-in-time copy of the full record set (filters
+//! are not stored: the next publish rebuilds them from the records), written
 //! atomically (tmp + fsync + rename via
 //! [`crate::disk::Disk::write_atomic`]) and guarded by a trailing CRC-32
 //! over the entire body. It also records the WAL

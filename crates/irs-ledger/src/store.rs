@@ -28,6 +28,11 @@ use irs_core::tsa::{TimestampAuthority, TimestampToken};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::wal::WalRecord;
+
+/// Why applying a [`LedgerStore::new_claim`] record cannot fail.
+pub(crate) const FRESH_SERIAL: &str = "a freshly allocated serial is free";
+
 /// Errors from store operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
@@ -39,8 +44,8 @@ pub enum StoreError {
     StaleEpoch,
     /// Permanently revoked records cannot change status.
     Permanent,
-    /// A replicated claim arrived for a serial that is already occupied
-    /// (broken replication stream; never returned on the primary path).
+    /// A logged claim names a serial that is already occupied (broken
+    /// replication stream or log; never returned on the primary path).
     DuplicateSerial,
 }
 
@@ -51,7 +56,7 @@ impl std::fmt::Display for StoreError {
             StoreError::BadSignature => write!(f, "bad ownership signature"),
             StoreError::StaleEpoch => write!(f, "stale status epoch"),
             StoreError::Permanent => write!(f, "record permanently revoked"),
-            StoreError::DuplicateSerial => write!(f, "duplicate serial in replication stream"),
+            StoreError::DuplicateSerial => write!(f, "duplicate claim serial"),
         }
     }
 }
@@ -173,8 +178,6 @@ impl LedgerStore {
     }
 
     /// Record a claim; returns the new identifier and timestamp token.
-    /// Serial allocation is a single fetch-add, so serials stay dense
-    /// under any interleaving.
     pub fn claim(
         &self,
         request: ClaimRequest,
@@ -182,79 +185,148 @@ impl LedgerStore {
         initially_revoked: bool,
         now: TimeMs,
     ) -> (RecordId, TimestampToken) {
-        self.claim_with(request, origin, initially_revoked, now, |_| {})
+        let (id, timestamp, record) = self.new_claim(request, origin, initially_revoked, now);
+        self.apply_logged(&record, || {}).expect(FRESH_SERIAL);
+        (id, timestamp)
     }
 
-    /// [`claim`](Self::claim) with a durability hook: `log` runs under the
-    /// shard write lock, after the record is inserted. Because every
-    /// mutation of a given record happens under its shard lock, WAL
-    /// appends made from these hooks land in the log in exactly the order
-    /// the mutations took effect — the invariant replay depends on.
-    pub fn claim_with(
+    /// Allocate the next serial and stamp `request`: the record a new
+    /// claim is applied (and logged) as. Serial allocation is a single
+    /// fetch-add, so serials stay dense under any interleaving; the
+    /// timestamp signature, the expensive part, is made before any lock.
+    pub(crate) fn new_claim(
         &self,
         request: ClaimRequest,
         origin: ClaimOrigin,
         initially_revoked: bool,
         now: TimeMs,
-        log: impl FnOnce(&StoredClaim),
-    ) -> (RecordId, TimestampToken) {
+    ) -> (RecordId, TimestampToken, WalRecord) {
         let serial = self.next_serial.fetch_add(1, Ordering::AcqRel);
-        let id = RecordId::new(self.id, serial);
-        // The timestamp signature is the expensive part; compute it
-        // before taking the shard lock.
         let timestamp = self.tsa.stamp(request.digest(), now);
-        let status = if initially_revoked {
-            RevocationStatus::Revoked
-        } else {
-            RevocationStatus::NotRevoked
-        };
-        let stored = StoredClaim {
-            claim: Claim {
-                id,
-                request,
-                timestamp,
-                status,
-                status_epoch: 0,
-            },
+        let record = WalRecord::Claim {
+            serial,
             origin,
+            initially_revoked,
+            request,
+            timestamp,
         };
-        let slot = self.slot_of(serial);
-        let mut shard = self.shards[self.shard_of(serial)].write();
-        if shard.slots.len() <= slot {
-            shard.slots.resize(slot + 1, None);
-        }
-        shard.slots[slot] = Some(stored);
-        log(shard.slots[slot].as_ref().expect("just inserted"));
-        (id, timestamp)
+        (RecordId::new(self.id, serial), timestamp, record)
     }
 
-    /// Insert a claim exactly as the primary stored it (replication apply
-    /// path): the serial, timestamp, origin, and status come from the
-    /// shipped WAL record, not from local allocation or stamping, so a
-    /// follower's state is byte-identical to the primary's. `log` runs
-    /// under the shard write lock, like [`claim_with`](Self::claim_with).
-    /// Fails if the serial's slot is already occupied — a duplicate serial
-    /// in a replication stream means the stream is broken.
-    pub(crate) fn insert_replicated(
+    /// Apply one logged record — the only step from a WAL record to store
+    /// state, shared by the primary, the follower and recovery:
+    ///
+    /// * `Claim` is inserted at its serial (`DuplicateSerial` if taken),
+    ///   and the allocator is kept one past it, so a promoted follower or
+    ///   a recovered primary never hands out a serial twice;
+    /// * `Revoke` is refused for an unknown record, a permanent pin or a
+    ///   broken epoch chain, then flips the status and bumps the epoch;
+    /// * `AppealPin` pins the record permanently revoked.
+    ///
+    /// `log` runs under the record's stripe write lock, and only if the
+    /// record applied. Every mutation of a record happens under its stripe
+    /// lock, so WAL appends made from these hooks land in the log in
+    /// exactly the order the mutations took effect — the invariant replay
+    /// depends on. No signature is checked: the record comes from a log
+    /// that checked it. Returns the record's status and epoch afterwards.
+    pub fn apply_logged(
         &self,
-        stored: StoredClaim,
-        log: impl FnOnce(&StoredClaim),
-    ) -> Result<(), StoreError> {
-        let serial = stored.claim.id.serial;
-        // Keep the allocator one past the highest replicated serial so a
-        // promoted follower allocates fresh serials, never reused ones.
-        self.next_serial.fetch_max(serial + 1, Ordering::AcqRel);
-        let slot = self.slot_of(serial);
-        let mut shard = self.shards[self.shard_of(serial)].write();
-        if shard.slots.len() <= slot {
-            shard.slots.resize(slot + 1, None);
+        record: &WalRecord,
+        log: impl FnOnce(),
+    ) -> Result<(RevocationStatus, u64), StoreError> {
+        self.apply(record, false, log)
+    }
+
+    /// [`apply_logged`](Self::apply_logged) for a record that arrives
+    /// signed from outside — a client's revoke, a shipped segment: a
+    /// `Revoke`'s owner signature is verified too, under the same lock,
+    /// after the epoch check.
+    pub(crate) fn apply_verified(
+        &self,
+        record: &WalRecord,
+        log: impl FnOnce(),
+    ) -> Result<(RevocationStatus, u64), StoreError> {
+        self.apply(record, true, log)
+    }
+
+    fn apply(
+        &self,
+        record: &WalRecord,
+        verify: bool,
+        log: impl FnOnce(),
+    ) -> Result<(RevocationStatus, u64), StoreError> {
+        let id = match record {
+            WalRecord::Claim { serial, .. } => {
+                self.next_serial.fetch_max(serial + 1, Ordering::AcqRel);
+                RecordId::new(self.id, *serial)
+            }
+            WalRecord::Revoke(request) => request.id,
+            WalRecord::AppealPin { id } => *id,
+        };
+        if id.ledger != self.id {
+            return Err(StoreError::UnknownRecord);
         }
-        if shard.slots[slot].is_some() {
-            return Err(StoreError::DuplicateSerial);
-        }
-        shard.slots[slot] = Some(stored);
-        log(shard.slots[slot].as_ref().expect("just inserted"));
-        Ok(())
+        let slot = self.slot_of(id.serial);
+        let mut shard = self.shards[self.shard_of(id.serial)].write();
+        let applied = match (record, shard.slots.get_mut(slot).and_then(Option::as_mut)) {
+            (WalRecord::Claim { .. }, Some(_)) => return Err(StoreError::DuplicateSerial),
+            (
+                WalRecord::Claim {
+                    origin,
+                    initially_revoked,
+                    request,
+                    timestamp,
+                    ..
+                },
+                None,
+            ) => {
+                let status = if *initially_revoked {
+                    RevocationStatus::Revoked
+                } else {
+                    RevocationStatus::NotRevoked
+                };
+                if shard.slots.len() <= slot {
+                    shard.slots.resize(slot + 1, None);
+                }
+                shard.slots[slot] = Some(StoredClaim {
+                    claim: Claim {
+                        id,
+                        request: *request,
+                        timestamp: *timestamp,
+                        status,
+                        status_epoch: 0,
+                    },
+                    origin: *origin,
+                });
+                (status, 0)
+            }
+            (_, None) => return Err(StoreError::UnknownRecord),
+            (WalRecord::Revoke(request), Some(rec)) => {
+                if rec.claim.status == RevocationStatus::PermanentlyRevoked {
+                    return Err(StoreError::Permanent);
+                }
+                if request.epoch != rec.claim.status_epoch {
+                    return Err(StoreError::StaleEpoch);
+                }
+                if verify && !request.verify(&rec.claim.request.pubkey, rec.claim.status_epoch) {
+                    return Err(StoreError::BadSignature);
+                }
+                rec.claim.status = if request.revoke {
+                    RevocationStatus::Revoked
+                } else {
+                    RevocationStatus::NotRevoked
+                };
+                rec.claim.status_epoch += 1;
+                (rec.claim.status, rec.claim.status_epoch)
+            }
+            (WalRecord::AppealPin { .. }, Some(rec)) => {
+                rec.claim.status = RevocationStatus::PermanentlyRevoked;
+                rec.claim.status_epoch += 1;
+                (rec.claim.status, rec.claim.status_epoch)
+            }
+        };
+        log();
+        Ok(applied)
     }
 
     /// Look up a record (cloned out of the shard).
@@ -282,73 +354,13 @@ impl LedgerStore {
         &self,
         request: &RevokeRequest,
     ) -> Result<(RevocationStatus, u64), StoreError> {
-        self.apply_revoke_with(request, || {})
-    }
-
-    /// [`apply_revoke`](Self::apply_revoke) with a durability hook: `log`
-    /// runs under the shard write lock, only if the revocation was
-    /// accepted (the WAL records applied operations, not attempts).
-    pub fn apply_revoke_with(
-        &self,
-        request: &RevokeRequest,
-        log: impl FnOnce(),
-    ) -> Result<(RevocationStatus, u64), StoreError> {
-        if request.id.ledger != self.id {
-            return Err(StoreError::UnknownRecord);
-        }
-        let slot = self.slot_of(request.id.serial);
-        let mut shard = self.shards[self.shard_of(request.id.serial)].write();
-        let rec = shard
-            .slots
-            .get_mut(slot)
-            .and_then(Option::as_mut)
-            .ok_or(StoreError::UnknownRecord)?;
-        if rec.claim.status == RevocationStatus::PermanentlyRevoked {
-            return Err(StoreError::Permanent);
-        }
-        if request.epoch != rec.claim.status_epoch {
-            return Err(StoreError::StaleEpoch);
-        }
-        if !request.verify(&rec.claim.request.pubkey, rec.claim.status_epoch) {
-            return Err(StoreError::BadSignature);
-        }
-        rec.claim.status = if request.revoke {
-            RevocationStatus::Revoked
-        } else {
-            RevocationStatus::NotRevoked
-        };
-        rec.claim.status_epoch += 1;
-        let result = (rec.claim.status, rec.claim.status_epoch);
-        log();
-        Ok(result)
+        self.apply_verified(&WalRecord::Revoke(*request), || {})
     }
 
     /// Permanently revoke (appeals outcome); administrative, unsigned.
     pub fn permanently_revoke(&self, id: &RecordId) -> Result<(), StoreError> {
-        self.permanently_revoke_with(id, || {})
-    }
-
-    /// [`permanently_revoke`](Self::permanently_revoke) with a durability
-    /// hook, run under the shard write lock on success.
-    pub fn permanently_revoke_with(
-        &self,
-        id: &RecordId,
-        log: impl FnOnce(),
-    ) -> Result<(), StoreError> {
-        if id.ledger != self.id {
-            return Err(StoreError::UnknownRecord);
-        }
-        let slot = self.slot_of(id.serial);
-        let mut shard = self.shards[self.shard_of(id.serial)].write();
-        let rec = shard
-            .slots
-            .get_mut(slot)
-            .and_then(Option::as_mut)
-            .ok_or(StoreError::UnknownRecord)?;
-        rec.claim.status = RevocationStatus::PermanentlyRevoked;
-        rec.claim.status_epoch += 1;
-        log();
-        Ok(())
+        self.apply_logged(&WalRecord::AppealPin { id: *id }, || {})
+            .map(drop)
     }
 
     /// Copy every committed record (ascending serial order) while *all*

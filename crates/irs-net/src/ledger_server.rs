@@ -37,7 +37,9 @@ impl LedgerServer {
     /// with default reactor tuning. Pass an `Arc<Ledger>` to keep driving
     /// the same instance from outside the server.
     pub fn start(ledger: impl Into<Arc<Ledger>>, addr: &str) -> std::io::Result<LedgerServer> {
-        LedgerServer::start_reactor(ledger.into(), addr, ReactorConfig::default())
+        let ledger = ledger.into();
+        let admitted = ledger_service(ledger.clone());
+        LedgerServer::serve(ledger, addr, ReactorConfig::default(), admitted)
     }
 
     /// Start a *durable* ledger server: recover any state the disk holds
@@ -85,20 +87,6 @@ impl LedgerServer {
         LedgerServer::start(ledger, addr)
     }
 
-    /// Start with explicit [`ReactorConfig`] tuning (worker count,
-    /// backpressure). The config's `registry` is replaced by the
-    /// ledger's own, so reactor gauges and histograms land in the same
-    /// exposition as the ledger's counters, and its `max_frame` by
-    /// [`MAX_REQUEST_FRAME`].
-    pub fn start_reactor(
-        ledger: Arc<Ledger>,
-        addr: &str,
-        config: ReactorConfig,
-    ) -> std::io::Result<LedgerServer> {
-        let admitted = ledger_service(ledger.clone());
-        LedgerServer::serve(ledger, addr, config, admitted)
-    }
-
     /// Start with **priority admission control** in front of the
     /// ledger: every decoded request passes a per-connection
     /// token-bucket [`Governor`](crate::service::Governor) and a
@@ -125,7 +113,10 @@ impl LedgerServer {
 
     /// Bind the reactor: every burst is decoded by [`serve_burst`] and
     /// answered by `admitted` — the ledger itself, or the ledger behind
-    /// its admission layers.
+    /// its admission layers. The config's `registry` is replaced by the
+    /// ledger's own, so reactor gauges and histograms land in the same
+    /// exposition as the ledger's counters, and its `max_frame` by
+    /// [`MAX_REQUEST_FRAME`].
     fn serve(
         ledger: Arc<Ledger>,
         addr: &str,

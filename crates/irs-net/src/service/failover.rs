@@ -6,24 +6,13 @@
 //! lands on the next replica in line. The failure itself still surfaces
 //! — retrying is the retry layer's job, not this one's.
 
-use super::{CallCtx, Layer, Pending, Service};
+use super::{CallCtx, Pending, Service};
 use crate::NetError;
 use irs_core::wire::{Request, Response};
 use irs_obs::MaybeSpan;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Wraps a `Vec` of per-replica services into one rotating service.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FailoverLayer;
-
-impl<S: Service> Layer<Vec<S>> for FailoverLayer {
-    type Out = Failover<S>;
-    fn wrap(&self, inner: Vec<S>) -> Failover<S> {
-        Failover::new(inner)
-    }
-}
-
-/// The [`FailoverLayer`] service.
+/// One rotating service over a `Vec` of per-replica services.
 pub struct Failover<S> {
     replicas: Vec<S>,
     cursor: AtomicUsize,
@@ -114,7 +103,7 @@ mod tests {
 
     #[test]
     fn rotates_past_a_dead_replica() {
-        let svc = FailoverLayer.wrap(vec![flaky(false).boxed(), flaky(true).boxed()]);
+        let svc = Failover::new(vec![flaky(false).boxed(), flaky(true).boxed()]);
         let ctx = CallCtx::at(TimeMs(0));
         // First call hits the dead replica and fails (the retry layer
         // above would re-drive it); the rotation means the second lands.

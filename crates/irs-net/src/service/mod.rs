@@ -8,7 +8,7 @@
 //! * [`TcpTransport`] — the bottom: one multiplexed connection per
 //!   address, redialed when it dies;
 //! * [`RetryLayer`] — bounded retries with seeded jittered backoff;
-//! * [`FailoverLayer`] — a replica set with cursor rotation;
+//! * [`Failover`] — a replica set with cursor rotation;
 //! * [`BreakerLayer`] — the per-ledger lock-free circuit breaker;
 //! * [`StaleServeLayer`] — honest last-good answers when all else fails;
 //! * [`CacheLayer`] — the proxy's filter + striped TTL cache front;
@@ -50,10 +50,10 @@ pub mod transport;
 
 pub use breaker::{Breaker, BreakerLayer};
 pub use cache::{Cache, CacheLayer};
-pub use failover::{Failover, FailoverLayer};
+pub use failover::Failover;
 pub use governor::{Admission, Governor, GovernorLayer, GovernorPolicy, TokenGovernor};
 pub use retry::{jittered_backoff, Retry, RetryCounters, RetryLayer, RetryPolicy};
-pub use route::{Route, RouteLayer};
+pub use route::Route;
 pub use shed::{Priority, Shed, ShedLayer, ShedPolicy};
 pub use singleflight::{SingleFlight, SingleFlightLayer};
 pub use stale::{StaleServe, StaleServeLayer};
@@ -229,8 +229,7 @@ impl Answers {
     }
 }
 
-/// A service combinator: wraps an inner value (usually a [`Service`],
-/// but e.g. [`FailoverLayer`] wraps a `Vec<S>`) into a new service.
+/// A service combinator: wraps an inner service into a new service.
 pub trait Layer<S> {
     /// The wrapped service type.
     type Out: Service;

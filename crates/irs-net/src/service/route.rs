@@ -5,7 +5,7 @@
 //! the epoch-versioned [`ShardMap`]) plus one inner service per shard,
 //! built on demand by a caller-supplied closure — typically the full
 //! degradation ladder over that shard's replica set, with
-//! [`super::FailoverLayer`] rotating *within* the replica set and every
+//! [`super::Failover`] rotating *within* the replica set and every
 //! stack dialing through one shared
 //! [`TransportPool`](super::TransportPool):
 //!
@@ -35,7 +35,7 @@
 //! [`NetError::WrongShard`] — never a loop, and never a breaker trip
 //! (refusals are `Ok` responses end to end).
 
-use super::{Answers, BoxService, CallCtx, Layer, Pending, Service};
+use super::{Answers, BoxService, CallCtx, Pending, Service};
 use crate::NetError;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::wire::{Request, Response};
@@ -47,30 +47,6 @@ use std::sync::Arc;
 
 /// Builds the inner service for one shard's replica set.
 pub type ShardStackBuilder = dyn Fn(&ShardSpec) -> BoxService + Send + Sync;
-
-/// A [`Layer`] producing a [`Route`] from a shard-stack builder — the
-/// routing analogue of `FailoverLayer` being a `Layer<Vec<S>>`: what it
-/// wraps is not one service but the recipe for a shard's service.
-pub struct RouteLayer {
-    map: ShardMap,
-}
-
-impl RouteLayer {
-    /// A layer routing by `map`.
-    pub fn new(map: ShardMap) -> RouteLayer {
-        RouteLayer { map }
-    }
-}
-
-impl<F> Layer<F> for RouteLayer
-where
-    F: Fn(&ShardSpec) -> BoxService + Send + Sync + 'static,
-{
-    type Out = Route;
-    fn wrap(&self, builder: F) -> Route {
-        Route::new(self.map.clone(), builder)
-    }
-}
 
 /// One shard's built stack, tagged with the spec it was built from so
 /// a replica-set change (new follower address after a promotion, say)

@@ -13,7 +13,7 @@
 //! [`BreakerLayer`] so an open breaker still produces an honest stale
 //! answer; [`BreakerLayer`] outside [`RetryLayer`] so one logical call
 //! records one health verdict no matter how many attempts it burned;
-//! [`FailoverLayer`](super::FailoverLayer) innermost so each retry
+//! [`Failover`] innermost so each retry
 //! attempt can land on a different replica. The retry layer carries the
 //! wall-clock deadline (`RetryPolicy::call_deadline`); a caller can only
 //! tighten it, through [`CallCtx::with_deadline`](super::CallCtx::with_deadline).

@@ -14,18 +14,14 @@
 //!   empirical) and link/topology helpers;
 //! * [`metrics`] — histograms and percentile summaries used by every
 //!   experiment;
-//! * [`queue`] — a c-server FIFO queue coupling ledger load to latency;
-//! * [`rngs`] — named, independent RNG streams derived from one master
-//!   seed, so adding a new random consumer never perturbs existing ones.
+//! * [`queue`] — a c-server FIFO queue coupling ledger load to latency.
 
 pub mod latency;
 pub mod metrics;
 pub mod queue;
-pub mod rngs;
 pub mod sim;
 
 pub use latency::{LatencyModel, Link};
 pub use metrics::{Histogram, Summary};
 pub use queue::QueueingServer;
-pub use rngs::RngStreams;
 pub use sim::Sim;

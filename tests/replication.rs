@@ -1,23 +1,37 @@
 //! Replication robustness: the WAL's sequence numbering at the exact
 //! group-commit boundary, a lying fsync during a live tail-follow, gap
-//! detection on the follower apply path, and follower crash-reopen —
+//! detection and signature checks on the follower apply path, follower
+//! crash-reopen, and a seeded history that the primary, its recovery,
+//! the follower and the follower's reopen must all end up holding —
 //! the in-process counterparts of E20's kill-the-primary sweep.
 
 use std::sync::Arc;
 
 use irs::crypto::{Digest, Keypair};
+use irs::ledger::store::StoredClaim;
 use irs::ledger::wal::WalWriter;
 use irs::ledger::{
-    ChaosDisk, ChaosDiskConfig, Disk, DiskFault, DurabilityConfig, Follower, FsyncPolicy, Ledger,
-    LedgerConfig, SegmentData,
+    codes, ApplyError, ChaosDisk, ChaosDiskConfig, Disk, DiskFault, DurabilityConfig, Follower,
+    FsyncPolicy, Ledger, LedgerConfig, SegmentData, StoreError, WalRecord,
 };
-use irs::protocol::claim::ClaimRequest;
-use irs::protocol::ids::LedgerId;
+use irs::protocol::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
+use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
 use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const LEDGER: LedgerId = LedgerId(1);
+
+/// Seed for the history below; override with `CHAOS_SEED=<n>` to replay
+/// a different one (CI runs two). Every assertion must hold for any seed.
+fn chaos_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
 
 fn config() -> LedgerConfig {
     LedgerConfig::new(LEDGER)
@@ -334,4 +348,176 @@ fn promoted_follower_accepts_writes() {
     )
     .unwrap();
     assert_eq!(reopened.ledger().store().len(), 5);
+}
+
+/// The shipped stream is signed input the follower did not produce: a
+/// well-framed `Revoke` whose signature does not verify is refused, and
+/// nothing of it reaches the follower's store, cursor or local WAL.
+#[test]
+fn follower_refuses_a_revoke_whose_signature_does_not_verify() {
+    let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(11)));
+    let primary =
+        Ledger::recover(config(), tsa(), 4, durability(&calm, FsyncPolicy::Always)).unwrap();
+    let (id, _) = primary.claim_custodial(claim(0), TimeMs(0)).unwrap();
+    let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(12)));
+    let mut follower = bootstrap_from(&primary, &follower_disk);
+    let wal_len = |f: &Follower| f.ledger().durability().unwrap().wal_position().1;
+    let (cursor, logged) = (follower.next_seq(), wal_len(&follower));
+
+    // Right record, right epoch, wrong signer.
+    let forged = RevokeRequest::create(&Keypair::from_seed(&[0x53; 32]), id, true, 0);
+    let err = follower
+        .apply_segment(&SegmentData {
+            first_seq: cursor,
+            durable_seq: cursor,
+            log_start_seq: cursor,
+            frames: WalRecord::Revoke(forged).encode_framed().into(),
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, ApplyError::Store(StoreError::BadSignature)),
+        "{err:?}"
+    );
+    assert_eq!(follower.next_seq(), cursor);
+    assert_eq!(wal_len(&follower), logged);
+    assert_eq!(
+        follower.ledger().store().status(&id),
+        Some((RevocationStatus::NotRevoked, 0))
+    );
+}
+
+/// Every record a ledger holds, in serial order.
+fn records(ledger: &Ledger) -> Vec<StoredClaim> {
+    ledger.store().frozen_copy(|| ()).0
+}
+
+/// What the seeded history does at one step.
+#[derive(Clone, Copy)]
+enum Op {
+    Claim,
+    Revoke,
+    StaleRevoke,
+    ForgedRevoke,
+    Pin,
+    Snapshot,
+}
+
+/// One seeded history through the primary's durable write path — owner,
+/// custodial and born-revoked claims; accepted revokes and unrevokes;
+/// stale-epoch and wrong-key revokes it refuses; appeal pins; checkpoints
+/// at random points — while a follower polls `WalSubscribe` through
+/// `Ledger::handle`. Afterwards the live primary, a recovery of its disk,
+/// the follower and a reopen of the follower's disk hold the same records.
+#[test]
+fn seeded_history_reads_the_same_from_primary_recovery_follower_and_reopen() {
+    use rand::seq::SliceRandom;
+    let seed = chaos_seed();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ops: Vec<Op> = [
+        (Op::Claim, 40),
+        (Op::Revoke, 60),
+        (Op::StaleRevoke, 15),
+        (Op::ForgedRevoke, 15),
+        (Op::Pin, 8),
+        (Op::Snapshot, 6),
+    ]
+    .iter()
+    .flat_map(|&(op, n)| std::iter::repeat(op).take(n))
+    .collect();
+    ops.shuffle(&mut rng);
+
+    let primary_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
+    let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed ^ 1)));
+    let primary = Ledger::recover(
+        config(),
+        tsa(),
+        4,
+        durability(&primary_disk, FsyncPolicy::Always),
+    )
+    .unwrap();
+    let mut follower = bootstrap_from(&primary, &follower_disk);
+    let owners: Vec<Keypair> = (0..4u8)
+        .map(|i| Keypair::from_seed(&[0x60 + i; 32]))
+        .collect();
+    let intruder = Keypair::from_seed(&[0x6f; 32]);
+    let mut claimed: Vec<(RecordId, usize)> = Vec::new();
+    for (step, &op) in ops.iter().enumerate() {
+        let now = TimeMs(step as u64);
+        let op = if claimed.is_empty() { Op::Claim } else { op };
+        let &(id, owner) = claimed
+            .choose(&mut rng)
+            .unwrap_or(&(RecordId::new(LEDGER, 0), 0));
+        match op {
+            Op::Claim => {
+                let owner = rng.gen_range(0..owners.len());
+                let req = ClaimRequest::create(&owners[owner], &Digest::of(&step.to_le_bytes()));
+                let id = match rng.gen_range(0..3u32) {
+                    0 => match primary.handle(Request::Claim(req), now) {
+                        Response::Claimed { id, .. } => id,
+                        other => panic!("claim refused: {other:?}"),
+                    },
+                    1 => primary.claim_custodial(req, now).unwrap().0,
+                    _ => primary.claim_revoked(req, now).unwrap().0,
+                };
+                claimed.push((id, owner));
+            }
+            Op::Revoke | Op::StaleRevoke | Op::ForgedRevoke => {
+                let (status, epoch) = primary.store().status(&id).unwrap();
+                let revoke = status == RevocationStatus::NotRevoked;
+                let (signer, at, refusal) = match op {
+                    Op::StaleRevoke => (&owners[owner], epoch + 1, Some(codes::STALE_EPOCH)),
+                    Op::ForgedRevoke => (&intruder, epoch, Some(codes::BAD_SIGNATURE)),
+                    _ => (&owners[owner], epoch, None),
+                };
+                let request = RevokeRequest::create(signer, id, revoke, at);
+                let refusal = match status {
+                    RevocationStatus::PermanentlyRevoked => Some(codes::POLICY),
+                    _ => refusal,
+                };
+                match (primary.handle(Request::Revoke(request), now), refusal) {
+                    (Response::RevokeAck { epoch: after, .. }, None) => {
+                        assert_eq!(after, epoch + 1)
+                    }
+                    (Response::Error { code, .. }, Some(expected)) => assert_eq!(code, expected),
+                    (other, expected) => panic!("step {step}: {other:?}, expected {expected:?}"),
+                }
+            }
+            Op::Pin => assert_eq!(primary.permanently_revoke(&id).unwrap(), Ok(())),
+            Op::Snapshot => primary.snapshot_now().unwrap(),
+        }
+        if rng.gen_bool(0.3) {
+            poll_once(&primary, &mut follower);
+        }
+    }
+    while poll_once(&primary, &mut follower) > 0 {}
+
+    let history = records(&primary);
+    assert_eq!(history.len(), claimed.len());
+    assert_eq!(records(&follower.ledger()), history, "follower");
+    drop(primary);
+    let recovered = Ledger::recover(
+        config(),
+        tsa(),
+        4,
+        durability(&primary_disk, FsyncPolicy::Always),
+    )
+    .unwrap();
+    assert_eq!(
+        records(&recovered),
+        history,
+        "recovery of the primary's disk"
+    );
+    drop(follower);
+    let reopened = Follower::reopen(
+        config(),
+        tsa(),
+        4,
+        durability(&follower_disk, FsyncPolicy::Always),
+    )
+    .unwrap();
+    assert_eq!(
+        records(&reopened.ledger()),
+        history,
+        "reopen of the follower's disk"
+    );
 }
