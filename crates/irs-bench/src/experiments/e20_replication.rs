@@ -1,8 +1,9 @@
 //! E20 — replicated ledgers: WAL-shipping failover with zero acked-write
 //! loss.
 //!
-//! Three tables over the replication stack
-//! ([`irs_ledger::ReplicationLog`] + [`Follower`] on seeded [`ChaosDisk`]s):
+//! Two tables over the replication stack
+//! ([`irs_ledger::ReplicationLog`] + [`Follower`] on seeded [`ChaosDisk`]s,
+//! the follower polling through [`Follower::poll`]):
 //!
 //! 1. **Catch-up** — a follower bootstraps from a mid-workload snapshot,
 //!    tails the live WAL stream to the end, and must finish
@@ -15,13 +16,12 @@
 //!    under [`ReplicationPolicy::WaitForFollower`], 100% at every kill
 //!    point. `local-only` is allowed to lose its unshipped tail — the
 //!    table quantifies exactly how much.
-//! 3. **Promotion over TCP** — the full path: snapshot fetched and WAL
-//!    tailed over loopback sockets, primary server killed, follower's
-//!    ledger promoted behind a fresh server, and a
-//!    [`Failover`](irs_net::service::Failover) client rotates onto it;
-//!    every acknowledged write must answer from the promoted replica.
+//!
+//! Promotion over TCP — snapshot fetch and WAL tail over loopback, the
+//! primary server killed, `Failover` rotating onto the replica — is
+//! E22b's shard-1 drill.
 
-use crate::rig::{chaos_seed, poll_wal, tail_over_tcp};
+use crate::rig::chaos_seed;
 use crate::table::{f, Table};
 use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
@@ -101,12 +101,6 @@ impl Workload {
         }
         (claims, revokes)
     }
-}
-
-/// One in-process poll through the primary's request path (the real
-/// wire dispatch, minus the socket). `None` once the stream is unusable.
-fn poll_once(primary: &Ledger, follower: &mut Follower) -> Option<usize> {
-    poll_wal(follower, |req| Some(primary.handle(req, TimeMs(0))))
 }
 
 /// Count how many of the acknowledged writes are visible on `ledger`
@@ -213,8 +207,9 @@ pub fn kill_sweep(
                 // The kill stops the polls: a real primary death takes
                 // the stream with it, so nothing durable-but-unshipped
                 // can sneak across afterwards.
+                let fetch = |req| Some(primary.handle(req, TimeMs(0)));
                 while !dead.load(Ordering::SeqCst) {
-                    if poll_once(&primary, &mut follower).is_none() {
+                    if follower.poll(fetch).is_err() {
                         break;
                     }
                     if throttle {
@@ -284,7 +279,8 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
     }
 
     // …and tail until the stream is dry.
-    while poll_once(&primary, &mut follower).expect("catch-up stream") > 0 {}
+    let fetch = |req| Some(primary.handle(req, TimeMs(0)));
+    while follower.poll(fetch).expect("catch-up stream") > 0 {}
 
     let (_, primary_bytes) = primary.replication_snapshot().unwrap();
     let (_, follower_bytes) = follower.ledger().replication_snapshot().unwrap();
@@ -293,94 +289,6 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
         primary_bytes.len(),
         primary_bytes == follower_bytes,
     )
-}
-
-/// Promotion over TCP: snapshot + WAL tail over loopback sockets under
-/// `WaitForFollower`, primary server killed, follower promoted behind a
-/// fresh server, and a `Failover` transport stack rotates clients onto
-/// it. Returns (acked writes, answered after failover, failovers).
-pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
-    use irs_net::service::{stacks, CallCtx, Failover, Service, TcpTransport};
-    use irs_net::LedgerServer;
-
-    let primary_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(9)));
-    let server = LedgerServer::start_durable(
-        config(),
-        tsa(),
-        durable(
-            &primary_disk,
-            ReplicationPolicy::WaitForFollower { timeout_ms: 5_000 },
-        ),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let primary_addr = server.addr();
-
-    // Bootstrap the follower over the wire.
-    let boot = TcpTransport::new(primary_addr, Duration::from_secs(5));
-    let Response::Snapshot { seq, data } =
-        boot.call(Request::FetchSnapshot, &CallCtx::wall()).unwrap()
-    else {
-        panic!("expected snapshot response");
-    };
-    let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(10)));
-    let mut follower = Follower::bootstrap(
-        config(),
-        tsa(),
-        4,
-        durable(&follower_disk, ReplicationPolicy::LocalOnly),
-        seq,
-        &data,
-    )
-    .unwrap();
-    let promoted = follower.ledger();
-
-    // Tail over the wire while the workload runs.
-    let dead = AtomicBool::new(false);
-    let acked = std::thread::scope(|s| {
-        let poller = s.spawn(|| tail_over_tcp(primary_addr, &mut follower, &dead));
-        let kp = Keypair::from_seed(&[0x22; 32]);
-        let client = TcpTransport::new(primary_addr, Duration::from_secs(5));
-        let mut acked: Vec<RecordId> = Vec::new();
-        for i in 0..claims {
-            let req = ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()));
-            if let Ok(Response::Claimed { id, .. }) =
-                client.call(Request::Claim(req), &CallCtx::wall())
-            {
-                acked.push(id);
-            }
-        }
-        dead.store(true, Ordering::SeqCst);
-        poller.join().unwrap();
-        acked
-    });
-
-    // Kill the primary; promote the follower behind a fresh server.
-    server.shutdown();
-    let replica = LedgerServer::start(promoted, "127.0.0.1:0").unwrap();
-    let stack = Failover::new(stacks::transports(
-        &[primary_addr, replica.addr()],
-        Duration::from_millis(500),
-    ));
-
-    // Every acknowledged write must answer through the rotating stack:
-    // the first attempt hits the corpse, rotates, and the retry (the
-    // retry layer's job; two attempts here) lands on the replica.
-    let mut answered = 0;
-    for id in &acked {
-        for _attempt in 0..2 {
-            match stack.call(Request::Query { id: *id }, &CallCtx::wall()) {
-                Ok(Response::Status { .. }) => {
-                    answered += 1;
-                    break;
-                }
-                _ => continue,
-            }
-        }
-    }
-    let failovers = stack.failovers();
-    replica.shutdown();
-    (acked.len() as u64, answered, failovers)
 }
 
 /// Run E20.
@@ -448,29 +356,7 @@ pub fn run(quick: bool) -> String {
          after the follower's poll cursor covers the write",
     );
 
-    let (acked, answered, failovers) = promote_over_tcp(if quick { 12 } else { 24 });
-    let mut promo = Table::new(
-        "E20c — promotion over TCP: Failover stack rotates onto the replica",
-        &["acked over wire", "answered after kill", "failovers"],
-    );
-    promo.row(vec![
-        acked.to_string(),
-        answered.to_string(),
-        failovers.to_string(),
-    ]);
-    promo.note(
-        "wait-follower over loopback sockets: snapshot fetch + WAL tail are \
-         wire ops; after the primary server dies the Failover transport \
-         rotates and every acknowledged claim answers from the promoted \
-         follower",
-    );
-
-    format!(
-        "{}\n{}\n{}",
-        catchup.render(),
-        sweep.render(),
-        promo.render()
-    )
+    format!("{}\n{}", catchup.render(), sweep.render())
 }
 
 /// The CI gate: under `WaitForFollower` the kill sweep must recover
@@ -510,18 +396,9 @@ pub fn check(quick: bool) -> Result<String, String> {
         ));
     }
 
-    let (acked, answered, failovers) = promote_over_tcp(if quick { 8 } else { 24 });
-    if answered != acked || failovers == 0 {
-        return Err(format!(
-            "promotion over TCP answered {answered}/{acked} acked writes \
-             ({failovers} failovers)"
-        ));
-    }
-
     Ok(format!(
         "E20: catch-up byte-identical; {} kill points, {}/{} acked writes on \
-         the promoted follower (seed {seed}); TCP promotion answered \
-         {answered}/{acked}",
+         the promoted follower (seed {seed})",
         out.kill_points, out.recovered, out.acked
     ))
 }
@@ -565,7 +442,6 @@ mod tests {
         let out = run(true);
         assert!(out.contains("E20a"));
         assert!(out.contains("E20b"));
-        assert!(out.contains("E20c"));
         assert!(out.contains("wait-follower"));
     }
 }

@@ -14,9 +14,11 @@
 //!    balance figures ([`irs_workload::sharded::ShardLoad`]).
 //! 2. **Mid-sweep failover drill** — two shards over real sockets.
 //!    Shard 1 is a PR-7 replica pair (durable primary under
-//!    `WaitForFollower`, follower bootstrapped and WAL-tailed over TCP,
-//!    its server already listening on the address the shard map
-//!    advertises); shard 2 is a plain single-replica shard. Mid-way
+//!    `WaitForFollower`, follower bootstrapped with `FetchSnapshot` and
+//!    tailed by [`Follower::run`] over TCP, its server already listening
+//!    on the address the shard map advertises); shard 2 is a plain
+//!    single-replica shard. This is the replication stack's promotion-
+//!    over-TCP drill as well as the sharding one. Mid-way
 //!    through a validate sweep the shard-1 primary is killed: the
 //!    routed stack's `Failover` rotates *within* shard 1's replica set,
 //!    every acknowledged write keeps answering (100% recovery), and
@@ -26,7 +28,7 @@
 //! and 13): ≥3× aggregate validate QPS at 4 shards vs 1, and the drill
 //! recovers 100% of acked writes with no shard-2 collateral.
 
-use crate::rig::{chaos_seed, tail_over_tcp, IdStream};
+use crate::rig::{chaos_seed, IdStream};
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
 use irs_core::ids::{LedgerId, RecordId};
@@ -309,12 +311,16 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
         stacks::shard_replica_stack(&pool, spec, retry)
     });
 
-    // Ingest through the route while a WAL poller tails the primary
-    // into the follower (the PR-7 replication path, over real sockets).
+    // Ingest through the route while the follower tails the primary
+    // over its own socket (`Follower::run` over a `TcpTransport`). A
+    // tail that breaks shows up as writes that were never acked.
     let dead = AtomicBool::new(false);
     let kp = Keypair::from_seed(&[0x23; 32]);
     let acked: Vec<RecordId> = std::thread::scope(|s| {
-        let poller = s.spawn(|| tail_over_tcp(primary_addr, &mut follower, &dead));
+        let poller = s.spawn(|| {
+            let tail = TcpTransport::new(primary_addr, Duration::from_secs(5));
+            follower.run(|req| tail.call(req, &CallCtx::wall()).ok(), &dead)
+        });
         let mut acked = Vec::new();
         for i in 0..claims_n {
             let claim = ClaimRequest::create(&kp, &Digest::of(&(seed ^ i).to_le_bytes()));
@@ -325,7 +331,7 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
             }
         }
         dead.store(true, Ordering::SeqCst);
-        poller.join().unwrap();
+        let _ = poller.join().unwrap();
         acked
     });
     let acked_shard1 = acked.iter().filter(|id| id.ledger == LedgerId(1)).count() as u64;

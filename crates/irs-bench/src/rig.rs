@@ -4,25 +4,21 @@
 //!   server runs, built with `SharedProxy::with_shards(config, 1)`: one
 //!   cache stripe is an exact LRU, so the recorded tables do not depend
 //!   on the stripe count.
-//! * The systems drills (E16, E18–E23) take their seed, id stream,
-//!   preloaded ledger and follower WAL tail from here, and record every
-//!   latency percentile into [`irs_simnet::Histogram`] — the exact
-//!   nearest-rank histogram E1 and E14 use.
+//! * The systems drills (E16, E18–E23) take their seed, id stream and
+//!   preloaded ledger from here, and record every latency percentile
+//!   into [`irs_simnet::Histogram`] — the exact nearest-rank histogram
+//!   E1 and E14 use.
 
 use irs_core::claim::{ClaimRequest, RevocationStatus};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
-use irs_core::wire::{Request, Response};
+use irs_core::wire::Request;
 use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
-use irs_ledger::{Follower, Ledger, LedgerConfig, SegmentData};
-use irs_net::service::{CallCtx, Service, TcpTransport};
+use irs_ledger::{Ledger, LedgerConfig};
 use irs_proxy::{FilterUpdate, LookupOutcome, SharedProxy};
 use irs_workload::population::PhotoPopulation;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 /// Install the population's revoked set on `proxy` the way §4.4 has it
 /// arrive: one Bloom per ledger, each a copy of the (empty) `geometry`
@@ -115,51 +111,10 @@ pub fn preloaded_ledger(records: u64) -> Ledger {
     ledger
 }
 
-/// WAL frames a follower asks for per poll.
-const POLL_FRAMES: u32 = 64;
-
-/// One follower poll: `fetch` answers the `WalSubscribe` from the
-/// follower's cursor, and the segment is applied. Returns the frames
-/// applied, or `None` once the stream is unusable (no answer, not a
-/// segment, or a segment the follower refuses).
-pub fn poll_wal(
-    follower: &mut Follower,
-    fetch: impl FnOnce(Request) -> Option<Response>,
-) -> Option<usize> {
-    let Some(Response::WalSegment {
-        first_seq,
-        durable_seq,
-        log_start_seq,
-        frames,
-    }) = fetch(Request::WalSubscribe {
-        from_seq: follower.next_seq(),
-        max_frames: POLL_FRAMES,
-    })
-    else {
-        return None;
-    };
-    let segment = SegmentData {
-        first_seq,
-        durable_seq,
-        log_start_seq,
-        frames,
-    };
-    follower.apply_segment(&segment).ok()
-}
-
-/// Tail `primary`'s WAL over TCP into `follower` until `stop` is set or
-/// the stream breaks — the replication path a follower runs, over real
-/// sockets.
-pub fn tail_over_tcp(primary: SocketAddr, follower: &mut Follower, stop: &AtomicBool) {
-    let tail = TcpTransport::new(primary, Duration::from_secs(5));
-    while !stop.load(Ordering::SeqCst)
-        && poll_wal(follower, |req| tail.call(req, &CallCtx::wall()).ok()).is_some()
-    {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irs_core::wire::Response;
 
     #[test]
     fn preloaded_ledger_answers_every_serial_and_revokes_every_fiftieth() {

@@ -138,11 +138,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Largest single image delay.
-    pub fn max_image_delay(&self) -> u64 {
-        self.image_delays_ms.iter().copied().max().unwrap_or(0)
-    }
-
     /// Added whole-page latency from IRS.
     pub fn page_delay(&self) -> u64 {
         self.page_complete_ms
@@ -280,6 +275,11 @@ mod tests {
         PageModel::pinterest_like(images, claimed, &pop, &zipf, &mut rng)
     }
 
+    /// Largest single image delay.
+    fn max_delay(report: &LoadReport) -> u64 {
+        report.image_delays_ms.iter().copied().max().unwrap_or(0)
+    }
+
     fn loader(timing: CheckTiming) -> PageLoader {
         PageLoader::new(fixed_net(20), timing, StdRng::seed_from_u64(1))
     }
@@ -290,7 +290,7 @@ mod tests {
         let mut l = loader(CheckTiming::MetadataFirst);
         let report = l.load(&p, &mut NoChecks);
         assert_eq!(report.page_delay(), 0);
-        assert_eq!(report.max_image_delay(), 0);
+        assert_eq!(max_delay(&report), 0);
         assert!(report.fcp_ms > 0);
         assert!(report.page_complete_ms >= report.fcp_ms);
     }
@@ -310,7 +310,7 @@ mod tests {
             "30 ms checks must not move page completion"
         );
         // And no image can be delayed by more than the check itself.
-        assert!(report.max_image_delay() <= 30);
+        assert!(max_delay(&report) <= 30);
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
         let p = page(30, 1.0);
         let mut l = loader(CheckTiming::MetadataFirst);
         let report = l.load(&p, &mut FixedCheck(5_000));
-        assert!(report.max_image_delay() > 0, "5 s checks must be visible");
+        assert!(max_delay(&report) > 0, "5 s checks must be visible");
         assert!(report.page_delay() > 0);
     }
 
@@ -331,13 +331,13 @@ mod tests {
         let mut after = loader(CheckTiming::AfterFullFetch);
         let r2 = after.load(&p, &mut FixedCheck(check));
         assert!(
-            r1.max_image_delay() < r2.max_image_delay(),
+            max_delay(&r1) < max_delay(&r2),
             "metadata-first {} vs after-fetch {}",
-            r1.max_image_delay(),
-            r2.max_image_delay()
+            max_delay(&r1),
+            max_delay(&r2)
         );
         // After-fetch pays the full check on every image.
-        assert_eq!(r2.max_image_delay(), check);
+        assert_eq!(max_delay(&r2), check);
     }
 
     #[test]

@@ -100,13 +100,6 @@ impl LabelReading {
             _ => LabelState::Inconsistent,
         }
     }
-
-    /// Best-effort identifier for *validation* (viewing): the browser will
-    /// check either channel — a viewer-side check is advisory, not an
-    /// upload gate, so a single surviving channel still triggers a lookup.
-    pub fn any_id(&self) -> Option<RecordId> {
-        self.metadata_id.or(self.watermark_id)
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +147,6 @@ mod tests {
         assert_eq!(reading.metadata_id, None);
         assert_eq!(reading.watermark_id, Some(id));
         assert_eq!(reading.state(), LabelState::Inconsistent);
-        assert_eq!(reading.any_id(), Some(id));
     }
 
     #[test]
@@ -173,7 +165,6 @@ mod tests {
         let p = photo();
         let reading = p.read_label(&cfg());
         assert_eq!(reading.state(), LabelState::Unlabeled);
-        assert_eq!(reading.any_id(), None);
     }
 
     #[test]

@@ -32,11 +32,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     outer.finalize()
 }
 
-/// Verify an HMAC tag in constant time.
-pub fn hmac_sha256_verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    crate::ct_eq(&hmac_sha256(key, message), tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +79,5 @@ mod tests {
             hex::encode(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"k", b"m");
-        assert!(hmac_sha256_verify(b"k", b"m", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!hmac_sha256_verify(b"k", b"m", &bad));
-        assert!(!hmac_sha256_verify(b"k", b"m", &tag[..31]));
     }
 }

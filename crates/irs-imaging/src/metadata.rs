@@ -7,8 +7,7 @@
 
 use std::collections::BTreeMap;
 
-/// Well-known metadata keys. String-keyed entries are also allowed, mirroring
-/// EXIF's maker-note sprawl.
+/// Well-known metadata keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MetadataKey {
     /// The IRS ledger identifier ("irs:record-id"): the explicit label.
@@ -52,19 +51,9 @@ impl Metadata {
         self.fields.insert(key.as_str().to_string(), value.into());
     }
 
-    /// Set an arbitrary string-keyed field.
-    pub fn set_raw(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.fields.insert(key.into(), value.into());
-    }
-
     /// Get a well-known field.
     pub fn get(&self, key: MetadataKey) -> Option<&str> {
         self.fields.get(key.as_str()).map(String::as_str)
-    }
-
-    /// Get an arbitrary field.
-    pub fn get_raw(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
     }
 
     /// Remove a well-known field, returning the old value.
@@ -123,7 +112,7 @@ mod tests {
     fn strip_all_clears() {
         let mut m = Metadata::new();
         m.set(MetadataKey::IrsRecordId, "x");
-        m.set_raw("maker:note", "y");
+        m.set(MetadataKey::Comment, "y");
         m.strip_all();
         assert!(m.is_empty());
     }
@@ -134,12 +123,12 @@ mod tests {
         m.set(MetadataKey::IrsRecordId, "ledger-1:42");
         m.set(MetadataKey::ProvenanceUri, "https://prov/1");
         m.set(MetadataKey::CaptureTime, "1700000000");
-        m.set_raw("maker:gps", "secret location");
+        m.set(MetadataKey::CameraModel, "SynthCam 3000");
         m.strip_preserving_irs();
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(MetadataKey::IrsRecordId), Some("ledger-1:42"));
         assert_eq!(m.get(MetadataKey::CaptureTime), None);
-        assert_eq!(m.get_raw("maker:gps"), None);
+        assert_eq!(m.get(MetadataKey::CameraModel), None);
     }
 
     #[test]
@@ -153,9 +142,9 @@ mod tests {
     #[test]
     fn iteration_is_sorted() {
         let mut m = Metadata::new();
-        m.set_raw("z", "1");
-        m.set_raw("a", "2");
+        m.set(MetadataKey::IrsRecordId, "1");
+        m.set(MetadataKey::Comment, "2");
         let keys: Vec<&str> = m.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "z"]);
+        assert_eq!(keys, vec!["exif:comment", "irs:record-id"]);
     }
 }

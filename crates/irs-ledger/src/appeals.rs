@@ -279,28 +279,8 @@ mod tests {
             .unwrap();
         assert_eq!(outcome, AppealOutcome::Upheld);
 
-        let Response::WalSegment {
-            first_seq,
-            durable_seq,
-            log_start_seq,
-            frames,
-        } = s.ledger.handle(
-            Request::WalSubscribe {
-                from_seq: follower.next_seq(),
-                max_frames: 16,
-            },
-            TimeMs(10_001),
-        )
-        else {
-            panic!("expected a WAL segment");
-        };
-        let segment = crate::SegmentData {
-            first_seq,
-            durable_seq,
-            log_start_seq,
-            frames,
-        };
-        assert_eq!(follower.apply_segment(&segment).unwrap(), 1);
+        let applied = follower.poll(|req| Some(s.ledger.handle(req, TimeMs(10_001))));
+        assert_eq!(applied.unwrap(), 1);
         drop(s);
         for ledger in [follower.ledger(), Arc::new(open())] {
             assert_eq!(

@@ -33,12 +33,14 @@
 //! stop and re-sync — never to apply around it.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use irs_core::ids::LedgerId;
 use irs_core::tsa::TimestampAuthority;
+use irs_core::wire::{Request, Response};
 use irs_obs::{Gauge, Histogram, Registry};
 use std::sync::{Condvar, Mutex};
 
@@ -60,6 +62,14 @@ pub const DEFAULT_RETAIN_FRAMES: usize = 8192;
 /// follower's replication cursor is this base plus the records in its
 /// local WAL.
 pub const REPLICA_SEQ_PATH: &str = "replica.seq";
+
+/// WAL frames a follower asks for per poll.
+const POLL_FRAMES: u32 = 64;
+/// [`Follower::run`]'s backoff after empty polls (see there).
+const BACKOFF_MIN: Duration = Duration::from_micros(50);
+const BACKOFF_ACTIVE: Duration = Duration::from_micros(200);
+const BACKOFF_IDLE: Duration = Duration::from_millis(10);
+const ACTIVE_POLLS: u32 = 100;
 
 /// When the primary acknowledges a durable write, relative to follower
 /// replication.
@@ -101,6 +111,37 @@ pub struct SegmentData {
     pub log_start_seq: u64,
     /// Concatenated CRC-framed WAL records.
     pub frames: Bytes,
+}
+
+impl From<SegmentData> for Response {
+    fn from(seg: SegmentData) -> Response {
+        Response::WalSegment {
+            first_seq: seg.first_seq,
+            durable_seq: seg.durable_seq,
+            log_start_seq: seg.log_start_seq,
+            frames: seg.frames,
+        }
+    }
+}
+
+impl TryFrom<Response> for SegmentData {
+    type Error = Response;
+    fn try_from(response: Response) -> Result<SegmentData, Response> {
+        match response {
+            Response::WalSegment {
+                first_seq,
+                durable_seq,
+                log_start_seq,
+                frames,
+            } => Ok(SegmentData {
+                first_seq,
+                durable_seq,
+                log_start_seq,
+                frames,
+            }),
+            other => Err(other),
+        }
+    }
 }
 
 struct LogInner {
@@ -263,7 +304,7 @@ pub enum ApplyError {
         /// The segment's last sequence number.
         through: u64,
     },
-    /// Frame framing, checksum, or payload decode failed.
+    /// Framing, checksum or payload decode failed, or a poll got no segment.
     Corrupt(&'static str),
     /// The follower's local WAL rejected the write.
     Wal(WalError),
@@ -384,10 +425,10 @@ fn decode_sidecar(bytes: &[u8]) -> Result<u64, FollowerError> {
 /// A replica that catches up from a primary snapshot and then applies
 /// the shipped WAL stream into its own [`Ledger`] + local WAL.
 ///
-/// Transport-agnostic: the caller fetches the bootstrap snapshot and
-/// polls segments over whatever channel it has (`FetchSnapshot` and
-/// `WalSubscribe` over an `irs-net` transport, say), handing the payloads to
-/// [`bootstrap`](Self::bootstrap) / [`apply_segment`](Self::apply_segment).
+/// Transport-agnostic: the caller fetches the snapshot for
+/// [`bootstrap`](Self::bootstrap), and [`poll`](Self::poll) and
+/// [`run`](Self::run) take a closure that carries a request to the
+/// primary and returns its answer (a `TcpTransport` call, say).
 pub struct Follower {
     ledger: Arc<Ledger>,
     disk: Arc<dyn Disk>,
@@ -571,6 +612,49 @@ impl Follower {
         Ok(applied)
     }
 
+    /// One step of the tail: `fetch` carries `WalSubscribe` from our
+    /// cursor (the ack) to the primary, and its segment goes through
+    /// [`apply_segment`](Self::apply_segment); no answer, or not a
+    /// segment, is [`ApplyError::Corrupt`] and changes nothing.
+    pub fn poll(
+        &mut self,
+        fetch: impl FnOnce(Request) -> Option<Response>,
+    ) -> Result<usize, ApplyError> {
+        let seg = fetch(Request::WalSubscribe {
+            from_seq: self.next_seq,
+            max_frames: POLL_FRAMES,
+        })
+        .and_then(|r| SegmentData::try_from(r).ok())
+        .ok_or(ApplyError::Corrupt("the WAL poll got no segment back"))?;
+        self.apply_segment(&seg)
+    }
+
+    /// Tail the primary through `fetch` until `stop` is set (`Ok`) or a
+    /// poll fails (its error). An empty poll sleeps 50 µs, doubling up to
+    /// 200 µs (a write's longest wait for its ack poll), or 10 ms once 100
+    /// polls in a row came back empty. A fresh tail starts idle; any
+    /// applied record resets the schedule.
+    pub fn run(
+        &mut self,
+        mut fetch: impl FnMut(Request) -> Option<Response>,
+        stop: &AtomicBool,
+    ) -> Result<(), ApplyError> {
+        let mut backoff = BACKOFF_MIN;
+        let mut empty_polls = ACTIVE_POLLS;
+        while !stop.load(Ordering::SeqCst) {
+            if self.poll(&mut fetch)? > 0 {
+                backoff = BACKOFF_MIN;
+                empty_polls = 0;
+                continue;
+            }
+            std::thread::sleep(backoff);
+            empty_polls = empty_polls.saturating_add(1);
+            let idle = empty_polls >= ACTIVE_POLLS;
+            backoff = (backoff * 2).min(if idle { BACKOFF_IDLE } else { BACKOFF_ACTIVE });
+        }
+        Ok(())
+    }
+
     /// The follower's local disk (tests inject faults through it).
     pub fn disk(&self) -> &Arc<dyn Disk> {
         &self.disk
@@ -580,6 +664,7 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irs_core::time::TimeMs;
 
     #[test]
     fn sidecar_roundtrips_and_rejects_damage() {
@@ -652,5 +737,82 @@ mod tests {
         // Stale ack never regresses the high-water mark.
         log.record_ack(1);
         assert_eq!(log.acked_seq(), 2);
+    }
+
+    /// A durable primary and a follower bootstrapped from it, empty.
+    fn pair() -> (Ledger, Follower) {
+        use crate::{ChaosDisk, ChaosDiskConfig, FsyncPolicy};
+        let durable = |seed| {
+            let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
+            DurabilityConfig::new(disk as Arc<dyn Disk>, FsyncPolicy::Always)
+        };
+        let config = || LedgerConfig::new(LedgerId(1));
+        let tsa = || TimestampAuthority::from_seed(0x26);
+        let primary = Ledger::recover(config(), tsa(), 4, durable(1)).unwrap();
+        let (seq, snap) = primary.replication_snapshot().unwrap();
+        let follower = Follower::bootstrap(config(), tsa(), 4, durable(2), seq, &snap).unwrap();
+        (primary, follower)
+    }
+
+    fn claim(primary: &Ledger, i: u64) {
+        use irs_core::claim::ClaimRequest;
+        let kp = irs_crypto::Keypair::from_seed(&[0x26; 32]);
+        let req = ClaimRequest::create(&kp, &irs_crypto::Digest::of(&i.to_le_bytes()));
+        primary.claim_custodial(req, TimeMs(i)).unwrap();
+    }
+
+    #[test]
+    fn a_poll_answered_without_a_segment_changes_nothing() {
+        let (primary, mut follower) = pair();
+        claim(&primary, 0);
+        let state = |f: &Follower| {
+            let wal_len = f.ledger().durability().unwrap().wal_position().1;
+            (f.next_seq(), f.ledger().store().len(), wal_len)
+        };
+        let before = state(&follower);
+        for answer in [None, Some(Response::Pong)] {
+            let err = follower.poll(|_| answer).unwrap_err();
+            assert!(matches!(err, ApplyError::Corrupt(_)), "{err:?}");
+            assert_eq!(state(&follower), before);
+        }
+        let applied = follower.poll(|req| Some(primary.handle(req, TimeMs(0))));
+        assert_eq!(applied.unwrap(), 1);
+    }
+
+    #[test]
+    fn run_tails_a_live_primary_and_returns_promptly_on_stop() {
+        let (primary, mut follower) = pair();
+        let replica = follower.ledger();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let tail = s.spawn(|| follower.run(|req| Some(primary.handle(req, TimeMs(0))), &stop));
+            s.spawn(|| (0..200).for_each(|i| claim(&primary, i)))
+                .join()
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while replica.store().len() < 200 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stopped = Instant::now();
+            stop.store(true, Ordering::SeqCst);
+            tail.join().unwrap().unwrap();
+            assert!(stopped.elapsed() < Duration::from_millis(50));
+        });
+        let bytes = |ledger: &Ledger| ledger.replication_snapshot().unwrap().1;
+        assert!(bytes(&replica) == bytes(&primary), "follower diverged");
+    }
+
+    #[test]
+    fn run_fails_once_the_primary_stops_answering() {
+        let (primary, mut follower) = pair();
+        claim(&primary, 0);
+        let mut answers = 2;
+        let fetch = |req| {
+            answers -= 1;
+            (answers >= 0).then(|| primary.handle(req, TimeMs(0)))
+        };
+        let err = follower.run(fetch, &AtomicBool::new(false)).unwrap_err();
+        assert!(matches!(err, ApplyError::Corrupt(_)), "{err:?}");
+        assert_eq!(follower.next_seq(), 2);
     }
 }

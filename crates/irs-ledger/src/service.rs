@@ -536,21 +536,20 @@ impl Ledger {
 
     /// Serve one bounded batch of durable WAL frames to a polling
     /// follower. Polling `from_seq = n` doubles as the follower's
-    /// acknowledgement of every sequence number below `n`.
+    /// acknowledgement of every sequence number below `n`, up to the
+    /// replicable mark no follower of ours can have passed.
     fn serve_wal_subscribe(&self, from_seq: u64, max_frames: u32) -> Response {
         let Some(d) = &self.durability else {
             return err(codes::UNAVAILABLE, "this ledger has no durable log");
         };
-        d.replication.record_ack(from_seq.saturating_sub(1));
-        let seg = d
-            .replication
-            .segment(from_seq, max_frames, d.wal.replicable_seq());
-        Response::WalSegment {
-            first_seq: seg.first_seq,
-            durable_seq: seg.durable_seq,
-            log_start_seq: seg.log_start_seq,
-            frames: seg.frames,
+        let replicable = d.wal.replicable_seq();
+        let acked = from_seq.saturating_sub(1);
+        if acked <= replicable {
+            d.replication.record_ack(acked);
         }
+        d.replication
+            .segment(from_seq, max_frames, replicable)
+            .into()
     }
 
     /// Serve a full state snapshot plus the sequence number it covers,

@@ -186,11 +186,6 @@ impl MuxClient {
         self.shared.dead.load(Ordering::SeqCst)
     }
 
-    /// Calls currently awaiting a response.
-    pub fn in_flight(&self) -> usize {
-        self.shared.pending.lock().len()
-    }
-
     /// One pipelined exchange: enqueue the request, wait (until
     /// `deadline`) for its correlated response. Concurrent callers
     /// interleave freely; responses are matched by FIFO correlation.
@@ -432,13 +427,16 @@ mod tests {
 
     #[test]
     fn server_death_fails_all_in_flight() {
+        let served = Arc::new(AtomicUsize::new(0));
+        let seen = served.clone();
         let r = Reactor::bind(
             "127.0.0.1:0",
             ReactorConfig {
                 workers: 1,
                 ..ReactorConfig::default()
             },
-            per_frame(|_frame| {
+            per_frame(move |_frame| {
+                seen.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(200));
                 crate::codec::response_bytes(&Response::Pong)
             }),
@@ -451,8 +449,9 @@ mod tests {
                 std::thread::spawn(move || mux.call(&Request::Ping, far()))
             })
             .collect();
-        // Give the calls time to get onto the wire, then kill the server.
-        assert!(poll_until(Duration::from_secs(5), || mux.in_flight() > 0));
+        // Once the calls are on the wire, kill the server.
+        let on_the_wire = || served.load(Ordering::SeqCst) > 0;
+        assert!(poll_until(Duration::from_secs(5), on_the_wire));
         r.shutdown();
         for c in callers {
             let result = c.join().unwrap();
@@ -518,7 +517,16 @@ mod tests {
             .call(&Request::Ping, Instant::now() - Duration::from_millis(1))
             .unwrap_err();
         assert!(matches!(err, NetError::DeadlineExceeded));
-        assert_eq!(mux.in_flight(), 0, "no slot may be enqueued");
+        // The server's first frame is the next call's, and its answer
+        // lands there: nothing went out, and no slot waits ahead of it.
+        let next = mux.call(&Request::Metrics, far()).unwrap();
+        assert_eq!(
+            next,
+            Response::Error {
+                code: 400,
+                message: "seq 0".into()
+            }
+        );
         drop(mux);
         r.shutdown();
     }

@@ -273,11 +273,6 @@ impl MaybeSpan {
         MaybeSpan::default()
     }
 
-    /// Whether a real span is being recorded.
-    pub fn is_recording(&self) -> bool {
-        self.guard.is_some()
-    }
-
     /// Stamp a verdict (no-op when absent).
     pub fn verdict(&self, v: &'static str) {
         if let Some(g) = &self.guard {
@@ -365,12 +360,10 @@ mod tests {
     #[test]
     fn maybe_span_is_free_when_absent() {
         let none = SpanRecorder::maybe(None, "cache");
-        assert!(!none.is_recording());
         none.verdict("ignored");
         let rec = SpanRecorder::new();
         {
             let some = SpanRecorder::maybe(Some(&rec), "cache");
-            assert!(some.is_recording());
             some.verdict("hit");
         }
         assert_eq!(rec.spans()[0].verdict, "hit");

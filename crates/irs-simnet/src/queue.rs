@@ -70,14 +70,6 @@ impl QueueingServer {
         }
     }
 
-    /// Mean queueing wait so far.
-    pub fn mean_wait_ms(&self) -> f64 {
-        if self.jobs == 0 {
-            return 0.0;
-        }
-        self.total_wait_ms as f64 / self.jobs as f64
-    }
-
     /// Offered load ρ for a given arrival rate (jobs/ms), from the service
     /// distribution's median as the mean approximation.
     pub fn utilization(&self, arrivals_per_ms: f64) -> f64 {
@@ -114,7 +106,7 @@ mod tests {
         assert_eq!(a.wait_ms, 0);
         assert_eq!(b.wait_ms, 10);
         assert_eq!(c.wait_ms, 20);
-        assert_eq!(q.mean_wait_ms(), 10.0);
+        assert_eq!((q.jobs, q.total_wait_ms), (3, 30));
     }
 
     #[test]
@@ -138,14 +130,15 @@ mod tests {
         for i in 0..200u64 {
             light.admit(TimeMs(i * 50), &mut r);
         }
-        assert_eq!(light.mean_wait_ms(), 0.0);
+        assert_eq!(light.total_wait_ms, 0);
         // Heavy: inter-arrival 8 ms < service 10 ms ⇒ unbounded queue.
         let mut heavy = QueueingServer::new(1, service);
         let mut r = rng();
         for i in 0..200u64 {
             heavy.admit(TimeMs(i * 8), &mut r);
         }
-        assert!(heavy.mean_wait_ms() > 50.0, "{}", heavy.mean_wait_ms());
+        let (wait, jobs) = (heavy.total_wait_ms, heavy.jobs);
+        assert!(wait > 50 * jobs, "mean wait {} ms", wait / jobs);
     }
 
     #[test]

@@ -103,28 +103,9 @@ impl<W> Sim<W> {
         while self.step() {}
     }
 
-    /// Run until the queue is empty or the simulated clock passes
-    /// `deadline` (events after the deadline stay queued).
-    pub fn run_until(&mut self, deadline: TimeMs) {
-        while let Some(next) = self.queue.peek() {
-            if next.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.now() < deadline {
-            self.clock.set(deadline);
-        }
-    }
-
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
         self.executed
-    }
-
-    /// Number of events still queued.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -167,20 +148,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.world, vec![(10, "first"), (25, "second")]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Sim::new(0u32);
-        sim.schedule_in(10, |s| s.world += 1);
-        sim.schedule_in(100, |s| s.world += 1);
-        sim.run_until(TimeMs(50));
-        assert_eq!(sim.world, 1);
-        assert_eq!(sim.now(), TimeMs(50));
-        assert_eq!(sim.pending(), 1);
-        sim.run();
-        assert_eq!(sim.world, 2);
-        assert_eq!(sim.now(), TimeMs(100));
     }
 
     #[test]

@@ -134,19 +134,9 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// Month the first incumbent flipped.
-    pub fn first_flip(&self) -> Option<usize> {
-        self.adoption_month.iter().flatten().copied().min()
-    }
-
     /// Whether every actor adopted within the horizon.
     pub fn fully_transformed(&self) -> bool {
         self.adoption_month.iter().all(|m| m.is_some())
-    }
-
-    /// Final browser share.
-    pub fn final_browser_share(&self) -> f64 {
-        self.timeline.last().map(|s| s.browser_share).unwrap_or(0.0)
     }
 }
 
@@ -241,11 +231,20 @@ impl AdoptionModel {
 mod tests {
     use super::*;
 
+    /// Month the first incumbent flipped.
+    fn first_flip(result: &SimulationResult) -> Option<usize> {
+        result.adoption_month.iter().flatten().copied().min()
+    }
+
+    fn final_share(result: &SimulationResult) -> f64 {
+        result.timeline.last().map_or(0.0, |s| s.browser_share)
+    }
+
     #[test]
     fn default_calibration_transforms_the_ecosystem() {
         let result = AdoptionModel::with_defaults().run();
         assert!(result.fully_transformed(), "all incumbents should adopt");
-        let first = result.first_flip().expect("some flip");
+        let first = first_flip(&result).expect("some flip");
         assert!(first > 6, "flip should not be instant (month {first})");
     }
 
@@ -282,8 +281,8 @@ mod tests {
         let mut model = AdoptionModel::with_defaults();
         model.params.initial_browser_share = 0.0;
         let result = model.run();
-        assert_eq!(result.first_flip(), None, "ecosystem failure persists");
-        assert_eq!(result.final_browser_share(), 0.0);
+        assert_eq!(first_flip(&result), None, "ecosystem failure persists");
+        assert_eq!(final_share(&result), 0.0);
     }
 
     #[test]
@@ -295,10 +294,10 @@ mod tests {
             a.brand_weight = 0.0;
         }
         let result = model.run();
-        assert_eq!(result.first_flip(), None);
+        assert_eq!(first_flip(&result), None);
         // Browser share still grows to the first-mover cap...
-        assert!(result.final_browser_share() <= model.params.first_mover_cap + 1e-9);
-        assert!(result.final_browser_share() > 0.3);
+        assert!(final_share(&result) <= model.params.first_mover_cap + 1e-9);
+        assert!(final_share(&result) > 0.3);
     }
 
     #[test]
@@ -360,10 +359,10 @@ mod tests {
     #[test]
     fn browser_share_capped_until_flip() {
         let result = AdoptionModel::with_defaults().run();
-        let first_flip = result.first_flip().unwrap();
-        for s in &result.timeline[..first_flip.saturating_sub(1)] {
+        let flip = first_flip(&result).unwrap();
+        for s in &result.timeline[..flip.saturating_sub(1)] {
             assert!(s.browser_share <= 0.35 + 1e-9);
         }
-        assert!(result.final_browser_share() > 0.9, "post-flip growth to ~1");
+        assert!(final_share(&result) > 0.9, "post-flip growth to ~1");
     }
 }

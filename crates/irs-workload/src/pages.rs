@@ -43,19 +43,6 @@ pub struct PageModel {
 }
 
 impl PageModel {
-    /// Number of images (claimed + plain).
-    pub fn image_count(&self) -> usize {
-        self.resources
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.kind,
-                    ResourceKind::ClaimedImage(_) | ResourceKind::PlainImage
-                )
-            })
-            .count()
-    }
-
     /// Number of claimed images.
     pub fn claimed_count(&self) -> usize {
         self.resources
@@ -148,7 +135,8 @@ mod tests {
     fn pinterest_structure() {
         let (pop, zipf, mut rng) = setup();
         let page = PageModel::pinterest_like(30, 0.8, &pop, &zipf, &mut rng);
-        assert_eq!(page.image_count(), 30);
+        // The document, two blocking assets, then the 30 tiles.
+        assert_eq!(page.resources.len(), 3 + 30);
         let claimed = page.claimed_count();
         assert!((15..=30).contains(&claimed), "claimed {claimed}");
         // Exactly the first three resources block rendering.
@@ -161,7 +149,7 @@ mod tests {
         let (pop, zipf, mut rng) = setup();
         let page = PageModel::pinterest_like(20, 0.0, &pop, &zipf, &mut rng);
         assert_eq!(page.claimed_count(), 0);
-        assert_eq!(page.image_count(), 20);
+        assert_eq!(page.resources.len(), 3 + 20);
     }
 
     #[test]

@@ -154,29 +154,6 @@ impl PhotoPopulation {
     pub fn iter(&self) -> impl Iterator<Item = PhotoMeta> + '_ {
         (0..self.config.total).map(move |i| self.photo(i))
     }
-
-    /// Measured revocation rates: (public pool, private pool, total).
-    pub fn measured_rates(&self) -> (f64, f64, f64) {
-        let mut pub_rev = 0u64;
-        let mut pub_n = 0u64;
-        let mut priv_rev = 0u64;
-        let mut priv_n = 0u64;
-        for p in self.iter() {
-            if p.public {
-                pub_n += 1;
-                pub_rev += p.revoked as u64;
-            } else {
-                priv_n += 1;
-                priv_rev += p.revoked as u64;
-            }
-        }
-        let total_rate = (pub_rev + priv_rev) as f64 / (pub_n + priv_n) as f64;
-        (
-            pub_rev as f64 / pub_n.max(1) as f64,
-            priv_rev as f64 / priv_n.max(1) as f64,
-            total_rate,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +189,12 @@ mod tests {
         // §4.4: high fraction of total revoked; very high fraction of
         // viewed (= public) photos not revoked.
         let p = pop(50_000);
-        let (pub_rate, priv_rate, total_rate) = p.measured_rates();
+        let rate = |pool: Vec<PhotoMeta>| {
+            pool.iter().filter(|m| m.revoked).count() as f64 / pool.len() as f64
+        };
+        let pub_rate = rate(p.iter().filter(|m| m.public).collect());
+        let priv_rate = rate(p.iter().filter(|m| !m.public).collect());
+        let total_rate = rate(p.iter().collect());
         assert!(pub_rate < 0.01, "public pool revocation {pub_rate}");
         assert!(priv_rate > 0.9, "private pool revocation {priv_rate}");
         assert!(total_rate > 0.5, "total revocation {total_rate}");

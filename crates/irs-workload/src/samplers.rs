@@ -72,12 +72,6 @@ pub fn exponential_ms(rng: &mut StdRng, mean_ms: f64) -> u64 {
     (-u.ln() * mean_ms).round().max(0.0) as u64
 }
 
-/// Pareto sample with scale `xm` and shape `alpha` (heavy-tailed sizes).
-pub fn pareto(rng: &mut StdRng, xm: f64, alpha: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    xm / u.powf(1.0 / alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +132,6 @@ mod tests {
         let sum: u64 = (0..n).map(|_| exponential_ms(&mut r, 100.0)).sum();
         let mean = sum as f64 / n as f64;
         assert!((90.0..110.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_bounded_below() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(pareto(&mut r, 2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

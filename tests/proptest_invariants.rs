@@ -453,27 +453,12 @@ fn replication_pair(
         );
         primary.claim_custodial(req, TimeMs(i)).unwrap();
     }
-    let Response::WalSegment {
-        first_seq,
-        durable_seq,
-        log_start_seq,
-        frames,
-    } = primary.handle(
-        Request::WalSubscribe {
-            from_seq: 1,
-            max_frames: 256,
-        },
-        TimeMs(0),
-    )
-    else {
-        panic!("expected WalSegment");
+    let subscribe = Request::WalSubscribe {
+        from_seq: 1,
+        max_frames: 256,
     };
-    let seg = SegmentData {
-        first_seq,
-        durable_seq,
-        log_start_seq,
-        frames,
-    };
+    let seg =
+        SegmentData::try_from(primary.handle(subscribe, TimeMs(0))).expect("expected WalSegment");
     (primary, follower, seg)
 }
 

@@ -12,7 +12,8 @@ use irs::ledger::store::StoredClaim;
 use irs::ledger::wal::WalWriter;
 use irs::ledger::{
     codes, ApplyError, ChaosDisk, ChaosDiskConfig, Disk, DiskFault, DurabilityConfig, Follower,
-    FsyncPolicy, Ledger, LedgerConfig, SegmentData, StoreError, WalRecord,
+    FsyncPolicy, Ledger, LedgerConfig, ReplicationPolicy, SegmentData, StoreError, WalError,
+    WalRecord,
 };
 use irs::protocol::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs::protocol::ids::{LedgerId, RecordId};
@@ -52,28 +53,8 @@ fn claim(i: u64) -> ClaimRequest {
 
 /// One in-process follower poll against the primary's request path.
 fn poll_once(primary: &Ledger, follower: &mut Follower) -> usize {
-    let Response::WalSegment {
-        first_seq,
-        durable_seq,
-        log_start_seq,
-        frames,
-    } = primary.handle(
-        Request::WalSubscribe {
-            from_seq: follower.next_seq(),
-            max_frames: 64,
-        },
-        TimeMs(0),
-    )
-    else {
-        panic!("expected WalSegment");
-    };
     follower
-        .apply_segment(&SegmentData {
-            first_seq,
-            durable_seq,
-            log_start_seq,
-            frames,
-        })
+        .poll(|req| Some(primary.handle(req, TimeMs(0))))
         .expect("clean stream must apply")
 }
 
@@ -181,6 +162,36 @@ fn follower_rejects_gap_and_resyncs() {
     );
 }
 
+/// `WalSubscribe` is served on the client port, so anyone can send one.
+/// A `from_seq` past the replicable mark is no follower's ack: it must
+/// neither release a `WaitForFollower` write nor prune the frames the
+/// real follower still needs.
+#[test]
+fn stray_subscribe_past_the_replicable_mark_acks_nothing() {
+    let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(13)));
+    let mut wait = durability(&calm, FsyncPolicy::Always);
+    wait.replication = ReplicationPolicy::WaitForFollower { timeout_ms: 200 };
+    let primary = Ledger::recover(config(), tsa(), 4, wait).unwrap();
+    let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(14)));
+    let mut follower = bootstrap_from(&primary, &follower_disk);
+    let timed_out = |err: WalError| err.to_string().contains("replication ack timeout");
+
+    // A write the follower has not polled for: unacked, its frame retained.
+    assert!(timed_out(
+        primary.claim_custodial(claim(0), TimeMs(0)).unwrap_err()
+    ));
+    let stray = Request::WalSubscribe {
+        from_seq: u64::MAX,
+        max_frames: 64,
+    };
+    assert!(SegmentData::try_from(primary.handle(stray, TimeMs(1))).is_ok());
+    assert!(timed_out(
+        primary.claim_custodial(claim(1), TimeMs(2)).unwrap_err()
+    ));
+    // Nothing was pruned: the follower's next poll applies both, no gap.
+    assert_eq!(poll_once(&primary, &mut follower), 2);
+}
+
 /// A lying fsync during tail-follow: the primary believes its tail is
 /// durable and ships it; power loss then erases what the drive never
 /// wrote. The restarted primary's stream no longer lines up with the
@@ -243,20 +254,18 @@ fn fsync_lie_during_tail_follow_forces_resync() {
     let reborn =
         Ledger::recover(config(), tsa(), 4, durability(&disk, FsyncPolicy::Always)).unwrap();
     assert_eq!(reborn.store().len() as u64, survivors);
-    let Response::WalSegment {
+    let SegmentData {
         durable_seq,
         frames,
         ..
-    } = reborn.handle(
+    } = SegmentData::try_from(reborn.handle(
         Request::WalSubscribe {
             from_seq: follower.next_seq(),
             max_frames: 64,
         },
         TimeMs(0),
-    )
-    else {
-        panic!("expected WalSegment");
-    };
+    ))
+    .expect("expected WalSegment");
     assert!(frames.is_empty(), "nothing past the cursor may be shipped");
     assert!(
         durable_seq < follower.next_seq() - 1,
