@@ -71,7 +71,8 @@ pub use disk::{Disk, StdDisk};
 pub use placement::{PlacementError, ShardDirectory, ShardMap, ShardSpec};
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use replication::{
-    ApplyError, Follower, FollowerError, ReplicationLog, ReplicationPolicy, SegmentData,
+    ApplyError, Follower, FollowerError, Held, ReplicationLog, ReplicationPolicy, SegmentData,
+    Served,
 };
 pub use service::{Durability, DurabilityConfig, Ledger, LedgerConfig, LedgerPolicy, LedgerStats};
 pub use store::{LedgerStore, StoreError};

@@ -20,9 +20,16 @@
 //!    (committed per its fsync policy) before the next poll advances
 //!    `from_seq`.
 //! 3. **Under [`ReplicationPolicy::WaitForFollower`], the primary never
-//!    acks a write the follower has not.** The durable-apply path blocks
+//!    acks a write the follower has not.** The write's reply is [`Held`]
 //!    (bounded) until the follower's ack covers the record's sequence
 //!    number, so a kill-the-primary failover loses nothing acknowledged.
+//!
+//! A poll with nothing to ship is held the same way, until the next
+//! commit gives it a frame (or 100 ms pass and it is answered empty),
+//! so a write reaches the follower one round trip after its fsync
+//! instead of one poll sleep later. The [`ReplicationLog`] owns both
+//! kinds of hold and completes them under the mutex that moves the
+//! marks they wait on, so no wakeup is lost.
 //!
 //! Sequence numbers are scoped to one primary *process instance*: a
 //! restarted primary restarts them after whatever its log holds, so a
@@ -65,6 +72,9 @@ pub const REPLICA_SEQ_PATH: &str = "replica.seq";
 
 /// WAL frames a follower asks for per poll.
 const POLL_FRAMES: u32 = 64;
+/// How long a primary holds a poll with nothing to ship before
+/// answering it empty: well under the I/O timeout of any poller (seconds).
+const POLL_HOLD: Duration = Duration::from_millis(100);
 /// [`Follower::run`]'s backoff after empty polls (see there).
 const BACKOFF_MIN: Duration = Duration::from_micros(50);
 const BACKOFF_ACTIVE: Duration = Duration::from_micros(200);
@@ -155,11 +165,205 @@ struct LogInner {
     start_seq: u64,
     /// Highest sequence number a follower poll has acknowledged.
     acked_seq: u64,
+    /// Highest replicable sequence number the log has been told of.
+    replicable_seq: u64,
+    /// Held replies waiting on `acked_seq` or `replicable_seq`.
+    parked: Vec<Parked>,
 }
 
-/// The primary's in-memory tail of shipped-frame history, plus the
+impl LogInner {
+    /// The answer `wait` gets now, if its condition holds: a write's
+    /// reply once the follower acked it; a poll's segment once it holds
+    /// a frame, or once retention has passed its cursor (the follower
+    /// must re-bootstrap, and holding would not change that).
+    fn answer(&self, wait: &Wait) -> Option<Response> {
+        match wait {
+            Wait::Ack { seq, reply } => (self.acked_seq >= *seq).then(|| reply.clone()),
+            &Wait::Ship {
+                from_seq,
+                max_frames,
+            } => {
+                let seg = self.segment(from_seq, max_frames, self.replicable_seq);
+                (!seg.frames.is_empty() || seg.log_start_seq > from_seq).then(|| seg.into())
+            }
+        }
+    }
+
+    /// One bounded contiguous batch from `from_seq`, never past
+    /// `durable_seq` (see [`ReplicationLog::segment`]).
+    fn segment(&self, from_seq: u64, max_frames: u32, durable_seq: u64) -> SegmentData {
+        let mut frames = Vec::new();
+        if from_seq >= self.start_seq {
+            let mut seq = from_seq;
+            let mut count = 0u32;
+            while count < max_frames && seq <= durable_seq {
+                match self.frames.get(&seq) {
+                    Some(frame) => {
+                        frames.extend_from_slice(frame);
+                        seq += 1;
+                        count += 1;
+                    }
+                    None => break,
+                }
+            }
+        }
+        SegmentData {
+            first_seq: from_seq,
+            durable_seq,
+            log_start_seq: self.start_seq,
+            frames: frames.into(),
+        }
+    }
+
+    /// Take every parked reply whose condition now holds, with its
+    /// answer, and forget those past their deadline (whoever held them
+    /// has answered the fallback). The caller delivers after unlocking.
+    fn take_answered(&mut self) -> Vec<(Deliver, Response)> {
+        let mut answered = Vec::new();
+        if self.parked.is_empty() {
+            return answered;
+        }
+        let now = Instant::now();
+        let mut i = 0;
+        while i < self.parked.len() {
+            if self.parked[i].deadline <= now {
+                self.parked.swap_remove(i);
+            } else if let Some(answer) = self.answer(&self.parked[i].wait) {
+                answered.push((self.parked.swap_remove(i).deliver, answer));
+            } else {
+                i += 1;
+            }
+        }
+        answered
+    }
+}
+
+/// Hands a held reply its answer (from the thread that completes it).
+type Deliver = Box<dyn FnOnce(Response) + Send>;
+
+/// A reply parked in the log until its condition holds.
+struct Parked {
+    wait: Wait,
+    deadline: Instant,
+    deliver: Deliver,
+}
+
+/// What a held reply waits for.
+enum Wait {
+    /// A committed write under `WaitForFollower`: `reply` once a follower
+    /// ack covers `seq`.
+    Ack { seq: u64, reply: Response },
+    /// A poll with nothing to ship: the segment from `from_seq` once a
+    /// commit gives it a frame.
+    Ship { from_seq: u64, max_frames: u32 },
+}
+
+/// A reply the request path cannot give yet because it waits on
+/// replication: a committed write under
+/// [`ReplicationPolicy::WaitForFollower`] waits for the follower's ack,
+/// and a `WalSubscribe` with nothing to ship waits for the next commit.
+/// [`Ledger::handle`] resolves it in place — blocking for the write,
+/// answering the poll at once with its fallback. A server instead
+/// [`park`](Held::park)s it and answers [`fallback`](Held::fallback) if
+/// the [`deadline`](Held::deadline) passes first: the storage error for
+/// a write, an empty segment carrying the marks at hold time for a poll.
+pub struct Held {
+    log: Arc<ReplicationLog>,
+    wait: Wait,
+    deadline: Instant,
+    fallback: Response,
+}
+
+impl Held {
+    /// Hold `reply` until a follower acks `seq`, at most `timeout`.
+    pub(crate) fn ack(
+        log: Arc<ReplicationLog>,
+        seq: u64,
+        reply: Response,
+        timeout: Duration,
+        fallback: Response,
+    ) -> Held {
+        Held {
+            log,
+            wait: Wait::Ack { seq, reply },
+            deadline: Instant::now() + timeout,
+            fallback,
+        }
+    }
+
+    /// Hold a poll whose segment came out `empty` until there is
+    /// something to ship, at most [`POLL_HOLD`].
+    pub(crate) fn ship(log: Arc<ReplicationLog>, max_frames: u32, empty: SegmentData) -> Held {
+        Held {
+            log,
+            wait: Wait::Ship {
+                from_seq: empty.first_seq,
+                max_frames,
+            },
+            deadline: Instant::now() + POLL_HOLD,
+            fallback: empty.into(),
+        }
+    }
+
+    /// When whoever holds the reply stops waiting.
+    pub fn deadline(&self) -> Instant {
+        self.deadline
+    }
+
+    /// The answer at the deadline.
+    pub fn fallback(&self) -> &Response {
+        &self.fallback
+    }
+
+    /// Park the reply in the replication log: `deliver` gets its answer
+    /// when the log completes it — on the thread whose ack or commit
+    /// made the condition true, outside the log's lock. If the condition
+    /// holds already, the answer is returned instead and `deliver` is
+    /// dropped. A parked reply past its deadline is forgotten.
+    pub fn park(self, deliver: impl FnOnce(Response) + Send + 'static) -> Option<Response> {
+        let mut inner = self.log.inner.lock().expect("replication log poisoned");
+        if let Some(answer) = inner.answer(&self.wait) {
+            return Some(answer);
+        }
+        let now = Instant::now();
+        inner.parked.retain(|p| p.deadline > now);
+        inner.parked.push(Parked {
+            wait: self.wait,
+            deadline: self.deadline,
+            deliver: Box::new(deliver),
+        });
+        None
+    }
+
+    /// Resolve in place: a write's reply once `acked(seq)` says the
+    /// follower has it, else the fallback.
+    pub(crate) fn resolve(self, acked: impl FnOnce(u64) -> bool) -> Response {
+        match self.wait {
+            Wait::Ack { seq, reply } if acked(seq) => reply,
+            _ => self.fallback,
+        }
+    }
+}
+
+/// What the ledger's request path answers: a response now, or a reply
+/// [`Held`] on replication.
+pub enum Served {
+    /// The answer.
+    Ready(Response),
+    /// The answer once replication catches up (or the fallback).
+    Held(Held),
+}
+
+impl From<Response> for Served {
+    fn from(response: Response) -> Served {
+        Served::Ready(response)
+    }
+}
+
+/// The primary's in-memory tail of shipped-frame history, the
 /// follower-ack high-water mark the [`ReplicationPolicy::WaitForFollower`]
-/// gate blocks on. Single-follower: an ack prunes everything it covers.
+/// gate waits on, and the replies [`Held`] on either. Single-follower: an
+/// ack prunes everything it covers.
 pub struct ReplicationLog {
     inner: Mutex<LogInner>,
     ack_cond: Condvar,
@@ -168,7 +372,8 @@ pub struct ReplicationLog {
     durable_gauge: Gauge,
     /// Highest follower-acknowledged sequence number.
     acked_gauge: Gauge,
-    /// `durable - acked` at last serve: the follower's replication lag.
+    /// `replicable - acked` at the last serve or ack: the follower's
+    /// replication lag.
     lag_gauge: Gauge,
 }
 
@@ -181,6 +386,8 @@ impl ReplicationLog {
                 frames: BTreeMap::new(),
                 start_seq: next_seq,
                 acked_seq: 0,
+                replicable_seq: next_seq.saturating_sub(1),
+                parked: Vec::new(),
             }),
             ack_cond: Condvar::new(),
             retain: retain.max(1),
@@ -206,22 +413,39 @@ impl ReplicationLog {
     }
 
     /// Record a follower acknowledgement of every sequence number at or
-    /// below `seq`: wakes blocked [`wait_acked`](Self::wait_acked)
-    /// callers and prunes covered frames.
+    /// below `seq`: completes the writes [`Held`] on it, wakes blocked
+    /// [`wait_acked`](Self::wait_acked) callers, prunes covered frames
+    /// and updates the lag gauge.
     pub fn record_ack(&self, seq: u64) {
         let mut inner = self.inner.lock().expect("replication log poisoned");
-        if seq > inner.acked_seq {
-            inner.acked_seq = seq;
-            self.acked_gauge.set(seq);
-            while let Some((&oldest, _)) = inner.frames.first_key_value() {
-                if oldest > seq {
-                    break;
-                }
-                inner.frames.remove(&oldest);
-                inner.start_seq = inner.start_seq.max(oldest + 1);
-            }
-            self.ack_cond.notify_all();
+        if seq <= inner.acked_seq {
+            return;
         }
+        inner.acked_seq = seq;
+        self.acked_gauge.set(seq);
+        self.lag_gauge.set(inner.replicable_seq.saturating_sub(seq));
+        while let Some((&oldest, _)) = inner.frames.first_key_value() {
+            if oldest > seq {
+                break;
+            }
+            inner.frames.remove(&oldest);
+            inner.start_seq = inner.start_seq.max(oldest + 1);
+        }
+        self.ack_cond.notify_all();
+        let answered = inner.take_answered();
+        drop(inner);
+        deliver(answered);
+    }
+
+    /// The commit step's notice that `replicable_seq` is now safe to
+    /// ship: completes the polls [`Held`] for a frame it gives them.
+    /// Called after the WAL commit, outside every shard lock.
+    pub(crate) fn shipped(&self, replicable_seq: u64) {
+        let mut inner = self.inner.lock().expect("replication log poisoned");
+        inner.replicable_seq = inner.replicable_seq.max(replicable_seq);
+        let answered = inner.take_answered();
+        drop(inner);
+        deliver(answered);
     }
 
     /// Highest follower-acknowledged sequence number.
@@ -258,31 +482,19 @@ impl ReplicationLog {
     /// the reply is empty with `log_start_seq > from_seq`, which the
     /// follower reads as "re-bootstrap".
     pub fn segment(&self, from_seq: u64, max_frames: u32, durable_seq: u64) -> SegmentData {
-        let inner = self.inner.lock().expect("replication log poisoned");
+        let mut inner = self.inner.lock().expect("replication log poisoned");
+        inner.replicable_seq = inner.replicable_seq.max(durable_seq);
         self.durable_gauge.set(durable_seq);
         self.lag_gauge
             .set(durable_seq.saturating_sub(inner.acked_seq));
-        let mut frames = Vec::new();
-        if from_seq >= inner.start_seq {
-            let mut seq = from_seq;
-            let mut count = 0u32;
-            while count < max_frames && seq <= durable_seq {
-                match inner.frames.get(&seq) {
-                    Some(frame) => {
-                        frames.extend_from_slice(frame);
-                        seq += 1;
-                        count += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        SegmentData {
-            first_seq: from_seq,
-            durable_seq,
-            log_start_seq: inner.start_seq,
-            frames: frames.into(),
-        }
+        inner.segment(from_seq, max_frames, durable_seq)
+    }
+}
+
+/// Hand each completed held reply its answer.
+fn deliver(answered: Vec<(Deliver, Response)>) {
+    for (deliver, answer) in answered {
+        deliver(answer);
     }
 }
 
@@ -631,9 +843,12 @@ impl Follower {
 
     /// Tail the primary through `fetch` until `stop` is set (`Ok`) or a
     /// poll fails (its error). An empty poll sleeps 50 µs, doubling up to
-    /// 200 µs (a write's longest wait for its ack poll), or 10 ms once 100
-    /// polls in a row came back empty. A fresh tail starts idle; any
-    /// applied record resets the schedule.
+    /// 200 µs, or 10 ms once 100 polls in a row came back empty. A fresh
+    /// tail starts idle; any applied record resets the schedule. A
+    /// primary served by `LedgerServer` holds an empty poll until the
+    /// next commit, so there the sleep follows only a poll that waited
+    /// out a whole hold; it is what keeps the tail from spinning against
+    /// a primary that answers at once (an in-process `Ledger::handle`).
     pub fn run(
         &mut self,
         mut fetch: impl FnMut(Request) -> Option<Response>,
@@ -737,6 +952,72 @@ mod tests {
         // Stale ack never regresses the high-water mark.
         log.record_ack(1);
         assert_eq!(log.acked_seq(), 2);
+    }
+
+    /// The lag gauge follows the ack itself: once the follower's final
+    /// ack is in, it reads zero before any further segment is served.
+    #[test]
+    fn the_final_ack_zeroes_the_lag_gauge() {
+        let registry = Registry::new();
+        let log = ReplicationLog::new(1, 64, &registry);
+        let lag = || irs_obs::parse_exposition(&registry.render())["irs_ledger_repl_lag"];
+        log.publish(1, vec![1]);
+        log.publish(2, vec![2]);
+        log.shipped(2);
+        assert_eq!(log.segment(1, 16, 2).frames.as_ref(), &[1, 2]);
+        assert_eq!(lag(), 2.0);
+        log.record_ack(1);
+        assert_eq!(lag(), 1.0);
+        log.record_ack(2);
+        assert_eq!(lag(), 0.0);
+    }
+
+    /// Held replies complete when their mark moves — from the thread
+    /// that moved it — and never twice; a reply whose condition already
+    /// holds is answered at once.
+    #[test]
+    fn held_replies_complete_when_their_mark_moves() {
+        let registry = Registry::new();
+        let log = Arc::new(ReplicationLog::new(1, 64, &registry));
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let park = |held: Held| {
+            let answers = answers.clone();
+            held.park(move |answer| answers.lock().unwrap().push(answer))
+        };
+        let empty = log.segment(1, 16, 0);
+        let poll = Held::ship(log.clone(), 16, empty.clone());
+        assert_eq!(poll.fallback(), &Response::from(empty));
+        assert!(park(poll).is_none());
+        let write = Held::ack(
+            log.clone(),
+            1,
+            Response::Pong,
+            Duration::from_secs(5),
+            Response::Pong,
+        );
+        assert!(park(write).is_none());
+
+        // A commit gives the poll its frame; the write still waits.
+        log.publish(1, vec![0xa1]);
+        log.shipped(1);
+        let shipped = std::mem::take(&mut *answers.lock().unwrap());
+        let [Response::WalSegment { frames, .. }] = &shipped[..] else {
+            panic!("expected the poll's segment, got {shipped:?}");
+        };
+        assert_eq!(frames.as_ref(), &[0xa1]);
+        // The ack completes the write, once.
+        log.record_ack(1);
+        log.record_ack(1);
+        assert_eq!(*answers.lock().unwrap(), [Response::Pong]);
+        // Already true at park time: answered in place.
+        let acked = Held::ack(
+            log.clone(),
+            1,
+            Response::Pong,
+            Duration::ZERO,
+            Response::Pong,
+        );
+        assert_eq!(park(acked), Some(Response::Pong));
     }
 
     /// A durable primary and a follower bootstrapped from it, empty.

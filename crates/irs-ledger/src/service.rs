@@ -20,7 +20,9 @@ use crate::codes;
 use crate::disk::Disk;
 use crate::placement::ShardDirectory;
 use crate::recovery::{recover_store, RecoveryError, RecoveryReport};
-use crate::replication::{ApplyError, ReplicationLog, ReplicationPolicy, DEFAULT_RETAIN_FRAMES};
+use crate::replication::{
+    ApplyError, Held, ReplicationLog, ReplicationPolicy, Served, DEFAULT_RETAIN_FRAMES,
+};
 use crate::snapshot::encode_snapshot;
 use crate::store::{ClaimOrigin, LedgerStore, StoreError, DEFAULT_SHARDS, FRESH_SERIAL};
 use crate::wal::{AppendReceipt, FsyncPolicy, WalError, WalRecord, WalStats, WalWriter};
@@ -239,6 +241,15 @@ impl Durability {
         self.wal.replicable_seq()
     }
 
+    /// How long a write waits for its follower ack (`WaitForFollower`'s
+    /// `timeout_ms`; zero under `LocalOnly`, which owes none).
+    fn ack_timeout(&self) -> Duration {
+        match self.replication_policy {
+            ReplicationPolicy::WaitForFollower { timeout_ms } => Duration::from_millis(timeout_ms),
+            ReplicationPolicy::LocalOnly => Duration::ZERO,
+        }
+    }
+
     /// Append `rec` to the WAL and retain its frame for followers (a
     /// follower retains frames too, so that once promoted it can serve
     /// followers of its own). Called under the shard lock that made the
@@ -419,7 +430,10 @@ impl Ledger {
     }
 
     /// Handle one wire request at the given time. `&self`: any number of
-    /// connection threads may call this concurrently.
+    /// connection threads may call this concurrently. A reply the
+    /// request path holds on replication is resolved in place: a write
+    /// waits (bounded) for its follower ack, a poll with nothing to ship
+    /// is answered empty at once.
     pub fn handle(&self, request: Request, now: TimeMs) -> Response {
         self.handle_traced(request, now, None)
     }
@@ -433,14 +447,35 @@ impl Ledger {
         now: TimeMs,
         trace: Option<&Arc<SpanRecorder>>,
     ) -> Response {
+        match self.serve_traced(request, now, trace) {
+            Served::Ready(response) => response,
+            Served::Held(held) => held.resolve(|seq| self.await_ack(Some(seq)).is_ok()),
+        }
+    }
+
+    /// The request path without waiting on replication: a committed write
+    /// under `WaitForFollower`, and a `WalSubscribe` with nothing to ship,
+    /// come back [`Held`] for the caller to park (a server) or resolve.
+    pub fn serve(&self, request: Request, now: TimeMs) -> Served {
+        self.serve_traced(request, now, None)
+    }
+
+    fn serve_traced(
+        &self,
+        request: Request,
+        now: TimeMs,
+        trace: Option<&Arc<SpanRecorder>>,
+    ) -> Served {
         if let Some(refusal) = self.shard_guard(&request) {
-            return refusal;
+            return refusal.into();
         }
         match request {
             Request::Claim(req) => {
-                match self.claim_as(req, ClaimOrigin::Owner, false, now, trace) {
-                    Ok((id, timestamp)) => Response::Claimed { id, timestamp },
-                    Err(_) => err(codes::STORAGE, "durable log write failed"),
+                match self.claim_logged(req, ClaimOrigin::Owner, false, now, trace) {
+                    Ok((id, timestamp, owed)) => {
+                        self.when_acked(owed, Response::Claimed { id, timestamp })
+                    }
+                    Err(_) => err(codes::STORAGE, "durable log write failed").into(),
                 }
             }
             Request::Query { id } => {
@@ -449,50 +484,72 @@ impl Ledger {
                     Some((status, epoch)) => Response::Status { id, status, epoch },
                     None => err(codes::UNKNOWN_RECORD, "unknown record"),
                 }
+                .into()
             }
             Request::Revoke(req) => {
                 if self.config.policy == LedgerPolicy::NonRevocable && req.revoke {
-                    return err(codes::POLICY, "this ledger does not allow revocation");
+                    return err(codes::POLICY, "this ledger does not allow revocation").into();
                 }
                 self.obs.revokes.inc();
-                match self.durable_write(&WalRecord::Revoke(req), trace) {
-                    Err(_) => err(codes::STORAGE, "durable log write failed"),
-                    Ok(Ok((status, epoch))) => Response::RevokeAck {
-                        id: req.id,
-                        status,
-                        epoch,
-                    },
-                    Ok(Err(StoreError::UnknownRecord)) => {
-                        err(codes::UNKNOWN_RECORD, "unknown record")
+                let (verdict, owed) = match self.durable_write(&WalRecord::Revoke(req), trace) {
+                    Ok(written) => written,
+                    Err(_) => return err(codes::STORAGE, "durable log write failed").into(),
+                };
+                let refusal = match verdict {
+                    Ok((status, epoch)) => {
+                        let ack = Response::RevokeAck {
+                            id: req.id,
+                            status,
+                            epoch,
+                        };
+                        return self.when_acked(owed, ack);
                     }
-                    Ok(Err(StoreError::BadSignature)) => err(codes::BAD_SIGNATURE, "bad signature"),
-                    Ok(Err(StoreError::StaleEpoch)) => err(codes::STALE_EPOCH, "stale epoch"),
+                    Err(StoreError::UnknownRecord) => err(codes::UNKNOWN_RECORD, "unknown record"),
+                    Err(StoreError::BadSignature) => err(codes::BAD_SIGNATURE, "bad signature"),
+                    Err(StoreError::StaleEpoch) => err(codes::STALE_EPOCH, "stale epoch"),
                     // Only the follower apply path can produce this.
-                    Ok(Err(StoreError::DuplicateSerial)) => err(codes::STORAGE, "duplicate serial"),
-                    Ok(Err(StoreError::Permanent)) => err(codes::POLICY, "permanently revoked"),
-                }
+                    Err(StoreError::DuplicateSerial) => err(codes::STORAGE, "duplicate serial"),
+                    Err(StoreError::Permanent) => err(codes::POLICY, "permanently revoked"),
+                };
+                refusal.into()
             }
             Request::GetFilterTiered {
                 have_epoch,
                 have_version,
-            } => self.serve_filter_tiered(have_epoch, have_version),
+            } => self.serve_filter_tiered(have_epoch, have_version).into(),
             Request::GetProof { id } => {
                 self.obs.proofs.inc();
                 match self.store.status(&id) {
                     Some((status, _)) => Response::Proof(self.issue_proof(id, status, now)),
                     None => err(codes::UNKNOWN_RECORD, "unknown record"),
                 }
+                .into()
             }
-            Request::Metrics => Response::MetricsText(self.metrics_text()),
-            Request::Ping => Response::Pong,
+            Request::Metrics => Response::MetricsText(self.metrics_text()).into(),
+            Request::Ping => Response::Pong.into(),
             Request::WalSubscribe {
                 from_seq,
                 max_frames,
             } => self.serve_wal_subscribe(from_seq, max_frames),
-            Request::FetchSnapshot => self.serve_replication_snapshot(),
+            Request::FetchSnapshot => self.serve_replication_snapshot().into(),
             // Reached only without a directory: the guard above serves
             // the map whenever one is attached.
-            Request::GetShardMap => err(codes::UNAVAILABLE, "this ledger has no shard directory"),
+            Request::GetShardMap => {
+                err(codes::UNAVAILABLE, "this ledger has no shard directory").into()
+            }
+        }
+    }
+
+    /// `reply` to a logged write: at once, or [`Held`] until a follower
+    /// acks `owed` (the write's sequence number under `WaitForFollower`).
+    fn when_acked(&self, owed: Option<u64>, reply: Response) -> Served {
+        match (owed, &self.durability) {
+            (Some(seq), Some(d)) => {
+                let log = d.replication.clone();
+                let timeout = d.ack_timeout();
+                Served::Held(Held::ack(log, seq, reply, timeout, ack_timeout_error()))
+            }
+            _ => reply.into(),
         }
     }
 
@@ -537,19 +594,23 @@ impl Ledger {
     /// Serve one bounded batch of durable WAL frames to a polling
     /// follower. Polling `from_seq = n` doubles as the follower's
     /// acknowledgement of every sequence number below `n`, up to the
-    /// replicable mark no follower of ours can have passed.
-    fn serve_wal_subscribe(&self, from_seq: u64, max_frames: u32) -> Response {
+    /// replicable mark no follower of ours can have passed; the ack is
+    /// recorded first, so a poll that then finds nothing to ship is
+    /// [`Held`] until a commit gives it a frame.
+    fn serve_wal_subscribe(&self, from_seq: u64, max_frames: u32) -> Served {
         let Some(d) = &self.durability else {
-            return err(codes::UNAVAILABLE, "this ledger has no durable log");
+            return err(codes::UNAVAILABLE, "this ledger has no durable log").into();
         };
         let replicable = d.wal.replicable_seq();
         let acked = from_seq.saturating_sub(1);
         if acked <= replicable {
             d.replication.record_ack(acked);
         }
-        d.replication
-            .segment(from_seq, max_frames, replicable)
-            .into()
+        let seg = d.replication.segment(from_seq, max_frames, replicable);
+        if seg.frames.is_empty() && seg.log_start_seq <= from_seq {
+            return Served::Held(Held::ship(d.replication.clone(), max_frames, seg));
+        }
+        Response::from(seg).into()
     }
 
     /// Serve a full state snapshot plus the sequence number it covers,
@@ -586,7 +647,9 @@ impl Ledger {
     /// attached. The outer error is storage, the inner the store verdict.
     pub fn permanently_revoke(&self, id: &RecordId) -> Result<Result<(), StoreError>, WalError> {
         let pin = WalRecord::AppealPin { id: *id };
-        Ok(self.durable_write(&pin, None)?.map(drop))
+        let (verdict, owed) = self.durable_write(&pin, None)?;
+        self.await_ack(owed)?;
+        Ok(verdict.map(drop))
     }
 
     /// Apply one record shipped from a primary (the follower apply
@@ -638,7 +701,8 @@ impl Ledger {
         ))
     }
 
-    /// Stamp a new claim at the next serial and write it durably.
+    /// Stamp a new claim at the next serial, write it durably and wait
+    /// for the replication policy.
     fn claim_as(
         &self,
         req: ClaimRequest,
@@ -647,10 +711,27 @@ impl Ledger {
         now: TimeMs,
         trace: Option<&Arc<SpanRecorder>>,
     ) -> Result<(RecordId, TimestampToken), WalError> {
+        let (id, timestamp, owed) =
+            self.claim_logged(req, origin, initially_revoked, now, trace)?;
+        self.await_ack(owed)?;
+        Ok((id, timestamp))
+    }
+
+    /// Stamp a new claim at the next serial and write it durably; the
+    /// sequence number a follower must still ack comes back with it.
+    fn claim_logged(
+        &self,
+        req: ClaimRequest,
+        origin: ClaimOrigin,
+        initially_revoked: bool,
+        now: TimeMs,
+        trace: Option<&Arc<SpanRecorder>>,
+    ) -> Result<(RecordId, TimestampToken, Option<u64>), WalError> {
         self.obs.claims.inc();
         let (id, timestamp, record) = self.store.new_claim(req, origin, initially_revoked, now);
-        self.durable_write(&record, trace)?.expect(FRESH_SERIAL);
-        Ok((id, timestamp))
+        let (verdict, owed) = self.durable_write(&record, trace)?;
+        verdict.expect(FRESH_SERIAL);
+        Ok((id, timestamp, owed))
     }
 
     /// The one durable-write step every acknowledged mutation takes —
@@ -658,12 +739,16 @@ impl Ledger {
     ///
     /// 1. apply `record` under its stripe lock (a `Revoke`'s signature
     ///    verified), appending it to the WAL from inside that lock;
-    /// 2. commit per the fsync policy;
+    /// 2. commit per the fsync policy, and tell the replication log what
+    ///    is now safe to ship (completing the polls held for it);
     /// 3. time it (`irs_ledger_durable_apply_us`, span `ledger:wal`);
     /// 4. count it toward the snapshot trigger;
-    /// 5. pass the replication gate.
+    /// 5. under `WaitForFollower`, return the record's sequence number:
+    ///    the ack the caller still owes before acknowledging
+    ///    ([`await_ack`](Self::await_ack) in process, a [`Held`] reply
+    ///    on the wire).
     ///
-    /// Only applied records are logged, committed and gated; a refused
+    /// Only applied records are logged, committed and owed; a refused
     /// one returns its store verdict. If the log write fails the mutation
     /// stays in memory but is *not* acknowledged — exactly the promise
     /// recovery makes ("nothing acknowledged is lost"), from the other
@@ -673,9 +758,9 @@ impl Ledger {
         &self,
         record: &WalRecord,
         trace: Option<&Arc<SpanRecorder>>,
-    ) -> Result<Result<(RevocationStatus, u64), StoreError>, WalError> {
+    ) -> Result<Written, WalError> {
         let Some(d) = &self.durability else {
-            return Ok(self.store.apply_verified(record, || {}));
+            return Ok((self.store.apply_verified(record, || {}), None));
         };
         let span = SpanRecorder::maybe(trace, "ledger:wal");
         let start = Instant::now();
@@ -689,11 +774,30 @@ impl Ledger {
         self.obs.durable_apply_us.record_since(start);
         span.verdict_result(&commit, "err");
         drop(span);
-        if let Some(seq) = commit? {
-            self.maybe_snapshot(trace);
-            replication_gate(d, seq)?;
+        let owed = match commit? {
+            Some(seq) => {
+                d.replication.shipped(d.wal.replicable_seq());
+                self.maybe_snapshot(trace);
+                matches!(
+                    d.replication_policy,
+                    ReplicationPolicy::WaitForFollower { .. }
+                )
+                .then_some(seq)
+            }
+            None => None,
+        };
+        Ok((out, owed))
+    }
+
+    /// Block until a follower acks `owed` (see [`durable_write`]); the
+    /// in-process resolution of a write's [`Held`] reply.
+    ///
+    /// [`durable_write`]: Self::durable_write
+    fn await_ack(&self, owed: Option<u64>) -> Result<(), WalError> {
+        match (owed, &self.durability) {
+            (Some(seq), Some(d)) => replication_gate(d, seq),
+            _ => Ok(()),
         }
-        Ok(out)
     }
 
     /// Count an operation toward the automatic-snapshot threshold and
@@ -858,22 +962,30 @@ fn err(code: u16, message: &str) -> Response {
     }
 }
 
+/// A durable write's outcome: the store verdict, and the sequence number
+/// a follower must still ack before the write may be acknowledged (only
+/// under `WaitForFollower`, only for a logged record).
+type Written = (Result<(RevocationStatus, u64), StoreError>, Option<u64>);
+
+/// What a write whose follower ack never came answers.
+const ACK_TIMEOUT: &str = "replication ack timeout: durable locally, unconfirmed on the follower";
+
+/// The wire answer for [`ACK_TIMEOUT`].
+fn ack_timeout_error() -> Response {
+    err(codes::STORAGE, ACK_TIMEOUT)
+}
+
 /// Block until the configured [`ReplicationPolicy`] is satisfied for
-/// `seq`. Called after the local commit, *outside* every shard lock (the
-/// follower's poll must be able to reach the replication log while we
-/// wait). A timeout surfaces as a storage error: the write is durable
-/// locally but was never acknowledged, so the client retries — the
-/// at-least-once edge the guarantee matrix documents.
+/// `seq` — the one place a thread parks on a follower ack, so only
+/// in-process callers reach it; a server holds the reply instead. Called
+/// after the local commit, *outside* every shard lock (the follower's
+/// poll must be able to reach the replication log while we wait). A
+/// timeout surfaces as a storage error: the write is durable locally but
+/// was never acknowledged, so the client retries — the at-least-once
+/// edge the guarantee matrix documents.
 fn replication_gate(d: &Durability, seq: u64) -> Result<(), WalError> {
-    if let ReplicationPolicy::WaitForFollower { timeout_ms } = d.replication_policy {
-        if !d
-            .replication
-            .wait_acked(seq, Duration::from_millis(timeout_ms))
-        {
-            return Err(WalError::Io(io::Error::other(
-                "replication ack timeout: durable locally, unconfirmed on the follower",
-            )));
-        }
+    if !d.replication.wait_acked(seq, d.ack_timeout()) {
+        return Err(WalError::Io(io::Error::other(ACK_TIMEOUT)));
     }
     Ok(())
 }

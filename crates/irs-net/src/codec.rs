@@ -32,6 +32,7 @@
 //! [`MuxClient`]: crate::mux::MuxClient
 //! [`ChaosProxy`]: crate::chaos::ChaosProxy
 
+use crate::reactor::Reply;
 use crate::NetError;
 use bytes::Bytes;
 use irs_core::wire::{Request, Response, Wire, WireError};
@@ -321,19 +322,20 @@ pub fn response_bytes(response: &Response) -> Bytes {
     }
 }
 
-/// A burst of request frames in, one response payload each out, in
-/// frame order — the body of every server's burst handler. `handle`
-/// sees only the requests that decoded and answers each, in order.
+/// A burst of request frames in, one reply each out, in frame order —
+/// the body of every server's burst handler. `handle` sees only the
+/// requests that decoded and answers each, in order: with a
+/// [`Response`], or with a [`Reply`] when it may hold one.
 ///
 /// A well-framed request whose tag this build has never heard of is a
 /// *newer peer*, not a protocol violation: it is answered with a
 /// structured [`Response::Unsupported`] so the client can degrade per
 /// operation (the rolling-upgrade rule) instead of treating the whole
 /// connection as poisoned. Anything else undecodable gets `BAD_REQUEST`.
-pub fn serve_burst(
+pub fn serve_burst<A: Into<Reply>>(
     frames: Vec<Bytes>,
-    handle: impl FnOnce(Vec<Request>) -> Vec<Response>,
-) -> Vec<Bytes> {
+    handle: impl FnOnce(Vec<Request>) -> Vec<A>,
+) -> Vec<Reply> {
     let mut requests = Vec::with_capacity(frames.len());
     let refused: Vec<Option<Response>> = frames
         .into_iter()
@@ -350,9 +352,12 @@ pub fn serve_burst(
         })
         .collect();
     let mut handled = handle(requests).into_iter();
-    let answers = refused.into_iter().map(|refusal| {
-        let answer = refusal.or_else(|| handled.next());
-        response_bytes(&answer.expect("handler answers every request"))
+    let answers = refused.into_iter().map(|refusal| match refusal {
+        Some(refusal) => Reply::from(refusal),
+        None => handled
+            .next()
+            .expect("handler answers every request")
+            .into(),
     });
     answers.collect()
 }
@@ -563,7 +568,10 @@ mod tests {
             assert_eq!(requests, [Request::Ping, Request::Ping]);
             vec![Response::Pong, Response::Pong]
         });
-        let decode = |payload| Response::from_bytes(payload).unwrap();
+        let decode = |reply| match reply {
+            Reply::Ready(payload) => Response::from_bytes(payload).unwrap(),
+            Reply::Held(_) => panic!("nothing here is held"),
+        };
         let out: Vec<Response> = out.into_iter().map(decode).collect();
         assert_eq!(out[0], Response::Pong);
         assert_eq!(out[1], Response::Unsupported { tag: 0xee });

@@ -9,21 +9,67 @@
 //! Connections share one [`Ledger`] behind a plain `Arc` and call its
 //! `&self` request path directly: no whole-service mutex is held across
 //! request handling, so independent connections proceed in parallel.
+//!
+//! Nothing here waits on replication. A reply the ledger holds — a
+//! write under `WaitForFollower` until its follower ack, a follower's
+//! poll until there is something to ship — becomes a reactor held slot
+//! that the replication log completes, so a worker is never parked and
+//! a follower's poll can land on the same worker as the write it acks.
 
-use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
-use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
+use crate::codec::{response_bytes, serve_burst, MAX_REQUEST_FRAME};
+use crate::reactor::{ConnCtx, Reactor, ReactorConfig, ReactorHandle, Reply};
 use crate::service::{
     service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
 };
-use irs_core::wire::Response;
+use irs_core::wire::{Request, Response};
 use irs_ledger::store::DEFAULT_SHARDS;
-use irs_ledger::Ledger;
+use irs_ledger::{Held, Ledger, Served};
+use std::cell::Cell;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+thread_local! {
+    /// The reply the ledger held for the request this worker thread is
+    /// serving. A hold passes the admission layers as its fallback
+    /// answer, and the burst handler takes it from here as soon as the
+    /// call returns: every layer of a ledger stack answers on the
+    /// calling thread.
+    static HELD: Cell<Option<Held>> = const { Cell::new(None) };
+}
+
 /// The ledger's `&self` request path as the innermost [`Service`].
 fn ledger_service(ledger: Arc<Ledger>) -> impl Service {
-    service_fn(move |req, ctx: &CallCtx| Ok(ledger.handle(req, ctx.now)))
+    service_fn(move |req, ctx: &CallCtx| {
+        Ok(match ledger.serve(req, ctx.now) {
+            Served::Ready(response) => response,
+            Served::Held(held) => {
+                let fallback = held.fallback().clone();
+                HELD.set(Some(held));
+                fallback
+            }
+        })
+    })
+}
+
+/// One request through `admitted`, as the reactor's reply on `conn`:
+/// ready, or held in a reactor slot the replication log completes.
+fn reply(admitted: &impl Service, request: Request, ctx: &CallCtx, conn: &ConnCtx) -> Reply {
+    // Neither the ledger nor its admission layers error today (sheds are
+    // Ok answers), but keep the wire honest if a future layer does.
+    let answer = admitted
+        .call(request, ctx)
+        .unwrap_or_else(|e| Response::Error {
+            code: irs_ledger::codes::UNAVAILABLE,
+            message: format!("admission: {e}"),
+        });
+    let Some(held) = HELD.take() else {
+        return answer.into();
+    };
+    let (slot, completion) = conn.hold(held.deadline(), response_bytes(held.fallback()));
+    match held.park(move |answer| completion.complete(response_bytes(&answer))) {
+        Some(answer) => answer.into(),
+        None => slot,
+    }
 }
 
 /// A running TCP ledger server.
@@ -113,10 +159,11 @@ impl LedgerServer {
 
     /// Bind the reactor: every burst is decoded by [`serve_burst`] and
     /// answered by `admitted` — the ledger itself, or the ledger behind
-    /// its admission layers. The config's `registry` is replaced by the
-    /// ledger's own, so reactor gauges and histograms land in the same
-    /// exposition as the ledger's counters, and its `max_frame` by
-    /// [`MAX_REQUEST_FRAME`].
+    /// its admission layers — one request after another, so a held reply
+    /// is picked up right after its own call. The config's `registry` is
+    /// replaced by the ledger's own, so reactor gauges and histograms
+    /// land in the same exposition as the ledger's counters, and its
+    /// `max_frame` by [`MAX_REQUEST_FRAME`].
     fn serve(
         ledger: Arc<Ledger>,
         addr: &str,
@@ -128,20 +175,11 @@ impl LedgerServer {
         let handle = Reactor::bind(
             addr,
             config,
-            Arc::new(move |frames, conn| {
+            Arc::new(move |frames, conn: &ConnCtx| {
                 serve_burst(frames, |requests| {
-                    let ctx = CallCtx::wall().with_client(conn);
-                    // Neither the ledger nor its admission layers error
-                    // today (sheds are Ok answers), but keep the wire
-                    // honest if a future layer does.
-                    let answers = admitted.call_all(requests, &ctx).into_iter();
-                    let on_wire = answers.map(|answer| {
-                        answer.unwrap_or_else(|e| Response::Error {
-                            code: irs_ledger::codes::UNAVAILABLE,
-                            message: format!("admission: {e}"),
-                        })
-                    });
-                    on_wire.collect()
+                    let ctx = CallCtx::wall().with_client(conn.id());
+                    let replies = requests.into_iter();
+                    replies.map(|r| reply(&admitted, r, &ctx, conn)).collect()
                 })
             }),
         )?;
@@ -188,6 +226,7 @@ mod tests {
     use irs_crypto::{Digest, Keypair};
     use irs_ledger::LedgerConfig;
 
+    use crate::server::poll_until;
     use crate::service::transport::testing::{call, connect};
 
     fn server() -> LedgerServer {
@@ -478,6 +517,209 @@ mod tests {
             panic!("query failed");
         };
         assert_eq!(status, RevocationStatus::Revoked);
+        server.shutdown();
+    }
+
+    /// A durable ledger on a `ChaosDisk` that never faults, under `policy`.
+    fn durable_ledger(seed: u64, policy: irs_ledger::ReplicationPolicy) -> Arc<Ledger> {
+        use irs_ledger::{ChaosDisk, ChaosDiskConfig, DurabilityConfig, FsyncPolicy};
+        let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
+        let mut durability = DurabilityConfig::new(disk, FsyncPolicy::Always);
+        durability.replication = policy;
+        let config = LedgerConfig::new(LedgerId(1));
+        let tsa = TimestampAuthority::from_seed(seed);
+        Arc::new(Ledger::recover(config, tsa, 4, durability).unwrap())
+    }
+
+    /// `ledger` served by one reactor worker, behind admission layers
+    /// that admit everything.
+    fn on_one_worker(ledger: Arc<Ledger>) -> LedgerServer {
+        let admit_all = GovernorPolicy {
+            rate_per_sec: 1e6,
+            burst: 1e6,
+            ..GovernorPolicy::default()
+        };
+        let one = ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        };
+        let shed = ShedPolicy::default();
+        LedgerServer::start_governed(ledger, "127.0.0.1:0", one, admit_all, shed).unwrap()
+    }
+
+    fn claim_request(i: u64) -> ClaimRequest {
+        let kp = Keypair::from_seed(&[0x27; 32]);
+        ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes()))
+    }
+
+    /// A raw connection to `addr` whose reads give up after `timeout`.
+    fn raw(addr: SocketAddr, timeout: std::time::Duration) -> Framed<std::net::TcpStream> {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        Framed::new(stream, MAX_FRAME)
+    }
+
+    fn subscribe(from_seq: u64) -> Vec<u8> {
+        let max_frames = 64;
+        let poll = Request::WalSubscribe {
+            from_seq,
+            max_frames,
+        };
+        poll.to_bytes().unwrap().to_vec()
+    }
+
+    fn segment(stream: &mut Framed<std::net::TcpStream>) -> irs_ledger::SegmentData {
+        let answer = Response::from_bytes(stream.read_frame().unwrap()).unwrap();
+        irs_ledger::SegmentData::try_from(answer).expect("a WAL segment")
+    }
+
+    /// Replies `server`'s reactor holds right now.
+    fn held_replies(server: &LedgerServer) -> f64 {
+        let text = server.ledger().metrics().render();
+        irs_obs::parse_exposition(&text)["irs_net_held_replies"]
+    }
+
+    /// On one worker: a poll with nothing to ship is held, a `Ping`
+    /// pipelined behind it is answered after the poll's segment and
+    /// never before it, and the commit that gives the poll a frame
+    /// completes it; a poll nothing completes is answered empty at its
+    /// deadline.
+    #[test]
+    fn a_ping_behind_a_held_poll_waits_for_its_segment() {
+        use std::time::{Duration, Instant};
+        let ledger = durable_ledger(0x31, irs_ledger::ReplicationPolicy::LocalOnly);
+        let server = on_one_worker(ledger.clone());
+        let mut tail = raw(server.addr(), Duration::from_secs(5));
+        let mut wire = crate::codec::BytesBuf::new();
+        let codec = crate::codec::FrameCodec::new(MAX_FRAME);
+        for frame in [subscribe(1), Request::Ping.to_bytes().unwrap().to_vec()] {
+            codec.encode(&frame, &mut wire).unwrap();
+        }
+        std::io::Write::write_all(tail.get_mut(), wire.as_slice()).unwrap();
+        assert!(poll_until(Duration::from_secs(5), || held_replies(&server) == 1.0));
+        ledger
+            .claim_custodial(claim_request(0), irs_core::time::TimeMs(0))
+            .unwrap();
+        let seg = segment(&mut tail);
+        assert_eq!((seg.first_seq, seg.durable_seq), (1, 1));
+        assert!(!seg.frames.is_empty(), "the commit ships its frame");
+        let pong = Response::from_bytes(tail.read_frame().unwrap()).unwrap();
+        assert_eq!(pong, Response::Pong);
+
+        let polled = Instant::now();
+        tail.write_frame(&subscribe(2)).unwrap();
+        let seg = segment(&mut tail);
+        let held = polled.elapsed();
+        assert!(seg.frames.is_empty() && seg.durable_seq == 1, "{seg:?}");
+        assert!(held >= Duration::from_millis(90), "{held:?}");
+        assert_eq!(held_replies(&server), 0.0);
+        server.shutdown();
+    }
+
+    /// On one worker: while a write waits, held, for its follower ack, a
+    /// `Ping` on another connection is answered at once; the ack then
+    /// completes the write.
+    #[test]
+    fn a_held_write_leaves_its_worker_free() {
+        use std::time::{Duration, Instant};
+        let wait = irs_ledger::ReplicationPolicy::WaitForFollower { timeout_ms: 10_000 };
+        let ledger = durable_ledger(0x35, wait);
+        let server = on_one_worker(ledger.clone());
+        let mut owner = raw(server.addr(), Duration::from_secs(5));
+        let claim = Request::Claim(claim_request(0)).to_bytes().unwrap();
+        owner.write_frame(&claim).unwrap();
+        assert!(poll_until(Duration::from_secs(5), || held_replies(&server) == 1.0));
+
+        let mut other = raw(server.addr(), Duration::from_secs(5));
+        let asked = Instant::now();
+        let ping = Request::Ping.to_bytes().unwrap();
+        assert_eq!(raw_exchange(&mut other, &ping), Response::Pong);
+        let answered = asked.elapsed();
+        assert!(answered < Duration::from_secs(1), "{answered:?}");
+        assert_eq!(held_replies(&server), 1.0, "the write is still held");
+
+        ledger.durability().unwrap().replication().record_ack(1);
+        let answer = Response::from_bytes(owner.read_frame().unwrap()).unwrap();
+        assert!(matches!(answer, Response::Claimed { .. }), "{answer:?}");
+        assert_eq!(held_replies(&server), 0.0);
+        server.shutdown();
+    }
+
+    /// The stray `WalSubscribe { from_seq: u64::MAX }` over TCP: held
+    /// like any empty poll, answered with an empty segment, and it acks
+    /// nothing — the frame the real follower needs is still served.
+    #[test]
+    fn a_stray_poll_past_the_mark_is_held_and_acks_nothing() {
+        use std::time::{Duration, Instant};
+        let ledger = durable_ledger(0x32, irs_ledger::ReplicationPolicy::LocalOnly);
+        ledger
+            .claim_custodial(claim_request(0), irs_core::time::TimeMs(0))
+            .unwrap();
+        let server = on_one_worker(ledger.clone());
+        let mut stream = raw(server.addr(), Duration::from_secs(5));
+        let sent = Instant::now();
+        stream.write_frame(&subscribe(u64::MAX)).unwrap();
+        let seg = segment(&mut stream);
+        assert!(sent.elapsed() >= Duration::from_millis(90), "not held");
+        assert!(seg.frames.is_empty());
+        let log = ledger.durability().unwrap().replication();
+        assert_eq!(log.acked_seq(), 0);
+        stream.write_frame(&subscribe(1)).unwrap();
+        assert!(!segment(&mut stream).frames.is_empty());
+        server.shutdown();
+    }
+
+    /// The wedge: one reactor worker under `WaitForFollower`, the
+    /// follower's tail (`Follower::run` over TCP) and the owner's writes
+    /// on that same worker. A write parked on its ack would keep the
+    /// worker from ever reading the poll that carries the ack; a held
+    /// reply leaves it free, so every write is acked at once.
+    #[test]
+    fn acked_writes_share_one_worker_with_their_follower() {
+        use irs_ledger::{ChaosDisk, ChaosDiskConfig, DurabilityConfig, Follower, FsyncPolicy};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        let wait = irs_ledger::ReplicationPolicy::WaitForFollower { timeout_ms: 5_000 };
+        let primary = durable_ledger(0x33, wait);
+        let (seq, snapshot) = primary.replication_snapshot().unwrap();
+        let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(0x34)));
+        let mut follower = Follower::bootstrap(
+            LedgerConfig::new(LedgerId(1)),
+            TimestampAuthority::from_seed(0x33),
+            4,
+            DurabilityConfig::new(disk, FsyncPolicy::Always),
+            seq,
+            &snapshot,
+        )
+        .unwrap();
+        let replica = follower.ledger();
+        let server = on_one_worker(primary);
+        assert_eq!(server.serving_threads(), 1);
+        let stop = AtomicBool::new(false);
+        let acked = std::thread::scope(|s| {
+            let tail = s.spawn(|| {
+                let primary = connect(server.addr());
+                follower.run(|req| primary.call(req, &CallCtx::wall()).ok(), &stop)
+            });
+            let owner = connect(server.addr());
+            let acked = (0..100).try_for_each(|i| {
+                let started = Instant::now();
+                match owner.call(Request::Claim(claim_request(i)), &CallCtx::wall()) {
+                    Ok(Response::Claimed { .. }) if started.elapsed() < Duration::from_secs(2) => {
+                        Ok(())
+                    }
+                    answer => Err(format!(
+                        "claim {i}: {answer:?} after {:?}",
+                        started.elapsed()
+                    )),
+                }
+            });
+            stop.store(true, Ordering::SeqCst);
+            tail.join().unwrap().unwrap();
+            acked
+        });
+        acked.unwrap();
+        assert_eq!(replica.store().len(), 100);
         server.shutdown();
     }
 

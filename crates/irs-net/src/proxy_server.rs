@@ -27,7 +27,7 @@
 //! DESIGN.md §10.
 
 use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
-use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
+use crate::reactor::{ConnCtx, Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
 use irs_core::wire::{Request, Response};
@@ -126,7 +126,7 @@ impl ProxyServer {
         let handle = Reactor::bind(
             addr,
             config,
-            Arc::new(move |frames, conn| {
+            Arc::new(move |frames, conn: &ConnCtx| {
                 let burst = frames.len() as u64;
                 // `irs_proxy_request_us` keeps one sample per frame: how
                 // many are recorded so far, and since when the rest run.
@@ -135,7 +135,7 @@ impl ProxyServer {
                     // One clock reading per burst: every layer sees the
                     // same instant. The connection id rides along so
                     // admission layers in the stack can meter per-client.
-                    let ctx = CallCtx::wall().with_client(conn);
+                    let ctx = CallCtx::wall().with_client(conn.id());
                     let mut responses = Vec::with_capacity(requests.len());
                     // Each maximal run of consecutive `Query` frames goes
                     // down the stack as one group; anything else is

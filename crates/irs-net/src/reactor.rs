@@ -13,9 +13,9 @@
 //!   level-triggered semantics.
 //! * [`Reactor`] — the accept + dispatch machinery. Worker 0 owns the
 //!   listening socket; accepted connections are handed round-robin to
-//!   workers over an inbox + eventfd/pipe wakeup, and from then on a
-//!   connection lives entirely on its worker (no cross-worker locking
-//!   on the hot path).
+//!   workers through each worker's mailbox + eventfd/pipe wakeup, and
+//!   from then on a connection lives entirely on its worker (no
+//!   cross-worker locking on the hot path).
 //! * Per-connection state machine — a read [`BytesBuf`], a write
 //!   [`BytesBuf`], and the [`FrameCodec`]: requests are decoded with the
 //!   configured request cap, responses encoded with [`MAX_FRAME`] (a
@@ -34,18 +34,31 @@
 //! dropped) until the peer drains it below low-water — a slow reader
 //! throttles itself instead of ballooning server memory.
 //!
-//! Handlers run on the worker thread. The ledger's request path is
-//! CPU-bound and fast, so this is the right trade; proxy handlers may
-//! block on a bounded upstream call, which is why
-//! [`ProxyServer`](crate::proxy_server::ProxyServer) sizes its worker
-//! pool larger than the core count. DESIGN.md §12 has the full rules.
+//! Handlers run on the worker thread and must not park it on another
+//! connection's traffic. A reply that waits on something else — the
+//! ledger's follower ack, or the next write a follower's poll wants —
+//! is **held** instead ([`ConnCtx::hold`]): the handler returns at once,
+//! and another thread later fills the slot through its [`Completion`],
+//! which posts to the owning worker's mailbox and fires its waker. The
+//! rules: replies still leave in request order (ready ones behind a
+//! held slot wait for it); a slot still held at its deadline is
+//! answered with the fallback encoded when it was held (the poll
+//! timeout is the sooner of 200 ms and the next deadline); a completion
+//! for a closed connection is dropped; and a connection holding
+//! [`MAX_BURST`] replies stops being read until one completes, the same
+//! rule as high-water. Proxy handlers still block on a bounded upstream
+//! call, which is why [`ProxyServer`](crate::proxy_server::ProxyServer)
+//! sizes its worker pool larger than the core count. DESIGN.md §12 has
+//! the full rules.
 
 #![cfg(unix)]
 
-use crate::codec::{BytesBuf, FrameCodec, MAX_FRAME, MAX_REQUEST_FRAME};
+use crate::codec::{response_bytes, BytesBuf, FrameCodec, MAX_FRAME, MAX_REQUEST_FRAME};
 use bytes::Bytes;
+use irs_core::wire::Response;
 use irs_obs::{Counter, Gauge, Histogram, Registry};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -483,17 +496,135 @@ impl Waker {
     }
 }
 
-/// Produce the response payloads for one burst of request frames — every
-/// complete frame one readiness event delivered on a connection, at most
-/// [`MAX_BURST`] — one response per frame, in order. Runs on a reactor
+/// Produce the replies for one burst of request frames — every complete
+/// frame one readiness event delivered on a connection, at most
+/// [`MAX_BURST`] — one reply per frame, in order. Runs on a reactor
 /// worker thread; must be `Send + Sync` and should be fast or
-/// deadline-bounded (DESIGN.md §12). The second argument is the
-/// connection id: a reactor-wide monotone counter stamped at accept
-/// time, stable for the connection's whole life. Servers key per-client
-/// admission (token buckets, fairness) on it — it never repeats within
-/// one reactor, so a reconnecting abuser starts a fresh bucket rather
-/// than inheriting a stranger's.
-pub type BurstFn = Arc<dyn Fn(Vec<Bytes>, u64) -> Vec<Bytes> + Send + Sync>;
+/// deadline-bounded — a reply that waits on another connection is held
+/// ([`ConnCtx::hold`]), never waited for (DESIGN.md §12). The second
+/// argument is the connection the burst arrived on.
+pub type BurstFn = Arc<dyn Fn(Vec<Bytes>, &ConnCtx) -> Vec<Reply> + Send + Sync>;
+
+/// What a [`BurstFn`] answers for one frame.
+pub enum Reply {
+    /// The response payload, written in request order.
+    Ready(Bytes),
+    /// A reply another thread completes later (see [`ConnCtx::hold`]).
+    /// Boxed, so a burst's replies take no more room than its payloads.
+    Held(Box<HeldReply>),
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply::Ready(response_bytes(&response))
+    }
+}
+
+/// A held frame's place in its connection's reply order, made by
+/// [`ConnCtx::hold`] together with the [`Completion`] that fills it.
+pub struct HeldReply {
+    hold: u64,
+    deadline: Instant,
+    fallback: Bytes,
+}
+
+/// The connection a burst arrived on, as its [`BurstFn`] sees it.
+pub struct ConnCtx {
+    id: u64,
+    slot: usize,
+    mailbox: Arc<Mailbox>,
+}
+
+impl ConnCtx {
+    /// The reactor-wide connection id: a monotone counter stamped at
+    /// accept time, stable for the connection's whole life. Servers key
+    /// per-client admission (token buckets, fairness) on it — it never
+    /// repeats within one reactor, so a reconnecting abuser starts a
+    /// fresh bucket rather than inheriting a stranger's.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Hold one frame's reply: return the [`Reply`] in the frame's place
+    /// and hand the [`Completion`] to whoever will answer it. Replies
+    /// behind it on this connection wait for it; if it is still held at
+    /// `deadline` it is answered with `fallback`.
+    pub fn hold(&self, deadline: Instant, fallback: Bytes) -> (Reply, Completion) {
+        let hold = self.mailbox.holds.fetch_add(1, Ordering::Relaxed);
+        let completion = Completion {
+            mailbox: self.mailbox.clone(),
+            slot: self.slot,
+            conn: self.id,
+            hold,
+        };
+        let held = HeldReply {
+            hold,
+            deadline,
+            fallback,
+        };
+        (Reply::Held(Box::new(held)), completion)
+    }
+}
+
+/// Fills one held reply, from any thread: the payload goes to the owning
+/// worker's mailbox and the worker is woken. A completion is keyed by
+/// the reactor-wide connection id, so one for a connection that has
+/// closed is dropped, never written to whoever reuses its slot; one that
+/// comes after the deadline finds the fallback sent and is dropped too.
+/// Dropped unused, it leaves the reply to its fallback.
+pub struct Completion {
+    mailbox: Arc<Mailbox>,
+    slot: usize,
+    conn: u64,
+    hold: u64,
+}
+
+impl Completion {
+    /// Answer the held reply with `payload`.
+    pub fn complete(self, payload: Bytes) {
+        self.mailbox.post(Mail::Done {
+            slot: self.slot,
+            conn: self.conn,
+            hold: self.hold,
+            payload,
+        });
+    }
+}
+
+/// One worker's mailbox: sockets the acceptor hands over and held
+/// replies other threads complete, plus the waker that tells the worker
+/// to look.
+struct Mailbox {
+    mail: Mutex<VecDeque<Mail>>,
+    waker: Waker,
+    /// Next hold id minted on this worker.
+    holds: AtomicU64,
+}
+
+enum Mail {
+    Accepted(TcpStream),
+    Done {
+        slot: usize,
+        conn: u64,
+        hold: u64,
+        payload: Bytes,
+    },
+}
+
+impl Mailbox {
+    fn new() -> std::io::Result<Mailbox> {
+        Ok(Mailbox {
+            mail: Mutex::new(VecDeque::new()),
+            waker: Waker::new()?,
+            holds: AtomicU64::new(0),
+        })
+    }
+
+    fn post(&self, mail: Mail) {
+        self.mail.lock().push_back(mail);
+        self.waker.wake();
+    }
+}
 
 /// Reactor tuning knobs.
 #[derive(Clone)]
@@ -508,11 +639,13 @@ pub struct ReactorConfig {
     /// many bytes; resume below half of it.
     pub high_water: usize,
     /// Metrics registry; when set the reactor publishes
-    /// `irs_net_live_connections` / `irs_net_reactor_workers` gauges,
+    /// `irs_net_live_connections` / `irs_net_reactor_workers` /
+    /// `irs_net_write_buffer_bytes` / `irs_net_held_replies` gauges,
     /// `irs_net_accepted_total` / `irs_net_frames_total` /
-    /// `irs_net_bursts_total` / `irs_net_frame_errors_total` counters,
-    /// and an `irs_net_request_us` handler-latency histogram (one sample
-    /// per frame; a burst's samples sum to its handler time) into it.
+    /// `irs_net_bursts_total` / `irs_net_frame_errors_total` /
+    /// `irs_net_held_expired_total` counters, and an
+    /// `irs_net_request_us` handler-latency histogram (one sample per
+    /// frame; a burst's samples sum to its handler time) into it.
     pub registry: Option<Arc<Registry>>,
 }
 
@@ -545,7 +678,11 @@ const READ_CHUNK: usize = 64 << 10;
 /// under one clock reading and one deadline (DESIGN.md §10), so the cap
 /// bounds how far down a backlogged connection's queue that shared
 /// budget must stretch; the rest of the backlog forms the next burst.
+/// It also caps the replies one connection may hold.
 pub const MAX_BURST: usize = 64;
+
+/// The poller's timeout when no held reply is due sooner.
+const IDLE_POLL_MS: u128 = 200;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -559,6 +696,10 @@ struct Metrics {
     /// worker shutdown sweep), or a burst of dying slow readers leaves a
     /// phantom backlog on the dashboard forever.
     write_buffer: Gauge,
+    /// Replies held across all connections; the same teardown invariant.
+    held: Gauge,
+    /// Held replies answered with their fallback at the deadline.
+    held_expired: Counter,
     accepted: Counter,
     frames: Counter,
     /// Handler invocations: frames ÷ bursts is the overlap a server sees.
@@ -575,6 +716,8 @@ impl Metrics {
                 Metrics {
                     live: r.gauge("irs_net_live_connections"),
                     write_buffer: r.gauge("irs_net_write_buffer_bytes"),
+                    held: r.gauge("irs_net_held_replies"),
+                    held_expired: r.counter("irs_net_held_expired_total"),
                     accepted: r.counter("irs_net_accepted_total"),
                     frames: r.counter("irs_net_frames_total"),
                     bursts: r.counter("irs_net_bursts_total"),
@@ -585,6 +728,8 @@ impl Metrics {
             None => Metrics {
                 live: Gauge::new(),
                 write_buffer: Gauge::new(),
+                held: Gauge::new(),
+                held_expired: Counter::default(),
                 accepted: Counter::default(),
                 frames: Counter::default(),
                 bursts: Counter::default(),
@@ -596,12 +741,52 @@ impl Metrics {
 }
 
 struct Conn {
-    /// Reactor-wide connection id (see [`BurstFn`]).
-    id: u64,
+    /// What the handler sees: the reactor-wide id, this slot, the mailbox.
+    ctx: ConnCtx,
     stream: TcpStream,
     read_buf: BytesBuf,
     write_buf: BytesBuf,
     interest: Interest,
+    /// Replies behind a held one, in request order; empty on the ready
+    /// path. Its head is always held: whatever is ready behind it moves
+    /// to `write_buf` as soon as it is released.
+    queue: VecDeque<Queued>,
+    /// Held entries in `queue` (at most [`MAX_BURST`]).
+    held: usize,
+    /// Payload bytes in `queue`, counted against high-water.
+    queued_bytes: usize,
+}
+
+/// One reply in a connection's queue: `payload` is written once `hold`
+/// is `None` and everything ahead of it has been; while held, `payload`
+/// is the fallback.
+struct Queued {
+    hold: Option<u64>,
+    payload: Bytes,
+}
+
+impl Conn {
+    fn enqueue(&mut self, hold: Option<u64>, payload: Bytes) {
+        self.queued_bytes += payload.len();
+        self.queue.push_back(Queued { hold, payload });
+    }
+
+    /// Move the released replies at the head of the queue to the write
+    /// buffer; `false` if one cannot be encoded.
+    fn write_released(&mut self) -> bool {
+        let codec = FrameCodec::new(MAX_FRAME);
+        while self.queue.front().is_some_and(|q| q.hold.is_none()) {
+            let released = self.queue.pop_front().expect("non-empty queue");
+            self.queued_bytes -= released.payload.len();
+            if codec
+                .encode(&released.payload, &mut self.write_buf)
+                .is_err()
+            {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// What to do with a connection after handling one readiness event.
@@ -610,10 +795,12 @@ enum Verdict {
     Close,
 }
 
+/// When a held reply is due: `(deadline, slot, connection id, hold id)`.
+type Due = Reverse<(Instant, usize, u64, u64)>;
+
 struct Worker {
     poller: Poller,
-    waker: Arc<Waker>,
-    inbox: Arc<Mutex<VecDeque<TcpStream>>>,
+    mailbox: Arc<Mailbox>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// Decodes requests (the configured request cap).
@@ -624,16 +811,18 @@ struct Worker {
     live: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     listener: Option<TcpListener>,
-    assign: Option<Vec<AssignSlot>>,
+    /// The acceptor's assignment table: every worker's mailbox.
+    assign: Option<Vec<Arc<Mailbox>>>,
     next_worker: usize,
     /// Shared id well: every install draws the next connection id here.
     conn_seq: Arc<AtomicU64>,
+    /// Held replies on this worker's connections.
+    held: usize,
+    /// Their deadlines, soonest first. An entry whose reply was already
+    /// answered is skipped when it comes due; all are dropped once
+    /// nothing is held.
+    due: BinaryHeap<Due>,
 }
-
-/// One worker's handoff point in the acceptor's assignment table: the
-/// inbox newly accepted sockets land in, and the waker that tells the
-/// worker to drain it.
-type AssignSlot = (Arc<Mutex<VecDeque<TcpStream>>>, Arc<Waker>);
 
 impl Worker {
     fn run(mut self) {
@@ -641,14 +830,14 @@ impl Worker {
         let mut scratch = vec![0u8; READ_CHUNK];
         while !self.stop.load(Ordering::SeqCst) {
             events.clear();
-            if self.poller.wait(&mut events, 200).is_err() {
+            if self.poller.wait(&mut events, self.timeout_ms()).is_err() {
                 break;
             }
             for &ev in &events {
                 match ev.token {
                     TOKEN_WAKER => {
-                        self.waker.drain();
-                        self.install_inbox();
+                        self.mailbox.waker.drain();
+                        self.read_mail();
                     }
                     TOKEN_LISTENER => self.accept_burst(),
                     token => {
@@ -660,9 +849,11 @@ impl Worker {
                     }
                 }
             }
+            self.expire_holds();
         }
         // Shutdown: drop every connection this worker owns, returning
-        // both its live slot and its buffered bytes to the gauges.
+        // its live slot, its buffered bytes and its held replies to the
+        // gauges.
         let mut open = 0usize;
         let mut buffered = 0u64;
         for conn in self.conns.iter().flatten() {
@@ -672,6 +863,87 @@ impl Worker {
         self.live.fetch_sub(open, Ordering::SeqCst);
         self.metrics.live.sub(open as u64);
         self.metrics.write_buffer.sub(buffered);
+        self.metrics.held.sub(self.held as u64);
+    }
+
+    /// Sleep no longer than until the next held reply is due.
+    fn timeout_ms(&self) -> i32 {
+        let Some(Reverse((deadline, ..))) = self.due.peek() else {
+            return IDLE_POLL_MS as i32;
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        left.as_micros().div_ceil(1000).min(IDLE_POLL_MS) as i32
+    }
+
+    /// Answer every held reply whose deadline has passed with its
+    /// fallback.
+    fn expire_holds(&mut self) {
+        if self.due.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        while let Some(&Reverse((deadline, slot, conn, hold))) = self.due.peek() {
+            if deadline > now {
+                break;
+            }
+            self.due.pop();
+            self.release(slot, conn, hold, None);
+        }
+    }
+
+    /// Act on everything posted to this worker: accepted sockets and
+    /// completed held replies.
+    fn read_mail(&mut self) {
+        let mail = std::mem::take(&mut *self.mailbox.mail.lock());
+        for mail in mail {
+            match mail {
+                Mail::Accepted(stream) => self.install(stream),
+                Mail::Done {
+                    slot,
+                    conn,
+                    hold,
+                    payload,
+                } => self.release(slot, conn, hold, Some(payload)),
+            }
+        }
+    }
+
+    /// Answer held reply `hold` of connection `conn` (at `slot`) with
+    /// `payload` — or, when it expired, with its fallback — then move the
+    /// connection on. Nothing happens if the connection has closed or the
+    /// reply was already answered.
+    fn release(&mut self, slot: usize, conn: u64, hold: u64, payload: Option<Bytes>) {
+        let Some(c) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if c.ctx.id != conn {
+            return;
+        }
+        let Some(entry) = c.queue.iter_mut().find(|q| q.hold == Some(hold)) else {
+            return;
+        };
+        entry.hold = None;
+        match payload {
+            Some(payload) => {
+                c.queued_bytes = c.queued_bytes - entry.payload.len() + payload.len();
+                entry.payload = payload;
+            }
+            None => self.metrics.held_expired.inc(),
+        }
+        c.held -= 1;
+        self.unhold(1);
+        if matches!(self.pump(slot, false), Verdict::Close) {
+            self.close(slot);
+        }
+    }
+
+    /// `n` replies on this worker stopped being held.
+    fn unhold(&mut self, n: usize) {
+        self.held -= n;
+        self.metrics.held.sub(n as u64);
+        if self.held == 0 {
+            self.due.clear();
+        }
     }
 
     /// Accept until WouldBlock, handing sockets round-robin across all
@@ -687,9 +959,7 @@ impl Worker {
                     let assign = self.assign.as_ref().expect("acceptor has assign table");
                     let target = self.next_worker % assign.len();
                     self.next_worker = self.next_worker.wrapping_add(1);
-                    let (inbox, waker) = &assign[target];
-                    inbox.lock().push_back(stream);
-                    waker.wake();
+                    assign[target].post(Mail::Accepted(stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -698,46 +968,44 @@ impl Worker {
         }
     }
 
-    /// Move newly assigned connections from the inbox into the poller.
-    fn install_inbox(&mut self) {
-        loop {
-            let stream = {
-                let mut inbox = self.inbox.lock();
-                match inbox.pop_front() {
-                    Some(s) => s,
-                    None => return,
-                }
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let slot = match self.free.pop() {
-                Some(s) => s,
-                None => {
-                    self.conns.push(None);
-                    self.conns.len() - 1
-                }
-            };
-            let token = TOKEN_BASE + slot as u64;
-            if self
-                .poller
-                .register(&stream, token, Interest::READ)
-                .is_err()
-            {
-                self.free.push(slot);
-                continue;
-            }
-            self.conns[slot] = Some(Conn {
-                id: self.conn_seq.fetch_add(1, Ordering::Relaxed),
-                stream,
-                read_buf: BytesBuf::new(),
-                write_buf: BytesBuf::new(),
-                interest: Interest::READ,
-            });
-            self.live.fetch_add(1, Ordering::SeqCst);
-            self.metrics.live.add(1);
+    /// Register a newly assigned connection with the poller.
+    fn install(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
+        let _ = stream.set_nodelay(true);
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.conns.push(None);
+                self.conns.len() - 1
+            }
+        };
+        let token = TOKEN_BASE + slot as u64;
+        if self
+            .poller
+            .register(&stream, token, Interest::READ)
+            .is_err()
+        {
+            self.free.push(slot);
+            return;
+        }
+        self.conns[slot] = Some(Conn {
+            ctx: ConnCtx {
+                id: self.conn_seq.fetch_add(1, Ordering::Relaxed),
+                slot,
+                mailbox: self.mailbox.clone(),
+            },
+            stream,
+            read_buf: BytesBuf::new(),
+            write_buf: BytesBuf::new(),
+            interest: Interest::READ,
+            queue: VecDeque::new(),
+            held: 0,
+            queued_bytes: 0,
+        });
+        self.live.fetch_add(1, Ordering::SeqCst);
+        self.metrics.live.add(1);
     }
 
     /// Handle one readiness event for connection `slot`.
@@ -745,7 +1013,6 @@ impl Worker {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return Verdict::Keep; // already closed earlier this batch
         };
-
         if ev.readable || ev.error {
             // Bounded drain: stop after the budget even if more is
             // pending — level-triggered polling re-arms immediately.
@@ -763,38 +1030,52 @@ impl Worker {
                     Err(_) => return Verdict::Close,
                 }
             }
-            // Decode and serve every complete frame, a burst at a time,
-            // responses appended in request order (the pipelining
-            // contract).
-            loop {
-                let mut burst = Vec::new();
-                let mut poisoned = false;
-                while burst.len() < MAX_BURST {
-                    match self.codec.decode(&mut conn.read_buf) {
-                        Ok(Some(frame)) => burst.push(frame),
-                        Ok(None) => break,
-                        // Hostile or corrupt length prefix: the stream
-                        // can never resynchronize.
-                        Err(_) => {
-                            poisoned = true;
-                            break;
-                        }
+        }
+        self.pump(slot, ev.writable)
+    }
+
+    /// Move connection `slot` on: write its released replies, serve every
+    /// complete frame it has buffered while it holds fewer than
+    /// [`MAX_BURST`] replies, flush, and re-arm its interest.
+    fn pump(&mut self, slot: usize, writable: bool) -> Verdict {
+        // Decode and serve every complete frame, a burst at a time,
+        // replies appended in request order (the pipelining contract).
+        loop {
+            let conn = self.conns[slot]
+                .as_mut()
+                .expect("pumped connection is live");
+            if !conn.queue.is_empty() && !conn.write_released() {
+                return Verdict::Close;
+            }
+            let room = MAX_BURST - conn.held;
+            let mut burst = Vec::new();
+            let mut poisoned = false;
+            while burst.len() < room {
+                match self.codec.decode(&mut conn.read_buf) {
+                    Ok(Some(frame)) => burst.push(frame),
+                    Ok(None) => break,
+                    // Hostile or corrupt length prefix: the stream can
+                    // never resynchronize.
+                    Err(_) => {
+                        poisoned = true;
+                        break;
                     }
                 }
-                let more = burst.len() == MAX_BURST;
-                if !burst.is_empty() && !serve(&self.handler, &self.metrics, conn, burst)
-                    || poisoned
-                {
-                    self.metrics.frame_errors.inc();
-                    return Verdict::Close;
-                }
-                if !more {
-                    break;
-                }
+            }
+            let more = room > 0 && burst.len() == room;
+            if !burst.is_empty() && !self.serve(slot, burst) || poisoned {
+                self.metrics.frame_errors.inc();
+                return Verdict::Close;
+            }
+            if !more {
+                break;
             }
         }
 
-        if ev.writable || !conn.write_buf.is_empty() {
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("pumped connection is live");
+        if writable || !conn.write_buf.is_empty() {
             let before = conn.write_buf.len();
             let flushed = flush(conn);
             // `flush` advances the buffer even when it ends in an error,
@@ -809,9 +1090,11 @@ impl Worker {
         }
 
         // Interest bookkeeping: write interest only while unflushed
-        // bytes remain; read interest only while under high-water.
+        // bytes remain; read interest only while under high-water and
+        // the hold cap.
         let want = Interest {
-            readable: conn.write_buf.len() < self.high_water,
+            readable: conn.write_buf.len() + conn.queued_bytes < self.high_water
+                && conn.held < MAX_BURST,
             writable: !conn.write_buf.is_empty(),
         };
         if want != conn.interest {
@@ -824,6 +1107,55 @@ impl Worker {
         Verdict::Keep
     }
 
+    /// Run the handler over one burst of connection `slot` and place its
+    /// replies; `false` if the stream can no longer stay in sync.
+    fn serve(&mut self, slot: usize, burst: Vec<Bytes>) -> bool {
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("served connection is live");
+        let metrics = &self.metrics;
+        let frames = burst.len();
+        metrics.frames.add(frames as u64);
+        metrics.bursts.inc();
+        let started = Instant::now();
+        let replies = (self.handler)(burst, &conn.ctx);
+        metrics
+            .request_us
+            .record_spread_since(started, frames as u64);
+        // A missing reply would desynchronize the stream.
+        if replies.len() != frames {
+            return false;
+        }
+        let before = conn.write_buf.len();
+        let codec = FrameCodec::new(MAX_FRAME);
+        let mut in_sync = true;
+        for reply in replies {
+            match reply {
+                // Nothing held ahead of it: straight to the wire. An
+                // unencodable (oversized) one would desynchronize it.
+                Reply::Ready(payload) if conn.queue.is_empty() => {
+                    in_sync &= codec.encode(&payload, &mut conn.write_buf).is_ok();
+                }
+                Reply::Ready(payload) => conn.enqueue(None, payload),
+                Reply::Held(held) => {
+                    conn.enqueue(Some(held.hold), held.fallback);
+                    conn.held += 1;
+                    self.held += 1;
+                    metrics.held.add(1);
+                    let due = (held.deadline, slot, conn.ctx.id, held.hold);
+                    self.due.push(Reverse(due));
+                }
+            }
+        }
+        // Account whatever landed in the buffer even on failure, so the
+        // close path's subtraction of the remaining buffer keeps the
+        // gauge exact.
+        metrics
+            .write_buffer
+            .add((conn.write_buf.len() - before) as u64);
+        in_sync
+    }
+
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) {
             let _ = self.poller.deregister(&conn.stream);
@@ -832,37 +1164,12 @@ impl Worker {
             self.metrics.live.sub(1);
             // Responses the peer never drained: release them from the
             // backlog gauge along with the connection (this is the
-            // error-path close too — mid-frame deaths land here).
+            // error-path close too — mid-frame deaths land here). Its
+            // held replies go with it; late completions find it gone.
             self.metrics.write_buffer.sub(conn.write_buf.len() as u64);
+            self.unhold(conn.held);
         }
     }
-}
-
-/// Run the handler over one burst and buffer its responses; `false` if
-/// the stream can no longer stay in sync.
-fn serve(handler: &BurstFn, metrics: &Metrics, conn: &mut Conn, burst: Vec<Bytes>) -> bool {
-    let frames = burst.len();
-    metrics.frames.add(frames as u64);
-    metrics.bursts.inc();
-    let started = Instant::now();
-    let responses = handler(burst, conn.id);
-    metrics
-        .request_us
-        .record_spread_since(started, frames as u64);
-    let before = conn.write_buf.len();
-    let codec = FrameCodec::new(MAX_FRAME);
-    // An unencodable (oversized) or missing response would desynchronize
-    // the stream.
-    let mut encoded = responses
-        .iter()
-        .map(|r| codec.encode(r, &mut conn.write_buf));
-    let in_sync = responses.len() == frames && encoded.all(|e| e.is_ok());
-    // Account whatever landed in the buffer even on failure, so the close
-    // path's subtraction of the remaining buffer keeps the gauge exact.
-    metrics
-        .write_buffer
-        .add((conn.write_buf.len() - before) as u64);
-    in_sync
 }
 
 /// Write as much of the buffered responses as the socket accepts.
@@ -901,24 +1208,16 @@ impl Reactor {
         let conn_seq = Arc::new(AtomicU64::new(0));
         let codec = FrameCodec::new(config.max_frame);
 
-        // Build every worker's inbox + waker first so the acceptor
-        // (worker 0) can hold the full assignment table.
-        let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(workers);
-        let mut inboxes: Vec<Arc<Mutex<VecDeque<TcpStream>>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            wakers.push(Arc::new(Waker::new()?));
-            inboxes.push(Arc::new(Mutex::new(VecDeque::new())));
-        }
-        let assign: Vec<_> = inboxes
-            .iter()
-            .cloned()
-            .zip(wakers.iter().cloned())
-            .collect();
+        // Build every worker's mailbox first so the acceptor (worker 0)
+        // can hold the full assignment table.
+        let mailboxes = (0..workers)
+            .map(|_| Mailbox::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
 
         let mut threads = Vec::with_capacity(workers);
-        for w in 0..workers {
+        for (w, mailbox) in mailboxes.iter().enumerate() {
             let mut poller = Poller::new()?;
-            poller.register(wakers[w].read_fd(), TOKEN_WAKER, Interest::READ)?;
+            poller.register(mailbox.waker.read_fd(), TOKEN_WAKER, Interest::READ)?;
             let listener_for_worker = if w == 0 {
                 poller.register(&listener, TOKEN_LISTENER, Interest::READ)?;
                 Some(listener.try_clone()?)
@@ -927,8 +1226,7 @@ impl Reactor {
             };
             let worker = Worker {
                 poller,
-                waker: wakers[w].clone(),
-                inbox: inboxes[w].clone(),
+                mailbox: mailbox.clone(),
                 conns: Vec::new(),
                 free: Vec::new(),
                 codec,
@@ -938,9 +1236,11 @@ impl Reactor {
                 live: live.clone(),
                 stop: stop.clone(),
                 listener: listener_for_worker,
-                assign: (w == 0).then(|| assign.clone()),
+                assign: (w == 0).then(|| mailboxes.clone()),
                 next_worker: 0,
                 conn_seq: conn_seq.clone(),
+                held: 0,
+                due: BinaryHeap::new(),
             };
             threads.push(
                 std::thread::Builder::new()
@@ -953,7 +1253,7 @@ impl Reactor {
             addr: local,
             stop,
             live,
-            wakers,
+            mailboxes,
             workers,
             threads,
         })
@@ -965,7 +1265,7 @@ pub struct ReactorHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     live: Arc<AtomicUsize>,
-    wakers: Vec<Arc<Waker>>,
+    mailboxes: Vec<Arc<Mailbox>>,
     workers: usize,
     threads: Vec<JoinHandle<()>>,
 }
@@ -994,8 +1294,8 @@ impl ReactorHandle {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
+        for mailbox in &self.mailboxes {
+            mailbox.waker.wake();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1012,7 +1312,12 @@ impl Drop for ReactorHandle {
 /// A test handler answering each frame of a burst on its own.
 #[cfg(test)]
 pub(crate) fn per_frame(f: impl Fn(Bytes) -> Bytes + Send + Sync + 'static) -> BurstFn {
-    Arc::new(move |frames, _conn| frames.into_iter().map(&f).collect())
+    Arc::new(move |frames, _conn: &ConnCtx| {
+        frames
+            .into_iter()
+            .map(|frame| Reply::Ready(f(frame)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -1261,6 +1566,48 @@ mod tests {
         );
     }
 
+    /// Completions of the replies a [`holding`] handler held, in order.
+    type Held = Arc<Mutex<Vec<Completion>>>;
+
+    /// A handler that holds every frame starting with `s` (due in 50 ms)
+    /// or `l` (due in a minute), with the fallback `fallback`, and
+    /// echoes the rest.
+    fn holding(held: Held) -> BurstFn {
+        Arc::new(move |frames: Vec<Bytes>, conn: &ConnCtx| {
+            let hold_for = |frame: &Bytes| match frame.first() {
+                Some(b's') => Some(Duration::from_millis(50)),
+                Some(b'l') => Some(Duration::from_secs(60)),
+                _ => None,
+            };
+            let reply = |frame: Bytes| match hold_for(&frame) {
+                None => Reply::Ready(frame),
+                Some(after) => {
+                    let fallback = Bytes::from_static(b"fallback");
+                    let (reply, completion) = conn.hold(Instant::now() + after, fallback);
+                    held.lock().push(completion);
+                    reply
+                }
+            };
+            frames.into_iter().map(reply).collect()
+        })
+    }
+
+    /// A one-worker [`holding`] reactor publishing into a fresh registry.
+    fn holding_reactor() -> (ReactorHandle, Held, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let config = ReactorConfig {
+            workers: 1,
+            registry: Some(registry.clone()),
+            ..ReactorConfig::default()
+        };
+        let held = Held::default();
+        let r = Reactor::bind("127.0.0.1:0", config, holding(held.clone())).unwrap();
+        (r, held, registry)
+    }
+
+    /// Every gauge returns to zero on every teardown path — a client
+    /// that closes, a reply that expires, a worker that shuts down —
+    /// held replies included.
     #[test]
     fn registry_gauges_track_connections() {
         let registry = Arc::new(Registry::new());
@@ -1269,22 +1616,110 @@ mod tests {
             registry: Some(registry.clone()),
             ..ReactorConfig::default()
         };
-        let r = Reactor::bind("127.0.0.1:0", config, per_frame(|frame| frame)).unwrap();
+        let held = Held::default();
+        let r = Reactor::bind("127.0.0.1:0", config, holding(held.clone())).unwrap();
+        let gauge = |name: &str| irs_obs::parse_exposition(&registry.render())[name];
         let mut s = connect(r.addr());
         s.write_frame(b"x").unwrap();
         let _ = s.read_frame().unwrap();
         let parsed = irs_obs::parse_exposition(&registry.render());
         assert_eq!(parsed["irs_net_reactor_workers"], 2.0);
         assert_eq!(parsed["irs_net_live_connections"], 1.0);
+        assert_eq!(parsed["irs_net_held_replies"], 0.0);
+        assert_eq!(parsed["irs_net_held_expired_total"], 0.0);
         assert!(parsed["irs_net_frames_total"] >= 1.0);
         assert_eq!(
             parsed["irs_net_request_us_count"],
             parsed["irs_net_frames_total"]
         );
+
+        // Expiry: the fallback goes out and the reply stops counting.
+        s.write_frame(b"s").unwrap();
+        assert_eq!(s.read_frame().unwrap().as_ref(), b"fallback");
+        assert_eq!(gauge("irs_net_held_expired_total"), 1.0);
+        assert_eq!(gauge("irs_net_held_replies"), 0.0);
+
+        // Close: a reply still held leaves with its connection.
+        s.write_frame(b"l").unwrap();
+        assert!(poll_until(Duration::from_secs(5), || {
+            gauge("irs_net_held_replies") == 1.0
+        }));
         drop(s);
         assert!(poll_until(Duration::from_secs(5), || {
-            irs_obs::parse_exposition(&registry.render())["irs_net_live_connections"] == 0.0
+            gauge("irs_net_live_connections") == 0.0 && gauge("irs_net_held_replies") == 0.0
         }));
+
+        // Shutdown: the worker's sweep returns what it still holds.
+        let mut s = connect(r.addr());
+        s.write_frame(b"l").unwrap();
+        assert!(poll_until(Duration::from_secs(5), || {
+            gauge("irs_net_held_replies") == 1.0
+        }));
+        r.shutdown();
+        assert_eq!(gauge("irs_net_held_replies"), 0.0);
+        assert_eq!(gauge("irs_net_live_connections"), 0.0);
+        assert_eq!(gauge("irs_net_held_expired_total"), 1.0);
+    }
+
+    /// The ready path carries a payload and nothing more: a burst's
+    /// replies take no more room than its payloads would.
+    #[test]
+    fn a_reply_is_the_size_of_its_payload() {
+        assert_eq!(std::mem::size_of::<Reply>(), std::mem::size_of::<Bytes>());
+    }
+
+    /// A reply nobody completes is answered with its fallback at its
+    /// deadline, the replies pipelined behind it follow in order, and a
+    /// completion that comes too late is dropped.
+    #[test]
+    fn held_reply_gets_its_fallback_at_its_deadline() {
+        let (r, held, registry) = holding_reactor();
+        let mut stream = connect(r.addr());
+        let mut wire = BytesBuf::new();
+        let codec = FrameCodec::new(MAX_FRAME);
+        for frame in [&b"s"[..], b"after"] {
+            codec.encode(frame, &mut wire).unwrap();
+        }
+        let sent = Instant::now();
+        stream.get_mut().write_all(wire.as_slice()).unwrap();
+        assert_eq!(stream.read_frame().unwrap().as_ref(), b"fallback");
+        let waited = sent.elapsed();
+        assert!(waited >= Duration::from_millis(45), "{waited:?}");
+        assert_eq!(stream.read_frame().unwrap().as_ref(), b"after");
+
+        let late = held.lock().pop().expect("the reply was held");
+        late.complete(Bytes::from_static(b"late"));
+        stream.write_frame(b"next").unwrap();
+        assert_eq!(stream.read_frame().unwrap().as_ref(), b"next");
+        let parsed = irs_obs::parse_exposition(&registry.render());
+        assert_eq!(parsed["irs_net_held_expired_total"], 1.0);
+        assert_eq!(parsed["irs_net_held_replies"], 0.0);
+        r.shutdown();
+    }
+
+    /// A completion for a connection that has closed goes nowhere — not
+    /// to the connection that reuses its slot.
+    #[test]
+    fn completion_for_a_closed_connection_is_dropped() {
+        let (r, held, registry) = holding_reactor();
+        let mut first = connect(r.addr());
+        first.write_frame(b"l").unwrap();
+        assert!(poll_until(Duration::from_secs(5), || held.lock().len() == 1));
+        drop(first);
+        assert!(poll_until(Duration::from_secs(5), || r.live_connections() == 0));
+
+        let mut second = connect(r.addr());
+        second.write_frame(b"one").unwrap();
+        assert_eq!(second.read_frame().unwrap().as_ref(), b"one");
+        let stale = held.lock().pop().expect("the reply was held");
+        stale.complete(Bytes::from_static(b"stale"));
+        for frame in [&b"two"[..], b"three"] {
+            second.write_frame(frame).unwrap();
+            assert_eq!(second.read_frame().unwrap().as_ref(), frame);
+        }
+        let parsed = irs_obs::parse_exposition(&registry.render());
+        assert_eq!(parsed["irs_net_held_replies"], 0.0);
+        assert_eq!(parsed["irs_net_held_expired_total"], 0.0);
         r.shutdown();
     }
 
@@ -1301,9 +1736,9 @@ mod tests {
         };
         let bursts = Arc::new(Mutex::new(Vec::new()));
         let seen = bursts.clone();
-        let handler: BurstFn = Arc::new(move |frames, _conn| {
+        let handler: BurstFn = Arc::new(move |frames: Vec<Bytes>, _conn: &ConnCtx| {
             seen.lock().push(frames.len());
-            frames
+            frames.into_iter().map(Reply::Ready).collect()
         });
         let r = Reactor::bind("127.0.0.1:0", config, handler).unwrap();
         let mut stream = connect(r.addr());

@@ -683,7 +683,7 @@ mod tests {
     #[test]
     fn unsupported_peer_fails_the_round_and_installs_nothing() {
         use crate::codec::serve_burst;
-        use crate::reactor::{Reactor, ReactorConfig};
+        use crate::reactor::{ConnCtx, Reactor, ReactorConfig};
         use irs_proxy::BreakerState;
         let id = irs_core::ids::RecordId::new(LedgerId(1), 7);
         let svc = pre_tiered(service_fn(|req, _ctx: &CallCtx| {
@@ -708,7 +708,7 @@ mod tests {
         let old_peer = Reactor::bind(
             "127.0.0.1:0",
             ReactorConfig::default(),
-            Arc::new(|frames, _conn| {
+            Arc::new(|frames, _conn: &ConnCtx| {
                 serve_burst(frames, |requests| {
                     vec![Response::Unsupported { tag: 12 }; requests.len()]
                 })
