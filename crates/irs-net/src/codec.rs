@@ -14,9 +14,9 @@
 //!   buffered and consumes nothing before that, and `encode` only ever
 //!   appends — a partially flushed frame just stays in the buffer;
 //! * [`Framed`] — the codec driven over a *blocking* stream, for the
-//!   peers that park a thread on a socket (the [`MuxClient`] reader,
-//!   [`ChaosProxy`]'s relay, tests and bench fixtures). Because all
-//!   state lives in its [`BytesBuf`], a read timeout at any byte
+//!   peers that read a socket on the calling thread ([`MuxClient`]'s
+//!   callers, [`ChaosProxy`]'s relay, tests and bench fixtures). Because
+//!   all state lives in its [`BytesBuf`], a read timeout at any byte
 //!   boundary loses nothing: the next call resumes the same frame;
 //! * [`MAX_REQUEST_FRAME`] / [`MAX_FRAME`] — the declared-length caps,
 //!   one per direction;
@@ -246,9 +246,8 @@ const READ_MAX: usize = 256 << 10;
 /// Reads decode with the cap given to [`new`](Framed::new); writes
 /// encode with [`MAX_FRAME`]. A read that fails with a timeout
 /// ([`NetError::is_timeout`]) has consumed nothing from the frame in
-/// progress — the bytes that did arrive wait in the buffer — so a
-/// caller polling a stop flag between timeouts just calls
-/// [`read_frame`](Framed::read_frame) again.
+/// progress — the bytes that did arrive wait in the buffer for the next
+/// call.
 pub struct Framed<S> {
     stream: S,
     codec: FrameCodec,
@@ -281,17 +280,27 @@ impl<S: Read> Framed<S> {
     /// frame or on an over-cap length, [`NetError::Io`] otherwise.
     pub fn read_frame(&mut self) -> Result<Bytes, NetError> {
         loop {
-            if let Some(frame) = self.codec.decode(&mut self.rx)? {
+            if let Some(frame) = self.read_step()? {
                 return Ok(frame);
             }
-            let want = self.codec.missing(&self.rx)?.clamp(READ_MIN, READ_MAX);
-            match self.rx.read_from(&mut self.stream, want) {
-                Ok(0) if self.rx.is_empty() => return Err(NetError::Closed),
-                Ok(0) => return Err(NetError::Frame("stream ended mid-frame")),
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(NetError::Io(e)),
-            }
+        }
+    }
+
+    /// One step of [`read_frame`](Framed::read_frame): a frame already
+    /// buffered, else at most one `read` — `Ok(None)` when the frame is
+    /// still incomplete after it, so a caller with a deadline can look
+    /// at the clock between reads of a frame that trickles in.
+    pub(crate) fn read_step(&mut self) -> Result<Option<Bytes>, NetError> {
+        if let Some(frame) = self.codec.decode(&mut self.rx)? {
+            return Ok(Some(frame));
+        }
+        let want = self.codec.missing(&self.rx)?.clamp(READ_MIN, READ_MAX);
+        match self.rx.read_from(&mut self.stream, want) {
+            Ok(0) if self.rx.is_empty() => Err(NetError::Closed),
+            Ok(0) => Err(NetError::Frame("stream ended mid-frame")),
+            Ok(_) => self.codec.decode(&mut self.rx),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(None),
+            Err(e) => Err(NetError::Io(e)),
         }
     }
 }

@@ -3,26 +3,48 @@
 //! A reactor server answers every frame *in request order* on a
 //! connection (the pipelining contract, see [`crate::reactor`]), which
 //! lets one socket carry any number of overlapping exchanges:
-//! [`MuxClient`] assigns each call a correlation id, appends its frame
-//! to the shared stream, and a single reader thread matches arriving
-//! responses back to waiting callers by that order — slot *k* in the
-//! FIFO of in-flight correlation ids owns the *k*-th response frame. A
-//! group ([`MuxClient::send_all`]) takes consecutive slots and puts all
-//! its frames on the wire in one `write`, so a page's misses cost one
-//! exchange, not one each; the caller collects the answers later
-//! ([`Sent::wait`]), so several groups can be in flight at once.
+//! [`MuxClient`] gives each call a slot at the back of a FIFO of
+//! in-flight slots and appends its frame to the shared stream — slot *k*
+//! owns the *k*-th response frame, so its place in the FIFO is its
+//! correlation id. A group ([`MuxClient::send_all`]) takes consecutive
+//! slots and puts all its frames on the wire in one `write`, so a page's
+//! misses cost one exchange, not one each; the caller collects the
+//! answers later ([`Sent::wait`]), so several groups can be in flight at
+//! once.
+//!
+//! Who reads: the callers, not a thread of the client's own. A caller
+//! waiting for an answer that finds the read half free takes it and reads
+//! frames, filling the FIFO head's slot with each — its own answer or
+//! another caller's — until its own slot is filled or its deadline
+//! passes. It then releases the read half and nudges the latest caller
+//! still waiting, which takes over reading (the leader/follower
+//! hand-off); the nudge sticks to that caller's slot, so one not yet
+//! asleep cannot miss it. A caller whose answer someone else reads sleeps
+//! on its slot until the reader fills it. An exchange with one caller in
+//! flight therefore wakes one thread — the caller, out of its own
+//! `read` — and a group's caller, waiting on its last slot first, reads
+//! the whole group in one go.
 //!
 //! Failure semantics: any transport error is fatal to the connection
-//! (ordered correlation cannot resynchronize a torn stream), every
-//! in-flight and future call fails with [`NetError::ConnectionLost`],
-//! and the owner redials. A *slow* response is not an error: the reader
-//! wakes on a short read timeout to notice shutdown, and [`Framed`]
-//! keeps whatever part of a frame has arrived across those wake-ups. A
-//! caller whose deadline expires abandons its slot; the reader still
-//! consumes the late response to keep the FIFO aligned, then discards it.
+//! (ordered correlation cannot resynchronize a torn stream): the socket
+//! is shut down, waking a caller blocked reading it, every in-flight and
+//! future call fails with [`NetError::ConnectionLost`], and the owner
+//! redials. A *slow* response is not an error: a reader looks at its
+//! deadline between `read`s, even inside a frame that trickles in, and
+//! [`Framed`] keeps whatever part of a frame has arrived for whoever
+//! reads next. A caller whose deadline
+//! passes first drains, without blocking, the whole frames already
+//! readable — an answer that arrived in time is kept, however late it is
+//! collected — then abandons its slot; the next reader consumes the late
+//! response to keep the FIFO aligned and discards it.
+//!
+//! An idle connection has no reader, so nothing would notice the server
+//! closing it: with no answer owed, [`MuxClient::is_dead`] probes the
+//! socket without blocking, and the owner redials before it writes.
 
 use crate::codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME};
 use crate::NetError;
+use bytes::Bytes;
 use irs_core::wire::{Request, Response, Wire};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -32,109 +54,324 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What a waiting caller eventually observes in its slot.
-enum SlotState {
+/// What a slot holds.
+enum Answer {
     /// Response not yet arrived.
-    Waiting,
-    /// Response payload delivered by the reader.
-    Done(bytes::Bytes),
+    Pending,
+    /// Response payload, delivered by whoever read it.
+    Done(Bytes),
     /// The connection died before the response arrived.
     Failed,
-    /// The caller gave up (deadline); the reader will discard the
-    /// response when it arrives.
+    /// The caller gave up (deadline) or took its answer: a late
+    /// response is discarded.
     Abandoned,
+}
+
+/// A slot's answer and where its caller stands, under the slot's lock.
+struct Cell {
+    answer: Answer,
+    /// The caller is in [`Sent::wait`] on this slot, so it acts on a nudge.
+    waiting: bool,
+    /// The caller sleeps on the slot's condvar.
+    parked: bool,
+    /// The read half was released while the caller waited: it should
+    /// try to take it.
+    nudged: bool,
+}
+
+impl Cell {
+    /// The answer, if one has arrived; the caller stops waiting.
+    fn take(&mut self) -> Option<Result<Bytes, NetError>> {
+        let answer = match std::mem::replace(&mut self.answer, Answer::Abandoned) {
+            Answer::Done(bytes) => Ok(bytes),
+            Answer::Failed => Err(NetError::ConnectionLost),
+            unanswered => {
+                self.answer = unanswered;
+                return None;
+            }
+        };
+        self.waiting = false;
+        Some(answer)
+    }
+}
+
+/// How a caller's sleep on its slot ended.
+enum Woke {
+    Answered(Result<Bytes, NetError>),
+    /// The read half is free: go and read.
+    Nudged,
+    Expired,
 }
 
 /// One in-flight call: the rendezvous cell its caller waits on; its
 /// place in the pending FIFO is its correlation id. The cell uses std's
 /// `Mutex`/`Condvar` pair (the vendored `parking_lot` ships no condvar).
 struct Slot {
-    state: std::sync::Mutex<SlotState>,
+    cell: std::sync::Mutex<Cell>,
     ready: std::sync::Condvar,
 }
 
 impl Slot {
     fn new() -> Arc<Slot> {
         Arc::new(Slot {
-            state: std::sync::Mutex::new(SlotState::Waiting),
+            cell: std::sync::Mutex::new(Cell {
+                answer: Answer::Pending,
+                waiting: false,
+                parked: false,
+                nudged: false,
+            }),
             ready: std::sync::Condvar::new(),
         })
     }
 
-    /// Rendezvous with the reader: block until the response lands, the
-    /// connection dies, or `deadline` passes.
-    fn wait(&self, deadline: Instant) -> Result<Response, NetError> {
-        let mut state = self.state.lock().expect("slot lock poisoned");
-        loop {
-            match &*state {
-                SlotState::Done(bytes) => {
-                    let bytes = bytes.clone();
-                    drop(state);
-                    return Ok(Response::from_bytes(bytes)?);
-                }
-                SlotState::Failed => return Err(NetError::ConnectionLost),
-                SlotState::Abandoned => unreachable!("only the caller abandons"),
-                SlotState::Waiting => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        // Leave the slot in the FIFO so correlation
-                        // stays aligned; the reader discards the late
-                        // response.
-                        *state = SlotState::Abandoned;
-                        return Err(NetError::DeadlineExceeded);
-                    }
-                    state = self
-                        .ready
-                        .wait_timeout(state, deadline - now)
-                        .expect("slot lock poisoned")
-                        .0;
-                }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Cell> {
+        self.cell.lock().expect("slot lock poisoned")
+    }
+
+    /// Deliver `answer`, waking the caller if it sleeps. A slot that
+    /// already has one (a failed or abandoned one) ignores it.
+    fn fill(&self, answer: Answer) {
+        let mut cell = self.lock();
+        if matches!(cell.answer, Answer::Pending) {
+            cell.answer = answer;
+            if cell.parked {
+                self.ready.notify_one();
             }
         }
     }
 
-    fn fill(&self, state: SlotState) {
-        let mut s = self.state.lock().expect("slot lock poisoned");
-        if matches!(*s, SlotState::Waiting) {
-            *s = state;
-            self.ready.notify_all();
+    /// Hand the read half to this slot's caller; `false` when no caller
+    /// is waiting on it.
+    fn nudge(&self) -> bool {
+        let mut cell = self.lock();
+        let waiting = cell.waiting && matches!(cell.answer, Answer::Pending);
+        if waiting {
+            cell.nudged = true;
+            if cell.parked {
+                self.ready.notify_one();
+            }
         }
+        waiting
+    }
+
+    fn unanswered(&self) -> bool {
+        matches!(self.lock().answer, Answer::Pending)
+    }
+
+    /// Start waiting: the answer if it is already here, else the caller
+    /// counts as waiting from now on, nudges included.
+    fn enter(&self) -> Option<Result<Bytes, NetError>> {
+        let mut cell = self.lock();
+        let answer = cell.take();
+        cell.waiting = answer.is_none();
+        answer
+    }
+
+    /// Sleep until the slot is filled, the caller is nudged, or
+    /// `deadline` passes.
+    fn park(&self, deadline: Instant) -> Woke {
+        let mut cell = self.lock();
+        loop {
+            if let Some(answer) = cell.take() {
+                return Woke::Answered(answer);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Woke::Expired;
+            }
+            if std::mem::take(&mut cell.nudged) {
+                return Woke::Nudged;
+            }
+            cell.parked = true;
+            cell = self
+                .ready
+                .wait_timeout(cell, deadline - now)
+                .expect("slot lock poisoned")
+                .0;
+            cell.parked = false;
+        }
+    }
+
+    /// Give up at the deadline — unless the answer landed meanwhile. The
+    /// slot stays in the FIFO so correlation stays aligned.
+    fn abandon(&self) -> Result<Bytes, NetError> {
+        let mut cell = self.lock();
+        if let Some(answer) = cell.take() {
+            return answer;
+        }
+        cell.answer = Answer::Abandoned;
+        cell.waiting = false;
+        Err(NetError::DeadlineExceeded)
     }
 }
 
-/// State shared between callers and the reader thread.
-struct Shared {
-    /// In-flight correlation slots, oldest first. The head owns the
-    /// next response frame off the wire.
+/// A read never waits less than this (std refuses a zero timeout).
+const MIN_ARM: Duration = Duration::from_millis(1);
+/// How far a read may outlast its reader's deadline before the receive
+/// timeout is re-armed: callers with a fixed I/O budget then never pay
+/// a `setsockopt` per exchange.
+const ARM_SLACK: Duration = Duration::from_millis(1);
+
+/// The read half, and the receive timeout set on it.
+struct Reader {
+    frames: Framed<TcpStream>,
+    /// `SO_RCVTIMEO` as last set.
+    armed: Duration,
+    /// The last read ran out that timeout: set the next reader's own.
+    lapsed: bool,
+}
+
+impl Reader {
+    /// Bound the next read by `remaining` (to within [`ARM_SLACK`]).
+    /// The timeout is lowered for a reader with less time than it
+    /// allows, and raised only after a read ran it out.
+    fn arm(&mut self, remaining: Duration) -> std::io::Result<()> {
+        let want = remaining.max(MIN_ARM);
+        if self.lapsed || want + ARM_SLACK < self.armed {
+            self.frames.get_mut().set_read_timeout(Some(want))?;
+            (self.armed, self.lapsed) = (want, false);
+        }
+        Ok(())
+    }
+}
+
+/// One connection: what [`MuxClient`] and its groups still unwaited
+/// share.
+struct Conn {
+    /// Write half. A write holds `writer`; a shutdown needs no lock.
+    stream: TcpStream,
+    /// The write half's codec scratch buffer. Pushing a slot and writing
+    /// its frame happen under this one lock, which is what makes slot
+    /// order equal wire order.
+    writer: Mutex<BytesBuf>,
+    /// Read half, held by whichever caller is reading.
+    reader: Mutex<Reader>,
+    /// In-flight slots, oldest first. The head owns the next response
+    /// frame off the wire.
     pending: Mutex<VecDeque<Arc<Slot>>>,
     /// Set on the first transport error; the connection is unusable.
     dead: AtomicBool,
-    /// Set by [`MuxClient::drop`] for a clean reader exit.
-    stop: AtomicBool,
 }
 
-impl Shared {
-    /// Mark the connection dead and fail every in-flight slot.
+impl Conn {
+    fn poisoned(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
+    /// Mark the connection dead, shut the socket down — a caller blocked
+    /// reading it wakes now — and fail every in-flight slot.
     fn poison(&self) {
         self.dead.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
         let mut pending = self.pending.lock();
         for slot in pending.drain(..) {
-            slot.fill(SlotState::Failed);
+            slot.fill(Answer::Failed);
+        }
+    }
+
+    /// `slot`'s answer, by `deadline`: read it — and whatever precedes it
+    /// — whenever the read half is free, else sleep until the reader
+    /// fills the slot or hands the read half over.
+    fn wait(&self, slot: &Slot, deadline: Instant) -> Result<Response, NetError> {
+        let answer = match slot.enter() {
+            Some(answer) => answer,
+            None => loop {
+                self.try_read(Some(slot), |reader| self.read_until(reader, slot, deadline));
+                match slot.park(deadline) {
+                    Woke::Answered(answer) => break answer,
+                    Woke::Nudged => {}
+                    Woke::Expired => {
+                        self.try_read(Some(slot), |reader| self.drain(reader));
+                        break slot.abandon();
+                    }
+                }
+            },
+        };
+        Ok(Response::from_bytes(answer?)?)
+    }
+
+    /// Run `read` holding the read half if nobody else holds it, then
+    /// nudge the latest caller still waiting — other than `own`, the
+    /// releasing caller's slot — so somebody reads on.
+    fn try_read(&self, own: Option<&Slot>, read: impl FnOnce(&mut Reader)) {
+        let Some(mut reader) = self.reader.try_lock() else {
+            return;
+        };
+        read(&mut reader);
+        drop(reader);
+        for slot in self.pending.lock().iter().rev() {
+            let mine = own.is_some_and(|own| std::ptr::eq(&**slot, own));
+            if !mine && slot.nudge() {
+                break;
+            }
+        }
+    }
+
+    /// Read frames, filling slots in FIFO order, until `slot` is
+    /// answered or `deadline` passes.
+    fn read_until(&self, reader: &mut Reader, slot: &Slot, deadline: Instant) {
+        while slot.unanswered() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return;
+            }
+            let read = reader.arm(remaining).map_err(NetError::Io);
+            match read.and_then(|()| reader.frames.read_step()) {
+                Ok(Some(frame)) => self.deliver(frame),
+                // Part of a frame: look at the clock before the next read.
+                Ok(None) => {}
+                // Slow, not broken: what arrived waits in `Framed`.
+                Err(e) if e.is_timeout() => reader.lapsed = true,
+                Err(_) => self.poison(),
+            }
+        }
+    }
+
+    /// Deliver the whole frames already readable, without blocking. The
+    /// two halves share `O_NONBLOCK`, so this needs the write half too; a
+    /// write in progress skips it.
+    fn drain(&self, reader: &mut Reader) {
+        let Some(_writer) = self.writer.try_lock() else {
+            return;
+        };
+        if self.stream.set_nonblocking(true).is_err() {
+            return self.poison();
+        }
+        while !self.poisoned() {
+            match reader.frames.read_step() {
+                Ok(Some(frame)) => self.deliver(frame),
+                Ok(None) => {}
+                // Nothing more has arrived.
+                Err(e) if e.is_timeout() => break,
+                Err(_) => self.poison(),
+            }
+        }
+        if self.stream.set_nonblocking(false).is_err() {
+            self.poison();
+        }
+    }
+
+    /// The next response frame belongs to the oldest in-flight slot.
+    fn deliver(&self, frame: Bytes) {
+        let head = self.pending.lock().pop_front();
+        match head {
+            // An abandoned slot ignores the fill: the frame is consumed
+            // (keeping the FIFO aligned) and dropped.
+            Some(slot) => slot.fill(Answer::Done(frame)),
+            // A response nobody asked for: the server and client
+            // disagree about the stream state.
+            None => self.poison(),
         }
     }
 }
 
 /// A thread-safe client multiplexing pipelined requests over one TCP
 /// connection with FIFO correlation ids. All methods take `&self`;
-/// callers on any number of threads share the socket.
+/// callers on any number of threads share the socket, and read it
+/// themselves (see the module docs).
 pub struct MuxClient {
     addr: SocketAddr,
-    /// Write half: the stream plus the codec scratch buffer. Pushing a
-    /// slot and writing its frame happen under this one lock, which is
-    /// what makes slot order equal wire order.
-    writer: Mutex<(TcpStream, BytesBuf)>,
-    shared: Arc<Shared>,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
+    conn: Arc<Conn>,
 }
 
 impl MuxClient {
@@ -143,36 +380,33 @@ impl MuxClient {
         Self::connect_with_timeout(addr, Duration::from_secs(5))
     }
 
-    /// Connect with an explicit dial timeout.
+    /// Connect with an explicit dial timeout, which also bounds every
+    /// `write`: a peer that stops reading fails the write (and poisons
+    /// the client) after `timeout`.
     pub fn connect_with_timeout(
         addr: SocketAddr,
         timeout: Duration,
     ) -> Result<MuxClient, NetError> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+        stream.set_write_timeout(Some(timeout))?;
         let read_half = stream.try_clone()?;
-        // Short read timeout: the reader wakes regularly to notice the
-        // stop flag even on an idle connection.
-        read_half.set_read_timeout(Some(Duration::from_millis(250)))?;
-
-        let shared = Arc::new(Shared {
+        read_half.set_read_timeout(Some(timeout))?;
+        let reader = Reader {
+            frames: Framed::new(read_half, MAX_FRAME),
+            armed: timeout,
+            lapsed: false,
+        };
+        let conn = Conn {
+            stream,
+            writer: Mutex::new(BytesBuf::new()),
+            reader: Mutex::new(reader),
             pending: Mutex::new(VecDeque::new()),
             dead: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-        });
-        let reader = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("irs-mux-reader".into())
-                .spawn(move || reader_loop(read_half, shared))
-                .map_err(NetError::Io)?
         };
         Ok(MuxClient {
             addr,
-            writer: Mutex::new((stream, BytesBuf::new())),
-            shared,
-            reader: Mutex::new(Some(reader)),
+            conn: Arc::new(conn),
         })
     }
 
@@ -181,9 +415,15 @@ impl MuxClient {
         self.addr
     }
 
-    /// Whether the connection has been poisoned by a transport error.
+    /// Whether the connection is unusable: poisoned by a transport
+    /// error, or closed by the server while idle — with no answer owed
+    /// and nobody reading, the socket is probed without blocking.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::SeqCst)
+        let conn = &self.conn;
+        if !conn.poisoned() && conn.pending.lock().is_empty() {
+            conn.try_read(None, |reader| conn.drain(reader));
+        }
+        conn.poisoned()
     }
 
     /// One pipelined exchange: enqueue the request, wait (until
@@ -208,12 +448,13 @@ impl MuxClient {
     /// abandons only the slots still empty when they are waited on, and a
     /// dead connection fails exactly the unanswered ones.
     pub fn send_all(&self, requests: &[Request], deadline: Instant) -> Sent {
+        let conn = self.conn.clone();
         // Encode before touching the stream: an unencodable request is
         // the caller's bug and must not poison a healthy connection.
-        let payloads: Vec<Result<bytes::Bytes, NetError>> =
+        let payloads: Vec<Result<Bytes, NetError>> =
             requests.iter().map(|r| Ok(r.to_bytes()?)).collect();
         let payloads = payloads.into_iter();
-        let refuse = if self.is_dead() {
+        let refuse = if conn.poisoned() {
             Some(NetError::ConnectionLost)
         } else if Instant::now() >= deadline {
             Some(NetError::DeadlineExceeded)
@@ -222,105 +463,83 @@ impl MuxClient {
         };
         if let Some(e) = refuse {
             let slots = payloads.map(|p| p.and(Err(e.replicate()))).collect();
-            return Sent { slots, deadline };
+            return Sent {
+                conn,
+                slots,
+                deadline,
+            };
         }
 
         let slots: Vec<Result<Arc<Slot>, NetError>> = {
             // Slot pushes and the frame write are one atomic step: wire
             // order is exactly pending-queue order.
-            let mut writer = self.writer.lock();
-            let (stream, scratch) = &mut *writer;
+            let mut scratch = conn.writer.lock();
             scratch.clear();
             let slots: Vec<_> = payloads
                 .map(|payload| {
-                    FrameCodec::new(MAX_FRAME).encode(&payload?, scratch)?;
+                    FrameCodec::new(MAX_FRAME).encode(&payload?, &mut scratch)?;
                     Ok(Slot::new())
                 })
                 .collect();
-            let mut pending = self.shared.pending.lock();
-            pending.extend(slots.iter().flatten().cloned());
+            let mut pending = conn.pending.lock();
+            // Poisoned since the check above: the FIFO is gone, so these
+            // slots fail here or nowhere.
+            let dead = conn.poisoned();
+            for slot in slots.iter().flatten() {
+                if dead {
+                    slot.fill(Answer::Failed);
+                } else {
+                    pending.push_back(slot.clone());
+                }
+            }
             drop(pending);
-            if stream.write_all(scratch.as_slice()).is_err() {
-                drop(writer);
+            if !dead && (&conn.stream).write_all(scratch.as_slice()).is_err() {
                 // Fails every slot just pushed along with the rest.
-                self.shared.poison();
+                conn.poison();
             }
             slots
         };
-        Sent { slots, deadline }
+        Sent {
+            conn,
+            slots,
+            deadline,
+        }
     }
 }
 
 /// A group [`MuxClient::send_all`] put on the wire, not yet collected.
-/// Dropping it unwaited leaves its slots in the FIFO: the reader still
+/// Dropping it unwaited leaves its slots in the FIFO: whoever reads next
 /// consumes their responses, so later calls get their own answers.
 #[must_use = "a sent group must be waited"]
 pub struct Sent {
+    conn: Arc<Conn>,
     slots: Vec<Result<Arc<Slot>, NetError>>,
     deadline: Instant,
 }
 
 impl Sent {
     /// The answers, in request order. A slot already filled answers
-    /// whatever the clock says; only one still empty at `deadline`
-    /// is abandoned.
+    /// whatever the clock says; only one still empty at `deadline` —
+    /// after a last look at what has already arrived — is abandoned.
     pub fn wait(self) -> Vec<Result<Response, NetError>> {
         // Responses arrive in slot order, so waiting on the last slot
-        // first parks this thread once for the whole group.
-        let deadline = self.deadline;
-        let waited = self.slots.into_iter().rev();
-        let mut answers: Vec<_> = waited.map(|s| s?.wait(deadline)).collect();
+        // first reads (or sleeps through) the whole group in one go.
+        let Sent {
+            conn,
+            slots,
+            deadline,
+        } = self;
+        let waited = slots.into_iter().rev();
+        let mut answers: Vec<_> = waited.map(|s| conn.wait(&*s?, deadline)).collect();
         answers.reverse();
         answers
     }
 }
 
 impl Drop for MuxClient {
+    /// Groups sent before the drop fail; one being read wakes at once.
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.poison();
-        // Unblock the reader promptly rather than waiting out its read
-        // timeout.
-        if let Some((stream, _)) = self.writer.try_lock().as_deref() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(reader) = self.reader.lock().take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// The reader thread: pull response frames off the wire, deliver each
-/// to the oldest in-flight slot.
-fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
-    let mut frames = Framed::new(stream, MAX_FRAME);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match frames.read_frame() {
-            Ok(frame) => {
-                let slot = shared.pending.lock().pop_front();
-                match slot {
-                    // An abandoned slot ignores the fill: the frame is
-                    // consumed (keeping the FIFO aligned) and dropped.
-                    Some(slot) => slot.fill(SlotState::Done(frame)),
-                    None => {
-                        // A response nobody asked for: the server and
-                        // client disagree about the stream state.
-                        shared.poison();
-                        return;
-                    }
-                }
-            }
-            // Idle tick (or a response still trickling in) — loop to
-            // re-check the stop flag; nothing read so far is lost.
-            Err(e) if e.is_timeout() => {}
-            Err(_) => {
-                shared.poison();
-                return;
-            }
-        }
+        self.conn.poison();
     }
 }
 
@@ -507,6 +726,122 @@ mod tests {
         assert!(!mux.is_dead(), "a slow response must not poison the client");
         assert_eq!(mux.call(&Request::Ping, far()).unwrap(), Response::Pong);
         server.join().unwrap();
+    }
+
+    /// The read role is handed off: A reads for both callers until its
+    /// 50 ms deadline, then gives up; B, waiting behind it with 5 s,
+    /// takes over and still gets its own answer. A's late answer is
+    /// read and discarded, and the connection stays healthy.
+    #[test]
+    fn a_reader_giving_up_hands_the_read_half_to_a_caller_still_waiting() {
+        // Two requests in, a 300 ms stall, `seq 0` and `seq 1` out.
+        let (addr, join) = scripted_peer(2, 0, true);
+        let mux = MuxClient::connect(addr).unwrap();
+        // A's request is on the wire first, so `seq 0` is A's.
+        let started = Instant::now();
+        let a = mux.send_all(&[Request::Ping], started + Duration::from_millis(50));
+        std::thread::scope(|scope| {
+            let a = scope.spawn(move || (a.wait().pop().unwrap(), started.elapsed()));
+            // Give A, alone, the read half before B arrives. Which caller
+            // reads first is not asserted: every check below holds either
+            // way, but this order is the one that needs the hand-off.
+            std::thread::sleep(Duration::from_millis(20));
+            let started = Instant::now();
+            let b = mux.call(&Request::Ping, started + Duration::from_secs(5));
+            assert_eq!(seq_of(&b), "seq 1");
+            // Read as it arrived, not found by a last look at B's deadline.
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(2), "B waited {took:?}");
+            let (a, took) = a.join().unwrap();
+            assert!(matches!(a, Err(NetError::DeadlineExceeded)), "{a:?}");
+            assert!(took < Duration::from_millis(200), "A waited {took:?}");
+        });
+        assert!(!mux.is_dead());
+        assert_eq!(seq_of(&mux.call(&Request::Ping, far())), "seq 2");
+        join();
+    }
+
+    /// A group started on one thread and dropped unwaited leaves its
+    /// answers to whoever reads next: a call from another thread reads
+    /// past them to its own.
+    #[test]
+    fn a_group_dropped_unwaited_is_read_past_by_the_next_caller() {
+        let r = pong_reactor();
+        let mux = MuxClient::connect(r.addr()).unwrap();
+        let group = [Request::Metrics, Request::Metrics];
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| drop(mux.send_all(&group, far())))
+                .join()
+                .unwrap()
+        });
+        let own = std::thread::scope(|scope| {
+            let caller = scope.spawn(|| mux.call(&Request::Metrics, far()));
+            caller.join().unwrap()
+        });
+        assert_eq!(seq_of(&own), "seq 2");
+        assert!(!mux.is_dead());
+        drop(mux);
+        r.shutdown();
+    }
+
+    /// Dropping the client fails a group still waited on another thread
+    /// at once, not at its deadline: the caller reading the socket for
+    /// it wakes.
+    #[test]
+    fn dropping_the_client_wakes_a_caller_reading_for_its_group() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mux = MuxClient::connect(listener.local_addr().unwrap()).unwrap();
+        let _silent = listener.accept().unwrap();
+        let sent = mux.send_all(&[Request::Ping], far());
+        std::thread::scope(|scope| {
+            let started = Instant::now();
+            let waiter = scope.spawn(move || sent.wait());
+            // Let the waiter block in `read`; the checks hold either way.
+            std::thread::sleep(Duration::from_millis(20));
+            drop(mux);
+            let answers = waiter.join().unwrap();
+            assert!(matches!(answers[..], [Err(NetError::ConnectionLost)]));
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(2), "waited {took:?}");
+        });
+    }
+
+    /// A response trickling in a byte at a time is read a `read` at a
+    /// time: its reader looks at the clock between reads, so a frame
+    /// that never completes does not hold the caller past its deadline.
+    #[test]
+    fn a_frame_trickling_in_does_not_hold_its_reader_past_the_deadline() {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = Framed::new(stream, crate::codec::MAX_REQUEST_FRAME);
+            peer.read_frame().unwrap();
+            // A 1 000-byte frame, a byte every 10 ms, until the client
+            // hangs up.
+            let mut wire = 1000u32.to_be_bytes().to_vec();
+            wire.resize(4 + 1000, 0);
+            for byte in wire.chunks(1) {
+                if peer.get_mut().write_all(byte).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let mux = MuxClient::connect(addr).unwrap();
+        let started = Instant::now();
+        let answer = mux.call(&Request::Ping, started + Duration::from_millis(100));
+        let took = started.elapsed();
+        assert!(
+            matches!(answer, Err(NetError::DeadlineExceeded)),
+            "{answer:?}"
+        );
+        assert!(took < Duration::from_millis(300), "held {took:?}");
+        assert!(!mux.is_dead(), "a slow frame is not a broken stream");
+        drop(mux);
+        peer.join().unwrap();
     }
 
     #[test]

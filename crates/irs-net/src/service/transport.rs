@@ -194,11 +194,15 @@ mod tests {
     use irs_ledger::{Ledger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
+        ledger_server_at("127.0.0.1:0")
+    }
+
+    fn ledger_server_at(addr: &str) -> LedgerServer {
         let ledger = Ledger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(0x7C9),
         );
-        LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
+        LedgerServer::start(ledger, addr).unwrap()
     }
 
     #[test]
@@ -232,6 +236,57 @@ mod tests {
         assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
         assert!(t.reconnects() >= 1);
         server.shutdown();
+    }
+
+    /// A server that closes an idle connection is noticed before the
+    /// next write: that call redials and succeeds on its first attempt.
+    #[test]
+    fn an_idle_connection_the_server_closed_redials_transparently() {
+        let server = ledger_server();
+        let addr = server.addr();
+        let t = TcpTransport::new(addr, Duration::from_millis(500));
+        let ctx = CallCtx::at(TimeMs(0));
+        assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
+        server.shutdown();
+        let server = ledger_server_at(&addr.to_string());
+        assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
+        assert_eq!(t.reconnects(), 1);
+        server.shutdown();
+    }
+
+    /// A peer that stops reading stalls a write for the transport's I/O
+    /// budget, not for seconds: the stalled group fails, the client is
+    /// poisoned, and nobody queued behind the writer lock waits longer.
+    #[test]
+    fn a_peer_that_stops_reading_fails_the_write_within_the_io_budget() {
+        use irs_core::claim::ClaimRequest;
+        use irs_crypto::{Digest, Keypair};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Accepts, keeps the connection open, never reads.
+        let peer = std::thread::spawn(move || listener.accept().unwrap());
+        let io_timeout = Duration::from_millis(100);
+        let t = TcpTransport::new(addr, io_timeout);
+        let claim = ClaimRequest::create(&Keypair::from_seed(&[7; 32]), &Digest::of(b"photo"));
+        let group = vec![Request::Claim(claim); 4096];
+        let ctx = CallCtx::wall();
+        let dead = || t.mux.lock().as_ref().is_some_and(|mux| mux.is_dead());
+        // Send until a write finds no room: that group fails.
+        let stalled = (0..64).find_map(|_| {
+            let started = Instant::now();
+            let sent = t.start_all(group.clone(), &ctx);
+            let took = started.elapsed();
+            dead().then_some((sent, took))
+        });
+        let (sent, took) = stalled.expect("the peer's buffers never filled");
+        // One timeout to fill the last of the buffers, one to find no room.
+        assert!(
+            took < io_timeout * 3,
+            "a stalled write held the writer {took:?}"
+        );
+        let lost = |a: &Result<Response, NetError>| matches!(a, Err(NetError::ConnectionLost));
+        assert!(sent.wait().iter().all(lost));
+        drop(peer.join());
     }
 
     #[test]
