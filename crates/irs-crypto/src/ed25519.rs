@@ -96,7 +96,7 @@ impl Keypair {
         let mut s_bytes = [0u8; 32];
         s_bytes.copy_from_slice(&h[..32]);
         let s = Scalar::clamped(&s_bytes);
-        let a = Point::base().mul_bytes(&s);
+        let a = Point::mul_base(&s);
         Keypair {
             secret: SecretKey(*seed),
             public: PublicKey(a.compress()),
@@ -116,7 +116,7 @@ impl Keypair {
         hasher.update(prefix);
         hasher.update(message);
         let r = Scalar::from_bytes_mod_order_wide(&hasher.finalize());
-        let r_point = Point::base().mul_scalar(&r).compress();
+        let r_point = Point::mul_base(&r.to_bytes()).compress();
 
         let mut hasher = Sha512::new();
         hasher.update(&r_point);
@@ -147,10 +147,8 @@ impl PublicKey {
         hasher.update(message);
         let k = Scalar::from_bytes_mod_order_wide(&hasher.finalize());
 
-        // [S]B == R + [k]A
-        let lhs = Point::base().mul_scalar(&s);
-        let rhs = r.add(&a.mul_scalar(&k));
-        if lhs.equals(&rhs) {
+        // [S]B == R + [k]A, checked as [S]B − [k]A == R
+        if Point::mul_base_minus(&s.to_bytes(), &a, &k.to_bytes()).equals(&r) {
             Ok(())
         } else {
             Err(SignatureError::BadSignature)

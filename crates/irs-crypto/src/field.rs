@@ -28,6 +28,7 @@ impl Fe {
     pub const ONE: Fe = Fe([1, 0, 0, 0]);
 
     /// Construct from a small integer.
+    #[cfg(test)]
     pub fn from_u64(v: u64) -> Fe {
         Fe([v, 0, 0, 0])
     }
@@ -100,34 +101,35 @@ impl Fe {
             carry = s >> 64;
         }
         // 2^256 ≡ 38 (mod p)
-        let mut v = out;
-        add_small(&mut v, (carry as u64) * 38);
-        Fe(v)
+        add_small(&mut out, (carry as u64) * 38);
+        Fe(out)
     }
 
     pub fn sub(self, other: Fe) -> Fe {
         let mut out = [0u64; 4];
-        let mut borrow = 0i128;
+        let mut borrow = 0u64;
         for (i, limb) in out.iter_mut().enumerate() {
-            let d = self.0[i] as i128 - other.0[i] as i128 - borrow;
-            *limb = d as u64;
-            borrow = if d < 0 { 1 } else { 0 };
+            let (d, b1) = self.0[i].overflowing_sub(other.0[i]);
+            let (d, b2) = d.overflowing_sub(borrow);
+            *limb = d;
+            borrow = u64::from(b1 | b2);
         }
-        // A wrap adds 2^256 ≡ 38, so compensate by subtracting 38; this can
-        // wrap at most once more.
-        let mut v = out;
-        while borrow == 1 {
-            let mut b = 0i128;
-            let mut w = [0u64; 4];
-            for i in 0..4 {
-                let d = v[i] as i128 - if i == 0 { 38 } else { 0 } - b;
-                w[i] = d as u64;
-                b = if d < 0 { 1 } else { 0 };
+        // A wrap added 2^256 ≡ 38, so take 38 back off; that can wrap once
+        // more (only from a value below 38), which the second pass repays.
+        for _ in 0..2 {
+            if borrow == 0 {
+                break;
             }
-            v = w;
-            borrow = b;
+            let (d, b) = out[0].overflowing_sub(38);
+            out[0] = d;
+            borrow = u64::from(b);
+            for limb in out.iter_mut().skip(1) {
+                let (d, b) = limb.overflowing_sub(borrow);
+                *limb = d;
+                borrow = u64::from(b);
+            }
         }
-        Fe(v)
+        Fe(out)
     }
 
     pub fn neg(self) -> Fe {
@@ -151,63 +153,93 @@ impl Fe {
             debug_assert_eq!(limbs[i + 4], 0);
             limbs[i + 4] = carry as u64;
         }
-        // Fold: value = lo + 2^256·hi ≡ lo + 38·hi.
-        let mut out = [0u64; 4];
-        let mut c = 0u128;
-        for i in 0..4 {
-            let s = limbs[i] as u128 + 38u128 * limbs[i + 4] as u128 + c;
-            out[i] = s as u64;
-            c = s >> 64;
-        }
-        // c < 38·2 ⇒ fold once more.
-        add_small(&mut out, (c as u64) * 38);
-        Fe(out)
+        fold(limbs)
     }
 
+    /// `self²` with the six cross products computed once and doubled:
+    /// 10 limb multiplies where [`Fe::mul`] takes 16.
     pub fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        let mut limbs = [0u64; 8];
+        // Cross products a_i·a_j (i < j) land in limbs 1..=6.
+        for i in 0..3 {
+            let mut carry = 0u128;
+            for j in i + 1..4 {
+                let s = limbs[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry;
+                limbs[i + j] = s as u64;
+                carry = s >> 64;
+            }
+            limbs[i + 4] = carry as u64;
+        }
+        // Their sum is below a²/2 < 2^511, so doubling it fits 8 limbs.
+        limbs[7] = limbs[6] >> 63;
+        for i in (1..7).rev() {
+            limbs[i] = (limbs[i] << 1) | (limbs[i - 1] >> 63);
+        }
+        // Add the squares a_i² on the diagonal.
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let sq = a[i] as u128 * a[i] as u128;
+            let s = limbs[2 * i] as u128 + (sq as u64) as u128 + carry;
+            limbs[2 * i] = s as u64;
+            let s = limbs[2 * i + 1] as u128 + (sq >> 64) + (s >> 64);
+            limbs[2 * i + 1] = s as u64;
+            carry = s >> 64;
+        }
+        debug_assert_eq!(carry, 0);
+        fold(limbs)
     }
 
-    /// Raise to a little-endian byte exponent (square-and-multiply, msb
-    /// first over `bits` bits).
-    pub fn pow_le(self, exp: &[u8; 32], bits: usize) -> Fe {
-        let mut acc = Fe::ONE;
-        for i in (0..bits).rev() {
+    /// `self^(2^n)`: `n` squarings.
+    fn square_times(self, n: u32) -> Fe {
+        let mut acc = self;
+        for _ in 0..n {
             acc = acc.square();
-            if (exp[i / 8] >> (i % 8)) & 1 == 1 {
-                acc = acc.mul(self);
-            }
         }
         acc
     }
 
-    /// Multiplicative inverse via Fermat: a^(p−2).
+    /// `(self^(2^250 − 1), self^11)`: the shared head of the inversion and
+    /// square-root exponents, by the standard addition chain (ref10's
+    /// `fe_invert`): 250 squarings and 11 multiplies.
+    fn pow22501(self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.square_times(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z_5_0 = z11.square().mul(z9); // 2^5 − 1
+        let z_10_0 = z_5_0.square_times(5).mul(z_5_0);
+        let z_20_0 = z_10_0.square_times(10).mul(z_10_0);
+        let z_40_0 = z_20_0.square_times(20).mul(z_20_0);
+        let z_50_0 = z_40_0.square_times(10).mul(z_10_0);
+        let z_100_0 = z_50_0.square_times(50).mul(z_50_0);
+        let z_200_0 = z_100_0.square_times(100).mul(z_100_0);
+        let z_250_0 = z_200_0.square_times(50).mul(z_50_0);
+        (z_250_0, z11)
+    }
+
+    /// Multiplicative inverse a^(p−2) = a^(2^255 − 21) (zero maps to zero).
     pub fn invert(self) -> Fe {
-        // p − 2 = 2^255 − 21, little-endian bytes: eb ff … ff 7f
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow_le(&exp, 255)
+        let (z_250_0, z11) = self.pow22501();
+        // (2^250 − 1)·2^5 + 11 = 2^255 − 21
+        z_250_0.square_times(5).mul(z11)
     }
 
-    /// a^((p−5)/8), the core exponentiation for square roots mod p ≡ 5 (mod 8).
+    /// a^((p−5)/8) = a^(2^252 − 3), the core exponentiation for square
+    /// roots mod p ≡ 5 (mod 8).
     pub fn pow_p58(self) -> Fe {
-        // (p − 5)/8 = 2^252 − 3, little-endian bytes: fd ff … ff 0f
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow_le(&exp, 253)
+        let (z_250_0, _) = self.pow22501();
+        // (2^250 − 1)·2^2 + 1 = 2^252 − 3
+        z_250_0.square_times(2).mul(self)
     }
 }
 
-/// sqrt(−1) mod p, computed once as 2^((p−1)/4).
-pub(crate) fn sqrt_m1() -> Fe {
-    // (p − 1)/4 = 2^253 − 5, little-endian bytes: fb ff … ff 1f
-    let mut exp = [0xffu8; 32];
-    exp[0] = 0xfb;
-    exp[31] = 0x1f;
-    Fe::from_u64(2).pow_le(&exp, 254)
-}
+/// sqrt(−1) mod p = 2^((p−1)/4).
+const SQRT_M1: Fe = Fe([
+    0xc4ee_1b27_4a0e_a0b0,
+    0x2f43_1806_ad2f_e478,
+    0x2b4d_0099_3dfb_d7a7,
+    0x2b83_2480_4fc1_df0b,
+]);
 
 /// Compute sqrt(u/v) if it exists (per RFC 8032 decompression).
 pub(crate) fn sqrt_ratio(u: Fe, v: Fe) -> Option<Fe> {
@@ -219,10 +251,24 @@ pub(crate) fn sqrt_ratio(u: Fe, v: Fe) -> Option<Fe> {
         return Some(x);
     }
     if vxx.add(u).is_zero() {
-        x = x.mul(sqrt_m1());
+        x = x.mul(SQRT_M1);
         return Some(x);
     }
     None
+}
+
+/// Fold a 512-bit product into 4 limbs: lo + 2^256·hi ≡ lo + 38·hi.
+fn fold(limbs: [u64; 8]) -> Fe {
+    let mut out = [0u64; 4];
+    let mut c = 0u128;
+    for i in 0..4 {
+        let s = limbs[i] as u128 + 38u128 * limbs[i + 4] as u128 + c;
+        out[i] = s as u64;
+        c = s >> 64;
+    }
+    // c < 38·2 ⇒ fold once more.
+    add_small(&mut out, (c as u64) * 38);
+    Fe(out)
 }
 
 fn add_small(v: &mut [u64; 4], small: u64) {
@@ -264,9 +310,68 @@ fn sub_in_place(a: &mut [u64; 4], b: &[u64; 4]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fe(v: u64) -> Fe {
         Fe::from_u64(v)
+    }
+
+    /// A little-endian exponent of all-ones bytes between `low` and `high`.
+    fn exponent(low: u8, high: u8) -> [u8; 32] {
+        let mut exp = [0xffu8; 32];
+        exp[0] = low;
+        exp[31] = high;
+        exp
+    }
+
+    /// Square-and-multiply, msb first over the low `bits` bits of a
+    /// little-endian exponent: the oracle for the addition chains.
+    fn pow_bits(a: Fe, exp: &[u8; 32], bits: usize) -> Fe {
+        let mut acc = Fe::ONE;
+        for i in (0..bits).rev() {
+            acc = acc.square();
+            if (exp[i / 8] >> (i % 8)) & 1 == 1 {
+                acc = acc.mul(a);
+            }
+        }
+        acc
+    }
+
+    /// Any 256-bit limb pattern is a valid almost-reduced element.
+    fn limbs(bytes: [u8; 32]) -> Fe {
+        Fe(std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+        }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn chain_invert_matches_fermat(a in any::<[u8; 32]>()) {
+            let a = limbs(a);
+            let p_minus_2 = exponent(0xeb, 0x7f); // 2^255 − 21
+            prop_assert_eq!(a.invert().to_bytes(), pow_bits(a, &p_minus_2, 255).to_bytes());
+        }
+
+        #[test]
+        fn chain_pow_p58_matches_square_and_multiply(a in any::<[u8; 32]>()) {
+            let a = limbs(a);
+            let p58 = exponent(0xfd, 0x0f); // 2^252 − 3
+            prop_assert_eq!(a.pow_p58().to_bytes(), pow_bits(a, &p58, 253).to_bytes());
+        }
+
+        #[test]
+        fn square_matches_mul(a in any::<[u8; 32]>()) {
+            let a = limbs(a);
+            prop_assert_eq!(a.square().to_bytes(), a.mul(a).to_bytes());
+        }
+
+        #[test]
+        fn sub_then_add_is_identity(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+            let (a, b) = (limbs(a), limbs(b));
+            prop_assert_eq!(a.sub(b).add(b).to_bytes(), a.to_bytes());
+        }
     }
 
     #[test]
@@ -306,12 +411,26 @@ mod tests {
             let a = fe(v);
             assert_eq!(a.mul(a.invert()).to_bytes(), Fe::ONE.to_bytes());
         }
+        // The chain agrees with Fermat on zero, p − 1, p (≡ 0), p + 1 and
+        // the largest almost-reduced limbs.
+        let p_minus_2 = exponent(0xeb, 0x7f);
+        let mut edges = vec![Fe::ZERO, Fe(P), Fe([u64::MAX; 4])];
+        edges.push(Fe([P[0] - 1, P[1], P[2], P[3]]));
+        edges.push(Fe([P[0] + 1, P[1], P[2], P[3]]));
+        for a in edges {
+            assert_eq!(
+                a.invert().to_bytes(),
+                pow_bits(a, &p_minus_2, 255).to_bytes()
+            );
+        }
     }
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
-        assert_eq!(i.square().to_bytes(), Fe::ONE.neg().to_bytes());
+        assert_eq!(SQRT_M1.square().to_bytes(), Fe::ONE.neg().to_bytes());
+        // …and is the root 2^((p−1)/4), not its negation.
+        let exp = exponent(0xfb, 0x1f); // (p − 1)/4 = 2^253 − 5
+        assert_eq!(SQRT_M1.to_bytes(), pow_bits(fe(2), &exp, 254).to_bytes());
     }
 
     #[test]

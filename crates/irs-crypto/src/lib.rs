@@ -16,10 +16,16 @@
 //!
 //! This is research code supporting a systems reproduction, **not** a
 //! hardened cryptographic library. In particular field and scalar arithmetic
-//! are *not* constant time (scalar multiplication is plain double-and-add),
-//! and no zeroization of secrets is performed. The algorithms themselves are
-//! the standard ones and are validated against the RFC 8032 and FIPS 180-4
-//! test vectors in the unit tests.
+//! are *not* constant time: scalar multiplication reads precomputed tables
+//! at secret-indexed positions (signing walks a base-point table by the
+//! digits of the secret nonce), and no zeroization of secrets is performed.
+//! The algorithms themselves are the standard ones (ref10's table and
+//! addition chains, Barrett reduction mod L) in portable safe Rust, and are
+//! validated against the RFC 8032 and FIPS 180-4 test vectors, a golden
+//! corpus from an independent implementation, and double-and-add oracles in
+//! the unit tests.
+
+#![forbid(unsafe_code)]
 
 pub mod ed25519;
 pub mod hex;

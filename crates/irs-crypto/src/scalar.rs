@@ -2,8 +2,8 @@
 //! L = 2^252 + 27742317777372353535851937790883648493.
 //!
 //! Scalars are four little-endian u64 limbs, always kept fully reduced
-//! (< L). Wide (512-bit) reduction uses simple shift-and-subtract long
-//! division, which is plenty fast for the signing rates IRS needs.
+//! (< L). Wide (512-bit) reduction is Barrett's: two limb products and at
+//! most two subtractions of L.
 
 /// L as little-endian limbs.
 const L: [u64; 4] = [
@@ -11,6 +11,15 @@ const L: [u64; 4] = [
     0x14de_f9de_a2f7_9cd6,
     0x0000_0000_0000_0000,
     0x1000_0000_0000_0000,
+];
+
+/// ⌊2^512 / L⌋, the Barrett constant of [`reduce_wide`].
+const MU: [u64; 5] = [
+    0xed9c_e5a3_0a2c_131b,
+    0x2106_215d_0863_29a7,
+    0xffff_ffff_ffff_ffeb,
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_0000_000f,
 ];
 
 /// A scalar in [0, L).
@@ -56,7 +65,7 @@ impl Scalar {
         for i in 0..8 {
             n[i] = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
         }
-        Scalar(reduce512(n))
+        Scalar(reduce_wide(n))
     }
 
     /// Clamped secret scalar per RFC 8032 §5.1.5 (as raw limbs; clamped
@@ -103,30 +112,54 @@ impl Scalar {
             }
             limbs[i + 4] = carry as u64;
         }
-        Scalar(reduce512(limbs))
+        Scalar(reduce_wide(limbs))
     }
 }
 
-/// Reduce a 512-bit value mod L by shift-and-subtract long division.
-fn reduce512(mut n: [u64; 8]) -> [u64; 4] {
-    // m = L << 259 occupies bits [259, 512) — still 8 limbs.
-    let mut m = [0u64; 8];
-    m[4] = L[0] << 3;
-    m[5] = (L[1] << 3) | (L[0] >> 61);
-    m[6] = (L[2] << 3) | (L[1] >> 61);
-    m[7] = (L[3] << 3) | (L[2] >> 61);
-    for _ in 0..=259 {
-        if !lt8(&n, &m) {
-            sub8(&mut n, &m);
+/// Reduce a 512-bit value mod L by Barrett reduction (HAC 14.42 with
+/// b = 2^64, k = 4): q = ⌊⌊n / b³⌋·μ / b⁵⌋ undershoots ⌊n / L⌋ by at most
+/// 2, so n − q·L, computed mod b⁵, is below 3L.
+fn reduce_wide(n: [u64; 8]) -> [u64; 4] {
+    let mut q = [0u64; 10];
+    for (i, &ni) in n[3..].iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &mj) in MU.iter().enumerate() {
+            let s = q[i + j] as u128 + ni as u128 * mj as u128 + carry;
+            q[i + j] = s as u64;
+            carry = s >> 64;
         }
-        shr1(&mut m);
+        q[i + 5] = carry as u64;
     }
-    debug_assert!(lt8(&n, &{
-        let mut l8 = [0u64; 8];
-        l8[..4].copy_from_slice(&L);
-        l8
-    }));
-    [n[0], n[1], n[2], n[3]]
+    // q·L mod b⁵, from the quotient's top five limbs.
+    let mut ql = [0u64; 5];
+    for (i, &qi) in q[5..].iter().enumerate() {
+        let mut carry = 0u128;
+        for j in 0..5 - i {
+            let lj = if j < 4 { L[j] } else { 0 };
+            let s = ql[i + j] as u128 + qi as u128 * lj as u128 + carry;
+            ql[i + j] = s as u64;
+            carry = s >> 64;
+        }
+    }
+    let mut r = [0u64; 5];
+    let mut borrow = 0u64;
+    for i in 0..5 {
+        let (d, b1) = n[i].overflowing_sub(ql[i]);
+        let (d, b2) = d.overflowing_sub(borrow);
+        r[i] = d;
+        borrow = u64::from(b1 | b2);
+    }
+    // The true difference is below 3L < 2^254, so the wrap mod b⁵ is
+    // exact and limb 4 is zero.
+    debug_assert_eq!(r[4], 0);
+    let mut out = [r[0], r[1], r[2], r[3]];
+    for _ in 0..2 {
+        if !lt4(&out, &L) {
+            sub4(&mut out, &L);
+        }
+    }
+    debug_assert!(lt4(&out, &L));
+    out
 }
 
 fn lt4(a: &[u64; 4], b: &[u64; 4]) -> bool {
@@ -148,35 +181,118 @@ fn sub4(a: &mut [u64; 4], b: &[u64; 4]) {
     debug_assert_eq!(borrow, 0);
 }
 
-fn lt8(a: &[u64; 8], b: &[u64; 8]) -> bool {
-    for i in (0..8).rev() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-    }
-    false
-}
-
-fn sub8(a: &mut [u64; 8], b: &[u64; 8]) {
-    let mut borrow = 0i128;
-    for i in 0..8 {
-        let d = a[i] as i128 - b[i] as i128 - borrow;
-        a[i] = d as u64;
-        borrow = if d < 0 { 1 } else { 0 };
-    }
-    debug_assert_eq!(borrow, 0);
-}
-
-fn shr1(v: &mut [u64; 8]) {
-    for i in 0..8 {
-        let carry_in = if i + 1 < 8 { v[i + 1] & 1 } else { 0 };
-        v[i] = (v[i] >> 1) | (carry_in << 63);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Shift-and-subtract long division: the oracle for [`reduce_wide`].
+    fn reduce_by_division(mut n: [u64; 8]) -> [u64; 4] {
+        // m = L << 259 occupies bits [259, 512) — still 8 limbs.
+        let mut m = [0u64; 8];
+        m[4] = L[0] << 3;
+        m[5] = (L[1] << 3) | (L[0] >> 61);
+        m[6] = (L[2] << 3) | (L[1] >> 61);
+        m[7] = (L[3] << 3) | (L[2] >> 61);
+        for _ in 0..=259 {
+            if !lt8(&n, &m) {
+                sub8(&mut n, &m);
+            }
+            shr1(&mut m);
+        }
+        [n[0], n[1], n[2], n[3]]
+    }
+
+    fn lt8(a: &[u64; 8], b: &[u64; 8]) -> bool {
+        for i in (0..8).rev() {
+            if a[i] != b[i] {
+                return a[i] < b[i];
+            }
+        }
+        false
+    }
+
+    fn sub8(a: &mut [u64; 8], b: &[u64; 8]) {
+        let mut borrow = 0i128;
+        for i in 0..8 {
+            let d = a[i] as i128 - b[i] as i128 - borrow;
+            a[i] = d as u64;
+            borrow = if d < 0 { 1 } else { 0 };
+        }
+        debug_assert_eq!(borrow, 0);
+    }
+
+    fn shr1(v: &mut [u64; 8]) {
+        for i in 0..8 {
+            let carry_in = if i + 1 < 8 { v[i + 1] & 1 } else { 0 };
+            v[i] = (v[i] >> 1) | (carry_in << 63);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn barrett_matches_long_division(n in any::<[u8; 64]>()) {
+            let n: [u64; 8] = std::array::from_fn(|i| {
+                u64::from_le_bytes(n[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+            });
+            prop_assert_eq!(reduce_wide(n), reduce_by_division(n));
+        }
+
+        #[test]
+        fn barrett_matches_long_division_on_products(
+            a in any::<[u8; 32]>(),
+            b in any::<[u8; 32]>(),
+        ) {
+            let (a, b) = (Scalar::from_bytes_mod_order(&a), Scalar::from_bytes_mod_order(&b));
+            let (a, b) = (a.0, b.0);
+            // Scalar::mul's input shape: a product of two 256-bit values.
+            let mut n = [0u64; 8];
+            for i in 0..4 {
+                let mut carry = 0u128;
+                for j in 0..4 {
+                    let s = n[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry;
+                    n[i + j] = s as u64;
+                    carry = s >> 64;
+                }
+                n[i + 4] = carry as u64;
+            }
+            prop_assert_eq!(reduce_wide(n), reduce_by_division(n));
+        }
+    }
+
+    #[test]
+    fn barrett_matches_long_division_at_the_edges() {
+        let wide = |low: [u64; 4], high: [u64; 4]| {
+            let mut n = [0u64; 8];
+            n[..4].copy_from_slice(&low);
+            n[4..].copy_from_slice(&high);
+            n
+        };
+        let mut l_minus_1 = L;
+        l_minus_1[0] -= 1;
+        let mut l_plus_1 = L;
+        l_plus_1[0] += 1;
+        let edges = [
+            wide([0; 4], [0; 4]),
+            wide(L, [0; 4]),
+            wide(l_minus_1, [0; 4]),
+            wide(l_plus_1, [0; 4]),
+            wide([u64::MAX; 4], [0; 4]),
+            wide([0; 4], L),
+            wide(L, L),
+            wide([u64::MAX; 4], [u64::MAX; 4]),
+            wide([0; 4], [u64::MAX; 4]),
+            wide([u64::MAX; 4], [0, 0, 0, 1 << 60]),
+        ];
+        for n in edges {
+            assert_eq!(reduce_wide(n), reduce_by_division(n), "{n:x?}");
+        }
+        // (L − 1)² ≡ 1.
+        let s = Scalar(l_minus_1);
+        assert_eq!(s.mul(s), Scalar([1, 0, 0, 0]));
+    }
 
     #[test]
     fn l_reduces_to_zero() {

@@ -73,31 +73,24 @@ impl Sha256 {
     /// Consume the hasher and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update_pad(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_pad(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — one final
+        // block, or two when the buffered tail leaves no room for the length.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        self.update_pad(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
-    }
-
-    /// `update` without advancing `total_len` (padding bytes are not data).
-    fn update_pad(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -212,6 +205,63 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_match_known_answers() {
+        // Inputs (i mod 251) for i < len; digests from Python's hashlib.
+        // The lengths straddle every padding case: the length field fits
+        // after the 0x80 byte, does not, or lands in a block of its own.
+        let vectors: [(usize, &str); 10] = [
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                65,
+                "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            ),
+            (
+                111,
+                "60780e9451bdc43cf4530ffc95cbb0c4eb24dae2c39f55f334d679e076c08065",
+            ),
+            (
+                112,
+                "09373f127d34e61dbbaa8bc4499c87074f2ddb10e1b465f506d7d70a15011979",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+            (
+                128,
+                "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5",
+            ),
+        ];
+        for (len, want) in vectors {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(
+                hex::encode(&sha256(&data)),
+                want.replace(' ', ""),
+                "len {len}"
+            );
         }
     }
 }

@@ -154,29 +154,24 @@ impl Sha512 {
     /// Consume the hasher and return the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update_pad(&[0x80]);
-        while self.buf_len != 112 {
-            self.update_pad(&[0]);
+        // Padding: 0x80, zeros, 128-bit big-endian bit length — one final
+        // block, or two when the buffered tail leaves no room for the length.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 112 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 128];
         }
-        self.update_pad(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[112..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
         }
         out
-    }
-
-    fn update_pad(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 128]) {
@@ -279,6 +274,73 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize()[..], expect[..], "split {split}");
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_match_known_answers() {
+        // Inputs (i mod 251) for i < len; digests from Python's hashlib.
+        // The lengths straddle every padding case: the length field fits
+        // after the 0x80 byte, does not, or lands in a block of its own.
+        let vectors: [(usize, &str); 10] = [
+            (
+                55,
+                "6856647f269c2ee3d8128f0b25427659d880641ef343300dd3cd4679168f58d6\
+                 527fda70b4ebc854e2065e172b7d58c1536992c0810599259ba84a2b40c65414",
+            ),
+            (
+                56,
+                "8b12b2f6fe400a51d29656e2b8c42a1bbfe6fcf3e425da430db05d1a2dda1479\
+                 0dee20fa8b22d8762afffe4988a5c98a4430d22a17e41e23d90fa61ab75671a9",
+            ),
+            (
+                63,
+                "9dc9c5598e55dc42955695320839788e353f1d7f6ba74df74c80a8a52f463c06\
+                 97f57f68835d1418f4ce9b6530cd79bd0f4c6f7e13c93feb1218c0b65c2c0561",
+            ),
+            (
+                64,
+                "ee4320ebaf3fdb4f2c832b137200c08e235e0fa7bbd0eb1740c7063ba8a0d151\
+                 da77e003398e1714a955d475b05e3e950b639503b452ec185de4229bc4873949",
+            ),
+            (
+                65,
+                "02856cef735f9acec6b9e33f0fbc8f9804d2aa54187f382b8ae842e5d3696c07\
+                 459aad2a5aed25ea5e117eb1c7ba35da6a7a8adce9e6afe3ad79e9fa42d5bba8",
+            ),
+            (
+                111,
+                "a1a111449b198d9b1f538bad7f3fc1022b3a5b1a5e90a0bc860de8512746cbc3\
+                 1599e6c834de3a3235327af0b51ff57bf7acf1974a73014d9c3953812edc7c8d",
+            ),
+            (
+                112,
+                "c5fbd731d19d2ae1180f001be72c2c1aaba1d7b094b3748880e24593b8e117a7\
+                 50e11c1bd867cc2f96dace8c8b74abd2d5c4f236be444e77d30d1916174070b9",
+            ),
+            (
+                119,
+                "43e497279c2ce805903a33b54b746ea92d607f7c4807986c849823b81097a909\
+                 9b5896ac7cc66df3a93edc8a91b6f3971d6c7f5688daf635737760bd080e27b3",
+            ),
+            (
+                120,
+                "9636708964c5ff6600510319e07bf3fcfcb1f4058fec278efb677964ba1e140c\
+                 1632505452f802e99bcf09da3d456dc3868d149a0788a730e49d239ce7415145",
+            ),
+            (
+                128,
+                "1dffd5e3adb71d45d2245939665521ae001a317a03720a45732ba1900ca3b835\
+                 1fc5c9b4ca513eba6f80bc7b1d1fdad4abd13491cb824d61b08d8c0e1561b3f7",
+            ),
+        ];
+        for (len, want) in vectors {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(
+                hex::encode(&sha512(&data)),
+                want.replace(' ', ""),
+                "len {len}"
+            );
         }
     }
 }

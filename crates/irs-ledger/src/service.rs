@@ -1251,10 +1251,13 @@ mod tests {
     }
 
     /// Publishers race each other and a stream of revocations. With
-    /// revoke-only traffic a later publication can only cover more keys,
-    /// so a reader must never see the `(epoch, delta version)` or the
-    /// coverage it carries move backwards — a proxy one version behind
-    /// would otherwise apply a delta that *clears* a revoked key.
+    /// revoke-only traffic, in order, a publication's revoked set is a
+    /// prefix of `owned` that only grows, so a reader must never see the
+    /// `(epoch, delta version)` move backwards, nor a tier that misses a
+    /// key some already-completed publication had cut — a proxy one
+    /// version behind would otherwise apply a delta that *clears* a
+    /// revoked key. (Counting covered keys instead is not monotone: a
+    /// filter's false positives come and go between publications.)
     #[test]
     fn racing_publishers_never_move_the_filter_backwards() {
         const PUBLISHERS: usize = 2;
@@ -1263,30 +1266,49 @@ mod tests {
         let keys: Vec<u64> = owned.iter().map(|(id, _)| id.filter_key()).collect();
         let covered = |f: &dyn Filter| keys.iter().filter(|&&k| f.contains(k)).count();
         let revoking = AtomicBool::new(true);
+        // Revocations completed so far, and for each publication number
+        // a count its cut is known to include (read before it began).
+        let revoked = AtomicU64::new(0);
+        let floors = Mutex::new(vec![0u64]);
         let start = Barrier::new(PUBLISHERS + 2);
         thread::scope(|scope| {
             for _ in 0..PUBLISHERS {
                 scope.spawn(|| {
                     start.wait();
-                    while revoking.load(Ordering::Acquire) {
-                        l.publish_filter();
+                    loop {
+                        let last = !revoking.load(Ordering::Acquire);
+                        let floor = revoked.load(Ordering::Acquire);
+                        let version = l.publish_filter() as usize;
+                        let mut floors = floors.lock();
+                        if floors.len() <= version {
+                            floors.resize(version + 1, 0);
+                        }
+                        floors[version] = floor;
+                        if last {
+                            break; // this publish started after the last revocation
+                        }
                     }
-                    // One publish that starts after the last revocation.
-                    l.publish_filter();
                 });
             }
             scope.spawn(|| {
                 start.wait();
-                let mut tiered = ((0, 0), 0);
+                let mut tiered = (0, 0);
                 while revoking.load(Ordering::Acquire) {
-                    if l.filter_version() == 0 {
+                    // Every publication up to `done` had finished before
+                    // this fetch, so the fetched tier's cut includes theirs.
+                    let done = l.filter_version() as usize;
+                    if done == 0 {
                         continue; // nothing published yet
                     }
+                    let floor = floors.lock().iter().take(done + 1).copied().max();
+                    let floor = floor.unwrap_or(0) as usize;
                     let tier = fetch_tier(&l);
-                    let seen = ((tier.epoch(), tier.delta_version()), covered(&tier));
-                    assert!(
-                        seen.0 >= tiered.0 && seen.1 >= tiered.1,
-                        "tier went from {tiered:?} to {seen:?} ((epoch, version), keys covered)"
+                    let seen = (tier.epoch(), tier.delta_version());
+                    assert!(seen >= tiered, "tier went from {tiered:?} to {seen:?}");
+                    let missing = keys[..floor].iter().position(|&k| !tier.contains(k));
+                    assert_eq!(
+                        missing, None,
+                        "tier {seen:?} lost a key of a {floor}-key cut"
                     );
                     tiered = seen;
                 }
@@ -1294,6 +1316,7 @@ mod tests {
             start.wait();
             for (id, keypair) in &owned {
                 revoke(&l, *id, keypair);
+                revoked.fetch_add(1, Ordering::Release);
             }
             revoking.store(false, Ordering::Release);
         });

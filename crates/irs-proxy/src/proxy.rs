@@ -18,7 +18,8 @@
 //!   in-flight lookups for longer than one pointer assignment.
 //! * **Status cache** — mutated on every hit (LRU recency), so it is
 //!   striped: `N` independent [`LruTtlCache`]s, each behind its own
-//!   `Mutex`, keyed by the record's filter key. Lookups on different
+//!   `Mutex`, picked by a 64-bit mix of the record id (not its SHA-256
+//!   filter key, which only the filter probe computes). Lookups on different
 //!   stripes never contend. The stripe count is a constructor argument
 //!   ([`SharedProxy::with_shards`]); one stripe is an exact LRU, which
 //!   is what the single-threaded experiment rigs use.
@@ -32,6 +33,7 @@ use crate::lru::LruTtlCache;
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
+use irs_filters::hash::{mix_seeded, reduce};
 use irs_obs::{Counter, Gauge, Registry, SpanRecorder};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -242,8 +244,11 @@ impl SharedProxy {
         self
     }
 
+    /// The cache stripe of `id`: a 64-bit mix of (ledger, serial), so
+    /// only the filter probe pays for the SHA-256 `filter_key`.
     fn shard_of(&self, id: &RecordId) -> usize {
-        (id.filter_key() % self.cache_shards.len() as u64) as usize
+        let h = mix_seeded(id.serial, u64::from(id.ledger.0));
+        reduce(h, self.cache_shards.len() as u64) as usize
     }
 
     /// Classify a lookup. Order: merged revoked-set filter (cheapest,
