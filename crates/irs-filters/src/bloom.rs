@@ -9,8 +9,14 @@ use crate::hash::double_hash_indices;
 use crate::{Filter, FilterError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Serialization magic for [`BloomFilter::to_bytes`].
-const MAGIC: u32 = 0x4952_5342; // "IRSB"
+/// Serialization magic for [`BloomFilter::to_bytes`]. An encoding names
+/// its key scheme: filters over `RecordId::filter_key`'s seeded mix are
+/// "IRB2".
+const MAGIC: u32 = 0x4952_4232; // "IRB2"
+/// The retired magic of filters keyed by a SHA-256 prefix of the record
+/// id. Probing one with today's keys could miss a revoked record, so it
+/// is refused by name.
+const RETIRED_MAGIC: u32 = 0x4952_5342; // "IRSB"
 
 /// A classic Bloom filter over `u64` keys.
 ///
@@ -181,8 +187,12 @@ impl BloomFilter {
         if data.remaining() < 32 {
             return Err(FilterError::Malformed("header truncated"));
         }
-        if data.get_u32() != MAGIC {
-            return Err(FilterError::Malformed("bad magic"));
+        match data.get_u32() {
+            MAGIC => {}
+            RETIRED_MAGIC => {
+                return Err(FilterError::Malformed("retired IRSB (SHA-256 key) bloom"))
+            }
+            _ => return Err(FilterError::Malformed("bad magic")),
         }
         let m = data.get_u64();
         let k = data.get_u32();
@@ -319,6 +329,20 @@ mod tests {
             .to_vec();
         trunc.pop();
         assert!(BloomFilter::from_bytes(Bytes::from(trunc)).is_err());
+    }
+
+    /// A filter in the retired SHA-256-keyed encoding is refused, never
+    /// probed with keys it was not built over.
+    #[test]
+    fn irsb_filter_is_refused_not_misread() {
+        let mut f = BloomFilter::with_params(1 << 10, 4, 7).unwrap();
+        f.insert(42);
+        let mut old = f.to_bytes().to_vec();
+        old[..4].copy_from_slice(b"IRSB");
+        assert_eq!(
+            BloomFilter::from_bytes(Bytes::from(old)),
+            Err(FilterError::Malformed("retired IRSB (SHA-256 key) bloom"))
+        );
     }
 
     #[test]

@@ -11,7 +11,10 @@ use crate::bloom::BloomFilter;
 use crate::FilterError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-const MAGIC: u32 = 0x4952_5344; // "IRSD"
+/// Serialization magic, naming the key scheme like the Bloom filter's.
+const MAGIC: u32 = 0x4952_4432; // "IRD2"
+/// The retired magic of deltas between SHA-256-keyed filters.
+const RETIRED_MAGIC: u32 = 0x4952_5344; // "IRSD"
 
 /// A compact description of the bit flips between two Bloom filters of
 /// identical geometry.
@@ -121,8 +124,12 @@ impl BloomDelta {
         if data.remaining() < 40 {
             return Err(FilterError::Malformed("delta header truncated"));
         }
-        if data.get_u32() != MAGIC {
-            return Err(FilterError::Malformed("bad delta magic"));
+        match data.get_u32() {
+            MAGIC => {}
+            RETIRED_MAGIC => {
+                return Err(FilterError::Malformed("retired IRSD (SHA-256 key) delta"))
+            }
+            _ => return Err(FilterError::Malformed("bad delta magic")),
         }
         let m = data.get_u64();
         let k = data.get_u32();
@@ -271,6 +278,17 @@ mod tests {
         let mut short = good.clone();
         short.truncate(good.len() - 1);
         assert!(BloomDelta::from_bytes(Bytes::from(short)).is_err());
+    }
+
+    #[test]
+    fn irsd_delta_is_refused_not_misread() {
+        let delta = BloomDelta::diff(&filter_with(0..10), &filter_with(0..20)).unwrap();
+        let mut old = delta.to_bytes().to_vec();
+        old[..4].copy_from_slice(b"IRSD");
+        assert_eq!(
+            BloomDelta::from_bytes(Bytes::from(old)),
+            Err(FilterError::Malformed("retired IRSD (SHA-256 key) delta"))
+        );
     }
 
     #[test]

@@ -18,9 +18,12 @@ use crate::xor::{has_duplicates, peel};
 use crate::{Filter, FilterError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Serialization magic for fuse filters ("IRSU"); the epoch-sealed base
-/// tier ships over the wire in this format.
-const MAGIC: u32 = 0x4952_5355;
+/// Serialization magic for fuse filters ("IRU2"), naming the key scheme
+/// like the Bloom filter's; the epoch-sealed base tier ships over the
+/// wire in this format.
+const MAGIC: u32 = 0x4952_5532;
+/// The retired magic of fuse filters over SHA-256-keyed ids ("IRSU").
+const RETIRED_MAGIC: u32 = 0x4952_5355;
 
 /// Seeds tried per capacity level.
 const SEEDS_PER_LEVEL: u64 = 8;
@@ -166,8 +169,12 @@ macro_rules! fuse_filter {
                 if data.remaining() < 37 {
                     return Err(FilterError::Malformed("fuse header truncated"));
                 }
-                if data.get_u32() != MAGIC {
-                    return Err(FilterError::Malformed("bad fuse magic"));
+                match data.get_u32() {
+                    MAGIC => {}
+                    RETIRED_MAGIC => {
+                        return Err(FilterError::Malformed("retired IRSU (SHA-256 key) fuse"))
+                    }
+                    _ => return Err(FilterError::Malformed("bad fuse magic")),
                 }
                 if data.get_u8() as usize != $fpbits {
                     return Err(FilterError::Malformed("fingerprint width mismatch"));
@@ -318,6 +325,16 @@ mod tests {
         assert!(Fuse8::from_bytes(bytes::Bytes::from(trunc)).is_err());
         // An 8-bit payload is not a 16-bit filter.
         assert!(Fuse16::from_bytes(bytes::Bytes::from(good)).is_err());
+    }
+
+    #[test]
+    fn irsu_base_is_refused_not_misread() {
+        let mut old = Fuse8::build(&keys(100)).unwrap().to_bytes().to_vec();
+        old[..4].copy_from_slice(b"IRSU");
+        assert_eq!(
+            Fuse8::from_bytes(bytes::Bytes::from(old)).unwrap_err(),
+            FilterError::Malformed("retired IRSU (SHA-256 key) fuse")
+        );
     }
 
     #[test]

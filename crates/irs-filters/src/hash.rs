@@ -1,9 +1,12 @@
 //! 64-bit mixing functions used by every filter in this crate.
 //!
-//! Filters key on `u64` values that are themselves digests of record
-//! identifiers, but we still re-mix with a per-filter seed so that (a) two
-//! filters built over the same key set have independent false-positive sets
-//! and (b) static construction can retry with a fresh seed on peel failure.
+//! Filters key on `u64` values. A record id's key is itself
+//! [`mix_seeded`]`(serial, ledger)` (`irs_core::RecordId::filter_key`):
+//! ids are public, dense serials, so the key need only be distinct and
+//! spread out, not one-way. Every filter still re-mixes its keys with a
+//! per-filter seed so that (a) two filters built over the same key set
+//! have independent false-positive sets and (b) static construction can
+//! retry with a fresh seed on peel failure.
 
 /// splitmix64 finalizer — a full-avalanche 64→64 bit mixer.
 #[inline]

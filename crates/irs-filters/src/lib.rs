@@ -29,7 +29,8 @@
 //!   `revoked \ base` from scratch.
 //!
 //! All filters share the [`Filter`] trait and key on `u64` values; callers
-//! hash record identifiers down to 64 bits (see `irs_core::RecordId`).
+//! mix record identifiers down to 64 bits with [`hash::mix_seeded`] (see
+//! `irs_core::RecordId::filter_key`).
 
 pub mod analysis;
 pub mod bloom;

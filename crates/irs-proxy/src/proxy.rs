@@ -18,9 +18,9 @@
 //!   in-flight lookups for longer than one pointer assignment.
 //! * **Status cache** — mutated on every hit (LRU recency), so it is
 //!   striped: `N` independent [`LruTtlCache`]s, each behind its own
-//!   `Mutex`, picked by a 64-bit mix of the record id (not its SHA-256
-//!   filter key, which only the filter probe computes). Lookups on different
-//!   stripes never contend. The stripe count is a constructor argument
+//!   `Mutex`, picked by the record's filter key, the same 64-bit mix
+//!   the filter probe uses. Lookups on different stripes never contend.
+//!   The stripe count is a constructor argument
 //!   ([`SharedProxy::with_shards`]); one stripe is an exact LRU, which
 //!   is what the single-threaded experiment rigs use.
 //! * **Counters** — sharded lock-free [`Counter`]s in an
@@ -33,7 +33,7 @@ use crate::lru::LruTtlCache;
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
-use irs_filters::hash::{mix_seeded, reduce};
+use irs_filters::hash::reduce;
 use irs_obs::{Counter, Gauge, Registry, SpanRecorder};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -244,11 +244,11 @@ impl SharedProxy {
         self
     }
 
-    /// The cache stripe of `id`: a 64-bit mix of (ledger, serial), so
-    /// only the filter probe pays for the SHA-256 `filter_key`.
-    fn shard_of(&self, id: &RecordId) -> usize {
-        let h = mix_seeded(id.serial, u64::from(id.ledger.0));
-        reduce(h, self.cache_shards.len() as u64) as usize
+    /// The cache stripe of a record with filter key `key`
+    /// ([`RecordId::filter_key`]): `reduce(key, N)`, so a lookup mixes
+    /// the id once for both the filter probe and the stripe.
+    fn shard_of(&self, key: u64) -> usize {
+        reduce(key, self.cache_shards.len() as u64) as usize
     }
 
     /// Classify a lookup. Order: merged revoked-set filter (cheapest,
@@ -269,10 +269,11 @@ impl SharedProxy {
         trace: Option<&Arc<SpanRecorder>>,
     ) -> LookupOutcome {
         self.obs.lookups.inc();
+        let key = id.filter_key();
         {
             let span = SpanRecorder::maybe(trace, "proxy:filter");
             let filters = self.filters_snapshot();
-            if filters.might_be_revoked(id.ledger, id.filter_key()) == Some(false) {
+            if filters.might_be_revoked(id.ledger, key) == Some(false) {
                 self.obs.filter_negative.inc();
                 span.verdict("negative");
                 return LookupOutcome::NotRevokedByFilter;
@@ -281,7 +282,7 @@ impl SharedProxy {
         }
         {
             let span = SpanRecorder::maybe(trace, "proxy:cache");
-            if let Some(status) = self.cache_shards[self.shard_of(&id)].lock().get(&id, now) {
+            if let Some(status) = self.cache_shards[self.shard_of(key)].lock().get(&id, now) {
                 self.obs.cache_hits.inc();
                 span.verdict("hit");
                 return LookupOutcome::Cached(status);
@@ -294,7 +295,7 @@ impl SharedProxy {
 
     /// Record a ledger answer (populates the cache stripe).
     pub fn complete(&self, id: RecordId, status: RevocationStatus, now: TimeMs) {
-        self.cache_shards[self.shard_of(&id)]
+        self.cache_shards[self.shard_of(id.filter_key())]
             .lock()
             .insert(id, status, now);
     }
@@ -304,7 +305,7 @@ impl SharedProxy {
     /// [`DegradedStats`] as a stale serve when it produces an answer and
     /// as unavailable when it does not.
     pub fn lookup_stale(&self, id: RecordId, now: TimeMs) -> Option<(RevocationStatus, u64)> {
-        let found = self.cache_shards[self.shard_of(&id)]
+        let found = self.cache_shards[self.shard_of(id.filter_key())]
             .lock()
             .peek_stale(&id, now);
         match found {
@@ -344,7 +345,9 @@ impl SharedProxy {
 
     /// Drop a cached status (revocation push / probe finding).
     pub fn invalidate(&self, id: &RecordId) {
-        self.cache_shards[self.shard_of(id)].lock().invalidate(id);
+        self.cache_shards[self.shard_of(id.filter_key())]
+            .lock()
+            .invalidate(id);
     }
 
     /// The current filter snapshot (cheap `Arc` clone; never blocks on
@@ -420,7 +423,7 @@ mod tests {
     use super::*;
     use crate::filterset::FilterUpdate;
     use irs_core::ids::LedgerId;
-    use irs_filters::BloomFilter;
+    use irs_filters::{BloomFilter, FilterError};
     use std::sync::atomic::Ordering;
     use std::thread;
 
@@ -534,6 +537,59 @@ mod tests {
                 .might_be_revoked(LedgerId(2), rid(1).filter_key()),
             Some(true)
         );
+    }
+
+    /// A tier encoded under the retired SHA-256 key scheme is refused,
+    /// so its ledger stays filterless: every lookup goes to the ledger,
+    /// none is answered "not revoked" by keys the filter never held.
+    #[test]
+    fn an_old_scheme_tier_is_refused_and_its_ledger_is_queried() {
+        let p = SharedProxy::new(ProxyConfig::default());
+        let retag = |bytes: bytes::Bytes, magic: &[u8; 4]| {
+            let mut v = bytes.to_vec();
+            v[..4].copy_from_slice(magic);
+            bytes::Bytes::from(v)
+        };
+        let bloom = BloomFilter::with_params(1 << 14, 6, 0).unwrap().to_bytes();
+        let base = irs_filters::Fuse8::build(&[rid(1).filter_key()])
+            .unwrap()
+            .to_bytes();
+        let old_delta = FilterUpdate::full(1, retag(bloom.clone(), b"IRSB"));
+        let old_base = FilterUpdate::Tiered {
+            epoch: 2,
+            base: retag(base, b"IRSU"),
+            delta_version: 0,
+            delta: bloom,
+        };
+        for update in [old_delta, old_base] {
+            let refused = p.update_filters(|fs| fs.apply(LedgerId(1), update));
+            assert!(
+                matches!(refused, Err(FilterError::Malformed(_))),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(p.filters_snapshot().rejected, 2);
+        assert_eq!(p.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
+        for n in 0..1_000 {
+            assert_eq!(p.lookup(rid(n), TimeMs(0)), LookupOutcome::NeedsLedgerQuery);
+        }
+        assert_eq!(p.stats().filter_negative, 0);
+    }
+
+    /// The stripe is `reduce(mix_seeded(serial, ledger), N)`: the filter
+    /// key reduced, so one mix serves the filter probe and the stripe.
+    #[test]
+    fn the_stripe_is_the_reduced_filter_key() {
+        let p = SharedProxy::new(ProxyConfig::default());
+        let n = p.cache_shards.len() as u64;
+        assert_eq!(n, DEFAULT_CACHE_SHARDS as u64);
+        for ledger in [0, 1, 7, u16::MAX] {
+            for serial in (0..500).chain([1 << 40, u64::MAX]) {
+                let id = RecordId::new(LedgerId(ledger), serial);
+                let mixed = irs_filters::hash::mix_seeded(serial, u64::from(ledger));
+                assert_eq!(p.shard_of(id.filter_key()), reduce(mixed, n) as usize);
+            }
+        }
     }
 
     #[test]
