@@ -154,7 +154,8 @@ impl KillOutcome {
 ///
 /// Under `LocalOnly` the poller is throttled, so replication lag is real
 /// and the kill lands mid-lag; under `WaitForFollower` it polls tight,
-/// and the ack gate means the tally must be perfect anyway.
+/// and holding each write until its follower ack means the tally must
+/// be perfect anyway.
 pub fn kill_sweep(
     policy: ReplicationPolicy,
     workload: &Workload,

@@ -29,7 +29,7 @@
 //! checksummed write-ahead log every mutation hits before it is
 //! acknowledged — claims, revokes and appeal pins all take the
 //! [`Ledger`]'s one durable-write step (apply and log under the stripe
-//! lock, commit, time, snapshot trigger, replication gate) —
+//! lock, commit, time, snapshot trigger, the follower ack it owes) —
 //! [`snapshot`] the periodic checkpoint that bounds replay, [`recovery`]
 //! the open-time replay that seeds the store from the snapshot and
 //! replays the WAL tail through `apply_logged` (failing closed on

@@ -28,8 +28,11 @@
 //! commit gives it a frame (or 100 ms pass and it is answered empty),
 //! so a write reaches the follower one round trip after its fsync
 //! instead of one poll sleep later. The [`ReplicationLog`] owns both
-//! kinds of hold and completes them under the mutex that moves the
-//! marks they wait on, so no wakeup is lost.
+//! kinds of hold: each is parked under the mutex that moves the mark it
+//! waits on, so no wakeup is lost, and handed its answer after unlock.
+//! How the answer travels is the holder's: a server's reactor slot, or
+//! the channel an in-process caller blocks on (which answers a poll at
+//! once instead of holding it).
 //!
 //! Sequence numbers are scoped to one primary *process instance*: a
 //! restarted primary restarts them after whatever its log holds, so a
@@ -41,7 +44,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -49,7 +52,6 @@ use irs_core::ids::LedgerId;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_obs::{Gauge, Histogram, Registry};
-use std::sync::{Condvar, Mutex};
 
 use crate::disk::Disk;
 use crate::recovery::RecoveryError;
@@ -262,11 +264,13 @@ enum Wait {
 /// replication: a committed write under
 /// [`ReplicationPolicy::WaitForFollower`] waits for the follower's ack,
 /// and a `WalSubscribe` with nothing to ship waits for the next commit.
-/// [`Ledger::handle`] resolves it in place — blocking for the write,
-/// answering the poll at once with its fallback. A server instead
-/// [`park`](Held::park)s it and answers [`fallback`](Held::fallback) if
-/// the [`deadline`](Held::deadline) passes first: the storage error for
-/// a write, an empty segment carrying the marks at hold time for a poll.
+/// Whoever holds it [`park`](Held::park)s it in the replication log and
+/// answers [`fallback`](Held::fallback) if the
+/// [`deadline`](Held::deadline) passes first: the storage error for a
+/// write, an empty segment carrying the marks at hold time for a poll. A
+/// server parks it in a reactor slot; an in-process caller
+/// ([`Ledger::handle`] and the typed writes) parks it on a channel it
+/// blocks on, and answers a poll its fallback at once.
 pub struct Held {
     log: Arc<ReplicationLog>,
     wait: Wait,
@@ -335,13 +339,24 @@ impl Held {
         None
     }
 
-    /// Resolve in place: a write's reply once `acked(seq)` says the
-    /// follower has it, else the fallback.
-    pub(crate) fn resolve(self, acked: impl FnOnce(u64) -> bool) -> Response {
-        match self.wait {
-            Wait::Ack { seq, reply } if acked(seq) => reply,
-            _ => self.fallback,
+    /// Block the calling thread on the reply — the in-process caller's
+    /// park: a write's answer once its follower ack arrives, the fallback
+    /// once the deadline passes first. A poll gets its fallback at once:
+    /// holding it would only stall an in-process tail.
+    pub(crate) fn wait(self) -> Response {
+        if let Wait::Ship { .. } = self.wait {
+            return self.fallback;
         }
+        let (deadline, fallback) = (self.deadline, self.fallback.clone());
+        let (tx, rx) = mpsc::sync_channel(1);
+        // A send after the receiver gave up finds no one; that is fine.
+        let parked = self.park(move |answer| {
+            let _ = tx.send(answer);
+        });
+        parked.unwrap_or_else(|| {
+            rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .unwrap_or(fallback)
+        })
     }
 }
 
@@ -361,12 +376,11 @@ impl From<Response> for Served {
 }
 
 /// The primary's in-memory tail of shipped-frame history, the
-/// follower-ack high-water mark the [`ReplicationPolicy::WaitForFollower`]
-/// gate waits on, and the replies [`Held`] on either. Single-follower: an
+/// follower-ack high-water mark [`ReplicationPolicy::WaitForFollower`]
+/// writes wait on, and the replies [`Held`] on either. Single-follower: an
 /// ack prunes everything it covers.
 pub struct ReplicationLog {
     inner: Mutex<LogInner>,
-    ack_cond: Condvar,
     retain: usize,
     /// Highest sequence number shipped as durable (scrape-time view).
     durable_gauge: Gauge,
@@ -389,7 +403,6 @@ impl ReplicationLog {
                 replicable_seq: next_seq.saturating_sub(1),
                 parked: Vec::new(),
             }),
-            ack_cond: Condvar::new(),
             retain: retain.max(1),
             durable_gauge: registry.gauge("irs_ledger_repl_durable_seq"),
             acked_gauge: registry.gauge("irs_ledger_repl_acked_seq"),
@@ -413,9 +426,8 @@ impl ReplicationLog {
     }
 
     /// Record a follower acknowledgement of every sequence number at or
-    /// below `seq`: completes the writes [`Held`] on it, wakes blocked
-    /// [`wait_acked`](Self::wait_acked) callers, prunes covered frames
-    /// and updates the lag gauge.
+    /// below `seq`: completes the writes [`Held`] on it (delivered after
+    /// unlocking), prunes covered frames and updates the lag gauge.
     pub fn record_ack(&self, seq: u64) {
         let mut inner = self.inner.lock().expect("replication log poisoned");
         if seq <= inner.acked_seq {
@@ -431,7 +443,6 @@ impl ReplicationLog {
             inner.frames.remove(&oldest);
             inner.start_seq = inner.start_seq.max(oldest + 1);
         }
-        self.ack_cond.notify_all();
         let answered = inner.take_answered();
         drop(inner);
         deliver(answered);
@@ -454,25 +465,6 @@ impl ReplicationLog {
             .lock()
             .expect("replication log poisoned")
             .acked_seq
-    }
-
-    /// Block until a follower ack covers `seq`, or `timeout` elapses.
-    /// Returns whether the ack arrived. Called *outside* any shard lock.
-    pub fn wait_acked(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("replication log poisoned");
-        while inner.acked_seq < seq {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            inner = self
-                .ack_cond
-                .wait_timeout(inner, deadline - now)
-                .expect("replication log poisoned")
-                .0;
-        }
-        true
     }
 
     /// Serve one bounded contiguous batch starting at `from_seq`, never
@@ -937,13 +929,19 @@ mod tests {
         let log = Arc::new(ReplicationLog::new(1, 64, &registry));
         log.publish(1, vec![1]);
         log.publish(2, vec![2]);
-        assert!(!log.wait_acked(2, Duration::from_millis(10)));
+        let timed_out = Response::MetricsText("timed out".into());
+        let write = |timeout| Held::ack(log.clone(), 2, Response::Pong, timeout, timed_out.clone());
+        assert_eq!(write(Duration::from_millis(10)).wait(), timed_out);
         let waiter = {
-            let log = log.clone();
-            std::thread::spawn(move || log.wait_acked(2, Duration::from_secs(5)))
+            let write = write(Duration::from_secs(5));
+            std::thread::spawn(move || write.wait())
         };
+        let parked = || log.inner.lock().unwrap().parked.len();
+        while parked() == 0 {
+            std::thread::yield_now();
+        }
         log.record_ack(2);
-        assert!(waiter.join().unwrap());
+        assert_eq!(waiter.join().unwrap(), Response::Pong);
         assert_eq!(log.acked_seq(), 2);
         // Pruned: a poll below the ack sees retention moved past it.
         let seg = log.segment(1, 16, 2);

@@ -215,7 +215,7 @@ pub struct Durability {
     /// Guards against concurrent automatic snapshots; requests that lose
     /// the race skip (the winner's snapshot covers their operations).
     snapshotting: AtomicBool,
-    /// Shipped-frame retention + follower-ack gate.
+    /// Shipped-frame retention, follower acks and the replies held on them.
     replication: Arc<ReplicationLog>,
     replication_policy: ReplicationPolicy,
 }
@@ -449,13 +449,14 @@ impl Ledger {
     ) -> Response {
         match self.serve_traced(request, now, trace) {
             Served::Ready(response) => response,
-            Served::Held(held) => held.resolve(|seq| self.await_ack(Some(seq)).is_ok()),
+            Served::Held(held) => held.wait(),
         }
     }
 
     /// The request path without waiting on replication: a committed write
     /// under `WaitForFollower`, and a `WalSubscribe` with nothing to ship,
-    /// come back [`Held`] for the caller to park (a server) or resolve.
+    /// come back [`Held`] for the caller to park (a server) or block on
+    /// ([`handle`](Self::handle)).
     pub fn serve(&self, request: Request, now: TimeMs) -> Served {
         self.serve_traced(request, now, None)
     }
@@ -648,7 +649,8 @@ impl Ledger {
     pub fn permanently_revoke(&self, id: &RecordId) -> Result<Result<(), StoreError>, WalError> {
         let pin = WalRecord::AppealPin { id: *id };
         let (verdict, owed) = self.durable_write(&pin, None)?;
-        self.await_ack(owed)?;
+        // The pin has no wire reply; any stands in for "acked".
+        acked(self.when_acked(owed, Response::Pong))?;
         Ok(verdict.map(drop))
     }
 
@@ -713,7 +715,7 @@ impl Ledger {
     ) -> Result<(RecordId, TimestampToken), WalError> {
         let (id, timestamp, owed) =
             self.claim_logged(req, origin, initially_revoked, now, trace)?;
-        self.await_ack(owed)?;
+        acked(self.when_acked(owed, Response::Claimed { id, timestamp }))?;
         Ok((id, timestamp))
     }
 
@@ -744,9 +746,9 @@ impl Ledger {
     /// 3. time it (`irs_ledger_durable_apply_us`, span `ledger:wal`);
     /// 4. count it toward the snapshot trigger;
     /// 5. under `WaitForFollower`, return the record's sequence number:
-    ///    the ack the caller still owes before acknowledging
-    ///    ([`await_ack`](Self::await_ack) in process, a [`Held`] reply
-    ///    on the wire).
+    ///    the ack the caller still owes before acknowledging, which
+    ///    [`when_acked`](Self::when_acked) turns into a [`Held`] reply
+    ///    (parked in a reactor slot on the wire, blocked on in process).
     ///
     /// Only applied records are logged, committed and owed; a refused
     /// one returns its store verdict. If the log write fails the mutation
@@ -787,17 +789,6 @@ impl Ledger {
             None => None,
         };
         Ok((out, owed))
-    }
-
-    /// Block until a follower acks `owed` (see [`durable_write`]); the
-    /// in-process resolution of a write's [`Held`] reply.
-    ///
-    /// [`durable_write`]: Self::durable_write
-    fn await_ack(&self, owed: Option<u64>) -> Result<(), WalError> {
-        match (owed, &self.durability) {
-            (Some(seq), Some(d)) => replication_gate(d, seq),
-            _ => Ok(()),
-        }
     }
 
     /// Count an operation toward the automatic-snapshot threshold and
@@ -975,17 +966,18 @@ fn ack_timeout_error() -> Response {
     err(codes::STORAGE, ACK_TIMEOUT)
 }
 
-/// Block until the configured [`ReplicationPolicy`] is satisfied for
-/// `seq` — the one place a thread parks on a follower ack, so only
-/// in-process callers reach it; a server holds the reply instead. Called
-/// after the local commit, *outside* every shard lock (the follower's
-/// poll must be able to reach the replication log while we wait). A
-/// timeout surfaces as a storage error: the write is durable locally but
-/// was never acknowledged, so the client retries — the at-least-once
-/// edge the guarantee matrix documents.
-fn replication_gate(d: &Durability, seq: u64) -> Result<(), WalError> {
-    if !d.replication.wait_acked(seq, d.ack_timeout()) {
-        return Err(WalError::Io(io::Error::other(ACK_TIMEOUT)));
+/// A typed write's wait on its follower ack: `Ok` once the reply is
+/// ready, [`ACK_TIMEOUT`] as a storage error if the hold answers its
+/// fallback. Called after the local commit, *outside* every shard
+/// lock (the follower's poll must reach the replication log meanwhile).
+/// A timeout means the write is durable locally but was never
+/// acknowledged, so the client retries — the at-least-once edge the
+/// guarantee matrix documents.
+fn acked(served: Served) -> Result<(), WalError> {
+    if let Served::Held(held) = served {
+        if held.wait() == ack_timeout_error() {
+            return Err(WalError::Io(io::Error::other(ACK_TIMEOUT)));
+        }
     }
     Ok(())
 }
@@ -1383,6 +1375,68 @@ mod tests {
             open().store().status(&id),
             Some((RevocationStatus::PermanentlyRevoked, 1))
         );
+    }
+
+    /// Under `WaitForFollower` every in-process write — the wire path's
+    /// `handle` and the typed calls — returns once a follower on another
+    /// thread acks it, and the storage error once the timeout passes with
+    /// no ack; an in-process poll with nothing to ship is answered at once.
+    #[test]
+    fn in_process_writes_wait_for_their_follower_ack() {
+        use crate::replication::{Follower, SegmentData};
+        let disk = |seed| -> Arc<dyn Disk> {
+            Arc::new(crate::ChaosDisk::new(crate::ChaosDiskConfig::off(seed)))
+        };
+        let durable = |disk: &Arc<dyn Disk>, timeout_ms| {
+            let mut durability = DurabilityConfig::new(disk.clone(), FsyncPolicy::Always);
+            durability.replication = ReplicationPolicy::WaitForFollower { timeout_ms };
+            durability
+        };
+        let config = LedgerConfig::new(LedgerId(1));
+        let tsa = TimestampAuthority::from_seed(1);
+        let open = |durability| Ledger::recover(config.clone(), tsa.clone(), 4, durability);
+        let claim =
+            |seed: u8| ClaimRequest::create(&Keypair::from_seed(&[seed; 32]), &Digest::of(&[seed]));
+
+        let primary_disk = disk(1);
+        let primary = open(durable(&primary_disk, 2_000)).unwrap();
+        let (seq, snap) = primary.replication_snapshot().unwrap();
+        let replica = durable(&disk(2), 0);
+        let mut follower =
+            Follower::bootstrap(config.clone(), tsa.clone(), 4, replica, seq, &snap).unwrap();
+        let stop = AtomicBool::new(false);
+        let custodial = thread::scope(|s| {
+            let tail = s.spawn(|| follower.run(|req| Some(primary.handle(req, TimeMs(0))), &stop));
+            let started = Instant::now();
+            let (id, _) = claim_one(&primary, 1);
+            let (custodial, _) = primary.claim_custodial(claim(2), TimeMs(2)).unwrap();
+            assert_eq!(primary.permanently_revoke(&id).unwrap(), Ok(()));
+            assert!(started.elapsed() < Duration::from_millis(1_000));
+            stop.store(true, Ordering::SeqCst);
+            tail.join().unwrap().unwrap();
+            custodial
+        });
+        drop(primary);
+
+        // The same disk, no follower: every write answers the timeout.
+        let primary = open(durable(&primary_disk, 50)).unwrap();
+        let timed_out = |e: WalError| assert!(e.to_string().contains(ACK_TIMEOUT), "{e}");
+        let claimed = primary.handle(Request::Claim(claim(3)), TimeMs(3));
+        assert_eq!(claimed, ack_timeout_error());
+        timed_out(primary.claim_custodial(claim(4), TimeMs(4)).unwrap_err());
+        timed_out(primary.permanently_revoke(&custodial).unwrap_err());
+
+        let from_seq = primary.durability().unwrap().replicable_seq() + 1;
+        let started = Instant::now();
+        let poll = primary.handle(
+            Request::WalSubscribe {
+                from_seq,
+                max_frames: 64,
+            },
+            TimeMs(5),
+        );
+        assert!(SegmentData::try_from(poll).unwrap().frames.is_empty());
+        assert!(started.elapsed() < Duration::from_millis(20));
     }
 
     /// One exposition, durable or not: a memory-only ledger answers

@@ -4,9 +4,11 @@
 //! all**: the first `Query` for a record id becomes the leader and goes
 //! upstream immediately; every
 //! concurrent `Query` for the *same* id becomes a follower that waits on
-//! the leader's flight and receives a copy of its verdict (success or
-//! typed error, via [`NetError::replicate`]). Distinct ids never wait on
-//! each other.
+//! its own channel until the leader, landing, hands it a copy of the
+//! verdict (success or typed error, via [`NetError::replicate`]). A
+//! landing wakes only its own id's followers, and distinct ids never
+//! wait on each other. A group's repeats of one id (a connection's
+//! pipelined burst) are concurrent misses too, and share one answer.
 //!
 //! Composed *inside* [`CacheLayer`](super::CacheLayer) (DESIGN.md §14),
 //! only genuine cache misses reach it, so a viral photo whose cached
@@ -16,17 +18,19 @@
 //! Metrics (when built with a registry): `irs_net_sf_leader_total`,
 //! `irs_net_sf_coalesced_total`, `irs_net_sf_wait_us`.
 
-use super::{CallCtx, Layer, Service};
+use super::{CallCtx, Layer, Pending, Service};
 use crate::NetError;
 use irs_core::ids::RecordId;
 use irs_core::wire::{Request, Response};
 use irs_obs::{Counter, Histogram, Registry};
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A follower waits at most this long past its deadline-less caller's
-/// patience for a leader that died mid-flight.
+/// How long a follower waits for its leader: at most 5 s, or until its
+/// caller's deadline if that comes sooner (a leader that died mid-flight
+/// never answers).
 const FOLLOWER_HARD_CAP: Duration = Duration::from_secs(5);
 
 /// Wraps a service in per-record single-flight coalescing.
@@ -63,7 +67,6 @@ impl<S: Service> Layer<S> for SingleFlightLayer {
         SingleFlight {
             inner,
             flights: Mutex::new(HashMap::new()),
-            landed: Condvar::new(),
             leaders,
             coalesced,
             wait_us,
@@ -71,20 +74,16 @@ impl<S: Service> Layer<S> for SingleFlightLayer {
     }
 }
 
-/// One in-progress upstream call and its published outcome.
-struct Flight {
-    /// `None` while the leader is still upstream.
-    outcome: Option<Result<Response, NetError>>,
-    /// Followers currently interested; the flight entry is removed when
-    /// the last one leaves, so a later miss starts a fresh flight.
-    waiters: usize,
-}
+/// Where a follower is handed its leader's outcome.
+type Follower = SyncSender<Result<Response, NetError>>;
 
 /// The [`SingleFlightLayer`] service.
 pub struct SingleFlight<S> {
     inner: S,
-    flights: Mutex<HashMap<RecordId, Flight>>,
-    landed: Condvar,
+    /// The ids in flight, each with the followers its leader will hand
+    /// the outcome to. The leader removes the entry when it lands, so a
+    /// later miss flies fresh.
+    flights: Mutex<HashMap<RecordId, Vec<Follower>>>,
     leaders: Counter,
     coalesced: Counter,
     wait_us: Histogram,
@@ -100,12 +99,13 @@ impl<S> SingleFlight<S> {
     pub fn coalesced(&self) -> u64 {
         self.coalesced.get()
     }
+}
 
-    fn replicate_outcome(outcome: &Result<Response, NetError>) -> Result<Response, NetError> {
-        match outcome {
-            Ok(resp) => Ok(resp.clone()),
-            Err(e) => Err(e.replicate()),
-        }
+/// A copy of a flight's outcome for one more caller.
+fn replicate(outcome: &Result<Response, NetError>) -> Result<Response, NetError> {
+    match outcome {
+        Ok(response) => Ok(response.clone()),
+        Err(e) => Err(e.replicate()),
     }
 }
 
@@ -117,80 +117,85 @@ impl<S: Service> Service for SingleFlight<S> {
             return self.inner.call(req, ctx);
         };
 
-        let mut flights = self.flights.lock().expect("singleflight state poisoned");
-        if let Some(flight) = flights.get_mut(&id) {
-            // Follower: the id is already in flight. Wait for the
-            // outcome, bounded by the call deadline (a wedged leader
-            // must not hold a follower past its caller's patience).
-            flight.waiters += 1;
+        let joined = match self
+            .flights
+            .lock()
+            .expect("singleflight state poisoned")
+            .entry(id)
+        {
+            Entry::Occupied(mut followers) => {
+                let (tx, rx) = mpsc::sync_channel(1);
+                followers.get_mut().push(tx);
+                Some(rx)
+            }
+            Entry::Vacant(flight) => {
+                flight.insert(Vec::new());
+                None
+            }
+        };
+        if let Some(outcome) = joined {
+            // Follower: the id is already in flight. Wait for the leader
+            // to hand over its outcome, bounded by the call deadline (a
+            // wedged leader must not hold a follower past its caller's
+            // patience).
             span.verdict("coalesced");
             self.coalesced.inc();
             let started = Instant::now();
             let give_up = ctx.deadline.map_or(started + FOLLOWER_HARD_CAP, |d| {
                 d.min(started + FOLLOWER_HARD_CAP)
             });
-            loop {
-                if let Some(outcome) = flights.get(&id).and_then(|f| f.outcome.as_ref()) {
-                    let result = Self::replicate_outcome(outcome);
-                    let flight = flights.get_mut(&id).expect("outcome implies flight");
-                    flight.waiters -= 1;
-                    if flight.waiters == 0 {
-                        flights.remove(&id);
-                    }
-                    self.wait_us.record_since(started);
-                    return result;
-                }
-                let now = Instant::now();
-                if now >= give_up {
-                    let flight = flights.get_mut(&id).expect("waiter holds a flight");
-                    flight.waiters -= 1;
-                    if flight.outcome.is_some() && flight.waiters == 0 {
-                        flights.remove(&id);
-                    }
-                    self.wait_us.record_since(started);
-                    return Err(if ctx.expired() {
+            let result = outcome
+                .recv_timeout(give_up.saturating_duration_since(started))
+                .unwrap_or_else(|_| {
+                    Err(if ctx.expired() {
                         NetError::DeadlineExceeded
                     } else {
                         NetError::Frame("single-flight leader timed out")
-                    });
-                }
-                // Re-check every 50 ms so a missed notify can't wedge a
-                // follower.
-                let wait = (give_up - now).min(Duration::from_millis(50));
-                let (next, _timeout) = self
-                    .landed
-                    .wait_timeout(flights, wait)
-                    .expect("singleflight state poisoned");
-                flights = next;
-            }
+                    })
+                });
+            self.wait_us.record_since(started);
+            return result;
         }
 
-        // Leader: register the flight, then go upstream without the lock.
-        flights.insert(
-            id,
-            Flight {
-                outcome: None,
-                waiters: 0,
-            },
-        );
-        drop(flights);
+        // Leader: the flight is registered; go upstream without the lock,
+        // then retire the flight and hand each follower a copy after
+        // unlocking (one that gave up is gone; the send finds no one).
         span.verdict("leader");
         self.leaders.inc();
         let result = self.inner.call(Request::Query { id }, ctx);
-
-        let mut flights = self.flights.lock().expect("singleflight state poisoned");
-        let replicated = Self::replicate_outcome(&result);
-        let flight = flights.get_mut(&id).expect("leader owns a flight");
-        if flight.waiters == 0 {
-            // Nobody coalesced: retire the flight immediately so the
-            // next miss (e.g. after the cache TTL lapses) flies fresh.
-            flights.remove(&id);
-        } else {
-            flight.outcome = Some(replicated);
-            self.landed.notify_all();
+        let followers = self
+            .flights
+            .lock()
+            .expect("singleflight state poisoned")
+            .remove(&id)
+            .expect("leader owns a flight");
+        for follower in followers {
+            let _ = follower.send(replicate(&result));
         }
-        drop(flights);
         result
+    }
+
+    /// A group's repeats of one id are concurrent misses too: the first
+    /// goes through [`call`](Service::call) (a flight of its own or
+    /// someone else's), and each repeat is handed a copy of its answer.
+    fn start_all(&self, reqs: Vec<Request>, ctx: &CallCtx) -> Pending<'_> {
+        let mut first: HashMap<RecordId, Result<Response, NetError>> = HashMap::new();
+        let answers = reqs.into_iter().map(|req| match req {
+            Request::Query { id } => match first.get(&id) {
+                Some(answer) => {
+                    ctx.span("singleflight").verdict("coalesced");
+                    self.coalesced.inc();
+                    replicate(answer)
+                }
+                None => {
+                    let answer = self.call(req, ctx);
+                    first.insert(id, replicate(&answer));
+                    answer
+                }
+            },
+            _ => self.call(req, ctx),
+        });
+        Pending::Ready(answers.collect())
     }
 }
 
@@ -353,6 +358,55 @@ mod tests {
             "follower must give up at its deadline"
         );
         assert!(leader.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn a_group_repeating_an_id_flies_it_once() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let svc = slow_upstream(calls.clone(), Duration::ZERO).layered(SingleFlightLayer::new());
+        let (a, b) = (RecordId::new(LedgerId(1), 1), RecordId::new(LedgerId(1), 2));
+        let group = [a, b, a, a].map(|id| Request::Query { id }).to_vec();
+        let answered: Vec<_> = svc
+            .call_all(group, &CallCtx::at(TimeMs(0)))
+            .into_iter()
+            .map(|answer| match answer {
+                Ok(Response::Status { id, .. }) => id,
+                other => panic!("expected a status, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(answered, [a, b, a, a]);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!((svc.leaders(), svc.coalesced()), (2, 2));
+    }
+
+    #[test]
+    fn a_follower_that_gives_up_leaves_the_flight_to_its_leader() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let svc = Arc::new(
+            slow_upstream(calls.clone(), Duration::from_millis(200))
+                .layered(SingleFlightLayer::new()),
+        );
+        let id = RecordId::new(LedgerId(1), 6);
+        let leader = {
+            let svc = svc.clone();
+            std::thread::spawn(move || svc.call(Request::Query { id }, &CallCtx::at(TimeMs(0))))
+        };
+        std::thread::sleep(Duration::from_millis(50)); // let the leader take off
+        let ctx = CallCtx::at(TimeMs(0)).with_deadline(Instant::now() + Duration::from_millis(20));
+        let result = svc.call(Request::Query { id }, &ctx);
+        assert!(
+            matches!(result, Err(NetError::DeadlineExceeded)),
+            "the follower gives up typed, got {result:?}"
+        );
+        assert!(matches!(
+            leader.join().unwrap(),
+            Ok(Response::Status { epoch: 7, .. })
+        ));
+        // The landed flight is retired: the next miss is a fresh leader.
+        svc.call(Request::Query { id }, &CallCtx::at(TimeMs(0)))
+            .unwrap();
+        assert_eq!(svc.leaders(), 2);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]
