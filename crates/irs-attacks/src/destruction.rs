@@ -6,7 +6,6 @@
 //! self-defeating…" (§5).
 
 use irs_core::photo::{LabelState, PhotoFile};
-use irs_core::policy::UploadDecision;
 use irs_imaging::manipulate::{apply_all, Manipulation};
 use irs_imaging::watermark::WatermarkConfig;
 
@@ -53,24 +52,13 @@ pub fn destruction_attack(
     (attacked, report)
 }
 
-/// The §5 "self-defeating" check: a watermark-surviving, metadata-stripped
-/// photo must be denied on upload (inconsistent label). Returns the upload
-/// decision an IRS aggregator makes for the attacked photo.
-pub fn upload_decision_for_attacked(
-    attacked: PhotoFile,
-    aggregator: &mut irs_aggregator::Aggregator,
-    ledgers: &mut dyn irs_aggregator::LedgerDirectory,
-    now: irs_core::time::TimeMs,
-) -> UploadDecision {
-    aggregator.upload(attacked, ledgers, now).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use irs_aggregator::{Aggregator, AggregatorConfig, LocalLedgers};
     use irs_core::camera::Camera;
     use irs_core::ids::LedgerId;
+    use irs_core::policy::UploadDecision;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
@@ -111,8 +99,7 @@ mod tests {
         let (attacked, report) = destruction_attack(&labeled, &[], &WatermarkConfig::default());
         assert!(report.watermark_survived, "no distortion applied");
         assert!(report.label_state_inconsistent);
-        let decision =
-            upload_decision_for_attacked(attacked, &mut agg, &mut ledgers, TimeMs(1_000));
+        let decision = agg.upload(attacked, &mut ledgers, TimeMs(1_000)).0;
         assert_eq!(decision, UploadDecision::DeniedInconsistentLabel);
     }
 
@@ -126,8 +113,7 @@ mod tests {
             report.watermark_survived,
             "mild distortion must not kill the watermark"
         );
-        let decision =
-            upload_decision_for_attacked(attacked, &mut agg, &mut ledgers, TimeMs(1_000));
+        let decision = agg.upload(attacked, &mut ledgers, TimeMs(1_000)).0;
         assert_eq!(decision, UploadDecision::DeniedInconsistentLabel);
     }
 
@@ -151,8 +137,7 @@ mod tests {
             report.psnr_db
         );
         // Now unlabeled → strict aggregator rejects anyway.
-        let decision =
-            upload_decision_for_attacked(attacked, &mut agg, &mut ledgers, TimeMs(1_000));
+        let decision = agg.upload(attacked, &mut ledgers, TimeMs(1_000)).0;
         assert_eq!(decision, UploadDecision::DeniedUnlabeled);
     }
 

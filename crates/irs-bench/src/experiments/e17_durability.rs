@@ -16,20 +16,16 @@
 //!    in-memory, so this isolates the logging overhead (encoding, CRC,
 //!    group-commit locking), not spindle physics.
 
+use crate::rig::{count_recovered, ledger_config, Workload};
 use crate::table::{f, Table};
-use irs_core::claim::{ClaimRequest, RevokeRequest};
-use irs_core::ids::{LedgerId, RecordId};
+use irs_core::claim::ClaimRequest;
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
-use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
-    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, FsyncPolicy, Ledger, LedgerConfig,
+    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, FsyncPolicy, Ledger, RecoveryError,
 };
 use std::sync::Arc;
-
-/// Ledger id used throughout.
-const LEDGER: LedgerId = LedgerId(1);
 
 /// Fsync policies swept by the crash and cost tables.
 pub const POLICIES: [FsyncPolicy; 3] = [
@@ -38,59 +34,14 @@ pub const POLICIES: [FsyncPolicy; 3] = [
     FsyncPolicy::OsDefault,
 ];
 
-fn config() -> LedgerConfig {
-    LedgerConfig::new(LEDGER)
-}
-
 fn tsa() -> TimestampAuthority {
     TimestampAuthority::from_seed(0xE17)
 }
 
-fn durable(disk: &Arc<ChaosDisk>, fsync: FsyncPolicy) -> DurabilityConfig {
-    DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, fsync)
-}
-
-/// A precomputed claim+revoke workload (signing hoisted out of the sweep).
-pub struct Workload {
-    claims: Vec<ClaimRequest>,
-    revokes: Vec<RevokeRequest>,
-}
-
-impl Workload {
-    /// Precompute `claims` signed claims plus a revoke of every even
-    /// serial.
-    pub fn new(claims: u64) -> Workload {
-        let kp = Keypair::from_seed(&[0x17; 32]);
-        Workload {
-            claims: (0..claims)
-                .map(|i| ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes())))
-                .collect(),
-            revokes: (0..claims)
-                .step_by(2)
-                .map(|s| RevokeRequest::create(&kp, RecordId::new(LEDGER, s), true, 0))
-                .collect(),
-        }
-    }
-
-    /// Drive the ledger until done or the first storage failure; returns
-    /// the acknowledged (claim ids, revoked serials).
-    fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
-        let mut claims = Vec::new();
-        let mut revokes = Vec::new();
-        for (i, req) in self.claims.iter().enumerate() {
-            match ledger.claim_custodial(*req, TimeMs(i as u64)) {
-                Ok((id, _)) => claims.push(id),
-                Err(_) => return (claims, revokes),
-            }
-        }
-        for rv in &self.revokes {
-            match ledger.handle(Request::Revoke(*rv), TimeMs(100)) {
-                Response::RevokeAck { .. } => revokes.push(rv.id.serial),
-                _ => return (claims, revokes),
-            }
-        }
-        (claims, revokes)
-    }
+/// Open (or reopen) the drill's durable ledger on `disk` under `fsync`.
+fn recover(disk: &Arc<ChaosDisk>, fsync: FsyncPolicy) -> Result<Ledger, RecoveryError> {
+    let durability = DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, fsync);
+    Ledger::recover(ledger_config(), tsa(), 4, durability)
 }
 
 /// One crash-sweep cell: how many acknowledged writes survived recovery,
@@ -120,7 +71,7 @@ impl SweepOutcome {
 pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> SweepOutcome {
     // Dry run to learn the log's extent under this policy.
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(1)));
-    let ledger = Ledger::recover(config(), tsa(), 4, durable(&calm, fsync)).unwrap();
+    let ledger = recover(&calm, fsync).unwrap();
     workload.run(&ledger);
     let total = calm.total_appended();
 
@@ -129,7 +80,7 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
     let mut cap = 1;
     while cap < total {
         let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::crash_at(0xE17, cap)));
-        let acked = match Ledger::recover(config(), tsa(), 4, durable(&disk, fsync)) {
+        let acked = match recover(&disk, fsync) {
             Ok(ledger) => workload.run(&ledger),
             // Power loss during the very first header write: nothing acked.
             Err(_) => (Vec::new(), Vec::new()),
@@ -137,27 +88,8 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
         out.crash_points += 1;
         out.acked += (acked.0.len() + acked.1.len()) as u64;
 
-        let recovered = Ledger::recover(config(), tsa(), 4, durable(&disk, fsync)).unwrap();
-        for id in &acked.0 {
-            if matches!(
-                recovered.handle(Request::Query { id: *id }, TimeMs(1_000)),
-                Response::Status { .. }
-            ) {
-                out.recovered += 1;
-            }
-        }
-        for &serial in &acked.1 {
-            let id = RecordId::new(LEDGER, serial);
-            if matches!(
-                recovered.handle(Request::Query { id }, TimeMs(1_000)),
-                Response::Status {
-                    status: irs_core::claim::RevocationStatus::Revoked,
-                    ..
-                }
-            ) {
-                out.recovered += 1;
-            }
-        }
+        let recovered = recover(&disk, fsync).unwrap();
+        out.recovered += count_recovered(&recovered, &acked);
         cap += stride;
     }
     out
@@ -167,8 +99,7 @@ pub fn crash_sweep(fsync: FsyncPolicy, workload: &Workload, points: u64) -> Swee
 /// (recovery µs, records replayed from WAL, records from snapshot).
 pub fn recovery_time(records: u64, snapshot: bool) -> (u64, usize, usize) {
     let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(2)));
-    let ledger =
-        Ledger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault)).unwrap();
+    let ledger = recover(&disk, FsyncPolicy::OsDefault).unwrap();
     let kp = Keypair::from_seed(&[0x18; 32]);
     for i in 0..records {
         ledger
@@ -184,8 +115,7 @@ pub fn recovery_time(records: u64, snapshot: bool) -> (u64, usize, usize) {
     drop(ledger);
 
     let start = std::time::Instant::now();
-    let recovered =
-        Ledger::recover(config(), tsa(), 4, durable(&disk, FsyncPolicy::OsDefault)).unwrap();
+    let recovered = recover(&disk, FsyncPolicy::OsDefault).unwrap();
     let micros = start.elapsed().as_micros() as u64;
     let report = recovered.recovery_report().unwrap();
     assert_eq!(recovered.store().len() as u64, records);
@@ -201,8 +131,8 @@ pub fn write_cost(fsync: Option<FsyncPolicy>, claims: u64) -> (f64, f64) {
         .collect();
     let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(3)));
     let ledger = match fsync {
-        Some(policy) => Ledger::recover(config(), tsa(), 4, durable(&disk, policy)).unwrap(),
-        None => Ledger::new(config(), tsa()),
+        Some(policy) => recover(&disk, policy).unwrap(),
+        None => Ledger::new(ledger_config(), tsa()),
     };
     let start = std::time::Instant::now();
     for (i, req) in requests.iter().enumerate() {
@@ -215,7 +145,7 @@ pub fn write_cost(fsync: Option<FsyncPolicy>, claims: u64) -> (f64, f64) {
 
 /// Run E17.
 pub fn run(quick: bool) -> String {
-    let workload = Workload::new(if quick { 12 } else { 32 });
+    let workload = Workload::new(0x17, if quick { 12 } else { 32 });
     let points = if quick { 16 } else { 64 };
 
     let mut sweep = Table::new(
@@ -320,7 +250,7 @@ mod tests {
     /// never prevents startup (recover() inside the sweep would panic).
     #[test]
     fn always_policy_recovers_every_acked_write() {
-        let workload = Workload::new(6);
+        let workload = Workload::new(0x17, 6);
         let out = crash_sweep(FsyncPolicy::Always, &workload, 10);
         assert!(out.crash_points >= 9);
         assert!(out.acked > 0, "some crash points must land mid-workload");
@@ -331,7 +261,7 @@ mod tests {
     /// distinguishes the policies rather than rubber-stamping them.
     #[test]
     fn lazy_policies_can_lose_tail_writes() {
-        let workload = Workload::new(6);
+        let workload = Workload::new(0x17, 6);
         let lazy = crash_sweep(FsyncPolicy::OsDefault, &workload, 10);
         assert!(
             lazy.recovered <= lazy.acked,

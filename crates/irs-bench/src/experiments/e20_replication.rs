@@ -21,34 +21,27 @@
 //! primary server killed, `Failover` rotating onto the replica — is
 //! E22b's shard-1 drill.
 
-use crate::rig::chaos_seed;
+use crate::rig::{chaos_seed, count_recovered, ledger_config, Workload, LEDGER};
 use crate::table::{f, Table};
-use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
-use irs_core::ids::{LedgerId, RecordId};
+use irs_core::claim::{ClaimRequest, RevokeRequest};
+use irs_core::ids::RecordId;
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
-    LedgerConfig, ReplicationPolicy,
+    ReplicationPolicy,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Ledger id used throughout.
-const LEDGER: LedgerId = LedgerId(1);
 
 /// Replication policies swept by the kill table.
 pub const POLICIES: [ReplicationPolicy; 2] = [
     ReplicationPolicy::LocalOnly,
     ReplicationPolicy::WaitForFollower { timeout_ms: 2_000 },
 ];
-
-fn config() -> LedgerConfig {
-    LedgerConfig::new(LEDGER)
-}
 
 fn tsa() -> TimestampAuthority {
     TimestampAuthority::from_seed(0xE20)
@@ -58,76 +51,6 @@ fn durable(disk: &Arc<ChaosDisk>, replication: ReplicationPolicy) -> DurabilityC
     let mut d = DurabilityConfig::new(disk.clone() as Arc<dyn Disk>, FsyncPolicy::Always);
     d.replication = replication;
     d
-}
-
-/// A precomputed claim+revoke workload (signing hoisted out of the sweep).
-pub struct Workload {
-    claims: Vec<ClaimRequest>,
-    revokes: Vec<RevokeRequest>,
-}
-
-impl Workload {
-    /// Precompute `claims` signed claims plus a revoke of every even
-    /// serial.
-    pub fn new(claims: u64) -> Workload {
-        let kp = Keypair::from_seed(&[0x20; 32]);
-        Workload {
-            claims: (0..claims)
-                .map(|i| ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes())))
-                .collect(),
-            revokes: (0..claims)
-                .step_by(2)
-                .map(|s| RevokeRequest::create(&kp, RecordId::new(LEDGER, s), true, 0))
-                .collect(),
-        }
-    }
-
-    /// Drive the ledger until done or the first storage failure — the
-    /// kill. Returns the acknowledged (claim ids, revoked serials).
-    fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
-        let mut claims = Vec::new();
-        let mut revokes = Vec::new();
-        for (i, req) in self.claims.iter().enumerate() {
-            match ledger.claim_custodial(*req, TimeMs(i as u64)) {
-                Ok((id, _)) => claims.push(id),
-                Err(_) => return (claims, revokes),
-            }
-        }
-        for rv in &self.revokes {
-            match ledger.handle(Request::Revoke(*rv), TimeMs(100)) {
-                Response::RevokeAck { .. } => revokes.push(rv.id.serial),
-                _ => return (claims, revokes),
-            }
-        }
-        (claims, revokes)
-    }
-}
-
-/// Count how many of the acknowledged writes are visible on `ledger`
-/// (claims answer, revokes answer revoked).
-fn count_recovered(ledger: &Ledger, acked: &(Vec<RecordId>, Vec<u64>)) -> u64 {
-    let mut recovered = 0;
-    for id in &acked.0 {
-        if matches!(
-            ledger.handle(Request::Query { id: *id }, TimeMs(1_000)),
-            Response::Status { .. }
-        ) {
-            recovered += 1;
-        }
-    }
-    for &serial in &acked.1 {
-        let id = RecordId::new(LEDGER, serial);
-        if matches!(
-            ledger.handle(Request::Query { id }, TimeMs(1_000)),
-            Response::Status {
-                status: RevocationStatus::Revoked,
-                ..
-            }
-        ) {
-            recovered += 1;
-        }
-    }
-    recovered
 }
 
 /// One kill-sweep cell, summed over every kill point.
@@ -166,7 +89,7 @@ pub fn kill_sweep(
     // workload, same fsync).
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed)));
     let ledger = Ledger::recover(
-        config(),
+        ledger_config(),
         tsa(),
         4,
         durable(&calm, ReplicationPolicy::LocalOnly),
@@ -183,7 +106,7 @@ pub fn kill_sweep(
     while cap < total {
         out.kill_points += 1;
         let disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::crash_at(seed, cap)));
-        let Ok(primary) = Ledger::recover(config(), tsa(), 4, durable(&disk, policy)) else {
+        let Ok(primary) = Ledger::recover(ledger_config(), tsa(), 4, durable(&disk, policy)) else {
             // Killed during the very first header write: nothing acked,
             // nothing to promote.
             cap += stride;
@@ -192,7 +115,7 @@ pub fn kill_sweep(
         let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed + 1)));
         let (snap_seq, snap_data) = primary.replication_snapshot().unwrap();
         let mut follower = Follower::bootstrap(
-            config(),
+            ledger_config(),
             tsa(),
             4,
             durable(&follower_disk, ReplicationPolicy::LocalOnly),
@@ -238,7 +161,7 @@ pub fn kill_sweep(
 pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
     let calm = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(7)));
     let primary = Ledger::recover(
-        config(),
+        ledger_config(),
         tsa(),
         4,
         durable(&calm, ReplicationPolicy::LocalOnly),
@@ -256,7 +179,7 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
     let (snap_seq, snap_data) = primary.replication_snapshot().unwrap();
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(8)));
     let mut follower = Follower::bootstrap(
-        config(),
+        ledger_config(),
         tsa(),
         4,
         durable(&follower_disk, ReplicationPolicy::LocalOnly),
@@ -295,7 +218,7 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
 /// Run E20.
 pub fn run(quick: bool) -> String {
     let seed = chaos_seed(0xE20);
-    let workload = Workload::new(if quick { 16 } else { 32 });
+    let workload = Workload::new(0x20, if quick { 16 } else { 32 });
     let points = if quick { 50 } else { 80 };
 
     let (records, snap_bytes, identical) = catch_up(if quick { 40 } else { 120 }, 15);
@@ -366,7 +289,7 @@ pub fn run(quick: bool) -> String {
 /// point count — the guarantee is per-point, not amortized.
 pub fn check(quick: bool) -> Result<String, String> {
     let seed = chaos_seed(0xE20);
-    let workload = Workload::new(if quick { 12 } else { 32 });
+    let workload = Workload::new(0x20, if quick { 12 } else { 32 });
     let points = if quick { 50 } else { 80 };
 
     let (_, _, identical) = catch_up(if quick { 30 } else { 120 }, 10);
@@ -412,7 +335,7 @@ mod tests {
     /// at any kill point.
     #[test]
     fn wait_follower_loses_nothing() {
-        let workload = Workload::new(6);
+        let workload = Workload::new(0x20, 6);
         let out = kill_sweep(
             ReplicationPolicy::WaitForFollower { timeout_ms: 2_000 },
             &workload,
@@ -427,7 +350,7 @@ mod tests {
     /// recovered never exceeds acked.
     #[test]
     fn local_only_bounded_by_acked() {
-        let workload = Workload::new(6);
+        let workload = Workload::new(0x20, 6);
         let out = kill_sweep(ReplicationPolicy::LocalOnly, &workload, 12, 0xE20);
         assert!(out.recovered <= out.acked);
     }

@@ -8,12 +8,15 @@
 //!   preloaded ledger from here, and record every latency percentile
 //!   into [`irs_simnet::Histogram`] — the exact nearest-rank histogram
 //!   E1 and E14 use.
+//! * The durability drills (E17, E20) drive one claim+revoke
+//!   [`Workload`] against one ledger and count the acknowledged writes
+//!   that survived.
 
-use irs_core::claim::{ClaimRequest, RevocationStatus};
+use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
-use irs_core::wire::Request;
+use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
 use irs_ledger::{Ledger, LedgerConfig};
@@ -111,10 +114,89 @@ pub fn preloaded_ledger(records: u64) -> Ledger {
     ledger
 }
 
+/// The ledger the durability drills (E17, E20) write to.
+pub(crate) const LEDGER: LedgerId = LedgerId(1);
+
+/// The durability drills' ledger configuration.
+pub(crate) fn ledger_config() -> LedgerConfig {
+    LedgerConfig::new(LEDGER)
+}
+
+/// A precomputed claim+revoke workload (signing hoisted out of the
+/// durability sweeps).
+pub struct Workload {
+    claims: Vec<ClaimRequest>,
+    revokes: Vec<RevokeRequest>,
+}
+
+impl Workload {
+    /// Precompute `claims` claims signed by the keypair of `key_seed`,
+    /// plus a revoke of every even serial.
+    pub fn new(key_seed: u8, claims: u64) -> Workload {
+        let kp = Keypair::from_seed(&[key_seed; 32]);
+        Workload {
+            claims: (0..claims)
+                .map(|i| ClaimRequest::create(&kp, &Digest::of(&i.to_le_bytes())))
+                .collect(),
+            revokes: (0..claims)
+                .step_by(2)
+                .map(|s| RevokeRequest::create(&kp, RecordId::new(LEDGER, s), true, 0))
+                .collect(),
+        }
+    }
+
+    /// Drive the ledger until done or the first storage failure — the
+    /// crash or the kill. Returns the acknowledged (claim ids, revoked
+    /// serials).
+    pub(crate) fn run(&self, ledger: &Ledger) -> (Vec<RecordId>, Vec<u64>) {
+        let mut claims = Vec::new();
+        let mut revokes = Vec::new();
+        for (i, req) in self.claims.iter().enumerate() {
+            match ledger.claim_custodial(*req, TimeMs(i as u64)) {
+                Ok((id, _)) => claims.push(id),
+                Err(_) => return (claims, revokes),
+            }
+        }
+        for rv in &self.revokes {
+            match ledger.handle(Request::Revoke(*rv), TimeMs(100)) {
+                Response::RevokeAck { .. } => revokes.push(rv.id.serial),
+                _ => return (claims, revokes),
+            }
+        }
+        (claims, revokes)
+    }
+}
+
+/// Count how many of the acknowledged writes are visible on `ledger`
+/// (claims answer, revokes answer revoked).
+pub(crate) fn count_recovered(ledger: &Ledger, acked: &(Vec<RecordId>, Vec<u64>)) -> u64 {
+    let mut recovered = 0;
+    for id in &acked.0 {
+        if matches!(
+            ledger.handle(Request::Query { id: *id }, TimeMs(1_000)),
+            Response::Status { .. }
+        ) {
+            recovered += 1;
+        }
+    }
+    for &serial in &acked.1 {
+        let id = RecordId::new(LEDGER, serial);
+        if matches!(
+            ledger.handle(Request::Query { id }, TimeMs(1_000)),
+            Response::Status {
+                status: RevocationStatus::Revoked,
+                ..
+            }
+        ) {
+            recovered += 1;
+        }
+    }
+    recovered
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs_core::wire::Response;
 
     #[test]
     fn preloaded_ledger_answers_every_serial_and_revokes_every_fiftieth() {

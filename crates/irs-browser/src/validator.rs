@@ -5,15 +5,17 @@
 //! performs the I/O and calls [`BrowserValidator::complete`]. The §4.4
 //! "early adoption" note — "one could use the same strategy to reduce the
 //! load on the proxies by inserting a Bloom filter in browsers themselves"
-//! — is the optional local filter.
+//! — is the optional local filter: the proxy's own [`FilterSet`], fed the
+//! same [`FilterUpdate`]s, so a browser and a proxy answer a photo
+//! locally under one rule.
 
 use irs_core::claim::RevocationStatus;
-use irs_core::ids::RecordId;
+use irs_core::ids::{LedgerId, RecordId};
 use irs_core::photo::{LabelReading, LabelState};
 use irs_core::policy::{ValidationOutcome, ViewerPolicy};
 use irs_core::time::TimeMs;
-use irs_filters::{BloomFilter, Filter};
-use irs_proxy::LruTtlCache;
+use irs_filters::FilterError;
+use irs_proxy::{FilterSet, FilterUpdate, LruTtlCache};
 
 /// What the validator decides for one photo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,8 +43,9 @@ pub struct ValidatorStats {
 
 /// The validation engine an IRS-enabled browser embeds.
 pub struct BrowserValidator {
-    /// Optional in-browser copy of the merged revoked-set filter.
-    local_filter: Option<BloomFilter>,
+    /// In-browser copy of the ledgers' revoked-set filters (empty until
+    /// one is installed).
+    filters: FilterSet,
     cache: LruTtlCache<RecordId, RevocationStatus>,
     /// The viewer policy in force.
     pub policy: ViewerPolicy,
@@ -55,16 +58,22 @@ impl BrowserValidator {
     /// status reuse.
     pub fn new(policy: ViewerPolicy, cache_entries: usize, cache_ttl_ms: u64) -> Self {
         BrowserValidator {
-            local_filter: None,
+            filters: FilterSet::new(),
             cache: LruTtlCache::new(cache_entries.max(1), cache_ttl_ms),
             policy,
             stats: ValidatorStats::default(),
         }
     }
 
-    /// Install (or replace) the in-browser filter.
-    pub fn install_filter(&mut self, filter: BloomFilter) {
-        self.local_filter = Some(filter);
+    /// Apply one of `ledger`'s filter publications to the in-browser
+    /// filters — the proxy's validated [`FilterSet::apply`]; a rejected
+    /// update changes nothing.
+    pub fn install_filter(
+        &mut self,
+        ledger: LedgerId,
+        update: FilterUpdate,
+    ) -> Result<(), FilterError> {
+        self.filters.apply(ledger, update)
     }
 
     /// Classify a photo given its label reading.
@@ -81,11 +90,11 @@ impl BrowserValidator {
             }
             LabelState::Labeled(id) => id,
         };
-        if let Some(filter) = &self.local_filter {
-            if !filter.contains(id.filter_key()) {
-                self.stats.local_filter += 1;
-                return ValidationPlan::Local(ValidationOutcome::Valid(id));
-            }
+        // Only a miss in a filter that covers the record's ledger says
+        // "definitely not revoked"; anything else asks.
+        if self.filters.might_be_revoked(id.ledger, id.filter_key()) == Some(false) {
+            self.stats.local_filter += 1;
+            return ValidationPlan::Local(ValidationOutcome::Valid(id));
         }
         if let Some(status) = self.cache.get(&id, now) {
             self.stats.local_cache += 1;
@@ -151,8 +160,8 @@ fn outcome_for(id: RecordId, status: RevocationStatus) -> ValidationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs_core::ids::LedgerId;
     use irs_core::policy::DisplayAction;
+    use irs_filters::BloomFilter;
 
     fn rid(n: u64) -> RecordId {
         RecordId::new(LedgerId(1), n)
@@ -218,7 +227,8 @@ mod tests {
         let mut v = validator();
         let mut f = BloomFilter::with_params(1 << 12, 4, 0).unwrap();
         f.insert(rid(7).filter_key());
-        v.install_filter(f);
+        v.install_filter(LedgerId(1), FilterUpdate::full(1, f.to_bytes()))
+            .unwrap();
         // rid(7) hits the revoked-set filter → proxy; rid(1000) misses →
         // definitely not revoked → locally valid.
         assert_eq!(

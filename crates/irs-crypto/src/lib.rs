@@ -6,7 +6,6 @@
 //!
 //! * [`sha256`](mod@sha256) / [`sha512`](mod@sha512) — FIPS 180-4 hash
 //!   functions, used for photo hashes, record digests, and inside Ed25519.
-//! * [`hmac`] — HMAC (RFC 2104) over SHA-256, used for keyed probe tokens.
 //! * [`ed25519`] — RFC 8032 Ed25519 signatures, used for ownership claims,
 //!   revocation requests, timestamp-authority countersignatures, and ledger
 //!   freshness proofs.
@@ -29,7 +28,6 @@
 
 pub mod ed25519;
 pub mod hex;
-pub mod hmac;
 pub mod sha256;
 pub mod sha512;
 
@@ -89,21 +87,6 @@ impl std::fmt::Display for Digest {
     }
 }
 
-/// Constant-time equality on byte slices of equal length.
-///
-/// Returns `false` immediately if lengths differ (the length is assumed to be
-/// public). Used when comparing MACs and signatures.
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut acc = 0u8;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc |= x ^ y;
-    }
-    acc == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,14 +107,6 @@ mod tests {
         let s = d.to_string();
         assert_eq!(s.len(), 64);
         assert_eq!(hex::decode(&s).unwrap(), d.0.to_vec());
-    }
-
-    #[test]
-    fn ct_eq_basic() {
-        assert!(ct_eq(b"same", b"same"));
-        assert!(!ct_eq(b"same", b"diff"));
-        assert!(!ct_eq(b"short", b"longer"));
-        assert!(ct_eq(b"", b""));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (the field/scalar internals are private; their laws are asserted via
 //! the signature scheme's behavior, plus the hash functions' stability).
 
-use irs_crypto::{ct_eq, hmac::hmac_sha256, sha256, sha512, Digest, Keypair};
+use irs_crypto::{sha256, sha512, Digest, Keypair};
 use proptest::prelude::*;
 
 proptest! {
@@ -78,27 +78,6 @@ proptest! {
         h.update(&data[..s]);
         h.update(&data[s..]);
         prop_assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    /// HMAC binds both key and message.
-    #[test]
-    fn hmac_binds_key_and_message(
-        key in prop::collection::vec(any::<u8>(), 0..100),
-        msg in prop::collection::vec(any::<u8>(), 0..100),
-        other_key in prop::collection::vec(any::<u8>(), 0..100),
-    ) {
-        prop_assume!(key != other_key);
-        let tag = hmac_sha256(&key, &msg);
-        prop_assert_ne!(tag, hmac_sha256(&other_key, &msg));
-    }
-
-    /// ct_eq agrees with ==.
-    #[test]
-    fn ct_eq_matches_plain_eq(
-        a in prop::collection::vec(any::<u8>(), 0..64),
-        b in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        prop_assert_eq!(ct_eq(&a, &b), a == b);
     }
 
     /// Digest::of_parts is injective across boundary placements.

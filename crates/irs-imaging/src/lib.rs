@@ -21,8 +21,8 @@
 //! * [`ecc`] — CRC-16 + Hamming(7,4) coding for the watermark payload;
 //! * [`watermark`] — DWT–DCT QIM watermark carrying a 96-bit identifier,
 //!   robust to JPEG transcoding, cropping, and tinting (experiment E7);
-//! * [`phash`] — perceptual hashes (DCT pHash 64/256-bit, difference hash)
-//!   with Hamming-distance matching (experiment E8).
+//! * [`phash`] — the 256-bit DCT perceptual hash with Hamming-distance
+//!   matching (experiment E8).
 
 pub mod dct;
 pub mod dwt;

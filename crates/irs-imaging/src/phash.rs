@@ -3,41 +3,20 @@
 //! The appeals process (§3.2) compares an original photo against an alleged
 //! copy "using robust hashing (as in PhotoDNA)"; aggregators keep "a
 //! database of robust hashes of their current content". PhotoDNA itself is
-//! closed, so we implement the standard published equivalents (Farid,
-//! *An Overview of Perceptual Hashing* \[13\]):
+//! closed, so we implement the standard published DCT pHash (Farid, *An
+//! Overview of Perceptual Hashing* \[13\]) at 256 bits: [`dct_hash_256`]
+//! takes a 32×32 luma, its 2D DCT, and the sign of the 16×16 low band
+//! against its median.
 //!
-//! * [`dct_hash`] — classic 64-bit pHash: 32×32 luma, 2D DCT, sign of the
-//!   8×8 low band against its median;
-//! * [`dct_hash_256`] — the same with a 16×16 band, for finer ROC curves;
-//! * [`dhash`] — 64-bit difference hash (gradient signs on a 9×8 grid).
-//!
-//! Matching is Hamming distance ([`hamming64`] / [`hamming256`]); experiment
-//! E8 measures the distance distributions for manipulated copies vs
-//! distinct photos and derives operating thresholds.
+//! Matching is Hamming distance ([`hamming256`]); experiment E8 measures
+//! the distance distributions for manipulated copies vs distinct photos
+//! and derives the [`RobustMatcher`] operating thresholds.
 
 use crate::dct::DctPlan;
 use crate::raster::Image;
 
-/// A 64-bit perceptual hash.
-pub type Hash64 = u64;
-
 /// A 256-bit perceptual hash.
 pub type Hash256 = [u64; 4];
-
-/// Classic DCT pHash: 64 bits.
-pub fn dct_hash(img: &Image) -> Hash64 {
-    let coeffs = low_band(img, 8);
-    let mut sorted = coeffs.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in DCT output"));
-    let median = (sorted[31] + sorted[32]) / 2.0;
-    let mut hash = 0u64;
-    for (i, &c) in coeffs.iter().enumerate() {
-        if c > median {
-            hash |= 1 << i;
-        }
-    }
-    hash
-}
 
 /// 256-bit DCT hash (16×16 low band).
 pub fn dct_hash_256(img: &Image) -> Hash256 {
@@ -75,28 +54,6 @@ fn low_band(img: &Image, band: usize) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Difference hash: signs of horizontal gradients on a 9×8 downscale.
-pub fn dhash(img: &Image) -> Hash64 {
-    let small = img.resize(9, 8).expect("9×8 resize");
-    let luma = small.luma();
-    let mut hash = 0u64;
-    let mut bit = 0;
-    for y in 0..8usize {
-        for x in 0..8usize {
-            if luma[y * 9 + x] < luma[y * 9 + x + 1] {
-                hash |= 1 << bit;
-            }
-            bit += 1;
-        }
-    }
-    hash
-}
-
-/// Hamming distance between 64-bit hashes.
-pub fn hamming64(a: Hash64, b: Hash64) -> u32 {
-    (a ^ b).count_ones()
 }
 
 /// Hamming distance between 256-bit hashes.
@@ -206,16 +163,13 @@ mod tests {
     #[test]
     fn identical_images_distance_zero() {
         let img = photo(0);
-        assert_eq!(hamming64(dct_hash(&img), dct_hash(&img)), 0);
         assert_eq!(hamming256(&dct_hash_256(&img), &dct_hash_256(&img)), 0);
-        assert_eq!(hamming64(dhash(&img), dhash(&img)), 0);
     }
 
     #[test]
     fn jpeg_transcode_keeps_hash_close() {
         let img = photo(1);
         let t = Manipulation::Jpeg(40).apply(&img);
-        assert!(hamming64(dct_hash(&img), dct_hash(&t)) <= 8);
         assert!(hamming256(&dct_hash_256(&img), &dct_hash_256(&t)) <= 40);
     }
 
@@ -274,13 +228,6 @@ mod tests {
         let copy = Manipulation::Jpeg(60).apply(&img);
         assert_eq!(m.compare(&img, &copy), MatchVerdict::Derived);
         assert_eq!(m.compare(&img, &photo(5)), MatchVerdict::Distinct);
-    }
-
-    #[test]
-    fn dhash_robust_to_compression() {
-        let img = photo(6);
-        let t = Manipulation::Jpeg(50).apply(&img);
-        assert!(hamming64(dhash(&img), dhash(&t)) <= 10);
     }
 
     #[test]

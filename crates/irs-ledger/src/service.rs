@@ -63,9 +63,8 @@ pub struct LedgerConfig {
     /// Validity window for freshness proofs (ms). §3.2's "recently
     /// verified"; also the aggregator recheck period.
     pub proof_validity_ms: u64,
-    /// How many claims/revocations may accumulate before `publish_filter`
-    /// emits a new snapshot version (publication cadence is driven by the
-    /// caller's clock; this is just bookkeeping for tests).
+    /// Seeds the ledger's Ed25519 signing key, the key its freshness
+    /// proofs are signed with ([`LedgerConfig::new`] uses the ledger id).
     pub seed: u64,
     /// Sizing of the published filter (fuse base + Bloom delta): delta
     /// capacity/FPR and the compaction threshold (DESIGN.md §16).

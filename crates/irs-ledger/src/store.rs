@@ -21,7 +21,7 @@
 //! and the tiered publisher re-covers it: an unrevoked key drops out of
 //! the next delta tier without any per-key removal bookkeeping here.
 
-use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
+use irs_core::claim::{Claim, ClaimRequest, RevocationStatus};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::{TimestampAuthority, TimestampToken};
@@ -356,15 +356,6 @@ impl LedgerStore {
         Some((stored.claim.status, stored.claim.status_epoch))
     }
 
-    /// Apply a signed revoke/unrevoke request under the record's shard
-    /// write lock.
-    pub fn apply_revoke(
-        &self,
-        request: &RevokeRequest,
-    ) -> Result<(RevocationStatus, u64), StoreError> {
-        self.apply_verified(&WalRecord::Revoke(*request), || {})
-    }
-
     /// Permanently revoke (appeals outcome); administrative, unsigned.
     pub fn permanently_revoke(&self, id: &RecordId) -> Result<(), StoreError> {
         self.apply_logged(&WalRecord::AppealPin { id: *id }, || {})
@@ -420,24 +411,19 @@ impl LedgerStore {
         }
         counts
     }
-
-    /// Visit every committed record (shard by shard, serial order within
-    /// each shard).
-    pub fn for_each(&self, mut f: impl FnMut(&StoredClaim)) {
-        for shard in self.shards.iter() {
-            let shard = shard.read();
-            for stored in shard.slots.iter().flatten() {
-                f(stored);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irs_core::claim::RevokeRequest;
     use irs_crypto::{Digest, Keypair};
     use std::sync::Arc;
+
+    /// A signed revoke (or unrevoke) through the verifying apply path.
+    fn revoke(s: &LedgerStore, req: RevokeRequest) -> Result<(RevocationStatus, u64), StoreError> {
+        s.apply_verified(&WalRecord::Revoke(req), || {})
+    }
 
     fn store(shards: usize) -> LedgerStore {
         LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), shards)
@@ -473,24 +459,21 @@ mod tests {
         let (id, keypair) = make_claim(&s, 3, false);
         assert_eq!(s.status(&id), Some((RevocationStatus::NotRevoked, 0)));
         let req = RevokeRequest::create(&keypair, id, true, 0);
-        assert_eq!(s.apply_revoke(&req), Ok((RevocationStatus::Revoked, 1)));
+        assert_eq!(revoke(&s, req), Ok((RevocationStatus::Revoked, 1)));
         // Replay rejected, wrong key rejected, unrevoke at the new epoch
         // accepted, permanent is final.
-        assert_eq!(s.apply_revoke(&req), Err(StoreError::StaleEpoch));
+        assert_eq!(revoke(&s, req), Err(StoreError::StaleEpoch));
         let intruder = RevokeRequest::create(&kp(99), id, false, 1);
-        assert_eq!(s.apply_revoke(&intruder), Err(StoreError::BadSignature));
+        assert_eq!(revoke(&s, intruder), Err(StoreError::BadSignature));
         let unrevoke = RevokeRequest::create(&keypair, id, false, 1);
-        assert_eq!(
-            s.apply_revoke(&unrevoke),
-            Ok((RevocationStatus::NotRevoked, 2))
-        );
+        assert_eq!(revoke(&s, unrevoke), Ok((RevocationStatus::NotRevoked, 2)));
         s.permanently_revoke(&id).unwrap();
         assert_eq!(
             s.status(&id),
             Some((RevocationStatus::PermanentlyRevoked, 3))
         );
         let late = RevokeRequest::create(&keypair, id, false, 3);
-        assert_eq!(s.apply_revoke(&late), Err(StoreError::Permanent));
+        assert_eq!(revoke(&s, late), Err(StoreError::Permanent));
         assert_eq!(s.status_counts(), (0, 0, 1));
     }
 
@@ -517,11 +500,9 @@ mod tests {
         // revoked" must hold for all shared photos).
         let (id, keypair) = make_claim(&s, 8, false);
         assert!(!hit(id));
-        s.apply_revoke(&RevokeRequest::create(&keypair, id, true, 0))
-            .unwrap();
+        revoke(&s, RevokeRequest::create(&keypair, id, true, 0)).unwrap();
         assert!(hit(id));
-        s.apply_revoke(&RevokeRequest::create(&keypair, id, false, 1))
-            .unwrap();
+        revoke(&s, RevokeRequest::create(&keypair, id, false, 1)).unwrap();
         assert!(!hit(id));
         // §4.4: "many photos will be automatically registered and
         // revoked" — those are in from the start; so are appeal pins.
@@ -551,8 +532,7 @@ mod tests {
         for seed in 0..40u8 {
             let (id, keypair) = make_claim(s, seed, seed % 3 == 0);
             if seed % 3 != 0 && id.serial % 5 == 0 {
-                s.apply_revoke(&RevokeRequest::create(&keypair, id, true, 0))
-                    .unwrap();
+                revoke(s, RevokeRequest::create(&keypair, id, true, 0)).unwrap();
             }
         }
     }
@@ -616,11 +596,11 @@ mod tests {
         // The key cut covers exactly the revoked records.
         let keys = s.revoked_filter_keys();
         assert_eq!(keys.len(), 100);
-        s.for_each(|stored| {
+        for stored in s.frozen_copy(|| ()).0 {
             assert_eq!(
                 keys.contains(&stored.claim.id.filter_key()),
                 stored.claim.status != RevocationStatus::NotRevoked
             );
-        });
+        }
     }
 }

@@ -15,55 +15,26 @@
 //! poll until there is something to ship — becomes a reactor held slot
 //! that the replication log completes, so a worker is never parked and
 //! a follower's poll can land on the same worker as the write it acks.
+//!
+//! No admission control sits here: a ledger only ever hears from
+//! proxies (§4.2), so priority shedding is deployed at the proxy, in
+//! front of its cache (DESIGN.md §14).
 
-use crate::codec::{response_bytes, serve_burst, MAX_REQUEST_FRAME};
+use crate::codec::{response_bytes, serve_burst};
 use crate::reactor::{ConnCtx, Reactor, ReactorConfig, ReactorHandle, Reply};
-use crate::service::{
-    service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
-};
-use irs_core::wire::{Request, Response};
+use irs_core::time::{Clock, SystemClock, TimeMs};
+use irs_core::wire::Request;
 use irs_ledger::store::DEFAULT_SHARDS;
-use irs_ledger::{Held, Ledger, Served};
-use std::cell::Cell;
+use irs_ledger::{Ledger, Served};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-thread_local! {
-    /// The reply the ledger held for the request this worker thread is
-    /// serving. A hold passes the admission layers as its fallback
-    /// answer, and the burst handler takes it from here as soon as the
-    /// call returns: every layer of a ledger stack answers on the
-    /// calling thread.
-    static HELD: Cell<Option<Held>> = const { Cell::new(None) };
-}
-
-/// The ledger's `&self` request path as the innermost [`Service`].
-fn ledger_service(ledger: Arc<Ledger>) -> impl Service {
-    service_fn(move |req, ctx: &CallCtx| {
-        Ok(match ledger.serve(req, ctx.now) {
-            Served::Ready(response) => response,
-            Served::Held(held) => {
-                let fallback = held.fallback().clone();
-                HELD.set(Some(held));
-                fallback
-            }
-        })
-    })
-}
-
-/// One request through `admitted`, as the reactor's reply on `conn`:
+/// One request through the ledger, as the reactor's reply on `conn`:
 /// ready, or held in a reactor slot the replication log completes.
-fn reply(admitted: &impl Service, request: Request, ctx: &CallCtx, conn: &ConnCtx) -> Reply {
-    // Neither the ledger nor its admission layers error today (sheds are
-    // Ok answers), but keep the wire honest if a future layer does.
-    let answer = admitted
-        .call(request, ctx)
-        .unwrap_or_else(|e| Response::Error {
-            code: irs_ledger::codes::UNAVAILABLE,
-            message: format!("admission: {e}"),
-        });
-    let Some(held) = HELD.take() else {
-        return answer.into();
+fn reply(ledger: &Ledger, request: Request, now: TimeMs, conn: &ConnCtx) -> Reply {
+    let held = match ledger.serve(request, now) {
+        Served::Ready(answer) => return answer.into(),
+        Served::Held(held) => held,
     };
     let (slot, completion) = conn.hold(held.deadline(), response_bytes(held.fallback()));
     match held.park(move |answer| completion.complete(response_bytes(&answer))) {
@@ -83,9 +54,7 @@ impl LedgerServer {
     /// with default reactor tuning. Pass an `Arc<Ledger>` to keep driving
     /// the same instance from outside the server.
     pub fn start(ledger: impl Into<Arc<Ledger>>, addr: &str) -> std::io::Result<LedgerServer> {
-        let ledger = ledger.into();
-        let admitted = ledger_service(ledger.clone());
-        LedgerServer::serve(ledger, addr, ReactorConfig::default(), admitted)
+        serve(ledger.into(), addr, ReactorConfig::default())
     }
 
     /// Start a *durable* ledger server: recover any state the disk holds
@@ -133,59 +102,6 @@ impl LedgerServer {
         LedgerServer::start(ledger, addr)
     }
 
-    /// Start with **priority admission control** in front of the
-    /// ledger: every decoded request passes a per-connection
-    /// token-bucket [`Governor`](crate::service::Governor) and a
-    /// [`Shed`](crate::service::Shed) inflight gate *before* touching
-    /// ledger state. Over-rate or over-capacity load is answered with
-    /// `Response::Overloaded { retry_after_ms }` — an admission verdict,
-    /// not a failure: retry layers back off by the hint and breakers do
-    /// not count it against upstream health. The governor keys buckets
-    /// on the reactor's per-connection id, so one abusive connection
-    /// exhausts its own bucket while its neighbours keep their full rate.
-    pub fn start_governed(
-        ledger: Arc<Ledger>,
-        addr: &str,
-        config: ReactorConfig,
-        governor: GovernorPolicy,
-        shed: ShedPolicy,
-    ) -> std::io::Result<LedgerServer> {
-        let registry = ledger.metrics().clone();
-        let admitted = ledger_service(ledger.clone())
-            .layered(ShedLayer::new(shed).with_registry(registry.clone()))
-            .layered(GovernorLayer::new(governor).with_registry(registry));
-        LedgerServer::serve(ledger, addr, config, admitted)
-    }
-
-    /// Bind the reactor: every burst is decoded by [`serve_burst`] and
-    /// answered by `admitted` — the ledger itself, or the ledger behind
-    /// its admission layers — one request after another, so a held reply
-    /// is picked up right after its own call. The config's `registry` is
-    /// replaced by the ledger's own, so reactor gauges and histograms
-    /// land in the same exposition as the ledger's counters, and its
-    /// `max_frame` by [`MAX_REQUEST_FRAME`].
-    fn serve(
-        ledger: Arc<Ledger>,
-        addr: &str,
-        mut config: ReactorConfig,
-        admitted: impl Service + 'static,
-    ) -> std::io::Result<LedgerServer> {
-        config.registry = Some(ledger.metrics().clone());
-        config.max_frame = MAX_REQUEST_FRAME;
-        let handle = Reactor::bind(
-            addr,
-            config,
-            Arc::new(move |frames, conn: &ConnCtx| {
-                serve_burst(frames, |requests| {
-                    let ctx = CallCtx::wall().with_client(conn.id());
-                    let replies = requests.into_iter();
-                    replies.map(|r| reply(&admitted, r, &ctx, conn)).collect()
-                })
-            }),
-        )?;
-        Ok(LedgerServer { ledger, handle })
-    }
-
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.handle.addr()
@@ -214,20 +130,47 @@ impl LedgerServer {
     }
 }
 
+/// Bind the reactor on `addr`: every burst is decoded by [`serve_burst`]
+/// and answered by the ledger, one request after another, at one clock
+/// reading. The config's `registry` is replaced by the ledger's own, so
+/// reactor gauges and histograms land in the same exposition as the
+/// ledger's counters.
+fn serve(
+    ledger: Arc<Ledger>,
+    addr: &str,
+    mut config: ReactorConfig,
+) -> std::io::Result<LedgerServer> {
+    config.registry = Some(ledger.metrics().clone());
+    let serving = ledger.clone();
+    let handle = Reactor::bind(
+        addr,
+        config,
+        Arc::new(move |frames, conn: &ConnCtx| {
+            serve_burst(frames, |requests| {
+                let now = SystemClock.now();
+                let replies = requests.into_iter();
+                replies.map(|r| reply(&serving, r, now, conn)).collect()
+            })
+        }),
+    )?;
+    Ok(LedgerServer { ledger, handle })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Framed, MAX_FRAME};
+    use crate::codec::{Framed, MAX_FRAME, MAX_REQUEST_FRAME};
     use bytes::{BufMut, BytesMut};
     use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::tsa::TimestampAuthority;
-    use irs_core::wire::{Request, Wire};
+    use irs_core::wire::{Request, Response, Wire};
     use irs_crypto::{Digest, Keypair};
     use irs_ledger::LedgerConfig;
 
     use crate::server::poll_until;
     use crate::service::transport::testing::{call, connect};
+    use crate::service::{CallCtx, Service};
 
     fn server() -> LedgerServer {
         let ledger = Ledger::new(
@@ -531,20 +474,13 @@ mod tests {
         Arc::new(Ledger::recover(config, tsa, 4, durability).unwrap())
     }
 
-    /// `ledger` served by one reactor worker, behind admission layers
-    /// that admit everything.
+    /// `ledger` served by one reactor worker.
     fn on_one_worker(ledger: Arc<Ledger>) -> LedgerServer {
-        let admit_all = GovernorPolicy {
-            rate_per_sec: 1e6,
-            burst: 1e6,
-            ..GovernorPolicy::default()
-        };
         let one = ReactorConfig {
             workers: 1,
             ..ReactorConfig::default()
         };
-        let shed = ShedPolicy::default();
-        LedgerServer::start_governed(ledger, "127.0.0.1:0", one, admit_all, shed).unwrap()
+        serve(ledger, "127.0.0.1:0", one).unwrap()
     }
 
     fn claim_request(i: u64) -> ClaimRequest {
@@ -720,117 +656,6 @@ mod tests {
         });
         acked.unwrap();
         assert_eq!(replica.store().len(), 100);
-        server.shutdown();
-    }
-
-    fn governed(governor: GovernorPolicy) -> LedgerServer {
-        let ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(1),
-        );
-        LedgerServer::start_governed(
-            Arc::new(ledger),
-            "127.0.0.1:0",
-            ReactorConfig {
-                workers: 1,
-                ..ReactorConfig::default()
-            },
-            governor,
-            ShedPolicy::default(),
-        )
-        .unwrap()
-    }
-
-    /// `Response::Overloaded` end to end over a real socket: a governed
-    /// server refuses over-rate queries with the typed admission answer
-    /// (tag 16 survives the wire), while low-priority requests are never
-    /// metered.
-    #[test]
-    fn governed_server_sheds_over_rate_load_on_a_live_socket() {
-        let server = governed(GovernorPolicy {
-            rate_per_sec: 1.0,
-            burst: 2.0,
-            spill_rate_per_sec: 0.0,
-            spill_burst: 0.0,
-            retry_after_ms: 40,
-        });
-        let client = connect(server.addr());
-        let id = irs_core::ids::RecordId::new(LedgerId(1), 9);
-        let (mut served, mut shed) = (0, 0);
-        for _ in 0..10 {
-            match call(&client, Request::Query { id }) {
-                Response::Overloaded { retry_after_ms } => {
-                    assert!(retry_after_ms >= 1, "hint must be actionable");
-                    shed += 1;
-                }
-                _ => served += 1,
-            }
-        }
-        assert!(served >= 1, "the burst allowance must be served");
-        assert!(
-            shed >= 1,
-            "over-rate load must be shed, got {served} served"
-        );
-        // Low priority is never metered — even an exhausted bucket
-        // still answers pings (health checks must not die first).
-        assert_eq!(call(&client, Request::Ping), Response::Pong);
-        server.shutdown();
-    }
-
-    /// Shed load crossing a real socket surfaces as the *typed*
-    /// [`NetError::Overloaded`] after retry exhaustion — never
-    /// `ConnectionLost` — and the client-side breaker does not count it
-    /// as upstream failure.
-    #[test]
-    fn live_shed_load_is_typed_and_does_not_trip_client_breakers() {
-        use crate::service::{
-            BreakerLayer, Failover, RetryLayer, Service, ServiceExt, TcpTransport,
-        };
-        use crate::NetError;
-        use irs_proxy::health::{BreakerConfig, BreakerState};
-        use irs_proxy::{ProxyConfig, SharedProxy};
-        use std::time::Duration;
-
-        // A governor that refuses every metered request. Rate zero means
-        // the hint falls back to the configured `retry_after_ms` instead
-        // of the (infinite) time-to-one-token.
-        let server = governed(GovernorPolicy {
-            rate_per_sec: 0.0,
-            burst: 0.0,
-            spill_rate_per_sec: 0.0,
-            spill_burst: 0.0,
-            retry_after_ms: 5,
-        });
-        let proxy = Arc::new(
-            SharedProxy::new(ProxyConfig::default()).with_breaker_config(BreakerConfig {
-                failure_threshold: 2,
-                open_cooldown_ms: 1_000,
-            }),
-        );
-        let retry = crate::service::RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            call_deadline: Duration::from_secs(2),
-            io_timeout: Duration::from_millis(500),
-            jitter_seed: 7,
-        };
-        let svc = Failover::new(vec![TcpTransport::new(server.addr(), retry.io_timeout)])
-            .layered(RetryLayer::new(retry))
-            .layered(BreakerLayer::new(proxy.clone()));
-        let id = irs_core::ids::RecordId::new(LedgerId(1), 9);
-        let ctx = crate::service::CallCtx::wall();
-        for _ in 0..4 {
-            match svc.call(Request::Query { id }, &ctx) {
-                Err(NetError::Overloaded { retry_after_ms }) => assert!(retry_after_ms >= 1),
-                other => panic!("expected typed overload through the stack, got {other:?}"),
-            }
-        }
-        assert_eq!(
-            proxy.breaker(LedgerId(1)).state(),
-            BreakerState::Closed,
-            "shed load over a live socket must not open the breaker"
-        );
         server.shutdown();
     }
 }

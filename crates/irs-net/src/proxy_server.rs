@@ -26,7 +26,7 @@
 //! rungs live in [`crate::service::stacks`] and the ordering rules in
 //! DESIGN.md §10.
 
-use crate::codec::{serve_burst, MAX_REQUEST_FRAME};
+use crate::codec::serve_burst;
 use crate::reactor::{ConnCtx, Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
@@ -119,7 +119,6 @@ impl ProxyServer {
         let shared = proxy.clone();
         let config = ReactorConfig {
             workers: workers.max(1),
-            max_frame: MAX_REQUEST_FRAME,
             registry: Some(proxy.metrics().clone()),
             ..ReactorConfig::default()
         };
@@ -454,5 +453,117 @@ mod tests {
         assert!(d.unavailable >= 1);
         assert!(d.upstream_failures >= 1);
         proxy_server.shutdown();
+    }
+
+    /// A proxy running the storm rung (`stacks::storm_over`) under
+    /// `governor` on one reactor worker, in front of a live ledger.
+    fn storm_proxy(governor: crate::service::GovernorPolicy) -> (LedgerServer, ProxyServer) {
+        let ledger = Ledger::new(
+            LedgerConfig::new(LedgerId(1)),
+            TimestampAuthority::from_seed(1),
+        );
+        let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let shared = Arc::new(SharedProxy::new(ProxyConfig::default()));
+        let retry = RetryPolicy::fast(1);
+        let upstream = stacks::transports(&[ledger_server.addr()], retry.io_timeout);
+        let shed = crate::service::ShedPolicy::default();
+        let stack = stacks::storm_over(shared.clone(), upstream, retry, governor, shed);
+        let proxy_server =
+            ProxyServer::start_with_stack_workers(shared, "127.0.0.1:0", stack, 1).unwrap();
+        (ledger_server, proxy_server)
+    }
+
+    /// `Response::Overloaded` end to end over a real socket: a governed
+    /// proxy refuses over-rate queries with the typed admission answer
+    /// (tag 16 survives the wire), while low-priority requests are never
+    /// metered.
+    #[test]
+    fn governed_proxy_sheds_over_rate_load_on_a_live_socket() {
+        let (ledger_server, proxy_server) = storm_proxy(crate::service::GovernorPolicy {
+            rate_per_sec: 1.0,
+            burst: 2.0,
+            spill_rate_per_sec: 0.0,
+            spill_burst: 0.0,
+            retry_after_ms: 40,
+        });
+        let client = connect(proxy_server.addr());
+        let id = RecordId::new(LedgerId(1), 9);
+        let (mut served, mut shed) = (0, 0);
+        for _ in 0..10 {
+            match call(&client, Request::Query { id }) {
+                Response::Overloaded { retry_after_ms } => {
+                    assert!(retry_after_ms >= 1, "hint must be actionable");
+                    shed += 1;
+                }
+                _ => served += 1,
+            }
+        }
+        assert!(served >= 1, "the burst allowance must be served");
+        assert!(
+            shed >= 1,
+            "over-rate load must be shed, got {served} served"
+        );
+        // Low priority is never metered — even an exhausted bucket
+        // still answers pings (health checks must not die first).
+        assert_eq!(call(&client, Request::Ping), Response::Pong);
+        proxy_server.shutdown();
+        ledger_server.shutdown();
+    }
+
+    /// Shed load crossing a real socket surfaces as the *typed*
+    /// [`NetError::Overloaded`] after retry exhaustion — never
+    /// `ConnectionLost` — and the client-side breaker does not count it
+    /// as upstream failure.
+    #[test]
+    fn live_shed_load_is_typed_and_does_not_trip_client_breakers() {
+        use crate::service::{BreakerLayer, Failover, RetryLayer, ServiceExt, TcpTransport};
+        use irs_proxy::health::{BreakerConfig, BreakerState};
+        use std::time::Duration;
+
+        // A governor that refuses every metered request. Rate zero means
+        // the hint falls back to the configured `retry_after_ms` instead
+        // of the (infinite) time-to-one-token.
+        let (ledger_server, proxy_server) = storm_proxy(crate::service::GovernorPolicy {
+            rate_per_sec: 0.0,
+            burst: 0.0,
+            spill_rate_per_sec: 0.0,
+            spill_burst: 0.0,
+            retry_after_ms: 5,
+        });
+        let client_proxy = Arc::new(
+            SharedProxy::new(ProxyConfig::default()).with_breaker_config(BreakerConfig {
+                failure_threshold: 2,
+                open_cooldown_ms: 1_000,
+            }),
+        );
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            call_deadline: Duration::from_secs(2),
+            io_timeout: Duration::from_millis(500),
+            jitter_seed: 7,
+        };
+        let svc = Failover::new(vec![TcpTransport::new(
+            proxy_server.addr(),
+            retry.io_timeout,
+        )])
+        .layered(RetryLayer::new(retry))
+        .layered(BreakerLayer::new(client_proxy.clone()));
+        let id = RecordId::new(LedgerId(1), 9);
+        let ctx = CallCtx::wall();
+        for _ in 0..4 {
+            match svc.call(Request::Query { id }, &ctx) {
+                Err(NetError::Overloaded { retry_after_ms }) => assert!(retry_after_ms >= 1),
+                other => panic!("expected typed overload through the stack, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            client_proxy.breaker(LedgerId(1)).state(),
+            BreakerState::Closed,
+            "shed load over a live socket must not open the breaker"
+        );
+        proxy_server.shutdown();
+        ledger_server.shutdown();
     }
 }

@@ -17,8 +17,8 @@
 //!   from then on a connection lives entirely on its worker (no
 //!   cross-worker locking on the hot path).
 //! * Per-connection state machine — a read [`BytesBuf`], a write
-//!   [`BytesBuf`], and the [`FrameCodec`]: requests are decoded with the
-//!   configured request cap, responses encoded with [`MAX_FRAME`] (a
+//!   [`BytesBuf`], and the [`FrameCodec`]: requests are decoded with
+//!   [`MAX_REQUEST_FRAME`], responses encoded with [`MAX_FRAME`] (a
 //!   snapshot or filter reply is far larger than anything a client may
 //!   send). Readable: drain the socket
 //!   (bounded per wakeup for fairness), decode every complete frame,
@@ -633,8 +633,6 @@ pub struct ReactorConfig {
     /// `max(2, available_parallelism)` — bounded by the machine, not by
     /// the connection count.
     pub workers: usize,
-    /// Declared-length cap on inbound request frames.
-    pub max_frame: u32,
     /// Stop reading a connection whose unflushed responses exceed this
     /// many bytes; resume below half of it.
     pub high_water: usize,
@@ -653,7 +651,6 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             workers: default_workers(),
-            max_frame: MAX_REQUEST_FRAME,
             high_water: 64 << 20,
             registry: None,
         }
@@ -1206,7 +1203,7 @@ impl Reactor {
         let stop = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(0));
         let conn_seq = Arc::new(AtomicU64::new(0));
-        let codec = FrameCodec::new(config.max_frame);
+        let codec = FrameCodec::new(MAX_REQUEST_FRAME);
 
         // Build every worker's mailbox first so the acceptor (worker 0)
         // can hold the full assignment table.
@@ -1493,7 +1490,6 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let config = ReactorConfig {
             workers: 1,
-            max_frame: 1 << 20,
             high_water: HIGH_WATER,
             registry: Some(registry.clone()),
         };

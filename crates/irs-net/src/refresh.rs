@@ -238,10 +238,10 @@ impl RefreshWorker {
     /// ledger id plus its replica addresses (primary first — the
     /// failover order); `interval` is the steady-state refresh period
     /// (§4.4's "hourly", shrunk for tests); `policy` bounds each fetch.
-    /// All threads draw connections from one shared [`TransportPool`],
-    /// so a refresh and a query stack dialing the same replica share a
-    /// socket — and a poisoned connection to one shard stays that
-    /// shard's problem.
+    /// The threads draw connections from one [`TransportPool`] of the
+    /// worker's own, so refreshes of shards on the same replica share a
+    /// socket (a query stack dials through its own pool), and a poisoned
+    /// connection to one shard stays that shard's problem.
     pub fn spawn_sharded(
         proxy: Arc<SharedProxy>,
         shards: Vec<(LedgerId, Vec<SocketAddr>)>,

@@ -19,7 +19,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`protocol`] | `irs-core` | identifiers, claims, revocation, labels, freshness proofs, wire codec |
-//! | [`crypto`] | `irs-crypto` | SHA-256/512, HMAC, Ed25519 (RFC 8032) — built from scratch |
+//! | [`crypto`] | `irs-crypto` | SHA-256/512, Ed25519 (RFC 8032) — built from scratch |
 //! | [`filters`] | `irs-filters` | Bloom / xor / fuse filters, delta updates, the tiered publication |
 //! | [`imaging`] | `irs-imaging` | synthetic photos, JPEG-style transcode, DWT–DCT watermark, perceptual hash |
 //! | [`ledger`] | `irs-ledger` | the ledger service, appeals, adversarial variants, probes |

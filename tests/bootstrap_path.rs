@@ -173,12 +173,10 @@ fn in_browser_filter_cuts_proxy_traffic() {
         TimestampAuthority::from_seed(3),
     );
     let records = populate(&ledger, 40, |i| i == 0);
-    ledger.publish_filter();
-    // One revoked key: no base sealed, the delta tier is the whole filter.
-    let filter = ledger.tiered_snapshot().delta().clone();
-
     let mut with_filter = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
-    with_filter.install_filter(filter);
+    with_filter
+        .install_filter(LedgerId(1), publish_and_fetch(&ledger, (0, 0)))
+        .unwrap();
     let mut without = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
 
     for (id, _) in &records {
@@ -195,4 +193,66 @@ fn in_browser_filter_cuts_proxy_traffic() {
         with_filter.stats.proxy_queries
     );
     assert_eq!(without.stats.proxy_queries, 40);
+}
+
+/// A browser holding `update` as `LedgerId(1)`'s filter.
+fn browser_holding(update: FilterUpdate) -> BrowserValidator {
+    let mut browser = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
+    browser.install_filter(LedgerId(1), update).unwrap();
+    browser
+}
+
+fn labeled(id: irs::protocol::ids::RecordId) -> LabelReading {
+    LabelReading {
+        metadata_id: Some(id),
+        watermark_id: Some(id),
+    }
+}
+
+/// A filter speaks only for its own ledger: a revoked record of a ledger
+/// whose filter the browser does not hold is asked of the proxy, however
+/// the held filter answers its key.
+#[test]
+fn in_browser_filter_asks_for_a_ledger_it_does_not_cover() {
+    let covered = Ledger::new(
+        LedgerConfig::new(LedgerId(1)),
+        TimestampAuthority::from_seed(4),
+    );
+    populate(&covered, 10, |i| i == 0);
+    let other = Ledger::new(
+        LedgerConfig::new(LedgerId(2)),
+        TimestampAuthority::from_seed(5),
+    );
+    let (revoked, _) = populate(&other, 1, |_| true).remove(0);
+    let mut browser = browser_holding(publish_and_fetch(&covered, (0, 0)));
+    assert_eq!(
+        browser.plan(&labeled(revoked), TimeMs(0)),
+        ValidationPlan::AskProxy(revoked)
+    );
+}
+
+/// A record sealed into a fuse base (the delta tier emptied by the seal)
+/// still hits the in-browser filter and is asked of the proxy.
+#[test]
+fn in_browser_filter_holds_a_sealed_base() {
+    let mut config = LedgerConfig::new(LedgerId(1));
+    config.tiered = irs::filters::TieredConfig {
+        delta_capacity: 64,
+        delta_fpr: 1e-3,
+        compact_at: 4,
+    };
+    let ledger = Ledger::new(config, TimestampAuthority::from_seed(6));
+    let records = populate(&ledger, 8, |_| true);
+    let mut browser = browser_holding(publish_and_fetch(&ledger, (0, 0)));
+    assert_eq!(
+        ledger.tiered_epoch(),
+        2,
+        "8 revocations past compact_at=4 seal"
+    );
+    for (id, _) in &records {
+        assert_eq!(
+            browser.plan(&labeled(*id), TimeMs(0)),
+            ValidationPlan::AskProxy(*id)
+        );
+    }
 }
