@@ -21,13 +21,13 @@ use crate::table::{f, Table};
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
-use irs_filters::BloomFilter;
+use irs_filters::{BloomFilter, Publication};
 use irs_ledger::Ledger;
 use irs_net::ledger_server::LedgerServer;
 use irs_net::service::{stacks, BoxService, CallCtx, Service};
 use irs_net::RetryPolicy;
 use irs_obs::SpanRecorder;
-use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_simnet::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
@@ -173,7 +173,7 @@ fn build_rig(records: u64) -> Rig {
         cache_ttl_ms: 0,
     }));
     proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+        .update_filters(|fs| fs.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
         .unwrap();
     let stack = stacks::full_upstream(proxy, vec![server.addr()], RetryPolicy::fast(0xE18));
     Rig {

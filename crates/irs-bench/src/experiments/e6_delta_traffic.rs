@@ -17,7 +17,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_filters::TieredConfig;
+use irs_filters::{Publication, TieredConfig};
 use irs_ledger::{Ledger, LedgerConfig};
 
 /// What a proxy holding `(have_epoch, have_version)` is served.
@@ -73,11 +73,11 @@ pub fn run(quick: bool) -> String {
             }
         }
         ledger.publish_filter();
-        let Response::FilterTiered {
+        let Response::Filter(Publication::Tiered {
             epoch,
             delta_version,
             ..
-        } = fetch(&ledger, 0, 0)
+        }) = fetch(&ledger, 0, 0)
         else {
             panic!("first fetch must be full");
         };
@@ -88,15 +88,15 @@ pub fn run(quick: bool) -> String {
             ledger.handle(Request::Revoke(rv), TimeMs(999_999));
         }
         ledger.publish_filter();
-        let Response::FilterTiered { base, delta, .. } = fetch(&ledger, 0, 0) else {
+        let Response::Filter(full @ Publication::Tiered { .. }) = fetch(&ledger, 0, 0) else {
             panic!("bootstrap fetch must be full");
         };
-        let full_bytes = base.len() + delta.len();
+        let full_bytes = full.payload_len();
         match fetch(&ledger, epoch, delta_version) {
-            Response::FilterDelta { data, .. } => {
+            Response::Filter(Publication::Delta { data, .. }) => {
                 table.row(vec![
                     format!("{churn}"),
-                    bytes_h(full_bytes as u64),
+                    bytes_h(full_bytes),
                     bytes_h(data.len() as u64),
                     format!("{}×", f(full_bytes as f64 / data.len() as f64, 0)),
                     f(data.len() as f64 / churn as f64, 1),

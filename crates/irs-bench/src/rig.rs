@@ -18,9 +18,9 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_filters::BloomFilter;
+use irs_filters::{BloomFilter, Publication};
 use irs_ledger::{Ledger, LedgerConfig};
-use irs_proxy::{FilterUpdate, LookupOutcome, SharedProxy};
+use irs_proxy::{LookupOutcome, SharedProxy};
 use irs_workload::population::PhotoPopulation;
 
 /// Install the population's revoked set on `proxy` the way §4.4 has it
@@ -39,7 +39,7 @@ pub fn install_revoked_filter(
     }
     proxy.update_filters(|fs| {
         for (ledger, filter) in (0u16..).zip(per_ledger) {
-            fs.apply(LedgerId(ledger), FilterUpdate::full(1, filter.to_bytes()))
+            fs.apply(LedgerId(ledger), Publication::full(1, filter.to_bytes()))
                 .expect("install");
         }
     });

@@ -357,11 +357,11 @@ mod tests {
         use irs_core::claim::{ClaimRequest, RevokeRequest};
         use irs_core::tsa::TimestampAuthority;
         use irs_crypto::{Digest, Keypair};
-        use irs_filters::BloomFilter;
+        use irs_filters::{BloomFilter, Publication};
         use irs_ledger::{Ledger, LedgerConfig};
         use irs_net::service::TcpTransport;
         use irs_net::{LedgerServer, RetryPolicy};
-        use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+        use irs_proxy::{ProxyConfig, SharedProxy};
         use std::sync::Arc;
 
         // A live ledger with one revoked record, fronted by the same
@@ -391,7 +391,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(revoked.filter_key());
         shared
-            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+            .update_filters(|f| f.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
             .unwrap();
         let stack = stacks::retrying_upstream(
             shared.clone(),

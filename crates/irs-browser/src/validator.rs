@@ -6,16 +6,19 @@
 //! "early adoption" note — "one could use the same strategy to reduce the
 //! load on the proxies by inserting a Bloom filter in browsers themselves"
 //! — is the optional local filter: the proxy's own [`FilterSet`], fed the
-//! same [`FilterUpdate`]s, so a browser and a proxy answer a photo
-//! locally under one rule.
+//! same [`Publication`]s a ledger's serve matrix returns and the wire
+//! carries, so a browser and a proxy answer a photo locally under one
+//! rule. A browser that is current needs nothing installed: a ledger
+//! answers it an empty same-version delta, which is not a publication
+//! to apply.
 
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::photo::{LabelReading, LabelState};
 use irs_core::policy::{ValidationOutcome, ViewerPolicy};
 use irs_core::time::TimeMs;
-use irs_filters::FilterError;
-use irs_proxy::{FilterSet, FilterUpdate, LruTtlCache};
+use irs_filters::{FilterError, Publication};
+use irs_proxy::{FilterSet, LruTtlCache};
 
 /// What the validator decides for one photo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +74,7 @@ impl BrowserValidator {
     pub fn install_filter(
         &mut self,
         ledger: LedgerId,
-        update: FilterUpdate,
+        update: Publication,
     ) -> Result<(), FilterError> {
         self.filters.apply(ledger, update)
     }
@@ -227,7 +230,7 @@ mod tests {
         let mut v = validator();
         let mut f = BloomFilter::with_params(1 << 12, 4, 0).unwrap();
         f.insert(rid(7).filter_key());
-        v.install_filter(LedgerId(1), FilterUpdate::full(1, f.to_bytes()))
+        v.install_filter(LedgerId(1), Publication::full(1, f.to_bytes()))
             .unwrap();
         // rid(7) hits the revoked-set filter → proxy; rid(1000) misses →
         // definitely not revoked → locally valid.

@@ -20,6 +20,7 @@ use crate::time::TimeMs;
 use crate::tsa::TimestampToken;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use irs_crypto::{Digest, PublicKey, Signature};
+use irs_filters::Publication;
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -328,10 +329,10 @@ pub enum Request {
     /// [`Response::WrongShard`] refusal.
     GetShardMap,
     /// Epoch-aware filter fetch for the tiered (fuse base + Bloom delta)
-    /// pipeline. The server answers with [`Response::FilterDelta`] (same
-    /// epoch, one version behind), [`Response::FilterBase`] (single-epoch
-    /// roll onto an empty delta), or [`Response::FilterTiered`] (full
-    /// resync). Request tag 4 (the retired whole-Bloom fetch) is never
+    /// pipeline. The server answers with a [`Response::Filter`]: the
+    /// [`Publication`] the serve matrix picks for the held `(epoch,
+    /// version)`, or an empty same-version delta when the requester is
+    /// current. Request tag 4 (the retired whole-Bloom fetch) is never
     /// reused: a peer still sending it gets [`Response::Unsupported`].
     GetFilterTiered {
         /// Base epoch the requester holds (0 = none).
@@ -370,16 +371,10 @@ pub enum Response {
         /// New status epoch.
         epoch: u64,
     },
-    /// Delta-tier diff from the requester's version (response tag 4, the
-    /// retired whole-Bloom snapshot, is never reused).
-    FilterDelta {
-        /// Version the delta applies to.
-        from_version: u64,
-        /// Version after applying.
-        to_version: u64,
-        /// `BloomDelta::to_bytes` payload.
-        data: Bytes,
-    },
+    /// One ledger's filter publication. Each [`Publication`] variant has
+    /// its own tag: `Delta` 5, `Base` 19, `Tiered` 20 (response tag 4,
+    /// the retired whole-Bloom snapshot, is never reused).
+    Filter(Publication),
     /// Signed freshness proof.
     Proof(FreshnessProof),
     /// Liveness reply.
@@ -481,29 +476,6 @@ pub enum Response {
     WrongShard {
         /// The refusing server's directory epoch.
         epoch: u64,
-    },
-    /// A freshly sealed base tier: the requester lagged by exactly one
-    /// epoch and the new delta is still empty, so only the fuse base
-    /// ships; the client clears its delta tier locally (delta geometry is
-    /// fixed per ledger config, so the cleared copy matches the server's
-    /// reset one bit for bit).
-    FilterBase {
-        /// The newly sealed epoch.
-        epoch: u64,
-        /// `Fuse8::to_bytes` payload.
-        data: Bytes,
-    },
-    /// Full tiered install: base + delta (bootstrap, multi-epoch lag, or
-    /// any delta version the server can no longer diff against).
-    FilterTiered {
-        /// Current epoch.
-        epoch: u64,
-        /// `Fuse8::to_bytes` payload; empty when no epoch has sealed yet.
-        base: Bytes,
-        /// Current delta version within `epoch`.
-        delta_version: u64,
-        /// `BloomFilter::to_bytes` payload for the delta tier.
-        delta: Bytes,
     },
 }
 
@@ -623,11 +595,11 @@ impl Wire for Response {
                 status.encode(buf)?;
                 epoch.encode(buf)?;
             }
-            Response::FilterDelta {
+            Response::Filter(Publication::Delta {
                 from_version,
                 to_version,
                 data,
-            } => {
+            }) => {
                 buf.put_u8(5);
                 from_version.encode(buf)?;
                 to_version.encode(buf)?;
@@ -692,17 +664,17 @@ impl Wire for Response {
                 buf.put_u8(18);
                 epoch.encode(buf)?;
             }
-            Response::FilterBase { epoch, data } => {
+            Response::Filter(Publication::Base { epoch, data }) => {
                 buf.put_u8(19);
                 epoch.encode(buf)?;
                 put_blob(buf, data);
             }
-            Response::FilterTiered {
+            Response::Filter(Publication::Tiered {
                 epoch,
                 base,
                 delta_version,
                 delta,
-            } => {
+            }) => {
                 buf.put_u8(20);
                 epoch.encode(buf)?;
                 put_blob(buf, base);
@@ -734,11 +706,11 @@ impl Wire for Response {
                 status: RevocationStatus::decode(buf)?,
                 epoch: u64::decode(buf)?,
             }),
-            5 => Ok(Response::FilterDelta {
+            5 => Ok(Response::Filter(Publication::Delta {
                 from_version: u64::decode(buf)?,
                 to_version: u64::decode(buf)?,
                 data: get_blob(buf)?,
-            }),
+            })),
             6 => Ok(Response::Proof(FreshnessProof::decode(buf)?)),
             8 => Ok(Response::Pong),
             9 => {
@@ -788,16 +760,16 @@ impl Wire for Response {
             18 => Ok(Response::WrongShard {
                 epoch: u64::decode(buf)?,
             }),
-            19 => Ok(Response::FilterBase {
+            19 => Ok(Response::Filter(Publication::Base {
                 epoch: u64::decode(buf)?,
                 data: get_blob(buf)?,
-            }),
-            20 => Ok(Response::FilterTiered {
+            })),
+            20 => Ok(Response::Filter(Publication::Tiered {
                 epoch: u64::decode(buf)?,
                 base: get_blob(buf)?,
                 delta_version: u64::decode(buf)?,
                 delta: get_blob(buf)?,
-            }),
+            })),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -900,11 +872,11 @@ mod tests {
             status: RevocationStatus::NotRevoked,
             epoch: 4,
         });
-        roundtrip(&Response::FilterDelta {
+        roundtrip(&Response::Filter(Publication::Delta {
             from_version: 7,
             to_version: 8,
             data: Bytes::from_static(b"delta"),
-        });
+        }));
         let proof =
             FreshnessProof::issue(&kp(), rid(5), RevocationStatus::NotRevoked, TimeMs(1), 1000);
         roundtrip(&Response::Proof(proof));
@@ -954,33 +926,31 @@ mod tests {
             data: Bytes::new(),
         });
         roundtrip(&Response::WrongShard { epoch: 31 });
-        roundtrip(&Response::FilterBase {
+        roundtrip(&Response::Filter(Publication::Base {
             epoch: 2,
             data: Bytes::from_static(b"fuse-base-bytes"),
-        });
-        roundtrip(&Response::FilterTiered {
+        }));
+        roundtrip(&Response::Filter(Publication::Tiered {
             epoch: 5,
             base: Bytes::from_static(b"fuse-base-bytes"),
             delta_version: 9,
             delta: Bytes::from_static(b"delta-bloom-bytes"),
-        });
+        }));
         // Bootstrap shape: no sealed epoch yet, so the base blob is empty.
-        roundtrip(&Response::FilterTiered {
-            epoch: 1,
-            base: Bytes::new(),
-            delta_version: 0,
-            delta: Bytes::from_static(b"delta-bloom-bytes"),
-        });
+        roundtrip(&Response::Filter(Publication::full(
+            0,
+            Bytes::from_static(b"delta-bloom-bytes"),
+        )));
     }
 
     #[test]
     fn tiered_filter_messages_truncation_rejected() {
-        let full = Response::FilterTiered {
+        let full = Response::Filter(Publication::Tiered {
             epoch: 5,
             base: Bytes::from_static(b"base"),
             delta_version: 9,
             delta: Bytes::from_static(b"delta"),
-        }
+        })
         .to_bytes()
         .unwrap();
         for cut in 0..full.len() {
@@ -997,6 +967,92 @@ mod tests {
         .unwrap();
         for cut in 0..req.len() {
             assert!(Request::from_bytes(req.slice(..cut)).is_err());
+        }
+    }
+
+    /// The filter messages' bytes, pinned: the refresh request (tag 12)
+    /// and one response per filter tag (5, 19, 20), including the empty
+    /// delta an up-to-date requester is answered with. A change to any
+    /// literal here is a wire change.
+    #[test]
+    fn filter_messages_keep_their_bytes() {
+        use irs_filters::delta::BloomDelta;
+        use irs_filters::BloomFilter;
+        let hex = |bytes: Bytes| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let bloom = BloomFilter::with_params(64, 3, 9).unwrap();
+        let up_to_date = BloomDelta::diff(&bloom, &bloom).unwrap().to_bytes();
+        let requests = [
+            (
+                Request::GetFilterTiered {
+                    have_epoch: 0,
+                    have_version: 0,
+                },
+                "010c00000000000000000000000000000000",
+            ),
+            (
+                Request::GetFilterTiered {
+                    have_epoch: 3,
+                    have_version: 12,
+                },
+                "010c0000000000000003000000000000000c",
+            ),
+        ];
+        for (request, bytes) in requests {
+            assert_eq!(hex(request.to_bytes().unwrap()), bytes, "{request:?}");
+            assert_eq!(
+                Request::from_bytes(request.to_bytes().unwrap()),
+                Ok(request)
+            );
+        }
+        let responses = [
+            (
+                Response::Filter(Publication::Delta {
+                    from_version: 4,
+                    to_version: 4,
+                    data: up_to_date,
+                }),
+                "0105000000000000000400000000000000040000002849524432000000000000004000000003000000000000000900000000000000000000000000000000",
+            ),
+            (
+                Response::Filter(Publication::Delta {
+                    from_version: 7,
+                    to_version: 8,
+                    data: Bytes::from_static(b"delta"),
+                }),
+                "0105000000000000000700000000000000080000000564656c7461",
+            ),
+            (
+                Response::Filter(Publication::Base {
+                    epoch: 2,
+                    data: Bytes::from_static(b"base"),
+                }),
+                "011300000000000000020000000462617365",
+            ),
+            (
+                Response::Filter(Publication::Tiered {
+                    epoch: 5,
+                    base: Bytes::from_static(b"base"),
+                    delta_version: 9,
+                    delta: Bytes::from_static(b"bloom"),
+                }),
+                "011400000000000000050000000462617365000000000000000900000005626c6f6f6d",
+            ),
+            (
+                Response::Filter(Publication::Tiered {
+                    epoch: 1,
+                    base: Bytes::new(),
+                    delta_version: 0,
+                    delta: Bytes::from_static(b"bloom"),
+                }),
+                "0114000000000000000100000000000000000000000000000005626c6f6f6d",
+            ),
+        ];
+        for (response, bytes) in responses {
+            assert_eq!(hex(response.to_bytes().unwrap()), bytes, "{response:?}");
+            assert_eq!(
+                Response::from_bytes(response.to_bytes().unwrap()),
+                Ok(response)
+            );
         }
     }
 

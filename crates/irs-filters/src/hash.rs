@@ -8,7 +8,8 @@
 //! have independent false-positive sets and (b) static construction can
 //! retry with a fresh seed on peel failure.
 
-/// splitmix64 finalizer — a full-avalanche 64→64 bit mixer.
+/// SplitMix64 finalizer — a full-avalanche 64→64 bit mixer (also the
+/// draw behind the seeded fault schedules and retry jitter).
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

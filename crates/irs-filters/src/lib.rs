@@ -23,7 +23,9 @@
 //!   be low" (hourly refresh, §4.4);
 //! * [`tiered`] — the one publication pipeline: a frozen fuse8 base
 //!   sealed per epoch plus a small Bloom delta for churn since the seal,
-//!   with background compaction rolling the epoch (DESIGN.md §16). Until
+//!   with background compaction rolling the epoch (DESIGN.md §16), and
+//!   [`Publication`], the one type for a ledger's filter answer from
+//!   the serve matrix through the wire to every `FilterSet`. Until
 //!   the first seal a tier is just its delta Bloom — the paper's filter —
 //!   and un-revocation needs no counters: each publish re-covers
 //!   `revoked \ base` from scratch.
@@ -43,7 +45,7 @@ pub mod xor;
 pub use bloom::BloomFilter;
 pub use fuse::{Fuse16, Fuse8};
 pub use tiered::{
-    PublishOutcome, TieredConfig, TieredFilter, TieredPublisher, TieredServe, TieredSnapshot,
+    Publication, PublishOutcome, TieredConfig, TieredFilter, TieredPublisher, TieredSnapshot,
 };
 pub use xor::{Xor16, Xor8};
 

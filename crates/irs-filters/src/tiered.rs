@@ -68,16 +68,6 @@ pub struct TieredFilter {
 }
 
 impl TieredFilter {
-    /// Assemble a tier from decoded parts.
-    pub fn new(epoch: u64, base: Option<Fuse8>, delta: BloomFilter, delta_version: u64) -> Self {
-        TieredFilter {
-            epoch,
-            base,
-            delta,
-            delta_version,
-        }
-    }
-
     /// Decode a tier from wire payloads (an empty `base` blob means the
     /// ledger has not sealed an epoch yet).
     pub fn from_wire(
@@ -180,40 +170,79 @@ pub enum PublishOutcome {
     Compacted(u64),
 }
 
-/// One answer to a tiered filter request.
-#[derive(Clone, Debug)]
-pub enum TieredServe {
-    /// Client is up to date.
-    Current,
-    /// Same epoch, client is exactly one delta version behind.
+/// One ledger's filter publication: the one type for a filter answer,
+/// from the serve matrix ([`TieredSnapshot::serve`]) through the wire
+/// (`Response::Filter`, tags 5, 19 and 20) to the proxy's and the
+/// browser's `FilterSet::apply`. Every payload is encoded, exactly as the
+/// wire carries it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Publication {
+    /// Same epoch, one delta version on: the bit-flip diff between the
+    /// two delta snapshots. An empty diff with `from_version ==
+    /// to_version` is the answer to a requester that is already current
+    /// ([`TieredSnapshot::up_to_date`]).
     Delta {
-        /// Version the client holds (the diff's precondition).
+        /// Version the diff was cut against; must equal the held one.
         from_version: u64,
-        /// Version the diff produces.
+        /// Version held after the apply.
         to_version: u64,
-        /// The bit-flip diff between the two delta snapshots.
-        delta: BloomDelta,
+        /// [`BloomDelta::to_bytes`] payload.
+        data: Bytes,
     },
     /// The epoch rolled by exactly one and the new delta is still empty:
-    /// ship only the sealed base, the client clears its delta locally.
+    /// only the sealed base ships, and the requester clears its delta
+    /// tier locally (delta geometry is fixed per ledger config, so the
+    /// cleared copy matches the ledger's reset one bit for bit).
     Base {
-        /// The newly sealed epoch.
+        /// The newly sealed epoch; must be the held epoch + 1.
         epoch: u64,
-        /// Encoded fuse8 base tier.
-        base: Bytes,
+        /// [`Fuse8::to_bytes`] payload.
+        data: Bytes,
     },
-    /// Full resync: base + delta (bootstrap, multi-epoch lag, or any
-    /// version the server can no longer diff against).
+    /// Full install: base + delta (bootstrap, multi-epoch lag, or any
+    /// delta version the ledger can no longer diff against).
     Tiered {
         /// Current epoch.
         epoch: u64,
-        /// Encoded fuse8 base tier (empty if no epoch sealed yet).
+        /// [`Fuse8::to_bytes`] payload; empty before the first seal.
         base: Bytes,
-        /// Current delta version.
+        /// Current delta version within `epoch`.
         delta_version: u64,
-        /// Encoded delta Bloom.
+        /// [`BloomFilter::to_bytes`] payload for the delta tier.
         delta: Bytes,
     },
+}
+
+impl Publication {
+    /// A whole Bloom filter as one ledger's unsealed tier (epoch 1, no
+    /// base, `data` as the delta at `version`): what a test or an
+    /// experiment installs when it hands a proxy a Bloom it built itself.
+    pub fn full(version: u64, data: Bytes) -> Publication {
+        Publication::Tiered {
+            epoch: 1,
+            base: Bytes::new(),
+            delta_version: version,
+            delta: data,
+        }
+    }
+
+    /// Whether this is a ledger's answer to a requester that is already
+    /// current ([`TieredSnapshot::up_to_date`]): a delta from a version
+    /// to itself, which installs nothing.
+    pub fn is_up_to_date(&self) -> bool {
+        matches!(
+            self,
+            Publication::Delta { from_version, to_version, .. } if from_version == to_version
+        )
+    }
+
+    /// Payload bytes the publication carries over the wire.
+    pub fn payload_len(&self) -> u64 {
+        (match self {
+            Publication::Delta { data, .. } | Publication::Base { data, .. } => data.len(),
+            Publication::Tiered { base, delta, .. } => base.len() + delta.len(),
+        }) as u64
+    }
 }
 
 /// An immutable, cheaply clonable publication of the tiered state —
@@ -245,30 +274,31 @@ impl TieredSnapshot {
         &self.base_bytes
     }
 
-    /// The published delta tier (ledgers diff against it to answer
-    /// up-to-date requesters with an empty delta).
+    /// The published delta tier.
     pub fn delta(&self) -> &BloomFilter {
         &self.delta
     }
 
-    /// Decide what to send a client that holds `(have_epoch, have_version)`.
+    /// What a requester holding `(have_epoch, have_version)` must install
+    /// to be current, or `None` when it already is.
     ///
-    /// The fallback matrix (also in DESIGN.md §16): current → `Current`;
-    /// same epoch one version behind → `Delta`; single-epoch lag onto a
-    /// still-empty delta → `Base`; everything else → full `Tiered`.
-    pub fn serve(&self, have_epoch: u64, have_version: u64) -> TieredServe {
+    /// The serve matrix (also in DESIGN.md §16): same epoch one version
+    /// behind → [`Publication::Delta`]; single-epoch lag onto a
+    /// still-empty delta → [`Publication::Base`]; everything else → full
+    /// [`Publication::Tiered`].
+    pub fn serve(&self, have_epoch: u64, have_version: u64) -> Option<Publication> {
         if have_epoch == self.epoch {
             if have_version == self.delta_version {
-                return TieredServe::Current;
+                return None;
             }
             if let Some((prev_version, prev)) = &self.prev_delta {
                 if *prev_version == have_version {
                     if let Ok(delta) = BloomDelta::diff(prev, &self.delta) {
-                        return TieredServe::Delta {
+                        return Some(Publication::Delta {
                             from_version: have_version,
                             to_version: self.delta_version,
-                            delta,
-                        };
+                            data: delta.to_bytes(),
+                        });
                     }
                 }
             }
@@ -277,16 +307,28 @@ impl TieredSnapshot {
             && self.delta_version == 0
             && self.delta.inserted() == 0
         {
-            return TieredServe::Base {
+            return Some(Publication::Base {
                 epoch: self.epoch,
-                base: self.base_bytes.clone(),
-            };
+                data: self.base_bytes.clone(),
+            });
         }
-        TieredServe::Tiered {
+        Some(Publication::Tiered {
             epoch: self.epoch,
             base: self.base_bytes.clone(),
             delta_version: self.delta_version,
             delta: self.delta_bytes.clone(),
+        })
+    }
+
+    /// The answer a ledger sends a requester that is already current: an
+    /// empty delta from the current version to itself.
+    pub fn up_to_date(&self) -> Publication {
+        Publication::Delta {
+            from_version: self.delta_version,
+            to_version: self.delta_version,
+            data: BloomDelta::diff(&self.delta, &self.delta)
+                .expect("a filter has its own geometry")
+                .to_bytes(),
         }
     }
 }
@@ -424,25 +466,26 @@ mod tests {
             .as_ref()
             .map_or((0, 0), |t| (t.epoch(), t.delta_version()));
         match snap.serve(have_epoch, have_version) {
-            TieredServe::Current => {}
-            TieredServe::Delta {
-                to_version, delta, ..
-            } => {
+            None => {}
+            Some(Publication::Delta {
+                to_version, data, ..
+            }) => {
+                let delta = BloomDelta::from_bytes(data).unwrap();
                 client
                     .as_mut()
                     .unwrap()
                     .advance_delta(&delta, to_version)
                     .unwrap();
             }
-            TieredServe::Base { epoch, base } => {
-                client.as_mut().unwrap().roll_epoch(epoch, &base).unwrap();
+            Some(Publication::Base { epoch, data }) => {
+                client.as_mut().unwrap().roll_epoch(epoch, &data).unwrap();
             }
-            TieredServe::Tiered {
+            Some(Publication::Tiered {
                 epoch,
                 base,
                 delta_version,
                 delta,
-            } => {
+            }) => {
                 *client =
                     Some(TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap());
             }
@@ -535,35 +578,43 @@ mod tests {
         // Bootstrap client → full tiered install.
         assert!(matches!(
             publisher.snapshot().serve(0, 0),
-            TieredServe::Tiered { epoch: 2, .. }
+            Some(Publication::Tiered { epoch: 2, .. })
         ));
         // Single-epoch lag onto empty delta → base-only.
         assert!(matches!(
             publisher.snapshot().serve(1, 0),
-            TieredServe::Base { epoch: 2, .. }
+            Some(Publication::Base { epoch: 2, .. })
         ));
-        // Current → current.
-        assert!(matches!(
-            publisher.snapshot().serve(2, 0),
-            TieredServe::Current
-        ));
+        // Current → nothing to install…
+        assert_eq!(publisher.snapshot().serve(2, 0), None);
+        // …which a ledger answers with an empty delta at the held version.
+        let Publication::Delta {
+            from_version: 0,
+            to_version: 0,
+            data,
+        } = publisher.snapshot().up_to_date()
+        else {
+            panic!("up-to-date answer is not a same-version delta");
+        };
+        assert_eq!(BloomDelta::from_bytes(data).unwrap().flips(), 0);
+        assert!(publisher.snapshot().up_to_date().is_up_to_date());
 
         revoked.extend(keyset(200..210));
         publisher.publish(&revoked).unwrap(); // epoch 2, v1
         assert!(matches!(
             publisher.snapshot().serve(2, 0),
-            TieredServe::Delta {
+            Some(Publication::Delta {
                 from_version: 0,
                 to_version: 1,
                 ..
-            }
+            })
         ));
         // Two versions behind → full resync.
         revoked.extend(keyset(210..220));
         publisher.publish(&revoked).unwrap(); // epoch 2, v2
         assert!(matches!(
             publisher.snapshot().serve(2, 0),
-            TieredServe::Tiered { .. }
+            Some(Publication::Tiered { .. })
         ));
         // Epoch lag with a non-empty delta → full resync, not base-only.
         let mut big = revoked.clone();
@@ -573,7 +624,7 @@ mod tests {
         publisher.publish(&big).unwrap(); // epoch 3, v1
         assert!(matches!(
             publisher.snapshot().serve(2, 2),
-            TieredServe::Tiered { epoch: 3, .. }
+            Some(Publication::Tiered { epoch: 3, .. })
         ));
     }
 
@@ -606,12 +657,12 @@ mod tests {
         publisher.publish(&keyset(0..80)).unwrap(); // epoch 3
         publisher.publish(&keyset(0..120)).unwrap(); // epoch 4
         let snap = publisher.snapshot();
-        if let TieredServe::Base { epoch, base } = snap.serve(3, 0) {
+        if let Some(Publication::Base { epoch, data }) = snap.serve(3, 0) {
             // A client at epoch 2 must refuse this single-step payload…
-            assert!(client.as_mut().unwrap().roll_epoch(epoch, &base).is_err());
+            assert!(client.as_mut().unwrap().roll_epoch(epoch, &data).is_err());
         }
         // …and the serve matrix hands the epoch-2 client a full resync.
-        assert!(matches!(snap.serve(2, 0), TieredServe::Tiered { .. }));
+        assert!(matches!(snap.serve(2, 0), Some(Publication::Tiered { .. })));
     }
 
     /// Queries racing an epoch compaction never see a false negative: the

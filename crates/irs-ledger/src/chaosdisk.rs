@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use irs_filters::hash::mix64;
 use parking_lot::Mutex;
 
 use crate::disk::Disk;
@@ -158,7 +159,7 @@ impl ChaosDisk {
     fn tear_tail(state: &mut FileState, seed: u64, op: u64, file_idx: u64) {
         let tail = state.data.len().saturating_sub(state.synced_len);
         if tail > 0 {
-            let roll = splitmix64(
+            let roll = mix64(
                 seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     ^ file_idx.wrapping_mul(0xD134_2543_DE82_EF95),
             );
@@ -177,12 +178,12 @@ impl ChaosDisk {
         if config.modes.is_empty() || config.fault_rate <= 0.0 {
             return None;
         }
-        let roll = splitmix64(config.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let roll = mix64(config.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let unit = (roll >> 11) as f64 / (1u64 << 53) as f64;
         if unit >= config.fault_rate {
             return None;
         }
-        let pick = splitmix64(roll) % config.modes.len() as u64;
+        let pick = mix64(roll) % config.modes.len() as u64;
         Some(config.modes[pick as usize])
     }
 }
@@ -201,12 +202,12 @@ impl Disk for ChaosDisk {
         let mut data = state.data.clone();
         match fault {
             Some(DiskFault::BitFlip) if !data.is_empty() => {
-                let pos = splitmix64(seed ^ n) % (data.len() as u64 * 8);
+                let pos = mix64(seed ^ n) % (data.len() as u64 * 8);
                 data[(pos / 8) as usize] ^= 1 << (pos % 8);
                 inner.stats.bit_flips += 1;
             }
             Some(DiskFault::ShortRead) if !data.is_empty() => {
-                let keep = (splitmix64(seed ^ n ^ 0x5EED) % data.len() as u64) as usize;
+                let keep = (mix64(seed ^ n ^ 0x5EED) % data.len() as u64) as usize;
                 data.truncate(keep);
                 inner.stats.short_reads += 1;
             }
@@ -303,15 +304,6 @@ impl Disk for ChaosDisk {
         self.inner.lock().files.remove(path);
         Ok(())
     }
-}
-
-/// splitmix64 mixer — same generator as `irs-net/chaos.rs`, duplicated
-/// here because `irs-net` depends on this crate (no back-edge allowed).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

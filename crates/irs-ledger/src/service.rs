@@ -33,8 +33,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::{TimestampAuthority, TimestampToken};
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Keypair, PublicKey};
-use irs_filters::delta::BloomDelta;
-use irs_filters::{TieredConfig, TieredPublisher, TieredServe, TieredSnapshot};
+use irs_filters::{Publication, TieredConfig, TieredPublisher, TieredSnapshot};
 use irs_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder};
 use parking_lot::{Mutex, RwLock};
 use std::io;
@@ -899,49 +898,17 @@ impl Ledger {
             return err(codes::BAD_REQUEST, "no filter published yet");
         }
         // Clone the Arc under the read lock; diff and serialize off-lock.
+        // An up-to-date requester gets an empty delta.
         let snap = self.tiered_snapshot();
-        match snap.serve(have_epoch, have_version) {
-            TieredServe::Current => {
-                // Up-to-date requesters get an empty delta.
-                let d = BloomDelta::diff(snap.delta(), snap.delta()).expect("identical geometry");
-                self.obs.filters_delta.inc();
-                Response::FilterDelta {
-                    from_version: have_version,
-                    to_version: snap.delta_version(),
-                    data: d.to_bytes(),
-                }
-            }
-            TieredServe::Delta {
-                from_version,
-                to_version,
-                delta,
-            } => {
-                self.obs.filters_delta.inc();
-                Response::FilterDelta {
-                    from_version,
-                    to_version,
-                    data: delta.to_bytes(),
-                }
-            }
-            TieredServe::Base { epoch, base } => {
-                self.obs.filters_base.inc();
-                Response::FilterBase { epoch, data: base }
-            }
-            TieredServe::Tiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            } => {
-                self.obs.filters_tiered.inc();
-                Response::FilterTiered {
-                    epoch,
-                    base,
-                    delta_version,
-                    delta,
-                }
-            }
+        let publication = snap
+            .serve(have_epoch, have_version)
+            .unwrap_or_else(|| snap.up_to_date());
+        match publication {
+            Publication::Delta { .. } => self.obs.filters_delta.inc(),
+            Publication::Base { .. } => self.obs.filters_base.inc(),
+            Publication::Tiered { .. } => self.obs.filters_tiered.inc(),
         }
+        Response::Filter(publication)
     }
 }
 
@@ -986,6 +953,7 @@ mod tests {
     use super::*;
     use irs_core::claim::RevokeRequest;
     use irs_crypto::Digest;
+    use irs_filters::delta::BloomDelta;
     use irs_filters::{Filter, Fuse8, TieredFilter};
     use std::sync::Barrier;
     use std::thread;
@@ -1040,12 +1008,12 @@ mod tests {
     /// The tier a bootstrapping client would install right now.
     fn fetch_tier(l: &Ledger) -> TieredFilter {
         match l.handle(BOOTSTRAP, TimeMs(5)) {
-            Response::FilterTiered {
+            Response::Filter(Publication::Tiered {
                 epoch,
                 base,
                 delta_version,
                 delta,
-            } => TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap(),
+            }) => TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap(),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1142,11 +1110,11 @@ mod tests {
             },
             TimeMs(3),
         ) {
-            Response::FilterDelta {
+            Response::Filter(Publication::Delta {
                 from_version,
                 to_version,
                 ..
-            } => assert_eq!(from_version, to_version),
+            }) => assert_eq!(from_version, to_version),
             other => panic!("unexpected {other:?}"),
         }
         // One publication later the same requester is a version behind.
@@ -1160,11 +1128,11 @@ mod tests {
             },
             TimeMs(4),
         ) {
-            Response::FilterDelta {
+            Response::Filter(Publication::Delta {
                 from_version,
                 to_version,
                 data,
-            } => {
+            }) => {
                 assert_eq!((from_version, to_version), (1, 2));
                 assert!(data.len() < tier.delta().to_bytes().len() / 10);
                 let delta = BloomDelta::from_bytes(data).unwrap();
@@ -1194,7 +1162,7 @@ mod tests {
             },
             TimeMs(3),
         ) {
-            Response::FilterBase { epoch, data } => {
+            Response::Filter(Publication::Base { epoch, data }) => {
                 assert_eq!(epoch, 2);
                 let base = Fuse8::from_bytes(data).unwrap();
                 for &k in &keys {

@@ -19,6 +19,7 @@
 
 use crate::codec::{BytesBuf, FrameCodec, Framed, MAX_FRAME, MAX_REQUEST_FRAME};
 use crate::server::ServerHandle;
+use irs_filters::hash::mix64;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -230,11 +231,11 @@ impl Control {
         if config.modes.is_empty() || rate <= 0.0 {
             return None;
         }
-        let roll = splitmix64(config.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let roll = mix64(config.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         if (roll >> 11) as f64 / (1u64 << 53) as f64 >= rate {
             return None;
         }
-        let pick = splitmix64(roll) as usize % config.modes.len();
+        let pick = mix64(roll) as usize % config.modes.len();
         Some(config.modes[pick])
     }
 
@@ -303,15 +304,6 @@ fn relay_exchange(
         _ => {}
     }
     client.write_frame(&response).is_ok()
-}
-
-/// SplitMix64 — the same mixer the vendored `rand` uses for seed
-/// expansion; one multiply-xor chain, good enough for fault draws.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub use ledger_server::LedgerServer;
 pub use mux::MuxClient;
 pub use proxy_server::ProxyServer;
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
-pub use refresh::{RefreshOutcome, RefreshWorker};
+pub use refresh::RefreshWorker;
 pub use service::{BoxService, CallCtx, Layer, RetryPolicy, Service, ServiceExt};
 
 /// Errors from the network layer.

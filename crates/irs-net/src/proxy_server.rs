@@ -205,14 +205,14 @@ mod tests {
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
-    use irs_filters::BloomFilter;
+    use irs_filters::{BloomFilter, Publication};
     use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::{FilterUpdate, ProxyConfig};
+    use irs_proxy::ProxyConfig;
 
     /// A shared proxy holding `filter` as ledger 1's revoked set.
     fn proxy_with(filter: &BloomFilter) -> Arc<SharedProxy> {
         let shared = Arc::new(SharedProxy::new(ProxyConfig::default()));
-        let update = FilterUpdate::full(1, filter.to_bytes());
+        let update = Publication::full(1, filter.to_bytes());
         shared
             .update_filters(|f| f.apply(LedgerId(1), update))
             .unwrap();

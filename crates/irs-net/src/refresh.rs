@@ -2,7 +2,11 @@
 //! current over the network (§4.4's hourly publication, on real sockets).
 //!
 //! One entry point, [`refresh`]: one round for one ledger over whatever
-//! [`Service`] reaches it. The wire calls happen outside any lock; the
+//! [`Service`] reaches it. The ledger answers a [`Response::Filter`]
+//! carrying the [`Publication`] its serve matrix picked (an empty
+//! same-version delta when the proxy is current), and that same
+//! `Publication` is what [`FilterSet::apply`] installs and what the
+//! round returns. The wire calls happen outside any lock; the
 //! held-state re-check and the apply run inside one `update_filters`
 //! transaction, so concurrent lookups keep reading the old snapshot
 //! until the new one swaps in, and two racing refreshes cannot
@@ -13,6 +17,8 @@
 //! counter and a backed-off retry, never a teardown — lookups keep
 //! serving the last-good snapshot throughout (the degradation ladder's
 //! "stale filters beat no filters" rung).
+//!
+//! [`FilterSet::apply`]: irs_proxy::FilterSet::apply
 
 use crate::service::{
     CallCtx, Failover, RetryLayer, RetryPolicy, Service, ServiceExt, TransportPool,
@@ -21,43 +27,13 @@ use crate::NetError;
 use irs_core::ids::LedgerId;
 use irs_core::time::{Clock, SystemClock};
 use irs_core::wire::{Request, Response};
+use irs_filters::Publication;
 use irs_obs::{Counter, Gauge};
-use irs_proxy::{FilterUpdate, SharedProxy};
+use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// What a refresh round did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefreshOutcome {
-    /// Applied a delta to the ledger's delta tier.
-    AppliedDelta {
-        /// New version held.
-        version: u64,
-        /// Delta bytes transferred.
-        bytes: usize,
-    },
-    /// Installed a full tiered state (bootstrap or multi-epoch resync).
-    InstalledTiered {
-        /// Epoch held after the install.
-        epoch: u64,
-        /// Delta version held within that epoch.
-        version: u64,
-        /// Base + delta bytes transferred.
-        bytes: usize,
-    },
-    /// Rolled onto a freshly sealed base tier (single-epoch advance; the
-    /// delta tier was cleared locally, no delta bytes shipped).
-    RolledEpoch {
-        /// The newly sealed epoch.
-        epoch: u64,
-        /// Base bytes transferred.
-        bytes: usize,
-    },
-    /// Already current (ledger sent an empty delta).
-    AlreadyCurrent,
-}
 
 /// One refresh round: pull `ledger`'s current publication through
 /// `service` (usually `Retry(Failover(Tcp))`, so the fetch itself has
@@ -70,11 +46,15 @@ pub enum RefreshOutcome {
 /// [`Response::Unsupported`]: it answered, so its breaker stays closed,
 /// but the round fails and nothing is installed — the proxy holds no
 /// filter for that ledger and its ids go to the ledger (fail-safe).
+///
+/// Returns the publication installed, or `None` when the proxy was
+/// already current (the ledger answered an empty delta, or a racing
+/// refresh advanced the set first).
 pub fn refresh<S: Service + ?Sized>(
     proxy: &SharedProxy,
     service: &S,
     ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
+) -> Result<Option<Publication>, NetError> {
     let have @ (have_epoch, have_version) = proxy.filters_snapshot().tiered_state(ledger);
     let fetched = service.call(
         Request::GetFilterTiered {
@@ -84,78 +64,26 @@ pub fn refresh<S: Service + ?Sized>(
         &CallCtx::wall(),
     );
     proxy.record_upstream(ledger, fetched.is_ok(), SystemClock.now());
-    let Some(update) = publication(fetched?)? else {
-        return Ok(RefreshOutcome::AlreadyCurrent);
-    };
-    let outcome = RefreshOutcome::of(&update);
-    proxy.update_filters(|filters| {
-        // Another refresher may have advanced the set between our
-        // snapshot read and this transaction; re-check inside it.
-        if filters.tiered_state(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        filters
-            .apply(ledger, update)
-            .map_err(|_| NetError::Frame("filter update rejected"))?;
-        Ok(outcome)
-    })
-}
-
-/// The update a filter response carries; `None` when the ledger says the
-/// proxy is current (an empty delta).
-fn publication(response: Response) -> Result<Option<FilterUpdate>, NetError> {
-    Ok(Some(match response {
-        Response::FilterDelta {
-            from_version,
-            to_version,
-            data,
-        } if from_version != to_version => FilterUpdate::Delta {
-            from_version,
-            to_version,
-            data,
-        },
-        Response::FilterDelta { .. } => return Ok(None),
-        Response::FilterTiered {
-            epoch,
-            base,
-            delta_version,
-            delta,
-        } => FilterUpdate::Tiered {
-            epoch,
-            base,
-            delta_version,
-            delta,
-        },
-        Response::FilterBase { epoch, data } => FilterUpdate::Base { epoch, data },
+    let publication = match fetched? {
+        Response::Filter(publication) if publication.is_up_to_date() => return Ok(None),
+        Response::Filter(publication) => publication,
         Response::Error { .. } => return Err(NetError::Frame("ledger has no published filter")),
         Response::Unsupported { .. } => {
             return Err(NetError::Frame("peer predates the filter pipeline"))
         }
         _ => return Err(NetError::Frame("unexpected response to a filter request")),
-    }))
-}
-
-impl RefreshOutcome {
-    /// What installing `update` amounts to.
-    fn of(update: &FilterUpdate) -> RefreshOutcome {
-        let bytes = update.payload_len() as usize;
-        match *update {
-            FilterUpdate::Delta { to_version, .. } => RefreshOutcome::AppliedDelta {
-                version: to_version,
-                bytes,
-            },
-            FilterUpdate::Tiered {
-                epoch,
-                delta_version,
-                ..
-            } => RefreshOutcome::InstalledTiered {
-                epoch,
-                version: delta_version,
-                bytes,
-            },
-            FilterUpdate::Base { epoch, .. } => RefreshOutcome::RolledEpoch { epoch, bytes },
+    };
+    proxy.update_filters(|filters| {
+        // Another refresher may have advanced the set between our
+        // snapshot read and this transaction; re-check inside it.
+        if filters.tiered_state(ledger) != have {
+            return Ok(None);
         }
-    }
+        filters
+            .apply(ledger, publication.clone())
+            .map_err(|_| NetError::Frame("filter update rejected"))?;
+        Ok(Some(publication))
+    })
 }
 
 /// Point-in-time counters from a [`RefreshWorker`].
@@ -343,8 +271,8 @@ fn run_shard(
         st.rounds.inc();
         shared.rounds.inc();
         let delay = match refresh(proxy, &fetch, st.ledger) {
-            Ok(outcome) => {
-                if !matches!(outcome, RefreshOutcome::AlreadyCurrent) {
+            Ok(installed) => {
+                if installed.is_some() {
                     st.installs.inc();
                     shared.installs.inc();
                 }
@@ -621,11 +549,11 @@ mod tests {
         assert!(
             matches!(
                 outcome,
-                RefreshOutcome::InstalledTiered {
+                Some(Publication::Tiered {
                     epoch: 1,
-                    version: 1,
+                    delta_version: 1,
                     ..
-                }
+                })
             ),
             "{outcome:?}"
         );
@@ -642,7 +570,7 @@ mod tests {
         l.publish_filter();
         let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
-            matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
+            matches!(outcome, Some(Publication::Delta { to_version: 2, .. })),
             "{outcome:?}"
         );
         assert_eq!(proxy.lookup(b, TimeMs(7)), LookupOutcome::NeedsLedgerQuery);
@@ -658,7 +586,7 @@ mod tests {
         l.publish_filter();
         let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
         assert!(
-            matches!(outcome, RefreshOutcome::RolledEpoch { epoch: 2, .. }),
+            matches!(outcome, Some(Publication::Base { epoch: 2, .. })),
             "{outcome:?}"
         );
         assert_eq!(proxy.filters_snapshot().tiered_state(LedgerId(1)), (2, 0));
@@ -671,7 +599,7 @@ mod tests {
         }
         // No churn: already current.
         let outcome = refresh(&proxy, &client, LedgerId(1)).unwrap();
-        assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
+        assert_eq!(outcome, None);
         server.shutdown();
     }
 

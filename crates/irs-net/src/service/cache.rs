@@ -166,8 +166,8 @@ mod tests {
     use crate::service::{service_fn, ServiceExt};
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::time::TimeMs;
-    use irs_filters::BloomFilter;
-    use irs_proxy::{FilterUpdate, ProxyConfig};
+    use irs_filters::{BloomFilter, Publication};
+    use irs_proxy::ProxyConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A proxy whose filter contains exactly `hot`: lookups for those go
@@ -177,7 +177,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         hot.iter().for_each(|id| filter.insert(id.filter_key()));
         proxy
-            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+            .update_filters(|f| f.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
             .unwrap();
         proxy
     }

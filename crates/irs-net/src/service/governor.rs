@@ -466,7 +466,7 @@ mod proptests {
             // order shuffled by the seed — 1000/s offered against 20/s
             // (+spill) capacity each.
             for ms in 0..10_000u64 {
-                rng = crate::chaos::splitmix64(rng);
+                rng = irs_filters::hash::mix64(rng);
                 let first = (rng & 1) as usize;
                 for who in [first, 1 - first] {
                     if !matches!(

@@ -4,12 +4,13 @@
 //! shapes a group can take that a single call cannot.
 
 use super::*;
-use crate::chaos::splitmix64;
 use irs_core::claim::RevocationStatus::{NotRevoked, Revoked};
 use irs_core::ids::{LedgerId, RecordId};
+use irs_filters::hash::mix64;
+use irs_filters::Publication;
 use irs_ledger::placement::{ShardMap, ShardSpec};
 use irs_proxy::health::BreakerState::{self, Closed, Open};
-use irs_proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
 
@@ -47,7 +48,7 @@ fn proxy() -> Arc<SharedProxy> {
         filter.insert(id.filter_key());
     }
     for ledger in [1, 2] {
-        let update = FilterUpdate::full(1, filter.to_bytes());
+        let update = Publication::full(1, filter.to_bytes());
         let applied = proxy.update_filters(|f| f.apply(LedgerId(ledger), update));
         applied.unwrap();
     }
@@ -180,7 +181,7 @@ fn twin_step(grouped: &Side, serial: &Side, reqs: Vec<Request>, now: u64) -> Rep
 /// one refusal before it heals; a group would count each).
 fn mix(rng: &mut u64) -> Vec<Request> {
     let mut next = || {
-        *rng = splitmix64(*rng);
+        *rng = mix64(*rng);
         *rng
     };
     let mut ids: Vec<RecordId> = Vec::new();

@@ -11,9 +11,9 @@
 //! rotation, all inside one deadline.
 
 use super::{Answers, CallCtx, Layer, Pending, Service};
-use crate::chaos::splitmix64;
 use crate::NetError;
 use irs_core::wire::{Request, Response};
+use irs_filters::hash::mix64;
 use irs_obs::MaybeSpan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,11 +151,9 @@ impl<S> Retry<S> {
         let prev = self
             .shared
             .jitter
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(splitmix64(s))
-            })
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(mix64(s)))
             .expect("fetch_update closure never returns None");
-        splitmix64(prev)
+        mix64(prev)
     }
 }
 
@@ -447,7 +445,7 @@ mod tests {
             let mut state = policy.jitter_seed;
             (1..6)
                 .map(|n| {
-                    state = splitmix64(state);
+                    state = mix64(state);
                     jittered_backoff(&policy, n, state)
                 })
                 .collect()

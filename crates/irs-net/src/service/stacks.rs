@@ -197,9 +197,9 @@ mod tests {
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
-    use irs_filters::BloomFilter;
+    use irs_filters::{BloomFilter, Publication};
     use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::{FilterUpdate, ProxyConfig};
+    use irs_proxy::ProxyConfig;
 
     /// End-to-end over loopback: a full stack answers locally, goes
     /// upstream on filter hits, and degrades to stale when the ledger
@@ -226,7 +226,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
         proxy
-            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+            .update_filters(|f| f.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
             .unwrap();
 
         let retry = RetryPolicy {
@@ -276,7 +276,7 @@ mod tests {
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
         proxy
-            .update_filters(|f| f.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+            .update_filters(|f| f.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
             .unwrap();
         let stack = full_upstream(proxy, vec![server.addr()], RetryPolicy::fast(42));
 

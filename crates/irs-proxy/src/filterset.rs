@@ -19,101 +19,18 @@
 //! (must query) for a ledger with no tier installed, however many other
 //! ledgers' filters miss.
 //!
-//! Every publication enters through the one validated
-//! [`FilterSet::apply`]. Update accounting is accept-only:
+//! Every [`Publication`] — the type the ledger's serve matrix returns and
+//! the wire carries — enters through the one validated
+//! [`FilterSet::apply`]. A ledger answers an up-to-date requester with an
+//! empty delta from its version to itself; the refresh reads that as
+//! "current" and applies nothing. Update accounting is accept-only:
 //! `bytes_received` and the update counters move only when an update
 //! validates and applies; a rejected update counts into `rejected` and
 //! changes nothing else.
 
 use irs_core::ids::LedgerId;
 use irs_filters::delta::BloomDelta;
-use irs_filters::{BloomFilter, Filter, FilterError, TieredFilter, TieredServe};
-
-/// One filter publication as a ledger serves it — the shapes of the
-/// serve matrix (DESIGN.md §16), mirroring the wire's `FilterDelta` /
-/// `FilterTiered` / `FilterBase`.
-#[derive(Clone, Debug)]
-pub enum FilterUpdate {
-    /// A delta against the ledger's delta tier.
-    Delta {
-        /// Version the delta was cut against; must equal the held one.
-        from_version: u64,
-        /// Version held after the apply.
-        to_version: u64,
-        /// Serialized [`BloomDelta`].
-        data: bytes::Bytes,
-    },
-    /// A full tiered state (bootstrap or multi-epoch resync).
-    Tiered {
-        /// Epoch of the sealed base.
-        epoch: u64,
-        /// Serialized fuse8 base (empty before the first seal).
-        base: bytes::Bytes,
-        /// Version of the delta tier within `epoch`.
-        delta_version: u64,
-        /// Serialized delta-tier Bloom.
-        delta: bytes::Bytes,
-    },
-    /// A freshly sealed base: single-epoch advance onto an empty delta.
-    Base {
-        /// The newly sealed epoch; must be the held epoch + 1.
-        epoch: u64,
-        /// Serialized fuse8 base.
-        data: bytes::Bytes,
-    },
-}
-
-impl FilterUpdate {
-    /// A whole Bloom filter as one ledger's unsealed tier (epoch 1, no
-    /// base, `data` as the delta at `version`) — what a test or an
-    /// experiment installs when it hands a proxy a Bloom it built itself.
-    pub fn full(version: u64, data: bytes::Bytes) -> FilterUpdate {
-        FilterUpdate::Tiered {
-            epoch: 1,
-            base: bytes::Bytes::new(),
-            delta_version: version,
-            delta: data,
-        }
-    }
-
-    /// The update a tiered serve-matrix answer asks for (`None` when the
-    /// client is already current) — the in-process counterpart of
-    /// decoding a filter response off the wire.
-    pub fn from_serve(serve: TieredServe) -> Option<FilterUpdate> {
-        Some(match serve {
-            TieredServe::Current => return None,
-            TieredServe::Delta {
-                from_version,
-                to_version,
-                delta,
-            } => FilterUpdate::Delta {
-                from_version,
-                to_version,
-                data: delta.to_bytes(),
-            },
-            TieredServe::Base { epoch, base } => FilterUpdate::Base { epoch, data: base },
-            TieredServe::Tiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            } => FilterUpdate::Tiered {
-                epoch,
-                base,
-                delta_version,
-                delta,
-            },
-        })
-    }
-
-    /// Payload bytes the update carried over the wire.
-    pub fn payload_len(&self) -> u64 {
-        (match self {
-            FilterUpdate::Delta { data, .. } | FilterUpdate::Base { data, .. } => data.len(),
-            FilterUpdate::Tiered { base, delta, .. } => base.len() + delta.len(),
-        }) as u64
-    }
-}
+use irs_filters::{BloomFilter, Filter, FilterError, Publication, TieredFilter};
 
 /// Per-ledger filters plus their merged view. `Clone` supports the
 /// shared proxy's copy-on-write refresh: build the next snapshot
@@ -152,21 +69,21 @@ impl FilterSet {
     /// payload (geometry, held version, epoch step) before touching the
     /// set, so a rejected update leaves it bit-identical and counts only
     /// into `rejected`; an accepted one accounts its payload bytes.
-    pub fn apply(&mut self, ledger: LedgerId, update: FilterUpdate) -> Result<(), FilterError> {
+    pub fn apply(&mut self, ledger: LedgerId, update: Publication) -> Result<(), FilterError> {
         let bytes = update.payload_len();
         let out = match update {
-            FilterUpdate::Delta {
+            Publication::Delta {
                 from_version,
                 to_version,
                 data,
             } => self.advance_delta(ledger, from_version, to_version, data),
-            FilterUpdate::Tiered {
+            Publication::Tiered {
                 epoch,
                 base,
                 delta_version,
                 delta,
             } => self.install_tiered(ledger, epoch, base, delta_version, delta),
-            FilterUpdate::Base { epoch, data } => self.roll_base(ledger, epoch, data),
+            Publication::Base { epoch, data } => self.roll_base(ledger, epoch, data),
         };
         match out {
             Ok(()) => self.bytes_received += bytes,
@@ -336,12 +253,12 @@ mod tests {
         f
     }
 
-    fn full(version: u64, filter: &BloomFilter) -> FilterUpdate {
-        FilterUpdate::full(version, filter.to_bytes())
+    fn full(version: u64, filter: &BloomFilter) -> Publication {
+        Publication::full(version, filter.to_bytes())
     }
 
-    fn delta(from_version: u64, to_version: u64, data: bytes::Bytes) -> FilterUpdate {
-        FilterUpdate::Delta {
+    fn delta(from_version: u64, to_version: u64, data: bytes::Bytes) -> Publication {
+        Publication::Delta {
             from_version,
             to_version,
             data,
@@ -451,14 +368,14 @@ mod tests {
         // The ledger restarts with a larger delta tier and ten more keys.
         let mut large = TieredPublisher::new(cfg(4_096)).unwrap();
         large.publish(&(0..30u64).map(mix64).collect()).unwrap();
-        let bootstrap = FilterUpdate::from_serve(large.snapshot().serve(0, 0)).unwrap();
+        let bootstrap = large.snapshot().serve(0, 0).unwrap();
         fs.apply(LedgerId(1), bootstrap.clone()).unwrap();
         for key in (0..30u64).map(mix64) {
             assert_eq!(fs.might_be_revoked(LedgerId(1), key), Some(true));
         }
         // Against *another* ledger's tier the convention still binds.
         fs.apply(LedgerId(2), bootstrap).unwrap();
-        let back = FilterUpdate::from_serve(small.snapshot().serve(0, 0)).unwrap();
+        let back = small.snapshot().serve(0, 0).unwrap();
         assert!(fs.apply(LedgerId(1), back).is_err());
         assert_eq!(fs.rejected, 1);
     }
@@ -488,7 +405,7 @@ mod tests {
     /// the FilterSet exactly as the refresh worker would.
     fn sync_tiered(fs: &mut FilterSet, ledger: LedgerId, snap: &irs_filters::TieredSnapshot) {
         let (have_epoch, have_version) = fs.tiered_state(ledger);
-        if let Some(update) = FilterUpdate::from_serve(snap.serve(have_epoch, have_version)) {
+        if let Some(update) = snap.serve(have_epoch, have_version) {
             fs.apply(ledger, update).unwrap();
         }
     }
@@ -552,7 +469,7 @@ mod tests {
         sync_tiered(&mut fs, LedgerId(1), &publisher.snapshot());
         let snap = publisher.snapshot();
         // Base roll for a ledger we don't hold tiered state for.
-        let roll = FilterUpdate::Base {
+        let roll = Publication::Base {
             epoch: 2,
             data: snap.base_bytes().clone(),
         };
@@ -607,7 +524,7 @@ mod tests {
             // The state held for ledger 1, so the step errors are exact.
             let (epoch, version) = fs.tiered_state(LedgerId(1));
             let updates = [
-                ("full: garbage", FilterUpdate::full(9, junk())),
+                ("full: garbage", Publication::full(9, junk())),
                 ("delta: garbage", delta(version, version + 1, junk())),
                 (
                     "delta: wrong from_version",
@@ -615,7 +532,7 @@ mod tests {
                 ),
                 (
                     "tiered: garbage base",
-                    FilterUpdate::Tiered {
+                    Publication::Tiered {
                         epoch: epoch + 1,
                         base: junk(),
                         delta_version: 0,
@@ -624,7 +541,7 @@ mod tests {
                 ),
                 (
                     "tiered: delta geometry differs from ledger 2's",
-                    FilterUpdate::Tiered {
+                    Publication::Tiered {
                         epoch: epoch + 1,
                         base: snap.base_bytes().clone(),
                         delta_version: 0,
@@ -633,14 +550,14 @@ mod tests {
                 ),
                 (
                     "base: garbage",
-                    FilterUpdate::Base {
+                    Publication::Base {
                         epoch: epoch + 1,
                         data: junk(),
                     },
                 ),
                 (
                     "base: skips an epoch",
-                    FilterUpdate::Base {
+                    Publication::Base {
                         epoch: epoch + 2,
                         data: snap.base_bytes().clone(),
                     },

@@ -30,7 +30,7 @@ pub mod lru;
 pub mod privacy;
 pub mod proxy;
 
-pub use filterset::{FilterSet, FilterUpdate};
+pub use filterset::FilterSet;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use lru::LruTtlCache;
 pub use proxy::{DegradedStats, LookupOutcome, ProxyConfig, ProxyStats, SharedProxy};

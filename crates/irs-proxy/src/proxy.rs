@@ -163,18 +163,18 @@ pub struct DegradedStats {
 /// The IRS proxy. Its whole lookup path is `&self`.
 ///
 /// ```
-/// use irs_proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
+/// use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 /// use irs_core::claim::RevocationStatus;
 /// use irs_core::ids::{LedgerId, RecordId};
 /// use irs_core::time::TimeMs;
-/// use irs_filters::BloomFilter;
+/// use irs_filters::{BloomFilter, Publication};
 ///
 /// let proxy = SharedProxy::new(ProxyConfig::default());
 /// // Install a ledger's revoked-set filter containing one record.
 /// let revoked = RecordId::new(LedgerId(1), 7);
 /// let mut f = BloomFilter::for_capacity(1_000, 0.02).unwrap();
 /// f.insert(revoked.filter_key());
-/// let update = FilterUpdate::full(1, f.to_bytes());
+/// let update = Publication::full(1, f.to_bytes());
 /// proxy
 ///     .update_filters(|fs| fs.apply(LedgerId(1), update))
 ///     .unwrap();
@@ -421,9 +421,8 @@ impl SharedProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filterset::FilterUpdate;
     use irs_core::ids::LedgerId;
-    use irs_filters::{BloomFilter, FilterError};
+    use irs_filters::{BloomFilter, FilterError, Publication};
     use std::sync::atomic::Ordering;
     use std::thread;
 
@@ -436,7 +435,7 @@ mod tests {
         for id in revoked {
             f.insert(id.filter_key());
         }
-        p.update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, f.to_bytes())))
+        p.update_filters(|fs| fs.apply(LedgerId(1), Publication::full(1, f.to_bytes())))
             .unwrap();
     }
 
@@ -526,7 +525,7 @@ mod tests {
         // the OR still spans both: ledger 1's revoked key hits under
         // either name.
         let empty = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
-        p.update_filters(|fs| fs.apply(LedgerId(2), FilterUpdate::full(1, empty.to_bytes())))
+        p.update_filters(|fs| fs.apply(LedgerId(2), Publication::full(1, empty.to_bytes())))
             .unwrap();
         assert_eq!(
             p.lookup(foreign, TimeMs(0)),
@@ -554,8 +553,8 @@ mod tests {
         let base = irs_filters::Fuse8::build(&[rid(1).filter_key()])
             .unwrap()
             .to_bytes();
-        let old_delta = FilterUpdate::full(1, retag(bloom.clone(), b"IRSB"));
-        let old_base = FilterUpdate::Tiered {
+        let old_delta = Publication::full(1, retag(bloom.clone(), b"IRSB"));
+        let old_base = Publication::Tiered {
             epoch: 2,
             base: retag(base, b"IRSU"),
             delta_version: 0,
@@ -694,7 +693,7 @@ mod tests {
                 f.insert(rid(version).filter_key());
                 // Simulate a slow refresh (network decode, union rebuild).
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                fs.apply(LedgerId(1), FilterUpdate::full(version, f.to_bytes()))
+                fs.apply(LedgerId(1), Publication::full(version, f.to_bytes()))
             })
             .unwrap();
         }
@@ -789,7 +788,7 @@ mod tests {
         // in the exposition.
         let odd = BloomFilter::with_params(1 << 12, 6, 0).unwrap();
         assert!(p
-            .update_filters(|fs| fs.apply(LedgerId(2), FilterUpdate::full(1, odd.to_bytes())))
+            .update_filters(|fs| fs.apply(LedgerId(2), Publication::full(1, odd.to_bytes())))
             .is_err());
         let parsed = irs_obs::parse_exposition(&p.render_metrics());
         assert_eq!(parsed["irs_proxy_filter_rejected_updates"], 1.0);

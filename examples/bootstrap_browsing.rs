@@ -10,7 +10,7 @@
 
 use irs::browser::pipeline::{CheckService, CheckTiming, NetworkParams, NoChecks, PageLoader};
 use irs::browser::{BrowserValidator, RemoteValidator};
-use irs::filters::BloomFilter;
+use irs::filters::{BloomFilter, Publication};
 use irs::net::service::{service_fn, BoxService, CacheLayer, CallCtx, ServiceExt};
 use irs::protocol::claim::RevocationStatus;
 use irs::protocol::ids::{LedgerId, RecordId};
@@ -18,7 +18,7 @@ use irs::protocol::photo::LabelReading;
 use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
-use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs::proxy::{ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, Link};
 use irs::workload::pages::{PageModel, ResourceKind};
 use irs::workload::population::{PhotoPopulation, PopulationConfig};
@@ -103,7 +103,7 @@ fn main() {
     let mut merged = per_ledger[0].clone();
     for (i, filter) in per_ledger.into_iter().enumerate() {
         merged.union_with(&filter).expect("one geometry");
-        let update = FilterUpdate::full(1, filter.to_bytes());
+        let update = Publication::full(1, filter.to_bytes());
         proxy
             .update_filters(|fs| fs.apply(LedgerId(i as u16), update))
             .expect("install");

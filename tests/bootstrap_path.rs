@@ -3,6 +3,7 @@
 //! the proxy, with the load and privacy properties the paper claims.
 
 use irs::browser::{BrowserValidator, ValidationPlan};
+use irs::filters::Publication;
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::photo::LabelReading;
@@ -10,13 +11,15 @@ use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
+use irs::proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 
 /// One cadence tick in process: publish, then what a proxy holding
 /// `(epoch, version)` is served.
-fn publish_and_fetch(ledger: &Ledger, (epoch, version): (u64, u64)) -> FilterUpdate {
+fn publish_and_fetch(ledger: &Ledger, (epoch, version): (u64, u64)) -> Publication {
     ledger.publish_filter();
-    FilterUpdate::from_serve(ledger.tiered_snapshot().serve(epoch, version))
+    ledger
+        .tiered_snapshot()
+        .serve(epoch, version)
         .expect("the publish moved the filter")
 }
 
@@ -57,10 +60,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
 
     // Hour 1: full install.
     let first = publish_and_fetch(&ledger, held());
-    assert!(
-        matches!(first, FilterUpdate::Tiered { .. }),
-        "got {first:?}"
-    );
+    assert!(matches!(first, Publication::Tiered { .. }), "got {first:?}");
     proxy
         .update_filters(|fs| fs.apply(LedgerId(1), first))
         .unwrap();
@@ -88,7 +88,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
         }
     }
     let second = publish_and_fetch(&ledger, held());
-    let FilterUpdate::Delta { data, .. } = &second else {
+    let Publication::Delta { data, .. } = &second else {
         panic!("expected delta, got {second:?}");
     };
     let full_bytes = ledger.tiered_snapshot().delta().to_bytes().len();
@@ -196,7 +196,7 @@ fn in_browser_filter_cuts_proxy_traffic() {
 }
 
 /// A browser holding `update` as `LedgerId(1)`'s filter.
-fn browser_holding(update: FilterUpdate) -> BrowserValidator {
+fn browser_holding(update: Publication) -> BrowserValidator {
     let mut browser = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
     browser.install_filter(LedgerId(1), update).unwrap();
     browser

@@ -5,14 +5,14 @@
 //! and (b) clean shutdown with no leaked connection threads.
 
 use irs::crypto::{Digest, Keypair};
-use irs::filters::BloomFilter;
+use irs::filters::{BloomFilter, Publication};
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::net::service::{CallCtx, Service, TcpTransport};
 use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{ClaimRequest, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs::proxy::{ProxyConfig, SharedProxy};
 use std::sync::Arc;
 
 /// A client of `addr` and the one-exchange call the tests make on it.
@@ -157,7 +157,7 @@ fn hammer_ledger_and_proxy_under_concurrency() {
         filter.insert(id.filter_key());
     }
     let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
-    let install = FilterUpdate::full(1, filter.to_bytes());
+    let install = Publication::full(1, filter.to_bytes());
     proxy
         .update_filters(|f| f.apply(LedgerId(1), install))
         .unwrap();

@@ -4,6 +4,7 @@
 //! driving the full degradation ladder over real sockets.
 
 use irs::aggregator::{Aggregator, AggregatorConfig, LedgerDirectory};
+use irs::filters::Publication;
 use irs::imaging::watermark::WatermarkConfig;
 use irs::ledger::adversarial::{AdversarialLedger, Misbehavior};
 use irs::ledger::probe::Prober;
@@ -17,7 +18,7 @@ use irs::protocol::time::TimeMs;
 use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
-use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs::proxy::{ProxyConfig, SharedProxy};
 use std::sync::Arc;
 
 /// A client of `addr` (it dials on first use and redials by itself after
@@ -77,7 +78,7 @@ fn truncated_filter_payload_rejected_cleanly() {
     // and without corrupting the proxy's filter set.
     for cut in [0usize, 4, 10, full.len() - 1] {
         let err = proxy
-            .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, full.slice(..cut))))
+            .update_filters(|fs| fs.apply(LedgerId(1), Publication::full(1, full.slice(..cut))))
             .unwrap_err();
         let _ = err.to_string();
         assert_eq!(
@@ -88,7 +89,7 @@ fn truncated_filter_payload_rejected_cleanly() {
     }
     // The intact payload still installs.
     proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, full)))
+        .update_filters(|fs| fs.apply(LedgerId(1), Publication::full(1, full)))
         .unwrap();
     assert_eq!(proxy.filters_snapshot().ledger_count(), 1);
 }
@@ -500,7 +501,7 @@ impl ShardedCluster {
             filter.insert(id.filter_key());
         }
         for l in [1, 2] {
-            let update = FilterUpdate::full(1, filter.to_bytes());
+            let update = Publication::full(1, filter.to_bytes());
             let applied = shared.update_filters(|f| f.apply(LedgerId(l), update));
             applied.unwrap();
         }

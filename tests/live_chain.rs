@@ -2,14 +2,14 @@
 //! loopback, exercised with the revoked-set filter and measured for the
 //! properties the paper reports.
 
-use irs::filters::BloomFilter;
+use irs::filters::{BloomFilter, Publication};
 use irs::ledger::{Ledger, LedgerConfig};
 use irs::net::service::{CallCtx, Service, TcpTransport};
-use irs::net::{LedgerServer, ProxyServer, RefreshOutcome};
+use irs::net::{LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, ProxyConfig, SharedProxy};
+use irs::proxy::{ProxyConfig, SharedProxy};
 use std::sync::Arc;
 
 /// A client of `addr` and the one-exchange call the tests make on it.
@@ -54,7 +54,7 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     }
     let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .update_filters(|fs| fs.apply(LedgerId(1), FilterUpdate::full(1, filter.to_bytes())))
+        .update_filters(|fs| fs.apply(LedgerId(1), Publication::full(1, filter.to_bytes())))
         .unwrap();
     let proxy_server =
         ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
@@ -121,7 +121,7 @@ fn filter_fetch_over_wire() {
     let proxy = SharedProxy::new(ProxyConfig::default());
     let outcome = irs::net::refresh::refresh(&proxy, &client, LedgerId(1)).unwrap();
     assert!(
-        matches!(outcome, RefreshOutcome::InstalledTiered { .. }),
+        matches!(outcome, Some(Publication::Tiered { .. })),
         "{outcome:?}"
     );
     // The revoked id hits; a fresh id misses.

@@ -7,7 +7,7 @@ use irs::filters::{BloomFilter, Filter, Fuse8, TieredConfig, TieredPublisher, Xo
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response, Wire};
-use irs::proxy::{FilterSet, FilterUpdate, LruTtlCache};
+use irs::proxy::{FilterSet, LruTtlCache};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,8 +47,7 @@ proptest! {
         for revoked in [&keys[..], &keys[cut..]] {
             publisher.publish(&revoked.iter().copied().collect()).unwrap();
             let (epoch, version) = held.tiered_state(LedgerId(1));
-            let serve = publisher.snapshot().serve(epoch, version);
-            if let Some(update) = FilterUpdate::from_serve(serve) {
+            if let Some(update) = publisher.snapshot().serve(epoch, version) {
                 held.apply(LedgerId(1), update).unwrap();
             }
         }

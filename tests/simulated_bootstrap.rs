@@ -10,7 +10,7 @@ use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{FilterUpdate, LookupOutcome, ProxyConfig, SharedProxy};
+use irs::proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, LatencyModel, Link, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +46,7 @@ fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
         ids.push(id);
     }
     ledger.publish_filter();
-    let bootstrap = FilterUpdate::from_serve(ledger.tiered_snapshot().serve(0, 0)).unwrap();
+    let bootstrap = ledger.tiered_snapshot().serve(0, 0).unwrap();
     let proxy = SharedProxy::new(ProxyConfig::default());
     proxy
         .update_filters(|fs| fs.apply(LedgerId(1), bootstrap))
