@@ -148,7 +148,7 @@ pub fn measure_ledger_overhead(quick: bool) -> (Sample, Sample) {
 
 // ---- part B: the full TCP ladder, every layer recording ------------
 
-/// A live [`preloaded_ledger`] behind the full ladder, with a merged
+/// A live [`preloaded_ledger`] behind the full ladder, with its ledger's
 /// filter containing every preloaded id — so every query is a filter
 /// *hit* and walks the whole stack to the wire unless the striped cache
 /// answers first.

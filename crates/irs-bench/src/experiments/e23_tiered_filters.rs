@@ -2,15 +2,15 @@
 //!
 //! The filter pipeline (DESIGN.md §16) holds, per ledger, a frozen fuse8
 //! base sealed per epoch plus a small Bloom delta. Before the first seal
-//! a tier is only its Bloom — the paper's per-ledger Bloom + merged OR.
-//! This experiment quantifies what sealing buys at the proxy, both
+//! a tier is only its Bloom — the paper's per-ledger Bloom. This
+//! experiment quantifies what sealing buys at the proxy, both
 //! states *through the same `FilterSet` lookup path*, not a micro-bench
 //! of the raw filters (that is E12):
 //!
 //! * **memory** — total proxy-resident filter bytes
-//!   ([`FilterSet::resident_filter_bytes`]). Bloom-only pays for each
-//!   per-ledger Bloom *plus* the merged clone; a sealed tier pays one
-//!   near-optimal fuse base plus two cache-resident delta Blooms.
+//!   ([`FilterSet::resident_filter_bytes`]). Bloom-only pays for the
+//!   ledger's Bloom; a sealed tier pays one near-optimal fuse base plus
+//!   one cache-resident delta Bloom.
 //! * **lookup latency** — ns per [`FilterSet::might_be_revoked`] over a
 //!   50/50 member/non-member mix, at matched service FPR (the Bloom is
 //!   sized at 0.39% ≈ the fuse8 base's ≈1/256). The two sets are timed
@@ -79,7 +79,7 @@ impl Point {
 }
 
 /// The unsealed proxy state: one ledger's whole revoked set in a Bloom
-/// at matched FPR, merged clone included.
+/// at matched FPR.
 fn bloom_only_set(keys: &[u64]) -> FilterSet {
     let mut bloom = BloomFilter::for_capacity(keys.len() as u64, BLOOM_FPR).unwrap();
     for &k in keys {
@@ -309,8 +309,8 @@ pub fn run(quick: bool) -> String {
 
     let d = soundness_drill(quick, chaos_seed(DEFAULT_SEED));
     table.note(format!(
-        "bytes are FilterSet::resident_filter_bytes() (bloom-only pays the per-ledger \
-         Bloom plus the merged clone); lookups via might_be_revoked, 50/50 \
+        "bytes are FilterSet::resident_filter_bytes() (bloom-only pays the ledger's \
+         Bloom, tiered its fuse base plus an empty delta Bloom); lookups via might_be_revoked, 50/50 \
          member mix, matched ~0.39% service FPR; lookup = median of {PAIRS} \
          interleaved pairs, speedup = median per-pair ratio (min–max); \
          * = linear projection"

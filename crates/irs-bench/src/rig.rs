@@ -25,7 +25,8 @@ use irs_workload::population::PhotoPopulation;
 
 /// Install the population's revoked set on `proxy` the way §4.4 has it
 /// arrive: one Bloom per ledger, each a copy of the (empty) `geometry`
-/// holding that ledger's revoked keys, OR-ed by the proxy. Every ledger
+/// holding that ledger's revoked keys, probed for that ledger's records
+/// only. Every ledger
 /// of the population gets one, revoked keys or not — a miss only counts
 /// for ledgers whose filter is held.
 pub fn install_revoked_filter(

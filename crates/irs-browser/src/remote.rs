@@ -385,7 +385,7 @@ mod tests {
             Ok(Response::RevokeAck { .. })
         ));
 
-        // The proxy's merged filter holds the revoked id; everything else
+        // The proxy's filter for ledger 1 holds the revoked id; everything else
         // misses and resolves locally through the cache layer.
         let shared = Arc::new(SharedProxy::new(ProxyConfig::default()));
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();

@@ -1,9 +1,10 @@
 //! The standard Bloom filter, as assumed by the paper's §4.4 sizing
 //! argument.
 //!
-//! Ledgers export a filter of their revoked photo identifiers; proxies OR
-//! all ledger filters together ([`BloomFilter::union_with`]) and consult the
-//! result before issuing a real ledger query.
+//! Ledgers export a filter of their revoked photo identifiers; the paper's
+//! proxies OR all ledger filters together ([`BloomFilter::union_with`]),
+//! ours consult the record's own ledger's filter before issuing a real
+//! ledger query.
 
 use crate::hash::double_hash_indices;
 use crate::{Filter, FilterError};
@@ -137,29 +138,6 @@ impl BloomFilter {
     /// new counter value).
     pub(crate) fn set_inserted(&mut self, n: u64) {
         self.inserted = n;
-    }
-
-    /// Read one bit. Together with [`BloomFilter::set_bit`] and
-    /// [`BloomFilter::clear_bit`] this lets the proxy maintain its merged
-    /// union filter incrementally — patching O(flips) bits per delta
-    /// instead of re-ORing every per-ledger filter.
-    ///
-    /// # Panics
-    /// If `pos` is outside the filter's bit words.
-    pub fn bit(&self, pos: u64) -> bool {
-        self.bits[(pos / 64) as usize] & (1u64 << (pos % 64)) != 0
-    }
-
-    /// Set one bit without touching the insert counter (merged-view
-    /// maintenance; see [`BloomFilter::bit`]).
-    pub fn set_bit(&mut self, pos: u64) {
-        self.bits[(pos / 64) as usize] |= 1u64 << (pos % 64);
-    }
-
-    /// Clear one bit without touching the insert counter (merged-view
-    /// maintenance; see [`BloomFilter::bit`]).
-    pub fn clear_bit(&mut self, pos: u64) {
-        self.bits[(pos / 64) as usize] &= !(1u64 << (pos % 64));
     }
 
     /// `true` if no bit is set (an empty delta tier never needs probing).

@@ -58,7 +58,7 @@ impl BloomDelta {
     ///
     /// Atomic: every flip position is validated against `m` before any
     /// word is touched, so a rejected delta leaves `filter` bit-identical
-    /// to its pre-apply state. Proxies apply deltas to their *live* merged
+    /// to its pre-apply state. Proxies apply deltas to their *live*
     /// filters; a half-patched filter would silently break the "definitely
     /// not revoked" soundness guarantee.
     pub fn apply(&self, filter: &mut BloomFilter) -> Result<(), FilterError> {
@@ -78,13 +78,6 @@ impl BloomDelta {
     /// Number of flipped bits.
     pub fn flips(&self) -> usize {
         self.flipped.len()
-    }
-
-    /// Sorted flipped-bit positions. The proxy's incremental merged-view
-    /// maintenance walks these to patch its union filter in O(flips)
-    /// instead of re-ORing every ledger filter.
-    pub fn positions(&self) -> &[u64] {
-        &self.flipped
     }
 
     /// Bit count of the geometry this delta applies to.

@@ -8,52 +8,41 @@
 //! window of three consecutive segments and one slot in each. This is the
 //! construction binary fuse filters refine; it achieves the same asymptotic
 //! ~1.13·n space (vs 1.23·n for xor) and identical query structure (three
-//! probes, fingerprint xor), which is what experiment E12 compares. The
-//! binary-fuse paper's additional engineering (power-of-two segment
-//! arithmetic, construction-time sorting) affects constants, not the
-//! space/FPR trade-off reproduced here.
+//! probes, fingerprint xor), which is what experiment E12 compares.
+//! Segments are sized by the binary-fuse paper's formulas (power-of-two
+//! segment lengths, `layout`); its construction-time sorting affects
+//! build speed, not the space/FPR trade-off reproduced here.
 
 use crate::hash::{mix_seeded, reduce};
 use crate::xor::{has_duplicates, peel};
 use crate::{Filter, FilterError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Serialization magic for fuse filters ("IRU2"), naming the key scheme
-/// like the Bloom filter's; the epoch-sealed base tier ships over the
-/// wire in this format.
-const MAGIC: u32 = 0x4952_5532;
+/// Serialization magic for fuse filters ("IRU3"), naming the key scheme
+/// and the slot function; the epoch-sealed base tier ships over the wire
+/// in this format.
+const MAGIC: u32 = 0x4952_5533;
 /// The retired magic of fuse filters over SHA-256-keyed ids ("IRSU").
-const RETIRED_MAGIC: u32 = 0x4952_5355;
+const RETIRED_SHA_MAGIC: u32 = 0x4952_5355;
+/// The retired magic of fuse filters whose third slot offset shared the
+/// window start's top bits ("IRU2").
+const RETIRED_SLOTS_MAGIC: u32 = 0x4952_5532;
 
 /// Seeds tried per capacity level.
 const SEEDS_PER_LEVEL: u64 = 8;
 /// Capacity growth levels tried before giving up.
 const MAX_LEVELS: u32 = 8;
 
-fn segment_count(n: usize) -> usize {
-    // More segments → better space at scale, but small sets peel more
-    // reliably with few segments. Breakpoints chosen empirically (see the
-    // peel-threshold probe results recorded in DESIGN.md).
-    match n {
-        0..=9_999 => 3,
-        10_000..=49_999 => 32,
-        50_000..=499_999 => 64,
-        _ => 100,
-    }
-}
-
-fn initial_capacity(n: usize) -> usize {
-    // Spatial coupling approaches ~1.13× asymptotically; these factors give
-    // ≥ 4/5 first-level peel success at each scale, with the retry ladder
-    // absorbing the rest.
-    let factor = if n < 10_000 {
-        1.30
-    } else if n < 50_000 {
-        1.25
-    } else {
-        1.18
-    };
-    ((n as f64 * factor).ceil() as usize + 32).max(3)
+/// The first level's `(segment_len, capacity)` for `n` keys: Graf &
+/// Lemire's sizing for three-wise binary fuse graphs, `segment_len =
+/// 2^⌊ln n / ln 3.33 + 2.25⌋` and `capacity = n · max(1.125, 0.875 +
+/// 0.25 · ln 10⁶ / ln n)`. The segment count is `⌈capacity /
+/// segment_len⌉`, at least the window's three.
+fn layout(n: usize) -> (usize, usize) {
+    let ln_n = (n.max(2) as f64).ln();
+    let segment_len = 1usize << (ln_n / 3.33f64.ln() + 2.25).floor() as u32;
+    let factor = f64::max(1.125, 0.875 + 0.25 * 1e6f64.ln() / ln_n);
+    (segment_len, (n as f64 * factor).ceil() as usize)
 }
 
 macro_rules! fuse_filter {
@@ -75,10 +64,9 @@ macro_rules! fuse_filter {
                 if has_duplicates(keys) {
                     return Err(FilterError::DuplicateKeys);
                 }
-                let segments = segment_count(keys.len());
-                let mut capacity = initial_capacity(keys.len());
+                let (segment_len, mut capacity) = layout(keys.len());
                 for _level in 0..MAX_LEVELS {
-                    let segment_len = capacity.div_ceil(segments).max(1);
+                    let segments = capacity.div_ceil(segment_len).max(3);
                     let n_slots = segment_len * segments;
                     for attempt in 0..SEEDS_PER_LEVEL {
                         let seed = attempt
@@ -120,9 +108,13 @@ macro_rules! fuse_filter {
                 } else {
                     0
                 };
-                let h1 = h.rotate_left(17);
-                let h2 = h.rotate_left(34);
-                let h3 = h.rotate_left(51);
+                // Each offset is the top bits of a rotation of h: for
+                // 2^s-slot segments, h's bits [55 − s, 55), [37 − s, 37)
+                // and [19 − s, 19) — disjoint from each other and from the
+                // start's top bits while s ≤ 18.
+                let h1 = h.rotate_left(9);
+                let h2 = h.rotate_left(27);
+                let h3 = h.rotate_left(45);
                 [
                     start * segment_len + reduce(h1, segment_len as u64) as usize,
                     (start + 1) * segment_len + reduce(h2, segment_len as u64) as usize,
@@ -171,8 +163,13 @@ macro_rules! fuse_filter {
                 }
                 match data.get_u32() {
                     MAGIC => {}
-                    RETIRED_MAGIC => {
+                    RETIRED_SHA_MAGIC => {
                         return Err(FilterError::Malformed("retired IRSU (SHA-256 key) fuse"))
+                    }
+                    RETIRED_SLOTS_MAGIC => {
+                        return Err(FilterError::Malformed(
+                            "retired IRU2 (correlated slots) fuse",
+                        ))
                     }
                     _ => return Err(FilterError::Malformed("bad fuse magic")),
                 }
@@ -344,10 +341,64 @@ mod tests {
         assert!(matches!(Fuse8::build(&ks), Err(FilterError::DuplicateKeys)));
     }
 
+    /// `layout(n)` is Graf & Lemire's sizing, pinned at sizes whose
+    /// products are not within rounding of an integer.
     #[test]
-    fn segment_layout_scales() {
-        assert_eq!(segment_count(100), 3);
-        assert_eq!(segment_count(50_000), 64);
-        assert!(segment_count(2_000_000) > segment_count(50_000));
+    fn layout_follows_the_binary_fuse_formulas() {
+        assert_eq!(layout(0), (4, 0));
+        assert_eq!(layout(10), (16, 24));
+        assert_eq!(layout(4_096), (512, 5_285));
+        assert_eq!(layout(50_000), (2_048, 59_711));
+        assert_eq!(layout(1_000_000), (8_192, 1_125_000));
+        assert_eq!(layout(10_000_000), (32_768, 11_250_000));
+    }
+
+    /// At these sizes the first seed of the first level peels, so the
+    /// filter is exactly the layout's `max(3, ⌈capacity / segment_len⌉)`
+    /// segments.
+    #[test]
+    fn the_first_level_peels() {
+        for n in [4_096usize, 100_000] {
+            let f = Fuse8::build(&keys(n as u64)).unwrap();
+            let (segment_len, capacity) = layout(n);
+            assert_eq!(f.segment_len, segment_len, "n={n}");
+            assert_eq!(f.segments, capacity.div_ceil(segment_len).max(3), "n={n}");
+        }
+    }
+
+    /// Regression: the third offset was the top bits of `h.rotate_left(51)`,
+    /// whose low bit at 2^14-slot segments is h's top bit — the window
+    /// start's top bit — so a key's third slot was odd or even by where
+    /// its window starts, and 2·10⁶-key filters stopped peeling at the
+    /// first level. Each offset's low bit now agrees with the start's top
+    /// bit for about half of the keys.
+    #[test]
+    fn fuse_offsets_do_not_follow_the_window() {
+        let (segment_len, segments) = (1usize << 14, 130);
+        let trials = 20_000;
+        let mut agree = [0usize; 3];
+        for &k in &keys(trials as u64) {
+            let trio = Fuse8::slots(k, 7, segment_len, segments);
+            let start = trio[0] / segment_len;
+            let top = start >= 64;
+            for (i, slot) in trio.iter().enumerate() {
+                let offset = slot - (start + i) * segment_len;
+                agree[i] += usize::from((offset & 1 == 1) == top);
+            }
+        }
+        for (i, &a) in agree.iter().enumerate() {
+            let share = a as f64 / trials as f64;
+            assert!((0.45..0.55).contains(&share), "offset {i}: {share}");
+        }
+    }
+
+    #[test]
+    fn iru2_base_is_refused_not_misread() {
+        let mut old = Fuse8::build(&keys(100)).unwrap().to_bytes().to_vec();
+        old[..4].copy_from_slice(b"IRU2");
+        assert_eq!(
+            Fuse8::from_bytes(bytes::Bytes::from(old)).unwrap_err(),
+            FilterError::Malformed("retired IRU2 (correlated slots) fuse")
+        );
     }
 }

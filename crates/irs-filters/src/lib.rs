@@ -11,12 +11,12 @@
 //! This crate provides:
 //!
 //! * [`bloom::BloomFilter`] — the standard Bloom filter the paper's sizing
-//!   argument assumes, with union (the proxy ORs per-ledger filters) and
-//!   byte-level serialization;
+//!   argument assumes, with union (the paper's proxy ORs per-ledger
+//!   filters) and byte-level serialization;
 //! * [`xor::Xor8`] / [`xor::Xor16`] — static xor filters (Graf & Lemire,
 //!   cited as "more recent advances" \[15\]);
-//! * [`fuse::Fuse8`] / [`fuse::Fuse16`] — fuse-graph filters in the spirit
-//!   of binary fuse filters \[16\] (see module docs for construction
+//! * [`fuse::Fuse8`] / [`fuse::Fuse16`] — fuse-graph filters sized as
+//!   binary fuse filters \[16\] (see module docs for construction
 //!   fidelity);
 //! * [`delta`] — delta encoding of Bloom filter updates, for the paper's
 //!   "transferred with a delta encoding such that the update traffic will

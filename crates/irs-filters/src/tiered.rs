@@ -3,8 +3,8 @@
 //!
 //! §4.4 sizes the proxy filter as the thing that makes global revocation
 //! affordable, and E12 shows static fuse filters beat FPR-matched Blooms
-//! on both space (9.44 vs 11.54 bits/key) and query time — but they cannot
-//! absorb churn. The tiering resolves that tension:
+//! on both space (9.04 vs 11.54 bits/key at 10⁶ keys) and query time —
+//! but they cannot absorb churn. The tiering resolves that tension:
 //!
 //! * the **base** tier is a fuse8 filter over every key revoked up to the
 //!   epoch seal — immutable, near-optimal space, shipped once per epoch;
@@ -65,6 +65,9 @@ pub struct TieredFilter {
     base: Option<Fuse8>,
     delta: BloomFilter,
     delta_version: u64,
+    /// Whether the delta tier has a bit set. Right after a seal it has
+    /// none, and [`TieredFilter::contains`] skips its probe.
+    delta_live: bool,
 }
 
 impl TieredFilter {
@@ -81,10 +84,12 @@ impl TieredFilter {
         } else {
             Some(Fuse8::from_bytes(base.clone())?)
         };
+        let delta = BloomFilter::from_bytes(delta)?;
         Ok(TieredFilter {
             epoch,
             base,
-            delta: BloomFilter::from_bytes(delta)?,
+            delta_live: !delta.is_empty(),
+            delta,
             delta_version,
         })
     }
@@ -118,6 +123,7 @@ impl TieredFilter {
     ) -> Result<(), FilterError> {
         delta.apply(&mut self.delta)?;
         self.delta_version = to_version;
+        self.delta_live = !self.delta.is_empty();
         Ok(())
     }
 
@@ -135,6 +141,7 @@ impl TieredFilter {
             *w = 0;
         }
         self.delta.set_inserted(0);
+        self.delta_live = false;
         self.base = Some(base);
         self.epoch = epoch;
         self.delta_version = 0;
@@ -150,7 +157,8 @@ impl TieredFilter {
 impl Filter for TieredFilter {
     /// `true` if either tier may contain `key`; `false` is authoritative.
     fn contains(&self, key: u64) -> bool {
-        self.delta.contains(key) || self.base.as_ref().is_some_and(|b| b.contains(key))
+        (self.delta_live && self.delta.contains(key))
+            || self.base.as_ref().is_some_and(|b| b.contains(key))
     }
 
     fn bits(&self) -> u64 {

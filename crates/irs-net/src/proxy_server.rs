@@ -1,4 +1,5 @@
-//! The proxy server: answers what it can locally (merged filter, cache),
+//! The proxy server: answers what it can locally (the record's ledger's
+//! filter, cache),
 //! forwards the rest to the upstream ledger — the §4.2/§4.4 component, on
 //! a real socket.
 //!

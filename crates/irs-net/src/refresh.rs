@@ -150,8 +150,8 @@ impl WorkerShared {
 /// and backoff schedule are independent, so a down shard retries on its
 /// own shrinking-then-doubling schedule (starting at 1/8 of the
 /// interval, capped at the full interval) while every healthy shard
-/// keeps its steady-state cadence. The proxy's `FilterSet` ORs the
-/// per-shard filters into one view as each arrives — filters are
+/// keeps its steady-state cadence. The proxy's `FilterSet` holds each
+/// shard's filter as it arrives and probes a record's own — filters are
 /// per-ledger already, so shard-awareness is purely a scheduling
 /// concern. Threads only exit on [`stop`].
 ///

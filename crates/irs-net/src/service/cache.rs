@@ -1,8 +1,8 @@
-//! The proxy's local answer path — merged filter, then striped TTL
-//! cache — as the outermost layer of an upstream stack.
+//! The proxy's local answer path — the record's ledger's filter, then
+//! striped TTL cache — as the outermost layer of an upstream stack.
 //!
 //! [`Cache`] answers a `Query` without touching the layers below when
-//! the merged filter proves the record unrevoked or the cache stripe
+//! that filter proves the record unrevoked or the cache stripe
 //! holds a live entry; only genuine misses flow inward — a group's
 //! misses together. An inner answer of [`Response::Status`] *for the id
 //! that was asked* is written back to the stripe on the way out

@@ -4,14 +4,17 @@
 //! (a) hides the viewer's identity behind aggregation (§4.2, modeled on
 //! Trusted Recursive Resolver / Oblivious DNS / Private Relay), (b) caches
 //! lookups ("which would also further reduce viewing latency"), and
-//! (c) holds the OR of every ledger's Bloom filter so that photos that hit
-//! no filter are answered locally with *definitely not revoked* (§4.4).
+//! (c) holds every ledger's revoked-set filter so that a photo that misses
+//! its own ledger's filter is answered locally with *definitely not
+//! revoked* (§4.4, which ORs the filters; the id names its ledger, so one
+//! probe of that ledger's suffices).
 //!
 //! * [`lru`] — the TTL'd LRU lookup cache;
 //! * [`filterset`] — the one filter pipeline's proxy half: per-ledger
 //!   tiers (fuse base + Bloom delta; before the first seal just the
-//!   paper's Bloom), the one validated `apply`, the merged OR view, and
-//!   the rule that a miss speaks only for ledgers whose filter is held;
+//!   paper's Bloom), the one validated `apply`, the probe of the record's
+//!   own ledger's tier, and the rule that a miss speaks only for ledgers
+//!   whose filter is held;
 //! * [`proxy`] — [`SharedProxy`], the one proxy: the decision pipeline
 //!   (filter → cache → ledger) as a sans-io, fully `&self` state machine
 //!   (snapshot-swapped filters, striped cache, atomic counters) that the

@@ -60,8 +60,8 @@ impl Default for ProxyConfig {
 /// What the proxy decides for one lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LookupOutcome {
-    /// Answered locally: the record's ledger's filter is held and the
-    /// merged revoked-set filter misses, so the record is not revoked.
+    /// Answered locally: the record's ledger's filter is held and
+    /// misses, so the record is not revoked.
     NotRevokedByFilter,
     /// Answered locally from the status cache.
     Cached(RevocationStatus),
@@ -75,7 +75,7 @@ pub enum LookupOutcome {
 pub struct ProxyStats {
     /// Total lookups served.
     pub lookups: u64,
-    /// Lookups short-circuited by the merged filter.
+    /// Lookups short-circuited by the record's ledger's filter.
     pub filter_negative: u64,
     /// Lookups answered from the cache.
     pub cache_hits: u64,
@@ -251,9 +251,9 @@ impl SharedProxy {
         reduce(key, self.cache_shards.len() as u64) as usize
     }
 
-    /// Classify a lookup. Order: merged revoked-set filter (cheapest,
-    /// answers the common "viewed photo is not revoked" case), then
-    /// cache stripe, then ledger.
+    /// Classify a lookup. Order: the record's ledger's revoked-set
+    /// filter (cheapest, answers the common "viewed photo is not revoked"
+    /// case), then cache stripe, then ledger.
     pub fn lookup(&self, id: RecordId, now: TimeMs) -> LookupOutcome {
         self.lookup_traced(id, now, None)
     }
@@ -522,8 +522,8 @@ mod tests {
             LookupOutcome::NotRevokedByFilter
         );
         // Once ledger 2's own filter arrives its misses count too, and
-        // the OR still spans both: ledger 1's revoked key hits under
-        // either name.
+        // only its own: ledger 1's revoked key under ledger 2's name is a
+        // different record, which ledger 2's filter clears.
         let empty = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         p.update_filters(|fs| fs.apply(LedgerId(2), Publication::full(1, empty.to_bytes())))
             .unwrap();
@@ -534,13 +534,19 @@ mod tests {
         assert_eq!(
             p.filters_snapshot()
                 .might_be_revoked(LedgerId(2), rid(1).filter_key()),
+            Some(false)
+        );
+        assert_eq!(
+            p.filters_snapshot()
+                .might_be_revoked(LedgerId(1), rid(1).filter_key()),
             Some(true)
         );
     }
 
-    /// A tier encoded under the retired SHA-256 key scheme is refused,
+    /// A tier encoded under a retired scheme — the SHA-256 key, or the
+    /// fuse slot function whose offsets followed the window — is refused,
     /// so its ledger stays filterless: every lookup goes to the ledger,
-    /// none is answered "not revoked" by keys the filter never held.
+    /// none is answered "not revoked" by slots the filter never held.
     #[test]
     fn an_old_scheme_tier_is_refused_and_its_ledger_is_queried() {
         let p = SharedProxy::new(ProxyConfig::default());
@@ -554,20 +560,20 @@ mod tests {
             .unwrap()
             .to_bytes();
         let old_delta = Publication::full(1, retag(bloom.clone(), b"IRSB"));
-        let old_base = Publication::Tiered {
+        let old_base = |magic| Publication::Tiered {
             epoch: 2,
-            base: retag(base, b"IRSU"),
+            base: retag(base.clone(), magic),
             delta_version: 0,
-            delta: bloom,
+            delta: bloom.clone(),
         };
-        for update in [old_delta, old_base] {
+        for update in [old_delta, old_base(b"IRSU"), old_base(b"IRU2")] {
             let refused = p.update_filters(|fs| fs.apply(LedgerId(1), update));
             assert!(
                 matches!(refused, Err(FilterError::Malformed(_))),
                 "{refused:?}"
             );
         }
-        assert_eq!(p.filters_snapshot().rejected, 2);
+        assert_eq!(p.filters_snapshot().rejected, 3);
         assert_eq!(p.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
         for n in 0..1_000 {
             assert_eq!(p.lookup(rid(n), TimeMs(0)), LookupOutcome::NeedsLedgerQuery);
@@ -784,11 +790,11 @@ mod tests {
         assert_eq!(parsed["irs_proxy_cache_entries"], 1.0);
         assert_eq!(parsed["irs_proxy_filter_rejected_updates"], 0.0);
         assert!(parsed["irs_proxy_filter_resident_bytes"] > 0.0);
-        // A rejected update (ledger 2 off ledger 1's geometry) surfaces
-        // in the exposition.
-        let odd = BloomFilter::with_params(1 << 12, 6, 0).unwrap();
+        // A rejected update (ledger 2's malformed install) surfaces in the
+        // exposition.
+        let junk = bytes::Bytes::from_static(b"not a filter");
         assert!(p
-            .update_filters(|fs| fs.apply(LedgerId(2), Publication::full(1, odd.to_bytes())))
+            .update_filters(|fs| fs.apply(LedgerId(2), Publication::full(1, junk)))
             .is_err());
         let parsed = irs_obs::parse_exposition(&p.render_metrics());
         assert_eq!(parsed["irs_proxy_filter_rejected_updates"], 1.0);

@@ -23,7 +23,7 @@
 //! | [`filters`] | `irs-filters` | Bloom / xor / fuse filters, delta updates, the tiered publication |
 //! | [`imaging`] | `irs-imaging` | synthetic photos, JPEG-style transcode, DWT–DCT watermark, perceptual hash |
 //! | [`ledger`] | `irs-ledger` | the ledger service, appeals, adversarial variants, probes |
-//! | [`proxy`] | `irs-proxy` | anonymizing proxy: cache + OR'd filters |
+//! | [`proxy`] | `irs-proxy` | anonymizing proxy: cache + per-ledger filters |
 //! | [`browser`] | `irs-browser` | validation engine, page-load pipeline, scroll model |
 //! | [`aggregator`] | `irs-aggregator` | eventual-solution upload pipeline + rechecks |
 //! | [`attacks`] | `irs-attacks` | §5 attacks and defenses, runnable |
