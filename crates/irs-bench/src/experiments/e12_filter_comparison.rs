@@ -3,22 +3,31 @@
 //! §4.4 points at "more recent advances" — xor filters \[15\] and binary
 //! fuse filters \[16\] — as successors to the standard Bloom filter. We
 //! compare space, construction time, query time, and measured FPR at a
-//! fixed key population.
+//! fixed key population. The xor rows are the fuse construction's
+//! one-window layout (`build_xor`: three equal segments at 1.23·n + 32
+//! slots), the fuse rows its binary-fuse sizing.
 
 use crate::table::{f, pct, Table};
 use irs_filters::hash::mix64;
-use irs_filters::{BloomFilter, Filter, Fuse16, Fuse8, Xor16, Xor8};
+use irs_filters::{BloomFilter, Filter, Fuse16, Fuse8};
 use std::time::Instant;
 
-struct RowStats {
-    bits_per_key: f64,
-    build_ms: f64,
-    query_ns: f64,
-    fpr: f64,
+/// A filter built over a key set.
+type Build = fn(&[u64]) -> Box<dyn Filter>;
+
+fn bloom(keys: &[u64], fpr: f64) -> Box<dyn Filter> {
+    let mut b = BloomFilter::for_capacity(keys.len() as u64, fpr).unwrap();
+    keys.iter().for_each(|&k| b.insert(k));
+    Box::new(b)
 }
 
-fn measure(filter: &dyn Filter, n: u64, build_ms: f64, trials: u64) -> RowStats {
-    // Query timing over a member/non-member mix.
+/// One table row: the filter `build` makes over `keys`, its bits/key,
+/// build time, query time over a member/non-member mix, and FPR over
+/// definite non-members.
+fn row(name: &str, build: Build, keys: &[u64], trials: u64) -> Vec<String> {
+    let start = Instant::now();
+    let filter = build(keys);
+    let build_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
     let mut hits = 0u64;
     for i in 0..trials {
@@ -28,17 +37,17 @@ fn measure(filter: &dyn Filter, n: u64, build_ms: f64, trials: u64) -> RowStats 
     }
     std::hint::black_box(hits);
     let query_ns = start.elapsed().as_nanos() as f64 / trials as f64;
-    // FPR over definite non-members.
     let fp = (0..trials)
         .map(|i| mix64(u64::MAX / 2 + i))
         .filter(|&k| filter.contains(k))
         .count();
-    RowStats {
-        bits_per_key: filter.bits() as f64 / n as f64,
-        build_ms,
-        query_ns,
-        fpr: fp as f64 / trials as f64,
-    }
+    vec![
+        name.to_string(),
+        f(filter.bits() as f64 / keys.len() as f64, 2),
+        format!("{} ms", f(build_ms, 1)),
+        format!("{} ns", f(query_ns, 0)),
+        pct(fp as f64 / trials as f64),
+    ]
 }
 
 /// Run E12.
@@ -51,45 +60,20 @@ pub fn run(quick: bool) -> String {
         "E12 — membership filters over one key set",
         &["filter", "bits/key", "build", "query", "measured FPR"],
     );
-    let mut emit = |name: &str, stats: RowStats| {
-        table.row(vec![
-            name.to_string(),
-            f(stats.bits_per_key, 2),
-            format!("{} ms", f(stats.build_ms, 1)),
-            format!("{} ns", f(stats.query_ns, 0)),
-            pct(stats.fpr),
-        ]);
-    };
-
-    // Bloom at 2% (the paper's ratio) and at xor-equivalent 0.39%.
-    for (name, fpr) in [("bloom (2%)", 0.02f64), ("bloom (0.39%)", 0.0039)] {
-        let start = Instant::now();
-        let mut b = BloomFilter::for_capacity(n, fpr).unwrap();
-        for &k in &keys {
-            b.insert(k);
-        }
-        let build = start.elapsed().as_secs_f64() * 1e3;
-        emit(name, measure(&b, n, build, trials));
+    let filters: [(&str, Build); 6] = [
+        // Bloom at 2% (the paper's ratio) and at xor-equivalent 0.39%.
+        ("bloom (2%)", |k| bloom(k, 0.02)),
+        ("bloom (0.39%)", |k| bloom(k, 0.0039)),
+        // The static filters: both layouts of the fuse construction, per
+        // fingerprint width.
+        ("xor8", |k| Box::new(Fuse8::build_xor(k).unwrap())),
+        ("fuse8", |k| Box::new(Fuse8::build(k).unwrap())),
+        ("xor16", |k| Box::new(Fuse16::build_xor(k).unwrap())),
+        ("fuse16", |k| Box::new(Fuse16::build(k).unwrap())),
+    ];
+    for (name, build) in filters {
+        table.row(row(name, build, &keys, trials));
     }
-    let start = Instant::now();
-    let xor8 = Xor8::build(&keys).unwrap();
-    let build = start.elapsed().as_secs_f64() * 1e3;
-    emit("xor8", measure(&xor8, n, build, trials));
-
-    let start = Instant::now();
-    let fuse8 = Fuse8::build(&keys).unwrap();
-    let build = start.elapsed().as_secs_f64() * 1e3;
-    emit("fuse8", measure(&fuse8, n, build, trials));
-
-    let start = Instant::now();
-    let xor16 = Xor16::build(&keys).unwrap();
-    let build = start.elapsed().as_secs_f64() * 1e3;
-    emit("xor16", measure(&xor16, n, build, trials));
-
-    let start = Instant::now();
-    let fuse16 = Fuse16::build(&keys).unwrap();
-    let build = start.elapsed().as_secs_f64() * 1e3;
-    emit("fuse16", measure(&fuse16, n, build, trials));
 
     table.note(format!("n = {n} keys; query mix 50/50 members/non-members"));
     table.note(

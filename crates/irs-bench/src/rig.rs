@@ -24,17 +24,23 @@ use irs_proxy::{LookupOutcome, SharedProxy};
 use irs_workload::population::PhotoPopulation;
 
 /// Install the population's revoked set on `proxy` the way §4.4 has it
-/// arrive: one Bloom per ledger, each a copy of the (empty) `geometry`
-/// holding that ledger's revoked keys, probed for that ledger's records
-/// only. Every ledger
-/// of the population gets one, revoked keys or not — a miss only counts
-/// for ledgers whose filter is held.
+/// arrive: one Bloom per ledger, probed for that ledger's records only.
+/// `geometry` is the whole ecosystem's (empty) filter budget; each of the
+/// population's `L` ledgers gets `m / L` of its bits with the same `k`
+/// and seed, so the `L` filters together hold the paper's budget and
+/// each answers at its FPR for the ledger's share of the revoked keys.
+/// Every ledger of the population gets one, revoked keys or not — a miss
+/// only counts for ledgers whose filter is held.
 pub fn install_revoked_filter(
     proxy: &SharedProxy,
     geometry: BloomFilter,
     population: &PhotoPopulation,
 ) {
-    let mut per_ledger = vec![geometry; usize::from(population.config().ledgers)];
+    let ledgers = usize::from(population.config().ledgers);
+    let m_bits = geometry.m_bits().div_ceil(ledgers as u64);
+    let share = BloomFilter::with_params(m_bits, geometry.k(), geometry.seed())
+        .expect("a share of a valid geometry");
+    let mut per_ledger = vec![share; ledgers];
     for meta in population.iter().filter(|m| m.revoked) {
         per_ledger[usize::from(meta.id.ledger.0)].insert(meta.id.filter_key());
     }

@@ -1,10 +1,11 @@
 //! The standard Bloom filter, as assumed by the paper's §4.4 sizing
 //! argument.
 //!
-//! Ledgers export a filter of their revoked photo identifiers; the paper's
-//! proxies OR all ledger filters together ([`BloomFilter::union_with`]),
-//! ours consult the record's own ledger's filter before issuing a real
-//! ledger query.
+//! Ledgers export a filter of their revoked photo identifiers, and a
+//! proxy consults the record's own ledger's filter before issuing a real
+//! ledger query. The paper's proxies OR all ledger filters together;
+//! [`BloomFilter::union_with`] computes that OR only to report the
+//! false-positive rate it would answer at.
 
 use crate::hash::double_hash_indices;
 use crate::{Filter, FilterError};
@@ -27,7 +28,7 @@ const RETIRED_MAGIC: u32 = 0x4952_5342; // "IRSB"
 /// let mut filter = BloomFilter::for_capacity(1_000, 0.02).unwrap();
 /// filter.insert(42);
 /// assert!(filter.contains(42));          // no false negatives, ever
-/// // Ledgers publish, proxies OR:
+/// // A decoded filter keeps its geometry, so it ORs with a sibling:
 /// let mut merged = BloomFilter::from_bytes(filter.to_bytes()).unwrap();
 /// let other = BloomFilter::with_params(merged.m_bits(), merged.k(), merged.seed()).unwrap();
 /// merged.union_with(&other).unwrap();
@@ -112,7 +113,9 @@ impl BloomFilter {
     }
 
     /// OR another filter into this one. Both filters must have identical
-    /// geometry (m, k, seed); this is how a proxy merges per-ledger filters.
+    /// geometry (m, k, seed). This is the paper's merge of per-ledger
+    /// filters, kept to print the FPR that merge answers at
+    /// (`examples/bootstrap_browsing.rs`); no proxy ORs filters.
     pub fn union_with(&mut self, other: &BloomFilter) -> Result<(), FilterError> {
         if self.m != other.m || self.k != other.k || self.seed != other.seed {
             return Err(FilterError::BadParams("union requires identical geometry"));

@@ -1,6 +1,8 @@
 //! Fuse filters — the spatially-coupled refinement of xor filters that the
 //! paper cites via *Binary Fuse Filters: Fast and Smaller Than Xor Filters*
-//! (Graf & Lemire, 2022).
+//! (Graf & Lemire, 2022) — and xor filters themselves (\[15\], *Xor
+//! Filters: Faster and Smaller Than Bloom and Cuckoo Filters*), which are
+//! the one-window layout of the same construction.
 //!
 //! **Construction fidelity note (recorded in DESIGN.md):** this module
 //! implements the *fuse graph* construction (Dietzfelbinger & Walzer):
@@ -11,10 +13,11 @@
 //! probes, fingerprint xor), which is what experiment E12 compares.
 //! Segments are sized by the binary-fuse paper's formulas (power-of-two
 //! segment lengths, `layout`); its construction-time sorting affects
-//! build speed, not the space/FPR trade-off reproduced here.
+//! build speed, not the space/FPR trade-off reproduced here. An xor
+//! filter is the layout with exactly three segments, so every key's
+//! window is the whole filter (`build_xor`).
 
 use crate::hash::{mix_seeded, reduce};
-use crate::xor::{has_duplicates, peel};
 use crate::{Filter, FilterError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -45,6 +48,50 @@ fn layout(n: usize) -> (usize, usize) {
     (segment_len, (n as f64 * factor).ceil() as usize)
 }
 
+/// Peel a 3-uniform hypergraph: returns, in peel order, `(key_index, slot)`
+/// pairs such that assigning fingerprints in reverse order satisfies every
+/// key. `None` if the graph has a 2-core.
+fn peel(
+    n_slots: usize,
+    keys: &[u64],
+    slots_of: impl Fn(u64) -> [usize; 3],
+) -> Option<Vec<(usize, usize)>> {
+    // Per-slot count and xor of incident key indices (index-xor trick: when
+    // count reaches 1, the xor IS the remaining key index).
+    let mut count = vec![0u32; n_slots];
+    let mut kxor = vec![0usize; n_slots];
+    for (i, &k) in keys.iter().enumerate() {
+        for s in slots_of(k) {
+            count[s] += 1;
+            kxor[s] ^= i;
+        }
+    }
+    let mut queue: Vec<usize> = (0..n_slots).filter(|&s| count[s] == 1).collect();
+    let mut order: Vec<(usize, usize)> = Vec::with_capacity(keys.len());
+    while let Some(slot) = queue.pop() {
+        if count[slot] != 1 {
+            continue;
+        }
+        let key_idx = kxor[slot];
+        order.push((key_idx, slot));
+        for s in slots_of(keys[key_idx]) {
+            count[s] -= 1;
+            kxor[s] ^= key_idx;
+            if count[s] == 1 {
+                queue.push(s);
+            }
+        }
+    }
+    (order.len() == keys.len()).then_some(order)
+}
+
+/// Check for duplicate keys (peeling cannot succeed with duplicates).
+fn has_duplicates(keys: &[u64]) -> bool {
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|w| w[0] == w[1])
+}
+
 macro_rules! fuse_filter {
     ($name:ident, $fp:ty, $fpbits:expr, $put:ident, $get:ident, $doc:expr) => {
         #[doc = $doc]
@@ -61,12 +108,34 @@ macro_rules! fuse_filter {
             /// fresh seeds and, if necessary, grows capacity slightly; the
             /// chance of overall failure is negligible.
             pub fn build(keys: &[u64]) -> Result<Self, FilterError> {
+                let (segment_len, capacity) = layout(keys.len());
+                Self::build_shaped(keys, capacity, |c| {
+                    (segment_len, c.div_ceil(segment_len).max(3))
+                })
+            }
+
+            /// Build the xor filter layout over a set of distinct keys:
+            /// three segments of `⌈(⌈1.23·n⌉ + 32) / 3⌉` slots, so each
+            /// key's window is the whole filter. A retry level lengthens
+            /// the three segments.
+            pub fn build_xor(keys: &[u64]) -> Result<Self, FilterError> {
+                let capacity = (keys.len() as f64 * 1.23).ceil() as usize + 32;
+                Self::build_shaped(keys, capacity, |c| (c.div_ceil(3), 3))
+            }
+
+            /// Peel at `capacity` slots laid out as `shape(capacity) =
+            /// (segment_len, segments)`, growing `capacity` by ~10 % per
+            /// level after `SEEDS_PER_LEVEL` failed seeds.
+            fn build_shaped(
+                keys: &[u64],
+                mut capacity: usize,
+                shape: impl Fn(usize) -> (usize, usize),
+            ) -> Result<Self, FilterError> {
                 if has_duplicates(keys) {
                     return Err(FilterError::DuplicateKeys);
                 }
-                let (segment_len, mut capacity) = layout(keys.len());
                 for _level in 0..MAX_LEVELS {
-                    let segments = capacity.div_ceil(segment_len).max(3);
+                    let (segment_len, segments) = shape(capacity);
                     let n_slots = segment_len * segments;
                     for attempt in 0..SEEDS_PER_LEVEL {
                         let seed = attempt
@@ -125,16 +194,6 @@ macro_rules! fuse_filter {
             #[inline]
             fn fingerprint(key: u64, seed: u64) -> $fp {
                 (mix_seeded(key, seed ^ 0x1b87_3593_68df_5cab) & (<$fp>::MAX as u64)) as $fp
-            }
-
-            /// Bits per key for `n` keys stored.
-            pub fn bits_per_key(&self, n: usize) -> f64 {
-                (self.fingerprints.len() * $fpbits) as f64 / n.max(1) as f64
-            }
-
-            /// Number of segments in the layout.
-            pub fn segments(&self) -> usize {
-                self.segments
             }
 
             /// Serialize: magic, fingerprint width, seed, segment layout,
@@ -244,54 +303,96 @@ mod tests {
             .collect()
     }
 
+    type Build<F> = fn(&[u64]) -> Result<F, FilterError>;
+
+    /// The two layouts of the one construction, per fingerprint width:
+    /// Graf & Lemire's fuse sizing and the xor filter's three segments.
+    const LAYOUTS8: [(&str, Build<Fuse8>); 2] = [("fuse", Fuse8::build), ("xor", Fuse8::build_xor)];
+    const LAYOUTS16: [(&str, Build<Fuse16>); 2] =
+        [("fuse", Fuse16::build), ("xor", Fuse16::build_xor)];
+
+    fn holds_its_keys<F: Filter>(layout: &str, build: Build<F>) {
+        for n in [0u64, 1, 3, 10, 500, 5_000, 10_000, 60_000] {
+            let ks = keys(n);
+            let f = build(&ks).unwrap_or_else(|e| panic!("{layout} build n={n}: {e}"));
+            for &k in &ks {
+                assert!(f.contains(k), "{layout} n={n} lost key");
+            }
+        }
+    }
+
+    /// False positives among 200 000 non-members of a 30 000-key filter.
+    fn false_positives<F: Filter>(build: Build<F>) -> usize {
+        let f = build(&keys(30_000)).unwrap();
+        (0..200_000u64)
+            .map(|i| crate::hash::mix64(i + 5_000_000))
+            .filter(|&k| f.contains(k))
+            .count()
+    }
+
     #[test]
     fn no_false_negatives_small_and_large() {
-        for n in [0u64, 1, 10, 500, 5_000, 60_000] {
-            let ks = keys(n);
-            let f = Fuse8::build(&ks).unwrap_or_else(|e| panic!("build n={n}: {e}"));
-            for &k in &ks {
-                assert!(f.contains(k), "n={n} lost key");
-            }
+        for (layout, build) in LAYOUTS8 {
+            holds_its_keys(layout, build);
+        }
+        for (layout, build) in LAYOUTS16 {
+            holds_its_keys(layout, build);
         }
     }
 
     #[test]
     fn fpr_close_to_fingerprint_rate() {
-        let ks = keys(30_000);
-        let f = Fuse8::build(&ks).unwrap();
-        let trials = 200_000u64;
-        let fp = (0..trials)
-            .map(|i| crate::hash::mix64(i + 5_000_000))
-            .filter(|&k| f.contains(k))
-            .count() as f64;
-        let rate = fp / trials as f64;
-        assert!(rate < 0.008, "fuse8 fpr {rate}");
+        for (layout, build) in LAYOUTS8 {
+            // Expect ≈ 1/256 ≈ 0.0039.
+            let rate = false_positives(build) as f64 / 200_000.0;
+            assert!((0.001..0.008).contains(&rate), "{layout}8 fpr {rate}");
+        }
+        for (layout, build) in LAYOUTS16 {
+            // Expect ≈ 1/65536 → about 3 hits in 200k.
+            let fp = false_positives(build);
+            assert!(fp < 25, "{layout}16 false positives {fp}");
+        }
     }
 
     #[test]
     fn space_beats_xor_at_scale() {
         let ks = keys(200_000);
         let fuse = Fuse8::build(&ks).unwrap();
-        let xor = crate::Xor8::build(&ks).unwrap();
+        let xor = Fuse8::build_xor(&ks).unwrap();
         assert!(
             fuse.bits() < xor.bits(),
             "fuse {} bits vs xor {} bits",
             fuse.bits(),
             xor.bits()
         );
-        let bpk = fuse.bits_per_key(ks.len());
+        let bpk = fuse.bits() as f64 / ks.len() as f64;
         assert!(bpk < 9.6, "fuse bits/key {bpk}");
     }
 
+    /// `Fuse8::build` and `Fuse16::build` — the sealed base tier — encode
+    /// a fixed key set to these bytes: seeds, layout, slot function and
+    /// fingerprints are part of the wire format.
     #[test]
-    fn fuse16_false_positive_rarity() {
-        let ks = keys(20_000);
-        let f = Fuse16::build(&ks).unwrap();
-        let fp = (0..200_000u64)
-            .map(|i| crate::hash::mix64(i + 9_000_000))
-            .filter(|&k| f.contains(k))
-            .count();
-        assert!(fp < 25, "fuse16 fp count {fp}");
+    fn fuse_bytes_are_unchanged() {
+        let ks: Vec<u64> = (0..64).map(crate::hash::mix64).collect();
+        let hex = |b: Bytes| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let fuse8 = concat!(
+            "4952553308000000000000006e0000000000000020000000000000000400000000000000800000590000",
+            "004b4500000000000000000000000000009d5aca940000000056002de431ec00c0000044ff066cb81514",
+            "00bb000000a6c70000000000007100f100d0f9404745005810004ba4eb4a00cdf1ad000000ed00a70053",
+            "bdb06212f500fd0003000000000000b60000d800e300ed1000003d00280000ca549abed98200ff",
+        );
+        let fuse16 = concat!(
+            "4952553310000000000000006e0000000000000020000000000000000400000000000000800000000067",
+            "590000000000000c4bfd4500000000000000000000000000000000000000000000000000000000f49d85",
+            "5affcade94000000000000000044560000ab2d06e4c431b9eccd0044c000000000b84435ff8b06466cfe",
+            "b8c415ac1400003fbb000000000000cea62cc7000000000000000000000000407100006af1000061d00a",
+            "f9f140a447a0450000dd58d7100000fb4b4ba4b8eb384a000062cd5ef126ad000000000000d3ed0000a1",
+            "a700007453bbbdb7b00c62d3127bf5000069fd00000e0300000000000000000000000074b600000000ce",
+            "d8000057e3000029eddc1000000000553d0000ee280000000084cadd54789a74bef4d92a820000d7ff",
+        );
+        assert_eq!(hex(Fuse8::build(&ks).unwrap().to_bytes()), fuse8);
+        assert_eq!(hex(Fuse16::build(&ks).unwrap().to_bytes()), fuse16);
     }
 
     #[test]
@@ -325,20 +426,46 @@ mod tests {
     }
 
     #[test]
-    fn irsu_base_is_refused_not_misread() {
-        let mut old = Fuse8::build(&keys(100)).unwrap().to_bytes().to_vec();
-        old[..4].copy_from_slice(b"IRSU");
-        assert_eq!(
-            Fuse8::from_bytes(bytes::Bytes::from(old)).unwrap_err(),
-            FilterError::Malformed("retired IRSU (SHA-256 key) fuse")
-        );
+    fn retired_bases_are_refused_not_misread() {
+        for (magic, why) in [
+            (b"IRSU", "retired IRSU (SHA-256 key) fuse"),
+            (b"IRU2", "retired IRU2 (correlated slots) fuse"),
+        ] {
+            let mut old = Fuse8::build(&keys(100)).unwrap().to_bytes().to_vec();
+            old[..4].copy_from_slice(magic);
+            let refused = Fuse8::from_bytes(Bytes::from(old)).unwrap_err();
+            assert_eq!(refused, FilterError::Malformed(why));
+        }
     }
 
     #[test]
     fn duplicates_rejected() {
         let mut ks = keys(50);
         ks.push(ks[10]);
-        assert!(matches!(Fuse8::build(&ks), Err(FilterError::DuplicateKeys)));
+        for (layout, build) in LAYOUTS8 {
+            assert!(
+                matches!(build(&ks), Err(FilterError::DuplicateKeys)),
+                "{layout}"
+            );
+        }
+    }
+
+    #[test]
+    fn peel_detects_unpeelable() {
+        // Three keys all mapping to the same three slots form a 2-core.
+        let keys = [10u64, 20, 30];
+        let res = peel(9, &keys, |_| [0, 1, 2]);
+        assert!(res.is_none());
+    }
+
+    #[test]
+    fn peel_order_covers_all_keys() {
+        let ks = keys(1000);
+        let order =
+            peel(1500, &ks, |k| Fuse8::slots(k, 99, 500, 3)).expect("peelable at 1.5× capacity");
+        let mut seen: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..1000).collect::<Vec<_>>());
     }
 
     /// `layout(n)` is Graf & Lemire's sizing, pinned at sizes whose
@@ -355,7 +482,8 @@ mod tests {
 
     /// At these sizes the first seed of the first level peels, so the
     /// filter is exactly the layout's `max(3, ⌈capacity / segment_len⌉)`
-    /// segments.
+    /// segments, and the xor layout exactly three of `⌈(⌈1.23·n⌉ + 32) /
+    /// 3⌉` slots: 9.84 bits/key at 10⁵ keys, as Graf & Lemire's xor8.
     #[test]
     fn the_first_level_peels() {
         for n in [4_096usize, 100_000] {
@@ -363,7 +491,16 @@ mod tests {
             let (segment_len, capacity) = layout(n);
             assert_eq!(f.segment_len, segment_len, "n={n}");
             assert_eq!(f.segments, capacity.div_ceil(segment_len).max(3), "n={n}");
+            let x = Fuse8::build_xor(&keys(n as u64)).unwrap();
+            let capacity = (n as f64 * 1.23).ceil() as usize + 32;
+            assert_eq!(
+                (x.segment_len, x.segments),
+                (capacity.div_ceil(3), 3),
+                "xor n={n}"
+            );
         }
+        let bpk = Fuse8::build_xor(&keys(100_000)).unwrap().bits() as f64 / 1e5;
+        assert!((9.5..10.5).contains(&bpk), "xor bits/key {bpk}");
     }
 
     /// Regression: the third offset was the top bits of `h.rotate_left(51)`,
@@ -390,15 +527,5 @@ mod tests {
             let share = a as f64 / trials as f64;
             assert!((0.45..0.55).contains(&share), "offset {i}: {share}");
         }
-    }
-
-    #[test]
-    fn iru2_base_is_refused_not_misread() {
-        let mut old = Fuse8::build(&keys(100)).unwrap().to_bytes().to_vec();
-        old[..4].copy_from_slice(b"IRU2");
-        assert_eq!(
-            Fuse8::from_bytes(bytes::Bytes::from(old)).unwrap_err(),
-            FilterError::Malformed("retired IRU2 (correlated slots) fuse")
-        );
     }
 }

@@ -11,13 +11,12 @@
 //! This crate provides:
 //!
 //! * [`bloom::BloomFilter`] — the standard Bloom filter the paper's sizing
-//!   argument assumes, with union (the paper's proxy ORs per-ledger
-//!   filters) and byte-level serialization;
-//! * [`xor::Xor8`] / [`xor::Xor16`] — static xor filters (Graf & Lemire,
-//!   cited as "more recent advances" \[15\]);
-//! * [`fuse::Fuse8`] / [`fuse::Fuse16`] — fuse-graph filters sized as
-//!   binary fuse filters \[16\] (see module docs for construction
-//!   fidelity);
+//!   argument assumes, with byte-level serialization;
+//! * [`fuse::Fuse8`] / [`fuse::Fuse16`] — static fuse-graph filters sized
+//!   as binary fuse filters \[16\] (see module docs for construction
+//!   fidelity); `build_xor` lays the same construction out as an xor
+//!   filter (Graf & Lemire, cited with \[16\] as "more recent advances"
+//!   \[15\]), one window of three equal segments;
 //! * [`delta`] — delta encoding of Bloom filter updates, for the paper's
 //!   "transferred with a delta encoding such that the update traffic will
 //!   be low" (hourly refresh, §4.4);
@@ -40,14 +39,12 @@ pub mod delta;
 pub mod fuse;
 pub mod hash;
 pub mod tiered;
-pub mod xor;
 
 pub use bloom::BloomFilter;
 pub use fuse::{Fuse16, Fuse8};
 pub use tiered::{
     Publication, PublishOutcome, TieredConfig, TieredFilter, TieredPublisher, TieredSnapshot,
 };
-pub use xor::{Xor16, Xor8};
 
 /// An approximate membership filter: never a false negative for inserted
 /// keys, false positives at the filter's design rate.
@@ -64,7 +61,7 @@ pub trait Filter {
 /// Errors from filter construction or decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterError {
-    /// Static construction (xor/fuse peeling) failed after all retries —
+    /// Static construction (fuse peeling, either layout) failed after all retries —
     /// statistically negligible for correct sizing, but surfaced rather
     /// than looping forever.
     ConstructionFailed,

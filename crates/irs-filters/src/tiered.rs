@@ -267,6 +267,24 @@ pub struct TieredSnapshot {
 }
 
 impl TieredSnapshot {
+    /// A publication of these tiers, the delta encoded once for the wire.
+    fn new(
+        epoch: u64,
+        base_bytes: Bytes,
+        delta: BloomFilter,
+        delta_version: u64,
+        prev_delta: Option<(u64, BloomFilter)>,
+    ) -> Arc<TieredSnapshot> {
+        Arc::new(TieredSnapshot {
+            epoch,
+            base_bytes,
+            delta_bytes: delta.to_bytes(),
+            delta,
+            delta_version,
+            prev_delta,
+        })
+    }
+
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -343,61 +361,35 @@ impl TieredSnapshot {
 
 /// The ledger-side tiered state machine: tracks the sealed base key set,
 /// rebuilds the delta tier from the live revoked set on each publish, and
-/// compacts (seals a new epoch) when the delta outgrows its budget.
+/// compacts (seals a new epoch) when the delta outgrows its budget. The
+/// published tiers live once, in the current [`TieredSnapshot`].
 #[derive(Debug)]
 pub struct TieredPublisher {
     cfg: TieredConfig,
-    epoch: u64,
     base_keys: HashSet<u64>,
-    base_bytes: Bytes,
-    delta: BloomFilter,
     delta_keys: HashSet<u64>,
-    delta_version: u64,
-    prev_delta: Option<(u64, BloomFilter)>,
-    failed_compactions: u64,
     snap: Arc<TieredSnapshot>,
 }
 
 impl TieredPublisher {
     /// Create a publisher with no sealed epoch (epoch 1, empty tiers).
     pub fn new(cfg: TieredConfig) -> Result<TieredPublisher, FilterError> {
-        let delta = cfg.empty_delta()?;
-        let snap = Arc::new(TieredSnapshot {
-            epoch: 1,
-            base_bytes: Bytes::new(),
-            delta_bytes: delta.to_bytes(),
-            delta: delta.clone(),
-            delta_version: 0,
-            prev_delta: None,
-        });
         Ok(TieredPublisher {
             cfg,
-            epoch: 1,
             base_keys: HashSet::new(),
-            base_bytes: Bytes::new(),
-            delta,
             delta_keys: HashSet::new(),
-            delta_version: 0,
-            prev_delta: None,
-            failed_compactions: 0,
-            snap,
+            snap: TieredSnapshot::new(1, Bytes::new(), cfg.empty_delta()?, 0, None),
         })
     }
 
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.snap.epoch
     }
 
     /// Current delta version.
     pub fn delta_version(&self) -> u64 {
-        self.delta_version
-    }
-
-    /// Fuse constructions that failed (the publisher falls back to growing
-    /// the delta and retries at the next publish).
-    pub fn failed_compactions(&self) -> u64 {
-        self.failed_compactions
+        self.snap.delta_version
     }
 
     /// The current publication, cheap to clone and safe to serve off-lock.
@@ -417,19 +409,13 @@ impl TieredPublisher {
         let delta_keys: HashSet<u64> = revoked.difference(&self.base_keys).copied().collect();
         if delta_keys.len() as u64 >= self.cfg.compact_at {
             let keys: Vec<u64> = revoked.iter().copied().collect();
-            match Fuse8::build(&keys) {
-                Ok(base) => {
-                    self.epoch += 1;
-                    self.base_bytes = base.to_bytes();
-                    self.base_keys = revoked.clone();
-                    self.delta = self.cfg.empty_delta()?;
-                    self.delta_keys = HashSet::new();
-                    self.delta_version = 0;
-                    self.prev_delta = None;
-                    self.refresh_snapshot();
-                    return Ok(PublishOutcome::Compacted(self.epoch));
-                }
-                Err(_) => self.failed_compactions += 1,
+            if let Ok(base) = Fuse8::build(&keys) {
+                let epoch = self.snap.epoch + 1;
+                self.base_keys = revoked.clone();
+                self.delta_keys = HashSet::new();
+                self.snap =
+                    TieredSnapshot::new(epoch, base.to_bytes(), self.cfg.empty_delta()?, 0, None);
+                return Ok(PublishOutcome::Compacted(epoch));
             }
         }
         if delta_keys == self.delta_keys {
@@ -439,22 +425,16 @@ impl TieredPublisher {
         for &k in &delta_keys {
             next.insert(k);
         }
-        self.prev_delta = Some((self.delta_version, std::mem::replace(&mut self.delta, next)));
+        let version = self.snap.delta_version + 1;
         self.delta_keys = delta_keys;
-        self.delta_version += 1;
-        self.refresh_snapshot();
-        Ok(PublishOutcome::DeltaAdvanced(self.delta_version))
-    }
-
-    fn refresh_snapshot(&mut self) {
-        self.snap = Arc::new(TieredSnapshot {
-            epoch: self.epoch,
-            base_bytes: self.base_bytes.clone(),
-            delta_bytes: self.delta.to_bytes(),
-            delta: self.delta.clone(),
-            delta_version: self.delta_version,
-            prev_delta: self.prev_delta.clone(),
-        });
+        self.snap = TieredSnapshot::new(
+            self.snap.epoch,
+            self.snap.base_bytes.clone(),
+            next,
+            version,
+            Some((self.snap.delta_version, self.snap.delta.clone())),
+        );
+        Ok(PublishOutcome::DeltaAdvanced(version))
     }
 }
 

@@ -449,10 +449,10 @@ mod tests {
         };
         assert_eq!(id, uncached);
 
-        let d = shared.degraded_stats();
-        assert_eq!(d.stale_served, 1);
-        assert!(d.unavailable >= 1);
-        assert!(d.upstream_failures >= 1);
+        let counter = |name| shared.metrics().counter(name).get();
+        assert_eq!(counter("irs_proxy_stale_served_total"), 1);
+        assert!(counter("irs_proxy_unavailable_total") >= 1);
+        assert!(counter("irs_proxy_upstream_failures_total") >= 1);
         proxy_server.shutdown();
     }
 

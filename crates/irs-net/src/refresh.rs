@@ -515,7 +515,8 @@ mod tests {
             refresh(&proxy, &connect(&server), LedgerId(1)),
             Err(NetError::Frame("ledger has no published filter"))
         ));
-        assert_eq!(proxy.degraded_stats().upstream_failures, 0);
+        let failures = proxy.metrics().counter("irs_proxy_upstream_failures_total");
+        assert_eq!(failures.get(), 0);
         server.shutdown();
     }
 
@@ -627,7 +628,8 @@ mod tests {
         let held = |proxy: &SharedProxy| {
             assert_eq!(proxy.filters_snapshot().ledger_count(), 0);
             assert_eq!(proxy.lookup(id, TimeMs(5)), LookupOutcome::NeedsLedgerQuery);
-            assert_eq!(proxy.degraded_stats().upstream_failures, 0);
+            let failures = proxy.metrics().counter("irs_proxy_upstream_failures_total");
+            assert_eq!(failures.get(), 0);
             assert_eq!(proxy.breaker(LedgerId(1)).state(), BreakerState::Closed);
         };
         held(&proxy);

@@ -249,7 +249,8 @@ mod tests {
             matches!(resp, Response::StatusStale { status, .. } if status == RevocationStatus::NotRevoked),
             "expected stale, got {resp:?}"
         );
-        assert_eq!(proxy.degraded_stats().stale_served, 1);
+        let stale = proxy.metrics().counter("irs_proxy_stale_served_total");
+        assert_eq!(stale.get(), 1);
     }
 
     /// One traced validate through the full ladder: every layer records

@@ -148,7 +148,8 @@ mod tests {
                 age_ms: 500
             }
         );
-        assert_eq!(proxy.degraded_stats().stale_served, 1);
+        let stale = proxy.metrics().counter("irs_proxy_stale_served_total");
+        assert_eq!(stale.get(), 1);
     }
 
     #[test]
@@ -160,7 +161,8 @@ mod tests {
             .call(Request::Query { id }, &CallCtx::at(TimeMs(50)))
             .unwrap();
         assert!(matches!(resp, Response::Unavailable { id: got, .. } if got == id));
-        assert_eq!(proxy.degraded_stats().unavailable, 1);
+        let unavailable = proxy.metrics().counter("irs_proxy_unavailable_total");
+        assert_eq!(unavailable.get(), 1);
     }
 
     #[test]

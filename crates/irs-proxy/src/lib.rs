@@ -36,4 +36,4 @@ pub mod proxy;
 pub use filterset::FilterSet;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use lru::LruTtlCache;
-pub use proxy::{DegradedStats, LookupOutcome, ProxyConfig, ProxyStats, SharedProxy};
+pub use proxy::{LookupOutcome, ProxyConfig, ProxyStats, SharedProxy};

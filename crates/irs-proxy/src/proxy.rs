@@ -112,7 +112,8 @@ struct ProxyObs {
     filter_negative: Counter,
     cache_hits: Counter,
     ledger_queries: Counter,
-    // Degradation counters (see DegradedStats).
+    // Degradation counters: how often the proxy fell back past a live
+    // upstream answer.
     stale_served: Counter,
     unavailable: Counter,
     upstream_failures: Counter,
@@ -143,21 +144,6 @@ impl ProxyObs {
             registry,
         }
     }
-}
-
-/// Counters for the degradation ladder: how often the proxy had to fall
-/// back past a live upstream answer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DegradedStats {
-    /// Answers served from a stale (possibly TTL-expired) cache entry
-    /// because the upstream was unavailable or its breaker open.
-    pub stale_served: u64,
-    /// Lookups with no answer at all (upstream down, nothing cached).
-    pub unavailable: u64,
-    /// Upstream exchanges that failed (feeds the breakers).
-    pub upstream_failures: u64,
-    /// Breaker trips summed over all ledgers.
-    pub breaker_opens: u64,
 }
 
 /// The IRS proxy. Its whole lookup path is `&self`.
@@ -302,8 +288,8 @@ impl SharedProxy {
 
     /// Last-resort read for a degraded upstream: the cached status for
     /// `id` regardless of TTL, with its age in milliseconds. Counts into
-    /// [`DegradedStats`] as a stale serve when it produces an answer and
-    /// as unavailable when it does not.
+    /// `irs_proxy_stale_served_total` when it produces an answer and into
+    /// `irs_proxy_unavailable_total` when it does not.
     pub fn lookup_stale(&self, id: RecordId, now: TimeMs) -> Option<(RevocationStatus, u64)> {
         let found = self.cache_shards[self.shard_of(id.filter_key())]
             .lock()
@@ -381,17 +367,6 @@ impl SharedProxy {
             filter_negative: self.obs.filter_negative.get(),
             cache_hits: self.obs.cache_hits.get(),
             ledger_queries: self.obs.ledger_queries.get(),
-        }
-    }
-
-    /// A point-in-time copy of the degradation counters.
-    pub fn degraded_stats(&self) -> DegradedStats {
-        let breaker_opens = self.health.read().values().map(|b| b.opens()).sum();
-        DegradedStats {
-            stale_served: self.obs.stale_served.get(),
-            unavailable: self.obs.unavailable.get(),
-            upstream_failures: self.obs.upstream_failures.get(),
-            breaker_opens,
         }
     }
 
@@ -728,9 +703,9 @@ mod tests {
             Some((RevocationStatus::Revoked, 500))
         );
         assert_eq!(p.lookup_stale(rid(6), TimeMs(500)), None);
-        let d = p.degraded_stats();
-        assert_eq!(d.stale_served, 1);
-        assert_eq!(d.unavailable, 1);
+        let counter = |name| p.metrics().counter(name).get();
+        assert_eq!(counter("irs_proxy_stale_served_total"), 1);
+        assert_eq!(counter("irs_proxy_unavailable_total"), 1);
         // Invalidation kills the stale copy too.
         p.invalidate(&rid(5));
         assert_eq!(p.lookup_stale(rid(5), TimeMs(501)), None);
@@ -749,8 +724,10 @@ mod tests {
         p.record_upstream(LedgerId(2), true, TimeMs(1));
         assert_eq!(p.breaker(LedgerId(1)).state(), BreakerState::Open);
         assert_eq!(p.breaker(LedgerId(2)).state(), BreakerState::Closed);
-        assert_eq!(p.degraded_stats().breaker_opens, 1);
-        assert_eq!(p.degraded_stats().upstream_failures, 2);
+        let opens = p.breaker(LedgerId(1)).opens() + p.breaker(LedgerId(2)).opens();
+        assert_eq!(opens, 1);
+        let failures = p.metrics().counter("irs_proxy_upstream_failures_total");
+        assert_eq!(failures.get(), 2);
         // Ledger 2's staleness is bounded by its last success.
         assert_eq!(p.breaker(LedgerId(2)).staleness_ms(TimeMs(11)), Some(10));
     }

@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | [`protocol`] | `irs-core` | identifiers, claims, revocation, labels, freshness proofs, wire codec |
 //! | [`crypto`] | `irs-crypto` | SHA-256/512, Ed25519 (RFC 8032) — built from scratch |
-//! | [`filters`] | `irs-filters` | Bloom / xor / fuse filters, delta updates, the tiered publication |
+//! | [`filters`] | `irs-filters` | Bloom and fuse filters (xor is the fuse core's one-window layout), delta updates, the tiered publication |
 //! | [`imaging`] | `irs-imaging` | synthetic photos, JPEG-style transcode, DWT–DCT watermark, perceptual hash |
 //! | [`ledger`] | `irs-ledger` | the ledger service, appeals, adversarial variants, probes |
 //! | [`proxy`] | `irs-proxy` | anonymizing proxy: cache + per-ledger filters |

@@ -417,7 +417,8 @@ fn breaker_opens_serves_stale_and_recovers() {
         );
     }
     assert_eq!(shared.breaker(LedgerId(1)).state(), BreakerState::Open);
-    assert!(shared.degraded_stats().stale_served >= 4);
+    let stale = shared.metrics().counter("irs_proxy_stale_served_total");
+    assert!(stale.get() >= 4);
 
     // Heal and wait out the cooldown: the half-open probe closes the
     // breaker and fresh answers resume.
@@ -612,8 +613,9 @@ fn shard_killed_mid_page_degrades_per_photo_in_order() {
     assert_eq!(browser.validate_page(&readings, TimeMs(1_000)), expected);
     let breakers = [1, 2].map(|l| shared.breaker(LedgerId(l)).state());
     assert_eq!(breakers, [Closed, Open]);
-    let degraded = shared.degraded_stats();
-    assert!(degraded.stale_served >= 8 && degraded.unavailable >= 4);
+    let counter = |name| shared.metrics().counter(name).get();
+    assert!(counter("irs_proxy_stale_served_total") >= 8);
+    assert!(counter("irs_proxy_unavailable_total") >= 4);
     proxy_server.shutdown();
     cluster.shutdown();
 }

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use irs::crypto::Keypair;
 use irs::filters::delta::BloomDelta;
-use irs::filters::{BloomFilter, Filter, Fuse8, TieredConfig, TieredPublisher, Xor8};
+use irs::filters::{BloomFilter, Filter, Fuse8, TieredConfig, TieredPublisher};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response, Wire};
@@ -21,7 +21,7 @@ proptest! {
         for &k in &keys {
             bloom.insert(k);
         }
-        let xor = Xor8::build(&keys).unwrap();
+        let xor = Fuse8::build_xor(&keys).unwrap();
         let fuse = Fuse8::build(&keys).unwrap();
         for &k in &keys {
             prop_assert!(bloom.contains(k));
